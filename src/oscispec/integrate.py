@@ -65,6 +65,11 @@ def integrate_fundamental(
     The step actually used is h = length / ceil(length / step) so the grid
     lands exactly on the interval ends.  Raises IntegrationError if the
     solution overflows.
+
+    Where the interval's coefficients are constant every step matrix is the
+    same: it is formed once and raised to the n-th power along the pairwise
+    tree of the general path, with bit-identical results in O(log n)
+    products.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -74,21 +79,22 @@ def integrate_fundamental(
     h = length / n_steps
 
     nodes = lo + h * np.arange(n_steps + 1)
-    mids = nodes[:-1] + 0.5 * h
-    a_nodes = system.coeff_batch(interval, nodes)
-    a_mids = system.coeff_batch(interval, mids)
+    const = system.constant_coeffs[interval]
 
-    # one-step propagators S_j for the column dynamics z' = a(y) z;
     # overflow is caught by the finiteness check below, not warned about
-    eye = np.eye(system.dim, dtype=a_nodes.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = a_nodes[:-1]
-        k2 = a_mids @ (eye + (0.5 * h) * k1)
-        k3 = a_mids @ (eye + (0.5 * h) * k2)
-        k4 = a_nodes[1:] @ (eye + h * k3)
-        steps = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if const is None:
+            a_nodes = system.coeff_batch(interval, nodes)
+            a_mids = system.coeff_batch(interval, nodes[:-1] + 0.5 * h)
+            steps = _rk4_steps(a_nodes[:-1], a_mids, a_nodes[1:], h)
+        else:
+            # a length-1 stack, so S is computed exactly as steps[j] above
+            a = np.broadcast_to(const, (1,) + const.shape)
+            steps = np.broadcast_to(_rk4_steps(a, a, a, h), (n_steps,) + const.shape)
 
+        samples = None
         if keep_samples:
+            eye = np.eye(system.dim, dtype=steps.dtype)
             samples = np.empty((n_steps + 1, system.dim, system.dim), dtype=steps.dtype)
             samples[0] = eye
             transfer = eye
@@ -96,9 +102,10 @@ def integrate_fundamental(
                 transfer = steps[j] @ transfer
                 samples[j + 1] = transfer.T
             end = transfer.T
-        else:
+        elif const is None:
             end = _chain_product(steps).T
-            samples = None
+        else:
+            end = _constant_power(steps[0], n_steps).T
 
     if not np.all(np.isfinite(end)):
         raise IntegrationError(interval, system.lam)
@@ -120,6 +127,20 @@ def integrate_fundamental(
     )
 
 
+def _rk4_steps(a_left, a_mid, a_right, h: float) -> np.ndarray:
+    """One-step propagators S_j for the column dynamics z' = a(y) z.
+
+    The arguments are stacks of the coefficient at each step's left end,
+    midpoint and right end.
+    """
+    eye = np.eye(a_left.shape[-1], dtype=a_left.dtype)
+    k1 = a_left
+    k2 = a_mid @ (eye + (0.5 * h) * k1)
+    k3 = a_mid @ (eye + (0.5 * h) * k2)
+    k4 = a_right @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _chain_product(mats: np.ndarray) -> np.ndarray:
     """mats[-1] @ ... @ mats[0] by pairwise reduction (deterministic order)."""
     while mats.shape[0] > 1:
@@ -131,3 +152,23 @@ def _chain_product(mats: np.ndarray) -> np.ndarray:
         else:
             mats = paired
     return mats[0]
+
+
+def _constant_power(mat: np.ndarray, n: int) -> np.ndarray:
+    """mat^n, bit-identical to _chain_product of n copies of mat.
+
+    Every level of the pairwise tree on identical factors is `count` copies
+    of one power followed by at most one carried remainder, so a level
+    costs at most two products: about 2 log2(n) in all instead of n - 1.
+    np.linalg.matrix_power is not used: it forms mat^3 as (mat @ mat) @ mat,
+    where the tree has mat @ (mat @ mat).
+    """
+    power, count, rest = mat, n, None
+    while count + (rest is not None) > 1:
+        if count % 2:
+            # the odd copy pairs with the remainder, or becomes it
+            rest = power if rest is None else rest @ power
+        count //= 2
+        if count:
+            power = power @ power
+    return power if count else rest

@@ -52,8 +52,14 @@ def realify(matrix: np.ndarray) -> np.ndarray:
     """Real 2r x 2c image [[Re, -Im], [Im, Re]] of a complex matrix.
 
     This is the matrix of the same linear map acting on stacked
-    (real part, imaginary part) vectors.
+    (real part, imaginary part) vectors.  A stack of matrices is realified
+    matrix by matrix.
     """
-    re = np.real(matrix)
-    im = np.imag(matrix)
-    return np.block([[re, -im], [im, re]])
+    return real_blocks(np.real(matrix), np.imag(matrix))
+
+
+def real_blocks(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Block matrix [[diag, -off], [off, diag]] over the last two axes."""
+    top = np.concatenate([diag, -off], axis=-1)
+    bottom = np.concatenate([off, diag], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)

@@ -170,6 +170,8 @@ class ReducedSystem:
 
     dim is N for the complex path and 2N for the real-split path; boundary
     and interface matrices are constant (already evaluated at lambda).
+    constant_coeffs holds, per interval, the coefficient matrix that
+    coeff_batch returns at every y, or None where it depends on y.
     """
 
     partition: Partition
@@ -181,6 +183,7 @@ class ReducedSystem:
     interfaces: tuple[tuple[np.ndarray, np.ndarray], ...]
     bound: float
     coeff_batch: Callable[[int, np.ndarray], np.ndarray]
+    constant_coeffs: tuple[np.ndarray | None, ...]
 
     def coefficient(self, interval: int, y: float) -> np.ndarray:
         return self.coeff_batch(interval, np.asarray([float(y)]))[0]

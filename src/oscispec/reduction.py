@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import realify
+from .linalg import real_blocks, realify
 from .problem import (
     CoefficientField,
     LambdaCoefficientField,
@@ -32,9 +32,9 @@ def reduce_complex(problem: ProblemDefinition, lam: complex) -> ReducedSystem:
     lam = complex(lam)
     coeffs = problem.coefficients
     if isinstance(coeffs, CoefficientField):
-        batch = _poly_batch(coeffs, lam)
+        consts, varying = _poly_parts(coeffs, lam)
     else:
-        batch = _lambda_batch(coeffs, lam)
+        consts, varying = _lambda_parts(coeffs, lam)
 
     return ReducedSystem(
         partition=problem.partition,
@@ -51,7 +51,8 @@ def reduce_complex(problem: ProblemDefinition, lam: complex) -> ReducedSystem:
             for c in sorted(problem.conjugations, key=lambda c: c.interface)
         ),
         bound=_reduced_bound(coeffs, lam),
-        coeff_batch=batch,
+        coeff_batch=_coeff_batch(consts, varying),
+        constant_coeffs=consts,
     )
 
 
@@ -67,9 +68,9 @@ def reduce_real_split(problem: ProblemDefinition, p: float) -> ReducedSystem:
     lam = 1j * p
     coeffs = problem.coefficients
     if isinstance(coeffs, CoefficientField):
-        batch = _poly_split_batch(coeffs, p)
+        consts, varying = _poly_split_parts(coeffs, p)
     else:
-        batch = _lambda_split_batch(coeffs, lam)
+        consts, varying = _lambda_split_parts(coeffs, lam)
 
     return ReducedSystem(
         partition=problem.partition,
@@ -83,13 +84,19 @@ def reduce_real_split(problem: ProblemDefinition, p: float) -> ReducedSystem:
             for c in sorted(problem.conjugations, key=lambda c: c.interface)
         ),
         bound=_reduced_bound(coeffs, lam),
-        coeff_batch=batch,
+        coeff_batch=_coeff_batch(consts, varying),
+        constant_coeffs=consts,
     )
 
 
 # ---------------------------------------------------------------------------
 # coefficient evaluators
 # ---------------------------------------------------------------------------
+#
+# Each *_parts function returns (consts, varying): per interval the reduced
+# coefficient matrix where it is constant in y (None elsewhere), and an
+# evaluator varying(interval, ys) -> (len(ys), dim, dim) for the other
+# intervals.
 
 
 def _reduced_bound(coeffs, lam: complex) -> float:
@@ -97,94 +104,82 @@ def _reduced_bound(coeffs, lam: complex) -> float:
     return coeffs.bound * (1.0 + r + r * r)
 
 
-def _poly_batch(coeffs: CoefficientField, lam: complex):
-    lam2 = lam * lam
-    consts = []
-    for i in range(coeffs.partition.n_intervals):
-        a, b, c = coeffs.a_polys[i], coeffs.b_polys[i], coeffs.c_polys[i]
-        if a.is_constant() and b.is_constant() and c.is_constant():
-            consts.append(a.coeffs[0] + lam2 * b.coeffs[0] + lam * c.coeffs[0])
-        else:
-            consts.append(None)
-
+def _coeff_batch(consts, varying):
     def batch(interval: int, ys: np.ndarray) -> np.ndarray:
         const = consts[interval]
         if const is not None:
             return np.broadcast_to(const, (len(ys),) + const.shape)
+        return varying(interval, ys)
+
+    return batch
+
+
+def _constant_abc(coeffs: CoefficientField):
+    """Per interval the constant (A, B, C) matrices, None where any varies in y."""
+    return [
+        (a.coeffs[0], b.coeffs[0], c.coeffs[0])
+        if a.is_constant() and b.is_constant() and c.is_constant()
+        else None
+        for a, b, c in zip(coeffs.a_polys, coeffs.b_polys, coeffs.c_polys)
+    ]
+
+
+def _poly_parts(coeffs: CoefficientField, lam: complex):
+    lam2 = lam * lam
+    consts = tuple(
+        None if abc is None else abc[0] + lam2 * abc[1] + lam * abc[2]
+        for abc in _constant_abc(coeffs)
+    )
+
+    def varying(interval: int, ys: np.ndarray) -> np.ndarray:
         return (
             coeffs.a_polys[interval](ys)
             + lam2 * coeffs.b_polys[interval](ys)
             + lam * coeffs.c_polys[interval](ys)
         ).astype(complex)
 
-    return batch
+    return consts, varying
 
 
-def _poly_split_batch(coeffs: CoefficientField, p: float):
+def _poly_split_parts(coeffs: CoefficientField, p: float):
     p2 = p * p
-    consts = []
-    for i in range(coeffs.partition.n_intervals):
-        a, b, c = coeffs.a_polys[i], coeffs.b_polys[i], coeffs.c_polys[i]
-        if a.is_constant() and b.is_constant() and c.is_constant():
-            consts.append(_split_blocks(a.coeffs[0], b.coeffs[0], c.coeffs[0], p))
-        else:
-            consts.append(None)
+    consts = tuple(
+        None
+        if abc is None
+        else real_blocks(np.real(abc[0]) - p2 * np.real(abc[1]), p * np.real(abc[2]))
+        for abc in _constant_abc(coeffs)
+    )
 
-    def batch(interval: int, ys: np.ndarray) -> np.ndarray:
-        const = consts[interval]
-        if const is not None:
-            return np.broadcast_to(const, (len(ys),) + const.shape)
+    def varying(interval: int, ys: np.ndarray) -> np.ndarray:
         av = coeffs.a_polys[interval](ys)
         bv = coeffs.b_polys[interval](ys)
         cv = coeffs.c_polys[interval](ys)
-        diag = av - p2 * bv
-        off = p * cv
-        top = np.concatenate([diag, -off], axis=2)
-        bottom = np.concatenate([off, diag], axis=2)
-        return np.concatenate([top, bottom], axis=1)
+        return real_blocks(av - p2 * bv, p * cv)
 
-    return batch
+    return consts, varying
 
 
-def _split_blocks(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: float) -> np.ndarray:
-    diag = np.real(a) - p * p * np.real(b)
-    off = p * np.real(c)
-    return np.block([[diag, -off], [off, diag]])
-
-
-def _lambda_batch(coeffs: LambdaCoefficientField, lam: complex):
+def _lambda_parts(coeffs: LambdaCoefficientField, lam: complex):
+    n = coeffs.partition.n_intervals
     if coeffs.y_independent:
-        mids = [
-            0.5 * (lo + hi)
-            for lo, hi in (coeffs.partition.interval(i) for i in range(coeffs.partition.n_intervals))
-        ]
-        consts = [
+        mids = [0.5 * (lo + hi) for lo, hi in map(coeffs.partition.interval, range(n))]
+        consts = tuple(
             np.asarray(ev(mids[i], lam), dtype=complex)
             for i, ev in enumerate(coeffs.evaluators)
-        ]
+        )
+        return consts, None
 
-        def batch(interval: int, ys: np.ndarray) -> np.ndarray:
-            const = consts[interval]
-            return np.broadcast_to(const, (len(ys),) + const.shape)
-
-        return batch
-
-    def batch(interval: int, ys: np.ndarray) -> np.ndarray:
+    def varying(interval: int, ys: np.ndarray) -> np.ndarray:
         ev = coeffs.evaluators[interval]
         return np.stack([np.asarray(ev(float(y), lam), dtype=complex) for y in ys])
 
-    return batch
+    return (None,) * n, varying
 
 
-def _lambda_split_batch(coeffs: LambdaCoefficientField, lam: complex):
-    inner = _lambda_batch(coeffs, lam)
+def _lambda_split_parts(coeffs: LambdaCoefficientField, lam: complex):
+    consts, varying = _lambda_parts(coeffs, lam)
 
-    def batch(interval: int, ys: np.ndarray) -> np.ndarray:
-        vals = inner(interval, ys)
-        re = np.real(vals)
-        im = np.imag(vals)
-        top = np.concatenate([re, -im], axis=2)
-        bottom = np.concatenate([im, re], axis=2)
-        return np.concatenate([top, bottom], axis=1)
+    def varying_split(interval: int, ys: np.ndarray) -> np.ndarray:
+        return realify(varying(interval, ys))
 
-    return batch
+    return tuple(None if c is None else realify(c) for c in consts), varying_split

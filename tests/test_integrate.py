@@ -1,5 +1,6 @@
 """Fundamental-matrix integration: exactness, order, step estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,10 @@ from oscispec import (
     estimate_step,
     integrate_fundamental,
     reduce_complex,
+    reduce_real_split,
 )
+from oscispec.integrate import _chain_product, _constant_power
+from oscispec.models import SCAN_DEFAULTS, build_model
 
 from conftest import identity_conjugation
 
@@ -76,16 +80,58 @@ class TestEndMatrices:
         fm = integrate_fundamental(sysr, 0, step=0.3)
         assert fm.step == pytest.approx(0.25)
 
-    def test_overflow_raises(self):
-        huge = _system_from_matrix([[1e80, 0.0], [0.0, 0.0]], bound=1e80)
+    # 1e80 overflows within the single step; 1e4 at step 0.01 keeps each
+    # step matrix finite (about 4.4e6) and overflows only in their product
+    @pytest.mark.parametrize("keep_samples", [False, True], ids=["end", "samples"])
+    @pytest.mark.parametrize(
+        "scale, step", [(1e80, 1.0), (1e4, 0.01)], ids=["one_step", "many_steps"]
+    )
+    def test_overflow_raises(self, scale, step, keep_samples):
+        huge = _system_from_matrix([[scale, 0.0], [0.0, 0.0]], bound=scale)
         with pytest.raises(IntegrationError, match="interval 0"):
-            integrate_fundamental(huge, 0, step=1.0)
+            integrate_fundamental(huge, 0, step=step, keep_samples=keep_samples)
 
     def test_samples_match_endpoint_path(self):
         sysr = _system_from_matrix(ROTATION)
         a = integrate_fundamental(sysr, 0, step=1e-2, keep_samples=True)
         b = integrate_fundamental(sysr, 0, step=1e-2, keep_samples=False)
         np.testing.assert_allclose(a.end_matrix, b.end_matrix, rtol=1e-12, atol=1e-14)
+
+
+class TestConstantFastPath:
+    """Constant intervals take one step matrix and O(log n) products."""
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_power_matches_chain_product(self, dtype):
+        rng = np.random.default_rng(7)
+        mat = np.eye(3) + 1e-3 * rng.standard_normal((3, 3))
+        if dtype is complex:
+            mat = mat + 1e-3j * rng.standard_normal((3, 3))
+        for n in [*range(1, 71), 1000, 1023, 1024, 1025]:
+            expected = _chain_product(np.broadcast_to(mat, (n, 3, 3)))
+            assert np.array_equal(_constant_power(mat, n), expected), n
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    @pytest.mark.parametrize("path", ["complex", "real_split"])
+    @pytest.mark.parametrize("keep_samples", [False, True])
+    def test_bit_identical_to_general_path(self, name, path, keep_samples):
+        p_min, p_max, _ = SCAN_DEFAULTS[name]
+        p = 0.37 * p_min + 0.63 * p_max
+        problem = build_model(name)
+        if path == "complex":
+            reduced = reduce_complex(problem, complex(-0.05, p))
+        else:
+            reduced = reduce_real_split(problem, p)
+        n = reduced.partition.n_intervals
+        assert all(c is not None for c in reduced.constant_coeffs)
+        general = dataclasses.replace(reduced, constant_coeffs=(None,) * n)
+        for i in range(n):
+            fast = integrate_fundamental(reduced, i, 3e-3, keep_samples=keep_samples)
+            ref = integrate_fundamental(general, i, 3e-3, keep_samples=keep_samples)
+            assert np.array_equal(fast.end_matrix, ref.end_matrix)
+            if keep_samples:
+                assert np.array_equal(fast.samples, ref.samples)
+                assert np.array_equal(fast.sample_ys, ref.sample_ys)
 
 
 class TestSemigroup:

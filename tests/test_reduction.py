@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from oscispec import (
     BoundaryOperator,
     CoefficientField,
+    LambdaCoefficientField,
     Partition,
     PolyMatrix,
     ProblemDefinition,
@@ -157,3 +158,35 @@ class TestReduceRealSplit:
         v1 = reduced.coefficient(0, 0.25)
         v2 = reduced.coefficient(0, 0.25)
         np.testing.assert_array_equal(v1, v2)
+
+
+class TestConstantCoeffs:
+    def test_polynomial_field_marks_y_dependent_intervals(self):
+        part = Partition((0.0, 0.5, 1.0))
+        a_const = PolyMatrix.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        a_linear = PolyMatrix.from_entries([[[0.0], [1.0]], [[0.0, 2.0], [0.0]]])
+        b = PolyMatrix.constant(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        zero = PolyMatrix.zero(2, 2)
+        field = CoefficientField(part, (a_const, a_linear), (b, b), (zero, zero), 2.0)
+        prob = make_string_problem(breakpoints=(0.0, 0.5, 1.0))
+        prob = ProblemDefinition("mixed", part, field, prob.boundary_left,
+                                 prob.boundary_right, prob.conjugations)
+        for reduced in (reduce_complex(prob, 0.2 + 1.5j), reduce_real_split(prob, 1.5)):
+            const, varying = reduced.constant_coeffs
+            assert varying is None
+            np.testing.assert_array_equal(const, reduced.coefficient(0, 0.3))
+
+    def test_lambda_field_follows_y_independent_flag(self):
+        part = Partition((0.0, 1.0))
+        ev = (lambda y, lam: np.array([[0.0, 1.0], [lam * lam, 0.0]]),)
+        prob = make_string_problem()
+        for flag in (True, False):
+            field = LambdaCoefficientField(part, ev, dim=2, bound=1.0, y_independent=flag)
+            prob = ProblemDefinition("lam", part, field, prob.boundary_left,
+                                     prob.boundary_right, ())
+            for reduced in (reduce_complex(prob, 1.5j), reduce_real_split(prob, 1.5)):
+                (const,) = reduced.constant_coeffs
+                if flag:
+                    np.testing.assert_array_equal(const, reduced.coefficient(0, 0.3))
+                else:
+                    assert const is None
