@@ -34,6 +34,8 @@ from .spectrum import SolveOptions, mode_shape, resolve_step, solve_spectrum
 DEFAULT_STEP = 1e-3
 DEFAULT_TOL = 1e-10
 VERIFY_MAX_DEV = 2e-3
+#: number of leading modes `verify` compares
+VERIFY_MODES = 3
 
 
 class ConfigError(Exception):
@@ -160,7 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("model", help="built-in model name")
     p_verify.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p_verify.add_argument("--max-dev", type=float, default=VERIFY_MAX_DEV)
-    p_verify.add_argument("--n-fd", type=int, default=400)
+    p_verify.add_argument(
+        "--n-fd", type=int, default=400, help="grid cells of the finite-difference oracle"
+    )
 
     p_val = subs.add_parser("validate", help="report model violations")
     _add_source_args(p_val)
@@ -200,6 +204,8 @@ def _config_from_args(args) -> RunConfig:
     cfg.path = getattr(args, "path", "complex")
     cfg.out_dir = Path(getattr(args, "out", "."))
     cfg.fmt = getattr(args, "format", "both")
+    cfg.max_dev = getattr(args, "max_dev", VERIFY_MAX_DEV)
+    cfg.n_fd = getattr(args, "n_fd", cfg.n_fd)
     if getattr(args, "sweep", None):
         name, lo, hi, count = _parse_colon_tuple(
             args.sweep, (str, float, float, int), "--sweep"
@@ -375,17 +381,24 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.model not in models.ORACLE_ROUTES:
         raise ConfigError(f"model {cfg.model!r} has no oracle route")
-    problem = models.build_model(cfg.model, **cfg.params)
+    try:
+        fd_config = FDOracleConfig(cfg.n_fd)
+    except ValueError as exc:
+        raise ConfigError(f"--n-fd: {exc}") from None
+    problem = _load(cfg)
     scan = models.SCAN_DEFAULTS[cfg.model]
     results = solve_spectrum(
         problem, SolveOptions(scan=scan, step=DEFAULT_STEP, tol=1e-12)
     )
-    solver_lams = [r.lam for r in results[:3]]
+    solver_lams = [r.lam for r in results[:VERIFY_MODES]]
 
     route = models.ORACLE_ROUTES[cfg.model]
     if route == "fd":
-        eigs = fd_polynomial_eigenvalues(problem, FDOracleConfig(cfg.n_fd))
-        oracle_lams = [complex(e) for e in leading_frequencies(np.asarray(eigs), 3)]
+        try:
+            eigs = fd_polynomial_eigenvalues(problem, fd_config, count=VERIFY_MODES)
+        except ValueError as exc:
+            raise ConfigError(f"--n-fd: {exc}") from None
+        oracle_lams = [complex(e) for e in leading_frequencies(eigs, VERIFY_MODES)]
         route_name = f"finite differences (n_fd={cfg.n_fd})"
     else:
         params = problem.params
@@ -399,12 +412,12 @@ def cmd_verify(cfg: RunConfig) -> int:
             mass=params.get("m0", 1.0),
             position=params.get("position", 0.5),
         )
-        oracle_lams = [1j * p for p in roots[:3]]
+        oracle_lams = [1j * p for p in roots[:VERIFY_MODES]]
         route_name = "closed form"
 
     print(f"model {cfg.model}: solver vs {route_name}")
     print("mode  solver_re      solver_im      oracle_re      oracle_im      rel_dev    sign")
-    ok = len(solver_lams) == 3 and len(oracle_lams) == 3
+    ok = len(solver_lams) == VERIFY_MODES and len(oracle_lams) == VERIFY_MODES
     for i in range(min(len(solver_lams), len(oracle_lams))):
         s, o = solver_lams[i], oracle_lams[i]
         dev = abs(abs(s) - abs(o)) / abs(o)
@@ -456,13 +469,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            cfg = RunConfig(model=args.model, max_dev=args.max_dev, n_fd=args.n_fd)
-            for item in args.param:
-                key, _, value = item.partition("=")
-                cfg.params[key] = _parse_param_value(value)
-            return cmd_verify(cfg)
         cfg = _config_from_args(args)
+        if args.command == "verify":
+            return cmd_verify(cfg)
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "modes":

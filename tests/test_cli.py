@@ -235,6 +235,25 @@ class TestVerifyAndValidate:
     def test_verify_unknown_model_exits_1(self, capsys):
         assert _run("verify", "beam") == 1
 
+    def test_verify_ignores_overdamped_fd_eigenvalues(self, capsys):
+        # the n_fd=100 spectrum has a Kelvin-Voigt eigenvalue at -199.95+3.14i
+        assert _run("verify", "machine_unit", "--n-fd", "100") == 0
+        assert "all deviations below" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--param", "bogus=1"),
+            ("--param", "beta"),
+            ("--n-fd", "10"),
+            ("--n-fd", "4000"),
+        ],
+        ids=["unknown_param", "param_without_value", "n_fd_below_floor", "n_fd_above_cap"],
+    )
+    def test_verify_bad_config_exits_1(self, argv, capsys):
+        assert _run("verify", "machine_unit", *argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_validate_subcommand(self, tmp_path, capsys):
         path = tmp_path / "good.json"
         dump_problem(make_string_problem(), path)

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from oscispec import (
     FDOracleConfig,
     build_fixed_free_string,
+    build_model,
     build_point_mass_string,
     build_spacecraft_bar,
     closed_form_determinant,
@@ -16,6 +18,7 @@ from oscispec import (
     load_problem,
     problem_to_dict,
 )
+from oscispec.oracle import _polyeig, _polyeig_near
 
 from conftest import make_string_problem
 
@@ -52,14 +55,18 @@ class TestClosedForms:
 
 class TestFDOracle:
     def test_string_spectrum_second_order_accurate(self):
-        eigs = fd_polynomial_eigenvalues(build_fixed_free_string(), FDOracleConfig(400))
+        eigs = fd_polynomial_eigenvalues(
+            build_fixed_free_string(), FDOracleConfig(400), count=3
+        )
         lead = leading_frequencies(eigs, 3)
         for got, k in zip(lead, (1, 2, 3)):
             want = (2 * k - 1) * math.pi / 2
             assert abs(got.imag - want) / want < 1e-3
 
     def test_point_mass_interface_rows(self):
-        eigs = fd_polynomial_eigenvalues(build_point_mass_string(), FDOracleConfig(400))
+        eigs = fd_polynomial_eigenvalues(
+            build_point_mass_string(), FDOracleConfig(400), count=3
+        )
         lead = leading_frequencies(eigs, 3)
         reference = closed_form_roots("point_mass_string", 0.2, 8.0)[:3]
         for got, want in zip(lead, reference):
@@ -84,7 +91,9 @@ class TestFDOracle:
     def test_self_convergence_between_dense_grids(self):
         vals = []
         for n_fd in (400, 800):
-            eigs = fd_polynomial_eigenvalues(build_fixed_free_string(), FDOracleConfig(n_fd))
+            eigs = fd_polynomial_eigenvalues(
+                build_fixed_free_string(), FDOracleConfig(n_fd), count=3
+            )
             vals.append([e.imag for e in leading_frequencies(eigs, 3)])
         for a, b in zip(*vals):
             assert abs(a - b) / abs(b) < 5e-4
@@ -105,3 +114,80 @@ class TestFDOracle:
         prob = load_problem(path)
         with pytest.raises(ValueError, match="no oracle route"):
             fd_polynomial_eigenvalues(prob)
+
+
+#: (model, params, count, whether the sparse route must fall back to QZ)
+SPARSE_CASES = [
+    ("machine_unit", {}, 3, False),
+    ("spacecraft_bar", {}, 3, False),
+    ("cable_snapshot", {}, 3, False),
+    ("pipeline", {}, 3, False),
+    ("spacecraft_bar", {"beta": 0.02}, 3, False),
+    ("pipeline", {"beta": 0.005, "alpha1": 0.3}, 3, False),
+    ("machine_unit", {"left_end": "clamped", "right_end": "clamped"}, 3, False),
+    # the Kelvin-Voigt cluster near -20.05 borders the wanted eigenvalues,
+    # so Arnoldi does not converge within its budget
+    ("machine_unit", {"zeta1": 0.05}, 5, True),
+]
+
+
+class TestSparseRoute:
+    @pytest.mark.parametrize("n_fd", (100, 200))
+    @pytest.mark.parametrize(
+        "model,params,count,fallback",
+        SPARSE_CASES,
+        ids=[f"{m}-{'-'.join(f'{k}={v}' for k, v in p.items()) or 'default'}"
+             for m, p, _, _ in SPARSE_CASES],
+    )
+    def test_matches_dense_selection(self, model, params, count, fallback, n_fd):
+        problem = build_model(model, **params)
+        dense = fd_polynomial_eigenvalues(problem, FDOracleConfig(n_fd))
+        sparse = fd_polynomial_eigenvalues(problem, FDOracleConfig(n_fd), count=count)
+        if fallback:
+            assert np.array_equal(sparse, dense)
+        else:
+            assert len(sparse) < len(dense)
+        want = leading_frequencies(dense, count)
+        got = leading_frequencies(sparse, count)
+        assert len(want) == len(got) == count
+        assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
+
+    def test_reruns_give_equal_arrays(self):
+        problem = build_model("spacecraft_bar")
+        first = fd_polynomial_eigenvalues(problem, FDOracleConfig(200), count=3)
+        second = fd_polynomial_eigenvalues(problem, FDOracleConfig(200), count=3)
+        assert np.array_equal(first, second)
+
+    @staticmethod
+    def _diagonal_pencil(pairs):
+        """Quadratic pencil with one diagonal entry (lam - a)(lam - b) per pair."""
+        pairs = np.array(pairs)
+        return [
+            np.diag((pairs[:, 0] * pairs[:, 1]).real),
+            np.diag(-(pairs[:, 0] + pairs[:, 1]).real),
+            np.eye(len(pairs)),
+        ]
+
+    def test_uncertified_eigenvalues_are_refused(self):
+        # 10i is among the eigenvalues nearest the shift, but the leading
+        # one, -9+9.5i, lies beyond a wall of overdamped real eigenvalues:
+        # no attempt can show that the found set holds it
+        pairs = [(10j, -10j), (-9 + 9.5j, -9 - 9.5j)]
+        pairs += [(-10.0 - 0.25 * j, -10.1 - 0.25 * j) for j in range(8)]
+        pairs += [((50 + j) * 1j, -(50 + j) * 1j) for j in range(20)]
+        mats = self._diagonal_pencil(pairs)
+        assert _polyeig_near(mats, 1) is None
+        assert leading_frequencies(_polyeig(mats), 1)[0] == pytest.approx(-9 + 9.5j)
+
+    def test_shift_on_an_eigenvalue_is_refused(self):
+        pairs = [(0.5j, -0.5j)] + [((2 + j) * 1j, -(2 + j) * 1j) for j in range(30)]
+        assert _polyeig_near(self._diagonal_pencil(pairs), 1) is None
+
+    def test_count_floor(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            fd_polynomial_eigenvalues(build_fixed_free_string(), count=0)
+
+
+def test_leading_frequencies_keeps_the_oscillatory_sector():
+    eigs = np.array([-199.95 + 3.14j, 0.0 + 1e-9j, -0.1 + 2.0j, -3.0 + 2.5j, -0.2 + 4.0j])
+    np.testing.assert_array_equal(leading_frequencies(eigs, 3), [-0.1 + 2.0j, -0.2 + 4.0j])
