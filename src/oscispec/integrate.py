@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .problem import ReducedSystem
+from .linalg import transpose
+from .problem import ReducedSystem, each_lambda
 
 #: |det| of an end matrix below this triggers a step-size warning
 DET_WARN_TOL = 1e-12
@@ -29,10 +30,10 @@ class FundamentalMatrix:
     """End values (and optional dense samples) of one interval's solutions."""
 
     interval: int
-    end_matrix: np.ndarray  # (dim, dim), rows = solutions
+    end_matrix: np.ndarray  # ([K,] dim, dim), rows = solutions
     step: float
     sample_ys: np.ndarray | None = None
-    samples: np.ndarray | None = None  # (n_samples, dim, dim), rows = solutions
+    samples: np.ndarray | None = None  # (n_samples, [K,] dim, dim), rows = solutions
 
 
 def estimate_step(system: ReducedSystem, target_error: float) -> float:
@@ -70,6 +71,10 @@ def integrate_fundamental(
     same: it is formed once and raised to the n-th power along the pairwise
     tree of the general path, with bit-identical results in O(log n)
     products.
+
+    A stacked system (see ReducedSystem) is integrated in one pass with a
+    leading lambda axis on every result; the finiteness check and the
+    near-singular warning stay per lambda.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -89,34 +94,37 @@ def integrate_fundamental(
             steps = _rk4_steps(a_nodes[:-1], a_mids, a_nodes[1:], h)
         else:
             # a length-1 stack, so S is computed exactly as steps[j] above
-            a = np.broadcast_to(const, (1,) + const.shape)
-            steps = np.broadcast_to(_rk4_steps(a, a, a, h), (n_steps,) + const.shape)
+            a = const[np.newaxis]
+            steps = _rk4_steps(a, a, a, h)
+            if keep_samples:
+                steps = np.broadcast_to(steps, (n_steps,) + const.shape)
 
         samples = None
         if keep_samples:
             eye = np.eye(system.dim, dtype=steps.dtype)
-            samples = np.empty((n_steps + 1, system.dim, system.dim), dtype=steps.dtype)
+            samples = np.empty((n_steps + 1,) + steps.shape[1:], dtype=steps.dtype)
             samples[0] = eye
             transfer = eye
             for j in range(n_steps):
                 transfer = steps[j] @ transfer
-                samples[j + 1] = transfer.T
-            end = transfer.T
+                samples[j + 1] = transpose(transfer)
+            end = transpose(transfer)
         elif const is None:
-            end = _chain_product(steps).T
+            end = transpose(_chain_product(steps))
         else:
-            end = _constant_power(steps[0], n_steps).T
+            end = transpose(_constant_power(steps[0], n_steps))
 
-    if not np.all(np.isfinite(end)):
-        raise IntegrationError(interval, system.lam)
-    det = np.linalg.det(end)
-    if abs(det) < DET_WARN_TOL:
-        warnings.warn(
-            f"fundamental matrix nearly singular on interval {interval} "
-            f"(|det|={abs(det):.3e}); consider a smaller step",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    finite = np.isfinite(end).all(axis=(-2, -1)).reshape(-1)
+    if not finite.all():
+        raise IntegrationError(interval, each_lambda(system.lam)[int(np.argmin(finite))])
+    for det in np.linalg.det(end).reshape(-1).tolist():
+        if abs(det) < DET_WARN_TOL:
+            warnings.warn(
+                f"fundamental matrix nearly singular on interval {interval} "
+                f"(|det|={abs(det):.3e}); consider a smaller step",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     return FundamentalMatrix(
         interval=interval,

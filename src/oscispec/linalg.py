@@ -48,6 +48,11 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12):
     return rank, basis
 
 
+def transpose(mats: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix of a stack."""
+    return mats.swapaxes(-1, -2)
+
+
 def realify(matrix: np.ndarray) -> np.ndarray:
     """Real 2r x 2c image [[Re, -Im], [Im, Re]] of a complex matrix.
 

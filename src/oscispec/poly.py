@@ -80,7 +80,12 @@ class PolyMatrix:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate at scalar x -> (rows, cols); at array x -> (len(x), rows, cols)."""
+        """Evaluate at scalar x -> (rows, cols); at array x -> (len(x), rows, cols).
+
+        The array result is C-ordered, so each of its matrices has the
+        memory layout of a scalar evaluation and takes the same matmul
+        kernel, bit for bit.
+        """
         c = self.coeffs
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             out = c[-1].astype(np.result_type(c.dtype, type(x)), copy=True)
@@ -91,7 +96,7 @@ class PolyMatrix:
         x = np.asarray(x)
         out = np.broadcast_to(
             c[-1], (len(x),) + c.shape[1:]
-        ).astype(np.result_type(c.dtype, x.dtype), copy=True)
+        ).astype(np.result_type(c.dtype, x.dtype), order="C", copy=True)
         xcol = x[:, np.newaxis, np.newaxis]
         for k in range(c.shape[0] - 2, -1, -1):
             out *= xcol

@@ -16,6 +16,7 @@ threads; the operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -82,6 +83,20 @@ class CoefficientField:
     def dim(self) -> int:
         return self.a_polys[0].shape[0]
 
+    @cached_property
+    def constant_abc(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray] | None, ...]:
+        """Per interval the constant (A, B, C) matrices, None where any varies in y."""
+        return tuple(
+            (a.coeffs[0], b.coeffs[0], c.coeffs[0])
+            if a.is_constant() and b.is_constant() and c.is_constant()
+            else None
+            for a, b, c in zip(self.a_polys, self.b_polys, self.c_polys)
+        )
+
+    @property
+    def varies_in_y(self) -> bool:
+        return any(abc is None for abc in self.constant_abc)
+
 
 @dataclass(frozen=True)
 class LambdaCoefficientField:
@@ -104,6 +119,10 @@ class LambdaCoefficientField:
     dim: int
     bound: float
     y_independent: bool = True
+
+    @property
+    def varies_in_y(self) -> bool:
+        return not self.y_independent
 
 
 @dataclass(frozen=True)
@@ -172,6 +191,10 @@ class ReducedSystem:
     and interface matrices are constant (already evaluated at lambda).
     constant_coeffs holds, per interval, the coefficient matrix that
     coeff_batch returns at every y, or None where it depends on y.
+
+    lam is one complex number, or a 1-D array for a stack of lambdas: then
+    every matrix carries a leading lambda axis, (K, rows, cols), and
+    coeff_batch returns (len(ys), K, dim, dim).
     """
 
     partition: Partition
@@ -187,6 +210,11 @@ class ReducedSystem:
 
     def coefficient(self, interval: int, y: float) -> np.ndarray:
         return self.coeff_batch(interval, np.asarray([float(y)]))[0]
+
+
+def each_lambda(lam) -> list[complex]:
+    """The lambdas of a scalar or of a 1-D stack, in order, as Python numbers."""
+    return lam.tolist() if isinstance(lam, np.ndarray) and lam.ndim else [lam]
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,16 @@ from .problem import (
 )
 
 
-def reduce_complex(problem: ProblemDefinition, lam: complex) -> ReducedSystem:
+def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> ReducedSystem:
     """Bind lambda into the complex N-dimensional first-order system.
 
     The coefficient evaluator returns A(y) + lam^2 B(y) + lam C(y); boundary
     and interface polynomials are evaluated at lam into constant complex
-    matrices.
+    matrices.  A 1-D array of lambdas gives one stacked system whose
+    matrices carry a leading lambda axis; each slice is computed with the
+    same arithmetic as a single lambda, bit for bit.
     """
-    lam = complex(lam)
+    lam = _lambda_arg(lam, complex)
     coeffs = problem.coefficients
     if isinstance(coeffs, CoefficientField):
         consts, varying = _poly_parts(coeffs, lam)
@@ -56,15 +58,17 @@ def reduce_complex(problem: ProblemDefinition, lam: complex) -> ReducedSystem:
     )
 
 
-def reduce_real_split(problem: ProblemDefinition, p: float) -> ReducedSystem:
+def reduce_real_split(problem: ProblemDefinition, p: float | np.ndarray) -> ReducedSystem:
     """Bind a real frequency p into the 2N-dimensional real system.
 
     The state stacks (real part, imaginary part) of phi; the coefficient
     matrix takes the block form [[A - p^2 B, -p C], [p C, A - p^2 B]].
     Boundary and interface matrices evaluated at lam = i*p are doubled the
     same way, [[Re, -Im], [Im, Re]], each original row contributing two rows.
+    A 1-D array of frequencies gives one stacked system, as in
+    reduce_complex.
     """
-    p = float(p)
+    p = _lambda_arg(p, float)
     lam = 1j * p
     coeffs = problem.coefficients
     if isinstance(coeffs, CoefficientField):
@@ -89,6 +93,15 @@ def reduce_real_split(problem: ProblemDefinition, p: float) -> ReducedSystem:
     )
 
 
+def _lambda_arg(value, kind):
+    """A Python number for a scalar, a 1-D array of that kind for a stack."""
+    if not isinstance(value, np.ndarray) or value.ndim == 0:
+        return kind(value)
+    if value.ndim != 1:
+        raise ValueError("lambda must be a scalar or a 1-D array")
+    return value.astype(kind, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # coefficient evaluators
 # ---------------------------------------------------------------------------
@@ -96,10 +109,17 @@ def reduce_real_split(problem: ProblemDefinition, p: float) -> ReducedSystem:
 # Each *_parts function returns (consts, varying): per interval the reduced
 # coefficient matrix where it is constant in y (None elsewhere), and an
 # evaluator varying(interval, ys) -> (len(ys), dim, dim) for the other
-# intervals.
+# intervals.  For a stack of K lambdas the matrices are (K, dim, dim) and
+# varying returns (len(ys), K, dim, dim).
+#
+# lam (or p) is a Python number, or an ndarray for a stack; a stack enters
+# the elementwise arithmetic as a (K, 1, 1) column, which broadcasts the
+# same operations over it.  lam^2 is squared in Python, one lambda at a
+# time: numpy's vectorized complex product may fuse multiply and add, and
+# would then differ from the scalar product in the last bit.
 
 
-def _reduced_bound(coeffs, lam: complex) -> float:
+def _reduced_bound(coeffs, lam):
     r = abs(lam)
     return coeffs.bound * (1.0 + r + r * r)
 
@@ -114,69 +134,80 @@ def _coeff_batch(consts, varying):
     return batch
 
 
-def _constant_abc(coeffs: CoefficientField):
-    """Per interval the constant (A, B, C) matrices, None where any varies in y."""
-    return [
-        (a.coeffs[0], b.coeffs[0], c.coeffs[0])
-        if a.is_constant() and b.is_constant() and c.is_constant()
-        else None
-        for a, b, c in zip(coeffs.a_polys, coeffs.b_polys, coeffs.c_polys)
-    ]
+def _column(x):
+    return x[:, np.newaxis, np.newaxis] if isinstance(x, np.ndarray) else x
 
 
-def _poly_parts(coeffs: CoefficientField, lam: complex):
-    lam2 = lam * lam
+def _per_node(values: np.ndarray, x) -> np.ndarray:
+    """(len(ys), dim, dim) values with the stack's lambda axis inserted."""
+    return values[:, np.newaxis] if isinstance(x, np.ndarray) else values
+
+
+def _square(lam):
+    if isinstance(lam, np.ndarray):
+        return np.array([z * z for z in lam.tolist()])
+    return lam * lam
+
+
+def _poly_parts(coeffs: CoefficientField, lam):
+    lam2 = _column(_square(lam))
+    lam = _column(lam)
     consts = tuple(
         None if abc is None else abc[0] + lam2 * abc[1] + lam * abc[2]
-        for abc in _constant_abc(coeffs)
+        for abc in coeffs.constant_abc
     )
 
     def varying(interval: int, ys: np.ndarray) -> np.ndarray:
         return (
-            coeffs.a_polys[interval](ys)
-            + lam2 * coeffs.b_polys[interval](ys)
-            + lam * coeffs.c_polys[interval](ys)
+            _per_node(coeffs.a_polys[interval](ys), lam)
+            + lam2 * _per_node(coeffs.b_polys[interval](ys), lam)
+            + lam * _per_node(coeffs.c_polys[interval](ys), lam)
         ).astype(complex)
 
     return consts, varying
 
 
-def _poly_split_parts(coeffs: CoefficientField, p: float):
+def _poly_split_parts(coeffs: CoefficientField, p):
+    p = _column(p)
     p2 = p * p
     consts = tuple(
         None
         if abc is None
         else real_blocks(np.real(abc[0]) - p2 * np.real(abc[1]), p * np.real(abc[2]))
-        for abc in _constant_abc(coeffs)
+        for abc in coeffs.constant_abc
     )
 
     def varying(interval: int, ys: np.ndarray) -> np.ndarray:
-        av = coeffs.a_polys[interval](ys)
-        bv = coeffs.b_polys[interval](ys)
-        cv = coeffs.c_polys[interval](ys)
+        av = _per_node(coeffs.a_polys[interval](ys), p)
+        bv = _per_node(coeffs.b_polys[interval](ys), p)
+        cv = _per_node(coeffs.c_polys[interval](ys), p)
         return real_blocks(av - p2 * bv, p * cv)
 
     return consts, varying
 
 
-def _lambda_parts(coeffs: LambdaCoefficientField, lam: complex):
+def _evaluate(ev, y: float, lam) -> np.ndarray:
+    """A lambda-field evaluator at y, called once per lambda of a stack."""
+    if isinstance(lam, np.ndarray):
+        return np.stack([np.asarray(ev(y, z), dtype=complex) for z in lam.tolist()])
+    return np.asarray(ev(y, lam), dtype=complex)
+
+
+def _lambda_parts(coeffs: LambdaCoefficientField, lam):
     n = coeffs.partition.n_intervals
     if coeffs.y_independent:
         mids = [0.5 * (lo + hi) for lo, hi in map(coeffs.partition.interval, range(n))]
-        consts = tuple(
-            np.asarray(ev(mids[i], lam), dtype=complex)
-            for i, ev in enumerate(coeffs.evaluators)
-        )
+        consts = tuple(_evaluate(ev, mids[i], lam) for i, ev in enumerate(coeffs.evaluators))
         return consts, None
 
     def varying(interval: int, ys: np.ndarray) -> np.ndarray:
         ev = coeffs.evaluators[interval]
-        return np.stack([np.asarray(ev(float(y), lam), dtype=complex) for y in ys])
+        return np.stack([_evaluate(ev, float(y), lam) for y in ys])
 
     return (None,) * n, varying
 
 
-def _lambda_split_parts(coeffs: LambdaCoefficientField, lam: complex):
+def _lambda_split_parts(coeffs: LambdaCoefficientField, lam):
     consts, varying = _lambda_parts(coeffs, lam)
 
     def varying_split(interval: int, ys: np.ndarray) -> np.ndarray:

@@ -14,20 +14,25 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BoundaryDegeneracyError, NotARootError, PropagationError
+from .errors import BoundaryDegeneracyError, NotARootError, PropagationError, SolverError
 from .integrate import FundamentalMatrix, estimate_step, integrate_fundamental
-from .linalg import rref_null_basis
+from .linalg import rref_null_basis, transpose
 from .problem import (
     BoundaryOperator,
     ConjugationOperator,
     ProblemDefinition,
     ReducedSystem,
     TOL_SINGULAR,
+    each_lambda,
 )
 from .reduction import reduce_complex, reduce_real_split
 
 #: largest exponent fed to exp() when undoing the log-scale normalization
 _EXP_CLAMP = 700.0
+
+#: matrix entries one coefficient array of a stacked y-dependent integration
+#: may hold (4 MB complex); longer lambda stacks are evaluated in chunks
+_STACK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,20 @@ def _null_basis_checked(matrix: np.ndarray, lam: complex) -> np.ndarray:
     return basis
 
 
+def _initial_table(matrix: np.ndarray, lam) -> np.ndarray:
+    """Null basis of the left boundary matrix, per lambda of a stack.
+
+    A stack whose boundary rows do not change with lambda shares one basis.
+    """
+    if matrix.ndim == 2:
+        return _null_basis_checked(matrix, lam)
+    lams = each_lambda(lam)
+    if np.all(matrix == matrix[0]):
+        basis = _null_basis_checked(matrix[0], lams[0])
+        return np.broadcast_to(basis, (len(lams),) + basis.shape)
+    return np.stack([_null_basis_checked(m, z) for m, z in zip(matrix, lams)])
+
+
 def propagate(
     u: np.ndarray,
     fundamental: FundamentalMatrix | np.ndarray,
@@ -124,11 +143,14 @@ def propagate(
     return _interface_solve(u, g, dmat, bmat, conj.interface, lam)
 
 
-def _interface_solve(u, g, dmat, bmat, interface: int, lam: complex) -> np.ndarray:
-    w = g.T @ u
-    scale = float(np.max(np.abs(bmat)))
-    if scale == 0.0 or abs(np.linalg.det(bmat)) <= TOL_SINGULAR * scale ** bmat.shape[0]:
-        raise PropagationError(interface, lam, "det below singularity tolerance")
+def _interface_solve(u, g, dmat, bmat, interface: int, lam) -> np.ndarray:
+    w = transpose(g) @ u
+    n = bmat.shape[-1]
+    scales = np.max(np.abs(bmat), axis=(-2, -1)).reshape(-1).tolist()
+    dets = np.linalg.det(bmat).reshape(-1).tolist()
+    for scale, det, z in zip(scales, dets, each_lambda(lam)):
+        if scale == 0.0 or abs(det) <= TOL_SINGULAR * scale**n:
+            raise PropagationError(interface, z, "det below singularity tolerance")
     try:
         return np.linalg.solve(bmat, dmat @ w)
     except np.linalg.LinAlgError as exc:
@@ -140,24 +162,25 @@ def _interface_solve(u, g, dmat, bmat, interface: int, lam: complex) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _reduce(problem: ProblemDefinition, lam: complex, path: str) -> ReducedSystem:
+def _reduce(problem: ProblemDefinition, lam, path: str) -> ReducedSystem:
     if path == "complex":
         return reduce_complex(problem, lam)
     if path == "real_split":
-        if abs(lam.real) > 1e-12 * max(1.0, abs(lam)):
+        if any(abs(z.real) > 1e-12 * max(1.0, abs(z)) for z in each_lambda(lam)):
             raise ValueError("real_split path is defined on the imaginary axis only")
         return reduce_real_split(problem, lam.imag)
     raise ValueError(f"unknown path {path!r}")
 
 
 def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
-    """Run the full propagation at a bound lambda.
+    """Run the full propagation at a bound lambda, or at a stack of them.
 
     Returns (u_tables, fundamentals, end_values, closure) where end_values
     W = G^T U are the last interval's propagated end values and closure is
-    the m x m matrix whose determinant vanishes at eigenvalues.
+    the m x m matrix whose determinant vanishes at eigenvalues.  A stacked
+    system gives every array a leading lambda axis.
     """
-    u = _null_basis_checked(reduced.left_matrix, reduced.lam)
+    u = _initial_table(reduced.left_matrix, reduced.lam)
     u_tables = [u]
     fundamentals: list[FundamentalMatrix] = []
     n = reduced.partition.n_intervals
@@ -165,7 +188,7 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     for i in range(n):
         fm = integrate_fundamental(reduced, i, step, keep_samples=keep_samples)
         fundamentals.append(fm)
-        w = fm.end_matrix.T @ u
+        w = transpose(fm.end_matrix) @ u
         if i < n - 1:
             dmat, bmat = reduced.interfaces[i]
             u = _interface_solve(u, fm.end_matrix, dmat, bmat, i + 1, reduced.lam)
@@ -174,36 +197,70 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     return u_tables, fundamentals, w, closure
 
 
-def _normalized_det(closure: np.ndarray, end_values: np.ndarray) -> complex:
+def _normalized_det(closure: np.ndarray, end_values: np.ndarray):
     """det(closure) divided by the product of the m largest row maxima of W.
 
     The raw determinant grows or decays exponentially with frequency and
     domain length through the fundamental solutions; dividing by the
     dominant row scales of the propagated end values keeps it O(1) without
-    moving its zeros.
+    moving its zeros.  A complex for one closure matrix, an array for a
+    stack of them.
     """
-    m = closure.shape[0]
-    row_max = np.max(np.abs(end_values), axis=1)
-    top = np.sort(row_max)[-m:]
-    if np.any(top == 0.0):
-        return 0j
+    m = closure.shape[-1]
+    top = np.sort(np.abs(end_values).max(axis=-1), axis=-1)[..., -m:]
     sign, logdet = np.linalg.slogdet(closure)
-    if sign == 0:
-        return 0j
-    exponent = logdet - float(np.sum(np.log(top)))
-    return complex(sign) * float(np.exp(min(exponent, _EXP_CLAMP)))
+    # top ascends, so a zero row scale shows in its first entry; log(1)
+    # stands in for the row scales of a vanishing value
+    vanishes = (top[..., 0] == 0.0) | (sign == 0)
+    exponent = logdet - np.log(np.where(vanishes[..., np.newaxis], 1.0, top)).sum(axis=-1)
+    value = np.where(vanishes, 0j, sign * np.exp(np.minimum(exponent, _EXP_CLAMP)))
+    return complex(value) if value.ndim == 0 else value
 
 
 def characteristic_determinant(
     problem: ProblemDefinition,
-    lam: complex,
+    lam: complex | np.ndarray,
     step: float,
     path: str = "complex",
-) -> complex:
-    """Scale-stabilized characteristic determinant D(lambda)."""
-    reduced = _reduce(problem, complex(lam), path)
+) -> complex | np.ndarray:
+    """Scale-stabilized characteristic determinant D(lambda).
+
+    For a 1-D array of lambdas the whole stack is evaluated in one pass,
+    with the same arithmetic as one lambda at a time and bit-identical
+    values, and an array is returned.  If any lambda of a stack fails, the
+    lambdas are evaluated one at a time in order, so the error raised is
+    the one of the first failing lambda.
+    """
+    if not isinstance(lam, np.ndarray) or lam.ndim == 0:
+        return _determinant(problem, complex(lam), step, path)
+    lams = lam.astype(complex, copy=False)
+    chunk = _stack_chunk(problem, step, path) or max(len(lams), 1)
+    try:
+        parts = [
+            _determinant(problem, lams[i : i + chunk], step, path)
+            for i in range(0, len(lams), chunk)
+        ]
+    except SolverError:
+        # one at a time, in order: the first failing lambda raises
+        parts = [[_determinant(problem, z, step, path) for z in lams.tolist()]]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=complex)
+
+
+def _determinant(problem: ProblemDefinition, lam, step: float, path: str):
+    reduced = _reduce(problem, lam, path)
     _, _, w, closure = _assemble(reduced, step, keep_samples=False)
     return _normalized_det(closure, w)
+
+
+def _stack_chunk(problem: ProblemDefinition, step: float, path: str) -> int | None:
+    """Largest stack whose y-dependent integration stays within
+    _STACK_ENTRIES per coefficient array; None when no interval depends on y."""
+    if not problem.coefficients.varies_in_y:
+        return None
+    dim = problem.dim * (2 if path == "real_split" else 1)
+    part = problem.partition
+    nodes = part.total_length / step + 2 * part.n_intervals
+    return max(1, int(_STACK_ENTRIES // (nodes * dim * dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +288,7 @@ def scan_real_axis(
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     ps = np.linspace(p_min, p_max, n_grid)
-    dvals = np.array(
-        [characteristic_determinant(problem, 1j * p, step, path) for p in ps]
-    )
+    dvals = characteristic_determinant(problem, 1j * ps, step, path)
     f = dvals.real
     mag = np.abs(dvals)
 
@@ -273,12 +328,14 @@ def refine_root(
     root when D is complex).  Seeds are refined by damped Newton with a
     central finite-difference derivative; on the real-split path the search
     stays on the frequency axis, where roots touch zero quadratically, and
-    finishes with a parabolic vertex polish.
+    finishes with a parabolic vertex polish.  The two points of each
+    difference and the three probes of each polish pass are evaluated as one
+    stack.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def dfun(lam: complex) -> complex:
+    def dfun(lam):
         return characteristic_determinant(problem, lam, step, path)
 
     if isinstance(target, Bracket):
@@ -348,10 +405,12 @@ def _newton(dfun, seed: complex, tol, max_iter, path) -> SpectralResult:
         iters += 1
         delta = _fd_delta(lam)
         if on_axis:
-            dp = (dfun(lam + 1j * delta) - dfun(lam - 1j * delta)).real / (2 * delta)
+            d_plus, d_minus = dfun(np.array([lam + 1j * delta, lam - 1j * delta])).tolist()
+            dp = (d_plus - d_minus).real / (2 * delta)
             dcur = d.real
         else:
-            dp = (dfun(lam + delta) - dfun(lam - delta)) / (2 * delta)
+            d_plus, d_minus = dfun(np.array([lam + delta, lam - delta])).tolist()
+            dp = (d_plus - d_minus) / (2 * delta)
             dcur = d
         if dp == 0:
             message = "derivative vanished"
@@ -404,9 +463,8 @@ def _vertex_polish(dfun, lam: complex, res: float, tol: float):
     # Shrinking probes: the wide pass is noise-immune, the narrow passes
     # remove the O(delta^2) bias from the smooth factor's slope.
     for delta in (1e-4 * scale, 1e-5 * scale, 1e-6 * scale):
-        dm = dfun(1j * (p - delta)).real
-        d0 = dfun(1j * p).real
-        dp = dfun(1j * (p + delta)).real
+        probes = dfun(np.array([1j * (p - delta), 1j * p, 1j * (p + delta)]))
+        dm, d0, dp = (d.real for d in probes.tolist())
         passes += 1
         curvature = dm - 2.0 * d0 + dp
         if curvature == 0.0:

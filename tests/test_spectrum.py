@@ -1,6 +1,7 @@
 """Determinant assembly, root finding, mode shapes, and their invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,18 @@ from hypothesis import strategies as st
 from oscispec import (
     BoundaryDegeneracyError,
     Bracket,
+    CoefficientField,
     ConjugationOperator,
+    IntegrationError,
+    LambdaCoefficientField,
     NotARootError,
+    Partition,
+    PoleError,
     PolyMatrix,
+    ProblemDefinition,
+    PropagationError,
     SolveOptions,
+    SolverError,
     build_machine_unit,
     build_point_mass_string,
     build_spacecraft_bar,
@@ -27,6 +36,8 @@ from oscispec import (
     scan_real_axis,
     solve_spectrum,
 )
+from oscispec import spectrum
+from oscispec.models import SCAN_DEFAULTS, build_model
 from oscispec.reduction import reduce_complex
 from oscispec.spectrum import _assemble
 
@@ -328,3 +339,206 @@ class TestPipelineInvariants:
         assert lam.imag > 0 and lam.real < 0
         d_conj = characteristic_determinant(prob, lam.conjugate(), step=1e-3)
         assert abs(d_conj) == pytest.approx(roots[0].residual, rel=1e-6, abs=1e-12)
+
+
+def _y_varying_problem():
+    """Two intervals, the second with y-polynomial A, B, C and a mass interface."""
+    part = Partition((0.0, 0.4, 1.0))
+    a0 = PolyMatrix.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    b0 = PolyMatrix.constant(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    a1 = PolyMatrix.from_entries([[[0.0], [1.0, 0.2]], [[0.3, -0.5, 0.1], [0.0]]])
+    b1 = PolyMatrix.from_entries([[[0.0], [0.0]], [[1.0, 0.4], [0.0, 0.05]]])
+    c1 = PolyMatrix.from_entries([[[0.0], [0.0]], [[0.02, 0.01], [0.0]]])
+    field = CoefficientField(part, (a0, a1), (b0, b1), (PolyMatrix.zero(2, 2), c1), 3.0)
+    conj = ConjugationOperator(
+        1,
+        PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0, 0.0, 0.3], [1.0]]]),
+        PolyMatrix.constant(np.eye(2)),
+    )
+    base = make_string_problem()
+    right = type(base.boundary_right)(
+        "right", PolyMatrix.from_entries([[[0.0, 0.1, 0.2], [1.0]]])
+    )
+    return ProblemDefinition("y_varying", part, field, base.boundary_left, right, (conj,))
+
+
+def _y_varying_lambda_problem():
+    """A lambda-field evaluator that depends on y, so no interval is constant."""
+    part = Partition((0.0, 1.0))
+
+    def coefficient(y, lam):
+        return np.array([[0.0, 1.0], [lam * lam * (1.0 + 0.3 * y) / (1.0 + 0.01 * lam), 0.0]])
+
+    field = LambdaCoefficientField(part, (coefficient,), dim=2, bound=1.3, y_independent=False)
+    base = make_string_problem()
+    return ProblemDefinition("y_lambda", part, field, base.boundary_left, base.boundary_right, ())
+
+
+def _off_axis(n):
+    """n lambdas with full-length mantissas in the left half-plane strip."""
+    rng = np.random.default_rng(11)
+    return rng.uniform(-0.5, 0.0, n) + 1j * rng.uniform(0.2, 9.0, n)
+
+
+def _per_lambda(problem, lams, step, path="complex"):
+    return np.array([characteristic_determinant(problem, z, step, path) for z in lams.tolist()])
+
+
+def _first_error(problem, lams, step, path="complex"):
+    for z in lams.tolist():
+        try:
+            characteristic_determinant(problem, z, step, path)
+        except SolverError as exc:
+            return exc
+    raise AssertionError("no lambda of the loop failed")
+
+
+class TestStackedDeterminant:
+    """A stack of lambdas gives, bit for bit, what one lambda at a time gives."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    @pytest.mark.parametrize("path", ["complex", "real_split"])
+    def test_scan_grid_bit_identical(self, name, path):
+        p_min, p_max, n_grid = SCAN_DEFAULTS[name]
+        problem = build_model(name)
+        lams = 1j * np.linspace(p_min, p_max, n_grid)
+        stacked = characteristic_determinant(problem, lams, 1e-3, path)
+        assert stacked.shape == (n_grid,) and stacked.dtype == complex
+        assert stacked.tobytes() == _per_lambda(problem, lams, 1e-3, path).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_off_axis_bit_identical(self, name):
+        # Newton's difference pairs leave the axis: products of complex
+        # numbers with both parts nonzero are where fused and plain
+        # multiply-adds would part
+        lams = _off_axis(25)
+        problem = build_model(name)
+        stacked = characteristic_determinant(problem, lams, 2e-3)
+        assert stacked.tobytes() == _per_lambda(problem, lams, 2e-3).tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _y_varying_problem,
+            _y_varying_lambda_problem,
+            lambda: insert_breakpoint(build_model("machine_unit"), 0.37),
+            lambda: insert_breakpoint(build_model("point_mass_string"), 0.8),
+        ],
+        ids=["y_varying", "y_varying_lambda", "machine_unit_breakpoint", "point_mass_breakpoint"],
+    )
+    @pytest.mark.parametrize("path", ["complex", "real_split"])
+    def test_general_path_and_interfaces_bit_identical(self, make, path):
+        problem = make()
+        lams = _off_axis(60) if path == "complex" else 1j * np.linspace(0.2, 10.0, 60)
+        stacked = characteristic_determinant(problem, lams, 2e-3, path)
+        assert stacked.tobytes() == _per_lambda(problem, lams, 2e-3, path).tobytes()
+
+    def test_chunked_stack_bit_identical(self, monkeypatch):
+        problem = _y_varying_problem()
+        lams = 1j * np.linspace(0.2, 10.0, 40) - 0.2
+        whole = characteristic_determinant(problem, lams, 2e-3)
+        # a budget of a few lambdas per chunk
+        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 3 * 4 * 502)
+        assert spectrum._stack_chunk(problem, 2e-3, "complex") == 2
+        assert characteristic_determinant(problem, lams, 2e-3).tobytes() == whole.tobytes()
+
+    def test_constant_problems_are_not_chunked(self):
+        assert spectrum._stack_chunk(build_model("cable_snapshot"), 1e-6, "complex") is None
+
+    def test_scalar_returns_python_complex(self):
+        problem = build_model("machine_unit")
+        assert type(characteristic_determinant(problem, 2.0j, 1e-3)) is complex
+        assert type(characteristic_determinant(problem, np.complex128(2.0j), 1e-3)) is complex
+        one = characteristic_determinant(problem, np.array([2.0j]), 1e-3)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+
+    def test_stack_through_a_pole_raises_the_loops_error(self):
+        # Kelvin-Voigt factor G*Ip + zeta1*lam vanishes at -G*Ip/zeta1 = -2
+        problem = build_model("machine_unit", zeta1=0.5)
+        lams = np.array([-1.8, -1.9, -2.0, -2.1, -2.0]) + 0j
+        expected = _first_error(problem, lams, 1e-2)
+        assert isinstance(expected, PoleError)
+        with pytest.raises(PoleError) as info:
+            characteristic_determinant(problem, lams, 1e-2)
+        assert str(info.value) == str(expected)
+        assert "lambda=(-2+0j)" in str(info.value)
+
+    def test_failing_stack_raises_the_first_failure_in_grid_order(self):
+        # -1.999999 overflows in integration, after the whole stack has
+        # passed reduction, where the pole at -2 fails; the loop meets the
+        # overflow first, and so must the stack
+        problem = build_model("machine_unit", zeta1=0.5)
+        lams = np.array([-1.8, -1.999999, -2.0, -2.1]) + 0j
+        expected = _first_error(problem, lams, 1e-2)
+        with pytest.raises(IntegrationError) as info:
+            characteristic_determinant(problem, lams, 1e-2)
+        assert type(expected) is IntegrationError
+        assert (str(info.value), info.value.interval) == (str(expected), expected.interval)
+        assert info.value.lam == -1.999999
+
+    def test_stack_with_singular_interface_raises_the_loops_error(self):
+        # B(lam) = diag(1, 1 + lam^2 / 4) is singular at lam = 2i
+        conj = ConjugationOperator(
+            1,
+            PolyMatrix.constant(np.eye(2)),
+            PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [1.0, 0.0, 0.25]]]),
+        )
+        problem = make_string_problem(breakpoints=(0.0, 0.5, 1.0), conjugations=(conj,))
+        # |det B| = 2e-13 passes the solve but not the singularity tolerance
+        lams = 1j * np.array([1.0, 1.5, 2.0 + 2e-13, 2.5])
+        expected = _first_error(problem, lams, 1e-3)
+        with pytest.raises(PropagationError) as info:
+            characteristic_determinant(problem, lams, 1e-3)
+        assert (info.value.interface, info.value.lam) == (expected.interface, expected.lam)
+        assert info.value.lam == lams[2]
+        assert str(info.value) == str(expected)
+        with pytest.raises(PropagationError, match="interface 1, lambda=2j"):
+            scan_real_axis(problem, 1.0, 3.0, 5, step=1e-3)
+
+    def test_near_singular_warnings_match_the_loop(self):
+        # trace(A + lam C) = -40 lam, so |det G| = exp(-40 Re(lam) length)
+        # falls below the warning level for the larger real parts
+        base = make_string_problem(breakpoints=(0.0, 0.37, 1.0),
+                                   conjugations=(identity_conjugation(1),))
+        field = base.coefficients
+        c = PolyMatrix.constant(np.array([[-40.0, 0.0], [0.0, 0.0]]))
+        field = CoefficientField(field.partition, field.a_polys, field.b_polys, (c, c), 40.0)
+        problem = ProblemDefinition("lossy", base.partition, field, base.boundary_left,
+                                    base.boundary_right, base.conjugations)
+        lams = np.linspace(0.0, 1.5, 12) + 2.0j
+
+        def messages(call):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            return sorted(str(w.message) for w in caught if "nearly singular" in str(w.message))
+
+        stacked = messages(lambda: characteristic_determinant(problem, lams, 1e-2))
+        looped = messages(lambda: _per_lambda(problem, lams, 1e-2))
+        assert len(looped) > 0
+        assert stacked == looped
+
+    def test_refinement_unchanged_by_stacked_probes(self, monkeypatch):
+        # the difference pairs and the polish probes go in as stacks; the
+        # refined roots must equal those refined from one lambda at a time
+        def refine_all():
+            return [
+                refine_root(build_model("spacecraft_bar", beta=0.02), complex(-0.1, 1.4),
+                            tol=1e-10, max_iter=50, step=2e-3),
+                refine_root(build_model("fixed_free_string"), 1.5j, tol=1e-10,
+                            max_iter=50, step=1e-3, path="real_split"),
+            ]
+
+        stacked = refine_all()
+        original = spectrum.characteristic_determinant
+
+        def one_at_a_time(problem, lam, step, path="complex"):
+            if np.ndim(lam) == 0:
+                return original(problem, lam, step, path)
+            return np.array([original(problem, z, step, path) for z in lam.tolist()])
+
+        monkeypatch.setattr(spectrum, "characteristic_determinant", one_at_a_time)
+        looped = refine_all()
+        assert all(r.converged for r in stacked)
+        for a, b in zip(stacked, looped):
+            assert (a.lam, a.residual, a.iterations) == (b.lam, b.residual, b.iterations)
