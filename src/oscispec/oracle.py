@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: hard cap on the linearized dense eigenproblem dimension
 _DIM_CAP = 6000
@@ -282,6 +281,8 @@ def _companion(mats, eye):
 
 def _polyeig(mats: list[np.ndarray]) -> np.ndarray:
     """All eigenvalues of sum_k lam^k mats[k], by QZ on the dense pencil."""
+    import scipy.linalg
+
     n = mats[0].shape[0]
     zero = np.zeros((n, n))
     big_a, big_b = (

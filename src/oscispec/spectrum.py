@@ -9,6 +9,8 @@ resulting m x m determinant.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -322,13 +324,17 @@ def refine_root(
 ) -> SpectralResult:
     """Polish one root candidate.
 
-    Sign-change brackets are bisected to width tol along the imaginary
-    axis; if the residual at the bisection limit is not genuinely small the
-    point is rehanded to Newton (a sign change of Re D alone need not be a
-    root when D is complex).  Seeds are refined by damped Newton with a
-    central finite-difference derivative; on the real-split path the search
-    stays on the frequency axis, where roots touch zero quadratically, and
-    finishes with a parabolic vertex polish.  The two points of each
+    Sign-change brackets are narrowed along the imaginary axis by false
+    position in its Illinois form, which keeps the bracket and converges
+    superlinearly, until the bracket or the last step is below tol; if the
+    residual there is not genuinely small the point is rehanded to Newton (a
+    sign change of Re D alone need not be a root when D is complex).  Seeds
+    are refined by damped Newton with a central finite-difference
+    derivative; on the real-split path the search stays on the frequency
+    axis, where roots touch zero quadratically, so it takes the
+    multiplicity-2 step -2 f/f' and finishes with a parabolic vertex polish.
+    Newton stops with a reason when halving its step 25 times does not lower
+    |D| ("stagnated") or when D is not finite.  The two points of each
     difference and the three probes of each polish pass are evaluated as one
     stack.
     """
@@ -353,26 +359,41 @@ def _bisect_bracket(dfun, bracket: Bracket, tol, max_iter, path) -> SpectralResu
     d_hi = dfun(1j * hi)
     f_lo, f_hi = d_lo.real, d_hi.real
     iters = 0
-    if f_lo * f_hi > 0:
+    if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or f_lo * f_hi > 0:
         return _newton(dfun, 1j * bracket.p_seed, tol, max_iter, path)
     d_mid = d_lo
     mid = lo
+    kept = 0  # the end the last step kept: -1 lo, +1 hi
     while hi - lo > tol and iters < max_iter:
-        mid = 0.5 * (lo + hi)
+        # Illinois false position; the midpoint whenever it leaves (lo, hi)
+        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else lo
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
         d_mid = dfun(1j * mid)
         iters += 1
-        if d_mid.real == 0.0:
+        f = d_mid.real
+        if f == 0.0 or not cmath.isfinite(d_mid):
             break
-        if f_lo * d_mid.real < 0:
-            hi = mid
+        # an end kept twice in a row has its stored value halved, so that
+        # end moves too and the convergence stays superlinear
+        if f_lo * f < 0:
+            moved, hi, f_hi = hi - mid, mid, f
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
         else:
-            lo, f_lo = mid, d_mid.real
-    residual = abs(d_mid)
+            moved, lo, f_lo = mid - lo, mid, f
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        if moved < tol:
+            break
+    residual = _modulus(d_mid)
     endpoint_scale = max(abs(d_lo), abs(d_hi))
     if residual <= 1e-4 * endpoint_scale:
         return SpectralResult(1j * mid, residual, iters, converged=True)
     # Re D crossed zero without |D| vanishing: not a root on the axis, so
-    # hand the midpoint to Newton in the complex plane.
+    # hand the last point to Newton in the complex plane.
     newton = _newton(dfun, 1j * mid, tol, max_iter, path)
     return SpectralResult(
         newton.lam,
@@ -381,6 +402,15 @@ def _bisect_bracket(dfun, bracket: Bracket, tol, max_iter, path) -> SpectralResu
         newton.converged,
         newton.message,
     )
+
+
+def _modulus(d: complex) -> float:
+    """|d|, or inf when d is not finite.
+
+    A non-finite D (an overflowed propagation far off the axis) then never
+    counts as a decrease; abs() of a NaN complex may also raise OverflowError.
+    """
+    return abs(d) if cmath.isfinite(d) else math.inf
 
 
 def _fd_delta(lam: complex) -> float:
@@ -393,6 +423,8 @@ def _newton(dfun, seed: complex, tol, max_iter, path) -> SpectralResult:
     on_axis = path == "real_split"
     lam = 1j * seed.imag if on_axis else seed
     d = dfun(lam)
+    if not cmath.isfinite(d):
+        return SpectralResult(lam, math.inf, 0, False, "determinant not finite at the seed")
     d0 = max(abs(d), np.finfo(float).tiny)
     best_lam, best_res = lam, abs(d)
     iters = 0
@@ -416,15 +448,24 @@ def _newton(dfun, seed: complex, tol, max_iter, path) -> SpectralResult:
             message = "derivative vanished"
             break
         s = -dcur / dp
+        if not cmath.isfinite(s):
+            message = "derivative not finite"
+            break
         if on_axis:
-            s = complex(0, s.real if isinstance(s, complex) else s)
-        # damp: halve the step while it increases |D|
+            # roots on the axis are double zeros of D(i p) (see
+            # _vertex_polish): twice the Newton step keeps it quadratic
+            s = 2j * s
+        # damp: halve the step while it does not lower |D|
         for _ in range(25):
             cand = lam + s
             d_cand = dfun(cand)
-            if abs(d_cand) <= abs(d) or abs(s) < tol:
+            res_cand = _modulus(d_cand)
+            if res_cand <= abs(d) or (abs(s) < tol and res_cand < math.inf):
                 break
             s *= 0.5
+        else:
+            message = "stagnated" if res_cand < math.inf else "determinant not finite"
+            break
         lam, d = cand, d_cand
         if abs(d) < best_res:
             best_lam, best_res = lam, abs(d)
@@ -435,11 +476,13 @@ def _newton(dfun, seed: complex, tol, max_iter, path) -> SpectralResult:
         message = "max_iter exceeded; suspected multiple root"
 
     if on_axis:
-        vert_lam, vert_res, extra = _vertex_polish(dfun, best_lam, best_res, tol)
+        vert_lam, vert_res, extra, touching = _vertex_polish(dfun, best_lam, best_res, tol)
         iters += extra
         if vert_res <= best_res:
             best_lam, best_res = vert_lam, vert_res
         converged = converged or best_res <= tol * d0 or best_res <= 1e-10 * d0
+        if converged and not touching:
+            converged, message = False, "D(i p) changes sign: not a touching zero"
         return SpectralResult(best_lam, best_res, iters, converged, message)
 
     if not converged and best_res <= tol * d0:
@@ -451,10 +494,13 @@ def _vertex_polish(dfun, lam: complex, res: float, tol: float):
     """Parabolic vertex steps for quadratic (touching) zeros of D(i p).
 
     On the real-split path the determinant is the squared modulus of the
-    complex-path determinant up to a smooth positive factor, so roots are
-    quadratic minima; the vertex of a three-point parabola nails them.  A
-    wide probe keeps the vertex insensitive to evaluation noise; narrower
-    recentered passes remove the residual bias.
+    complex-path determinant up to a smooth factor, so roots are quadratic
+    minima; the vertex of a three-point parabola nails them.  A wide probe
+    keeps the vertex insensitive to evaluation noise; narrower recentered
+    passes remove the residual bias.  Also returns whether the wide probes
+    show a touching zero.  A zero where D(i p) changes sign is not one: on
+    machine_unit and pipeline D(i p) is odd in p, so it changes sign at p = 0
+    whether or not lambda = 0 is a root (pipeline has none there).
     """
     p0 = lam.imag
     scale = max(abs(p0), 1.0)
@@ -466,17 +512,19 @@ def _vertex_polish(dfun, lam: complex, res: float, tol: float):
         probes = dfun(np.array([1j * (p - delta), 1j * p, 1j * (p + delta)]))
         dm, d0, dp = (d.real for d in probes.tolist())
         passes += 1
+        if passes == 1:
+            touching = dm * dp > 0.0
         curvature = dm - 2.0 * d0 + dp
-        if curvature == 0.0:
+        if not 0.0 < abs(curvature) < math.inf:  # flat, or a probe not finite
             continue
         step_p = -delta * (dp - dm) / (2.0 * curvature)
         if abs(step_p) > 10.0 * delta:  # fit not trustworthy this far out
             step_p = np.sign(step_p) * 10.0 * delta
         p = p + step_p
-    res_new = abs(dfun(1j * p))
+    res_new = _modulus(dfun(1j * p))
     if res_new <= 10.0 * res or res_new <= tol:
-        return 1j * p, res_new, passes
-    return lam, res, passes
+        return 1j * p, res_new, passes, touching
+    return lam, res, passes, touching
 
 
 # ---------------------------------------------------------------------------

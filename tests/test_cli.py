@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscispec
 from oscispec import dump_problem, problem_to_dict
 from oscispec.cli import main
 
@@ -270,3 +275,13 @@ class TestVerifyAndValidate:
         bad.write_text(json.dumps(data))
         assert _run("validate", "--problem", str(bad)) == 1
         assert "breakpoints not increasing" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the FD oracle needs scipy; a CLI process that never runs it
+    # should not pay for importing it
+    src = str(Path(oscispec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, oscispec.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

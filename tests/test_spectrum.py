@@ -542,3 +542,166 @@ class TestStackedDeterminant:
         assert all(r.converged for r in stacked)
         for a, b in zip(stacked, looped):
             assert (a.lam, a.residual, a.iterations) == (b.lam, b.residual, b.iterations)
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """The lambdas of every characteristic_determinant call refinement makes."""
+    calls = []
+    original = spectrum.characteristic_determinant
+
+    def counting(problem, lam, step, path="complex"):
+        calls.append(lam)
+        return original(problem, lam, step, path)
+
+    monkeypatch.setattr(spectrum, "characteristic_determinant", counting)
+    return calls
+
+
+def _nan_off(strip, root):
+    """A D(lambda) = lambda - root that is NaN wherever |Re lambda| > strip."""
+
+    def dfun(lam):
+        lam = np.asarray(lam)
+        d = np.where(np.abs(lam.real) > strip, complex("nan+nanj"), lam - root)
+        return complex(d) if d.ndim == 0 else d
+
+    return dfun
+
+
+class TestSuperlinearRefinement:
+    """False position on scan brackets, the double-root step on the axis,
+    and the exits refinement takes when it cannot go on."""
+
+    def test_false_position_reaches_half_pi_in_few_calls(self, fixed_free_string, det_calls):
+        # bisection of this scan bracket down to tol made 31 calls
+        brackets = scan_real_axis(fixed_free_string, 0.2, 10.0, 240, step=1e-3)
+        bracket = next(b for b in brackets if b.kind == "sign_change")
+        del det_calls[:]
+        res = refine_root(fixed_free_string, bracket, tol=1e-10, max_iter=100, step=1e-3)
+        assert res.converged
+        assert res.lam.real == 0.0
+        assert res.lam.imag == pytest.approx(HALF_PI, abs=1e-10)
+        assert len(det_calls) <= 8
+
+    @pytest.mark.parametrize("kept", ["hi", "lo"])
+    def test_illinois_step_moves_the_kept_end(self, kept):
+        # p^10 - 1/2 is so convex on (0, 1) that plain false position keeps
+        # the upper end and creeps up from below; its mirror image keeps the
+        # lower end.  Bisection takes 40 steps
+        def dfun(lam):
+            p = lam.imag if kept == "hi" else 1.0 - lam.imag
+            return complex(p**10 - 0.5)
+
+        root = 0.5**0.1 if kept == "hi" else 1.0 - 0.5**0.1
+        res = spectrum._bisect_bracket(dfun, Bracket(0.0, 1.0, "sign_change", 0.5), 1e-12, 100, "complex")
+        assert res.converged
+        assert res.lam.imag == pytest.approx(root, abs=1e-11)
+        assert res.iterations <= 20
+
+    def test_double_root_step_on_the_axis(self, fixed_free_string, det_calls):
+        # plain Newton only halves the error at a double zero: 39 calls
+        res = refine_root(fixed_free_string, 1.5j, tol=1e-10, max_iter=100, step=1e-3,
+                          path="real_split")
+        assert res.converged
+        assert res.lam.imag == pytest.approx(HALF_PI, abs=1e-10)
+        assert len(det_calls) <= 12
+
+    def test_damped_bracket_hands_off_to_newton(self, det_calls):
+        # Re D crosses zero on the axis but the root lies off it; the root
+        # is the one bisection followed by Newton found, in 38 calls
+        prob = build_spacecraft_bar(beta=0.02)
+        bracket = scan_real_axis(prob, 0.3, 6.0, 150, step=1e-3)[0]
+        del det_calls[:]
+        res = refine_root(prob, bracket, tol=1e-10, max_iter=100, step=1e-3)
+        assert res.converged
+        assert res.lam.real < 0.0
+        assert abs(res.lam - complex(-0.009547444530718822, 0.9102870862506228)) <= 1e-10
+        assert len(det_calls) <= 20
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_bracket_point_lies_inside_the_bracket(self, name, monkeypatch):
+        # Newton replaced by the identity, so every result is the point the
+        # bracket phase accepted or handed on
+        monkeypatch.setattr(
+            spectrum, "_newton",
+            lambda dfun, seed, tol, max_iter, path: spectrum.SpectralResult(seed, 0.0, 0, False),
+        )
+        prob = build_model(name)
+        brackets = [
+            b for b in scan_real_axis(prob, *SCAN_DEFAULTS[name], step=2e-3)
+            if b.kind == "sign_change"
+        ]
+        assert brackets
+        for b in brackets:
+            res = refine_root(prob, b, tol=1e-10, max_iter=100, step=2e-3)
+            assert res.lam.real == 0.0
+            assert b.p_lo <= res.lam.imag <= b.p_hi
+
+    def test_real_split_without_axis_roots_stagnates(self, det_calls):
+        # spacecraft_bar has no root on the axis.  Its minimum seeds used to
+        # accept steps that raised |D| and made 4,434 calls in all
+        prob = build_model("spacecraft_bar")
+        options = SolveOptions(scan=SCAN_DEFAULTS["spacecraft_bar"], path="real_split")
+        assert solve_spectrum(prob, options) == []
+        assert len(det_calls) <= 400
+
+        step = spectrum.resolve_step(prob, options)
+        brackets = scan_real_axis(prob, *options.scan, step=step, path="real_split")
+        results = [refine_root(prob, b, step=step, path="real_split") for b in brackets]
+        assert results and all(r.message == "stagnated" for r in results)
+        assert not any(r.converged for r in results)
+
+    def test_sign_change_on_the_axis_is_not_a_root(self):
+        # pipeline's real-split D(i p) is odd in p, with a simple zero at
+        # p = 0, but the complex-path D(0) is 0.5: lambda = 0 is no root
+        prob = build_model("pipeline")
+        assert abs(characteristic_determinant(prob, 0j, 1e-3)) > 0.1
+        res = refine_root(prob, 0.01j, step=1e-3, path="real_split")
+        assert not res.converged
+        assert res.message == "D(i p) changes sign: not a touching zero"
+
+    @pytest.mark.parametrize(
+        "strip, root, seed, message",
+        [
+            # every off-axis lambda is NaN: the difference pair is
+            (0.0, complex(-0.1, 1.5), 1.4j, "derivative not finite"),
+            # the damped steps toward a far root find nothing finite
+            (1e-3, complex(-100.0, 1.4), 1.4j, "determinant not finite"),
+            (0.0, complex(-0.1, 1.5), complex(0.1, 1.4), "determinant not finite at the seed"),
+        ],
+        ids=["difference_pair", "damped_steps", "seed"],
+    )
+    def test_non_finite_determinant_is_an_exit(self, strip, root, seed, message):
+        res = spectrum._newton(_nan_off(strip, root), seed, 1e-10, 100, "complex")
+        assert not res.converged
+        assert res.message == message
+        assert abs(res.lam.real) <= strip or res.lam == seed
+
+    def test_small_step_onto_a_non_finite_value_is_halved(self):
+        # a step below tol is taken even when |D| grows, but never onto NaN
+        res = spectrum._newton(_nan_off(1e-3, complex(-100.0, 1.4)), 1.4j, 1e-2, 100, "complex")
+        assert -1e-3 <= res.lam.real < 0.0
+
+    def test_polish_skips_a_non_finite_probe(self):
+        def dfun(lam):
+            lam = np.asarray(lam)
+            assert np.all(np.isfinite(lam))
+            d = np.where(lam.imag > 1.5, complex("nan+nanj"), (lam.imag - 1.5) ** 2 + 0j)
+            return complex(d) if d.ndim == 0 else d
+
+        lam, res, _, touching = spectrum._vertex_polish(dfun, 1.5j, 1e-3, 1e-10)
+        assert (lam, res, touching) == (1.5j, 0.0, False)
+
+    def test_non_finite_value_inside_a_bracket_is_not_accepted(self):
+        # NaN off the axis and inside (1.4, 1.5) on it: the bracket phase
+        # hands its last point to Newton, which reports the seed
+        def dfun(lam):
+            lam = np.asarray(lam)
+            bad = (lam.real != 0.0) | ((lam.imag > 1.4) & (lam.imag < 1.5))
+            d = np.where(bad, complex("nan+nanj"), lam.imag - 1.45 + 0j)
+            return complex(d) if d.ndim == 0 else d
+
+        res = spectrum._bisect_bracket(dfun, Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100, "complex")
+        assert not res.converged
+        assert res.message == "determinant not finite at the seed"
