@@ -12,7 +12,7 @@ import pytest
 
 import oscispec
 from oscispec import dump_problem, problem_to_dict
-from oscispec.cli import main
+from oscispec.cli import RunConfig, _write_mode, _write_spectrum, main
 
 from conftest import make_string_problem
 
@@ -285,3 +285,141 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, oscispec.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# column-wise CSV writers against the per-cell loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _cell(x):
+    return f"{x:.10g}"
+
+
+def _reference_mode_csv(shape):
+    # the per-cell writer the column-wise one replaced, kept as the reference
+    dim = shape.values.shape[1]
+    complex_cols = not np.isrealobj(shape.values) and bool(
+        np.max(np.abs(shape.values.imag)) > 1e-12
+    )
+    header = ["y"] + [f"comp_{k + 1}" for k in range(dim)]
+    if complex_cols:
+        header += [f"im_comp_{k + 1}" for k in range(dim)]
+    rows = [",".join(header)]
+    for t in range(len(shape.ys)):
+        cells = [_cell(float(shape.ys[t]))]
+        cells += [_cell(float(np.real(shape.values[t, k]))) for k in range(dim)]
+        if complex_cols:
+            cells += [_cell(float(np.imag(shape.values[t, k]))) for k in range(dim)]
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+def _reference_spectrum_csv(results):
+    rows = ["re,im,residual"]
+    for r in results:
+        rows.append(f"{_cell(r.lam.real)},{_cell(r.lam.imag)},{_cell(r.residual)}")
+    return "\n".join(rows) + "\n"
+
+
+def _assert_same_text(got, want):
+    # name the first differing line: pytest's own diff of two long texts
+    # takes minutes
+    for i, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))):
+        assert g == w, f"line {i}"
+    assert len(got) == len(want)
+
+
+def _solved_shape(model, scan, path):
+    problem = oscispec.build_model(model)
+    opts = oscispec.SolveOptions(scan=scan, step=1e-3, path=path)
+    root = oscispec.solve_spectrum(problem, opts)[0]
+    return oscispec.mode_shape(problem, root.lam, 1e-3, path)
+
+
+class TestColumnWriters:
+    def _assert_mode_bytes(self, shape, tmp_path):
+        path = _write_mode(shape, 1, RunConfig(out_dir=tmp_path))
+        _assert_same_text(path.read_text(), _reference_mode_csv(shape))
+        return path.read_text().splitlines()[0]
+
+    def test_real_split_shape(self, tmp_path):
+        shape = _solved_shape("fixed_free_string", (1.0, 2.0, 40), "real_split")
+        assert np.isrealobj(shape.values)
+        header = self._assert_mode_bytes(shape, tmp_path)
+        assert header == "y,comp_1,comp_2,comp_3,comp_4"
+
+    def test_damped_complex_shape_has_im_columns(self, tmp_path):
+        shape = _solved_shape("spacecraft_bar", (0.3, 2.0, 50), "complex")
+        header = self._assert_mode_bytes(shape, tmp_path)
+        assert header == "y,comp_1,comp_2,im_comp_1,im_comp_2"
+
+    def test_complex_string_shape_drops_im_columns(self, tmp_path):
+        shape = _solved_shape("fixed_free_string", (1.0, 2.0, 40), "complex")
+        assert np.iscomplexobj(shape.values)
+        assert np.max(np.abs(shape.values.imag)) <= 1e-12
+        header = self._assert_mode_bytes(shape, tmp_path)
+        assert header == "y,comp_1,comp_2"
+
+    @pytest.mark.parametrize("as_complex", [False, True], ids=["real", "complex"])
+    def test_extreme_values(self, tmp_path, as_complex):
+        extremes = np.array([-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5e-7])
+        values = np.column_stack([extremes, extremes[::-1]])
+        if as_complex:
+            values = values + 1j * values[:, ::-1]
+        shape = oscispec.ModeShape(
+            lam=1j, ys=np.linspace(0.0, 1.0, len(extremes)), values=values,
+            normalization=1.0, interval_slices=(slice(0, len(extremes)),),
+        )
+        self._assert_mode_bytes(shape, tmp_path)
+        text = (tmp_path / "mode_001.csv").read_text()
+        assert ",-0," in text and "4.940656458e-324" in text and "-1e+300" in text
+
+    @pytest.mark.parametrize("model", ["point_mass_string", "spacecraft_bar"])
+    def test_spectrum_csv(self, tmp_path, model):
+        problem = oscispec.build_model(model)
+        results = oscispec.solve_spectrum(
+            problem, oscispec.SolveOptions(scan=(0.3, 8.0, 120), step=1e-3)
+        )
+        assert results
+        cfg = RunConfig(out_dir=tmp_path)
+        _write_spectrum(results, cfg)
+        _assert_same_text(
+            (tmp_path / "spectrum.csv").read_text(), _reference_spectrum_csv(results)
+        )
+        _run("solve", "--model", model, "--scan", "0.3:8.0:120", "--out", str(tmp_path / "cli"))
+        assert (tmp_path / "cli" / "spectrum.csv").read_bytes() == (
+            tmp_path / "spectrum.csv"
+        ).read_bytes()
+
+    def test_empty_spectrum_csv(self, tmp_path):
+        _write_spectrum([], RunConfig(out_dir=tmp_path, fmt="csv"))
+        assert (tmp_path / "spectrum.csv").read_text() == _reference_spectrum_csv([])
+
+    def test_modes_cli_writes_im_columns(self, tmp_path):
+        code = _run(
+            "modes", "--model", "spacecraft_bar", "--scan", "0.3:2.0:50",
+            "--indices", "1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        header, rows = _read_csv(tmp_path / "mode_001.csv")
+        assert header == ["y", "comp_1", "comp_2", "im_comp_1", "im_comp_2"]
+        assert all(len(r) == 5 for r in rows)
+        assert max(abs(float(r[3])) + abs(float(r[4])) for r in rows) > 1e-12
+
+
+class TestValidateLoader:
+    @pytest.mark.parametrize("model", sorted(oscispec.models.SCAN_DEFAULTS))
+    def test_builtin_models_are_valid(self, model, capsys):
+        assert _run("validate", "--model", model) == 0
+        assert capsys.readouterr().out.endswith(": valid\n")
+
+    def test_param_with_problem_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "good.json"
+        dump_problem(make_string_problem(), path)
+        assert _run("validate", "--problem", str(path), "--param", "rho=2") == 1
+        assert "--param applies to built-in models only" in capsys.readouterr().err
+
+    def test_unknown_model_parameter_exits_1(self, capsys):
+        assert _run("validate", "--model", "spacecraft_bar", "--param", "bogus=1") == 1
+        assert capsys.readouterr().err.startswith("error: ")
