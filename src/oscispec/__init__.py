@@ -58,6 +58,7 @@ from .spectrum import (
     characteristic_determinant,
     initial_coefficients,
     mode_shape,
+    mode_shapes,
     propagate,
     refine_root,
     resolve_step,
@@ -111,6 +112,7 @@ __all__ = [
     "leading_frequencies",
     "load_problem",
     "mode_shape",
+    "mode_shapes",
     "model_defaults",
     "problem_from_dict",
     "problem_to_dict",

@@ -28,7 +28,8 @@ from .oracle import (
 )
 from .problem import ProblemDefinition, validate as find_violations
 from .serialize import load_problem
-from .spectrum import SolveOptions, mode_shape, resolve_step, solve_spectrum
+from .spectrum import SolveOptions, mode_shapes, resolve_step, solve_spectrum
+from .spectrum import mode_shape  # noqa: F401  (perfbench/tracing.py wraps it by name)
 
 #: default fixed integration step when neither --step nor --target-error given
 DEFAULT_STEP = 1e-3
@@ -353,10 +354,10 @@ def cmd_modes(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
             return 1
-    for index in cfg.indices:
-        shape = mode_shape(problem, results[index - 1].lam, step, cfg.path)
+    lams = [results[index - 1].lam for index in cfg.indices]
+    for index, shape in zip(cfg.indices, mode_shapes(problem, lams, step, cfg.path)):
         path = _write_mode(shape, index, cfg)
-        print(f"mode {index} at lambda={results[index - 1].lam:.6g} -> {path}")
+        print(f"mode {index} at lambda={shape.lam:.6g} -> {path}")
     return 0
 
 

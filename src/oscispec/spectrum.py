@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .reduction import reduce_complex, reduce_real_split
 #: largest exponent fed to exp() when undoing the log-scale normalization
 _EXP_CLAMP = 700.0
 
-#: matrix entries one coefficient array of a stacked y-dependent integration
-#: may hold (4 MB complex); longer lambda stacks are evaluated in chunks
+#: matrix entries one coefficient array of a stacked y-dependent integration,
+#: or one sampled array of a stacked mode-shape propagation, may hold (4 MB
+#: complex); longer lambda stacks are evaluated in chunks
 _STACK_ENTRIES = 1 << 18
 
 
@@ -254,10 +255,13 @@ def _determinant(problem: ProblemDefinition, lam, step: float, path: str):
     return _normalized_det(closure, w)
 
 
-def _stack_chunk(problem: ProblemDefinition, step: float, path: str) -> int | None:
-    """Largest stack whose y-dependent integration stays within
-    _STACK_ENTRIES per coefficient array; None when no interval depends on y."""
-    if not problem.coefficients.varies_in_y:
+def _stack_chunk(
+    problem: ProblemDefinition, step: float, path: str, keep_samples: bool = False
+) -> int | None:
+    """Largest stack whose y-dependent integration, or with keep_samples
+    whose sampled fundamental matrices, stay within _STACK_ENTRIES per
+    array; None when neither is stored."""
+    if not (keep_samples or problem.coefficients.varies_in_y):
         return None
     dim = problem.dim * (2 if path == "real_split" else 1)
     part = problem.partition
@@ -322,7 +326,7 @@ def refine_root(
     step: float = 1e-3,
     path: str = "complex",
 ) -> SpectralResult:
-    """Polish one root candidate.
+    """Polish one root candidate: the one-target case of the lockstep refinement.
 
     Sign-change brackets are narrowed along the imaginary axis by false
     position in its Illinois form, which keeps the bracket and converges
@@ -336,7 +340,8 @@ def refine_root(
     Newton stops with a reason when halving its step 25 times does not lower
     |D| ("stagnated") or when D is not finite.  The two points of each
     difference and the three probes of each polish pass are evaluated as one
-    stack.
+    stack.  solve_spectrum refines all its candidates at once (_refine_all)
+    with the same steps and the same results.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -344,23 +349,94 @@ def refine_root(
     def dfun(lam):
         return characteristic_determinant(problem, lam, step, path)
 
+    return _run(_refine_steps(target, tol, max_iter, path), dfun)
+
+
+# The refinement steps below are generators: each yields the lambda, or the
+# lambda stack, whose determinant it needs next and is sent the value back;
+# it returns its SpectralResult.  _run answers one of them with a callable,
+# _refine_all answers many at once with one stacked determinant per round.
+
+
+def _run(steps, dfun, reply=None):
+    """Drive refinement steps to their result, answering each request with
+    dfun; `reply` answers the request of steps already under way."""
+    while True:
+        try:
+            request = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = dfun(request)
+
+
+def _refine_steps(target: Bracket | complex, tol, max_iter, path):
     if isinstance(target, Bracket):
         if target.kind == "sign_change":
-            return _bisect_bracket(dfun, target, tol, max_iter, path)
+            return _bisect_bracket(target, tol, max_iter, path)
         seed = 1j * target.p_seed
     else:
         seed = complex(target)
-    return _newton(dfun, seed, tol, max_iter, path)
+    return _newton(seed, tol, max_iter, path)
 
 
-def _bisect_bracket(dfun, bracket: Bracket, tol, max_iter, path) -> SpectralResult:
+def _refine_all(
+    problem: ProblemDefinition,
+    targets: list[Bracket | complex],
+    tol: float,
+    max_iter: int,
+    step: float,
+    path: str,
+) -> list[SpectralResult]:
+    """Refine every target in lockstep, one result per target in order.
+
+    Each round gathers the pending request of every live candidate and
+    evaluates them all with one characteristic_determinant call, so a solve
+    costs as many calls as its longest candidate chain.  The values are
+    those of refine_root, bit for bit.  If a round fails, the live
+    candidates are finished one at a time in target order, so the error
+    raised is the one refining the targets one after another raises.
+    """
+
+    def dfun(lam):
+        return characteristic_determinant(problem, lam, step, path)
+
+    steps = [_refine_steps(t, tol, max_iter, path) for t in targets]
+    results: list[SpectralResult | None] = [None] * len(steps)
+    replies = dict.fromkeys(range(len(steps)))
+    while True:
+        requests = {}
+        for k, reply in replies.items():
+            try:
+                requests[k] = steps[k].send(reply)
+            except StopIteration as stop:
+                results[k] = stop.value
+        if not requests:
+            return results
+        try:
+            values = dfun(np.concatenate([np.atleast_1d(r) for r in requests.values()]))
+        except SolverError:
+            # one candidate at a time, in target order: the first failing
+            # candidate raises
+            for k, request in requests.items():
+                results[k] = _run(steps[k], dfun, dfun(request))
+            return results
+        replies = {}
+        offset = 0
+        for k, request in requests.items():
+            size = np.size(request)
+            part = values[offset : offset + size]
+            replies[k] = part if np.ndim(request) else complex(part[0])
+            offset += size
+
+
+def _bisect_bracket(bracket: Bracket, tol, max_iter, path):
     lo, hi = bracket.p_lo, bracket.p_hi
-    d_lo = dfun(1j * lo)
-    d_hi = dfun(1j * hi)
+    d_lo = yield 1j * lo
+    d_hi = yield 1j * hi
     f_lo, f_hi = d_lo.real, d_hi.real
     iters = 0
     if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or f_lo * f_hi > 0:
-        return _newton(dfun, 1j * bracket.p_seed, tol, max_iter, path)
+        return (yield from _newton(1j * bracket.p_seed, tol, max_iter, path))
     d_mid = d_lo
     mid = lo
     kept = 0  # the end the last step kept: -1 lo, +1 hi
@@ -369,7 +445,7 @@ def _bisect_bracket(dfun, bracket: Bracket, tol, max_iter, path) -> SpectralResu
         mid = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else lo
         if not lo < mid < hi:
             mid = 0.5 * (lo + hi)
-        d_mid = dfun(1j * mid)
+        d_mid = yield 1j * mid
         iters += 1
         f = d_mid.real
         if f == 0.0 or not cmath.isfinite(d_mid):
@@ -394,7 +470,7 @@ def _bisect_bracket(dfun, bracket: Bracket, tol, max_iter, path) -> SpectralResu
         return SpectralResult(1j * mid, residual, iters, converged=True)
     # Re D crossed zero without |D| vanishing: not a root on the axis, so
     # hand the last point to Newton in the complex plane.
-    newton = _newton(dfun, 1j * mid, tol, max_iter, path)
+    newton = yield from _newton(1j * mid, tol, max_iter, path)
     return SpectralResult(
         newton.lam,
         newton.residual,
@@ -419,10 +495,10 @@ def _fd_delta(lam: complex) -> float:
     return 1e-6 * max(abs(lam), 1.0)
 
 
-def _newton(dfun, seed: complex, tol, max_iter, path) -> SpectralResult:
+def _newton(seed: complex, tol, max_iter, path):
     on_axis = path == "real_split"
     lam = 1j * seed.imag if on_axis else seed
-    d = dfun(lam)
+    d = yield lam
     if not cmath.isfinite(d):
         return SpectralResult(lam, math.inf, 0, False, "determinant not finite at the seed")
     d0 = max(abs(d), np.finfo(float).tiny)
@@ -437,11 +513,11 @@ def _newton(dfun, seed: complex, tol, max_iter, path) -> SpectralResult:
         iters += 1
         delta = _fd_delta(lam)
         if on_axis:
-            d_plus, d_minus = dfun(np.array([lam + 1j * delta, lam - 1j * delta])).tolist()
+            d_plus, d_minus = (yield np.array([lam + 1j * delta, lam - 1j * delta])).tolist()
             dp = (d_plus - d_minus).real / (2 * delta)
             dcur = d.real
         else:
-            d_plus, d_minus = dfun(np.array([lam + delta, lam - delta])).tolist()
+            d_plus, d_minus = (yield np.array([lam + delta, lam - delta])).tolist()
             dp = (d_plus - d_minus) / (2 * delta)
             dcur = d
         if dp == 0:
@@ -458,7 +534,7 @@ def _newton(dfun, seed: complex, tol, max_iter, path) -> SpectralResult:
         # damp: halve the step while it does not lower |D|
         for _ in range(25):
             cand = lam + s
-            d_cand = dfun(cand)
+            d_cand = yield cand
             res_cand = _modulus(d_cand)
             if res_cand <= abs(d) or (abs(s) < tol and res_cand < math.inf):
                 break
@@ -476,7 +552,7 @@ def _newton(dfun, seed: complex, tol, max_iter, path) -> SpectralResult:
         message = "max_iter exceeded; suspected multiple root"
 
     if on_axis:
-        vert_lam, vert_res, extra, touching = _vertex_polish(dfun, best_lam, best_res, tol)
+        vert_lam, vert_res, extra, touching = yield from _vertex_polish(best_lam, best_res, tol)
         iters += extra
         if vert_res <= best_res:
             best_lam, best_res = vert_lam, vert_res
@@ -490,7 +566,7 @@ def _newton(dfun, seed: complex, tol, max_iter, path) -> SpectralResult:
     return SpectralResult(best_lam, best_res, iters, converged, message)
 
 
-def _vertex_polish(dfun, lam: complex, res: float, tol: float):
+def _vertex_polish(lam: complex, res: float, tol: float):
     """Parabolic vertex steps for quadratic (touching) zeros of D(i p).
 
     On the real-split path the determinant is the squared modulus of the
@@ -509,7 +585,7 @@ def _vertex_polish(dfun, lam: complex, res: float, tol: float):
     # Shrinking probes: the wide pass is noise-immune, the narrow passes
     # remove the O(delta^2) bias from the smooth factor's slope.
     for delta in (1e-4 * scale, 1e-5 * scale, 1e-6 * scale):
-        probes = dfun(np.array([1j * (p - delta), 1j * p, 1j * (p + delta)]))
+        probes = yield np.array([1j * (p - delta), 1j * p, 1j * (p + delta)])
         dm, d0, dp = (d.real for d in probes.tolist())
         passes += 1
         if passes == 1:
@@ -521,7 +597,7 @@ def _vertex_polish(dfun, lam: complex, res: float, tol: float):
         if abs(step_p) > 10.0 * delta:  # fit not trustworthy this far out
             step_p = np.sign(step_p) * 10.0 * delta
         p = p + step_p
-    res_new = _modulus(dfun(1j * p))
+    res_new = _modulus((yield 1j * p))
     if res_new <= 10.0 * res or res_new <= tol:
         return 1j * p, res_new, passes, touching
     return lam, res, passes, touching
@@ -539,26 +615,61 @@ def mode_shape(
     path: str = "complex",
     rank_tol: float = 1e-6,
 ) -> ModeShape:
-    """Reconstruct the eigenfunction at a converged root.
+    """Reconstruct the eigenfunction at a converged root: the one-lambda
+    case of mode_shapes."""
+    (shape,) = mode_shapes(problem, [lam], step, path, rank_tol)
+    return shape
 
-    The free-constant vector is the near-null direction of the closure
-    matrix (two inverse-iteration sweeps on M^H M from e1); each interval's
-    solution is the corresponding combination of its fundamental solutions
-    on the stored integration grid.  Raises NotARootError when the closure
-    matrix is numerically full rank.
+
+def mode_shapes(
+    problem: ProblemDefinition,
+    lams: Iterable[complex],
+    step: float,
+    path: str = "complex",
+    rank_tol: float = 1e-6,
+) -> Iterator[ModeShape]:
+    """Reconstruct the eigenfunctions at converged roots, yielded in order.
+
+    The lambdas are reduced and propagated with sampling as stacks, in
+    chunks that keep each sampled array within _STACK_ENTRIES entries, so a
+    fine step takes them one at a time; the samples are bit-identical to
+    those of one lambda alone.  If a chunk fails, its lambdas are redone one
+    at a time, so every shape before the first failing lambda is yielded
+    first.  Per lambda, the free-constant vector is the near-null direction
+    of the closure matrix (two inverse-iteration sweeps on M^H M from e1);
+    each interval's solution is the corresponding combination of its
+    fundamental solutions on the stored integration grid.  Raises
+    NotARootError when the closure matrix is numerically full rank.
     """
-    reduced = _reduce(problem, complex(lam), path)
-    u_tables, fundamentals, w, closure = _assemble(reduced, step, keep_samples=True)
+    lams = [complex(z) for z in lams]
+    size = _stack_chunk(problem, step, path, keep_samples=True)
+    chunks = [lams[i : i + size] for i in range(0, len(lams), size)]
+    while chunks:
+        chunk = chunks.pop(0)
+        try:
+            reduced = _reduce(problem, np.array(chunk), path)
+            u_tables, fundamentals, w, closure = _assemble(reduced, step, keep_samples=True)
+        except SolverError:
+            if len(chunk) == 1:
+                raise
+            # one at a time, in order: the first failing lambda raises
+            chunks[:0] = [[z] for z in chunk]
+            continue
+        for k, lam in enumerate(chunk):
+            c_free = _null_vector(closure[k], w[k], lam, rank_tol)
+            yield _combine(lam, u_tables, fundamentals, k, c_free)
 
-    c_free = _null_vector(closure, w, complex(lam), rank_tol)
 
+def _combine(lam: complex, u_tables, fundamentals, k: int, c_free) -> ModeShape:
+    """The mode shape of lambda k of a sampled stack, normalized to unit
+    max-abs."""
     ys_parts = []
     val_parts = []
     slices = []
     offset = 0
     for u, fm in zip(u_tables, fundamentals):
-        coeff = u @ c_free
-        vals = np.tensordot(fm.samples, coeff, axes=([1], [0]))
+        coeff = u[k] @ c_free
+        vals = np.tensordot(fm.samples[:, k], coeff, axes=([1], [0]))
         ys_parts.append(fm.sample_ys)
         val_parts.append(vals)
         slices.append(slice(offset, offset + len(fm.sample_ys)))
@@ -571,7 +682,7 @@ def mode_shape(
     values = values / scale
 
     return ModeShape(
-        lam=complex(lam),
+        lam=lam,
         ys=ys,
         values=values,
         normalization=complex(scale),
@@ -612,35 +723,27 @@ def _null_vector(closure: np.ndarray, end_values: np.ndarray, lam: complex, rank
 def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[SpectralResult]:
     """Scan, refine, deduplicate and sort the spectrum of a problem.
 
-    Returns converged roots only, with Im >= 0 (conjugate pairs reported
-    once), sorted by |Im| then Re.  An empty list is a valid answer.
+    The scan brackets and then the rect seeds are refined in lockstep
+    (_refine_all), with the results and errors of refine_root applied to
+    each in turn.  Returns converged roots only, with Im >= 0 (conjugate
+    pairs reported once), sorted by |Im| then Re.  An empty list is a valid
+    answer.  A non-positive tol is rejected before the scan.
     """
+    if options.tol <= 0:
+        raise ValueError("tol must be positive")
     step = resolve_step(problem, options)
-    results: list[SpectralResult] = []
-
+    targets: list[Bracket | complex] = []
     if options.scan is not None:
         p_min, p_max, n_grid = options.scan
-        brackets = scan_real_axis(problem, p_min, p_max, n_grid, step, options.path)
-        for bracket in brackets:
-            results.append(
-                refine_root(problem, bracket, options.tol, options.max_iter, step, options.path)
-            )
-
+        targets += scan_real_axis(problem, p_min, p_max, n_grid, step, options.path)
     if options.rect is not None:
         re0, re1, im0, im1, nr, ni = options.rect
-        for re in np.linspace(re0, re1, int(nr)):
-            for im in np.linspace(im0, im1, int(ni)):
-                results.append(
-                    refine_root(
-                        problem,
-                        complex(re, im),
-                        options.tol,
-                        options.max_iter,
-                        step,
-                        options.path,
-                    )
-                )
-
+        targets += [
+            complex(re, im)
+            for re in np.linspace(re0, re1, int(nr))
+            for im in np.linspace(im0, im1, int(ni))
+        ]
+    results = _refine_all(problem, targets, options.tol, options.max_iter, step, options.path)
     accepted = [r for r in results if r.converged]
     return _dedupe(accepted, options.tol)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oscispec
-from oscispec import dump_problem, problem_to_dict
+from oscispec import NotARootError, SolverError, dump_problem, problem_to_dict, spectrum
 from oscispec.cli import RunConfig, _write_mode, _write_spectrum, main
 
 from conftest import make_string_problem
@@ -129,6 +129,23 @@ class TestSolve:
         assert rows and float(rows[0][0]) < 0
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_rect_exits_2_with_the_sequential_error(self, tmp_path, capsys):
+        # the lockstep round that overflows is replayed one candidate at a
+        # time, so the message is that of refining the seeds in order
+        problem = oscispec.build_model("pipeline", beta=0.005)
+        seeds = [complex(re, im) for re in np.linspace(-250.0, 0.0, 4)
+                 for im in np.linspace(0.0, 8.0, 4)]
+        with pytest.raises(SolverError) as info:
+            for seed in seeds:
+                oscispec.refine_root(problem, seed, step=1e-3)
+        code = _run("solve", "--model", "pipeline", "--param", "beta=0.005",
+                    "--rect=-250:0:0:8:4:4", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == f"numerical failure: {info.value}\n"
+        assert "integration overflow on interval 0" in str(info.value)
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -176,6 +193,41 @@ class TestModes:
         header, rows = _read_csv(tmp_path / "mode_001.csv")
         assert header == ["y", "comp_1", "comp_2", "comp_3", "comp_4"]
         assert len(rows) == 1001
+
+
+    def test_chunked_modes_write_the_same_bytes(self, tmp_path, monkeypatch):
+        argv = ["modes", "--model", "point_mass_string", "--scan", "0.2:10:240",
+                "--path", "real_split", "--indices", "3,1,2"]
+        assert _run(*argv, "--out", str(tmp_path / "whole")) == 0
+        # room for two sampled real-split propagations (two intervals, 1004
+        # nodes, 4 x 4 matrices) per array: chunks of two roots and of one
+        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 2 * 16 * 1004)
+        problem = oscispec.build_model("point_mass_string")
+        assert spectrum._stack_chunk(problem, 1e-3, "real_split", keep_samples=True) == 2
+        assert _run(*argv, "--out", str(tmp_path / "chunked")) == 0
+        for index in (1, 2, 3):
+            name = f"mode_{index:03d}.csv"
+            assert (tmp_path / "chunked" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+    def test_failing_index_keeps_the_earlier_files(self, tmp_path, monkeypatch, capsys):
+        problem = oscispec.build_model("fixed_free_string")
+        roots = oscispec.solve_spectrum(problem, oscispec.SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
+        bad = roots[1].lam
+        original = spectrum._null_vector
+
+        def null_vector(closure, end_values, lam, rank_tol):
+            if lam == bad:
+                raise NotARootError(lam, 0.5)
+            return original(closure, end_values, lam, rank_tol)
+
+        monkeypatch.setattr(spectrum, "_null_vector", null_vector)
+        code = _run("modes", "--model", "fixed_free_string", "--scan", "0.2:10:240",
+                    "--indices", "1,2,3", "--out", str(tmp_path))
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == f"numerical failure: {NotARootError(bad, 0.5)}\n"
+        assert out.splitlines() == [f"mode 1 at lambda={roots[0].lam:.6g} -> {tmp_path / 'mode_001.csv'}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mode_001.csv"]
 
 
 class TestSweep:

@@ -594,7 +594,7 @@ class TestSuperlinearRefinement:
             return complex(p**10 - 0.5)
 
         root = 0.5**0.1 if kept == "hi" else 1.0 - 0.5**0.1
-        res = spectrum._bisect_bracket(dfun, Bracket(0.0, 1.0, "sign_change", 0.5), 1e-12, 100, "complex")
+        res = spectrum._run(spectrum._bisect_bracket(Bracket(0.0, 1.0, "sign_change", 0.5), 1e-12, 100, "complex"), dfun)
         assert res.converged
         assert res.lam.imag == pytest.approx(root, abs=1e-11)
         assert res.iterations <= 20
@@ -623,10 +623,11 @@ class TestSuperlinearRefinement:
     def test_bracket_point_lies_inside_the_bracket(self, name, monkeypatch):
         # Newton replaced by the identity, so every result is the point the
         # bracket phase accepted or handed on
-        monkeypatch.setattr(
-            spectrum, "_newton",
-            lambda dfun, seed, tol, max_iter, path: spectrum.SpectralResult(seed, 0.0, 0, False),
-        )
+        def no_newton(seed, tol, max_iter, path):
+            return spectrum.SpectralResult(seed, 0.0, 0, False)
+            yield
+
+        monkeypatch.setattr(spectrum, "_newton", no_newton)
         prob = build_model(name)
         brackets = [
             b for b in scan_real_axis(prob, *SCAN_DEFAULTS[name], step=2e-3)
@@ -673,14 +674,14 @@ class TestSuperlinearRefinement:
         ids=["difference_pair", "damped_steps", "seed"],
     )
     def test_non_finite_determinant_is_an_exit(self, strip, root, seed, message):
-        res = spectrum._newton(_nan_off(strip, root), seed, 1e-10, 100, "complex")
+        res = spectrum._run(spectrum._newton(seed, 1e-10, 100, "complex"), _nan_off(strip, root))
         assert not res.converged
         assert res.message == message
         assert abs(res.lam.real) <= strip or res.lam == seed
 
     def test_small_step_onto_a_non_finite_value_is_halved(self):
         # a step below tol is taken even when |D| grows, but never onto NaN
-        res = spectrum._newton(_nan_off(1e-3, complex(-100.0, 1.4)), 1.4j, 1e-2, 100, "complex")
+        res = spectrum._run(spectrum._newton(1.4j, 1e-2, 100, "complex"), _nan_off(1e-3, complex(-100.0, 1.4)))
         assert -1e-3 <= res.lam.real < 0.0
 
     def test_polish_skips_a_non_finite_probe(self):
@@ -690,7 +691,7 @@ class TestSuperlinearRefinement:
             d = np.where(lam.imag > 1.5, complex("nan+nanj"), (lam.imag - 1.5) ** 2 + 0j)
             return complex(d) if d.ndim == 0 else d
 
-        lam, res, _, touching = spectrum._vertex_polish(dfun, 1.5j, 1e-3, 1e-10)
+        lam, res, _, touching = spectrum._run(spectrum._vertex_polish(1.5j, 1e-3, 1e-10), dfun)
         assert (lam, res, touching) == (1.5j, 0.0, False)
 
     def test_non_finite_value_inside_a_bracket_is_not_accepted(self):
@@ -702,6 +703,198 @@ class TestSuperlinearRefinement:
             d = np.where(bad, complex("nan+nanj"), lam.imag - 1.45 + 0j)
             return complex(d) if d.ndim == 0 else d
 
-        res = spectrum._bisect_bracket(dfun, Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100, "complex")
+        res = spectrum._run(spectrum._bisect_bracket(Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100, "complex"), dfun)
         assert not res.converged
         assert res.message == "determinant not finite at the seed"
+
+
+# ---------------------------------------------------------------------------
+# lockstep refinement and stacked mode shapes
+# ---------------------------------------------------------------------------
+
+#: the two complex search rectangles of the benchmark's rect_search workload
+BENCH_RECTS = [
+    (("machine_unit", {"left_end": "clamped", "right_end": "clamped"}), (-0.5, 0.0, 0.5, 10.0, 4, 4)),
+    (("spacecraft_bar", {"beta": 0.02}), (-0.5, 0.0, 0.5, 6.0, 4, 6)),
+]
+
+PARITY_CASES = (
+    [
+        pytest.param(name, {}, SolveOptions(scan=SCAN_DEFAULTS[name], path=path), id=f"{name}-{path}")
+        for name in sorted(SCAN_DEFAULTS)
+        for path in ("complex", "real_split")
+    ]
+    + [
+        pytest.param(name, params, SolveOptions(rect=rect, step=1e-3), id=f"rect-{name}")
+        for (name, params), rect in BENCH_RECTS
+    ]
+    + [
+        pytest.param("spacecraft_bar", {"beta": 0.02},
+                     SolveOptions(scan=(0.3, 6.0, 150), step=1e-3), id="damped_bar_scan")
+    ]
+)
+
+
+def _targets(problem, options, step):
+    """The candidates of a solve, in the order solve_spectrum refines them."""
+    targets = []
+    if options.scan is not None:
+        targets += scan_real_axis(problem, *options.scan, step=step, path=options.path)
+    if options.rect is not None:
+        re0, re1, im0, im1, nr, ni = options.rect
+        targets += [complex(re, im) for re in np.linspace(re0, re1, nr)
+                    for im in np.linspace(im0, im1, ni)]
+    return targets
+
+
+def _fields(results):
+    return [(r.lam, r.residual, r.iterations, r.converged, r.message) for r in results]
+
+
+class TestLockstepRefinement:
+    """All candidates of a solve refined at once give what refining them one
+    after another gives, in fewer determinant calls."""
+
+    @pytest.mark.parametrize("name, params, options", PARITY_CASES)
+    def test_solve_equals_the_sequential_loop(self, name, params, options):
+        problem = build_model(name, **params)
+        step = spectrum.resolve_step(problem, options)
+        targets = _targets(problem, options, step)
+        looped = [refine_root(problem, t, options.tol, options.max_iter, step, options.path)
+                  for t in targets]
+        lockstep = spectrum._refine_all(problem, targets, options.tol, options.max_iter,
+                                        step, options.path)
+        assert _fields(lockstep) == _fields(looped)
+        expected = spectrum._dedupe([r for r in looped if r.converged], options.tol)
+        assert _fields(solve_spectrum(problem, options)) == _fields(expected)
+
+    def test_calls_follow_the_longest_chain(self, fixed_free_string, det_calls):
+        # at the benchmark's scan window the three chains take 9 calls each:
+        # 27 one after another, 9 in lockstep
+        options = SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="real_split")
+        brackets = scan_real_axis(fixed_free_string, *options.scan, step=1e-3, path="real_split")
+        chains = []
+        for b in brackets:
+            del det_calls[:]
+            refine_root(fixed_free_string, b, step=1e-3, path="real_split")
+            chains.append(len(det_calls))
+        assert len(chains) >= 2 and max(chains) < sum(chains)
+        del det_calls[:]
+        solve_spectrum(fixed_free_string, options)
+        assert len(det_calls) == 1 + max(chains)  # the scan, then refinement
+
+    @pytest.mark.parametrize("scan", [(0.2, 1.0, 10), (0.2, 10.0, 240)], ids=["no_candidate", "candidates"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_non_positive_tol_is_rejected_before_the_scan(self, fixed_free_string, det_calls, scan, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_spectrum(fixed_free_string, SolveOptions(scan=scan, step=1e-3, tol=tol))
+        assert det_calls == []
+
+    def test_failing_round_raises_the_sequential_loops_error(self, monkeypatch):
+        # D = (lambda - r)^3 around two roots, so Newton takes many steps.
+        # Candidate 2's third request and candidate 1's seventh fail: in
+        # lockstep candidate 2 fails first, but one after another candidate
+        # 1 does, and its error is the one to raise
+        roots = [complex(1.0, 1.0), complex(5.0, 5.0)]
+        seeds = [complex(1.3, 1.1), complex(5.4, 4.8)]
+
+        def cubic(lam):
+            lam = np.asarray(lam, dtype=complex)
+            d = np.where(lam.real < 3.0, (lam - roots[0]) ** 3, (lam - roots[1]) ** 3)
+            return complex(d) if d.ndim == 0 else d
+
+        requests = []
+        for seed in seeds:
+            seen = []
+
+            def recording(lam, seen=seen):
+                seen.append(lam)
+                return cubic(lam)
+
+            spectrum._run(spectrum._newton(seed, 1e-10, 100, "complex"), recording)
+            requests.append(seen)
+        assert len(requests[0]) > 7 and len(requests[1]) > 3
+        poison = {
+            z: (PropagationError, 1) for z in np.atleast_1d(requests[0][6]).tolist()
+        } | {z: (IntegrationError, 0) for z in np.atleast_1d(requests[1][2]).tolist()}
+
+        raised = []
+
+        def stub(problem, lam, step, path="complex"):
+            for z in np.atleast_1d(lam).tolist():
+                if z in poison:
+                    error, where = poison[z]
+                    raised.append(error)
+                    raise error(where, z, "stub")
+            return cubic(lam)
+
+        monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
+        with pytest.raises(SolverError) as looped:
+            for seed in seeds:
+                refine_root(None, seed, 1e-10, 100, 1e-3)
+        del raised[:]
+        with pytest.raises(SolverError) as lockstep:
+            spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3, "complex")
+        assert raised == [IntegrationError, PropagationError]
+        assert type(looped.value) is PropagationError
+        assert type(lockstep.value) is type(looped.value)
+        assert str(lockstep.value) == str(looped.value)
+        assert lockstep.value.lam == looped.value.lam
+        assert lockstep.value.interface == looped.value.interface == 1
+
+
+MODE_CASES = [
+    pytest.param(name, {}, path, id=f"{name}-{path}")
+    for name in ("fixed_free_string", "fixed_fixed_string", "point_mass_string", "cable_snapshot")
+    for path in ("complex", "real_split")
+] + [pytest.param("spacecraft_bar", {}, "complex", id="spacecraft_bar-complex")]
+
+
+class TestStackedModeShapes:
+    @pytest.mark.parametrize("name, params, path", MODE_CASES)
+    def test_stack_equals_one_at_a_time(self, name, params, path):
+        problem = build_model(name, **params)
+        options = SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3, path=path)
+        lams = [r.lam for r in solve_spectrum(problem, options)[:3]]
+        assert len(lams) == 3
+        stacked = list(spectrum.mode_shapes(problem, lams, 1e-3, path))
+        assert len(stacked) == 3
+        for lam, got in zip(lams, stacked):
+            want = mode_shape(problem, lam, 1e-3, path)
+            assert got.lam == want.lam == lam
+            assert got.ys.tobytes() == want.ys.tobytes()
+            assert got.values.dtype == want.values.dtype
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.normalization == want.normalization
+            assert got.interval_slices == want.interval_slices
+        if name == "spacecraft_bar":
+            # a damped shape: its CSV carries im_comp_k columns
+            assert all(np.max(np.abs(s.values.imag)) > 1e-12 for s in stacked)
+
+    def test_sampled_stacks_are_chunked(self, monkeypatch):
+        problem = build_model("fixed_free_string")
+        # 1000 steps + 2 end nodes, 4 x 4 real-split matrices per sample
+        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 2 * 16 * 1002)
+        assert spectrum._stack_chunk(problem, 1e-3, "real_split", keep_samples=True) == 2
+        assert spectrum._stack_chunk(problem, 1e-3, "real_split") is None
+        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 1)
+        assert spectrum._stack_chunk(problem, 1e-3, "real_split", keep_samples=True) == 1
+
+    def test_a_failing_lambda_comes_after_the_shapes_before_it(self, monkeypatch):
+        # a stack holding the second root fails in integration; the first
+        # shape is still yielded, then the second root's own error is raised
+        problem = build_model("fixed_free_string")
+        lams = [0.5j * math.pi * k for k in (1, 3, 5)]
+        original = spectrum.integrate_fundamental
+
+        def failing(reduced, interval, step, keep_samples=False):
+            if lams[1] in spectrum.each_lambda(reduced.lam):
+                raise IntegrationError(interval, lams[1], "stub")
+            return original(reduced, interval, step, keep_samples)
+
+        monkeypatch.setattr(spectrum, "integrate_fundamental", failing)
+        shapes = spectrum.mode_shapes(problem, lams, 1e-3)
+        assert next(shapes).lam == lams[0]
+        with pytest.raises(IntegrationError, match="stub") as info:
+            next(shapes)
+        assert info.value.lam == lams[1]
