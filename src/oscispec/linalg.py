@@ -6,7 +6,8 @@ import numpy as np
 
 
 def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12):
-    """Null-space basis of a short wide matrix by Gaussian elimination.
+    """Null-space basis of a short wide matrix, or of each matrix of a stack,
+    by Gaussian elimination.
 
     Returns (rank, basis) where basis has one column per free variable, in
     ascending column order.  For a 0/1 selection matrix (each row a distinct
@@ -15,37 +16,76 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12):
 
     The reduction uses partial pivoting on the largest modulus; entries below
     tol * (max |entry|) count as zero.  Deterministic for identical input.
+
+    A stack (K, rows, cols) is reduced as one: pivot search, row swaps and
+    elimination run over all K matrices at once, in the input's dtype, and
+    give the bytes of reducing each matrix alone.  rank is then an int array
+    of the K ranks and basis a (K, cols, cols - rank) array.  Where the
+    matrices do not all pick the same pivot columns (as when some are rank
+    deficient) each is reduced alone; if their ranks differ, basis is the
+    list of their bases.
     """
     a = np.array(matrix, copy=True)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    rows, cols = a.shape
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    cutoff = tol * scale
+    if a.ndim not in (2, 3):
+        raise ValueError("expected a 2-D matrix or a stack of them")
+    stack = a if a.ndim == 3 else a[np.newaxis]
+    pivot_cols = _eliminate(stack, tol)
+    if pivot_cols is None:
+        parts = [rref_null_basis(m, tol) for m in np.asarray(matrix)]
+        ranks = np.array([rank for rank, _ in parts], dtype=int)
+        bases = [basis for _, basis in parts]
+        return ranks, np.stack(bases) if len(set(ranks.tolist())) == 1 else bases
+    count, _, cols = stack.shape
+    rank = len(pivot_cols)
+    free_cols = [c for c in range(cols) if c not in pivot_cols]
+    basis = np.zeros((count, cols, len(free_cols)), dtype=a.dtype)
+    basis[:, free_cols, range(len(free_cols))] = 1.0
+    basis[:, pivot_cols] = -stack[:, :rank, free_cols]
+    if a.ndim == 2:
+        return rank, basis[0]
+    return np.full(count, rank), basis
+
+
+def _eliminate(stack: np.ndarray, tol: float) -> list[int] | None:
+    """Row-reduce every matrix of a (K, rows, cols) stack in place.
+
+    Returns the pivot columns, or None (the stack half reduced) as soon as
+    the matrices disagree on whether a column holds a pivot.
+    """
+    count, rows, cols = stack.shape
+    cutoff = tol * np.abs(stack).max(axis=(1, 2), initial=0.0)
+    every = np.arange(count)
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        k = r + int(np.argmax(np.abs(a[r:, c])))
-        if np.abs(a[k, c]) <= cutoff:
-            continue
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        a[r] = a[r] / a[r, c]
+        column = np.abs(stack[:, r:, c])
+        below = np.argmax(column, axis=1)
+        small = column[every, below] <= cutoff
+        if small.any():
+            if small.all():
+                continue
+            return None
+        if below.any():
+            k = r + below
+            top = stack[every, k]
+            stack[every, k] = stack[:, r]
+            stack[:, r] = top
+        stack[:, r] = stack[:, r] / stack[:, r, c, np.newaxis]
         for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
+            if i == r:
+                continue
+            # a row whose entry is 0 already is left as it is: subtracting
+            # 0 * row r could turn -0.0 into 0.0, or inf into NaN
+            hit = stack[:, i, c] != 0
+            if hit.all():
+                stack[:, i] = stack[:, i] - stack[:, i, c, np.newaxis] * stack[:, r]
+            elif hit.any():
+                stack[hit, i] = stack[hit, i] - stack[hit, i, c, np.newaxis] * stack[hit, r]
         pivot_cols.append(c)
         r += 1
-    rank = len(pivot_cols)
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = np.zeros((cols, len(free_cols)), dtype=a.dtype)
-    for q, fc in enumerate(free_cols):
-        basis[fc, q] = 1.0
-        for pr, pc in enumerate(pivot_cols):
-            basis[pc, q] = -a[pr, fc]
-    return rank, basis
+    return pivot_cols
 
 
 def transpose(mats: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: hard cap on the linearized dense eigenproblem dimension
+#: hard cap on the dimension of the dense linearized pencil (QZ route only;
+#: the sparse route stores no dense matrix)
 _DIM_CAP = 6000
 
 #: eigenvalues with modulus above this are companion-pencil artifacts
@@ -161,6 +162,10 @@ def fd_polynomial_eigenvalues(
     certificate unmet) the dense route runs.  Returns finite eigenvalues
     sorted by |Im|.
 
+    The matrix coefficients are assembled as (row, column, value) triplets
+    and made dense only for the QZ route, which raises ValueError above
+    _DIM_CAP; the sparse route takes any grid.
+
     The problem must carry a ScalarWaveForm (built-in models do); JSON
     problems have no oracle route.
     """
@@ -192,12 +197,8 @@ def fd_polynomial_eigenvalues(
         ),
     ) if form.interface_rows else max(2, *(len(p) - 1 for p in form.left_row + form.right_row))
 
-    if (max_deg * n_unknowns) > _DIM_CAP:
-        raise ValueError(
-            f"linearized dimension {max_deg * n_unknowns} exceeds cap {_DIM_CAP}"
-        )
-
-    mats = [np.zeros((n_unknowns, n_unknowns)) for _ in range(max_deg + 1)]
+    # per degree, the (row, column, value) entries in the order they add up
+    entries: list[list[tuple[int, int, float]]] = [[] for _ in range(max_deg + 1)]
     row = 0
 
     # interior equations: mass lam^2 u = (stiffness + lam damping) u_xx
@@ -207,19 +208,19 @@ def fd_polynomial_eigenvalues(
         w = 1.0 / (h * h)
         for j in range(1, cells[i]):
             g = off + j
-            mats[2][row, g] += form.mass[i]
+            entries[2].append((row, g, form.mass[i]))
             for dj, s in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                mats[0][row, g + dj] -= form.stiffness[i] * s * w
-                mats[1][row, g + dj] -= form.damping[i] * s * w
+                entries[0].append((row, g + dj, -(form.stiffness[i] * s * w)))
+                entries[1].append((row, g + dj, -(form.damping[i] * s * w)))
             row += 1
 
     # boundary rows with one-sided second-order u_x stencils
     h0 = (bps[1] - bps[0]) / cells[0]
-    _add_trace_row(mats, row, form.left_row, offsets[0], h0, forward=True)
+    _add_trace_row(entries, row, form.left_row, offsets[0], h0, forward=True)
     row += 1
     hl = (bps[-1] - bps[-2]) / cells[-1]
     _add_trace_row(
-        mats, row, form.right_row, offsets[-1] + cells[-1], hl, forward=False
+        entries, row, form.right_row, offsets[-1] + cells[-1], hl, forward=False
     )
     row += 1
 
@@ -231,30 +232,31 @@ def fd_polynomial_eigenvalues(
         right_node = offsets[i + 1]
         for row_polys in rows:
             pu_m, pux_m, pu_p, pux_p = row_polys
-            _add_trace_row(mats, row, (pu_m, pux_m), left_node, h_left, forward=False)
-            _add_trace_row(mats, row, (pu_p, pux_p), right_node, h_right, forward=True)
+            _add_trace_row(entries, row, (pu_m, pux_m), left_node, h_left, forward=False)
+            _add_trace_row(entries, row, (pu_p, pux_p), right_node, h_right, forward=True)
             row += 1
 
     assert row == n_unknowns
 
-    while max_deg > 0 and not np.any(mats[max_deg]):
-        mats.pop()
-        max_deg -= 1
-
-    eigs = None if count is None else _polyeig_near(mats, count)
+    eigs = None if count is None else _polyeig_near(_sparse_coefficients(entries, n_unknowns), count)
     if eigs is None:
-        eigs = _polyeig(mats)
+        if max_deg * n_unknowns > _DIM_CAP:
+            raise ValueError(
+                f"linearized dimension {max_deg * n_unknowns} exceeds cap {_DIM_CAP}"
+            )
+        eigs = _polyeig(_dense_coefficients(entries, n_unknowns))
         eigs = eigs[np.isfinite(eigs)]
         eigs = eigs[np.abs(eigs) < _SPURIOUS_CUTOFF]
     return eigs[np.argsort(np.abs(eigs.imag), kind="stable")]
 
 
-def _add_trace_row(mats, row: int, polys, node: int, h: float, forward: bool):
-    """Accumulate poly_u(lam) u + poly_ux(lam) u_x at an interval end node."""
+def _add_trace_row(entries, row: int, polys, node: int, h: float, forward: bool):
+    """Add the entries of poly_u(lam) u + poly_ux(lam) u_x at an interval end
+    node."""
     pu, pux = polys
     for deg, c in enumerate(pu):
         if c:
-            mats[deg][row, node] += c
+            entries[deg].append((row, node, c))
     if forward:
         stencil = ((0, -3.0), (1, 4.0), (2, -1.0))
     else:
@@ -262,7 +264,38 @@ def _add_trace_row(mats, row: int, polys, node: int, h: float, forward: bool):
     for deg, c in enumerate(pux):
         if c:
             for dj, s in stencil:
-                mats[deg][row, node + dj] += c * s / (2.0 * h)
+                entries[deg].append((row, node + dj, c * s / (2.0 * h)))
+
+
+def _dense_coefficients(entries, n: int) -> list[np.ndarray]:
+    """The n x n coefficient matrices, entries summed in order, without the
+    all-zero top degrees."""
+    mats = []
+    for deg_entries in entries:
+        mat = np.zeros((n, n))
+        if deg_entries:
+            rows, cols, vals = zip(*deg_entries)
+            np.add.at(mat, (np.array(rows), np.array(cols)), np.array(vals))
+        mats.append(mat)
+    while len(mats) > 1 and not np.any(mats[-1]):
+        mats.pop()
+    return mats
+
+
+def _sparse_coefficients(entries, n: int) -> list:
+    """The coefficient matrices as CSC arrays holding their nonzero entries
+    only, without the all-zero top degrees."""
+    import scipy.sparse
+
+    mats = []
+    for deg_entries in entries:
+        rows, cols, vals = zip(*deg_entries) if deg_entries else ((), (), ())
+        mat = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsc()
+        mat.eliminate_zeros()
+        mats.append(mat)
+    while len(mats) > 1 and not mats[-1].nnz:
+        mats.pop()
+    return mats
 
 
 def _companion(mats, eye):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -40,12 +40,18 @@ _STACK_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class Bracket:
-    """A candidate root location from a real-frequency scan."""
+    """A candidate root location from a real-frequency scan.
+
+    scanned holds the (lambda, D) pairs the scan evaluated at the bracket's
+    grid points, so that refinement does not evaluate them again; it takes no
+    part in comparisons.
+    """
 
     p_lo: float
     p_hi: float
     kind: str  # "sign_change" or "minimum"
     p_seed: float
+    scanned: tuple[tuple[complex, complex], ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,26 +112,27 @@ def initial_coefficients(left_boundary: BoundaryOperator, lam: complex) -> np.nd
     return _null_basis_checked(matrix, lam)
 
 
-def _null_basis_checked(matrix: np.ndarray, lam: complex) -> np.ndarray:
-    rows = matrix.shape[0]
+def _null_basis_checked(matrix: np.ndarray, lam) -> np.ndarray:
+    """Null basis of a boundary matrix, or of each matrix of a stack; raises
+    BoundaryDegeneracyError for the first lambda whose rows lose rank."""
+    rows = matrix.shape[-2]
     rank, basis = rref_null_basis(matrix)
-    if rank != rows:
-        raise BoundaryDegeneracyError(lam, rank, rows)
+    for z, r in zip(each_lambda(lam), np.atleast_1d(rank).tolist()):
+        if r != rows:
+            raise BoundaryDegeneracyError(z, r, rows)
     return basis
 
 
 def _initial_table(matrix: np.ndarray, lam) -> np.ndarray:
     """Null basis of the left boundary matrix, per lambda of a stack.
 
-    A stack whose boundary rows do not change with lambda shares one basis.
+    A stack whose boundary rows do not change with lambda shares one basis;
+    any other stack is reduced in one rref_null_basis call.
     """
-    if matrix.ndim == 2:
-        return _null_basis_checked(matrix, lam)
-    lams = each_lambda(lam)
-    if np.all(matrix == matrix[0]):
-        basis = _null_basis_checked(matrix[0], lams[0])
-        return np.broadcast_to(basis, (len(lams),) + basis.shape)
-    return np.stack([_null_basis_checked(m, z) for m, z in zip(matrix, lams)])
+    if matrix.ndim == 3 and np.all(matrix == matrix[0]):
+        basis = _null_basis_checked(matrix[0], each_lambda(lam)[0])
+        return np.broadcast_to(basis, (len(matrix),) + basis.shape)
+    return _null_basis_checked(matrix, lam)
 
 
 def propagate(
@@ -294,16 +301,19 @@ def scan_real_axis(
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     ps = np.linspace(p_min, p_max, n_grid)
-    dvals = characteristic_determinant(problem, 1j * ps, step, path)
+    lams = 1j * ps
+    dvals = characteristic_determinant(problem, lams, step, path)
     f = dvals.real
     mag = np.abs(dvals)
+    scanned = list(zip(lams.tolist(), dvals.tolist()))
 
     brackets: list[Bracket] = []
     flagged = np.zeros(n_grid, dtype=bool)
     for i in range(n_grid - 1):
         if f[i] * f[i + 1] < 0.0:
             brackets.append(
-                Bracket(ps[i], ps[i + 1], "sign_change", 0.5 * (ps[i] + ps[i + 1]))
+                Bracket(ps[i], ps[i + 1], "sign_change", 0.5 * (ps[i] + ps[i + 1]),
+                        tuple(scanned[i : i + 2]))
             )
             flagged[i] = flagged[i + 1] = True
 
@@ -312,7 +322,9 @@ def scan_real_axis(
         if flagged[i - 1] or flagged[i] or flagged[i + 1]:
             continue
         if mag[i] < threshold and mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1]:
-            brackets.append(Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i]))
+            brackets.append(
+                Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i], tuple(scanned[i - 1 : i + 2]))
+            )
 
     brackets.sort(key=lambda b: b.p_seed)
     return brackets
@@ -338,10 +350,15 @@ def refine_root(
     axis, where roots touch zero quadratically, so it takes the
     multiplicity-2 step -2 f/f' and finishes with a parabolic vertex polish.
     Newton stops with a reason when halving its step 25 times does not lower
-    |D| ("stagnated") or when D is not finite.  The two points of each
-    difference and the three probes of each polish pass are evaluated as one
-    stack.  solve_spectrum refines all its candidates at once (_refine_all)
-    with the same steps and the same results.
+    |D| ("stagnated") or when D is not finite.  Each Newton point is
+    evaluated in one stack with the difference pair the next step needs
+    there, and the three probes of each polish pass as one stack.
+
+    Every value is computed once: a determinant memo answers each lambda
+    already known, the grid values a scan bracket carries included, so the
+    bracket ends and a minimum's seed are not evaluated again.
+    solve_spectrum refines all its candidates at once (_refine_all) with the
+    same steps and the same results.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -349,24 +366,107 @@ def refine_root(
     def dfun(lam):
         return characteristic_determinant(problem, lam, step, path)
 
-    return _run(_refine_steps(target, tol, max_iter, path), dfun)
+    return _run(_refine_steps(target, tol, max_iter, path), dfun, _scan_memo([target]))
 
 
-# The refinement steps below are generators: each yields the lambda, or the
-# lambda stack, whose determinant it needs next and is sent the value back;
-# it returns its SpectralResult.  _run answers one of them with a callable,
-# _refine_all answers many at once with one stacked determinant per round.
+# The refinement steps below are generators: each yields the lambda, the
+# lambda stack, or the _Ahead request whose determinant it needs next and is
+# sent the value back; it returns its SpectralResult.  A memo maps each
+# lambda evaluated so far to its D; _run answers one generator from it or
+# else with a callable, _refine_all answers many at once with one stacked
+# determinant per round.
 
 
-def _run(steps, dfun, reply=None):
-    """Drive refinement steps to their result, answering each request with
-    dfun; `reply` answers the request of steps already under way."""
-    while True:
-        try:
+@dataclass(frozen=True)
+class _Ahead:
+    """A request for D(lam) that also puts D on the stack `ahead`, the
+    lambdas the requester expects to ask for next, into the memo.
+
+    The ahead lambdas are spares, evaluated in the same call as lam and only
+    with it: a call that fails on one of them is not an error of the request
+    (_fetch).
+    """
+
+    lam: complex
+    ahead: np.ndarray
+
+
+def _keys(lams) -> list[bytes]:
+    """Memo keys of a lambda or a lambda stack: the bytes of each value, so
+    that signed zeros stay apart and a NaN finds itself."""
+    return np.asarray(lams, dtype=complex).reshape(-1).view("V16").tolist()
+
+
+def _scan_memo(targets) -> dict[bytes, complex]:
+    """A memo holding the scan values that the bracket targets carry."""
+    pairs = [pair for t in targets if isinstance(t, Bracket) for pair in t.scanned]
+    return dict(zip(_keys([z for z, _ in pairs]), (d for _, d in pairs)))
+
+
+def _recall(request, memo):
+    """The reply to a request from the memo, or None if a needed lambda is
+    not in it."""
+    if isinstance(request, _Ahead):
+        return memo.get(_keys(request.lam)[0])
+    values = [memo.get(key) for key in _keys(request)]
+    if None in values:
+        return None
+    return np.array(values) if np.ndim(request) else values[0]
+
+
+def _unknown(requests, memo) -> list[complex]:
+    """The lambdas of the requests that have to be evaluated, in order and
+    each once: an _Ahead request's spares only together with its own lambda."""
+    lams = []
+    for request in requests:
+        if not isinstance(request, _Ahead):
+            lams += np.atleast_1d(request).tolist()
+        elif _keys(request.lam)[0] not in memo:
+            lams += [complex(request.lam)] + request.ahead.tolist()
+    return list({k: z for k, z in zip(_keys(lams), lams) if k not in memo}.values())
+
+
+def _fetch(request, dfun, memo) -> None:
+    """Evaluate what a request needs with one dfun call and add it to memo.
+
+    A single lambda goes to dfun as a scalar.  If a call with spares fails,
+    the request's own lambda is evaluated alone: that raises the error the
+    request without spares raises, or else the spares are dropped.  A call
+    that failed at the lambda itself raises at once, since dfun evaluates a
+    stack in order and the lambda comes first.
+    """
+    lams = _unknown([request], memo)
+    if len(lams) == 1 and not isinstance(request, np.ndarray):
+        memo[_keys(lams)[0]] = dfun(lams[0])
+        return
+    try:
+        values = dfun(np.array(lams)).tolist()
+    except SolverError as exc:
+        if not isinstance(request, _Ahead):
+            raise
+        failed = getattr(exc, "lam", None)
+        if np.ndim(failed) == 0 and failed == lams[0]:
+            raise
+        lams, values = lams[:1], [dfun(lams[0])]
+    memo.update(zip(_keys(lams), values))
+
+
+def _run(steps, dfun, memo=None, request=None):
+    """Drive refinement steps to their result, answering each request from
+    memo or else with dfun; `request` is the pending request of steps already
+    under way."""
+    memo = {} if memo is None else memo
+    try:
+        if request is None:
+            request = next(steps)
+        while True:
+            reply = _recall(request, memo)
+            if reply is None:
+                _fetch(request, dfun, memo)
+                reply = _recall(request, memo)
             request = steps.send(reply)
-        except StopIteration as stop:
-            return stop.value
-        reply = dfun(request)
+    except StopIteration as stop:
+        return stop.value
 
 
 def _refine_steps(target: Bracket | complex, tol, max_iter, path):
@@ -389,17 +489,21 @@ def _refine_all(
 ) -> list[SpectralResult]:
     """Refine every target in lockstep, one result per target in order.
 
-    Each round gathers the pending request of every live candidate and
-    evaluates them all with one characteristic_determinant call, so a solve
-    costs as many calls as its longest candidate chain.  The values are
-    those of refine_root, bit for bit.  If a round fails, the live
-    candidates are finished one at a time in target order, so the error
-    raised is the one refining the targets one after another raises.
+    One determinant memo serves the whole solve, seeded with the scan values
+    the brackets carry.  Each round answers from it every request it can,
+    then gathers the lambdas still unknown to every live candidate and
+    evaluates them with one characteristic_determinant call, so a solve
+    costs as many calls as its longest candidate chain and evaluates no
+    lambda twice.  The values are those of refine_root, bit for bit.  If a
+    round fails, the live candidates are finished one at a time in target
+    order, so the error raised is the one refining the targets one after
+    another raises.
     """
 
     def dfun(lam):
         return characteristic_determinant(problem, lam, step, path)
 
+    memo = _scan_memo(targets)
     steps = [_refine_steps(t, tol, max_iter, path) for t in targets]
     results: list[SpectralResult | None] = [None] * len(steps)
     replies = dict.fromkeys(range(len(steps)))
@@ -407,26 +511,25 @@ def _refine_all(
         requests = {}
         for k, reply in replies.items():
             try:
-                requests[k] = steps[k].send(reply)
+                request = steps[k].send(reply)
+                while (reply := _recall(request, memo)) is not None:
+                    request = steps[k].send(reply)
+                requests[k] = request
             except StopIteration as stop:
                 results[k] = stop.value
         if not requests:
             return results
+        lams = _unknown(requests.values(), memo)
         try:
-            values = dfun(np.concatenate([np.atleast_1d(r) for r in requests.values()]))
+            values = dfun(np.array(lams))
         except SolverError:
             # one candidate at a time, in target order: the first failing
             # candidate raises
             for k, request in requests.items():
-                results[k] = _run(steps[k], dfun, dfun(request))
+                results[k] = _run(steps[k], dfun, memo, request)
             return results
-        replies = {}
-        offset = 0
-        for k, request in requests.items():
-            size = np.size(request)
-            part = values[offset : offset + size]
-            replies[k] = part if np.ndim(request) else complex(part[0])
-            offset += size
+        memo.update(zip(_keys(lams), values.tolist()))
+        replies = {k: _recall(request, memo) for k, request in requests.items()}
 
 
 def _bisect_bracket(bracket: Bracket, tol, max_iter, path):
@@ -495,10 +598,20 @@ def _fd_delta(lam: complex) -> float:
     return 1e-6 * max(abs(lam), 1.0)
 
 
+def _fd_pair(lam: complex, on_axis: bool) -> np.ndarray:
+    """The two points of the central difference at lam: along the frequency
+    axis on the real-split path, along Re elsewhere."""
+    delta = _fd_delta(lam)
+    if on_axis:
+        return np.array([lam + 1j * delta, lam - 1j * delta])
+    return np.array([lam + delta, lam - delta])
+
+
 def _newton(seed: complex, tol, max_iter, path):
     on_axis = path == "real_split"
     lam = 1j * seed.imag if on_axis else seed
-    d = yield lam
+    # each point fetches the difference pair the next step needs there
+    d = yield _Ahead(lam, _fd_pair(lam, on_axis))
     if not cmath.isfinite(d):
         return SpectralResult(lam, math.inf, 0, False, "determinant not finite at the seed")
     d0 = max(abs(d), np.finfo(float).tiny)
@@ -512,12 +625,11 @@ def _newton(seed: complex, tol, max_iter, path):
             break
         iters += 1
         delta = _fd_delta(lam)
+        d_plus, d_minus = (yield _fd_pair(lam, on_axis)).tolist()
         if on_axis:
-            d_plus, d_minus = (yield np.array([lam + 1j * delta, lam - 1j * delta])).tolist()
             dp = (d_plus - d_minus).real / (2 * delta)
             dcur = d.real
         else:
-            d_plus, d_minus = (yield np.array([lam + delta, lam - delta])).tolist()
             dp = (d_plus - d_minus) / (2 * delta)
             dcur = d
         if dp == 0:
@@ -534,7 +646,7 @@ def _newton(seed: complex, tol, max_iter, path):
         # damp: halve the step while it does not lower |D|
         for _ in range(25):
             cand = lam + s
-            d_cand = yield cand
+            d_cand = yield _Ahead(cand, _fd_pair(cand, on_axis))
             res_cand = _modulus(d_cand)
             if res_cand <= abs(d) or (abs(s) < tol and res_cand < math.inf):
                 break

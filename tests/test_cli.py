@@ -303,13 +303,20 @@ class TestVerifyAndValidate:
             ("--param", "bogus=1"),
             ("--param", "beta"),
             ("--n-fd", "10"),
-            ("--n-fd", "4000"),
         ],
-        ids=["unknown_param", "param_without_value", "n_fd_below_floor", "n_fd_above_cap"],
+        ids=["unknown_param", "param_without_value", "n_fd_below_floor"],
     )
     def test_verify_bad_config_exits_1(self, argv, capsys):
         assert _run("verify", "machine_unit", *argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_verify_large_grid_takes_the_sparse_route(self, capsys):
+        # 4001 grid points linearize to 8002 unknowns, above the dense
+        # route's cap of 6000; the sparse route stores no dense matrix
+        assert _run("verify", "machine_unit", "--n-fd", "4000") == 0
+        out = capsys.readouterr().out
+        assert "finite differences (n_fd=4000)" in out
+        assert "all deviations below" in out
 
     def test_validate_subcommand(self, tmp_path, capsys):
         path = tmp_path / "good.json"

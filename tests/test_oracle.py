@@ -1,5 +1,6 @@
 """Verification engines: closed forms and the FD polynomial eigensolver."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from oscispec import (
     load_problem,
     problem_to_dict,
 )
+from oscispec import oracle
+from oscispec.models import ORACLE_ROUTES
 from oscispec.oracle import _polyeig, _polyeig_near
 
 from conftest import make_string_problem
@@ -191,3 +194,68 @@ class TestSparseRoute:
 def test_leading_frequencies_keeps_the_oscillatory_sector():
     eigs = np.array([-199.95 + 3.14j, 0.0 + 1e-9j, -0.1 + 2.0j, -3.0 + 2.5j, -0.2 + 4.0j])
     np.testing.assert_array_equal(leading_frequencies(eigs, 3), [-0.1 + 2.0j, -0.2 + 4.0j])
+
+
+#: (number of coefficient matrices, their size, sha256 prefix of their bytes)
+#: of the dense FD assembly that summed each entry into dense matrices in
+#: place, recorded before the assembly moved to triplets
+DENSE_ASSEMBLY = {
+    ("cable_snapshot", 100): (3, 102, "fe99878232d5e8e25275daf1f01e48a3"),
+    ("cable_snapshot", 400): (3, 402, "0600416904a44cb1554bcf7657276d8f"),
+    ("machine_unit", 100): (3, 101, "0d4b96eff083974c576f74496a0e68b7"),
+    ("machine_unit", 400): (3, 401, "963f1164a6dc6a0346b70274674122a6"),
+    ("pipeline", 100): (3, 101, "f07a4fc4ab17e2dd615fe522e3d99055"),
+    ("pipeline", 400): (3, 401, "531c237a6ac6085ac4b60db538887a3f"),
+    ("spacecraft_bar", 100): (4, 101, "27c254feac7c4b2b02d4ff3f3a6400b5"),
+    ("spacecraft_bar", 400): (4, 401, "351a13e46fe7b7f4d7a9680390521c80"),
+}
+
+
+class TestTripletAssembly:
+    @pytest.mark.parametrize("model, n_fd", sorted(DENSE_ASSEMBLY))
+    def test_both_routes_get_the_dense_assembly_bytes(self, model, n_fd, monkeypatch):
+        assert ORACLE_ROUTES[model] == "fd"
+        seen = {}
+
+        def sparse(mats, count):
+            seen["sparse"] = mats
+            return None  # refused, so the dense route runs too
+
+        def dense(mats):
+            seen["dense"] = mats
+            return np.empty(0, dtype=complex)
+
+        monkeypatch.setattr(oracle, "_polyeig_near", sparse)
+        monkeypatch.setattr(oracle, "_polyeig", dense)
+        fd_polynomial_eigenvalues(build_model(model), FDOracleConfig(n_fd), count=3)
+        count, size, digest = DENSE_ASSEMBLY[model, n_fd]
+        mats = seen["dense"]
+        assert len(mats) == count
+        assert all(m.shape == (size, size) and m.dtype == np.float64 for m in mats)
+        assert hashlib.sha256(b"".join(m.tobytes() for m in mats)).hexdigest()[:32] == digest
+        assert len(seen["sparse"]) == count
+        for csc, mat in zip(seen["sparse"], mats):
+            assert csc.format == "csc"
+            assert csc.nnz == np.count_nonzero(mat)  # no stored zeros
+            assert csc.toarray().tobytes() == mat.tobytes()
+
+    def test_sparse_route_builds_no_dense_matrix(self, monkeypatch):
+        def no_dense(entries, n):
+            raise AssertionError("dense matrices assembled on the sparse route")
+
+        monkeypatch.setattr(oracle, "_dense_coefficients", no_dense)
+        eigs = fd_polynomial_eigenvalues(build_fixed_free_string(), FDOracleConfig(400), count=3)
+        assert len(leading_frequencies(eigs, 3)) == 3
+
+    def test_cap_does_not_bound_the_sparse_route(self):
+        # 4001 grid points: a linearized dimension of 8002, above the cap
+        eigs = fd_polynomial_eigenvalues(build_fixed_free_string(), FDOracleConfig(4000), count=3)
+        lead = leading_frequencies(eigs, 3)
+        for got, k in zip(lead, (1, 2, 3)):
+            want = (2 * k - 1) * math.pi / 2
+            assert abs(got.imag - want) / want < 1e-5
+
+    def test_cap_guards_a_sparse_fallback(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_polyeig_near", lambda mats, count: None)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            fd_polynomial_eigenvalues(build_fixed_free_string(), FDOracleConfig(4000), count=3)

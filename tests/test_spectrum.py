@@ -843,6 +843,182 @@ class TestLockstepRefinement:
         assert lockstep.value.interface == looped.value.interface == 1
 
 
+
+def _plain(steps, dfun):
+    """Drive refinement steps one request at a time, with no memo and no
+    spares: every lambda evaluated when asked for, Newton's difference pair
+    in a call of its own.  The values and errors refinement had before it
+    reused values."""
+    reply = None
+    while True:
+        try:
+            request = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = dfun(request.lam if isinstance(request, spectrum._Ahead) else request)
+
+
+def _keys(lams):
+    return [np.complex128(z).tobytes() for z in np.atleast_1d(lams).tolist()]
+
+
+#: determinant calls of solve_spectrum at SCAN_DEFAULTS, step 1e-3: the scan
+#: and the refinement rounds (the calls before values were reused in brackets)
+SOLVE_CALLS = {
+    ("cable_snapshot", "complex"): 7,  # 9
+    ("cable_snapshot", "real_split"): 8,  # 10
+    ("fixed_fixed_string", "complex"): 6,  # 8
+    ("fixed_fixed_string", "real_split"): 8,  # 10
+    ("fixed_free_string", "complex"): 6,  # 8
+    ("fixed_free_string", "real_split"): 8,  # 10
+    ("machine_unit", "complex"): 11,  # 17
+    ("machine_unit", "real_split"): 130,  # 139
+    ("pipeline", "complex"): 11,  # 17
+    ("pipeline", "real_split"): 237,  # 256
+    ("point_mass_string", "complex"): 7,  # 9
+    ("point_mass_string", "real_split"): 8,  # 10
+    ("spacecraft_bar", "complex"): 16,  # 25
+    ("spacecraft_bar", "real_split"): 120,  # 133
+}
+
+
+class TestDeterminantMemo:
+    """A solve evaluates each lambda once, and Newton fetches its next
+    difference pair with each point, with the values and errors of
+    evaluating every request on its own."""
+
+    @pytest.mark.parametrize("name, path", sorted(SOLVE_CALLS))
+    def test_solve_evaluates_each_lambda_once(self, name, path, det_calls):
+        problem = build_model(name)
+        solve_spectrum(problem, SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3, path=path))
+        assert len(det_calls) <= SOLVE_CALLS[name, path]
+        scanned = _keys(det_calls[0])
+        refined = [key for lam in det_calls[1:] for key in _keys(lam)]
+        assert len(scanned) == SCAN_DEFAULTS[name][2]
+        assert not set(scanned) & set(refined)
+        assert len(set(refined)) == len(refined)
+
+    # on the real-split path the string's roots are touching zeros: minima
+    @pytest.mark.parametrize("kind, path", [("sign_change", "complex"), ("minimum", "real_split")])
+    def test_refine_root_takes_the_bracket_values(self, fixed_free_string, det_calls, kind, path):
+        brackets = scan_real_axis(fixed_free_string, 0.2, 10.0, 240, 1e-3, path)
+        bracket = next(b for b in brackets if b.kind == kind)
+        assert len(bracket.scanned) == (2 if kind == "sign_change" else 3)
+        del det_calls[:]
+        res = refine_root(fixed_free_string, bracket, step=1e-3, path=path)
+        assert res.converged
+        evaluated = {key for lam in det_calls for key in _keys(lam)}
+        assert not evaluated & set(_keys([z for z, _ in bracket.scanned]))
+
+    def test_scanned_values_take_no_part_in_comparisons(self):
+        plain = Bracket(1.0, 2.0, "sign_change", 1.5)
+        carrying = Bracket(1.0, 2.0, "sign_change", 1.5, ((1j, 0.5 + 0j), (2j, -0.5 + 0j)))
+        assert plain == carrying and hash(plain) == hash(carrying)
+        assert repr(plain) == repr(carrying)
+
+    @pytest.mark.parametrize("name, params, options", PARITY_CASES)
+    def test_results_equal_evaluating_every_request(self, name, params, options):
+        problem = build_model(name, **params)
+        step = spectrum.resolve_step(problem, options)
+        targets = _targets(problem, options, step)
+
+        def dfun(lam):
+            return characteristic_determinant(problem, lam, step, options.path)
+
+        plain = [_plain(spectrum._refine_steps(t, options.tol, options.max_iter, options.path), dfun)
+                 for t in targets]
+        lockstep = spectrum._refine_all(problem, targets, options.tol, options.max_iter,
+                                        step, options.path)
+        assert _fields(lockstep) == _fields(plain)
+        assert all(type(r.lam) is type(p.lam) for r, p in zip(lockstep, plain))
+        expected = spectrum._dedupe([r for r in plain if r.converged], options.tol)
+        assert _fields(solve_spectrum(problem, options)) == _fields(expected)
+
+    def test_accepted_step_takes_one_call(self):
+        # a linear D: the first Newton step lands on the root.  Seed, pair,
+        # step was three calls; the seed and the step now bring their pairs
+        calls = []
+
+        def linear(lam):
+            calls.append(lam)
+            return np.asarray(lam, dtype=complex) - complex(-0.1, 1.5)
+
+        res = spectrum._run(spectrum._newton(1.4j, 1e-10, 100, "complex"), linear)
+        assert res.converged and abs(res.lam - complex(-0.1, 1.5)) <= 1e-12
+        assert [np.size(lam) for lam in calls] == [3, 3]
+
+    @staticmethod
+    def _cubic(lam):
+        lam = np.asarray(lam, dtype=complex)
+        d = (lam - complex(1.0, 1.0)) ** 3
+        return complex(d) if d.ndim == 0 else d
+
+    def _lambdas(self, driver, seed=complex(1.3, 1.1)):
+        """(result, every lambda evaluated) of Newton on the cubic."""
+        seen = []
+
+        def recording(lam):
+            seen.extend(np.atleast_1d(lam).tolist())
+            return self._cubic(lam)
+
+        return driver(spectrum._newton(seed, 1e-10, 100, "complex"), recording), seen
+
+    def _poisoned(self, monkeypatch, poison):
+        """A stub characteristic_determinant, raising at the first poisoned
+        lambda of a call; returns the list of lambdas it raised at."""
+        raised = []
+
+        def stub(problem, lam, step, path="complex"):
+            for z in np.atleast_1d(lam).tolist():
+                if z in poison:
+                    raised.append(z)
+                    raise PropagationError(1, z, "stub")
+            return self._cubic(lam)
+
+        monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
+        return raised
+
+    def test_failing_spare_is_dropped(self, monkeypatch):
+        # the pair fetched with the last point is never needed: a stack
+        # failing on it is not an error, and nothing changes
+        want, needed = self._lambdas(_plain)
+        _, evaluated = self._lambdas(spectrum._run)
+        spares = [z for z in evaluated if z not in needed]
+        assert spares
+        raised = self._poisoned(monkeypatch, {spares[-1]})
+        got = refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3)
+        assert raised == [spares[-1]]
+        assert _fields([got]) == _fields([want])
+        lockstep = spectrum._refine_all(None, [complex(1.3, 1.1)] * 2, 1e-10, 100, 1e-3, "complex")
+        assert _fields(lockstep) == _fields([want, want])
+
+    def test_failing_spare_that_is_needed_raises_there(self, monkeypatch):
+        # the pair of an accepted point is needed by the next step: the
+        # error is the one evaluating that pair on its own raises
+        _, needed = self._lambdas(_plain)
+        pair = needed[4]  # seed, its pair, the first point, then its pair
+        raised = self._poisoned(monkeypatch, {pair})
+        with pytest.raises(PropagationError) as looped:
+            _plain(spectrum._newton(complex(1.3, 1.1), 1e-10, 100, "complex"),
+                   lambda lam: spectrum.characteristic_determinant(None, lam, 1e-3))
+        for run in (lambda: refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3),
+                    lambda: spectrum._refine_all(None, [complex(1.3, 1.1), complex(1.2, 0.9)],
+                                                 1e-10, 100, 1e-3, "complex")):
+            with pytest.raises(PropagationError) as got:
+                run()
+            assert got.value.lam == looped.value.lam == pair
+            assert str(got.value) == str(looped.value)
+
+    def test_failing_point_raises_at_once(self, monkeypatch):
+        _, needed = self._lambdas(_plain)
+        point = needed[3]  # the first Newton point
+        raised = self._poisoned(monkeypatch, {point})
+        with pytest.raises(PropagationError) as got:
+            refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3)
+        assert got.value.lam == point
+        assert raised == [point]  # not evaluated a second time alone
+
+
 MODE_CASES = [
     pytest.param(name, {}, path, id=f"{name}-{path}")
     for name in ("fixed_free_string", "fixed_fixed_string", "point_mass_string", "cable_snapshot")
