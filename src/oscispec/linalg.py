@@ -22,8 +22,8 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12):
     give the bytes of reducing each matrix alone.  rank is then an int array
     of the K ranks and basis a (K, cols, cols - rank) array.  Where the
     matrices do not all pick the same pivot columns (as when some are rank
-    deficient) each is reduced alone; if their ranks differ, basis is the
-    list of their bases.
+    deficient) each is reduced alone; if their ranks then differ, the bases
+    have no common shape and basis is None.
     """
     a = np.array(matrix, copy=True)
     if a.ndim not in (2, 3):
@@ -33,8 +33,9 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12):
     if pivot_cols is None:
         parts = [rref_null_basis(m, tol) for m in np.asarray(matrix)]
         ranks = np.array([rank for rank, _ in parts], dtype=int)
-        bases = [basis for _, basis in parts]
-        return ranks, np.stack(bases) if len(set(ranks.tolist())) == 1 else bases
+        if len(set(ranks.tolist())) > 1:
+            return ranks, None
+        return ranks, np.stack([basis for _, basis in parts])
     count, _, cols = stack.shape
     rank = len(pivot_cols)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
@@ -53,21 +54,21 @@ def _eliminate(stack: np.ndarray, tol: float) -> list[int] | None:
     the matrices disagree on whether a column holds a pivot.
     """
     count, rows, cols = stack.shape
-    cutoff = tol * np.abs(stack).max(axis=(1, 2), initial=0.0)
-    every = np.arange(count)
+    cutoff = tol * np.maximum.reduce(np.abs(stack), axis=(1, 2), initial=0.0)
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
         column = np.abs(stack[:, r:, c])
-        below = np.argmax(column, axis=1)
-        small = column[every, below] <= cutoff
-        if small.any():
-            if small.all():
+        small = np.count_nonzero(np.maximum.reduce(column, axis=1) <= cutoff)
+        if small:
+            if small == count:
                 continue
             return None
-        if below.any():
+        below = column.argmax(axis=1)
+        if np.count_nonzero(below):
+            every = np.arange(count)
             k = r + below
             top = stack[every, k]
             stack[every, k] = stack[:, r]
@@ -79,9 +80,10 @@ def _eliminate(stack: np.ndarray, tol: float) -> list[int] | None:
             # a row whose entry is 0 already is left as it is: subtracting
             # 0 * row r could turn -0.0 into 0.0, or inf into NaN
             hit = stack[:, i, c] != 0
-            if hit.all():
+            hits = np.count_nonzero(hit)
+            if hits == count:
                 stack[:, i] = stack[:, i] - stack[:, i, c, np.newaxis] * stack[:, r]
-            elif hit.any():
+            elif hits:
                 stack[hit, i] = stack[hit, i] - stack[hit, i, c, np.newaxis] * stack[hit, r]
         pivot_cols.append(c)
         r += 1

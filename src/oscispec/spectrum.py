@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -40,18 +40,12 @@ _STACK_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class Bracket:
-    """A candidate root location from a real-frequency scan.
-
-    scanned holds the (lambda, D) pairs the scan evaluated at the bracket's
-    grid points, so that refinement does not evaluate them again; it takes no
-    part in comparisons.
-    """
+    """A candidate root location from a real-frequency scan."""
 
     p_lo: float
     p_hi: float
     kind: str  # "sign_change" or "minimum"
     p_seed: float
-    scanned: tuple[tuple[complex, complex], ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -296,6 +290,12 @@ def scan_real_axis(
     minimum_ratio times the grid median as candidate (double) roots.  Grids
     too coarse to separate neighboring roots merge their brackets.
     """
+    return _scan(problem, p_min, p_max, n_grid, step, path, minimum_ratio)[0]
+
+
+def _scan(problem, p_min, p_max, n_grid, step, path, minimum_ratio=0.05):
+    """scan_real_axis's brackets, and a determinant memo holding the grid's
+    values for a refinement at the same problem, step and path."""
     if not (p_min < p_max):
         raise ValueError("need p_min < p_max")
     if n_grid < 2:
@@ -305,15 +305,13 @@ def scan_real_axis(
     dvals = characteristic_determinant(problem, lams, step, path)
     f = dvals.real
     mag = np.abs(dvals)
-    scanned = list(zip(lams.tolist(), dvals.tolist()))
 
     brackets: list[Bracket] = []
     flagged = np.zeros(n_grid, dtype=bool)
     for i in range(n_grid - 1):
         if f[i] * f[i + 1] < 0.0:
             brackets.append(
-                Bracket(ps[i], ps[i + 1], "sign_change", 0.5 * (ps[i] + ps[i + 1]),
-                        tuple(scanned[i : i + 2]))
+                Bracket(ps[i], ps[i + 1], "sign_change", 0.5 * (ps[i] + ps[i + 1]))
             )
             flagged[i] = flagged[i + 1] = True
 
@@ -322,12 +320,10 @@ def scan_real_axis(
         if flagged[i - 1] or flagged[i] or flagged[i + 1]:
             continue
         if mag[i] < threshold and mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1]:
-            brackets.append(
-                Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i], tuple(scanned[i - 1 : i + 2]))
-            )
+            brackets.append(Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i]))
 
     brackets.sort(key=lambda b: b.p_seed)
-    return brackets
+    return brackets, dict(zip(_keys(lams), dvals.tolist()))
 
 
 def refine_root(
@@ -350,15 +346,16 @@ def refine_root(
     axis, where roots touch zero quadratically, so it takes the
     multiplicity-2 step -2 f/f' and finishes with a parabolic vertex polish.
     Newton stops with a reason when halving its step 25 times does not lower
-    |D| ("stagnated") or when D is not finite.  Each Newton point is
-    evaluated in one stack with the difference pair the next step needs
-    there, and the three probes of each polish pass as one stack.
+    |D| ("stagnated") or when D is not finite.  The seed and each full
+    Newton step are evaluated in one stack with the difference pair the next
+    step needs there (a halved retry, or a step more than ten times the size
+    of lambda, goes alone), and the three probes of each polish pass as one
+    stack.
 
-    Every value is computed once: a determinant memo answers each lambda
-    already known, the grid values a scan bracket carries included, so the
-    bracket ends and a minimum's seed are not evaluated again.
-    solve_spectrum refines all its candidates at once (_refine_all) with the
-    same steps and the same results.
+    Every value is computed once, with this call's step and path: a memo
+    answers each lambda already evaluated.  solve_spectrum refines all its
+    candidates at once (_refine_all) with the same steps and the same
+    results, and its memo also holds the scan's grid values.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -366,7 +363,7 @@ def refine_root(
     def dfun(lam):
         return characteristic_determinant(problem, lam, step, path)
 
-    return _run(_refine_steps(target, tol, max_iter, path), dfun, _scan_memo([target]))
+    return _run(_refine_steps(target, tol, max_iter, path), dfun)
 
 
 # The refinement steps below are generators: each yields the lambda, the
@@ -397,12 +394,6 @@ def _keys(lams) -> list[bytes]:
     return np.asarray(lams, dtype=complex).reshape(-1).view("V16").tolist()
 
 
-def _scan_memo(targets) -> dict[bytes, complex]:
-    """A memo holding the scan values that the bracket targets carry."""
-    pairs = [pair for t in targets if isinstance(t, Bracket) for pair in t.scanned]
-    return dict(zip(_keys([z for z, _ in pairs]), (d for _, d in pairs)))
-
-
 def _recall(request, memo):
     """The reply to a request from the memo, or None if a needed lambda is
     not in it."""
@@ -414,41 +405,43 @@ def _recall(request, memo):
     return np.array(values) if np.ndim(request) else values[0]
 
 
-def _unknown(requests, memo) -> list[complex]:
+def _unknown(requests, memo, spares=True) -> list[complex]:
     """The lambdas of the requests that have to be evaluated, in order and
-    each once: an _Ahead request's spares only together with its own lambda."""
+    each once: an _Ahead request's spares only together with its own lambda,
+    and with spares=False not at all."""
     lams = []
     for request in requests:
         if not isinstance(request, _Ahead):
             lams += np.atleast_1d(request).tolist()
         elif _keys(request.lam)[0] not in memo:
-            lams += [complex(request.lam)] + request.ahead.tolist()
+            lams += [complex(request.lam)] + (request.ahead.tolist() if spares else [])
     return list({k: z for k, z in zip(_keys(lams), lams) if k not in memo}.values())
 
 
-def _fetch(request, dfun, memo) -> None:
-    """Evaluate what a request needs with one dfun call and add it to memo.
+def _fetch(requests, dfun, memo) -> None:
+    """Evaluate what the requests need with one dfun call and add it to memo.
 
-    A single lambda goes to dfun as a scalar.  If a call with spares fails,
-    the request's own lambda is evaluated alone: that raises the error the
-    request without spares raises, or else the spares are dropped.  A call
-    that failed at the lambda itself raises at once, since dfun evaluates a
-    stack in order and the lambda comes first.
+    A single lambda of scalar requests goes to dfun as a scalar.  If the
+    call fails at a spare, the needed lambdas are evaluated without spares:
+    that raises the error they raise alone, or else the spares are dropped.
+    A call that failed at a needed lambda raises at once.
     """
-    lams = _unknown([request], memo)
-    if len(lams) == 1 and not isinstance(request, np.ndarray):
-        memo[_keys(lams)[0]] = dfun(lams[0])
-        return
+    lams = _unknown(requests, memo)
     try:
-        values = dfun(np.array(lams)).tolist()
+        values = _evaluate(lams, requests, dfun)
     except SolverError as exc:
-        if not isinstance(request, _Ahead):
-            raise
+        needed = _unknown(requests, memo, spares=False)
         failed = getattr(exc, "lam", None)
-        if np.ndim(failed) == 0 and failed == lams[0]:
+        if len(needed) == len(lams) or np.ndim(failed) != 0 or failed in needed:
             raise
-        lams, values = lams[:1], [dfun(lams[0])]
+        lams, values = needed, _evaluate(needed, requests, dfun)
     memo.update(zip(_keys(lams), values))
+
+
+def _evaluate(lams, requests, dfun) -> list:
+    if len(lams) == 1 and not any(isinstance(r, np.ndarray) for r in requests):
+        return [dfun(lams[0])]
+    return dfun(np.array(lams)).tolist()
 
 
 def _run(steps, dfun, memo=None, request=None):
@@ -462,7 +455,7 @@ def _run(steps, dfun, memo=None, request=None):
         while True:
             reply = _recall(request, memo)
             if reply is None:
-                _fetch(request, dfun, memo)
+                _fetch([request], dfun, memo)
                 reply = _recall(request, memo)
             request = steps.send(reply)
     except StopIteration as stop:
@@ -486,24 +479,26 @@ def _refine_all(
     max_iter: int,
     step: float,
     path: str,
+    memo: dict[bytes, complex] | None = None,
 ) -> list[SpectralResult]:
     """Refine every target in lockstep, one result per target in order.
 
-    One determinant memo serves the whole solve, seeded with the scan values
-    the brackets carry.  Each round answers from it every request it can,
-    then gathers the lambdas still unknown to every live candidate and
-    evaluates them with one characteristic_determinant call, so a solve
-    costs as many calls as its longest candidate chain and evaluates no
-    lambda twice.  The values are those of refine_root, bit for bit.  If a
-    round fails, the live candidates are finished one at a time in target
-    order, so the error raised is the one refining the targets one after
-    another raises.
+    One determinant memo serves the whole solve; solve_spectrum passes the
+    one its scan filled, so bracket ends and a minimum's seed are not
+    evaluated again.  Each round answers from it every request it can, then
+    gathers the lambdas still unknown to every live candidate and evaluates
+    them with one characteristic_determinant call (_fetch), so a solve costs
+    as many calls as its longest candidate chain and evaluates no lambda
+    twice.  The values are those of refine_root, bit for bit.  If a round
+    fails at a needed lambda, the live candidates are finished one at a time
+    in target order, so the error raised is the one refining the targets one
+    after another raises.
     """
 
     def dfun(lam):
         return characteristic_determinant(problem, lam, step, path)
 
-    memo = _scan_memo(targets)
+    memo = {} if memo is None else memo
     steps = [_refine_steps(t, tol, max_iter, path) for t in targets]
     results: list[SpectralResult | None] = [None] * len(steps)
     replies = dict.fromkeys(range(len(steps)))
@@ -519,16 +514,14 @@ def _refine_all(
                 results[k] = stop.value
         if not requests:
             return results
-        lams = _unknown(requests.values(), memo)
         try:
-            values = dfun(np.array(lams))
+            _fetch(list(requests.values()), dfun, memo)
         except SolverError:
             # one candidate at a time, in target order: the first failing
             # candidate raises
             for k, request in requests.items():
                 results[k] = _run(steps[k], dfun, memo, request)
             return results
-        memo.update(zip(_keys(lams), values.tolist()))
         replies = {k: _recall(request, memo) for k, request in requests.items()}
 
 
@@ -643,10 +636,16 @@ def _newton(seed: complex, tol, max_iter, path):
             # roots on the axis are double zeros of D(i p) (see
             # _vertex_polish): twice the Newton step keeps it quadratic
             s = 2j * s
-        # damp: halve the step while it does not lower |D|
-        for _ in range(25):
+        # damp: halve the step while it does not lower |D|.  The full step
+        # brings the pair the next step needs there, unless it moves lambda
+        # by more than ten times its size: such a step is seldom taken, and
+        # its pair would be evaluated where the search never goes.  A
+        # halved retry goes alone
+        far = abs(s) > 10.0 * max(abs(lam), 1.0)
+        for halving in range(25):
             cand = lam + s
-            d_cand = yield _Ahead(cand, _fd_pair(cand, on_axis))
+            ahead = halving == 0 and not far
+            d_cand = yield _Ahead(cand, _fd_pair(cand, on_axis)) if ahead else cand
             res_cand = _modulus(d_cand)
             if res_cand <= abs(d) or (abs(s) < tol and res_cand < math.inf):
                 break
@@ -845,9 +844,10 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
         raise ValueError("tol must be positive")
     step = resolve_step(problem, options)
     targets: list[Bracket | complex] = []
+    memo: dict[bytes, complex] = {}
     if options.scan is not None:
         p_min, p_max, n_grid = options.scan
-        targets += scan_real_axis(problem, p_min, p_max, n_grid, step, options.path)
+        targets, memo = _scan(problem, p_min, p_max, n_grid, step, options.path)
     if options.rect is not None:
         re0, re1, im0, im1, nr, ni = options.rect
         targets += [
@@ -855,7 +855,7 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
             for re in np.linspace(re0, re1, int(nr))
             for im in np.linspace(im0, im1, int(ni))
         ]
-    results = _refine_all(problem, targets, options.tol, options.max_iter, step, options.path)
+    results = _refine_all(problem, targets, options.tol, options.max_iter, step, options.path, memo)
     accepted = [r for r in results if r.converged]
     return _dedupe(accepted, options.tol)
 

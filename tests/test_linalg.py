@@ -74,21 +74,23 @@ class TestStackedNullBasis:
         rng = np.random.default_rng(sum(map(ord, kind)) + 7 * shape[0] + shape[1])
         a = _stack(kind, shape, dtype, rng)
         ranks, bases = rref_null_basis(a)
-        assert len(ranks) == len(bases) == len(a)
-        for matrix, rank, basis in zip(a, ranks.tolist(), bases):
+        assert len(ranks) == len(a)
+        # bases of different ranks have no common shape
+        assert (bases is None) == (len(set(ranks.tolist())) > 1)
+        for k, (matrix, rank) in enumerate(zip(a, ranks.tolist())):
             want_rank, want = _textbook(matrix)
             got_rank, got = rref_null_basis(matrix)
             assert rank == got_rank == want_rank and type(got_rank) is int
-            for b in (basis, got):
+            for b in (got,) if bases is None else (bases[k], got):
                 assert b.dtype == want.dtype == a.dtype
                 assert b.shape == want.shape
                 assert b.tobytes() == want.tobytes()
 
-    def test_mixed_ranks_give_one_basis_per_matrix(self):
+    def test_mixed_ranks_give_the_ranks_only(self):
         a = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]])
         ranks, bases = rref_null_basis(a)
         assert ranks.tolist() == [2, 1]
-        assert [b.shape for b in bases] == [(3, 1), (3, 2)]
+        assert bases is None
 
     def test_equal_ranks_on_different_pivots_stack(self):
         a = np.array([[[1.0, 2.0, 0.0]], [[0.0, 1.0, 5.0]]])

@@ -872,13 +872,13 @@ SOLVE_CALLS = {
     ("fixed_free_string", "complex"): 6,  # 8
     ("fixed_free_string", "real_split"): 8,  # 10
     ("machine_unit", "complex"): 11,  # 17
-    ("machine_unit", "real_split"): 130,  # 139
+    ("machine_unit", "real_split"): 138,  # 139
     ("pipeline", "complex"): 11,  # 17
-    ("pipeline", "real_split"): 237,  # 256
+    ("pipeline", "real_split"): 251,  # 256
     ("point_mass_string", "complex"): 7,  # 9
     ("point_mass_string", "real_split"): 8,  # 10
-    ("spacecraft_bar", "complex"): 16,  # 25
-    ("spacecraft_bar", "real_split"): 120,  # 133
+    ("spacecraft_bar", "complex"): 17,  # 25
+    ("spacecraft_bar", "real_split"): 129,  # 133
 }
 
 
@@ -898,23 +898,21 @@ class TestDeterminantMemo:
         assert not set(scanned) & set(refined)
         assert len(set(refined)) == len(refined)
 
-    # on the real-split path the string's roots are touching zeros: minima
-    @pytest.mark.parametrize("kind, path", [("sign_change", "complex"), ("minimum", "real_split")])
-    def test_refine_root_takes_the_bracket_values(self, fixed_free_string, det_calls, kind, path):
-        brackets = scan_real_axis(fixed_free_string, 0.2, 10.0, 240, 1e-3, path)
-        bracket = next(b for b in brackets if b.kind == kind)
-        assert len(bracket.scanned) == (2 if kind == "sign_change" else 3)
+    def test_refine_root_evaluates_at_its_own_step(self, fixed_free_string, det_calls):
+        # brackets from a coarse scan, refined at a finer step: every value
+        # refinement uses is one of the finer step, the bracket ends included
+        bracket = next(b for b in scan_real_axis(fixed_free_string, 0.2, 10.0, 240, 4e-3)
+                       if b.kind == "sign_change")
         del det_calls[:]
-        res = refine_root(fixed_free_string, bracket, step=1e-3, path=path)
-        assert res.converged
-        evaluated = {key for lam in det_calls for key in _keys(lam)}
-        assert not evaluated & set(_keys([z for z, _ in bracket.scanned]))
+        res = refine_root(fixed_free_string, bracket, step=1e-3)
+        evaluated = [key for lam in det_calls for key in _keys(lam)]
+        assert _keys([1j * bracket.p_lo, 1j * bracket.p_hi]) == evaluated[:2]
 
-    def test_scanned_values_take_no_part_in_comparisons(self):
-        plain = Bracket(1.0, 2.0, "sign_change", 1.5)
-        carrying = Bracket(1.0, 2.0, "sign_change", 1.5, ((1j, 0.5 + 0j), (2j, -0.5 + 0j)))
-        assert plain == carrying and hash(plain) == hash(carrying)
-        assert repr(plain) == repr(carrying)
+        def dfun(lam):
+            return characteristic_determinant(fixed_free_string, lam, 1e-3)
+
+        plain = _plain(spectrum._refine_steps(bracket, 1e-10, 100, "complex"), dfun)
+        assert _fields([res]) == _fields([plain])
 
     @pytest.mark.parametrize("name, params, options", PARITY_CASES)
     def test_results_equal_evaluating_every_request(self, name, params, options):
@@ -946,6 +944,43 @@ class TestDeterminantMemo:
         res = spectrum._run(spectrum._newton(1.4j, 1e-10, 100, "complex"), linear)
         assert res.converged and abs(res.lam - complex(-0.1, 1.5)) <= 1e-12
         assert [np.size(lam) for lam in calls] == [3, 3]
+
+    def test_halved_retries_carry_no_pair(self):
+        # Newton on arctan(lambda - r) overshoots from 2 away: its full steps
+        # are halved.  Only the seed and the full steps bring their pair
+        def arctan(lam):
+            d = np.arctan(np.asarray(lam, dtype=complex) - complex(0.0, 1.0))
+            return complex(d) if d.ndim == 0 else d
+
+        calls = []
+
+        def recording(lam):
+            calls.append(np.size(lam))
+            return arctan(lam)
+
+        seed = complex(2.0, 1.0)
+        want = _plain(spectrum._newton(seed, 1e-10, 100, "complex"), arctan)
+        res = spectrum._run(spectrum._newton(seed, 1e-10, 100, "complex"), recording)
+        assert res.converged and _fields([res]) == _fields([want])
+        assert set(calls) == {1, 2, 3}
+        for before, size in zip(calls, calls[1:]):
+            if size == 1:  # a halved retry, after the full step or a retry
+                assert before in (1, 3)
+            if size == 2:  # the pair of an accepted retry
+                assert before == 1
+
+    def test_far_step_carries_no_pair(self):
+        # a linear D whose root lies 100 away from a seed of size 1: the
+        # step is taken alone, and its pair fetched after it
+        calls = []
+
+        def linear(lam):
+            calls.append(lam)
+            return np.asarray(lam, dtype=complex) - complex(100.0, 1.0)
+
+        res = spectrum._run(spectrum._newton(1.0j, 1e-10, 100, "complex"), linear)
+        assert res.converged and abs(res.lam - complex(100.0, 1.0)) <= 1e-10
+        assert [np.size(lam) for lam in calls][:3] == [3, 1, 2]
 
     @staticmethod
     def _cubic(lam):
@@ -991,6 +1026,32 @@ class TestDeterminantMemo:
         assert _fields([got]) == _fields([want])
         lockstep = spectrum._refine_all(None, [complex(1.3, 1.1)] * 2, 1e-10, 100, 1e-3, "complex")
         assert _fields(lockstep) == _fields([want, want])
+
+    def test_failing_spare_keeps_the_round_in_lockstep(self, monkeypatch):
+        # a round failing at a spare only is evaluated again without spares,
+        # in one call, and lockstep goes on: one call more than without the
+        # failure, and the same results
+        _, needed = self._lambdas(_plain)
+        _, evaluated = self._lambdas(spectrum._run)
+        spare = [z for z in evaluated if z not in needed][-1]
+        seeds = [complex(1.3, 1.1), complex(1.2, 0.9)]
+
+        def run(poison):
+            calls = []
+
+            def stub(problem, lam, step, path="complex"):
+                calls.append(lam)
+                if poison in np.atleast_1d(lam).tolist():
+                    raise PropagationError(1, poison, "stub")
+                return self._cubic(lam)
+
+            monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
+            return spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3, "complex"), calls
+
+        want, clean = run(None)
+        got, calls = run(spare)
+        assert _fields(got) == _fields(want)
+        assert len(calls) == len(clean) + 1
 
     def test_failing_spare_that_is_needed_raises_there(self, monkeypatch):
         # the pair of an accepted point is needed by the next step: the
