@@ -12,6 +12,7 @@ error, 2 numerical failure, 3 verification deviation breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,7 +152,10 @@ def _add_solve_args(sub):
     sub.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls, and --param's append action copies its default list."""
     parser = argparse.ArgumentParser(
         prog="oscispec",
         description="Eigenvalues and mode shapes of piecewise 1-D oscillation systems",

@@ -83,8 +83,9 @@ def integrate_fundamental(
     n_steps = max(1, int(np.ceil(length / step - 1e-12)))
     h = length / n_steps
 
-    nodes = lo + h * np.arange(n_steps + 1)
     const = system.constant_coeffs[interval]
+    # the node grid is read only for y-dependent coefficients and samples
+    nodes = lo + h * np.arange(n_steps + 1) if const is None or keep_samples else None
 
     # overflow is caught by the finiteness check below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):

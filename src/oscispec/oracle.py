@@ -42,32 +42,35 @@ _ARNOLDI_MAXITER = 30
 
 def closed_form_determinant(
     model_tag: str,
-    p: float,
+    p,
     rho: float = 1.0,
     tension: float = 1.0,
     length: float = 1.0,
     mass: float = 1.0,
     position: float = 0.5,
-) -> float:
+):
     """Textbook characteristic function whose zeros are the eigenfrequencies.
 
     fixed_fixed_string -> sin(k l); fixed_free_string -> cos(k l);
     point_mass_string (pinned-pinned, one mass) ->
     mass * p^2 sin(k c) sin(k (l-c)) - tension * k sin(k l), with k = p/a and
-    a the wave speed.
+    a the wave speed.  A float p gives a float, an array of them an array.
     """
     a = math.sqrt(tension / rho)
+    p = np.asarray(p, dtype=float)
     k = p / a
     if model_tag == "fixed_fixed_string":
-        return math.sin(k * length)
-    if model_tag == "fixed_free_string":
-        return math.cos(k * length)
-    if model_tag == "point_mass_string":
+        value = np.sin(k * length)
+    elif model_tag == "fixed_free_string":
+        value = np.cos(k * length)
+    elif model_tag == "point_mass_string":
         c = position
-        return mass * p * p * math.sin(k * c) * math.sin(k * (length - c)) - (
-            tension * k * math.sin(k * length)
+        value = mass * p * p * np.sin(k * c) * np.sin(k * (length - c)) - (
+            tension * k * np.sin(k * length)
         )
-    raise ValueError(f"unknown closed-form tag {model_tag!r}")
+    else:
+        raise ValueError(f"unknown closed-form tag {model_tag!r}")
+    return float(value) if value.ndim == 0 else value
 
 
 def closed_form_roots(
@@ -78,29 +81,32 @@ def closed_form_roots(
     xtol: float = 1e-13,
     **params,
 ) -> list[float]:
-    """Brute-force bisection roots of a closed-form characteristic function."""
+    """Brute-force bisection roots of a closed-form characteristic function.
+
+    The grid is evaluated in one call, and every sign-change interval of it
+    is bisected in lockstep, one call per halving; a grid point where the
+    function is exactly 0 is a root itself.
+    """
     ps = np.linspace(p_min, p_max, n_grid)
-    vals = [closed_form_determinant(model_tag, p, **params) for p in ps]
-    roots = []
-    for i in range(n_grid - 1):
-        lo, hi = ps[i], ps[i + 1]
-        f_lo, f_hi = vals[i], vals[i + 1]
-        if f_lo == 0.0:
-            roots.append(float(lo))
-            continue
-        if f_lo * f_hi >= 0.0:
-            continue
-        while hi - lo > xtol:
-            mid = 0.5 * (lo + hi)
-            f_mid = closed_form_determinant(model_tag, mid, **params)
-            if f_mid == 0.0:
-                lo = hi = mid
-            elif f_lo * f_mid < 0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        roots.append(0.5 * (lo + hi))
-    return roots
+    vals = closed_form_determinant(model_tag, ps, **params)
+    on_grid = np.flatnonzero(vals[:-1] == 0.0)
+    cells = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
+    lo, hi, f_lo = ps[cells], ps[cells + 1], vals[cells]
+    while True:
+        live = hi - lo > xtol
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = closed_form_determinant(model_tag, mid, **params)
+        # a zero at the midpoint closes its interval there
+        zero = live & (f_mid == 0.0)
+        left = live & (f_lo * f_mid < 0)
+        right = live & ~zero & ~left
+        hi = np.where(left | zero, mid, hi)
+        lo = np.where(right | zero, mid, lo)
+        f_lo = np.where(right, f_mid, f_lo)
+    found = np.concatenate([ps[on_grid], 0.5 * (lo + hi)])
+    return found[np.argsort(np.concatenate([on_grid, cells]), kind="stable")].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -336,21 +336,24 @@ def refine_root(
 ) -> SpectralResult:
     """Polish one root candidate: the one-target case of the lockstep refinement.
 
-    Sign-change brackets are narrowed along the imaginary axis by false
-    position in its Illinois form, which keeps the bracket and converges
-    superlinearly, until the bracket or the last step is below tol; if the
-    residual there is not genuinely small the point is rehanded to Newton (a
-    sign change of Re D alone need not be a root when D is complex).  Seeds
-    are refined by damped Newton with a central finite-difference
-    derivative; on the real-split path the search stays on the frequency
-    axis, where roots touch zero quadratically, so it takes the
-    multiplicity-2 step -2 f/f' and finishes with a parabolic vertex polish.
-    Newton stops with a reason when halving its step 25 times does not lower
-    |D| ("stagnated") or when D is not finite.  The seed and each full
-    Newton step are evaluated in one stack with the difference pair the next
-    step needs there (a halved retry, or a step more than ten times the size
-    of lambda, goes alone), and the three probes of each polish pass as one
-    stack.
+    Sign-change brackets whose ends have a real D are narrowed along the
+    imaginary axis by false position in its Illinois form, which keeps the
+    bracket and converges superlinearly, until the bracket or the last step
+    is below tol; if the residual there is not genuinely small the point is
+    rehanded to Newton.  A bracket with a complex D at an end (a damped
+    model, where Re D = 0 on the axis is no root) goes to Newton from its
+    first false-position point.  Seeds are refined by damped Newton: from a
+    point on the frequency axis with the step of the analytic closure
+    determinant (_frozen_scale_derivative), from any other seed with the
+    central difference of D along Re; on the real-split path the search
+    stays on the frequency axis, where roots touch zero quadratically, so it
+    takes the multiplicity-2 step -2 f/f' and finishes with a parabolic
+    vertex polish.  Newton stops with a reason when halving its step 25
+    times does not lower |D| ("stagnated") or when D is not finite.  The
+    seed and each full Newton step are evaluated in one stack with the
+    difference pair the next step needs there (a halved retry, or a step
+    more than ten times the size of lambda, goes alone), and the three
+    probes of each polish pass as one stack.
 
     Every value is computed once, with this call's step and path: a memo
     answers each lambda already evaluated.  solve_spectrum refines all its
@@ -533,14 +536,16 @@ def _bisect_bracket(bracket: Bracket, tol, max_iter, path):
     iters = 0
     if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or f_lo * f_hi > 0:
         return (yield from _newton(1j * bracket.p_seed, tol, max_iter, path))
+    if d_lo.imag != 0.0 or d_hi.imag != 0.0:
+        # D is complex on the axis (a damped model): Re D = 0 there is no
+        # root, and the root near the crossing lies off the axis
+        return (yield from _newton(1j * _false_position(lo, hi, f_lo, f_hi), tol, max_iter, path))
     d_mid = d_lo
     mid = lo
     kept = 0  # the end the last step kept: -1 lo, +1 hi
     while hi - lo > tol and iters < max_iter:
-        # Illinois false position; the midpoint whenever it leaves (lo, hi)
-        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else lo
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
+        # Illinois false position
+        mid = _false_position(lo, hi, f_lo, f_hi)
         d_mid = yield 1j * mid
         iters += 1
         f = d_mid.real
@@ -576,6 +581,13 @@ def _bisect_bracket(bracket: Bracket, tol, max_iter, path):
     )
 
 
+def _false_position(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The false-position point of a bracket, or its midpoint whenever that
+    point is not inside (lo, hi)."""
+    mid = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else lo
+    return mid if lo < mid < hi else 0.5 * (lo + hi)
+
+
 def _modulus(d: complex) -> float:
     """|d|, or inf when d is not finite.
 
@@ -587,24 +599,53 @@ def _modulus(d: complex) -> float:
 
 def _fd_delta(lam: complex) -> float:
     # relative 1e-6 perturbation, floored so seeds near the origin still
-    # get a usable central difference
+    # get a usable difference
     return 1e-6 * max(abs(lam), 1.0)
 
 
-def _fd_pair(lam: complex, on_axis: bool) -> np.ndarray:
-    """The two points of the central difference at lam: along the frequency
-    axis on the real-split path, along Re elsewhere."""
+def _fd_pair(lam: complex, stencil: str) -> np.ndarray:
+    """The two points the derivative at lam is differenced from (see
+    _newton): "axis" the central pair along the frequency axis, "re" the
+    central pair along Re, "plane" one forward step along Re and one along
+    Im."""
     delta = _fd_delta(lam)
-    if on_axis:
+    if stencil == "axis":
         return np.array([lam + 1j * delta, lam - 1j * delta])
-    return np.array([lam + delta, lam - delta])
+    if stencil == "re":
+        return np.array([lam + delta, lam - delta])
+    return np.array([lam + delta, lam + 1j * delta])
+
+
+def _frozen_scale_derivative(d: complex, d_re: complex, d_im: complex) -> complex:
+    """F'(lam) r(lam) from D = F r and its slopes d_re, d_im along Re and Im.
+
+    F, the raw closure determinant, is analytic and r > 0 is the real row
+    scale _normalized_det divides out, so D itself is not analytic and its
+    slope depends on the direction.  d_im - i d_re = F (r_im - i r_re), whose
+    ratio to D has imaginary part -r_re / r; adding D times that to d_re
+    removes F r_re and leaves F' r, the derivative of the closure determinant
+    with its scale frozen at lam.  The Newton step -D / (F' r) = -F / F' is
+    then the one on F.  An analytic D (r = 1) gives d_re back.
+    """
+    return d_re + d * ((d_im - 1j * d_re) / d).imag
 
 
 def _newton(seed: complex, tol, max_iter, path):
-    on_axis = path == "real_split"
-    lam = 1j * seed.imag if on_axis else seed
+    """Damped Newton from seed, with one of three difference stencils.
+
+    On the real-split path the search stays on the frequency axis ("axis").
+    On the complex path a seed on the axis, where scan brackets start it,
+    takes the Newton step of the analytic closure determinant from the
+    "plane" stencil (_frozen_scale_derivative), and a step longer than ten
+    times max(|lambda|, 1) is cut to that length; any other seed keeps the
+    central difference of D along Re ("re").
+    """
+    if path == "real_split":
+        stencil, lam = "axis", 1j * seed.imag
+    else:
+        stencil, lam = ("plane" if seed.real == 0.0 else "re"), seed
     # each point fetches the difference pair the next step needs there
-    d = yield _Ahead(lam, _fd_pair(lam, on_axis))
+    d = yield _Ahead(lam, _fd_pair(lam, stencil))
     if not cmath.isfinite(d):
         return SpectralResult(lam, math.inf, 0, False, "determinant not finite at the seed")
     d0 = max(abs(d), np.finfo(float).tiny)
@@ -617,14 +658,18 @@ def _newton(seed: complex, tol, max_iter, path):
             converged = True
             break
         iters += 1
-        delta = _fd_delta(lam)
-        d_plus, d_minus = (yield _fd_pair(lam, on_axis)).tolist()
-        if on_axis:
-            dp = (d_plus - d_minus).real / (2 * delta)
-            dcur = d.real
+        pair = _fd_pair(lam, stencil)
+        d_one, d_two = (yield pair).tolist()
+        dcur = d.real if stencil == "axis" else d
+        if stencil == "plane":
+            # slopes over the steps the pair really took: rounding lam + delta
+            # moves them off delta by up to half an ulp of lam
+            h_re, h_im = (pair - lam).tolist()
+            dp = _frozen_scale_derivative(d, (d_one - d) / h_re.real, (d_two - d) / h_im.imag)
+        elif stencil == "axis":
+            dp = (d_one - d_two).real / (2 * _fd_delta(lam))
         else:
-            dp = (d_plus - d_minus) / (2 * delta)
-            dcur = d
+            dp = (d_one - d_two) / (2 * _fd_delta(lam))
         if dp == 0:
             message = "derivative vanished"
             break
@@ -632,7 +677,7 @@ def _newton(seed: complex, tol, max_iter, path):
         if not cmath.isfinite(s):
             message = "derivative not finite"
             break
-        if on_axis:
+        if stencil == "axis":
             # roots on the axis are double zeros of D(i p) (see
             # _vertex_polish): twice the Newton step keeps it quadratic
             s = 2j * s
@@ -640,12 +685,17 @@ def _newton(seed: complex, tol, max_iter, path):
         # brings the pair the next step needs there, unless it moves lambda
         # by more than ten times its size: such a step is seldom taken, and
         # its pair would be evaluated where the search never goes.  A
-        # halved retry goes alone
-        far = abs(s) > 10.0 * max(abs(lam), 1.0)
+        # halved retry goes alone.  On the "plane" stencil a far step is cut
+        # to that length: the analytic determinant has zeros at model poles
+        # (1 + beta lam on pipeline), and its step can land on one
+        reach = 10.0 * max(abs(lam), 1.0)
+        far = abs(s) > reach
+        if far and stencil == "plane":
+            s *= reach / abs(s)
         for halving in range(25):
             cand = lam + s
             ahead = halving == 0 and not far
-            d_cand = yield _Ahead(cand, _fd_pair(cand, on_axis)) if ahead else cand
+            d_cand = yield _Ahead(cand, _fd_pair(cand, stencil)) if ahead else cand
             res_cand = _modulus(d_cand)
             if res_cand <= abs(d) or (abs(s) < tol and res_cand < math.inf):
                 break
@@ -662,7 +712,7 @@ def _newton(seed: complex, tol, max_iter, path):
     else:
         message = "max_iter exceeded; suspected multiple root"
 
-    if on_axis:
+    if stencil == "axis":
         vert_lam, vert_res, extra, touching = yield from _vertex_polish(best_lam, best_res, tol)
         iters += extra
         if vert_res <= best_res:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oscispec
-from oscispec import NotARootError, SolverError, dump_problem, problem_to_dict, spectrum
+from oscispec import NotARootError, SolverError, cli, dump_problem, problem_to_dict, spectrum
 from oscispec.cli import RunConfig, _write_mode, _write_spectrum, main
 
 from conftest import make_string_problem
@@ -245,6 +245,21 @@ class TestSweep:
         assert ok_rows
         leading = [float(r[2]) for r in ok_rows if r[1] == "1"]
         assert max(leading) - min(leading) > 1e-6
+
+    def test_feedback_sweep_keeps_every_root(self, tmp_path):
+        # the winding count on Re in [-1.5, 0.2] x Im in [0.2, 10] is 4 at
+        # every gain; the real-direction Newton step reported 3, then 2
+        code = _run(
+            "sweep", "--model", "spacecraft_bar", "--sweep", "d:0:0.4:41",
+            "--scan", "0.2:10:240", "--out", str(tmp_path),
+        )
+        assert code == 0
+        _, rows = _read_csv(tmp_path / "sweep.csv")
+        assert all(r[4] == "ok" for r in rows)
+        counts = {}
+        for r in rows:
+            counts[r[0]] = counts.get(r[0], 0) + 1
+        assert len(counts) == 41 and set(counts.values()) == {4}
 
     def test_unknown_parameter_exits_1_before_output(self, tmp_path, capsys):
         code = _run(
@@ -482,3 +497,10 @@ class TestValidateLoader:
     def test_unknown_model_parameter_exits_1(self, capsys):
         assert _run("validate", "--model", "spacecraft_bar", "--param", "bogus=1") == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        # the first call's --param must not reach the second, which has none
+        assert cli._build_parser() is cli._build_parser()
+        assert _run("validate", "--model", "spacecraft_bar", "--param", "bogus=1") == 1
+        assert _run("validate", "--model", "spacecraft_bar") == 0
+        assert cli._build_parser().parse_args(["validate", "--model", "pipeline"]).param == []

@@ -51,6 +51,15 @@ class TestClosedForms:
             "fixed_fixed_string", 2 * math.pi, tension=4.0
         ) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tag", ["fixed_fixed_string", "fixed_free_string", "point_mass_string"])
+    def test_array_equals_one_value_at_a_time(self, tag):
+        ps = np.linspace(0.0, 12.0, 37)
+        params = {"rho": 1.3, "tension": 2.0, "mass": 0.7, "position": 0.3}
+        values = closed_form_determinant(tag, ps, **params)
+        assert values.shape == ps.shape
+        assert values.tolist() == [closed_form_determinant(tag, p, **params) for p in ps.tolist()]
+        assert type(closed_form_determinant(tag, 1.0)) is float
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown closed-form tag"):
             closed_form_determinant("beam", 1.0)

@@ -1135,3 +1135,75 @@ class TestStackedModeShapes:
         with pytest.raises(IntegrationError, match="stub") as info:
             next(shapes)
         assert info.value.lam == lams[1]
+
+
+class TestFrozenScaleNewton:
+    """Newton on the analytic closure determinant: damped scan brackets go
+    straight to it and find the roots the real-direction step missed."""
+
+    @pytest.mark.parametrize("z", [complex(0.3, 1.2), complex(-2.0, 7.5), complex(0.0, 0.4)])
+    def test_derivative_removes_the_real_scale(self, z):
+        # D = F r with F analytic and r > 0 real: the exact slopes of D along
+        # Re and Im give back F' r
+        def f(w):
+            return (w - complex(-0.1, 1.0)) * (w - complex(-0.4, 3.0))
+
+        def f_prime(w):
+            return 2 * w - complex(-0.1, 1.0) - complex(-0.4, 3.0)
+
+        x, y = z.real, z.imag
+        r = math.exp(-3.0 * x + math.sin(y))
+        r_x, r_y = -3.0 * r, math.cos(y) * r
+        d_re = f_prime(z) * r + f(z) * r_x
+        d_im = 1j * f_prime(z) * r + f(z) * r_y
+        got = spectrum._frozen_scale_derivative(f(z) * r, d_re, d_im)
+        assert abs(got - f_prime(z) * r) <= 1e-12 * abs(f_prime(z) * r)
+        # an analytic D keeps its own slope
+        assert spectrum._frozen_scale_derivative(f(z), f_prime(z), 1j * f_prime(z)) == pytest.approx(f_prime(z))
+
+    @pytest.mark.parametrize("name, real_ends", [("spacecraft_bar", False), ("fixed_free_string", True)])
+    def test_only_a_real_bracket_runs_false_position(self, name, real_ends, det_calls, monkeypatch):
+        seeds = []
+
+        def recording_newton(seed, tol, max_iter, path):
+            seeds.append(seed)
+            return spectrum.SpectralResult(seed, 0.0, 0, False)
+            yield
+
+        monkeypatch.setattr(spectrum, "_newton", recording_newton)
+        prob = build_model(name)
+        bracket = next(b for b in scan_real_axis(prob, *SCAN_DEFAULTS[name], step=1e-3)
+                       if b.kind == "sign_change")
+        del det_calls[:]
+        refine_root(prob, bracket, step=1e-3)
+        # the module's own name: evaluated here, not recorded
+        d_lo, d_hi = (characteristic_determinant(prob, 1j * p, 1e-3) for p in (bracket.p_lo, bracket.p_hi))
+        assert (d_lo.imag == 0.0 and d_hi.imag == 0.0) is real_ends
+        if real_ends:
+            assert seeds == [] and len(det_calls) > 2
+        else:
+            # the two ends, then Newton from the first false-position point
+            assert len(det_calls) == 2
+            lo, hi = bracket.p_lo, bracket.p_hi
+            want = hi - d_hi.real * (hi - lo) / (d_hi.real - d_lo.real)
+            assert seeds == [1j * want] and lo < want < hi
+
+    def test_spacecraft_bar_reports_all_four_roots(self):
+        prob = build_model("spacecraft_bar")
+        roots = solve_spectrum(prob, SolveOptions(scan=SCAN_DEFAULTS["spacecraft_bar"], step=1e-3))
+        assert len(roots) == 4
+        assert min(abs(r.lam - complex(-0.462327785416, 7.970061989550)) for r in roots) <= 1e-6
+
+    def test_beta_002_bracket_finds_its_own_root(self):
+        # the third bracket (p 4.89-4.93) used to converge to the root at 0.91
+        prob = build_spacecraft_bar(beta=0.02)
+        roots = solve_spectrum(prob, SolveOptions(scan=(0.3, 6.0, 150), step=1e-3))
+        assert len(roots) == 3
+        assert min(abs(r.lam - complex(-0.379618038196, 4.917221666967)) for r in roots) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["machine_unit", "pipeline", "spacecraft_bar"])
+    def test_damped_solve_takes_few_calls(self, name, det_calls):
+        # the scan, then 5 rounds: the real-direction step took 11-17 calls
+        solve_spectrum(build_model(name), SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3))
+        assert len(det_calls) <= 8
+
