@@ -102,11 +102,7 @@ def realify(matrix: np.ndarray) -> np.ndarray:
     (real part, imaginary part) vectors.  A stack of matrices is realified
     matrix by matrix.
     """
-    return real_blocks(np.real(matrix), np.imag(matrix))
-
-
-def real_blocks(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Block matrix [[diag, -off], [off, diag]] over the last two axes."""
-    top = np.concatenate([diag, -off], axis=-1)
-    bottom = np.concatenate([off, diag], axis=-1)
+    re, im = np.real(matrix), np.imag(matrix)
+    top = np.concatenate([re, -im], axis=-1)
+    bottom = np.concatenate([im, re], axis=-1)
     return np.concatenate([top, bottom], axis=-2)

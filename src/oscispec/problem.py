@@ -200,7 +200,6 @@ class ReducedSystem:
     partition: Partition
     dim: int
     lam: complex
-    is_real: bool
     left_matrix: np.ndarray
     right_matrix: np.ndarray
     interfaces: tuple[tuple[np.ndarray, np.ndarray], ...]

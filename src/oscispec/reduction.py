@@ -4,16 +4,18 @@ Substituting z(y, t) = phi(y) exp(lam t) turns the second-order-in-time
 problem into dphi/dy = [A(y) + lam^2 B(y) + lam C(y)] phi.  Two routes are
 provided: the complex path keeps the N-dimensional complex system, the
 real-split path separates real and imaginary parts of phi at lam = i*p into
-a 2N-dimensional real system.  Eigenvalues are complex lam = q + i*p with
+a 2N-dimensional real system, the realified complex one.  Eigenvalues are complex lam = q + i*p with
 q the growth/decay rate and p the angular frequency; reported spectra use
 the p >= 0 convention (conjugate pairs deduplicated).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .linalg import real_blocks, realify
+from .linalg import realify
 from .problem import (
     CoefficientField,
     LambdaCoefficientField,
@@ -42,7 +44,6 @@ def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> Red
         partition=problem.partition,
         dim=problem.dim,
         lam=lam,
-        is_real=False,
         left_matrix=np.asarray(problem.boundary_left(lam), dtype=complex),
         right_matrix=np.asarray(problem.boundary_right(lam), dtype=complex),
         interfaces=tuple(
@@ -61,34 +62,24 @@ def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> Red
 def reduce_real_split(problem: ProblemDefinition, p: float | np.ndarray) -> ReducedSystem:
     """Bind a real frequency p into the 2N-dimensional real system.
 
-    The state stacks (real part, imaginary part) of phi; the coefficient
-    matrix takes the block form [[A - p^2 B, -p C], [p C, A - p^2 B]].
-    Boundary and interface matrices evaluated at lam = i*p are doubled the
-    same way, [[Re, -Im], [Im, Re]], each original row contributing two rows.
-    A 1-D array of frequencies gives one stacked system, as in
-    reduce_complex.
+    The state stacks (real part, imaginary part) of phi: this is the complex
+    system at lam = i*p with every matrix realified, [[Re, -Im], [Im, Re]],
+    so the coefficient matrix of real A, B, C takes the block form
+    [[A - p^2 B, -p C], [p C, A - p^2 B]] and each boundary or interface
+    row contributes two rows.  A 1-D array of frequencies gives one stacked
+    system, as in reduce_complex.
     """
     p = _lambda_arg(p, float)
-    lam = 1j * p
-    coeffs = problem.coefficients
-    if isinstance(coeffs, CoefficientField):
-        consts, varying = _poly_split_parts(coeffs, p)
-    else:
-        consts, varying = _lambda_split_parts(coeffs, lam)
-
-    return ReducedSystem(
-        partition=problem.partition,
-        dim=2 * problem.dim,
-        lam=lam,
-        is_real=True,
-        left_matrix=realify(problem.boundary_left(lam)),
-        right_matrix=realify(problem.boundary_right(lam)),
-        interfaces=tuple(
-            (realify(c.d_matrix(lam)), realify(c.b_matrix(lam)))
-            for c in sorted(problem.conjugations, key=lambda c: c.interface)
-        ),
-        bound=_reduced_bound(coeffs, lam),
-        coeff_batch=_coeff_batch(consts, varying),
+    system = reduce_complex(problem, 1j * p)
+    batch = system.coeff_batch
+    consts = tuple(None if c is None else realify(c) for c in system.constant_coeffs)
+    return replace(
+        system,
+        dim=2 * system.dim,
+        left_matrix=realify(system.left_matrix),
+        right_matrix=realify(system.right_matrix),
+        interfaces=tuple((realify(d), realify(b)) for d, b in system.interfaces),
+        coeff_batch=_coeff_batch(consts, lambda interval, ys: realify(batch(interval, ys))),
         constant_coeffs=consts,
     )
 
@@ -112,7 +103,7 @@ def _lambda_arg(value, kind):
 # intervals.  For a stack of K lambdas the matrices are (K, dim, dim) and
 # varying returns (len(ys), K, dim, dim).
 #
-# lam (or p) is a Python number, or an ndarray for a stack; a stack enters
+# lam is a Python number, or an ndarray for a stack; a stack enters
 # the elementwise arithmetic as a (K, 1, 1) column, which broadcasts the
 # same operations over it.  lam^2 is squared in Python, one lambda at a
 # time: numpy's vectorized complex product may fuse multiply and add, and
@@ -167,25 +158,6 @@ def _poly_parts(coeffs: CoefficientField, lam):
     return consts, varying
 
 
-def _poly_split_parts(coeffs: CoefficientField, p):
-    p = _column(p)
-    p2 = p * p
-    consts = tuple(
-        None
-        if abc is None
-        else real_blocks(np.real(abc[0]) - p2 * np.real(abc[1]), p * np.real(abc[2]))
-        for abc in coeffs.constant_abc
-    )
-
-    def varying(interval: int, ys: np.ndarray) -> np.ndarray:
-        av = _per_node(coeffs.a_polys[interval](ys), p)
-        bv = _per_node(coeffs.b_polys[interval](ys), p)
-        cv = _per_node(coeffs.c_polys[interval](ys), p)
-        return real_blocks(av - p2 * bv, p * cv)
-
-    return consts, varying
-
-
 def _evaluate(ev, y: float, lam) -> np.ndarray:
     """A lambda-field evaluator at y, called once per lambda of a stack."""
     if isinstance(lam, np.ndarray):
@@ -205,12 +177,3 @@ def _lambda_parts(coeffs: LambdaCoefficientField, lam):
         return np.stack([_evaluate(ev, float(y), lam) for y in ys])
 
     return (None,) * n, varying
-
-
-def _lambda_split_parts(coeffs: LambdaCoefficientField, lam):
-    consts, varying = _lambda_parts(coeffs, lam)
-
-    def varying_split(interval: int, ys: np.ndarray) -> np.ndarray:
-        return realify(varying(interval, ys))
-
-    return tuple(None if c is None else realify(c) for c in consts), varying_split

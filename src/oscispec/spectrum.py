@@ -37,6 +37,18 @@ _EXP_CLAMP = 700.0
 #: complex); longer lambda stacks are evaluated in chunks
 _STACK_ENTRIES = 1 << 18
 
+#: a scan flags a local minimum of |D| below this share of the grid median
+_MINIMUM_RATIO = 0.05
+
+#: mode_shapes raises NotARootError where the normalized |D| of the closure
+#: matrix is above this, and asks its null vector for this relative residual
+_RANK_TOL = 1e-6
+
+#: a real-split candidate is a root only where |D| has fallen to this share
+#: of its value at the seed; an axis point of a damped model is a minimum of
+#: |D| well above zero
+_AXIS_ROOT = 1e-5
+
 
 @dataclass(frozen=True)
 class Bracket:
@@ -282,20 +294,20 @@ def scan_real_axis(
     n_grid: int,
     step: float,
     path: str = "complex",
-    minimum_ratio: float = 0.05,
 ) -> list[Bracket]:
     """Locate root candidates of D(i p) on a uniform frequency grid.
 
     Returns sign-change intervals of Re D, plus local minima of |D| below
-    minimum_ratio times the grid median as candidate (double) roots.  Grids
+    _MINIMUM_RATIO times the grid median as candidate roots.  Grids
     too coarse to separate neighboring roots merge their brackets.
     """
-    return _scan(problem, p_min, p_max, n_grid, step, path, minimum_ratio)[0]
+    return _scan(problem, p_min, p_max, n_grid, step, path)[0]
 
 
-def _scan(problem, p_min, p_max, n_grid, step, path, minimum_ratio=0.05):
+def _scan(problem, p_min, p_max, n_grid, step, path):
     """scan_real_axis's brackets, and a determinant memo holding the grid's
-    values for a refinement at the same problem, step and path."""
+    values; on the complex path it serves a refinement at the same problem
+    and step."""
     if not (p_min < p_max):
         raise ValueError("need p_min < p_max")
     if n_grid < 2:
@@ -315,7 +327,7 @@ def _scan(problem, p_min, p_max, n_grid, step, path, minimum_ratio=0.05):
             )
             flagged[i] = flagged[i + 1] = True
 
-    threshold = minimum_ratio * float(np.median(mag))
+    threshold = _MINIMUM_RATIO * float(np.median(mag))
     for i in range(1, n_grid - 1):
         if flagged[i - 1] or flagged[i] or flagged[i + 1]:
             continue
@@ -336,35 +348,37 @@ def refine_root(
 ) -> SpectralResult:
     """Polish one root candidate: the one-target case of the lockstep refinement.
 
-    Sign-change brackets whose ends have a real D are narrowed along the
-    imaginary axis by false position in its Illinois form, which keeps the
-    bracket and converges superlinearly, until the bracket or the last step
-    is below tol; if the residual there is not genuinely small the point is
-    rehanded to Newton.  A bracket with a complex D at an end (a damped
-    model, where Re D = 0 on the axis is no root) goes to Newton from its
-    first false-position point.  Seeds are refined by damped Newton: from a
-    point on the frequency axis with the step of the analytic closure
-    determinant (_frozen_scale_derivative), from any other seed with the
-    central difference of D along Re; on the real-split path the search
-    stays on the frequency axis, where roots touch zero quadratically, so it
-    takes the multiplicity-2 step -2 f/f' and finishes with a parabolic
-    vertex polish.  Newton stops with a reason when halving its step 25
-    times does not lower |D| ("stagnated") or when D is not finite.  The
-    seed and each full Newton step are evaluated in one stack with the
-    difference pair the next step needs there (a halved retry, or a step
-    more than ten times the size of lambda, goes alone), and the three
-    probes of each polish pass as one stack.
+    Every path refines on the complex-path determinant D; path only chooses
+    the search.  On the complex path, sign-change brackets whose ends have a
+    real D are narrowed along the imaginary axis by false position in its
+    Illinois form, which keeps the bracket and converges superlinearly,
+    until the bracket or the last step is below tol; if the residual there
+    is not genuinely small the point is rehanded to Newton.  A bracket with
+    a complex D at an end (a damped model, where Re D = 0 on the axis is no
+    root) goes to Newton from its first false-position point.  Seeds are
+    refined by damped Newton: from a point on the frequency axis with the
+    step of the analytic closure determinant (_frozen_scale_derivative),
+    from any other seed with the central difference of D along Re.  The
+    real-split roots are the zeros of D on the frequency axis, so on that
+    path every candidate, bracket or seed, is refined by damped Gauss-Newton
+    along the axis, and a point is a root only where |D| has fallen to
+    _AXIS_ROOT of its value at the seed.  Newton stops with a reason when
+    halving its step 25 times does not lower |D| ("stagnated") or when D is
+    not finite.  The seed and each full Newton step are evaluated in one
+    stack with the difference pair the next step needs there (a halved
+    retry, or a step more than ten times the size of lambda, goes alone).
 
-    Every value is computed once, with this call's step and path: a memo
-    answers each lambda already evaluated.  solve_spectrum refines all its
+    Every value is computed once, with this call's step: a memo answers
+    each lambda already evaluated.  solve_spectrum refines all its
     candidates at once (_refine_all) with the same steps and the same
-    results, and its memo also holds the scan's grid values.
+    results, and on the complex path its memo also holds the scan's grid
+    values.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
     def dfun(lam):
-        return characteristic_determinant(problem, lam, step, path)
+        return characteristic_determinant(problem, lam, step)
 
     return _run(_refine_steps(target, tol, max_iter, path), dfun)
 
@@ -467,8 +481,8 @@ def _run(steps, dfun, memo=None, request=None):
 
 def _refine_steps(target: Bracket | complex, tol, max_iter, path):
     if isinstance(target, Bracket):
-        if target.kind == "sign_change":
-            return _bisect_bracket(target, tol, max_iter, path)
+        if target.kind == "sign_change" and path == "complex":
+            return _bisect_bracket(target, tol, max_iter)
         seed = 1j * target.p_seed
     else:
         seed = complex(target)
@@ -486,11 +500,12 @@ def _refine_all(
 ) -> list[SpectralResult]:
     """Refine every target in lockstep, one result per target in order.
 
-    One determinant memo serves the whole solve; solve_spectrum passes the
-    one its scan filled, so bracket ends and a minimum's seed are not
-    evaluated again.  Each round answers from it every request it can, then
-    gathers the lambdas still unknown to every live candidate and evaluates
-    them with one characteristic_determinant call (_fetch), so a solve costs
+    One memo of complex-path determinants serves the whole solve;
+    solve_spectrum passes the one a complex-path scan filled, so bracket
+    ends and a minimum's seed are not evaluated again.  Each round answers
+    from it every request it can, then gathers the lambdas still unknown to
+    every live candidate and evaluates them with one
+    characteristic_determinant call (_fetch), so a solve costs
     as many calls as its longest candidate chain and evaluates no lambda
     twice.  The values are those of refine_root, bit for bit.  If a round
     fails at a needed lambda, the live candidates are finished one at a time
@@ -499,7 +514,7 @@ def _refine_all(
     """
 
     def dfun(lam):
-        return characteristic_determinant(problem, lam, step, path)
+        return characteristic_determinant(problem, lam, step)
 
     memo = {} if memo is None else memo
     steps = [_refine_steps(t, tol, max_iter, path) for t in targets]
@@ -528,18 +543,19 @@ def _refine_all(
         replies = {k: _recall(request, memo) for k, request in requests.items()}
 
 
-def _bisect_bracket(bracket: Bracket, tol, max_iter, path):
+def _bisect_bracket(bracket: Bracket, tol, max_iter):
     lo, hi = bracket.p_lo, bracket.p_hi
     d_lo = yield 1j * lo
     d_hi = yield 1j * hi
     f_lo, f_hi = d_lo.real, d_hi.real
     iters = 0
     if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or f_lo * f_hi > 0:
-        return (yield from _newton(1j * bracket.p_seed, tol, max_iter, path))
+        return (yield from _newton(1j * bracket.p_seed, tol, max_iter, "complex"))
     if d_lo.imag != 0.0 or d_hi.imag != 0.0:
         # D is complex on the axis (a damped model): Re D = 0 there is no
         # root, and the root near the crossing lies off the axis
-        return (yield from _newton(1j * _false_position(lo, hi, f_lo, f_hi), tol, max_iter, path))
+        seed = 1j * _false_position(lo, hi, f_lo, f_hi)
+        return (yield from _newton(seed, tol, max_iter, "complex"))
     d_mid = d_lo
     mid = lo
     kept = 0  # the end the last step kept: -1 lo, +1 hi
@@ -571,7 +587,7 @@ def _bisect_bracket(bracket: Bracket, tol, max_iter, path):
         return SpectralResult(1j * mid, residual, iters, converged=True)
     # Re D crossed zero without |D| vanishing: not a root on the axis, so
     # hand the last point to Newton in the complex plane.
-    newton = yield from _newton(1j * mid, tol, max_iter, path)
+    newton = yield from _newton(1j * mid, tol, max_iter, "complex")
     return SpectralResult(
         newton.lam,
         newton.residual,
@@ -633,8 +649,12 @@ def _frozen_scale_derivative(d: complex, d_re: complex, d_im: complex) -> comple
 def _newton(seed: complex, tol, max_iter, path):
     """Damped Newton from seed, with one of three difference stencils.
 
-    On the real-split path the search stays on the frequency axis ("axis").
-    On the complex path a seed on the axis, where scan brackets start it,
+    On the real-split path the search stays on the frequency axis ("axis")
+    and takes the Gauss-Newton step along p, which minimizes the linearized
+    |D| there and is Newton's step at a simple zero on the axis; the point
+    it ends at is a root only where |D| has fallen to _AXIS_ROOT of its
+    value at the seed, else the exit is "no zero on the axis".  On the
+    complex path a seed on the axis, where scan brackets start it,
     takes the Newton step of the analytic closure determinant from the
     "plane" stencil (_frozen_scale_derivative), and a step longer than ten
     times max(|lambda|, 1) is cut to that length; any other seed keeps the
@@ -660,27 +680,24 @@ def _newton(seed: complex, tol, max_iter, path):
         iters += 1
         pair = _fd_pair(lam, stencil)
         d_one, d_two = (yield pair).tolist()
-        dcur = d.real if stencil == "axis" else d
         if stencil == "plane":
             # slopes over the steps the pair really took: rounding lam + delta
             # moves them off delta by up to half an ulp of lam
             h_re, h_im = (pair - lam).tolist()
             dp = _frozen_scale_derivative(d, (d_one - d) / h_re.real, (d_two - d) / h_im.imag)
-        elif stencil == "axis":
-            dp = (d_one - d_two).real / (2 * _fd_delta(lam))
         else:
+            # along Re, or on the axis the slope dD/dp
             dp = (d_one - d_two) / (2 * _fd_delta(lam))
         if dp == 0:
             message = "derivative vanished"
             break
-        s = -dcur / dp
+        s = -d / dp
+        if stencil == "axis":
+            # the real dp minimizing |D + dD/dp * dp| is -Re(D / (dD/dp))
+            s = 1j * s.real
         if not cmath.isfinite(s):
             message = "derivative not finite"
             break
-        if stencil == "axis":
-            # roots on the axis are double zeros of D(i p) (see
-            # _vertex_polish): twice the Newton step keeps it quadratic
-            s = 2j * s
         # damp: halve the step while it does not lower |D|.  The full step
         # brings the pair the next step needs there, unless it moves lambda
         # by more than ten times its size: such a step is seldom taken, and
@@ -713,55 +730,13 @@ def _newton(seed: complex, tol, max_iter, path):
         message = "max_iter exceeded; suspected multiple root"
 
     if stencil == "axis":
-        vert_lam, vert_res, extra, touching = yield from _vertex_polish(best_lam, best_res, tol)
-        iters += extra
-        if vert_res <= best_res:
-            best_lam, best_res = vert_lam, vert_res
-        converged = converged or best_res <= tol * d0 or best_res <= 1e-10 * d0
-        if converged and not touching:
-            converged, message = False, "D(i p) changes sign: not a touching zero"
-        return SpectralResult(best_lam, best_res, iters, converged, message)
+        if best_res > _AXIS_ROOT * d0:
+            return SpectralResult(best_lam, best_res, iters, False, "no zero on the axis")
+        return SpectralResult(best_lam, best_res, iters, True, message)
 
     if not converged and best_res <= tol * d0:
         converged = True
     return SpectralResult(best_lam, best_res, iters, converged, message)
-
-
-def _vertex_polish(lam: complex, res: float, tol: float):
-    """Parabolic vertex steps for quadratic (touching) zeros of D(i p).
-
-    On the real-split path the determinant is the squared modulus of the
-    complex-path determinant up to a smooth factor, so roots are quadratic
-    minima; the vertex of a three-point parabola nails them.  A wide probe
-    keeps the vertex insensitive to evaluation noise; narrower recentered
-    passes remove the residual bias.  Also returns whether the wide probes
-    show a touching zero.  A zero where D(i p) changes sign is not one: on
-    machine_unit and pipeline D(i p) is odd in p, so it changes sign at p = 0
-    whether or not lambda = 0 is a root (pipeline has none there).
-    """
-    p0 = lam.imag
-    scale = max(abs(p0), 1.0)
-    p = p0
-    passes = 0
-    # Shrinking probes: the wide pass is noise-immune, the narrow passes
-    # remove the O(delta^2) bias from the smooth factor's slope.
-    for delta in (1e-4 * scale, 1e-5 * scale, 1e-6 * scale):
-        probes = yield np.array([1j * (p - delta), 1j * p, 1j * (p + delta)])
-        dm, d0, dp = (d.real for d in probes.tolist())
-        passes += 1
-        if passes == 1:
-            touching = dm * dp > 0.0
-        curvature = dm - 2.0 * d0 + dp
-        if not 0.0 < abs(curvature) < math.inf:  # flat, or a probe not finite
-            continue
-        step_p = -delta * (dp - dm) / (2.0 * curvature)
-        if abs(step_p) > 10.0 * delta:  # fit not trustworthy this far out
-            step_p = np.sign(step_p) * 10.0 * delta
-        p = p + step_p
-    res_new = _modulus((yield 1j * p))
-    if res_new <= 10.0 * res or res_new <= tol:
-        return 1j * p, res_new, passes, touching
-    return lam, res, passes, touching
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +749,10 @@ def mode_shape(
     lam: complex,
     step: float,
     path: str = "complex",
-    rank_tol: float = 1e-6,
 ) -> ModeShape:
     """Reconstruct the eigenfunction at a converged root: the one-lambda
     case of mode_shapes."""
-    (shape,) = mode_shapes(problem, [lam], step, path, rank_tol)
+    (shape,) = mode_shapes(problem, [lam], step, path)
     return shape
 
 
@@ -787,7 +761,6 @@ def mode_shapes(
     lams: Iterable[complex],
     step: float,
     path: str = "complex",
-    rank_tol: float = 1e-6,
 ) -> Iterator[ModeShape]:
     """Reconstruct the eigenfunctions at converged roots, yielded in order.
 
@@ -817,7 +790,7 @@ def mode_shapes(
             chunks[:0] = [[z] for z in chunk]
             continue
         for k, lam in enumerate(chunk):
-            c_free = _null_vector(closure[k], w[k], lam, rank_tol)
+            c_free = _null_vector(closure[k], w[k], lam, _RANK_TOL)
             yield _combine(lam, u_tables, fundamentals, k, c_free)
 
 
@@ -898,6 +871,10 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     if options.scan is not None:
         p_min, p_max, n_grid = options.scan
         targets, memo = _scan(problem, p_min, p_max, n_grid, step, options.path)
+        if options.path == "real_split":
+            # the scan's values are real-split determinants; refinement
+            # evaluates the complex path
+            memo = {}
     if options.rect is not None:
         re0, re1, im0, im1, nr, ni = options.rect
         targets += [

@@ -146,6 +146,22 @@ class TestSolve:
         assert "integration overflow on interval 0" in str(info.value)
 
 
+    @pytest.mark.parametrize("model, d_zero, count", [("machine_unit", 0.0, 1), ("pipeline", 0.5, 0)])
+    def test_real_split_scan_through_zero_frequency(self, model, d_zero, count, tmp_path):
+        # the real-split D(i p) of both models changes sign at p = 0, but
+        # only machine_unit has lambda = 0 as a zero of the complex-path D
+        problem = oscispec.build_model(model)
+        assert abs(spectrum.characteristic_determinant(problem, 0j, 1e-3)) == d_zero
+        code = _run(
+            "solve", "--model", model, "--path", "real_split", "--scan=-1:10:220",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        data = json.loads((tmp_path / "spectrum.json").read_text())
+        assert len(data) == count
+        assert all(abs(complex(rec["re"], rec["im"])) <= 1e-9 for rec in data)
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

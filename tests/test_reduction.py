@@ -133,10 +133,16 @@ class TestReduceRealSplit:
         np.testing.assert_allclose(val[:2, 2:], -p * c, atol=1e-15)
         np.testing.assert_allclose(val[2:, :2], p * c, atol=1e-15)
 
-    @given(a=matrices2, b=matrices2, c=matrices2, p=st.floats(0.0, 4.0))
+    @given(
+        a=st.tuples(matrices2, matrices2),
+        b=st.tuples(matrices2, matrices2),
+        c=st.tuples(matrices2, matrices2),
+        p=st.floats(0.0, 4.0),
+    )
     @settings(max_examples=25, deadline=None)
     def test_block_isomorphism_with_complex_path(self, a, b, c, p):
-        prob = _constant_problem(a, b, c)
+        # complex A, B, C: the real-split system is the realified complex one
+        prob = _constant_problem(*(re + 1j * im for re, im in (a, b, c)))
         mc = reduce_complex(prob, 1j * p).coefficient(0, 0.5)
         mr = reduce_real_split(prob, p).coefficient(0, 0.5)
         expected = np.block(
