@@ -209,24 +209,29 @@ def _config_from_args(args) -> RunConfig:
         cfg.params[key] = _parse_param_value(value)
     if getattr(args, "scan", None):
         lo, hi, n = _parse_colon_tuple(args.scan, (float, float, int), "--scan")
-        if not lo < hi or n < 2:
-            raise ConfigError("--scan needs MIN < MAX and N >= 2")
+        if not (np.isfinite([lo, hi]).all() and lo < hi) or n < 2:
+            raise ConfigError("--scan needs finite MIN < MAX and N >= 2")
         cfg.scan = (lo, hi, n)
     if getattr(args, "rect", None):
         cfg.rect = _parse_colon_tuple(
             args.rect, (float, float, float, float, int, int), "--rect"
         )
+        if not np.isfinite(cfg.rect[:4]).all() or min(cfg.rect[4:]) < 1:
+            raise ConfigError("--rect needs finite corners, NR >= 1 and NI >= 1")
     cfg.step = getattr(args, "step", None)
     cfg.target_error = getattr(args, "target_error", None)
     if cfg.step is not None and cfg.target_error is not None:
         raise ConfigError("give --step or --target-error, not both")
     cfg.tol = getattr(args, "tol", DEFAULT_TOL)
-    if cfg.tol <= 0:
-        raise ConfigError("--tol must be positive")
+    cfg.max_dev = getattr(args, "max_dev", VERIFY_MAX_DEV)
+    for flag, value in (("--step", cfg.step), ("--target-error", cfg.target_error),
+                        ("--tol", cfg.tol), ("--max-dev", cfg.max_dev)):
+        # written so that NaN fails too
+        if value is not None and not value > 0:
+            raise ConfigError(f"{flag} must be positive")
     cfg.path = getattr(args, "path", "complex")
     cfg.out_dir = Path(getattr(args, "out", "."))
     cfg.fmt = getattr(args, "format", "both")
-    cfg.max_dev = getattr(args, "max_dev", VERIFY_MAX_DEV)
     cfg.n_fd = getattr(args, "n_fd", cfg.n_fd)
     if getattr(args, "sweep", None):
         name, lo, hi, count = _parse_colon_tuple(
@@ -235,7 +240,7 @@ def _config_from_args(args) -> RunConfig:
         if count < 1:
             raise ConfigError("--sweep COUNT must be >= 1")
         cfg.sweep = (name, lo, hi, count)
-    if getattr(args, "indices", None):
+    if getattr(args, "indices", None) is not None:
         try:
             cfg.indices = tuple(int(t) for t in args.indices.split(","))
         except ValueError:

@@ -103,6 +103,10 @@ def realify(matrix: np.ndarray) -> np.ndarray:
     matrix by matrix.
     """
     re, im = np.real(matrix), np.imag(matrix)
-    top = np.concatenate([re, -im], axis=-1)
-    bottom = np.concatenate([im, re], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+    rows, cols = re.shape[-2:]
+    out = np.empty(re.shape[:-2] + (2 * rows, 2 * cols), dtype=re.dtype)
+    out[..., :rows, :cols] = re
+    np.negative(im, out=out[..., :rows, cols:])
+    out[..., rows:, :cols] = im
+    out[..., rows:, cols:] = re
+    return out

@@ -33,8 +33,10 @@ from .reduction import reduce_complex, reduce_real_split
 _EXP_CLAMP = 700.0
 
 #: matrix entries one coefficient array of a stacked y-dependent integration,
-#: or one sampled array of a stacked mode-shape propagation, may hold (4 MB
-#: complex); longer lambda stacks are evaluated in chunks
+#: or one sampled array of a stacked mode-shape propagation, may hold: 4 MB as
+#: N x N complex128, and 8 MB once the complex path holds it realified as
+#: 2N x 2N float64 during the propagation; longer lambda stacks are evaluated
+#: in chunks
 _STACK_ENTRIES = 1 << 18
 
 #: a scan flags a local minimum of |D| below this share of the grid median

@@ -99,6 +99,30 @@ class TestSolve:
         assert code == 1
         assert "scan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--scan", "0.1:5:50", "--step", "0"),
+            ("--scan", "0.1:5:50", "--step=-1e-3"),
+            ("--scan", "0.1:5:50", "--step", "nan"),
+            ("--scan", "0.1:5:50", "--target-error", "-1"),
+            ("--scan", "0.1:5:50", "--tol", "nan"),
+            ("--scan", "0.2:inf:10"),
+            ("--rect=0:1:1:5:0:0",),
+            ("--rect=0:1:1:5:3:0",),
+            ("--rect=nan:0:1:2:2:2",),
+        ],
+        ids=["zero_step", "negative_step", "nan_step", "negative_target_error",
+             "nan_tol", "infinite_scan", "empty_rect", "rect_without_im_points",
+             "nan_rect_corner"],
+    )
+    def test_bad_search_option_exits_1_before_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = _run("solve", "--model", "fixed_free_string", *argv, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_validation_failure_exits_1(self, tmp_path):
         data = problem_to_dict(make_string_problem())
         data["breakpoints"] = [0.0, 1.0, 0.5]
@@ -191,6 +215,16 @@ class TestModes:
         np.testing.assert_allclose(comp1, np.sin(math.pi / 2 * ys), atol=1e-6)
         all_vals = np.array([[float(c) for c in r[1:]] for r in rows])
         assert np.max(np.abs(all_vals)) <= 1.0 + 1e-12
+
+    def test_empty_indices_exit_1_before_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = _run(
+            "modes", "--model", "fixed_free_string", "--scan", "1.0:2.0:40",
+            "--indices", "", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --indices")
+        assert not out.exists()
 
     def test_index_out_of_range_exits_1(self, tmp_path, capsys):
         code = _run(
@@ -334,8 +368,11 @@ class TestVerifyAndValidate:
             ("--param", "bogus=1"),
             ("--param", "beta"),
             ("--n-fd", "10"),
+            ("--max-dev", "-1"),
+            ("--max-dev", "0"),
         ],
-        ids=["unknown_param", "param_without_value", "n_fd_below_floor"],
+        ids=["unknown_param", "param_without_value", "n_fd_below_floor",
+             "negative_max_dev", "zero_max_dev"],
     )
     def test_verify_bad_config_exits_1(self, argv, capsys):
         assert _run("verify", "machine_unit", *argv) == 1

@@ -18,7 +18,7 @@ from oscispec import (
     reduce_complex,
     reduce_real_split,
 )
-from oscispec.integrate import _chain_product, _constant_power
+from oscispec.integrate import _chain_product, _constant_power, _rk4_steps, _sampled_prefixes
 from oscispec.models import SCAN_DEFAULTS, build_model
 
 from conftest import identity_conjugation
@@ -132,6 +132,109 @@ class TestConstantFastPath:
             if keep_samples:
                 assert np.array_equal(fast.samples, ref.samples)
                 assert np.array_equal(fast.sample_ys, ref.sample_ys)
+
+
+def _random_complex(rng, shape, scale=1.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _complex_system(rng, varying):
+    """A one-interval complex system with random A(y) = A0 (+ y A1)."""
+    base = _system_from_matrix(np.zeros((2, 2)))
+    a0 = _random_complex(rng, (2, 2))
+    if varying:
+        a1 = _random_complex(rng, (2, 2))
+        return dataclasses.replace(
+            base,
+            coeff_batch=lambda i, ys: a0 + ys[:, np.newaxis, np.newaxis] * a1,
+            constant_coeffs=(None,),
+        )
+    return dataclasses.replace(
+        base,
+        coeff_batch=lambda i, ys: np.broadcast_to(a0, (len(ys), 2, 2)),
+        constant_coeffs=(a0,),
+    )
+
+
+class TestRealArithmetic:
+    """Complex systems are propagated as realified 2N x 2N real matrices."""
+
+    @pytest.mark.parametrize("varying", [False, True], ids=["constant", "y_varying"])
+    def test_matches_complex_sequential_product(self, varying):
+        system = _complex_system(np.random.default_rng(11), varying)
+        n, h = 100, 0.01
+        fm = integrate_fundamental(system, 0, h, keep_samples=True)
+        end = integrate_fundamental(system, 0, h).end_matrix
+        assert fm.samples.dtype == end.dtype == complex
+        ys = h * np.arange(n + 1)
+        a_nodes = system.coeff_batch(0, ys)
+        steps = _rk4_steps(a_nodes[:-1], system.coeff_batch(0, ys[:-1] + 0.5 * h), a_nodes[1:], h)
+        transfer = np.eye(2, dtype=complex)
+        want = [transfer.T]
+        for s in steps:
+            transfer = s @ transfer
+            want.append(transfer.T)
+        np.testing.assert_allclose(fm.samples, np.array(want), rtol=1e-12)
+        np.testing.assert_allclose(end, want[-1], rtol=1e-12)
+        np.testing.assert_allclose(fm.end_matrix, want[-1], rtol=1e-12)
+
+    @pytest.mark.parametrize("keep_samples", [False, True])
+    def test_complex_path_is_the_real_split_propagation(self, keep_samples):
+        # on the imaginary axis the real-split coefficients are the realified
+        # complex ones, so both paths run the very same real products
+        problem = build_model("spacecraft_bar")
+        p = 1.3
+        cplx = integrate_fundamental(reduce_complex(problem, 1j * p), 0, 3e-3, keep_samples)
+        split = integrate_fundamental(reduce_real_split(problem, p), 0, 3e-3, keep_samples)
+        n = problem.dim
+        assert np.array_equal(cplx.end_matrix.real, split.end_matrix[:n, :n])
+        assert np.array_equal(cplx.end_matrix.imag, split.end_matrix[:n, n:])
+        if keep_samples:
+            assert np.array_equal(cplx.samples.real, split.samples[..., :n, :n])
+            assert np.array_equal(cplx.samples.imag, split.samples[..., :n, n:])
+
+    @pytest.mark.parametrize("name", ["spacecraft_bar", "cable_snapshot"])
+    @pytest.mark.parametrize("general", [False, True], ids=["constant", "general"])
+    def test_stack_samples_equal_one_lambda_at_a_time(self, name, general):
+        problem = build_model(name)
+        lams = np.array([0.4j, -0.05 + 1.7j, -0.3 + 6.2j])
+        stacked = reduce_complex(problem, lams)
+        singles = [reduce_complex(problem, z) for z in lams.tolist()]
+        if general:
+            n = problem.partition.n_intervals
+            stacked = dataclasses.replace(stacked, constant_coeffs=(None,) * n)
+            singles = [dataclasses.replace(s, constant_coeffs=(None,) * n) for s in singles]
+        for i in range(problem.partition.n_intervals):
+            fm = integrate_fundamental(stacked, i, 3e-3, keep_samples=True)
+            for k, single in enumerate(singles):
+                one = integrate_fundamental(single, i, 3e-3, keep_samples=True)
+                assert fm.samples[:, k].tobytes() == one.samples.tobytes()
+                assert fm.end_matrix[k].tobytes() == one.end_matrix.tobytes()
+
+
+BLOCK_EDGES = [1, 2, 3, 15, 16, 17, 1000, 1023, 1024, 1025]
+
+
+class TestSampledPrefixes:
+    """Sampled transfer matrices come from blocked prefix products."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_matches_sequential_loop(self, n):
+        rng = np.random.default_rng(n)
+        steps = np.eye(4) + 1e-3 * rng.standard_normal((n, 3, 4, 4))
+        got = _sampled_prefixes(steps.copy(), n)
+        transfer = np.broadcast_to(np.eye(4), (3, 4, 4))
+        assert np.array_equal(got[0], transfer)
+        for j in range(n):
+            transfer = steps[j] @ transfer
+            np.testing.assert_allclose(got[j + 1], transfer, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_constant_bit_identical_to_general(self, n):
+        rng = np.random.default_rng(n)
+        step = np.eye(4) + 1e-3 * rng.standard_normal((2, 4, 4))
+        general = _sampled_prefixes(np.repeat(step[np.newaxis], n, axis=0), n)
+        assert _sampled_prefixes(step[np.newaxis], n).tobytes() == general.tobytes()
 
 
 class TestSemigroup:
