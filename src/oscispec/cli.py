@@ -245,6 +245,8 @@ def _config_from_args(args) -> RunConfig:
             cfg.indices = tuple(int(t) for t in args.indices.split(","))
         except ValueError:
             raise ConfigError(f"--indices expects integers, got {args.indices!r}") from None
+        if min(cfg.indices) < 1:
+            raise ConfigError(f"--indices are 1-based, got {args.indices!r}")
     return cfg
 
 
@@ -357,12 +359,10 @@ def cmd_modes(cfg: RunConfig) -> int:
     results = solve_spectrum(problem, opts)
     step = resolve_step(problem, opts)
     for index in cfg.indices:
-        if not (1 <= index <= len(results)):
-            print(
-                f"mode index {index} out of range: {len(results)} root(s) found",
-                file=sys.stderr,
+        if index > len(results):
+            raise ConfigError(
+                f"--indices: mode index {index} out of range: {len(results)} root(s) found"
             )
-            return 1
     lams = [results[index - 1].lam for index in cfg.indices]
     for index, shape in zip(cfg.indices, mode_shapes(problem, lams, step, cfg.path)):
         path = _write_mode(shape, index, cfg)

@@ -4,9 +4,10 @@ Substituting z(y, t) = phi(y) exp(lam t) turns the second-order-in-time
 problem into dphi/dy = [A(y) + lam^2 B(y) + lam C(y)] phi.  Two routes are
 provided: the complex path keeps the N-dimensional complex system, the
 real-split path separates real and imaginary parts of phi at lam = i*p into
-a 2N-dimensional real system, the realified complex one.  Eigenvalues are complex lam = q + i*p with
-q the growth/decay rate and p the angular frequency; reported spectra use
-the p >= 0 convention (conjugate pairs deduplicated).
+a 2N-dimensional real system, the realified complex one, which only mode
+shapes use.  Eigenvalues are complex lam = q + i*p with q the growth/decay
+rate and p the angular frequency; reported spectra use the p >= 0
+convention (conjugate pairs deduplicated).
 """
 
 from __future__ import annotations

@@ -239,9 +239,8 @@ def characteristic_determinant(
     problem: ProblemDefinition,
     lam: complex | np.ndarray,
     step: float,
-    path: str = "complex",
 ) -> complex | np.ndarray:
-    """Scale-stabilized characteristic determinant D(lambda).
+    """Scale-stabilized characteristic determinant D(lambda) of the complex system.
 
     For a 1-D array of lambdas the whole stack is evaluated in one pass,
     with the same arithmetic as one lambda at a time and bit-identical
@@ -250,22 +249,22 @@ def characteristic_determinant(
     the one of the first failing lambda.
     """
     if not isinstance(lam, np.ndarray) or lam.ndim == 0:
-        return _determinant(problem, complex(lam), step, path)
+        return _determinant(problem, complex(lam), step)
     lams = lam.astype(complex, copy=False)
-    chunk = _stack_chunk(problem, step, path) or max(len(lams), 1)
+    chunk = _stack_chunk(problem, step, "complex") or max(len(lams), 1)
     try:
         parts = [
-            _determinant(problem, lams[i : i + chunk], step, path)
+            _determinant(problem, lams[i : i + chunk], step)
             for i in range(0, len(lams), chunk)
         ]
     except SolverError:
         # one at a time, in order: the first failing lambda raises
-        parts = [[_determinant(problem, z, step, path) for z in lams.tolist()]]
+        parts = [[_determinant(problem, z, step) for z in lams.tolist()]]
     return np.concatenate(parts) if parts else np.empty(0, dtype=complex)
 
 
-def _determinant(problem: ProblemDefinition, lam, step: float, path: str):
-    reduced = _reduce(problem, lam, path)
+def _determinant(problem: ProblemDefinition, lam, step: float):
+    reduced = reduce_complex(problem, lam)
     _, _, w, closure = _assemble(reduced, step, keep_samples=False)
     return _normalized_det(closure, w)
 
@@ -295,28 +294,27 @@ def scan_real_axis(
     p_max: float,
     n_grid: int,
     step: float,
-    path: str = "complex",
 ) -> list[Bracket]:
     """Locate root candidates of D(i p) on a uniform frequency grid.
 
     Returns sign-change intervals of Re D, plus local minima of |D| below
     _MINIMUM_RATIO times the grid median as candidate roots.  Grids
-    too coarse to separate neighboring roots merge their brackets.
+    too coarse to separate neighboring roots merge their brackets.  Both
+    paths search from these brackets.
     """
-    return _scan(problem, p_min, p_max, n_grid, step, path)[0]
+    return _scan(problem, p_min, p_max, n_grid, step)[0]
 
 
-def _scan(problem, p_min, p_max, n_grid, step, path):
+def _scan(problem, p_min, p_max, n_grid, step):
     """scan_real_axis's brackets, and a determinant memo holding the grid's
-    values; on the complex path it serves a refinement at the same problem
-    and step."""
+    values; it serves a refinement at the same problem and step."""
     if not (p_min < p_max):
         raise ValueError("need p_min < p_max")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     ps = np.linspace(p_min, p_max, n_grid)
     lams = 1j * ps
-    dvals = characteristic_determinant(problem, lams, step, path)
+    dvals = characteristic_determinant(problem, lams, step)
     f = dvals.real
     mag = np.abs(dvals)
 
@@ -361,20 +359,20 @@ def refine_root(
     refined by damped Newton: from a point on the frequency axis with the
     step of the analytic closure determinant (_frozen_scale_derivative),
     from any other seed with the central difference of D along Re.  The
-    real-split roots are the zeros of D on the frequency axis, so on that
-    path every candidate, bracket or seed, is refined by damped Gauss-Newton
-    along the axis, and a point is a root only where |D| has fallen to
-    _AXIS_ROOT of its value at the seed.  Newton stops with a reason when
-    halving its step 25 times does not lower |D| ("stagnated") or when D is
-    not finite.  The seed and each full Newton step are evaluated in one
-    stack with the difference pair the next step needs there (a halved
-    retry, or a step more than ten times the size of lambda, goes alone).
+    real-split roots are the zeros of D on the frequency axis.  On that path
+    a sign-change bracket across which Im D keeps one sign exits "no zero on
+    the axis" with no evaluation of its own; every other candidate is
+    refined by damped Gauss-Newton along the axis (_newton).  Newton stops
+    with a reason when halving its step 25 times does not lower |D|
+    ("stagnated") or when D is not finite.  The seed and each full Newton
+    step are evaluated in one stack with the difference pair the next step
+    needs there (a halved retry, or a step more than ten times the size of
+    lambda, goes alone).
 
     Every value is computed once, with this call's step: a memo answers
     each lambda already evaluated.  solve_spectrum refines all its
     candidates at once (_refine_all) with the same steps and the same
-    results, and on the complex path its memo also holds the scan's grid
-    values.
+    results, and its memo also holds the scan's grid values.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -483,8 +481,8 @@ def _run(steps, dfun, memo=None, request=None):
 
 def _refine_steps(target: Bracket | complex, tol, max_iter, path):
     if isinstance(target, Bracket):
-        if target.kind == "sign_change" and path == "complex":
-            return _bisect_bracket(target, tol, max_iter)
+        if target.kind == "sign_change":
+            return _bisect_bracket(target, tol, max_iter, path)
         seed = 1j * target.p_seed
     else:
         seed = complex(target)
@@ -503,16 +501,15 @@ def _refine_all(
     """Refine every target in lockstep, one result per target in order.
 
     One memo of complex-path determinants serves the whole solve;
-    solve_spectrum passes the one a complex-path scan filled, so bracket
-    ends and a minimum's seed are not evaluated again.  Each round answers
-    from it every request it can, then gathers the lambdas still unknown to
-    every live candidate and evaluates them with one
-    characteristic_determinant call (_fetch), so a solve costs
-    as many calls as its longest candidate chain and evaluates no lambda
-    twice.  The values are those of refine_root, bit for bit.  If a round
-    fails at a needed lambda, the live candidates are finished one at a time
-    in target order, so the error raised is the one refining the targets one
-    after another raises.
+    solve_spectrum passes the one its scan filled, so bracket ends and a
+    minimum's seed are not evaluated again.  Each round answers from it
+    every request it can, then gathers the lambdas still unknown to every
+    live candidate and evaluates them with one characteristic_determinant
+    call (_fetch), so a solve costs as many calls as its longest candidate
+    chain and evaluates no lambda twice.  The values are those of
+    refine_root, bit for bit.  If a round fails at a needed lambda, the live
+    candidates are finished one at a time in target order, so the error
+    raised is the one refining the targets one after another raises.
     """
 
     def dfun(lam):
@@ -545,19 +542,27 @@ def _refine_all(
         replies = {k: _recall(request, memo) for k, request in requests.items()}
 
 
-def _bisect_bracket(bracket: Bracket, tol, max_iter):
+def _bisect_bracket(bracket: Bracket, tol, max_iter, path):
     lo, hi = bracket.p_lo, bracket.p_hi
     d_lo = yield 1j * lo
     d_hi = yield 1j * hi
     f_lo, f_hi = d_lo.real, d_hi.real
     iters = 0
     if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or f_lo * f_hi > 0:
-        return (yield from _newton(1j * bracket.p_seed, tol, max_iter, "complex"))
+        return (yield from _newton(1j * bracket.p_seed, tol, max_iter, path))
+    seed = 1j * _false_position(lo, hi, f_lo, f_hi)
+    if path == "real_split":
+        if d_lo.imag * d_hi.imag > 0:
+            # Im D keeps one sign: at the scan's resolution D has no zero here
+            end, d = min((lo, d_lo), (hi, d_hi), key=lambda e: abs(e[1]))
+            return SpectralResult(1j * end, abs(d), 0, False, "no zero on the axis")
+        # the seed can lie so close to the root that D there is near its
+        # rounding floor: the axis test measures against the ends' |D|
+        return (yield from _newton(seed, tol, max_iter, path, max(abs(d_lo), abs(d_hi))))
     if d_lo.imag != 0.0 or d_hi.imag != 0.0:
         # D is complex on the axis (a damped model): Re D = 0 there is no
         # root, and the root near the crossing lies off the axis
-        seed = 1j * _false_position(lo, hi, f_lo, f_hi)
-        return (yield from _newton(seed, tol, max_iter, "complex"))
+        return (yield from _newton(seed, tol, max_iter, path))
     d_mid = d_lo
     mid = lo
     kept = 0  # the end the last step kept: -1 lo, +1 hi
@@ -589,7 +594,7 @@ def _bisect_bracket(bracket: Bracket, tol, max_iter):
         return SpectralResult(1j * mid, residual, iters, converged=True)
     # Re D crossed zero without |D| vanishing: not a root on the axis, so
     # hand the last point to Newton in the complex plane.
-    newton = yield from _newton(1j * mid, tol, max_iter, "complex")
+    newton = yield from _newton(1j * mid, tol, max_iter, path)
     return SpectralResult(
         newton.lam,
         newton.residual,
@@ -648,19 +653,19 @@ def _frozen_scale_derivative(d: complex, d_re: complex, d_im: complex) -> comple
     return d_re + d * ((d_im - 1j * d_re) / d).imag
 
 
-def _newton(seed: complex, tol, max_iter, path):
+def _newton(seed: complex, tol, max_iter, path, scale=0.0):
     """Damped Newton from seed, with one of three difference stencils.
 
     On the real-split path the search stays on the frequency axis ("axis")
     and takes the Gauss-Newton step along p, which minimizes the linearized
     |D| there and is Newton's step at a simple zero on the axis; the point
     it ends at is a root only where |D| has fallen to _AXIS_ROOT of its
-    value at the seed, else the exit is "no zero on the axis".  On the
-    complex path a seed on the axis, where scan brackets start it,
-    takes the Newton step of the analytic closure determinant from the
-    "plane" stencil (_frozen_scale_derivative), and a step longer than ten
-    times max(|lambda|, 1) is cut to that length; any other seed keeps the
-    central difference of D along Re ("re").
+    value at the seed, or of scale where that is larger, else the exit is
+    "no zero on the axis".  On the complex path a seed on the axis, where
+    scan brackets start it, takes the Newton step of the analytic closure
+    determinant from the "plane" stencil (_frozen_scale_derivative), and a
+    step longer than ten times max(|lambda|, 1) is cut to that length; any
+    other seed keeps the central difference of D along Re ("re").
     """
     if path == "real_split":
         stencil, lam = "axis", 1j * seed.imag
@@ -732,7 +737,7 @@ def _newton(seed: complex, tol, max_iter, path):
         message = "max_iter exceeded; suspected multiple root"
 
     if stencil == "axis":
-        if best_res > _AXIS_ROOT * d0:
+        if best_res > _AXIS_ROOT * max(d0, scale):
             return SpectralResult(best_lam, best_res, iters, False, "no zero on the axis")
         return SpectralResult(best_lam, best_res, iters, True, message)
 
@@ -863,20 +868,18 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     (_refine_all), with the results and errors of refine_root applied to
     each in turn.  Returns converged roots only, with Im >= 0 (conjugate
     pairs reported once), sorted by |Im| then Re.  An empty list is a valid
-    answer.  A non-positive tol is rejected before the scan.
+    answer.  A non-positive tol or an unknown path is rejected before the scan.
     """
     if options.tol <= 0:
         raise ValueError("tol must be positive")
+    if options.path not in ("complex", "real_split"):
+        raise ValueError(f"unknown path {options.path!r}")
     step = resolve_step(problem, options)
     targets: list[Bracket | complex] = []
     memo: dict[bytes, complex] = {}
     if options.scan is not None:
         p_min, p_max, n_grid = options.scan
-        targets, memo = _scan(problem, p_min, p_max, n_grid, step, options.path)
-        if options.path == "real_split":
-            # the scan's values are real-split determinants; refinement
-            # evaluates the complex path
-            memo = {}
+        targets, memo = _scan(problem, p_min, p_max, n_grid, step)
     if options.rect is not None:
         re0, re1, im0, im1, nr, ni = options.rect
         targets += [
@@ -908,7 +911,7 @@ def resolve_step(problem: ProblemDefinition, options: SolveOptions) -> float:
         re0, re1, im0, im1, _, _ = options.rect
         probes.append(max(abs(re0), abs(re1)) + max(abs(im0), abs(im1)))
     lam_scale = max(probes)
-    reduced = _reduce(problem, 1j * lam_scale, "complex")
+    reduced = reduce_complex(problem, 1j * lam_scale)
     return estimate_step(reduced, options.target_error)
 
 

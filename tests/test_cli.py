@@ -172,8 +172,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("model, d_zero, count", [("machine_unit", 0.0, 1), ("pipeline", 0.5, 0)])
     def test_real_split_scan_through_zero_frequency(self, model, d_zero, count, tmp_path):
-        # the real-split D(i p) of both models changes sign at p = 0, but
-        # only machine_unit has lambda = 0 as a zero of the complex-path D
+        # the real-split search runs on the complex-path D, and only
+        # machine_unit has lambda = 0 as a zero of it
         problem = oscispec.build_model(model)
         assert abs(spectrum.characteristic_determinant(problem, 0j, 1e-3)) == d_zero
         code = _run(
@@ -232,7 +232,22 @@ class TestModes:
             "--indices", "7", "--out", str(tmp_path),
         )
         assert code == 1
-        assert "out of range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --indices") and "out of range" in err
+
+    @pytest.mark.parametrize("indices", ["0", "1,-2"])
+    def test_index_below_1_exits_1_before_the_solve(self, indices, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectrum, "characteristic_determinant", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        code = _run(
+            "modes", "--model", "fixed_free_string", "--scan", "1.0:2.0:40",
+            "--indices", indices, "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --indices")
+        assert calls == []
+        assert not out.exists()
 
     def test_real_split_mode_doubles_components(self, tmp_path):
         code = _run(

@@ -380,14 +380,14 @@ def _off_axis(n):
     return rng.uniform(-0.5, 0.0, n) + 1j * rng.uniform(0.2, 9.0, n)
 
 
-def _per_lambda(problem, lams, step, path="complex"):
-    return np.array([characteristic_determinant(problem, z, step, path) for z in lams.tolist()])
+def _per_lambda(problem, lams, step):
+    return np.array([characteristic_determinant(problem, z, step) for z in lams.tolist()])
 
 
-def _first_error(problem, lams, step, path="complex"):
+def _first_error(problem, lams, step):
     for z in lams.tolist():
         try:
-            characteristic_determinant(problem, z, step, path)
+            characteristic_determinant(problem, z, step)
         except SolverError as exc:
             return exc
     raise AssertionError("no lambda of the loop failed")
@@ -397,14 +397,13 @@ class TestStackedDeterminant:
     """A stack of lambdas gives, bit for bit, what one lambda at a time gives."""
 
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
-    @pytest.mark.parametrize("path", ["complex", "real_split"])
-    def test_scan_grid_bit_identical(self, name, path):
+    def test_scan_grid_bit_identical(self, name):
         p_min, p_max, n_grid = SCAN_DEFAULTS[name]
         problem = build_model(name)
         lams = 1j * np.linspace(p_min, p_max, n_grid)
-        stacked = characteristic_determinant(problem, lams, 1e-3, path)
+        stacked = characteristic_determinant(problem, lams, 1e-3)
         assert stacked.shape == (n_grid,) and stacked.dtype == complex
-        assert stacked.tobytes() == _per_lambda(problem, lams, 1e-3, path).tobytes()
+        assert stacked.tobytes() == _per_lambda(problem, lams, 1e-3).tobytes()
 
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     def test_off_axis_bit_identical(self, name):
@@ -426,12 +425,11 @@ class TestStackedDeterminant:
         ],
         ids=["y_varying", "y_varying_lambda", "machine_unit_breakpoint", "point_mass_breakpoint"],
     )
-    @pytest.mark.parametrize("path", ["complex", "real_split"])
-    def test_general_path_and_interfaces_bit_identical(self, make, path):
+    def test_general_path_and_interfaces_bit_identical(self, make):
         problem = make()
-        lams = _off_axis(60) if path == "complex" else 1j * np.linspace(0.2, 10.0, 60)
-        stacked = characteristic_determinant(problem, lams, 2e-3, path)
-        assert stacked.tobytes() == _per_lambda(problem, lams, 2e-3, path).tobytes()
+        lams = _off_axis(60)
+        stacked = characteristic_determinant(problem, lams, 2e-3)
+        assert stacked.tobytes() == _per_lambda(problem, lams, 2e-3).tobytes()
 
     def test_chunked_stack_bit_identical(self, monkeypatch):
         problem = _y_varying_problem()
@@ -532,10 +530,10 @@ class TestStackedDeterminant:
         stacked = refine_all()
         original = spectrum.characteristic_determinant
 
-        def one_at_a_time(problem, lam, step, path="complex"):
+        def one_at_a_time(problem, lam, step):
             if np.ndim(lam) == 0:
-                return original(problem, lam, step, path)
-            return np.array([original(problem, z, step, path) for z in lam.tolist()])
+                return original(problem, lam, step)
+            return np.array([original(problem, z, step) for z in lam.tolist()])
 
         monkeypatch.setattr(spectrum, "characteristic_determinant", one_at_a_time)
         looped = refine_all()
@@ -550,9 +548,9 @@ def det_calls(monkeypatch):
     calls = []
     original = spectrum.characteristic_determinant
 
-    def counting(problem, lam, step, path="complex"):
+    def counting(problem, lam, step):
         calls.append(lam)
-        return original(problem, lam, step, path)
+        return original(problem, lam, step)
 
     monkeypatch.setattr(spectrum, "characteristic_determinant", counting)
     return calls
@@ -594,7 +592,7 @@ class TestSuperlinearRefinement:
             return complex(p**10 - 0.5)
 
         root = 0.5**0.1 if kept == "hi" else 1.0 - 0.5**0.1
-        res = spectrum._run(spectrum._bisect_bracket(Bracket(0.0, 1.0, "sign_change", 0.5), 1e-12, 100), dfun)
+        res = spectrum._run(spectrum._bisect_bracket(Bracket(0.0, 1.0, "sign_change", 0.5), 1e-12, 100, "complex"), dfun)
         assert res.converged
         assert res.lam.imag == pytest.approx(root, abs=1e-11)
         assert res.iterations <= 20
@@ -643,15 +641,17 @@ class TestSuperlinearRefinement:
 
     def test_real_split_without_axis_roots_stagnates(self, det_calls):
         # spacecraft_bar has no root on the axis.  Its minimum seeds used to
-        # accept steps that raised |D| and made 4,434 calls in all, and then
-        # stagnated on the real-split determinant in 129
+        # accept steps that raised |D| and made 4,434 calls in all, then
+        # stagnated on the real-split determinant in 129, and on the
+        # complex-path D from the split scan's seeds in 12.  Im D keeps one
+        # sign across each bracket of the scan of D: only the scan is left
         prob = build_model("spacecraft_bar")
         options = SolveOptions(scan=SCAN_DEFAULTS["spacecraft_bar"], path="real_split")
         assert solve_spectrum(prob, options) == []
-        assert len(det_calls) <= 400
+        assert len(det_calls) <= 1
 
         step = spectrum.resolve_step(prob, options)
-        brackets = scan_real_axis(prob, *options.scan, step=step, path="real_split")
+        brackets = scan_real_axis(prob, *options.scan, step=step)
         results = [refine_root(prob, b, step=step, path="real_split") for b in brackets]
         assert results and all(r.message == "no zero on the axis" for r in results)
         assert not any(r.converged for r in results)
@@ -664,6 +664,57 @@ class TestSuperlinearRefinement:
         res = refine_root(prob, 0.01j, step=1e-3, path="real_split")
         assert not res.converged
         assert res.message == "no zero on the axis"
+
+    @staticmethod
+    def _on_axis(monkeypatch, d_of_p):
+        """Stub characteristic_determinant with D(lambda) = d_of_p(Im lambda);
+        returns the list of the lambdas of its calls."""
+        calls = []
+
+        def stub(problem, lam, step):
+            calls.append(lam)
+            d = d_of_p(np.imag(lam)) + 0j
+            return complex(d) if np.ndim(d) == 0 else d
+
+        monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
+        return calls
+
+    def test_real_split_bracket_where_im_d_keeps_its_sign(self, monkeypatch):
+        # a damped crossing: Re D changes sign at p = 2, Im D stays 0.5
+        calls = self._on_axis(monkeypatch, lambda p: (p - 2.0) + 0.5j)
+        options = SolveOptions(scan=(1.0, 3.0, 20), step=1e-3, path="real_split")
+        assert solve_spectrum(None, options) == []
+        assert len(calls) == 1  # the scan; refinement reads the bracket ends from its memo
+        (bracket,) = scan_real_axis(None, *options.scan, step=1e-3)
+        del calls[:]
+        res = refine_root(None, bracket, step=1e-3, path="real_split")
+        assert len(calls) == 2  # the bracket ends, and nothing more
+        nearer = min(bracket.p_lo, bracket.p_hi, key=lambda p: abs(p - 2.0))
+        assert (res.lam, res.iterations, res.converged) == (1j * nearer, 0, False)
+        assert res.residual == abs(nearer - 2.0 + 0.5j)
+        assert res.message == "no zero on the axis"
+
+    def test_real_split_bracket_with_a_complex_root_on_the_axis(self, monkeypatch):
+        # Re D and Im D change sign together: Gauss-Newton along the axis
+        self._on_axis(monkeypatch, lambda p: (p - 2.0) * (1 + 0.3j))
+        options = SolveOptions(scan=(1.0, 3.0, 20), step=1e-3, path="real_split")
+        (root,) = solve_spectrum(None, options)
+        assert root.converged and abs(root.lam - 2j) <= 1e-10
+
+    @pytest.mark.parametrize("scan", [(1.5707, 1.5709, 50), (1.5707963, 1.5707964, 20)])
+    def test_real_split_bracket_on_a_narrow_scan(self, fixed_free_string, scan):
+        # the false-position point lies within 3e-12 of the root, where |D|
+        # (4e-12, 9e-15) is near its rounding floor: measured against |D|
+        # there alone, Newton cannot lower it 1e5-fold and rejects the root
+        options = SolveOptions(scan=scan, step=1e-3, path="real_split")
+        (root,) = solve_spectrum(fixed_free_string, options)
+        assert root.lam.imag == pytest.approx(HALF_PI, abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["machine_unit", "pipeline", "spacecraft_bar"])
+    def test_real_split_solve_of_a_damped_model_is_its_scan(self, name, det_calls):
+        options = SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3, path="real_split")
+        assert solve_spectrum(build_model(name), options) == []
+        assert len(det_calls) == 1
 
     @pytest.mark.parametrize(
         "strip, root, seed, message",
@@ -696,7 +747,7 @@ class TestSuperlinearRefinement:
             d = np.where(bad, complex("nan+nanj"), lam.imag - 1.45 + 0j)
             return complex(d) if d.ndim == 0 else d
 
-        res = spectrum._run(spectrum._bisect_bracket(Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100), dfun)
+        res = spectrum._run(spectrum._bisect_bracket(Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100, "complex"), dfun)
         assert not res.converged
         assert res.message == "determinant not finite at the seed"
 
@@ -732,7 +783,7 @@ def _targets(problem, options, step):
     """The candidates of a solve, in the order solve_spectrum refines them."""
     targets = []
     if options.scan is not None:
-        targets += scan_real_axis(problem, *options.scan, step=step, path=options.path)
+        targets += scan_real_axis(problem, *options.scan, step=step)
     if options.rect is not None:
         re0, re1, im0, im1, nr, ni = options.rect
         targets += [complex(re, im) for re in np.linspace(re0, re1, nr)
@@ -762,14 +813,20 @@ class TestLockstepRefinement:
         assert _fields(solve_spectrum(problem, options)) == _fields(expected)
 
     def test_calls_follow_the_longest_chain(self, fixed_free_string, det_calls):
-        # at the benchmark's scan window the three chains take 4, 3 and 4
-        # calls: 11 one after another, 4 in lockstep
+        # at the benchmark's scan window the three chains, answered from the
+        # scan's memo as in a solve, take 3 calls each: 9 one after another,
+        # 3 in lockstep
         options = SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="real_split")
-        brackets = scan_real_axis(fixed_free_string, *options.scan, step=1e-3, path="real_split")
+        brackets, memo = spectrum._scan(fixed_free_string, *options.scan, step=1e-3)
+
+        def dfun(lam):
+            return spectrum.characteristic_determinant(fixed_free_string, lam, 1e-3)
+
         chains = []
         for b in brackets:
             del det_calls[:]
-            refine_root(fixed_free_string, b, step=1e-3, path="real_split")
+            steps = spectrum._refine_steps(b, options.tol, options.max_iter, options.path)
+            spectrum._run(steps, dfun, memo=dict(memo))
             chains.append(len(det_calls))
         assert len(chains) >= 2 and max(chains) < sum(chains)
         del det_calls[:]
@@ -781,6 +838,11 @@ class TestLockstepRefinement:
     def test_non_positive_tol_is_rejected_before_the_scan(self, fixed_free_string, det_calls, scan, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_spectrum(fixed_free_string, SolveOptions(scan=scan, step=1e-3, tol=tol))
+        assert det_calls == []
+
+    def test_unknown_path_is_rejected_before_the_scan(self, fixed_free_string, det_calls):
+        with pytest.raises(ValueError, match="unknown path 'split'"):
+            solve_spectrum(fixed_free_string, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="split"))
         assert det_calls == []
 
     def test_failing_round_raises_the_sequential_loops_error(self, monkeypatch):
@@ -813,7 +875,7 @@ class TestLockstepRefinement:
 
         raised = []
 
-        def stub(problem, lam, step, path="complex"):
+        def stub(problem, lam, step):
             for z in np.atleast_1d(lam).tolist():
                 if z in poison:
                     error, where = poison[z]
@@ -856,23 +918,25 @@ def _keys(lams):
 
 
 #: determinant calls of solve_spectrum at SCAN_DEFAULTS, step 1e-3: the scan
-#: and the refinement rounds (in comments the calls before values were reused
-#: in brackets, and on real_split before refinement on the complex-path D)
+#: and the refinement rounds.  In comments the calls before values were
+#: reused; on real_split, first the calls while the search scanned the split
+#: determinant and seeded refinement on the complex-path D, then before it
+#: refined on that D
 SOLVE_CALLS = {
     ("cable_snapshot", "complex"): 7,  # 9
-    ("cable_snapshot", "real_split"): 5,  # 8
+    ("cable_snapshot", "real_split"): 5,  # 5, 8
     ("fixed_fixed_string", "complex"): 6,  # 8
-    ("fixed_fixed_string", "real_split"): 5,  # 8
+    ("fixed_fixed_string", "real_split"): 4,  # 5, 8
     ("fixed_free_string", "complex"): 6,  # 8
-    ("fixed_free_string", "real_split"): 5,  # 8
+    ("fixed_free_string", "real_split"): 4,  # 5, 8
     ("machine_unit", "complex"): 11,  # 17
-    ("machine_unit", "real_split"): 7,  # 138
+    ("machine_unit", "real_split"): 1,  # 7, 138
     ("pipeline", "complex"): 11,  # 17
-    ("pipeline", "real_split"): 8,  # 251
+    ("pipeline", "real_split"): 1,  # 8, 251
     ("point_mass_string", "complex"): 7,  # 9
-    ("point_mass_string", "real_split"): 5,  # 8
+    ("point_mass_string", "real_split"): 5,  # 5, 8
     ("spacecraft_bar", "complex"): 17,  # 25
-    ("spacecraft_bar", "real_split"): 15,  # 129
+    ("spacecraft_bar", "real_split"): 1,  # 12, 129
 }
 
 
@@ -883,14 +947,12 @@ class TestDeterminantMemo:
 
     @pytest.mark.parametrize("name, path", sorted(SOLVE_CALLS))
     def test_solve_evaluates_each_lambda_once(self, name, path, monkeypatch):
-        # refinement evaluates the complex path after a real-split scan too,
-        # so a value is known by its path and its lambda
         calls = []
         original = spectrum.characteristic_determinant
 
-        def recording(problem, lam, step, path="complex"):
-            calls.append([(path, key) for key in _keys(lam)])
-            return original(problem, lam, step, path)
+        def recording(problem, lam, step):
+            calls.append(_keys(lam))
+            return original(problem, lam, step)
 
         monkeypatch.setattr(spectrum, "characteristic_determinant", recording)
         problem = build_model(name)
@@ -1006,7 +1068,7 @@ class TestDeterminantMemo:
         lambda of a call; returns the list of lambdas it raised at."""
         raised = []
 
-        def stub(problem, lam, step, path="complex"):
+        def stub(problem, lam, step):
             for z in np.atleast_1d(lam).tolist():
                 if z in poison:
                     raised.append(z)
@@ -1042,7 +1104,7 @@ class TestDeterminantMemo:
         def run(poison):
             calls = []
 
-            def stub(problem, lam, step, path="complex"):
+            def stub(problem, lam, step):
                 calls.append(lam)
                 if poison in np.atleast_1d(lam).tolist():
                     raise PropagationError(1, poison, "stub")
@@ -1081,6 +1143,41 @@ class TestDeterminantMemo:
             refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3)
         assert got.value.lam == point
         assert raised == [point]  # not evaluated a second time alone
+
+
+class TestStackedRealSplitPropagation:
+    """The sampled 2N-dimensional propagation that real-split mode shapes run
+    gives, bit for bit, for a stack of lambdas on the axis what one lambda at
+    a time gives: samples, coefficient tables and closure matrices."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda name=name: build_model(name) for name in sorted(SCAN_DEFAULTS)] + [
+            _y_varying_problem,
+            _y_varying_lambda_problem,
+            lambda: insert_breakpoint(build_model("machine_unit"), 0.37),
+            lambda: insert_breakpoint(build_model("point_mass_string"), 0.8),
+        ],
+        ids=sorted(SCAN_DEFAULTS) + [
+            "y_varying", "y_varying_lambda", "machine_unit_breakpoint", "point_mass_breakpoint",
+        ],
+    )
+    def test_sampled_stack_bit_identical(self, make):
+        problem = make()
+        lams = 1j * np.linspace(0.2, 10.0, 6)
+        u_tables, fundamentals, w, closure = _assemble(
+            spectrum._reduce(problem, lams, "real_split"), 2e-3, keep_samples=True
+        )
+        assert closure.shape[0] == len(lams) and closure.dtype == float
+        for k, z in enumerate(lams.tolist()):
+            alone = _assemble(spectrum._reduce(problem, z, "real_split"), 2e-3, keep_samples=True)
+            assert [u[k].tobytes() for u in u_tables] == [u.tobytes() for u in alone[0]]
+            for got, want in zip(fundamentals, alone[1], strict=True):
+                assert got.end_matrix[k].tobytes() == want.end_matrix.tobytes()
+                assert got.sample_ys.tobytes() == want.sample_ys.tobytes()
+                assert got.samples[:, k].tobytes() == want.samples.tobytes()
+            assert w[k].tobytes() == alone[2].tobytes()
+            assert closure[k].tobytes() == alone[3].tobytes()
 
 
 MODE_CASES = [
