@@ -454,6 +454,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"{i + 1:4d}  {s.real:13.6e}  {s.imag:13.6e}  {o.real:13.6e}  "
             f"{o.imag:13.6e}  {dev:.3e}  {'ok' if sign_ok else 'MISMATCH'}"
         )
+    for name, lams in (("solver", solver_lams), ("oracle", oracle_lams)):
+        if len(lams) < VERIFY_MODES:
+            print(f"{name} found {len(lams)} of {VERIFY_MODES} modes")
     if not ok:
         print(f"verification FAILED (max allowed deviation {cfg.max_dev:g})")
         return 3

@@ -3,10 +3,11 @@
 Two routes that share no code with the solve path: closed-form
 characteristic functions for textbook string configurations, and a global
 finite-difference discretization of the scalar second-order model solved as
-a polynomial eigenvalue problem (sparse shift-invert for a few leading
-eigenvalues, dense QZ for the whole spectrum).  Test and verification use
-only; variable-in-y coefficients are not supported here (the main solver
-supports them).
+a polynomial eigenvalue problem: shift-invert Arnoldi for a few leading
+eigenvalues, which factors only the n x n matrix polynomial at the shift, or
+dense QZ on the companion pencil for the whole spectrum.  Test and
+verification use only; variable-in-y coefficients are not supported here
+(the main solver supports them).
 """
 
 from __future__ import annotations
@@ -161,16 +162,17 @@ def fd_polynomial_eigenvalues(
 
     With count=None the whole finite spectrum is computed by dense QZ.  With
     count=k only the eigenvalues nearest a shift on the imaginary axis are
-    computed, by shift-invert Arnoldi on the sparse linearization; they are
+    computed, by shift-invert Arnoldi on the linearization; they are
     returned only when they provably contain the k leading oscillatory
     eigenvalues, so that leading_frequencies(result, k) equals the dense
     selection.  Otherwise (singular factorization, no convergence, or the
     certificate unmet) the dense route runs.  Returns finite eigenvalues
     sorted by |Im|.
 
-    The matrix coefficients are assembled as (row, column, value) triplets
-    and made dense only for the QZ route, which raises ValueError above
-    _DIM_CAP; the sparse route takes any grid.
+    The matrix coefficients are assembled as (rows, columns, values) blocks,
+    one per interval and degree for the interior stencils, and made dense
+    only for the QZ route, which raises ValueError above _DIM_CAP; the
+    sparse route takes any grid.
 
     The problem must carry a ScalarWaveForm (built-in models do); JSON
     problems have no oracle route.
@@ -195,30 +197,27 @@ def fd_polynomial_eigenvalues(
         2,
         *(len(p) - 1 for p in form.left_row),
         *(len(p) - 1 for p in form.right_row),
-        *(
-            len(p) - 1
-            for rows in form.interface_rows
-            for row in rows
-            for p in row
-        ),
-    ) if form.interface_rows else max(2, *(len(p) - 1 for p in form.left_row + form.right_row))
+        *(len(p) - 1 for rows in form.interface_rows for row in rows for p in row),
+    )
 
-    # per degree, the (row, column, value) entries in the order they add up
-    entries: list[list[tuple[int, int, float]]] = [[] for _ in range(max_deg + 1)]
+    # per degree, (rows, columns, values) blocks in the order they add up
+    entries: list[list[tuple]] = [[] for _ in range(max_deg + 1)]
     row = 0
 
     # interior equations: mass lam^2 u = (stiffness + lam damping) u_xx
+    central = np.array([1.0, -2.0, 1.0])
     for i in range(n_int):
         h = (bps[i + 1] - bps[i]) / cells[i]
-        off = offsets[i]
         w = 1.0 / (h * h)
-        for j in range(1, cells[i]):
-            g = off + j
-            entries[2].append((row, g, form.mass[i]))
-            for dj, s in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                entries[0].append((row, g + dj, -(form.stiffness[i] * s * w)))
-                entries[1].append((row, g + dj, -(form.damping[i] * s * w)))
-            row += 1
+        nodes = offsets[i] + np.arange(1, cells[i])
+        rows = row + np.arange(cells[i] - 1)
+        row += cells[i] - 1
+        entries[2].append((rows, nodes, np.full(len(rows), form.mass[i])))
+        # the stencil (g - 1, g, g + 1) of each node g, row by row
+        rows3 = np.repeat(rows, 3)
+        cols3 = np.repeat(nodes, 3) + np.tile([-1, 0, 1], len(nodes))
+        for deg, coef in ((0, form.stiffness[i]), (1, form.damping[i])):
+            entries[deg].append((rows3, cols3, np.tile(-(coef * central * w), len(nodes))))
 
     # boundary rows with one-sided second-order u_x stencils
     h0 = (bps[1] - bps[0]) / cells[0]
@@ -262,15 +261,23 @@ def _add_trace_row(entries, row: int, polys, node: int, h: float, forward: bool)
     pu, pux = polys
     for deg, c in enumerate(pu):
         if c:
-            entries[deg].append((row, node, c))
+            entries[deg].append(([row], [node], [c]))
     if forward:
         stencil = ((0, -3.0), (1, 4.0), (2, -1.0))
     else:
         stencil = ((0, 3.0), (-1, -4.0), (-2, 1.0))
     for deg, c in enumerate(pux):
         if c:
-            for dj, s in stencil:
-                entries[deg].append((row, node + dj, c * s / (2.0 * h)))
+            cols = [node + dj for dj, _ in stencil]
+            entries[deg].append(([row] * 3, cols, [c * s / (2.0 * h) for _, s in stencil]))
+
+
+def _triplets(deg_entries):
+    """One degree's (rows, columns, values) blocks joined into three arrays."""
+    if not deg_entries:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+    rows, cols, vals = zip(*deg_entries)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals, dtype=float)
 
 
 def _dense_coefficients(entries, n: int) -> list[np.ndarray]:
@@ -279,9 +286,8 @@ def _dense_coefficients(entries, n: int) -> list[np.ndarray]:
     mats = []
     for deg_entries in entries:
         mat = np.zeros((n, n))
-        if deg_entries:
-            rows, cols, vals = zip(*deg_entries)
-            np.add.at(mat, (np.array(rows), np.array(cols)), np.array(vals))
+        rows, cols, vals = _triplets(deg_entries)
+        np.add.at(mat, (rows, cols), vals)
         mats.append(mat)
     while len(mats) > 1 and not np.any(mats[-1]):
         mats.pop()
@@ -295,7 +301,7 @@ def _sparse_coefficients(entries, n: int) -> list:
 
     mats = []
     for deg_entries in entries:
-        rows, cols, vals = zip(*deg_entries) if deg_entries else ((), (), ())
+        rows, cols, vals = _triplets(deg_entries)
         mat = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsc()
         mat.eliminate_zeros()
         mats.append(mat)
@@ -308,7 +314,8 @@ def _companion(mats, eye):
     """Block rows of the companion pencil (A, B) of sum_k lam^k mats[k].
 
     A x = lam B x with x = (u, lam u, ..., lam^(deg-1) u); None marks a zero
-    block.  The dense and sparse routes assemble the same layout.
+    block.  The dense QZ route assembles it; the sparse route applies its
+    shift-invert operator by _shift_invert without forming it.
     """
     deg = len(mats) - 1
     a = [[eye if j == i + 1 else None for j in range(deg)] for i in range(deg - 1)]
@@ -331,33 +338,59 @@ def _polyeig(mats: list[np.ndarray]) -> np.ndarray:
     return scipy.linalg.eigvals(big_a, big_b)
 
 
+def _shift_invert(mats, lu):
+    """The map y -> (A - sigma B)^-1 B y of the companion pencil of the CSC
+    matrices mats at sigma = _SHIFT, given lu, a factorization of
+    P(sigma) = sum_k sigma^k mats[k].
+
+    With y = (y_0, ..., y_(d-1)), the first d - 1 block rows of the pencil
+    give x_k = sigma^k x_0 + c_k, where c_0 = 0 and
+    c_k = sigma c_(k-1) + y_(k-1); the last one then leaves one n x n solve,
+    P(sigma) x_0 = -(mats[d] (y_(d-1) + sigma c_(d-1)) + sum_(0<k<d) mats[k] c_k).
+    """
+    deg = len(mats) - 1
+    n = mats[0].shape[0]
+    powers = _SHIFT ** np.arange(deg)[:, None]
+
+    def apply(y):
+        y = np.reshape(y, (deg, n))
+        c = np.empty((deg, n), dtype=complex)
+        c[0] = 0.0
+        for k in range(1, deg):
+            c[k] = _SHIFT * c[k - 1] + y[k - 1]
+        rhs = mats[deg] @ (y[deg - 1] + _SHIFT * c[deg - 1])
+        for k in range(1, deg):
+            rhs += mats[k] @ c[k]
+        c += powers * lu.solve(-rhs)
+        return c.ravel()
+
+    return apply
+
+
 def _polyeig_near(mats: list[np.ndarray], count: int) -> np.ndarray | None:
     """Eigenvalues nearest _SHIFT that certainly hold the count leading
     oscillatory ones, or None when that cannot be shown.
 
-    Arnoldi on (A - sigma B)^-1 B returns the nev eigenvalues nearest sigma,
-    so every eigenvalue inside the disc around sigma that the farthest of
-    them spans has been found.  When that disc contains the whole sector
-    |Re| <= Im <= Im(k-th leading), no eigenvalue the dense selection would
-    pick is missing.
+    Arnoldi on (A - sigma B)^-1 B, for the companion pencil (A, B), returns
+    the nev eigenvalues nearest sigma.  That operator costs one n x n solve
+    with P(sigma), factored once (see _shift_invert); the 2n- or 3n-dimensional
+    pencil is never formed.  Every eigenvalue inside the disc around sigma
+    that the farthest Ritz value spans has been found.  When that disc
+    contains the whole sector |Re| <= Im <= Im(k-th leading), no eigenvalue
+    the dense selection would pick is missing.
     """
     import scipy.sparse
     import scipy.sparse.linalg
 
-    n = mats[0].shape[0]
-    big_a, big_b = (
-        scipy.sparse.bmat(rows, format="csc")
-        for rows in _companion(
-            [scipy.sparse.csc_array(m) for m in mats], scipy.sparse.eye_array(n, format="csc")
-        )
-    )
+    mats = [scipy.sparse.csc_array(m) for m in mats]
+    p_shift = sum(_SHIFT**k * m for k, m in enumerate(mats)).tocsc()
     try:
-        lu = scipy.sparse.linalg.splu(big_a - _SHIFT * big_b)
+        lu = scipy.sparse.linalg.splu(p_shift)
     except RuntimeError:  # exactly singular: the shift is an eigenvalue
         return None
-    size = big_a.shape[0]
+    size = (len(mats) - 1) * p_shift.shape[0]
     op = scipy.sparse.linalg.LinearOperator(
-        (size, size), matvec=lambda x: lu.solve(big_b @ x), dtype=complex
+        (size, size), matvec=_shift_invert(mats, lu), dtype=complex
     )
     # fixed start vector: reruns give the same bytes
     v0 = np.random.default_rng(0).standard_normal(size)

@@ -369,6 +369,20 @@ class TestVerifyAndValidate:
         assert code == 3
         assert "FAILED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("short", ["solver", "oracle"])
+    def test_verify_names_a_missing_mode(self, short, capsys, monkeypatch):
+        if short == "solver":
+            solve = cli.solve_spectrum
+            monkeypatch.setattr(cli, "solve_spectrum", lambda *args: solve(*args)[:2])
+        else:
+            roots = cli.closed_form_roots
+            monkeypatch.setattr(cli, "closed_form_roots", lambda *a, **kw: roots(*a, **kw)[:2])
+        assert _run("verify", "fixed_free_string") == 3
+        out = capsys.readouterr().out
+        # both found modes agree; the FAILED line is about the missing one
+        assert out.count(" ok\n") == 2
+        assert f"{short} found 2 of 3 modes\nverification FAILED" in out
+
     def test_verify_unknown_model_exits_1(self, capsys):
         assert _run("verify", "beam") == 1
 

@@ -21,7 +21,7 @@ from oscispec import (
 )
 from oscispec import oracle
 from oscispec.models import ORACLE_ROUTES
-from oscispec.oracle import _polyeig, _polyeig_near
+from oscispec.oracle import _SHIFT, _companion, _polyeig, _polyeig_near, _shift_invert
 
 from conftest import make_string_problem
 
@@ -194,6 +194,59 @@ class TestSparseRoute:
     def test_shift_on_an_eigenvalue_is_refused(self):
         pairs = [(0.5j, -0.5j)] + [((2 + j) * 1j, -(2 + j) * 1j) for j in range(30)]
         assert _polyeig_near(self._diagonal_pencil(pairs), 1) is None
+
+    @staticmethod
+    def _sparse_mats(model, n_fd, monkeypatch):
+        """The CSC coefficient matrices the sparse route gets for model."""
+        seen = []
+        monkeypatch.setattr(oracle, "_polyeig_near", lambda mats, count: seen.append(mats))
+        monkeypatch.setattr(oracle, "_polyeig", lambda mats: np.empty(0, dtype=complex))
+        fd_polynomial_eigenvalues(build_model(model), FDOracleConfig(n_fd), count=3)
+        return seen[0]
+
+    # degree 2; degree 3 with a cubic boundary row; interface rows
+    @pytest.mark.parametrize("model", ["machine_unit", "spacecraft_bar", "cable_snapshot"])
+    def test_recurrence_solves_the_companion_pencil(self, model, monkeypatch):
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        mats = self._sparse_mats(model, 100, monkeypatch)
+        n, deg = mats[0].shape[0], len(mats) - 1
+        big_a, big_b = (
+            scipy.sparse.bmat(rows, format="csc")
+            for rows in _companion(mats, scipy.sparse.eye_array(n, format="csc"))
+        )
+        lu = scipy.sparse.linalg.splu(sum(_SHIFT**k * m for k, m in enumerate(mats)).tocsc())
+        apply = _shift_invert(mats, lu)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            y = rng.standard_normal(deg * n) + 1j * rng.standard_normal(deg * n)
+            want = scipy.sparse.linalg.spsolve(big_a - _SHIFT * big_b, big_b @ y)
+            # both solves lie within 1e-12 of an extended-precision solve
+            # (machine_unit's A - sigma B has condition 1.5e6), so they may
+            # differ by twice that
+            assert np.linalg.norm(apply(y) - want) <= 2e-12 * np.linalg.norm(want)
+
+    def test_factors_one_n_by_n_matrix(self, monkeypatch):
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        shapes = []
+        splu = scipy.sparse.linalg.splu
+
+        def recording_splu(mat, *args, **kwargs):
+            shapes.append(mat.shape)
+            return splu(mat, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pencil or dense matrices assembled on the sparse route")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        monkeypatch.setattr(scipy.sparse, "bmat", forbidden)
+        monkeypatch.setattr(oracle, "_dense_coefficients", forbidden)
+        eigs = fd_polynomial_eigenvalues(build_model("spacecraft_bar"), FDOracleConfig(100), count=3)
+        assert len(leading_frequencies(eigs, 3)) == 3
+        assert shapes == [(101, 101)]
 
     def test_count_floor(self):
         with pytest.raises(ValueError, match="at least 1"):
