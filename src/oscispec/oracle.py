@@ -4,10 +4,10 @@ Two routes that share no code with the solve path: closed-form
 characteristic functions for textbook string configurations, and a global
 finite-difference discretization of the scalar second-order model solved as
 a polynomial eigenvalue problem: shift-invert Arnoldi for a few leading
-eigenvalues, which factors only the n x n matrix polynomial at the shift, or
-dense QZ on the companion pencil for the whole spectrum.  Test and
-verification use only; variable-in-y coefficients are not supported here
-(the main solver supports them).
+eigenvalues, in plain numpy on the banded n x n matrix polynomial at the
+shift, or dense QZ on the companion pencil for the whole spectrum, the only
+route that imports scipy.  Test and verification use only; variable-in-y
+coefficients are not supported here (the main solver supports them).
 """
 
 from __future__ import annotations
@@ -29,11 +29,26 @@ _SPURIOUS_CUTOFF = 1e8
 #: models (machine_unit) have an eigenvalue within 1e-9 of it.
 _SHIFT = 0.5j
 
-#: Arnoldi restarts allowed per sparse attempt.  Certified runs on the
-#: built-in models (n_fd 100 to 800, count 3 and 5) need at most 6; an
-#: overdamped cluster just outside the requested eigenvalues stalls
-#: convergence, and then the dense route is cheaper.
-_ARNOLDI_MAXITER = 30
+#: half-bandwidth of the FD coefficient matrices with each row at its node:
+#: a one-sided end stencil reaches two nodes, an interface row across to the
+#: other side
+_HALF_BAND = 3
+
+#: Arnoldi steps allowed per sparse attempt (the Krylov dimension cap).
+#: Certified runs on the built-in models (n_fd 100 to 1600, count 1, 3 and
+#: 5) take 14 to 62; a run not certified by the cap is refused, and the
+#: dense route runs.
+_KRYLOV_CAP = 100
+
+#: Arnoldi steps before the first Ritz check, per requested eigenvalue, and
+#: between later checks.  A check (an eigendecomposition of the Hessenberg
+#: matrix) costs about as much as 8 to 10 steps at n_fd=400; the built-in
+#: models certify at about 10 steps per requested eigenvalue.
+_FIRST_CHECK = 10
+_NEXT_CHECK = 4
+
+#: a Ritz value theta is converged when its residual is below this times |theta|
+_RITZ_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +180,16 @@ def fd_polynomial_eigenvalues(
     computed, by shift-invert Arnoldi on the linearization; they are
     returned only when they provably contain the k leading oscillatory
     eigenvalues, so that leading_frequencies(result, k) equals the dense
-    selection.  Otherwise (singular factorization, no convergence, or the
-    certificate unmet) the dense route runs.  Returns finite eigenvalues
-    sorted by |Im|.
+    selection.  Otherwise (a singular factorization, or the certificate
+    unmet within _KRYLOV_CAP Arnoldi steps) the dense route runs.  Returns
+    finite eigenvalues sorted by |Im|.
 
     The matrix coefficients are assembled as (rows, columns, values) blocks,
     one per interval and degree for the interior stencils, and made dense
-    only for the QZ route, which raises ValueError above _DIM_CAP; the
-    sparse route takes any grid.
+    only for the QZ route, which raises ValueError above _DIM_CAP.  The
+    sparse route places each equation row at its node, which makes every
+    coefficient banded, keeps only the 2 _HALF_BAND + 1 diagonals and takes
+    any grid.
 
     The problem must carry a ScalarWaveForm (built-in models do); JSON
     problems have no oracle route.
@@ -202,6 +219,9 @@ def fd_polynomial_eigenvalues(
 
     # per degree, (rows, columns, values) blocks in the order they add up
     entries: list[list[tuple]] = [[] for _ in range(max_deg + 1)]
+    # the node each equation row is centred on; placed there, every row
+    # reaches at most 3 nodes either side (see _banded_coefficients)
+    row_node = np.empty(n_unknowns, dtype=int)
     row = 0
 
     # interior equations: mass lam^2 u = (stiffness + lam damping) u_xx
@@ -211,6 +231,7 @@ def fd_polynomial_eigenvalues(
         w = 1.0 / (h * h)
         nodes = offsets[i] + np.arange(1, cells[i])
         rows = row + np.arange(cells[i] - 1)
+        row_node[rows] = nodes
         row += cells[i] - 1
         entries[2].append((rows, nodes, np.full(len(rows), form.mass[i])))
         # the stencil (g - 1, g, g + 1) of each node g, row by row
@@ -222,28 +243,34 @@ def fd_polynomial_eigenvalues(
     # boundary rows with one-sided second-order u_x stencils
     h0 = (bps[1] - bps[0]) / cells[0]
     _add_trace_row(entries, row, form.left_row, offsets[0], h0, forward=True)
+    row_node[row] = offsets[0]
     row += 1
     hl = (bps[-1] - bps[-2]) / cells[-1]
     _add_trace_row(
         entries, row, form.right_row, offsets[-1] + cells[-1], hl, forward=False
     )
+    row_node[row] = offsets[-1] + cells[-1]
     row += 1
 
-    # interface rows
+    # interface rows, the first centred on the left end node, the second on
+    # the right one
     for i, rows in enumerate(form.interface_rows):
         h_left = (bps[i + 1] - bps[i]) / cells[i]
         h_right = (bps[i + 2] - bps[i + 1]) / cells[i + 1]
         left_node = offsets[i] + cells[i]
         right_node = offsets[i + 1]
-        for row_polys in rows:
+        for row_polys, centre in zip(rows, (left_node, right_node)):
             pu_m, pux_m, pu_p, pux_p = row_polys
             _add_trace_row(entries, row, (pu_m, pux_m), left_node, h_left, forward=False)
             _add_trace_row(entries, row, (pu_p, pux_p), right_node, h_right, forward=True)
+            row_node[row] = centre
             row += 1
 
     assert row == n_unknowns
 
-    eigs = None if count is None else _polyeig_near(_sparse_coefficients(entries, n_unknowns), count)
+    eigs = None
+    if count is not None:
+        eigs = _polyeig_near(_banded_coefficients(entries, row_node, n_unknowns), count)
     if eigs is None:
         if max_deg * n_unknowns > _DIM_CAP:
             raise ValueError(
@@ -294,20 +321,22 @@ def _dense_coefficients(entries, n: int) -> list[np.ndarray]:
     return mats
 
 
-def _sparse_coefficients(entries, n: int) -> list:
-    """The coefficient matrices as CSC arrays holding their nonzero entries
-    only, without the all-zero top degrees."""
-    import scipy.sparse
-
-    mats = []
-    for deg_entries in entries:
+def _banded_coefficients(entries, row_node: np.ndarray, n: int) -> np.ndarray:
+    """The coefficient matrices with each equation row moved to its node,
+    as diagonals: bands[k, i, _HALF_BAND + d] is entry (i, i + d) of the
+    k-th, for |d| <= _HALF_BAND.  Entries are summed in order, without the
+    all-zero top degrees."""
+    bands = np.zeros((len(entries), n, 2 * _HALF_BAND + 1))
+    for band, deg_entries in zip(bands, entries):
         rows, cols, vals = _triplets(deg_entries)
-        mat = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsc()
-        mat.eliminate_zeros()
-        mats.append(mat)
-    while len(mats) > 1 and not mats[-1].nnz:
-        mats.pop()
-    return mats
+        nodes = row_node[rows]
+        diag = cols - nodes + _HALF_BAND
+        assert np.all((diag >= 0) & (diag <= 2 * _HALF_BAND))
+        np.add.at(band, (nodes, diag), vals)
+    top = len(bands)
+    while top > 1 and not bands[top - 1].any():
+        top -= 1
+    return bands[:top]
 
 
 def _companion(mats, eye):
@@ -338,82 +367,186 @@ def _polyeig(mats: list[np.ndarray]) -> np.ndarray:
     return scipy.linalg.eigvals(big_a, big_b)
 
 
-def _shift_invert(mats, lu):
-    """The map y -> (A - sigma B)^-1 B y of the companion pencil of the CSC
-    matrices mats at sigma = _SHIFT, given lu, a factorization of
-    P(sigma) = sum_k sigma^k mats[k].
+def _band_entries(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries (rows, cols) of the banded matrix band (broadcast), zero off
+    the band and at indices outside the matrix."""
+    n = len(band)
+    diag = cols - rows + _HALF_BAND
+    inside = (diag >= 0) & (diag <= 2 * _HALF_BAND)
+    inside &= (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
+    return np.where(inside, band[np.clip(rows, 0, n - 1), np.clip(diag, 0, 2 * _HALF_BAND)], 0)
+
+
+def _band_factor(band: np.ndarray):
+    """A solver r -> P^-1 r for the banded n x n matrix P with diagonals band
+    (as _banded_coefficients), or None when P is numerically singular.
+
+    Substructuring: the nodes split into interior blocks of about sqrt(n)
+    nodes, separated by _HALF_BAND separator nodes, so that no two interior
+    blocks are coupled.  Each interior block is inverted (LAPACK pivots
+    inside it), all in one batched call, and the separators' Schur
+    complement, block tridiagonal and about 3 sqrt(n) wide, densely.  A
+    solve is then two batched products over the blocks and one product with
+    the inverse Schur complement.  A grid past the last node is padded with
+    identity rows.
+    """
+    n = len(band)
+    s = _HALF_BAND
+    b = max(2 * s, round(math.sqrt(n)))
+    period = b + s
+    m = -(-(n + s) // period)
+    # node numbers, block by block: interior j is nodes[j, :b], separator j
+    # is nodes[j, b:]; the last separator lies past the grid
+    nodes = np.arange(m * period).reshape(m, period)
+    interior = nodes[:, :b]
+    # separators on both sides of each interior, the outer ones off the grid
+    around = np.concatenate([nodes[:, :1] - s + np.arange(s), nodes[:, b:]], axis=1)
+    padded = np.zeros((m * period, 2 * s + 1), dtype=band.dtype)
+    padded[:n] = band
+    padded[n:, s] = 1.0
+    inner = _band_entries(padded, interior[:, :, None], interior[:, None, :])
+    to_sep = _band_entries(padded, interior[:, :, None], around[:, None, :])
+    from_sep = _band_entries(padded, around[:, :, None], interior[:, None, :])
+    seps = nodes[:-1, b:].ravel()
+    schur = _band_entries(padded, seps[:, None], seps[None, :])
+    try:
+        inner_inv = np.linalg.inv(inner)
+        # rows :b give an interior block's own solution, rows b: its
+        # coupling into the separators on both sides
+        gather = np.concatenate([inner_inv, from_sep @ inner_inv], axis=1)
+        spread = inner_inv @ to_sep
+        coupling = from_sep @ spread
+        # the separators' Schur complement, with a zero separator at
+        # either end standing for the ones off the grid
+        full = np.zeros(((m + 1) * s, (m + 1) * s), dtype=schur.dtype)
+        for j in range(m):
+            full[j * s : (j + 2) * s, j * s : (j + 2) * s] += coupling[j]
+        schur_inv = np.linalg.inv(schur - full[s:-s, s:-s])
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(gather)) and np.all(np.isfinite(schur_inv))):
+        return None
+
+    def solve(rhs):
+        r = np.zeros((m, period), dtype=complex)
+        r.reshape(-1)[:n] = rhs
+        part = np.matmul(gather, r[:, :b, None])[..., 0]
+        own, pull = part[:, :b], part[:, b:]
+        # the separators, with the zero ones off the grid at either end
+        x_sep = np.zeros((m + 1, s), dtype=complex)
+        x_sep[1:-1] = (schur_inv @ (r[:-1, b:] - pull[:-1, s:] - pull[1:, :s]).ravel()).reshape(
+            m - 1, s
+        )
+        either_side = np.concatenate([x_sep[:-1], x_sep[1:]], axis=1)
+        x = np.empty((m, period), dtype=complex)
+        x[:, :b] = own - np.matmul(spread, either_side[..., None])[..., 0]
+        x[:, b:] = x_sep[1:]
+        return x.reshape(-1)[:n]
+
+    return solve
+
+
+def _shift_invert(bands: np.ndarray, solve):
+    """The map y -> (A - sigma B)^-1 B y of the companion pencil of the
+    banded matrices bands at sigma = _SHIFT, given solve, a solver with
+    P(sigma) = sum_k sigma^k M_k.
 
     With y = (y_0, ..., y_(d-1)), the first d - 1 block rows of the pencil
-    give x_k = sigma^k x_0 + c_k, where c_0 = 0 and
-    c_k = sigma c_(k-1) + y_(k-1); the last one then leaves one n x n solve,
-    P(sigma) x_0 = -(mats[d] (y_(d-1) + sigma c_(d-1)) + sum_(0<k<d) mats[k] c_k).
+    give x_k = sigma x_(k-1) + y_(k-1); the last one then leaves one n x n
+    solve, P(sigma) x_0 = -sum_(k>0) M_k c_k, with c_0 = 0 and
+    c_k = sigma c_(k-1) + y_(k-1).  That right-hand side is
+    sum_i Q_i y_i with Q_i = sum_(k>i) sigma^(k-1-i) M_k, one banded product.
     """
-    deg = len(mats) - 1
-    n = mats[0].shape[0]
-    powers = _SHIFT ** np.arange(deg)[:, None]
+    deg, n, width = bands.shape
+    deg -= 1
+    q = np.zeros((deg, n, width), dtype=complex)
+    for i in range(deg):
+        for k in range(i + 1, deg + 1):
+            q[i] += _SHIFT ** (k - 1 - i) * bands[k]
+    # y with _HALF_BAND zeros either side; windows[i, r, j] is its entry
+    # (i, r + j), the one that diagonal j of row r multiplies
+    padded = np.zeros((deg, n + width - 1), dtype=complex)
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (deg, n, width), (padded.strides[0], padded.itemsize, padded.itemsize)
+    )
 
     def apply(y):
         y = np.reshape(y, (deg, n))
-        c = np.empty((deg, n), dtype=complex)
-        c[0] = 0.0
+        padded[:, _HALF_BAND : _HALF_BAND + n] = y
+        x = np.empty((deg, n), dtype=complex)
+        x[0] = solve(-np.einsum("kij,kij->i", q, windows))
         for k in range(1, deg):
-            c[k] = _SHIFT * c[k - 1] + y[k - 1]
-        rhs = mats[deg] @ (y[deg - 1] + _SHIFT * c[deg - 1])
-        for k in range(1, deg):
-            rhs += mats[k] @ c[k]
-        c += powers * lu.solve(-rhs)
-        return c.ravel()
+            x[k] = _SHIFT * x[k - 1] + y[k - 1]
+        return x.ravel()
 
     return apply
 
 
-def _polyeig_near(mats: list[np.ndarray], count: int) -> np.ndarray | None:
+def _polyeig_near(bands: np.ndarray, count: int) -> np.ndarray | None:
     """Eigenvalues nearest _SHIFT that certainly hold the count leading
     oscillatory ones, or None when that cannot be shown.
 
-    Arnoldi on (A - sigma B)^-1 B, for the companion pencil (A, B), returns
-    the nev eigenvalues nearest sigma.  That operator costs one n x n solve
-    with P(sigma), factored once (see _shift_invert); the 2n- or 3n-dimensional
-    pencil is never formed.  Every eigenvalue inside the disc around sigma
-    that the farthest Ritz value spans has been found.  When that disc
-    contains the whole sector |Re| <= Im <= Im(k-th leading), no eigenvalue
-    the dense selection would pick is missing.
+    Arnoldi on (A - sigma B)^-1 B, for the companion pencil (A, B) of the
+    banded matrices bands, finds the eigenvalues nearest sigma first.  That
+    operator costs one n x n solve with P(sigma), factored once (see
+    _band_factor and _shift_invert); the 2n- or 3n-dimensional pencil is
+    never formed.  The basis grows one vector per step, orthogonalized by
+    classical Gram-Schmidt with a second pass where needed, from a fixed
+    start vector, so reruns give equal arrays.  At checkpoints the Ritz
+    values are accepted nearest first while their residuals are below
+    _RITZ_TOL, at most 6 count + 6 of them.  Every eigenvalue inside the
+    disc around sigma that the farthest accepted one spans has then been
+    found.  When that disc contains the whole sector |Re| <= Im <=
+    Im(k-th leading), no eigenvalue the dense selection would pick is
+    missing.  Past _KRYLOV_CAP steps the answer is None.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    mats = [scipy.sparse.csc_array(m) for m in mats]
-    p_shift = sum(_SHIFT**k * m for k, m in enumerate(mats)).tocsc()
-    try:
-        lu = scipy.sparse.linalg.splu(p_shift)
-    except RuntimeError:  # exactly singular: the shift is an eigenvalue
+    deg, n = len(bands) - 1, bands.shape[1]
+    solve = _band_factor(np.tensordot(_SHIFT ** np.arange(deg + 1), bands, axes=1))
+    if solve is None:  # the shift is (numerically) an eigenvalue
         return None
-    size = (len(mats) - 1) * p_shift.shape[0]
-    op = scipy.sparse.linalg.LinearOperator(
-        (size, size), matvec=_shift_invert(mats, lu), dtype=complex
-    )
-    # fixed start vector: reruns give the same bytes
-    v0 = np.random.default_rng(0).standard_normal(size)
-    # the certificate disc reaches about sqrt(2) Im(k-th), which holds about
-    # 3k eigenvalues of a string-like spectrum (conjugates included)
-    for nev in (3 * count + 3, 6 * count + 6):
-        if nev >= size - 1:
-            break
-        try:
-            theta = scipy.sparse.linalg.eigs(
-                op, k=nev, v0=v0, maxiter=_ARNOLDI_MAXITER, return_eigenvectors=False
-            )
-        except scipy.sparse.linalg.ArpackError:
-            return None
-        eigs = _SHIFT + 1.0 / theta
-        lead = leading_frequencies(eigs, count)
-        if len(lead) < count:
+    apply = _shift_invert(bands, solve)
+    size = deg * n
+    dim = min(_KRYLOV_CAP, size)
+    basis = np.empty((dim + 1, size), dtype=complex)
+    hess = np.zeros((dim + 1, dim), dtype=complex)
+    start = np.random.default_rng(0).standard_normal(size)
+    basis[0] = start / np.linalg.norm(start)
+    keep = 6 * count + 6
+    check = min(_FIRST_CHECK * count, dim)
+    for j in range(dim):
+        w = apply(basis[j])
+        known = basis[: j + 1]
+        norm = math.sqrt(np.vdot(w, w).real)
+        h = (known @ w.conj()).conj()
+        w -= h @ known
+        beta = math.sqrt(np.vdot(w, w).real)
+        # a second pass unless the first one kept most of w (DGKS)
+        if beta < 0.7 * norm:
+            again = (known @ w.conj()).conj()
+            w -= again @ known
+            h += again
+            beta = math.sqrt(np.vdot(w, w).real)
+        hess[: j + 1, j] = h
+        hess[j + 1, j] = beta
+        if beta > 0.0:
+            basis[j + 1] = w / beta
+        if j + 1 < check and beta > 0.0:
             continue
-        top = lead[-1].imag
-        reach = max(abs(_SHIFT), abs(complex(top, top) - _SHIFT))
-        # strict, with room for the Ritz values' rounding
-        if reach < (1.0 - 1e-9) * np.max(np.abs(eigs - _SHIFT)):
-            return eigs
+        check = min(check + _NEXT_CHECK, dim)
+        theta, vecs = np.linalg.eig(hess[: j + 1, : j + 1])
+        order = np.argsort(-np.abs(theta), kind="stable")
+        converged = beta * np.abs(vecs[-1, order]) <= _RITZ_TOL * np.abs(theta[order])
+        accepted = min(keep, len(order) if converged.all() else int(np.argmin(converged)))
+        eigs = _SHIFT + 1.0 / theta[order[:accepted]]
+        lead = leading_frequencies(eigs, count)
+        if len(lead) == count:
+            top = lead[-1].imag
+            reach = max(abs(_SHIFT), abs(complex(top, top) - _SHIFT))
+            # strict, with room for the Ritz values' rounding
+            if reach < (1.0 - 1e-9) * np.max(np.abs(eigs - _SHIFT)):
+                return eigs
+        if beta == 0.0:  # an invariant subspace: nothing more to find
+            return None
     return None
 
 

@@ -244,22 +244,23 @@ def characteristic_determinant(
 
     For a 1-D array of lambdas the whole stack is evaluated in one pass,
     with the same arithmetic as one lambda at a time and bit-identical
-    values, and an array is returned.  If any lambda of a stack fails, the
-    lambdas are evaluated one at a time in order, so the error raised is
-    the one of the first failing lambda.
+    values, and an array is returned.  If any lambda of a stacked chunk
+    fails, the lambdas of that chunk are evaluated one at a time in order,
+    so the error raised is the one of the first failing lambda; the chunks
+    before it are kept.
     """
     if not isinstance(lam, np.ndarray) or lam.ndim == 0:
         return _determinant(problem, complex(lam), step)
     lams = lam.astype(complex, copy=False)
     chunk = _stack_chunk(problem, step, "complex") or max(len(lams), 1)
-    try:
-        parts = [
-            _determinant(problem, lams[i : i + chunk], step)
-            for i in range(0, len(lams), chunk)
-        ]
-    except SolverError:
-        # one at a time, in order: the first failing lambda raises
-        parts = [[_determinant(problem, z, step) for z in lams.tolist()]]
+    parts = []
+    for i in range(0, len(lams), chunk):
+        block = lams[i : i + chunk]
+        try:
+            parts.append(_determinant(problem, block, step))
+        except SolverError:
+            # one at a time, in order: the first failing lambda raises
+            parts.append([_determinant(problem, z, step) for z in block.tolist()])
     return np.concatenate(parts) if parts else np.empty(0, dtype=complex)
 
 

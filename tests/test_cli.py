@@ -443,6 +443,57 @@ def test_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+_VERIFY_THEN_DENSE = """
+import contextlib, io, sys
+import numpy as np
+from oscispec import FDOracleConfig, build_model, cli, fd_polynomial_eigenvalues, oracle
+
+for model in ("machine_unit", "pipeline", "spacecraft_bar", "cable_snapshot"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", model]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+
+# the dense route still runs, on scipy's QZ, and returns its spectrum
+problem, config = build_model("spacecraft_bar"), FDOracleConfig(100)
+seen = []
+dense_coefficients = oracle._dense_coefficients
+
+
+def recording(*args):
+    seen.append(dense_coefficients(*args))
+    return seen[-1]
+
+
+oracle._dense_coefficients = recording
+eigs = fd_polynomial_eigenvalues(problem, config)
+assert "scipy.linalg" in sys.modules
+import scipy.linalg
+
+mats = seen[0]
+n, deg = mats[0].shape[0], len(mats) - 1
+big_a = np.zeros((deg * n, deg * n))
+big_b = np.eye(deg * n)
+big_a[: (deg - 1) * n, n:] = np.eye((deg - 1) * n)
+big_a[(deg - 1) * n :] = -np.hstack(mats[:-1])
+big_b[(deg - 1) * n :, (deg - 1) * n :] = mats[-1]
+qz = scipy.linalg.eigvals(big_a, big_b)
+qz = qz[np.isfinite(qz) & (np.abs(qz) < 1e8)]
+assert np.array_equal(eigs, qz[np.argsort(np.abs(qz.imag), kind="stable")])
+"""
+
+
+def test_verify_never_imports_scipy():
+    # the FD models' verify runs the sparse route, which is plain numpy;
+    # scipy is loaded only by the dense QZ route (count=None)
+    src = str(Path(oscispec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY_THEN_DENSE], env=env, capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 # ---------------------------------------------------------------------------
 # column-wise CSV writers against the per-cell loops they replaced
 # ---------------------------------------------------------------------------

@@ -440,6 +440,30 @@ class TestStackedDeterminant:
         assert spectrum._stack_chunk(problem, 2e-3, "complex") == 2
         assert characteristic_determinant(problem, lams, 2e-3).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("replay_fails", [True, False])
+    def test_failed_chunk_is_replayed_alone(self, monkeypatch, replay_fails):
+        # the second chunk fails as a stack; the first is kept, and only
+        # the second is evaluated again, one lambda at a time
+        calls = []
+
+        def stub(problem, lam, step):
+            calls.append(np.atleast_1d(lam).tolist())
+            if 3j in calls[-1] and (replay_fails or np.ndim(lam)):
+                raise SolverError(f"failed at {calls[-1]}")
+            return 2 * lam
+
+        monkeypatch.setattr(spectrum, "_determinant", stub)
+        monkeypatch.setattr(spectrum, "_stack_chunk", lambda *args, **kwargs: 2)
+        lams = 1j * np.arange(1.0, 6.0)
+        if replay_fails:
+            with pytest.raises(SolverError, match=r"failed at \[3j\]"):
+                characteristic_determinant(build_model("machine_unit"), lams, 1e-3)
+            assert calls == [[1j, 2j], [3j, 4j], [3j]]
+        else:
+            values = characteristic_determinant(build_model("machine_unit"), lams, 1e-3)
+            assert values.tolist() == (2 * lams).tolist()
+            assert calls == [[1j, 2j], [3j, 4j], [3j], [4j], [5j]]
+
     def test_constant_problems_are_not_chunked(self):
         assert spectrum._stack_chunk(build_model("cable_snapshot"), 1e-6, "complex") is None
 
