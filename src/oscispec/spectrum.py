@@ -46,9 +46,9 @@ _MINIMUM_RATIO = 0.05
 #: matrix is above this, and asks its null vector for this relative residual
 _RANK_TOL = 1e-6
 
-#: a real-split candidate is a root only where |D| has fallen to this share
-#: of its value at the seed; an axis point of a damped model is a minimum of
-#: |D| well above zero
+#: the axis test (_newton): a real-split candidate is a root only where |D|
+#: has fallen to this share of its value at the seed; an axis point of a
+#: damped model is a minimum of |D| well above zero
 _AXIS_ROOT = 1e-5
 
 
@@ -350,25 +350,24 @@ def refine_root(
     """Polish one root candidate: the one-target case of the lockstep refinement.
 
     Every path refines on the complex-path determinant D; path only chooses
-    the search.  On the complex path, sign-change brackets whose ends have a
-    real D are narrowed along the imaginary axis by false position in its
-    Illinois form, which keeps the bracket and converges superlinearly,
-    until the bracket or the last step is below tol; if the residual there
-    is not genuinely small the point is rehanded to Newton.  A bracket with
-    a complex D at an end (a damped model, where Re D = 0 on the axis is no
-    root) goes to Newton from its first false-position point.  Seeds are
-    refined by damped Newton: from a point on the frequency axis with the
-    step of the analytic closure determinant (_frozen_scale_derivative),
-    from any other seed with the central difference of D along Re.  The
-    real-split roots are the zeros of D on the frequency axis.  On that path
-    a sign-change bracket across which Im D keeps one sign exits "no zero on
-    the axis" with no evaluation of its own; every other candidate is
-    refined by damped Gauss-Newton along the axis (_newton).  Newton stops
-    with a reason when halving its step 25 times does not lower |D|
-    ("stagnated") or when D is not finite.  The seed and each full Newton
-    step are evaluated in one stack with the difference pair the next step
-    needs there (a halved retry, or a step more than ten times the size of
-    lambda, goes alone).
+    the search for damped candidates.  Every candidate is polished by one
+    damped Newton loop (_newton), which stops with a reason when halving
+    its step 25 times does not lower |D| ("stagnated") or when D is not
+    finite.  A sign-change bracket starts it at its first false-position
+    point.  Where D is real at both ends of the bracket, Re D changes sign
+    while Im D is 0, so the zero lies on the axis: on either path Newton
+    takes the Gauss-Newton step along the axis, with no axis test.  A
+    bracket with a complex D at an end (a damped model, where Re D = 0 on
+    the axis is no root) takes, on the complex path, the step of the
+    analytic closure determinant (_frozen_scale_derivative), as does any
+    other seed on the axis; a seed off it takes the central difference of
+    D along Re.  The real-split roots are the zeros of D on the frequency
+    axis: there a damped bracket across which Im D keeps one sign exits "no
+    zero on the axis" with no evaluation of its own, and every other
+    candidate takes the axis step and the axis test.  The seed and each
+    full Newton step are evaluated in one stack with the difference pair
+    the next step needs there (a halved retry, or a step more than ten
+    times the size of lambda, goes alone).
 
     Every value is computed once, with this call's step: a memo answers
     each lambda already evaluated.  solve_spectrum refines all its
@@ -487,7 +486,9 @@ def _refine_steps(target: Bracket | complex, tol, max_iter, path):
         seed = 1j * target.p_seed
     else:
         seed = complex(target)
-    return _newton(seed, tol, max_iter, path)
+    if path == "real_split":
+        return _newton(seed, tol, max_iter, "axis", 0.0)
+    return _newton(seed, tol, max_iter, "plane" if seed.real == 0.0 else "re")
 
 
 def _refine_all(
@@ -547,62 +548,23 @@ def _bisect_bracket(bracket: Bracket, tol, max_iter, path):
     lo, hi = bracket.p_lo, bracket.p_hi
     d_lo = yield 1j * lo
     d_hi = yield 1j * hi
-    f_lo, f_hi = d_lo.real, d_hi.real
-    iters = 0
-    if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or f_lo * f_hi > 0:
-        return (yield from _newton(1j * bracket.p_seed, tol, max_iter, path))
-    seed = 1j * _false_position(lo, hi, f_lo, f_hi)
-    if path == "real_split":
-        if d_lo.imag * d_hi.imag > 0:
-            # Im D keeps one sign: at the scan's resolution D has no zero here
-            end, d = min((lo, d_lo), (hi, d_hi), key=lambda e: abs(e[1]))
-            return SpectralResult(1j * end, abs(d), 0, False, "no zero on the axis")
-        # the seed can lie so close to the root that D there is near its
-        # rounding floor: the axis test measures against the ends' |D|
-        return (yield from _newton(seed, tol, max_iter, path, max(abs(d_lo), abs(d_hi))))
-    if d_lo.imag != 0.0 or d_hi.imag != 0.0:
+    if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or d_lo.real * d_hi.real > 0:
+        return (yield from _refine_steps(1j * bracket.p_seed, tol, max_iter, path))
+    seed = 1j * _false_position(lo, hi, d_lo.real, d_hi.real)
+    if d_lo.imag == 0.0 and d_hi.imag == 0.0:
+        # Re D changes sign while Im D is 0: the zero lies on the axis
+        return (yield from _newton(seed, tol, max_iter, "axis"))
+    if path == "complex":
         # D is complex on the axis (a damped model): Re D = 0 there is no
         # root, and the root near the crossing lies off the axis
-        return (yield from _newton(seed, tol, max_iter, path))
-    d_mid = d_lo
-    mid = lo
-    kept = 0  # the end the last step kept: -1 lo, +1 hi
-    while hi - lo > tol and iters < max_iter:
-        # Illinois false position
-        mid = _false_position(lo, hi, f_lo, f_hi)
-        d_mid = yield 1j * mid
-        iters += 1
-        f = d_mid.real
-        if f == 0.0 or not cmath.isfinite(d_mid):
-            break
-        # an end kept twice in a row has its stored value halved, so that
-        # end moves too and the convergence stays superlinear
-        if f_lo * f < 0:
-            moved, hi, f_hi = hi - mid, mid, f
-            if kept == -1:
-                f_lo *= 0.5
-            kept = -1
-        else:
-            moved, lo, f_lo = mid - lo, mid, f
-            if kept == 1:
-                f_hi *= 0.5
-            kept = 1
-        if moved < tol:
-            break
-    residual = _modulus(d_mid)
-    endpoint_scale = max(abs(d_lo), abs(d_hi))
-    if residual <= 1e-4 * endpoint_scale:
-        return SpectralResult(1j * mid, residual, iters, converged=True)
-    # Re D crossed zero without |D| vanishing: not a root on the axis, so
-    # hand the last point to Newton in the complex plane.
-    newton = yield from _newton(1j * mid, tol, max_iter, path)
-    return SpectralResult(
-        newton.lam,
-        newton.residual,
-        iters + newton.iterations,
-        newton.converged,
-        newton.message,
-    )
+        return (yield from _newton(seed, tol, max_iter, "plane"))
+    if d_lo.imag * d_hi.imag > 0:
+        # Im D keeps one sign: at the scan's resolution D has no zero here
+        end, d = min((lo, d_lo), (hi, d_hi), key=lambda e: abs(e[1]))
+        return SpectralResult(1j * end, abs(d), 0, False, "no zero on the axis")
+    # the seed can lie so close to the root that D there is near its
+    # rounding floor: the axis test measures against the ends' |D|
+    return (yield from _newton(seed, tol, max_iter, "axis", max(abs(d_lo), abs(d_hi))))
 
 
 def _false_position(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -654,24 +616,27 @@ def _frozen_scale_derivative(d: complex, d_re: complex, d_im: complex) -> comple
     return d_re + d * ((d_im - 1j * d_re) / d).imag
 
 
-def _newton(seed: complex, tol, max_iter, path, scale=0.0):
-    """Damped Newton from seed, with one of three difference stencils.
+def _newton(seed: complex, tol, max_iter, stencil, axis_scale=None):
+    """Damped Newton from seed: the refinement loop of every candidate.
 
-    On the real-split path the search stays on the frequency axis ("axis")
-    and takes the Gauss-Newton step along p, which minimizes the linearized
-    |D| there and is Newton's step at a simple zero on the axis; the point
-    it ends at is a root only where |D| has fallen to _AXIS_ROOT of its
-    value at the seed, or of scale where that is larger, else the exit is
-    "no zero on the axis".  On the complex path a seed on the axis, where
-    scan brackets start it, takes the Newton step of the analytic closure
-    determinant from the "plane" stencil (_frozen_scale_derivative), and a
-    step longer than ten times max(|lambda|, 1) is cut to that length; any
-    other seed keeps the central difference of D along Re ("re").
+    The caller names the difference stencil (_fd_pair).  "axis" keeps the
+    search on the frequency axis, with Re lambda exactly 0.0, and takes the
+    Gauss-Newton step along p, which minimizes the linearized |D| there and
+    is Newton's step at a simple zero on the axis.  "plane", from a point on
+    the axis, takes the Newton step of the analytic closure determinant
+    (_frozen_scale_derivative), cut to ten times max(|lambda|, 1); "re", for
+    a seed off the axis, differences D along Re.  A step is halved while it
+    does not lower |D|.  The loop converges where |D| falls to tol times its
+    value at the seed or the step below tol; else it exits "derivative
+    vanished", "derivative not finite", "determinant not finite" (at the
+    seed, or on every halving), "stagnated" (25 halvings did not lower |D|)
+    or "max_iter exceeded; suspected multiple root", at the point of least
+    |D| it reached.  Given axis_scale, the axis test decides instead: that
+    point is a root only where |D| has fallen to _AXIS_ROOT of its value at
+    the seed, or of axis_scale where that is larger; else the exit is "no
+    zero on the axis".
     """
-    if path == "real_split":
-        stencil, lam = "axis", 1j * seed.imag
-    else:
-        stencil, lam = ("plane" if seed.real == 0.0 else "re"), seed
+    lam = 1j * seed.imag if stencil == "axis" else seed
     # each point fetches the difference pair the next step needs there
     d = yield _Ahead(lam, _fd_pair(lam, stencil))
     if not cmath.isfinite(d):
@@ -737,12 +702,11 @@ def _newton(seed: complex, tol, max_iter, path, scale=0.0):
     else:
         message = "max_iter exceeded; suspected multiple root"
 
-    if stencil == "axis":
-        if best_res > _AXIS_ROOT * max(d0, scale):
+    if axis_scale is not None:
+        if best_res > _AXIS_ROOT * max(d0, axis_scale):
             return SpectralResult(best_lam, best_res, iters, False, "no zero on the axis")
-        return SpectralResult(best_lam, best_res, iters, True, message)
-
-    if not converged and best_res <= tol * d0:
+        converged = True
+    elif best_res <= tol * d0:
         converged = True
     return SpectralResult(best_lam, best_res, iters, converged, message)
 

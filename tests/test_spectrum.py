@@ -323,14 +323,17 @@ class TestPipelineInvariants:
         for a, b in zip(r1, r2):
             assert abs(a.lam - b.lam) <= 1e-9
 
-    def test_reduction_paths_agree_on_string(self, fixed_free_string):
-        opts_c = SolveOptions(scan=(0.5, 8.0, 160), step=1e-3, tol=1e-11)
-        opts_r = SolveOptions(scan=(0.5, 8.0, 160), step=1e-3, tol=1e-11, path="real_split")
-        rc = solve_spectrum(fixed_free_string, opts_c)
-        rr = solve_spectrum(fixed_free_string, opts_r)
-        assert len(rc) == len(rr) >= 3
-        for a, b in zip(rc, rr):
-            assert abs(a.lam - b.lam) <= 1e-8
+    @pytest.mark.parametrize(
+        "name", ["cable_snapshot", "fixed_fixed_string", "fixed_free_string", "point_mass_string"]
+    )
+    def test_reduction_paths_agree_on_string(self, name):
+        # D is real on the axis of an undamped model: both paths refine
+        # every bracket with the same axis Newton, from the same memo
+        problem = build_model(name)
+        rc = solve_spectrum(problem, SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3))
+        rr = solve_spectrum(problem, SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3, path="real_split"))
+        assert len(rc) >= 3
+        assert rc == rr
 
     def test_conjugate_of_complex_root_is_also_root(self):
         prob = build_spacecraft_bar()
@@ -592,11 +595,14 @@ def _nan_off(strip, root):
 
 
 class TestSuperlinearRefinement:
-    """False position on scan brackets, the Gauss-Newton step on the axis,
-    and the exits refinement takes when it cannot go on."""
+    """Newton from the false-position point of scan brackets, the
+    Gauss-Newton step on the axis, and the exits refinement takes when it
+    cannot go on."""
 
     def test_false_position_reaches_half_pi_in_few_calls(self, fixed_free_string, det_calls):
-        # bisection of this scan bracket down to tol made 31 calls
+        # the two ends, then the false-position point and two Gauss-Newton
+        # steps, each with its difference pair; bisection of this scan
+        # bracket down to tol made 31 calls
         brackets = scan_real_axis(fixed_free_string, 0.2, 10.0, 240, step=1e-3)
         bracket = next(b for b in brackets if b.kind == "sign_change")
         del det_calls[:]
@@ -604,22 +610,7 @@ class TestSuperlinearRefinement:
         assert res.converged
         assert res.lam.real == 0.0
         assert res.lam.imag == pytest.approx(HALF_PI, abs=1e-10)
-        assert len(det_calls) <= 8
-
-    @pytest.mark.parametrize("kept", ["hi", "lo"])
-    def test_illinois_step_moves_the_kept_end(self, kept):
-        # p^10 - 1/2 is so convex on (0, 1) that plain false position keeps
-        # the upper end and creeps up from below; its mirror image keeps the
-        # lower end.  Bisection takes 40 steps
-        def dfun(lam):
-            p = lam.imag if kept == "hi" else 1.0 - lam.imag
-            return complex(p**10 - 0.5)
-
-        root = 0.5**0.1 if kept == "hi" else 1.0 - 0.5**0.1
-        res = spectrum._run(spectrum._bisect_bracket(Bracket(0.0, 1.0, "sign_change", 0.5), 1e-12, 100, "complex"), dfun)
-        assert res.converged
-        assert res.lam.imag == pytest.approx(root, abs=1e-11)
-        assert res.iterations <= 20
+        assert len(det_calls) <= 5
 
     def test_gauss_newton_step_on_the_axis(self, fixed_free_string, det_calls):
         # the complex-path D has a simple zero on the axis, so the step along
@@ -646,8 +637,8 @@ class TestSuperlinearRefinement:
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     def test_bracket_point_lies_inside_the_bracket(self, name, monkeypatch):
         # Newton replaced by the identity, so every result is the point the
-        # bracket phase accepted or handed on
-        def no_newton(seed, tol, max_iter, path):
+        # bracket phase handed on
+        def no_newton(seed, tol, max_iter, stencil, axis_scale=None):
             return spectrum.SpectralResult(seed, 0.0, 0, False)
             yield
 
@@ -725,12 +716,17 @@ class TestSuperlinearRefinement:
         (root,) = solve_spectrum(None, options)
         assert root.converged and abs(root.lam - 2j) <= 1e-10
 
-    @pytest.mark.parametrize("scan", [(1.5707, 1.5709, 50), (1.5707963, 1.5707964, 20)])
-    def test_real_split_bracket_on_a_narrow_scan(self, fixed_free_string, scan):
+    @pytest.mark.parametrize("path", ["complex", "real_split"])
+    @pytest.mark.parametrize(
+        "scan", [(1.5707, 1.5709, 50), (1.5707963, 1.5707964, 20), (1.570796326, 1.570796327, 20)]
+    )
+    def test_real_split_bracket_on_a_narrow_scan(self, fixed_free_string, scan, path):
         # the false-position point lies within 3e-12 of the root, where |D|
-        # (4e-12, 9e-15) is near its rounding floor: measured against |D|
-        # there alone, Newton cannot lower it 1e5-fold and rejects the root
-        options = SolveOptions(scan=scan, step=1e-3, path="real_split")
+        # (4e-12, 9e-15, 9.7e-16) is near its rounding floor: an axis test
+        # measured against |D| there, or against 1e-5 of the ends' |D| on
+        # the narrowest window, rejected the root.  D is real at both ends,
+        # so no axis test applies
+        options = SolveOptions(scan=scan, step=1e-3, path=path)
         (root,) = solve_spectrum(fixed_free_string, options)
         assert root.lam.imag == pytest.approx(HALF_PI, abs=1e-10)
 
@@ -752,19 +748,19 @@ class TestSuperlinearRefinement:
         ids=["difference_pair", "damped_steps", "seed"],
     )
     def test_non_finite_determinant_is_an_exit(self, strip, root, seed, message):
-        res = spectrum._run(spectrum._newton(seed, 1e-10, 100, "complex"), _nan_off(strip, root))
+        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100, "complex"), _nan_off(strip, root))
         assert not res.converged
         assert res.message == message
         assert abs(res.lam.real) <= strip or res.lam == seed
 
     def test_small_step_onto_a_non_finite_value_is_halved(self):
         # a step below tol is taken even when |D| grows, but never onto NaN
-        res = spectrum._run(spectrum._newton(1.4j, 1e-2, 100, "complex"), _nan_off(1e-3, complex(-100.0, 1.4)))
+        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-2, 100, "complex"), _nan_off(1e-3, complex(-100.0, 1.4)))
         assert -1e-3 <= res.lam.real < 0.0
 
     def test_non_finite_value_inside_a_bracket_is_not_accepted(self):
         # NaN off the axis and inside (1.4, 1.5) on it: the bracket phase
-        # hands its last point to Newton, which reports the seed
+        # hands its false-position point to Newton, which reports the seed
         def dfun(lam):
             lam = np.asarray(lam)
             bad = (lam.real != 0.0) | ((lam.imag > 1.4) & (lam.imag < 1.5))
@@ -890,7 +886,7 @@ class TestLockstepRefinement:
                 seen.append(lam)
                 return cubic(lam)
 
-            spectrum._run(spectrum._newton(seed, 1e-10, 100, "complex"), recording)
+            spectrum._run(spectrum._refine_steps(seed, 1e-10, 100, "complex"), recording)
             requests.append(seen)
         assert len(requests[0]) > 7 and len(requests[1]) > 3
         poison = {
@@ -947,17 +943,17 @@ def _keys(lams):
 #: determinant and seeded refinement on the complex-path D, then before it
 #: refined on that D
 SOLVE_CALLS = {
-    ("cable_snapshot", "complex"): 7,  # 9
+    ("cable_snapshot", "complex"): 5,  # 9
     ("cable_snapshot", "real_split"): 5,  # 5, 8
-    ("fixed_fixed_string", "complex"): 6,  # 8
+    ("fixed_fixed_string", "complex"): 4,  # 8
     ("fixed_fixed_string", "real_split"): 4,  # 5, 8
-    ("fixed_free_string", "complex"): 6,  # 8
+    ("fixed_free_string", "complex"): 4,  # 8
     ("fixed_free_string", "real_split"): 4,  # 5, 8
     ("machine_unit", "complex"): 11,  # 17
     ("machine_unit", "real_split"): 1,  # 7, 138
     ("pipeline", "complex"): 11,  # 17
     ("pipeline", "real_split"): 1,  # 8, 251
-    ("point_mass_string", "complex"): 7,  # 9
+    ("point_mass_string", "complex"): 5,  # 9
     ("point_mass_string", "real_split"): 5,  # 5, 8
     ("spacecraft_bar", "complex"): 17,  # 25
     ("spacecraft_bar", "real_split"): 1,  # 12, 129
@@ -1030,7 +1026,7 @@ class TestDeterminantMemo:
             calls.append(lam)
             return np.asarray(lam, dtype=complex) - complex(-0.1, 1.5)
 
-        res = spectrum._run(spectrum._newton(1.4j, 1e-10, 100, "complex"), linear)
+        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-10, 100, "complex"), linear)
         assert res.converged and abs(res.lam - complex(-0.1, 1.5)) <= 1e-12
         assert [np.size(lam) for lam in calls] == [3, 3]
 
@@ -1048,8 +1044,8 @@ class TestDeterminantMemo:
             return arctan(lam)
 
         seed = complex(2.0, 1.0)
-        want = _plain(spectrum._newton(seed, 1e-10, 100, "complex"), arctan)
-        res = spectrum._run(spectrum._newton(seed, 1e-10, 100, "complex"), recording)
+        want = _plain(spectrum._refine_steps(seed, 1e-10, 100, "complex"), arctan)
+        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100, "complex"), recording)
         assert res.converged and _fields([res]) == _fields([want])
         assert set(calls) == {1, 2, 3}
         for before, size in zip(calls, calls[1:]):
@@ -1067,7 +1063,7 @@ class TestDeterminantMemo:
             calls.append(lam)
             return np.asarray(lam, dtype=complex) - complex(100.0, 1.0)
 
-        res = spectrum._run(spectrum._newton(1.0j, 1e-10, 100, "complex"), linear)
+        res = spectrum._run(spectrum._refine_steps(1.0j, 1e-10, 100, "complex"), linear)
         assert res.converged and abs(res.lam - complex(100.0, 1.0)) <= 1e-10
         assert [np.size(lam) for lam in calls][:3] == [3, 1, 2]
 
@@ -1085,7 +1081,7 @@ class TestDeterminantMemo:
             seen.extend(np.atleast_1d(lam).tolist())
             return self._cubic(lam)
 
-        return driver(spectrum._newton(seed, 1e-10, 100, "complex"), recording), seen
+        return driver(spectrum._refine_steps(seed, 1e-10, 100, "complex"), recording), seen
 
     def _poisoned(self, monkeypatch, poison):
         """A stub characteristic_determinant, raising at the first poisoned
@@ -1149,7 +1145,7 @@ class TestDeterminantMemo:
         pair = needed[4]  # seed, its pair, the first point, then its pair
         raised = self._poisoned(monkeypatch, {pair})
         with pytest.raises(PropagationError) as looped:
-            _plain(spectrum._newton(complex(1.3, 1.1), 1e-10, 100, "complex"),
+            _plain(spectrum._refine_steps(complex(1.3, 1.1), 1e-10, 100, "complex"),
                    lambda lam: spectrum.characteristic_determinant(None, lam, 1e-3))
         for run in (lambda: refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3),
                     lambda: spectrum._refine_all(None, [complex(1.3, 1.1), complex(1.2, 0.9)],
@@ -1285,12 +1281,16 @@ class TestFrozenScaleNewton:
         # an analytic D keeps its own slope
         assert spectrum._frozen_scale_derivative(f(z), f_prime(z), 1j * f_prime(z)) == pytest.approx(f_prime(z))
 
+    @pytest.mark.parametrize("path", ["complex", "real_split"])
     @pytest.mark.parametrize("name, real_ends", [("spacecraft_bar", False), ("fixed_free_string", True)])
-    def test_only_a_real_bracket_runs_false_position(self, name, real_ends, det_calls, monkeypatch):
-        seeds = []
+    def test_bracket_newton_starts_at_the_false_position_point(self, name, real_ends, path, det_calls, monkeypatch):
+        # a bracket with a real D at both ends takes the axis step, with no
+        # axis test, on either path; a damped one the plane step on the
+        # complex path, while on real_split the Im-sign rule ends this one
+        newtons = []
 
-        def recording_newton(seed, tol, max_iter, path):
-            seeds.append(seed)
+        def recording_newton(seed, tol, max_iter, stencil, axis_scale=None):
+            newtons.append((seed, stencil, axis_scale))
             return spectrum.SpectralResult(seed, 0.0, 0, False)
             yield
 
@@ -1299,18 +1299,21 @@ class TestFrozenScaleNewton:
         bracket = next(b for b in scan_real_axis(prob, *SCAN_DEFAULTS[name], step=1e-3)
                        if b.kind == "sign_change")
         del det_calls[:]
-        refine_root(prob, bracket, step=1e-3)
+        res = refine_root(prob, bracket, step=1e-3, path=path)
         # the module's own name: evaluated here, not recorded
         d_lo, d_hi = (characteristic_determinant(prob, 1j * p, 1e-3) for p in (bracket.p_lo, bracket.p_hi))
         assert (d_lo.imag == 0.0 and d_hi.imag == 0.0) is real_ends
-        if real_ends:
-            assert seeds == [] and len(det_calls) > 2
-        else:
-            # the two ends, then Newton from the first false-position point
-            assert len(det_calls) == 2
-            lo, hi = bracket.p_lo, bracket.p_hi
-            want = hi - d_hi.real * (hi - lo) / (d_hi.real - d_lo.real)
-            assert seeds == [1j * want] and lo < want < hi
+        # the two ends, and no evaluation of the bracket phase's own
+        assert len(det_calls) == 2
+        if not real_ends and path == "real_split":
+            # Im D keeps one sign across this bracket: no Newton at all
+            assert d_lo.imag * d_hi.imag > 0
+            assert newtons == [] and res.message == "no zero on the axis"
+            return
+        lo, hi = bracket.p_lo, bracket.p_hi
+        want = hi - d_hi.real * (hi - lo) / (d_hi.real - d_lo.real)
+        stencil = "axis" if real_ends else "plane"
+        assert newtons == [(1j * want, stencil, None)] and lo < want < hi
 
     def test_spacecraft_bar_reports_all_four_roots(self):
         prob = build_model("spacecraft_bar")
