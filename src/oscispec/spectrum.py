@@ -319,24 +319,39 @@ def _scan(problem, p_min, p_max, n_grid, step):
     f = dvals.real
     mag = np.abs(dvals)
 
-    brackets: list[Bracket] = []
+    # sign changes of Re D, then the interior minima of |D| below the
+    # threshold that no sign-change bracket touches
+    cross = np.flatnonzero(f[:-1] * f[1:] < 0.0)
     flagged = np.zeros(n_grid, dtype=bool)
-    for i in range(n_grid - 1):
-        if f[i] * f[i + 1] < 0.0:
-            brackets.append(
-                Bracket(ps[i], ps[i + 1], "sign_change", 0.5 * (ps[i] + ps[i + 1]))
-            )
-            flagged[i] = flagged[i + 1] = True
+    flagged[cross] = flagged[cross + 1] = True
+    inner = mag[1:-1]
+    low = (
+        ~(flagged[:-2] | flagged[1:-1] | flagged[2:])
+        & (inner < _MINIMUM_RATIO * _median(mag))
+        & (inner <= mag[:-2])
+        & (inner <= mag[2:])
+    )
+    dips = np.flatnonzero(low) + 1
 
-    threshold = _MINIMUM_RATIO * float(np.median(mag))
-    for i in range(1, n_grid - 1):
-        if flagged[i - 1] or flagged[i] or flagged[i + 1]:
-            continue
-        if mag[i] < threshold and mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1]:
-            brackets.append(Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i]))
-
+    brackets = [
+        Bracket(ps[i], ps[i + 1], "sign_change", 0.5 * (ps[i] + ps[i + 1])) for i in cross
+    ]
+    brackets += [Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i]) for i in dips]
     brackets.sort(key=lambda b: b.p_seed)
     return brackets, dict(zip(_keys(lams), dvals.tolist()))
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D float array, bit for bit, from one sort: the middle
+    value, or (a + b) / 2 of the middle two, and NaN when any value is NaN.
+    np.median itself imports numpy.ma on its first call."""
+    ordered = np.sort(values)
+    if np.isnan(ordered[-1]):  # the sort puts NaN last
+        return math.nan
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
 def refine_root(

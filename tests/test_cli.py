@@ -494,6 +494,46 @@ def test_verify_never_imports_scipy():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+#: modules no CLI command needs: numpy.ma (np.median imports it), numpy.random
+#: (with OpenSSL's _hashlib) and scipy (only the dense QZ route uses it)
+_UNNEEDED = ("numpy.ma", "numpy.random", "scipy", "_hashlib")
+
+_RUN_AND_LIST = f"""
+import contextlib, io, sys
+from oscispec import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *(m for m in {_UNNEEDED!r} if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--model", "spacecraft_bar", "--scan", "0.2:10:240"],
+        ["sweep", "--model", "spacecraft_bar", "--sweep", "d:0:0.2:3", "--scan", "0.3:2:50"],
+        ["modes", "--model", "point_mass_string", "--path", "real_split",
+         "--scan", "0.2:10:240", "--indices", "1,2"],
+        ["verify", "machine_unit"],
+        ["verify", "point_mass_string"],
+    ],
+    ids=["solve", "sweep", "modes_real_split", "verify_fd", "verify_closed_form"],
+)
+def test_cli_command_loads_only_what_it_runs(argv, tmp_path):
+    # each command in a fresh interpreter, as from the shell
+    src = str(Path(oscispec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    if argv[0] != "verify":
+        argv = argv + ["--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    code, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert loaded == []
+
+
 # ---------------------------------------------------------------------------
 # column-wise CSV writers against the per-cell loops they replaced
 # ---------------------------------------------------------------------------

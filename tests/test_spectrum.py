@@ -204,6 +204,97 @@ class TestScan:
         fine = scan_real_axis(prob, 6.0, 7.2, 40, step=1e-3)
         assert len([b for b in fine if b.kind == "sign_change"]) == 2
 
+    @pytest.mark.parametrize(
+        "window",
+        [(0.2, 10.0, 240), (-1.0, 10.0, 220), (0.3, 2.0, 50), (-0.13, 0.87, 5), (0.05, 3.0, 31)],
+        ids=lambda w: ":".join(map(str, w)),
+    )
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_scan_equals_the_plain_loop(self, name, window):
+        problem = build_model(name)
+        brackets, memo = spectrum._scan(problem, *window, 1e-3)
+        ps = np.linspace(*window)
+        dvals = characteristic_determinant(problem, 1j * ps, 1e-3)
+        _same_brackets(brackets, _loop_brackets(ps, dvals))
+        assert memo == dict(zip(_keys(1j * ps), dvals.tolist()))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_scan_equals_the_plain_loop_on_ties_and_nan(self, seed, monkeypatch):
+        # small integer values: zeros, equal neighbours, minima next to sign
+        # changes and NaN, which the built-in grids seldom show
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        dvals = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n) * 0.01
+        dvals[rng.random(n) < 0.05] = np.nan
+        monkeypatch.setattr(spectrum, "characteristic_determinant", lambda *args: dvals)
+        brackets, _ = spectrum._scan(None, 0.0, 1.0, n, 1e-3)
+        _same_brackets(brackets, _loop_brackets(np.linspace(0.0, 1.0, n), dvals))
+
+
+def _loop_brackets(ps, dvals):
+    # the per-point bracket loop the vectorized search replaced, kept as the
+    # reference
+    f, mag = dvals.real, np.abs(dvals)
+    expected, flagged = [], np.zeros(len(ps), dtype=bool)
+    for i in range(len(ps) - 1):
+        if f[i] * f[i + 1] < 0.0:
+            expected.append(Bracket(ps[i], ps[i + 1], "sign_change", 0.5 * (ps[i] + ps[i + 1])))
+            flagged[i] = flagged[i + 1] = True
+    threshold = spectrum._MINIMUM_RATIO * float(np.median(mag))
+    for i in range(1, len(ps) - 1):
+        if flagged[i - 1] or flagged[i] or flagged[i + 1]:
+            continue
+        if mag[i] < threshold and mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1]:
+            expected.append(Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i]))
+    expected.sort(key=lambda b: b.p_seed)
+    return expected
+
+
+def _same_brackets(brackets, expected):
+    # equal values, kinds and order, every coordinate a float64
+    assert brackets == expected
+    types = {type(getattr(b, k)) for b in brackets for k in ("p_lo", "p_hi", "p_seed")}
+    assert types <= {np.float64}
+
+
+class TestMedian:
+    """spectrum._median is np.median bit for bit, without numpy.ma."""
+
+    @staticmethod
+    def _same(values):
+        ours, ref = spectrum._median(values), np.median(values)
+        assert type(ours) is float
+        assert ours.hex() == float(ref).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 240, 241])
+    def test_random_magnitudes_over_ten_decades(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            self._same(10.0 ** rng.uniform(-5.0, 5.0, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7])
+    def test_ties_and_zeros(self, n):
+        self._same(np.zeros(n))
+        self._same(np.r_[np.zeros(n // 2), np.ones(n - n // 2)])
+        self._same(np.r_[np.full(n - 1, 1e-300), np.inf])
+        with np.errstate(over="ignore"):  # a + b overflows, as in np.median
+            self._same(np.full(n, np.finfo(float).max))
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_determinant_grid_of_each_built_in(self, name):
+        ps = np.linspace(*SCAN_DEFAULTS[name])
+        mag = np.abs(characteristic_determinant(build_model(name), 1j * ps, 1e-3))
+        self._same(mag)
+        self._same(mag[1:])  # and an even length
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_any_nan_gives_nan(self, n, at):
+        values = np.arange(1.0, n + 1.0)
+        values[at] = np.nan
+        assert math.isnan(spectrum._median(values))
+        assert math.isnan(np.median(values))
+
 
 class TestRefine:
     def test_bisection_to_half_pi(self, fixed_free_string):
