@@ -75,7 +75,7 @@ def _json_num(x: float) -> str:
     return f"{x:.17g}"
 
 
-#: printf form of the CSV number format; `_csv_table` formats whole rows with it
+#: printf form of the CSV number format; `_csv_table` formats whole tables with it
 _CSV_FMT = "%.10g"
 
 
@@ -86,14 +86,14 @@ def _csv_num(x: float) -> str:
 def _csv_table(header: list[str], columns) -> str:
     """CSV text of equal-length float columns, one `_CSV_FMT` cell each.
 
-    The columns are stacked and converted to Python floats in one call, then
-    each row is formatted with one prebuilt pattern, which is what makes a
-    mode file cheap; the cells are exactly those `_csv_num` gives.
+    The columns are stacked and converted to Python floats in one call, and
+    the rows are formatted with one `%` over the row pattern repeated once
+    per row, which is what makes a mode file cheap; the header is put in
+    front of that.  The cells are exactly those `_csv_num` gives.
     """
     table = np.column_stack(columns)
-    row_fmt = ",".join([_CSV_FMT] * table.shape[1])
-    rows = [row_fmt % tuple(row) for row in table.tolist()]
-    return "\n".join([",".join(header)] + rows) + "\n"
+    row_fmt = ",".join([_CSV_FMT] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (row_fmt * len(table)) % tuple(table.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,26 @@ from __future__ import annotations
 import numpy as np
 
 
-def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12):
+class NullBasis(tuple):
+    """rref_null_basis's (rank, basis) pair; `pivots` holds the pivot columns:
+    (rank,) ints, for a stack (K, rank) if its matrices pivot apart, None if
+    their ranks differ."""
+
+    def __new__(cls, rank, basis, pivots):
+        pair = super().__new__(cls, (rank, basis))
+        pair.pivots = pivots
+        return pair
+
+
+def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12) -> NullBasis:
     """Null-space basis of a short wide matrix, or of each matrix of a stack,
     by Gaussian elimination.
 
-    Returns (rank, basis) where basis has one column per free variable, in
-    ascending column order.  For a 0/1 selection matrix (each row a distinct
-    unit vector) the basis columns are exactly the complementary unit
-    vectors, reproduced without roundoff.
+    Returns (rank, basis), with the pivot columns as .pivots (NullBasis);
+    basis has one column per free variable, in ascending column order.  For
+    a 0/1 selection matrix (each row a distinct unit vector) the basis
+    columns are exactly the complementary unit vectors, reproduced without
+    roundoff.
 
     The reduction uses partial pivoting on the largest modulus; entries below
     tol * (max |entry|) count as zero.  Deterministic for identical input.
@@ -34,17 +46,19 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12):
         parts = [rref_null_basis(m, tol) for m in np.asarray(matrix)]
         ranks = np.array([rank for rank, _ in parts], dtype=int)
         if len(set(ranks.tolist())) > 1:
-            return ranks, None
-        return ranks, np.stack([basis for _, basis in parts])
+            return NullBasis(ranks, None, None)
+        stacked = np.stack([basis for _, basis in parts]), np.stack([q.pivots for q in parts])
+        return NullBasis(ranks, *stacked)
     count, _, cols = stack.shape
     rank = len(pivot_cols)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     basis = np.zeros((count, cols, len(free_cols)), dtype=a.dtype)
     basis[:, free_cols, range(len(free_cols))] = 1.0
     basis[:, pivot_cols] = -stack[:, :rank, free_cols]
+    pivots = np.array(pivot_cols, dtype=int)
     if a.ndim == 2:
-        return rank, basis[0]
-    return np.full(count, rank), basis
+        return NullBasis(rank, basis[0], pivots)
+    return NullBasis(np.full(count, rank), basis, pivots)
 
 
 def _eliminate(stack: np.ndarray, tol: float) -> list[int] | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,11 +45,6 @@ _MINIMUM_RATIO = 0.05
 #: mode_shapes raises NotARootError where the normalized |D| of the closure
 #: matrix is above this, and asks its null vector for this relative residual
 _RANK_TOL = 1e-6
-
-#: the axis test (_newton): a real-split candidate is a root only where |D|
-#: has fallen to this share of its value at the seed; an axis point of a
-#: damped model is a minimum of |D| well above zero
-_AXIS_ROOT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -117,30 +112,39 @@ def initial_coefficients(left_boundary: BoundaryOperator, lam: complex) -> np.nd
     if the matrix is rank deficient at lambda.
     """
     matrix = np.asarray(left_boundary(lam), dtype=complex)
-    return _null_basis_checked(matrix, lam)
+    return _null_basis_checked(matrix, lam)[1]
 
 
-def _null_basis_checked(matrix: np.ndarray, lam) -> np.ndarray:
-    """Null basis of a boundary matrix, or of each matrix of a stack; raises
-    BoundaryDegeneracyError for the first lambda whose rows lose rank."""
+def _null_basis_checked(matrix: np.ndarray, lam):
+    """rref_null_basis of a boundary matrix, or of each matrix of a stack;
+    raises BoundaryDegeneracyError for the first lambda whose rows lose rank."""
     rows = matrix.shape[-2]
-    rank, basis = rref_null_basis(matrix)
-    for z, r in zip(each_lambda(lam), np.atleast_1d(rank).tolist()):
+    reduced = rref_null_basis(matrix)
+    for z, r in zip(each_lambda(lam), np.atleast_1d(reduced[0]).tolist()):
         if r != rows:
             raise BoundaryDegeneracyError(z, r, rows)
-    return basis
+    return reduced
 
 
 def _initial_table(matrix: np.ndarray, lam) -> np.ndarray:
-    """Null basis of the left boundary matrix, per lambda of a stack.
+    """The left null basis in adjugate form, per lambda of a stack.
 
-    A stack whose boundary rows do not change with lambda shares one basis;
-    any other stack is reduced in one rref_null_basis call.
+    The rref basis [-A_P^-1 A_F; I] of the rows A (pivot columns P, free F)
+    times (-1)^(sum of P) det(A_P) is +-[-adj(A_P) A_F; det(A_P) I]: one
+    polynomial whichever columns pivot (the sign is the parity of (P, F)
+    times one fixed by the row count), with no pole where det(A_P)
+    vanishes, so the closure determinant keeps its zeros there.  The dtype
+    is kept; a factor of 1 (the pinned row, realified too) keeps the bytes.
+    A stack of equal rows shares one basis; any other is reduced in one call.
     """
     if matrix.ndim == 3 and np.all(matrix == matrix[0]):
-        basis = _null_basis_checked(matrix[0], each_lambda(lam)[0])
+        basis = _initial_table(matrix[0], each_lambda(lam)[0])
         return np.broadcast_to(basis, (len(matrix),) + basis.shape)
-    return _null_basis_checked(matrix, lam)
+    reduced = _null_basis_checked(matrix, lam)
+    piv = reduced.pivots  # (K, rank) where the matrices of the stack pivot apart
+    block = matrix[..., piv] if piv.ndim == 1 else np.take_along_axis(matrix, piv[:, None, :], -1)
+    scale = ((1 - 2 * (piv.sum(axis=-1) % 2)) * np.linalg.det(block))[..., None, None]
+    return np.where(scale == 1, reduced[1], reduced[1] * scale)
 
 
 def propagate(
@@ -360,26 +364,18 @@ def refine_root(
     tol: float = 1e-10,
     max_iter: int = 100,
     step: float = 1e-3,
-    path: str = "complex",
 ) -> SpectralResult:
     """Polish one root candidate: the one-target case of the lockstep refinement.
 
-    Every path refines on the complex-path determinant D; path only chooses
-    the search for damped candidates.  Every candidate is polished by one
-    damped Newton loop (_newton), which stops with a reason when halving
-    its step 25 times does not lower |D| ("stagnated") or when D is not
-    finite.  A sign-change bracket starts it at its first false-position
-    point.  Where D is real at both ends of the bracket, Re D changes sign
-    while Im D is 0, so the zero lies on the axis: on either path Newton
-    takes the Gauss-Newton step along the axis, with no axis test.  A
-    bracket with a complex D at an end (a damped model, where Re D = 0 on
-    the axis is no root) takes, on the complex path, the step of the
-    analytic closure determinant (_frozen_scale_derivative), as does any
-    other seed on the axis; a seed off it takes the central difference of
-    D along Re.  The real-split roots are the zeros of D on the frequency
-    axis: there a damped bracket across which Im D keeps one sign exits "no
-    zero on the axis" with no evaluation of its own, and every other
-    candidate takes the axis step and the axis test.  The seed and each
+    Every candidate is polished on D by one damped Newton loop (_newton),
+    which stops with a reason when halving its step 25 times does not lower
+    |D| ("stagnated") or when D is not finite.  A sign-change bracket starts
+    it at its first false-position point: with a real D at both ends the
+    zero lies on the axis, and Newton takes the Gauss-Newton step along it;
+    with a complex D at an end (a damped model, where Re D = 0 on the axis
+    is no root) it takes the step of the analytic closure determinant
+    (_frozen_scale_derivative), as does any other seed on the axis; a seed
+    off it takes the central difference of D along Re.  The seed and each
     full Newton step are evaluated in one stack with the difference pair
     the next step needs there (a halved retry, or a step more than ten
     times the size of lambda, goes alone).
@@ -395,7 +391,7 @@ def refine_root(
     def dfun(lam):
         return characteristic_determinant(problem, lam, step)
 
-    return _run(_refine_steps(target, tol, max_iter, path), dfun)
+    return _run(_refine_steps(target, tol, max_iter), dfun)
 
 
 # The refinement steps below are generators: each yields the lambda, the
@@ -494,15 +490,13 @@ def _run(steps, dfun, memo=None, request=None):
         return stop.value
 
 
-def _refine_steps(target: Bracket | complex, tol, max_iter, path):
+def _refine_steps(target: Bracket | complex, tol, max_iter):
     if isinstance(target, Bracket):
         if target.kind == "sign_change":
-            return _bisect_bracket(target, tol, max_iter, path)
+            return _bisect_bracket(target, tol, max_iter)
         seed = 1j * target.p_seed
     else:
         seed = complex(target)
-    if path == "real_split":
-        return _newton(seed, tol, max_iter, "axis", 0.0)
     return _newton(seed, tol, max_iter, "plane" if seed.real == 0.0 else "re")
 
 
@@ -512,7 +506,6 @@ def _refine_all(
     tol: float,
     max_iter: int,
     step: float,
-    path: str,
     memo: dict[bytes, complex] | None = None,
 ) -> list[SpectralResult]:
     """Refine every target in lockstep, one result per target in order.
@@ -533,7 +526,7 @@ def _refine_all(
         return characteristic_determinant(problem, lam, step)
 
     memo = {} if memo is None else memo
-    steps = [_refine_steps(t, tol, max_iter, path) for t in targets]
+    steps = [_refine_steps(t, tol, max_iter) for t in targets]
     results: list[SpectralResult | None] = [None] * len(steps)
     replies = dict.fromkeys(range(len(steps)))
     while True:
@@ -559,27 +552,19 @@ def _refine_all(
         replies = {k: _recall(request, memo) for k, request in requests.items()}
 
 
-def _bisect_bracket(bracket: Bracket, tol, max_iter, path):
+def _bisect_bracket(bracket: Bracket, tol, max_iter):
     lo, hi = bracket.p_lo, bracket.p_hi
     d_lo = yield 1j * lo
     d_hi = yield 1j * hi
     if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or d_lo.real * d_hi.real > 0:
-        return (yield from _refine_steps(1j * bracket.p_seed, tol, max_iter, path))
+        return (yield from _refine_steps(1j * bracket.p_seed, tol, max_iter))
     seed = 1j * _false_position(lo, hi, d_lo.real, d_hi.real)
     if d_lo.imag == 0.0 and d_hi.imag == 0.0:
         # Re D changes sign while Im D is 0: the zero lies on the axis
         return (yield from _newton(seed, tol, max_iter, "axis"))
-    if path == "complex":
-        # D is complex on the axis (a damped model): Re D = 0 there is no
-        # root, and the root near the crossing lies off the axis
-        return (yield from _newton(seed, tol, max_iter, "plane"))
-    if d_lo.imag * d_hi.imag > 0:
-        # Im D keeps one sign: at the scan's resolution D has no zero here
-        end, d = min((lo, d_lo), (hi, d_hi), key=lambda e: abs(e[1]))
-        return SpectralResult(1j * end, abs(d), 0, False, "no zero on the axis")
-    # the seed can lie so close to the root that D there is near its
-    # rounding floor: the axis test measures against the ends' |D|
-    return (yield from _newton(seed, tol, max_iter, "axis", max(abs(d_lo), abs(d_hi))))
+    # D is complex on the axis (a damped model): Re D = 0 there is no
+    # root, and the root near the crossing lies off the axis
+    return (yield from _newton(seed, tol, max_iter, "plane"))
 
 
 def _false_position(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -631,11 +616,11 @@ def _frozen_scale_derivative(d: complex, d_re: complex, d_im: complex) -> comple
     return d_re + d * ((d_im - 1j * d_re) / d).imag
 
 
-def _newton(seed: complex, tol, max_iter, stencil, axis_scale=None):
-    """Damped Newton from seed: the refinement loop of every candidate.
+def _newton(lam: complex, tol, max_iter, stencil):
+    """Damped Newton from the seed lam: the refinement loop of every candidate.
 
-    The caller names the difference stencil (_fd_pair).  "axis" keeps the
-    search on the frequency axis, with Re lambda exactly 0.0, and takes the
+    The caller names the difference stencil (_fd_pair).  "axis", from a
+    seed on the frequency axis, keeps Re lambda exactly 0.0 and takes the
     Gauss-Newton step along p, which minimizes the linearized |D| there and
     is Newton's step at a simple zero on the axis.  "plane", from a point on
     the axis, takes the Newton step of the analytic closure determinant
@@ -646,12 +631,8 @@ def _newton(seed: complex, tol, max_iter, stencil, axis_scale=None):
     vanished", "derivative not finite", "determinant not finite" (at the
     seed, or on every halving), "stagnated" (25 halvings did not lower |D|)
     or "max_iter exceeded; suspected multiple root", at the point of least
-    |D| it reached.  Given axis_scale, the axis test decides instead: that
-    point is a root only where |D| has fallen to _AXIS_ROOT of its value at
-    the seed, or of axis_scale where that is larger; else the exit is "no
-    zero on the axis".
+    |D| it reached.
     """
-    lam = 1j * seed.imag if stencil == "axis" else seed
     # each point fetches the difference pair the next step needs there
     d = yield _Ahead(lam, _fd_pair(lam, stencil))
     if not cmath.isfinite(d):
@@ -717,11 +698,7 @@ def _newton(seed: complex, tol, max_iter, stencil, axis_scale=None):
     else:
         message = "max_iter exceeded; suspected multiple root"
 
-    if axis_scale is not None:
-        if best_res > _AXIS_ROOT * max(d0, axis_scale):
-            return SpectralResult(best_lam, best_res, iters, False, "no zero on the axis")
-        converged = True
-    elif best_res <= tol * d0:
+    if best_res <= tol * d0:
         converged = True
     return SpectralResult(best_lam, best_res, iters, converged, message)
 
@@ -848,7 +825,9 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     (_refine_all), with the results and errors of refine_root applied to
     each in turn.  Returns converged roots only, with Im >= 0 (conjugate
     pairs reported once), sorted by |Im| then Re.  An empty list is a valid
-    answer.  A non-positive tol or an unknown path is rejected before the scan.
+    answer.  real_split keeps those with |Re| <= tol * max(|lambda|, 1),
+    projected onto the axis.  A non-positive tol or an unknown path is
+    rejected before the scan.
     """
     if options.tol <= 0:
         raise ValueError("tol must be positive")
@@ -867,9 +846,13 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
             for re in np.linspace(re0, re1, int(nr))
             for im in np.linspace(im0, im1, int(ni))
         ]
-    results = _refine_all(problem, targets, options.tol, options.max_iter, step, options.path, memo)
-    accepted = [r for r in results if r.converged]
-    return _dedupe(accepted, options.tol)
+    results = _refine_all(problem, targets, options.tol, options.max_iter, step, memo)
+    roots = _dedupe([r for r in results if r.converged], options.tol)
+    if options.path == "real_split":
+        tol = options.tol
+        roots = [replace(r, lam=1j * r.lam.imag) for r in roots
+                 if abs(r.lam.real) <= tol * max(abs(r.lam), 1.0)]
+    return roots
 
 
 def resolve_step(problem: ProblemDefinition, options: SolveOptions) -> float:

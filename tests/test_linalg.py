@@ -100,6 +100,22 @@ class TestStackedNullBasis:
         for matrix, basis in zip(a, bases):
             assert basis.tobytes() == _textbook(matrix)[1].tobytes()
 
+    @pytest.mark.parametrize("kind, shape, dtype", CASES)
+    def test_pivots_are_the_columns_the_basis_leaves_free(self, kind, shape, dtype):
+        rng = np.random.default_rng(sum(map(ord, kind)) + 7 * shape[0] + shape[1])
+        a = _stack(kind, shape, dtype, rng)
+        ranks, bases = reduced = rref_null_basis(a)
+        assert (reduced.pivots is None) == (bases is None)
+        for k, matrix in enumerate(a):
+            rank, basis = alone = rref_null_basis(matrix)
+            pivots = alone.pivots.tolist()
+            assert len(pivots) == rank and pivots == sorted(pivots)
+            free = [c for c in range(shape[1]) if c not in pivots]
+            assert basis[free].tobytes() == np.eye(len(free), dtype=dtype).tobytes()
+            if bases is not None:
+                shared = reduced.pivots.ndim == 1
+                assert (reduced.pivots if shared else reduced.pivots[k]).tolist() == pivots
+
     def test_rejects_other_ranks(self):
         with pytest.raises(ValueError, match="2-D matrix or a stack"):
             rref_null_basis(np.zeros(3))
@@ -133,3 +149,34 @@ class TestInitialTable:
         rng = np.random.default_rng(4)
         spectrum._initial_table(rng.standard_normal((240, 2, 4)), 1j * np.linspace(0.2, 10.0, 240))
         assert calls == [(240, 2, 4)]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_adjugate_form_whichever_columns_pivot(self, rows, dtype):
+        # one free column: the table is the vector of signed maximal minors,
+        # x_k = +-det(A without column k), on every pivot choice; a zero
+        # first or last column moves the pivots
+        rng = np.random.default_rng(rows)
+        a = rng.standard_normal((12, rows, rows + 1))
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal(a.shape)
+        a[4:8, :, 0] = 0.0
+        a[8:, :, -1] = 0.0
+        lams = 1j * np.linspace(0.5, 3.0, len(a))
+        table = spectrum._initial_table(a, lams)
+        sign = (-1) ** (rows * (rows - 1) // 2)
+        for k, matrix in enumerate(a):
+            minors = [np.linalg.det(np.delete(matrix, c, axis=1)) for c in range(rows + 1)]
+            want = np.array([sign * (-1) ** (c + rows) * m for c, m in enumerate(minors)])
+            assert table[k].dtype == dtype
+            assert np.max(np.abs(table[k][:, 0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, 0.0]], [[1.0, 0.0, -0.0, -0.0], [0.0, 0.0, 1.0, 0.0]]],
+        ids=["pinned", "pinned_realified"],
+    )
+    def test_pinned_row_keeps_its_basis_bytes(self, rows):
+        # det(A_P) = 1 and an even pivot sum: the rref basis, byte for byte
+        rows = np.array(rows)
+        assert spectrum._initial_table(rows, 1j).tobytes() == rref_null_basis(rows)[1].tobytes()

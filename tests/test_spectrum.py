@@ -1,5 +1,6 @@
 """Determinant assembly, root finding, mode shapes, and their invariants."""
 
+import dataclasses
 import math
 import warnings
 
@@ -38,6 +39,7 @@ from oscispec import (
 )
 from oscispec import spectrum
 from oscispec.models import SCAN_DEFAULTS, build_model
+from oscispec.oracle import FDOracleConfig, fd_polynomial_eigenvalues
 from oscispec.reduction import reduce_complex
 from oscispec.spectrum import _assemble
 
@@ -183,6 +185,11 @@ class TestCharacteristicDeterminant:
         assert roots[0].lam.imag == pytest.approx(1.0768739863, abs=1e-7)
 
 
+#: scan windows of every built-in: SCAN_DEFAULTS, one that holds lambda = 0,
+#: a short one, a coarse one and one that starts near 0
+SCAN_WINDOWS = [(0.2, 10.0, 240), (-1.0, 10.0, 220), (0.3, 2.0, 50), (-0.13, 0.87, 5), (0.05, 3.0, 31)]
+
+
 class TestScan:
     def test_single_bracket_contains_half_pi(self, fixed_free_string):
         brackets = scan_real_axis(fixed_free_string, 0.1, 5.0, 200, step=1e-3)
@@ -204,11 +211,7 @@ class TestScan:
         fine = scan_real_axis(prob, 6.0, 7.2, 40, step=1e-3)
         assert len([b for b in fine if b.kind == "sign_change"]) == 2
 
-    @pytest.mark.parametrize(
-        "window",
-        [(0.2, 10.0, 240), (-1.0, 10.0, 220), (0.3, 2.0, 50), (-0.13, 0.87, 5), (0.05, 3.0, 31)],
-        ids=lambda w: ":".join(map(str, w)),
-    )
+    @pytest.mark.parametrize("window", SCAN_WINDOWS, ids=lambda w: ":".join(map(str, w)))
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     def test_scan_equals_the_plain_loop(self, name, window):
         problem = build_model(name)
@@ -642,7 +645,7 @@ class TestStackedDeterminant:
                 refine_root(build_model("spacecraft_bar", beta=0.02), complex(-0.1, 1.4),
                             tol=1e-10, max_iter=50, step=2e-3),
                 refine_root(build_model("fixed_free_string"), 1.5j, tol=1e-10,
-                            max_iter=50, step=1e-3, path="real_split"),
+                            max_iter=50, step=1e-3),
             ]
 
         stacked = refine_all()
@@ -704,11 +707,10 @@ class TestSuperlinearRefinement:
         assert len(det_calls) <= 5
 
     def test_gauss_newton_step_on_the_axis(self, fixed_free_string, det_calls):
-        # the complex-path D has a simple zero on the axis, so the step along
-        # p converges quadratically.  Plain Newton on the double zero of the
-        # real-split D took 39 calls, the multiplicity-2 step 12
-        res = refine_root(fixed_free_string, 1.5j, tol=1e-10, max_iter=100, step=1e-3,
-                          path="real_split")
+        # the complex-path D has a simple zero on the axis, so Newton from a
+        # seed on it converges quadratically.  Plain Newton on the double
+        # zero of the real-split D took 39 calls, the multiplicity-2 step 12
+        res = refine_root(fixed_free_string, 1.5j, tol=1e-10, max_iter=100, step=1e-3)
         assert res.converged
         assert res.lam.imag == pytest.approx(HALF_PI, abs=1e-10)
         assert len(det_calls) <= 5
@@ -729,7 +731,7 @@ class TestSuperlinearRefinement:
     def test_bracket_point_lies_inside_the_bracket(self, name, monkeypatch):
         # Newton replaced by the identity, so every result is the point the
         # bracket phase handed on
-        def no_newton(seed, tol, max_iter, stencil, axis_scale=None):
+        def no_newton(seed, tol, max_iter, stencil):
             return spectrum.SpectralResult(seed, 0.0, 0, False)
             yield
 
@@ -745,32 +747,6 @@ class TestSuperlinearRefinement:
             assert res.lam.real == 0.0
             assert b.p_lo <= res.lam.imag <= b.p_hi
 
-    def test_real_split_without_axis_roots_stagnates(self, det_calls):
-        # spacecraft_bar has no root on the axis.  Its minimum seeds used to
-        # accept steps that raised |D| and made 4,434 calls in all, then
-        # stagnated on the real-split determinant in 129, and on the
-        # complex-path D from the split scan's seeds in 12.  Im D keeps one
-        # sign across each bracket of the scan of D: only the scan is left
-        prob = build_model("spacecraft_bar")
-        options = SolveOptions(scan=SCAN_DEFAULTS["spacecraft_bar"], path="real_split")
-        assert solve_spectrum(prob, options) == []
-        assert len(det_calls) <= 1
-
-        step = spectrum.resolve_step(prob, options)
-        brackets = scan_real_axis(prob, *options.scan, step=step)
-        results = [refine_root(prob, b, step=step, path="real_split") for b in brackets]
-        assert results and all(r.message == "no zero on the axis" for r in results)
-        assert not any(r.converged for r in results)
-
-    def test_sign_change_on_the_axis_is_not_a_root(self):
-        # pipeline's real-split D(i p) is odd in p, with a simple zero at
-        # p = 0, but the complex-path D(0) is 0.5: lambda = 0 is no root
-        prob = build_model("pipeline")
-        assert abs(characteristic_determinant(prob, 0j, 1e-3)) > 0.1
-        res = refine_root(prob, 0.01j, step=1e-3, path="real_split")
-        assert not res.converged
-        assert res.message == "no zero on the axis"
-
     @staticmethod
     def _on_axis(monkeypatch, d_of_p):
         """Stub characteristic_determinant with D(lambda) = d_of_p(Im lambda);
@@ -784,21 +760,6 @@ class TestSuperlinearRefinement:
 
         monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
         return calls
-
-    def test_real_split_bracket_where_im_d_keeps_its_sign(self, monkeypatch):
-        # a damped crossing: Re D changes sign at p = 2, Im D stays 0.5
-        calls = self._on_axis(monkeypatch, lambda p: (p - 2.0) + 0.5j)
-        options = SolveOptions(scan=(1.0, 3.0, 20), step=1e-3, path="real_split")
-        assert solve_spectrum(None, options) == []
-        assert len(calls) == 1  # the scan; refinement reads the bracket ends from its memo
-        (bracket,) = scan_real_axis(None, *options.scan, step=1e-3)
-        del calls[:]
-        res = refine_root(None, bracket, step=1e-3, path="real_split")
-        assert len(calls) == 2  # the bracket ends, and nothing more
-        nearer = min(bracket.p_lo, bracket.p_hi, key=lambda p: abs(p - 2.0))
-        assert (res.lam, res.iterations, res.converged) == (1j * nearer, 0, False)
-        assert res.residual == abs(nearer - 2.0 + 0.5j)
-        assert res.message == "no zero on the axis"
 
     def test_real_split_bracket_with_a_complex_root_on_the_axis(self, monkeypatch):
         # Re D and Im D change sign together: Gauss-Newton along the axis
@@ -821,12 +782,6 @@ class TestSuperlinearRefinement:
         (root,) = solve_spectrum(fixed_free_string, options)
         assert root.lam.imag == pytest.approx(HALF_PI, abs=1e-10)
 
-    @pytest.mark.parametrize("name", ["machine_unit", "pipeline", "spacecraft_bar"])
-    def test_real_split_solve_of_a_damped_model_is_its_scan(self, name, det_calls):
-        options = SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3, path="real_split")
-        assert solve_spectrum(build_model(name), options) == []
-        assert len(det_calls) == 1
-
     @pytest.mark.parametrize(
         "strip, root, seed, message",
         [
@@ -839,14 +794,14 @@ class TestSuperlinearRefinement:
         ids=["difference_pair", "damped_steps", "seed"],
     )
     def test_non_finite_determinant_is_an_exit(self, strip, root, seed, message):
-        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100, "complex"), _nan_off(strip, root))
+        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), _nan_off(strip, root))
         assert not res.converged
         assert res.message == message
         assert abs(res.lam.real) <= strip or res.lam == seed
 
     def test_small_step_onto_a_non_finite_value_is_halved(self):
         # a step below tol is taken even when |D| grows, but never onto NaN
-        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-2, 100, "complex"), _nan_off(1e-3, complex(-100.0, 1.4)))
+        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-2, 100), _nan_off(1e-3, complex(-100.0, 1.4)))
         assert -1e-3 <= res.lam.real < 0.0
 
     def test_non_finite_value_inside_a_bracket_is_not_accepted(self):
@@ -858,7 +813,7 @@ class TestSuperlinearRefinement:
             d = np.where(bad, complex("nan+nanj"), lam.imag - 1.45 + 0j)
             return complex(d) if d.ndim == 0 else d
 
-        res = spectrum._run(spectrum._bisect_bracket(Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100, "complex"), dfun)
+        res = spectrum._run(spectrum._bisect_bracket(Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100), dfun)
         assert not res.converged
         assert res.message == "determinant not finite at the seed"
 
@@ -906,6 +861,22 @@ def _fields(results):
     return [(r.lam, r.residual, r.iterations, r.converged, r.message) for r in results]
 
 
+def _axis_roots(results, tol):
+    """The results on the frequency axis, |Re| <= tol * max(|lambda|, 1),
+    projected onto it: the real-split spectrum of a complex one."""
+    return [
+        dataclasses.replace(r, lam=1j * r.lam.imag)
+        for r in results
+        if abs(r.lam.real) <= tol * max(abs(r.lam), 1.0)
+    ]
+
+
+def _reported(results, options):
+    """What solve_spectrum reports from its refined candidates."""
+    roots = spectrum._dedupe([r for r in results if r.converged], options.tol)
+    return _axis_roots(roots, options.tol) if options.path == "real_split" else roots
+
+
 class TestLockstepRefinement:
     """All candidates of a solve refined at once give what refining them one
     after another gives, in fewer determinant calls."""
@@ -915,13 +886,11 @@ class TestLockstepRefinement:
         problem = build_model(name, **params)
         step = spectrum.resolve_step(problem, options)
         targets = _targets(problem, options, step)
-        looped = [refine_root(problem, t, options.tol, options.max_iter, step, options.path)
+        looped = [refine_root(problem, t, options.tol, options.max_iter, step)
                   for t in targets]
-        lockstep = spectrum._refine_all(problem, targets, options.tol, options.max_iter,
-                                        step, options.path)
+        lockstep = spectrum._refine_all(problem, targets, options.tol, options.max_iter, step)
         assert _fields(lockstep) == _fields(looped)
-        expected = spectrum._dedupe([r for r in looped if r.converged], options.tol)
-        assert _fields(solve_spectrum(problem, options)) == _fields(expected)
+        assert _fields(solve_spectrum(problem, options)) == _fields(_reported(looped, options))
 
     def test_calls_follow_the_longest_chain(self, fixed_free_string, det_calls):
         # at the benchmark's scan window the three chains, answered from the
@@ -936,7 +905,7 @@ class TestLockstepRefinement:
         chains = []
         for b in brackets:
             del det_calls[:]
-            steps = spectrum._refine_steps(b, options.tol, options.max_iter, options.path)
+            steps = spectrum._refine_steps(b, options.tol, options.max_iter)
             spectrum._run(steps, dfun, memo=dict(memo))
             chains.append(len(det_calls))
         assert len(chains) >= 2 and max(chains) < sum(chains)
@@ -977,7 +946,7 @@ class TestLockstepRefinement:
                 seen.append(lam)
                 return cubic(lam)
 
-            spectrum._run(spectrum._refine_steps(seed, 1e-10, 100, "complex"), recording)
+            spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), recording)
             requests.append(seen)
         assert len(requests[0]) > 7 and len(requests[1]) > 3
         poison = {
@@ -1000,7 +969,7 @@ class TestLockstepRefinement:
                 refine_root(None, seed, 1e-10, 100, 1e-3)
         del raised[:]
         with pytest.raises(SolverError) as lockstep:
-            spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3, "complex")
+            spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3)
         assert raised == [IntegrationError, PropagationError]
         assert type(looped.value) is PropagationError
         assert type(lockstep.value) is type(looped.value)
@@ -1029,10 +998,10 @@ def _keys(lams):
 
 
 #: determinant calls of solve_spectrum at SCAN_DEFAULTS, step 1e-3: the scan
-#: and the refinement rounds.  In comments the calls before values were
-#: reused; on real_split, first the calls while the search scanned the split
-#: determinant and seeded refinement on the complex-path D, then before it
-#: refined on that D
+#: and the refinement rounds, the same on both paths since real_split filters
+#: the complex solve.  In comments the calls before values were reused; on
+#: real_split, first the calls while the search scanned the split determinant
+#: and seeded refinement on the complex-path D, then before it refined on D
 SOLVE_CALLS = {
     ("cable_snapshot", "complex"): 5,  # 9
     ("cable_snapshot", "real_split"): 5,  # 5, 8
@@ -1041,13 +1010,13 @@ SOLVE_CALLS = {
     ("fixed_free_string", "complex"): 4,  # 8
     ("fixed_free_string", "real_split"): 4,  # 5, 8
     ("machine_unit", "complex"): 11,  # 17
-    ("machine_unit", "real_split"): 1,  # 7, 138
+    ("machine_unit", "real_split"): 11,  # 7, 138
     ("pipeline", "complex"): 11,  # 17
-    ("pipeline", "real_split"): 1,  # 8, 251
+    ("pipeline", "real_split"): 11,  # 8, 251
     ("point_mass_string", "complex"): 5,  # 9
     ("point_mass_string", "real_split"): 5,  # 5, 8
     ("spacecraft_bar", "complex"): 17,  # 25
-    ("spacecraft_bar", "real_split"): 1,  # 12, 129
+    ("spacecraft_bar", "real_split"): 17,  # 12, 129
 }
 
 
@@ -1087,7 +1056,7 @@ class TestDeterminantMemo:
         def dfun(lam):
             return characteristic_determinant(fixed_free_string, lam, 1e-3)
 
-        plain = _plain(spectrum._refine_steps(bracket, 1e-10, 100, "complex"), dfun)
+        plain = _plain(spectrum._refine_steps(bracket, 1e-10, 100), dfun)
         assert _fields([res]) == _fields([plain])
 
     @pytest.mark.parametrize("name, params, options", PARITY_CASES)
@@ -1099,14 +1068,12 @@ class TestDeterminantMemo:
         def dfun(lam):
             return characteristic_determinant(problem, lam, step)
 
-        plain = [_plain(spectrum._refine_steps(t, options.tol, options.max_iter, options.path), dfun)
+        plain = [_plain(spectrum._refine_steps(t, options.tol, options.max_iter), dfun)
                  for t in targets]
-        lockstep = spectrum._refine_all(problem, targets, options.tol, options.max_iter,
-                                        step, options.path)
+        lockstep = spectrum._refine_all(problem, targets, options.tol, options.max_iter, step)
         assert _fields(lockstep) == _fields(plain)
         assert all(type(r.lam) is type(p.lam) for r, p in zip(lockstep, plain))
-        expected = spectrum._dedupe([r for r in plain if r.converged], options.tol)
-        assert _fields(solve_spectrum(problem, options)) == _fields(expected)
+        assert _fields(solve_spectrum(problem, options)) == _fields(_reported(plain, options))
 
     def test_accepted_step_takes_one_call(self):
         # a linear D: the first Newton step lands on the root.  Seed, pair,
@@ -1117,7 +1084,7 @@ class TestDeterminantMemo:
             calls.append(lam)
             return np.asarray(lam, dtype=complex) - complex(-0.1, 1.5)
 
-        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-10, 100, "complex"), linear)
+        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-10, 100), linear)
         assert res.converged and abs(res.lam - complex(-0.1, 1.5)) <= 1e-12
         assert [np.size(lam) for lam in calls] == [3, 3]
 
@@ -1135,8 +1102,8 @@ class TestDeterminantMemo:
             return arctan(lam)
 
         seed = complex(2.0, 1.0)
-        want = _plain(spectrum._refine_steps(seed, 1e-10, 100, "complex"), arctan)
-        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100, "complex"), recording)
+        want = _plain(spectrum._refine_steps(seed, 1e-10, 100), arctan)
+        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), recording)
         assert res.converged and _fields([res]) == _fields([want])
         assert set(calls) == {1, 2, 3}
         for before, size in zip(calls, calls[1:]):
@@ -1154,7 +1121,7 @@ class TestDeterminantMemo:
             calls.append(lam)
             return np.asarray(lam, dtype=complex) - complex(100.0, 1.0)
 
-        res = spectrum._run(spectrum._refine_steps(1.0j, 1e-10, 100, "complex"), linear)
+        res = spectrum._run(spectrum._refine_steps(1.0j, 1e-10, 100), linear)
         assert res.converged and abs(res.lam - complex(100.0, 1.0)) <= 1e-10
         assert [np.size(lam) for lam in calls][:3] == [3, 1, 2]
 
@@ -1172,7 +1139,7 @@ class TestDeterminantMemo:
             seen.extend(np.atleast_1d(lam).tolist())
             return self._cubic(lam)
 
-        return driver(spectrum._refine_steps(seed, 1e-10, 100, "complex"), recording), seen
+        return driver(spectrum._refine_steps(seed, 1e-10, 100), recording), seen
 
     def _poisoned(self, monkeypatch, poison):
         """A stub characteristic_determinant, raising at the first poisoned
@@ -1200,7 +1167,7 @@ class TestDeterminantMemo:
         got = refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3)
         assert raised == [spares[-1]]
         assert _fields([got]) == _fields([want])
-        lockstep = spectrum._refine_all(None, [complex(1.3, 1.1)] * 2, 1e-10, 100, 1e-3, "complex")
+        lockstep = spectrum._refine_all(None, [complex(1.3, 1.1)] * 2, 1e-10, 100, 1e-3)
         assert _fields(lockstep) == _fields([want, want])
 
     def test_failing_spare_keeps_the_round_in_lockstep(self, monkeypatch):
@@ -1222,7 +1189,7 @@ class TestDeterminantMemo:
                 return self._cubic(lam)
 
             monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
-            return spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3, "complex"), calls
+            return spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3), calls
 
         want, clean = run(None)
         got, calls = run(spare)
@@ -1236,11 +1203,11 @@ class TestDeterminantMemo:
         pair = needed[4]  # seed, its pair, the first point, then its pair
         raised = self._poisoned(monkeypatch, {pair})
         with pytest.raises(PropagationError) as looped:
-            _plain(spectrum._refine_steps(complex(1.3, 1.1), 1e-10, 100, "complex"),
+            _plain(spectrum._refine_steps(complex(1.3, 1.1), 1e-10, 100),
                    lambda lam: spectrum.characteristic_determinant(None, lam, 1e-3))
         for run in (lambda: refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3),
                     lambda: spectrum._refine_all(None, [complex(1.3, 1.1), complex(1.2, 0.9)],
-                                                 1e-10, 100, 1e-3, "complex")):
+                                                 1e-10, 100, 1e-3)):
             with pytest.raises(PropagationError) as got:
                 run()
             assert got.value.lam == looped.value.lam == pair
@@ -1372,16 +1339,14 @@ class TestFrozenScaleNewton:
         # an analytic D keeps its own slope
         assert spectrum._frozen_scale_derivative(f(z), f_prime(z), 1j * f_prime(z)) == pytest.approx(f_prime(z))
 
-    @pytest.mark.parametrize("path", ["complex", "real_split"])
     @pytest.mark.parametrize("name, real_ends", [("spacecraft_bar", False), ("fixed_free_string", True)])
-    def test_bracket_newton_starts_at_the_false_position_point(self, name, real_ends, path, det_calls, monkeypatch):
-        # a bracket with a real D at both ends takes the axis step, with no
-        # axis test, on either path; a damped one the plane step on the
-        # complex path, while on real_split the Im-sign rule ends this one
+    def test_bracket_newton_starts_at_the_false_position_point(self, name, real_ends, det_calls, monkeypatch):
+        # a bracket with a real D at both ends takes the axis step, a damped
+        # one the plane step
         newtons = []
 
-        def recording_newton(seed, tol, max_iter, stencil, axis_scale=None):
-            newtons.append((seed, stencil, axis_scale))
+        def recording_newton(seed, tol, max_iter, stencil):
+            newtons.append((seed, stencil))
             return spectrum.SpectralResult(seed, 0.0, 0, False)
             yield
 
@@ -1390,21 +1355,16 @@ class TestFrozenScaleNewton:
         bracket = next(b for b in scan_real_axis(prob, *SCAN_DEFAULTS[name], step=1e-3)
                        if b.kind == "sign_change")
         del det_calls[:]
-        res = refine_root(prob, bracket, step=1e-3, path=path)
+        refine_root(prob, bracket, step=1e-3)
         # the module's own name: evaluated here, not recorded
         d_lo, d_hi = (characteristic_determinant(prob, 1j * p, 1e-3) for p in (bracket.p_lo, bracket.p_hi))
         assert (d_lo.imag == 0.0 and d_hi.imag == 0.0) is real_ends
         # the two ends, and no evaluation of the bracket phase's own
         assert len(det_calls) == 2
-        if not real_ends and path == "real_split":
-            # Im D keeps one sign across this bracket: no Newton at all
-            assert d_lo.imag * d_hi.imag > 0
-            assert newtons == [] and res.message == "no zero on the axis"
-            return
         lo, hi = bracket.p_lo, bracket.p_hi
         want = hi - d_hi.real * (hi - lo) / (d_hi.real - d_lo.real)
         stencil = "axis" if real_ends else "plane"
-        assert newtons == [(1j * want, stencil, None)] and lo < want < hi
+        assert newtons == [(1j * want, stencil)] and lo < want < hi
 
     def test_spacecraft_bar_reports_all_four_roots(self):
         prob = build_model("spacecraft_bar")
@@ -1425,3 +1385,49 @@ class TestFrozenScaleNewton:
         solve_spectrum(build_model(name), SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3))
         assert len(det_calls) <= 8
 
+
+
+#: circles (centre, radius) on machine_unit's real axis, and the eigenvalues
+#: of the dense FD oracle (n_fd = 400) inside each: the rigid-body root 0 and
+#: the real root near -0.028, neither, and 0.  The rotor row's pivot
+#: beta lam + J1 lam^2 vanishes at 0 and at -beta / J1 = -0.2
+MACHINE_UNIT_CIRCLES = [((-0.1, 0.3), 2), ((-0.2, 0.05), 0), ((0.0, 0.01), 1)]
+
+
+@pytest.fixture(scope="module")
+def machine_unit_fd_eigenvalues():
+    return fd_polynomial_eigenvalues(build_model("machine_unit"), FDOracleConfig(400))
+
+
+class TestAnalyticDeterminant:
+    """The closure determinant keeps the zeros where the left boundary's
+    pivot vanishes, so one root search serves both paths."""
+
+    @pytest.mark.parametrize("circle, count", MACHINE_UNIT_CIRCLES, ids=["both", "pole", "origin"])
+    def test_winding_counts_the_oracle_eigenvalues(self, circle, count, machine_unit_fd_eigenvalues):
+        # with the rref basis, which divides by the pivot, the windings were
+        # 0, -1 and 0
+        (centre, radius) = circle
+        lams = centre + radius * np.exp(2j * math.pi * np.arange(2000) / 2000)
+        d = characteristic_determinant(build_model("machine_unit"), lams, 1e-3)
+        increments = np.angle(np.roll(d, -1) / d)
+        assert np.max(np.abs(increments)) < math.pi / 4
+        assert round(increments.sum() / (2 * math.pi)) == count
+        assert np.count_nonzero(np.abs(machine_unit_fd_eigenvalues - centre) < radius) == count
+
+    @pytest.mark.parametrize("path", ["complex", "real_split"])
+    def test_rigid_body_root_is_found(self, path, det_calls):
+        # the complex path missed lambda = 0 in 33 calls; the real-split axis
+        # search found it through a kink of |D| in 73
+        roots = solve_spectrum(build_model("machine_unit"), SolveOptions(scan=(-1.0, 10.0, 220), path=path))
+        assert min(abs(r.lam) for r in roots) <= 1e-9
+        assert len(det_calls) <= 7
+
+    @pytest.mark.parametrize("window", SCAN_WINDOWS, ids=lambda w: ":".join(map(str, w)))
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_real_split_is_the_complex_solve_on_the_axis(self, name, window):
+        problem = build_model(name)
+        complex_roots = solve_spectrum(problem, SolveOptions(scan=window, step=1e-3))
+        split_roots = solve_spectrum(problem, SolveOptions(scan=window, step=1e-3, path="real_split"))
+        assert _fields(split_roots) == _fields(_axis_roots(complex_roots, 1e-10))
+        assert all(r.lam.real == 0.0 for r in split_roots)
