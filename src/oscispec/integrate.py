@@ -16,6 +16,7 @@ blocks of about sqrt(n) steps rather than from n sequential products.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -96,7 +97,7 @@ def integrate_fundamental(
         raise ValueError("step must be positive")
     lo, hi = system.partition.interval(interval)
     length = hi - lo
-    n_steps = max(1, int(np.ceil(length / step - 1e-12)))
+    n_steps = max(1, math.ceil(length / step - 1e-12))
     h = length / n_steps
 
     const = system.constant_coeffs[interval]
@@ -150,7 +151,7 @@ def _rk4_steps(a_left, a_mid, a_right, h: float) -> np.ndarray:
     The arguments are stacks of the coefficient at each step's left end,
     midpoint and right end.
     """
-    eye = np.eye(a_left.shape[-1], dtype=a_left.dtype)
+    eye = _identity(a_left.shape[-1], a_left.dtype)
     k1 = a_left
     k2 = a_mid @ (eye + (0.5 * h) * k1)
     k3 = a_mid @ (eye + (0.5 * h) * k2)
@@ -222,7 +223,7 @@ def _sampled_prefixes(steps: np.ndarray, n: int) -> np.ndarray:
             carries[0] = block_end
 
     out = np.empty((n + 1,) + shape, dtype=prefix.dtype)
-    out[0] = np.eye(shape[-1])
+    out[0] = _identity(shape[-1], prefix.dtype)
     body = out[1:]
     body[:b] = prefix[:b]
     if full > 1:
@@ -233,6 +234,14 @@ def _sampled_prefixes(steps: np.ndarray, n: int) -> np.ndarray:
         last = prefix[:tail] if constant else prefix[full * b :]
         np.matmul(last, carries[-1], out=body[full * b :])
     return out
+
+
+@functools.cache
+def _identity(dim: int, dtype) -> np.ndarray:
+    """The dim x dim identity, built once per size and dtype; read-only."""
+    eye = np.eye(dim, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
 
 
 def _real_form(coeffs: np.ndarray) -> np.ndarray:

@@ -61,6 +61,24 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12) -> NullBasis:
     return NullBasis(np.full(count, rank), basis, pivots)
 
 
+def adjugate_form(matrix: np.ndarray, reduced: NullBasis) -> np.ndarray:
+    """The null basis of full-rank rows, or of each matrix of a stack, in
+    adjugate form; `reduced` is rref_null_basis(matrix).
+
+    The rref basis [-A_P^-1 A_F; I] of the rows A (pivot columns P, free F)
+    times (-1)^(sum of P) det(A_P) is +-[-adj(A_P) A_F; det(A_P) I]: one
+    polynomial whichever columns pivot (the sign is the parity of (P, F)
+    times one fixed by the row count), with no pole where det(A_P)
+    vanishes, so a closure determinant built on it keeps its zeros there.
+    The dtype is kept; a factor of 1 (the pinned row, realified too) keeps
+    the bytes.
+    """
+    piv = reduced.pivots  # (K, rank) where the matrices of the stack pivot apart
+    block = matrix[..., piv] if piv.ndim == 1 else np.take_along_axis(matrix, piv[:, None, :], -1)
+    scale = ((1 - 2 * (piv.sum(axis=-1) % 2)) * np.linalg.det(block))[..., None, None]
+    return np.where(scale == 1, reduced[1], reduced[1] * scale)
+
+
 def _eliminate(stack: np.ndarray, tol: float) -> list[int] | None:
     """Row-reduce every matrix of a (K, rows, cols) stack in place.
 

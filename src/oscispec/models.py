@@ -9,10 +9,14 @@ studies.
 
 Second-order spatial operators with a rate-dependent factor (for example
 Kelvin-Voigt damping) reduce to coefficients rational in lambda; those
-models use per-lambda evaluators instead of stored polynomials.
+models use lambda-field evaluators instead of stored polynomials, numpy
+expressions that take a whole stack of lambdas in one call.
 """
 
 from __future__ import annotations
+
+import functools
+import inspect
 
 import numpy as np
 
@@ -39,6 +43,31 @@ def _require(cond: bool, message: str):
 
 def _row_operator(side: str, entries, max_degree: int = 2) -> BoundaryOperator:
     return BoundaryOperator(side, PolyMatrix.from_entries([list(entries)]), max_degree)
+
+
+def _rational_restoring(num, den, floor, message: str):
+    """Lambda-field evaluator of the (value, slope) system [[0, 1], [r, 0]]
+    of a wave equation whose restoring coefficient r = num / den is
+    rational in lambda.
+
+    It computes on the stack's 1-D form even for one lambda: numpy turns
+    0-d results into scalars, whose arithmetic may round otherwise than the
+    array loops.  A lambda with |den| <= floor(|lambda|) is a pole; the
+    first in the stack raises PoleError.
+    """
+
+    def coefficient(y: float, lam: np.ndarray) -> np.ndarray:
+        z = np.asarray(lam, dtype=complex).reshape(-1)
+        d = den(z)
+        pole = np.abs(d) <= floor(np.abs(z))
+        if pole.any():
+            raise PoleError(f"{message} at lambda={complex(z[pole][0])}")
+        out = np.zeros(z.shape + (2, 2), dtype=complex)
+        out[:, 0, 1] = 1.0
+        out[:, 1, 0] = num(z) / d
+        return out.reshape(np.shape(lam) + (2, 2))
+
+    return coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +232,7 @@ def build_machine_unit(
 
     The shaft dissipation multiplies the spatial operator, so the reduced
     restoring coefficient is rho*Ip*lam^2 / (G*Ip + zeta1*lam), evaluated
-    per lambda.
+    for a whole lambda stack at once.
     """
     _require(G > 0 and Ip > 0 and rho > 0 and L > 0, "G, Ip, rho, L must be positive")
     _require(
@@ -214,13 +243,12 @@ def build_machine_unit(
     gip = G * Ip
     rip = rho * Ip
 
-    def coefficient(y: float, lam: complex) -> np.ndarray:
-        den = gip + zeta1 * lam
-        if abs(den) <= 1e-12 * (gip + zeta1 * abs(lam)):
-            raise PoleError(
-                f"machine unit: G*Ip + zeta1*lam vanishes at lambda={lam}"
-            )
-        return np.array([[0.0, 1.0], [rip * lam * lam / den, 0.0]], dtype=complex)
+    coefficient = _rational_restoring(
+        lambda z: rip * z * z,
+        lambda z: gip + zeta1 * z,
+        lambda r: 1e-12 * (gip + zeta1 * r),
+        "machine unit: G*Ip + zeta1*lam vanishes",
+    )
 
     part = Partition((0.0, L))
     field = LambdaCoefficientField(part, (coefficient,), dim=2, bound=max(1.0, rip / gip))
@@ -294,11 +322,12 @@ def build_spacecraft_bar(
 
     es = E * S
 
-    def coefficient(y: float, lam: complex) -> np.ndarray:
-        den = es * (1.0 + beta * lam)
-        if abs(den) <= 1e-12 * es * (1.0 + beta * abs(lam)):
-            raise PoleError(f"spacecraft bar: 1 + beta*lam vanishes at lambda={lam}")
-        return np.array([[0.0, 1.0], [rho * S * lam * lam / den, 0.0]], dtype=complex)
+    coefficient = _rational_restoring(
+        lambda z: rho * S * z * z,
+        lambda z: es * (1.0 + beta * z),
+        lambda r: 1e-12 * es * (1.0 + beta * r),
+        "spacecraft bar: 1 + beta*lam vanishes",
+    )
 
     part = Partition((0.0, l))
     field = LambdaCoefficientField(part, (coefficient,), dim=2, bound=max(1.0, rho / E))
@@ -381,11 +410,12 @@ def build_pipeline(
     es = E * S
     a2 = E / rho
 
-    def coefficient(y: float, lam: complex) -> np.ndarray:
-        den = a2 * (1.0 + beta * lam)
-        if abs(den) <= 1e-12 * a2 * (1.0 + beta * abs(lam)):
-            raise PoleError(f"pipeline: 1 + beta*lam vanishes at lambda={lam}")
-        return np.array([[0.0, 1.0], [lam * lam / den, 0.0]], dtype=complex)
+    coefficient = _rational_restoring(
+        lambda z: z * z,
+        lambda z: a2 * (1.0 + beta * z),
+        lambda r: 1e-12 * a2 * (1.0 + beta * r),
+        "pipeline: 1 + beta*lam vanishes",
+    )
 
     part = Partition((0.0, L))
     field = LambdaCoefficientField(part, (coefficient,), dim=2, bound=max(1.0, 1.0 / a2))
@@ -462,23 +492,27 @@ SCAN_DEFAULTS = {
 }
 
 
-def model_defaults(name: str) -> dict:
-    """Default parameter record of a built-in model."""
-    import inspect
-
+@functools.cache
+def _defaults(name: str) -> dict:
+    """A builder's keyword defaults, read from its signature once; callers
+    must not edit the dict (model_defaults hands out copies)."""
     if name not in BUILDERS:
         raise ValueError(f"unknown model {name!r}; known: {sorted(BUILDERS)}")
-    sig = inspect.signature(BUILDERS[name])
     return {
         k: p.default
-        for k, p in sig.parameters.items()
+        for k, p in inspect.signature(BUILDERS[name]).parameters.items()
         if p.default is not inspect.Parameter.empty and k != "name"
     }
 
 
+def model_defaults(name: str) -> dict:
+    """Default parameter record of a built-in model, a fresh dict per call."""
+    return dict(_defaults(name))
+
+
 def build_model(name: str, **params) -> ProblemDefinition:
     """Build a registered model, rejecting unknown parameter names."""
-    defaults = model_defaults(name)
+    defaults = _defaults(name)
     unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(

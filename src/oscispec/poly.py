@@ -84,7 +84,9 @@ class PolyMatrix:
 
         The array result is C-ordered, so each of its matrices has the
         memory layout of a scalar evaluation and takes the same matmul
-        kernel, bit for bit.
+        kernel, bit for bit.  A matrix stored as one constant gives, at an
+        array, a read-only view of that constant broadcast over x (its
+        leading stride is 0), not len(x) copies.
         """
         c = self.coeffs
         if np.isscalar(x) or np.asarray(x).ndim == 0:
@@ -94,9 +96,11 @@ class PolyMatrix:
                 out += c[k]
             return out
         x = np.asarray(x)
-        out = np.broadcast_to(
-            c[-1], (len(x),) + c.shape[1:]
-        ).astype(np.result_type(c.dtype, x.dtype), order="C", copy=True)
+        dtype = np.result_type(c.dtype, x.dtype)
+        if len(c) == 1:
+            return np.broadcast_to(c[0].astype(dtype, copy=False), (len(x),) + c.shape[1:])
+        out = np.empty((len(x),) + c.shape[1:], dtype=dtype)
+        out[...] = c[-1]
         xcol = x[:, np.newaxis, np.newaxis]
         for k in range(c.shape[0] - 2, -1, -1):
             out *= xcol

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import rref_null_basis
+from .linalg import adjugate_form, realify, rref_null_basis
 from .poly import PolyMatrix
 
 #: maximum degree of coefficient entries in the space coordinate
@@ -105,7 +105,13 @@ class LambdaCoefficientField:
     Covers models whose reduced coefficients are rational in lambda (for
     example a Kelvin-Voigt factor dividing the restoring term), which cannot
     be stored as the polynomial triple.  Each evaluator maps (y, lam) to the
-    N x N complex matrix of the reduced first-order system at that lambda.
+    complex matrices of the reduced first-order system: lam is a complex
+    ndarray, 0-d for one lambda or 1-D for a stack, and the result has shape
+    lam.shape + (N, N), so a stack takes one call.  Each lambda of a stack
+    must get the bits of its own 0-d call: numpy's elementwise array loops
+    give that, but numpy turns 0-d results into scalars, whose arithmetic
+    may round otherwise.  A pole raises PoleError naming the first
+    offending lambda in stack order.
 
     bound scales the coefficient magnitude as bound * (1 + |lam| + |lam|^2),
     used for step-size estimation.  y_independent marks evaluators constant
@@ -115,7 +121,7 @@ class LambdaCoefficientField:
     """
 
     partition: Partition
-    evaluators: tuple[Callable[[float, complex], np.ndarray], ...]
+    evaluators: tuple[Callable[[float, np.ndarray], np.ndarray], ...]
     dim: int
     bound: float
     y_independent: bool = True
@@ -139,6 +145,35 @@ class BoundaryOperator:
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def constant_table(self) -> tuple[int, np.ndarray | None] | None:
+        """Rank and adjugate-form left null basis of lambda-free (degree-0)
+        rows, formed once per problem.
+
+        Every finite lambda evaluates such rows to the same complex matrix,
+        so its rank check and table (linalg.adjugate_form) hold for all.
+        The table is None below full row rank, and the pair is None where
+        the rows depend on lambda.  The table is read-only: it is shared by
+        every determinant evaluation of the problem.
+        """
+        return _rank_and_table(self.matrix(0j)) if self.matrix.is_constant() else None
+
+    @cached_property
+    def constant_split_table(self) -> tuple[int, np.ndarray | None] | None:
+        """constant_table of the realified rows, the real-split path's form."""
+        return _rank_and_table(realify(self.matrix(0j))) if self.matrix.is_constant() else None
+
+
+def _rank_and_table(rows: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """The rank of boundary rows and, at full row rank, their read-only
+    adjugate-form table."""
+    reduced = rref_null_basis(rows)
+    if reduced[0] != rows.shape[0]:
+        return reduced[0], None
+    table = adjugate_form(rows, reduced)
+    table.flags.writeable = False
+    return reduced[0], table
 
 
 @dataclass(frozen=True)
@@ -191,6 +226,9 @@ class ReducedSystem:
     and interface matrices are constant (already evaluated at lambda).
     constant_coeffs holds, per interval, the coefficient matrix that
     coeff_batch returns at every y, or None where it depends on y.
+    left_table is the left boundary's constant table in the form of
+    left_matrix (constant_table, or constant_split_table on the real-split
+    path), None where the rows depend on lambda.
 
     lam is one complex number, or a 1-D array for a stack of lambdas: then
     every matrix carries a leading lambda axis, (K, rows, cols), and
@@ -206,6 +244,7 @@ class ReducedSystem:
     bound: float
     coeff_batch: Callable[[int, np.ndarray], np.ndarray]
     constant_coeffs: tuple[np.ndarray | None, ...]
+    left_table: tuple[int, np.ndarray | None] | None = None
 
     def coefficient(self, interval: int, y: float) -> np.ndarray:
         return self.coeff_batch(interval, np.asarray([float(y)]))[0]
@@ -348,7 +387,7 @@ def _validate_lambda_field(coeffs: LambdaCoefficientField, n: int, dim: int) -> 
     for i, ev in enumerate(coeffs.evaluators):
         lo, hi = coeffs.partition.interval(i)
         try:
-            mat = np.asarray(ev(0.5 * (lo + hi), 1j))
+            mat = np.asarray(ev(0.5 * (lo + hi), np.asarray(1j)))
         except Exception as exc:  # probe failure is a model defect
             out.append(f"coefficients[{i}]: evaluator failed at probe: {exc}")
             continue

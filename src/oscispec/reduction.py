@@ -30,9 +30,10 @@ def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> Red
 
     The coefficient evaluator returns A(y) + lam^2 B(y) + lam C(y); boundary
     and interface polynomials are evaluated at lam into constant complex
-    matrices.  A 1-D array of lambdas gives one stacked system whose
-    matrices carry a leading lambda axis; each slice is computed with the
-    same arithmetic as a single lambda, bit for bit.
+    matrices, and a lambda-free left boundary brings the null-basis table
+    it forms once per problem.  A 1-D array of lambdas gives one stacked
+    system whose matrices carry a leading lambda axis; each slice is
+    computed with the same arithmetic as a single lambda, bit for bit.
     """
     lam = _lambda_arg(lam, complex)
     coeffs = problem.coefficients
@@ -57,6 +58,7 @@ def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> Red
         bound=_reduced_bound(coeffs, lam),
         coeff_batch=_coeff_batch(consts, varying),
         constant_coeffs=consts,
+        left_table=problem.boundary_left.constant_table,
     )
 
 
@@ -82,6 +84,7 @@ def reduce_real_split(problem: ProblemDefinition, p: float | np.ndarray) -> Redu
         interfaces=tuple((realify(d), realify(b)) for d, b in system.interfaces),
         coeff_batch=_coeff_batch(consts, lambda interval, ys: realify(batch(interval, ys))),
         constant_coeffs=consts,
+        left_table=problem.boundary_left.constant_split_table,
     )
 
 
@@ -104,11 +107,15 @@ def _lambda_arg(value, kind):
 # intervals.  For a stack of K lambdas the matrices are (K, dim, dim) and
 # varying returns (len(ys), K, dim, dim).
 #
-# lam is a Python number, or an ndarray for a stack; a stack enters
-# the elementwise arithmetic as a (K, 1, 1) column, which broadcasts the
-# same operations over it.  lam^2 is squared in Python, one lambda at a
-# time: numpy's vectorized complex product may fuse multiply and add, and
-# would then differ from the scalar product in the last bit.
+# lam is a Python number, or an ndarray for a stack.  The polynomial field
+# enters a stack into the elementwise arithmetic as a (K, 1, 1) column,
+# which broadcasts the same operations over it; its lam^2 is squared in
+# Python, one lambda at a time: numpy's vectorized complex product may fuse
+# multiply and add, and would then differ from the scalar product in the
+# last bit.  A lambda field's evaluator is called with the whole stack (one
+# lambda as a 0-d array), once per interval, or once per node where it
+# varies in y; by its contract (LambdaCoefficientField) one lambda takes the
+# array arithmetic of a stack, so each slice is bit-identical to its own call.
 
 
 def _reduced_bound(coeffs, lam):
@@ -159,22 +166,18 @@ def _poly_parts(coeffs: CoefficientField, lam):
     return consts, varying
 
 
-def _evaluate(ev, y: float, lam) -> np.ndarray:
-    """A lambda-field evaluator at y, called once per lambda of a stack."""
-    if isinstance(lam, np.ndarray):
-        return np.stack([np.asarray(ev(y, z), dtype=complex) for z in lam.tolist()])
-    return np.asarray(ev(y, lam), dtype=complex)
-
-
 def _lambda_parts(coeffs: LambdaCoefficientField, lam):
     n = coeffs.partition.n_intervals
+    lams = np.asarray(lam, dtype=complex)
     if coeffs.y_independent:
         mids = [0.5 * (lo + hi) for lo, hi in map(coeffs.partition.interval, range(n))]
-        consts = tuple(_evaluate(ev, mids[i], lam) for i, ev in enumerate(coeffs.evaluators))
+        consts = tuple(
+            np.asarray(ev(mids[i], lams), dtype=complex) for i, ev in enumerate(coeffs.evaluators)
+        )
         return consts, None
 
     def varying(interval: int, ys: np.ndarray) -> np.ndarray:
         ev = coeffs.evaluators[interval]
-        return np.stack([_evaluate(ev, float(y), lam) for y in ys])
+        return np.stack([np.asarray(ev(y, lams), dtype=complex) for y in ys.tolist()])
 
     return (None,) * n, varying

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BoundaryDegeneracyError, NotARootError, PropagationError, SolverError
 from .integrate import FundamentalMatrix, estimate_step, integrate_fundamental
-from .linalg import rref_null_basis, transpose
+from .linalg import adjugate_form, rref_null_basis, transpose
 from .problem import (
     BoundaryOperator,
     ConjugationOperator,
@@ -126,25 +126,22 @@ def _null_basis_checked(matrix: np.ndarray, lam):
     return reduced
 
 
-def _initial_table(matrix: np.ndarray, lam) -> np.ndarray:
-    """The left null basis in adjugate form, per lambda of a stack.
+def _initial_table(matrix: np.ndarray, lam, constant=None) -> np.ndarray:
+    """The left null basis in adjugate form (linalg.adjugate_form), per
+    lambda of a stack, reduced in one call; raises BoundaryDegeneracyError
+    for the first lambda whose rows lose rank.
 
-    The rref basis [-A_P^-1 A_F; I] of the rows A (pivot columns P, free F)
-    times (-1)^(sum of P) det(A_P) is +-[-adj(A_P) A_F; det(A_P) I]: one
-    polynomial whichever columns pivot (the sign is the parity of (P, F)
-    times one fixed by the row count), with no pole where det(A_P)
-    vanishes, so the closure determinant keeps its zeros there.  The dtype
-    is kept; a factor of 1 (the pinned row, realified too) keeps the bytes.
-    A stack of equal rows shares one basis; any other is reduced in one call.
+    `constant` is the (rank, table) pair of rows that do not depend on
+    lambda, formed once per problem (BoundaryOperator.constant_table); the
+    stack then shares its table.
     """
-    if matrix.ndim == 3 and np.all(matrix == matrix[0]):
-        basis = _initial_table(matrix[0], each_lambda(lam)[0])
-        return np.broadcast_to(basis, (len(matrix),) + basis.shape)
-    reduced = _null_basis_checked(matrix, lam)
-    piv = reduced.pivots  # (K, rank) where the matrices of the stack pivot apart
-    block = matrix[..., piv] if piv.ndim == 1 else np.take_along_axis(matrix, piv[:, None, :], -1)
-    scale = ((1 - 2 * (piv.sum(axis=-1) % 2)) * np.linalg.det(block))[..., None, None]
-    return np.where(scale == 1, reduced[1], reduced[1] * scale)
+    if constant is None:
+        return adjugate_form(matrix, _null_basis_checked(matrix, lam))
+    rank, basis = constant
+    rows = matrix.shape[-2]
+    if rank != rows:
+        raise BoundaryDegeneracyError(each_lambda(lam)[0], rank, rows)
+    return basis if matrix.ndim == 2 else np.broadcast_to(basis, (len(matrix),) + basis.shape)
 
 
 def propagate(
@@ -168,8 +165,11 @@ def propagate(
 def _interface_solve(u, g, dmat, bmat, interface: int, lam) -> np.ndarray:
     w = transpose(g) @ u
     n = bmat.shape[-1]
-    scales = np.max(np.abs(bmat), axis=(-2, -1)).reshape(-1).tolist()
-    dets = np.linalg.det(bmat).reshape(-1).tolist()
+    # a lambda-free B reaches a stack as one matrix broadcast over it (see
+    # PolyMatrix.__call__), so it is checked once, at the first lambda
+    distinct = bmat[:1] if bmat.ndim == 3 and bmat.strides[0] == 0 else bmat
+    scales = np.max(np.abs(distinct), axis=(-2, -1)).reshape(-1).tolist()
+    dets = np.linalg.det(distinct).reshape(-1).tolist()
     for scale, det, z in zip(scales, dets, each_lambda(lam)):
         if scale == 0.0 or abs(det) <= TOL_SINGULAR * scale**n:
             raise PropagationError(interface, z, "det below singularity tolerance")
@@ -202,7 +202,7 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     the m x m matrix whose determinant vanishes at eigenvalues.  A stacked
     system gives every array a leading lambda axis.
     """
-    u = _initial_table(reduced.left_matrix, reduced.lam)
+    u = _initial_table(reduced.left_matrix, reduced.lam, reduced.left_table)
     u_tables = [u]
     fundamentals: list[FundamentalMatrix] = []
     n = reduced.partition.n_intervals

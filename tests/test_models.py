@@ -1,11 +1,14 @@
 """Built-in models: classical limits, damping signs, snapshot semantics."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from oscispec import (
+    PoleError,
     PolyMatrix,
     SolveOptions,
     UnsupportedModelError,
@@ -54,6 +57,68 @@ class TestValidation:
     def test_defaults_exposed(self):
         d = model_defaults("spacecraft_bar")
         assert d["beta"] == 0.01 and "right_end" in d
+
+    def test_editing_the_defaults_changes_no_later_build(self):
+        d = model_defaults("spacecraft_bar")
+        d["beta"] = 0.5
+        d["bogus"] = 1.0
+        assert model_defaults("spacecraft_bar")["beta"] == 0.01
+        assert build_model("spacecraft_bar").params["beta"] == 0.01
+        with pytest.raises(ValueError, match="unknown parameter"):
+            build_model("spacecraft_bar", bogus=1.0)
+
+
+LAMBDA_FIELD_MODELS = ("machine_unit", "spacecraft_bar", "pipeline")
+
+
+def _counted(problem):
+    """The problem with its one evaluator wrapped; returns (problem, calls),
+    calls recording the shape of each lambda argument."""
+    calls = []
+    (ev,) = problem.coefficients.evaluators
+
+    def counting(y, lam):
+        calls.append(np.shape(lam))
+        return ev(y, lam)
+
+    field = dataclasses.replace(problem.coefficients, evaluators=(counting,))
+    return dataclasses.replace(problem, coefficients=field), calls
+
+
+class TestStackEvaluators:
+    """A lambda-field evaluator takes a whole stack of lambdas in one call."""
+
+    @pytest.mark.parametrize("name", LAMBDA_FIELD_MODELS)
+    def test_stack_equals_each_lambda_bit_for_bit(self, name):
+        # off the axis both parts of lambda are nonzero, where a fused and a
+        # plain complex product would part
+        rng = np.random.default_rng(9)
+        off_axis = rng.uniform(-0.5, 0.0, 120) + 1j * rng.uniform(0.2, 9.0, 120)
+        lams = np.concatenate([1j * np.linspace(0.2, 10.0, 120), off_axis])
+        (ev,) = build_model(name).coefficients.evaluators
+        stacked = ev(0.5, lams)
+        assert stacked.shape == (240, 2, 2) and stacked.dtype == complex
+        for k, z in enumerate(lams.tolist()):
+            one = ev(0.5, np.asarray(z))
+            assert one.shape == (2, 2)
+            assert one.tobytes() == stacked[k].tobytes()
+
+    def test_stack_through_a_pole_names_its_first_pole(self):
+        # G*Ip + zeta1*lam vanishes at -2; the last lambda is within the
+        # pole tolerance too, but comes later in the stack
+        (ev,) = build_model("machine_unit", zeta1=0.5).coefficients.evaluators
+        lams = np.array([-1.8, -1.9, -2.0, -2.1, -2.0 + 1e-13]) + 0j
+        message = "machine unit: G*Ip + zeta1*lam vanishes at lambda=(-2+0j)"
+        with pytest.raises(PoleError, match=re.escape(message) + "$"):
+            ev(0.5, lams)
+
+    @pytest.mark.parametrize("name", LAMBDA_FIELD_MODELS)
+    def test_one_evaluator_call_per_stacked_determinant(self, name):
+        problem, calls = _counted(build_model(name))
+        characteristic_determinant(problem, 1j * np.linspace(0.2, 10.0, 240), 1e-3)
+        assert calls == [(240,)]
+        characteristic_determinant(problem, 2.0j, 1e-3)
+        assert calls == [(240,), ()]
 
 
 class TestMachineUnit:

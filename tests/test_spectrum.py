@@ -1,8 +1,13 @@
 """Determinant assembly, root finding, mode shapes, and their invariants."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 
 from oscispec import (
     BoundaryDegeneracyError,
+    BoundaryOperator,
     Bracket,
     CoefficientField,
     ConjugationOperator,
@@ -37,6 +43,7 @@ from oscispec import (
     scan_real_axis,
     solve_spectrum,
 )
+from oscispec import problem as problem_module
 from oscispec import spectrum
 from oscispec.models import SCAN_DEFAULTS, build_model
 from oscispec.oracle import FDOracleConfig, fd_polynomial_eigenvalues
@@ -74,6 +81,103 @@ class TestInitialCoefficients:
         )
         with pytest.raises(BoundaryDegeneracyError):
             initial_coefficients(degenerate, 0.0)
+
+
+def _machine_unit_roots(params):
+    problem = build_model("machine_unit", **params)
+    roots = solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
+    return [(r.lam, r.residual, r.iterations) for r in roots]
+
+
+class TestBoundOncePerProblem:
+    """What a problem fixes is computed once per problem, not per lambda."""
+
+    def test_constant_left_row_reduced_once_per_problem(self, monkeypatch):
+        problem = build_model("fixed_free_string")
+        left = problem.boundary_left(0j)
+        reduced, dets = [], []
+
+        def watch(module):
+            original = module.rref_null_basis
+
+            def counting(matrix, tol=1e-12):
+                rows = np.asarray(matrix)
+                if rows.shape[-2:] == left.shape and np.all(rows == left):
+                    reduced.append(rows.shape)
+                return original(matrix, tol)
+
+            monkeypatch.setattr(module, "rref_null_basis", counting)
+
+        watch(problem_module)
+        watch(spectrum)
+        determinant = spectrum._determinant
+        monkeypatch.setattr(
+            spectrum, "_determinant", lambda *args: dets.append(1) or determinant(*args)
+        )
+        roots = solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
+        assert len(roots) == 3 and len(dets) > 1
+        assert reduced == [(1, 2)]
+
+    def test_boundary_variants_solved_in_turn_give_their_own_roots(self):
+        # clamped and the undamped free rotor are lambda-free rows with
+        # different tables; the damped free row and the default depend on
+        # lambda.  Each variant alone runs in a fresh interpreter.
+        variants = (
+            {"left_end": "clamped"},
+            {"left_end": "free"},
+            {},
+            {"left_end": "free", "zeta1": 0.0},
+        )
+        in_turn = [repr(_machine_unit_roots(params)) for params in variants]
+        src = str(Path(spectrum.__file__).resolve().parents[1])
+        tests_dir = str(Path(__file__).resolve().parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests_dir])}
+        code = (
+            "import json, sys; from test_spectrum import _machine_unit_roots; "
+            "print(repr(_machine_unit_roots(json.loads(sys.argv[1]))))"
+        )
+        for params, roots in zip(variants, in_turn):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(params)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == roots
+        assert len(set(in_turn)) == 4
+
+    def test_rank_deficient_constant_left_row_names_the_first_lambda(self):
+        degenerate = BoundaryOperator("left", PolyMatrix.from_entries([[[0.0], [0.0]]]))
+        problem = dataclasses.replace(make_string_problem(), boundary_left=degenerate)
+        lams = 1j * np.linspace(0.5, 3.0, 6)
+        with pytest.raises(BoundaryDegeneracyError) as info:
+            _assemble(reduce_complex(problem, lams), 1e-2, keep_samples=False)
+        assert info.value.lam == lams[0]
+        assert (info.value.rank, info.value.expected) == (0, 1)
+        with pytest.raises(BoundaryDegeneracyError) as info:
+            characteristic_determinant(problem, lams, 1e-2)
+        assert info.value.lam == lams[0]
+
+    def test_singular_constant_interface_names_the_first_lambda(self):
+        conj = ConjugationOperator(
+            1, PolyMatrix.constant(np.eye(2)), PolyMatrix.constant(np.diag([1.0, 0.0]))
+        )
+        problem = make_string_problem(breakpoints=(0.0, 0.5, 1.0), conjugations=(conj,))
+        lams = 1j * np.linspace(0.5, 3.0, 6)
+        with pytest.raises(PropagationError) as info:
+            _assemble(reduce_complex(problem, lams), 1e-2, keep_samples=False)
+        assert (info.value.interface, info.value.lam) == (1, lams[0])
+
+    def test_constant_matrix_at_a_stack_is_one_shared_view(self):
+        matrix = PolyMatrix.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        lams = 1j * np.linspace(0.5, 3.0, 6)
+        stacked = matrix(lams)
+        assert stacked.shape == (6, 2, 2) and stacked.dtype == complex
+        assert stacked.strides[0] == 0 and not stacked.flags.writeable
+        for k, z in enumerate(lams.tolist()):
+            assert stacked[k].tobytes() == matrix(z).tobytes()
 
 
 class TestPropagate:
@@ -464,7 +568,12 @@ def _y_varying_lambda_problem():
     part = Partition((0.0, 1.0))
 
     def coefficient(y, lam):
-        return np.array([[0.0, 1.0], [lam * lam * (1.0 + 0.3 * y) / (1.0 + 0.01 * lam), 0.0]])
+        # lam is a 0-d or 1-D complex array; computed on its 1-D form
+        z = lam.reshape(-1)
+        out = np.zeros(z.shape + (2, 2), dtype=complex)
+        out[:, 0, 1] = 1.0
+        out[:, 1, 0] = z * z * (1.0 + 0.3 * y) / (1.0 + 0.01 * z)
+        return out.reshape(lam.shape + (2, 2))
 
     field = LambdaCoefficientField(part, (coefficient,), dim=2, bound=1.3, y_independent=False)
     base = make_string_problem()
