@@ -83,6 +83,15 @@ def _csv_num(x: float) -> str:
     return _CSV_FMT % x
 
 
+def _csv_text(text: str) -> str:
+    """A text cell as RFC 4180 writes it: in double quotes, with each inner
+    quote doubled, where it holds a comma, a quote or a line break; as it is
+    otherwise."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_table(header: list[str], columns) -> str:
     """CSV text of equal-length float columns, one `_CSV_FMT` cell each.
 
@@ -389,7 +398,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             problem = models.build_model(cfg.model, **params)
             results = solve_spectrum(problem, opts)
         except (ValueError, SolverError) as exc:
-            rows.append(f"{_csv_num(float(value))},,,,error: {exc}")
+            rows.append(f"{_csv_num(float(value))},,,,{_csv_text(f'error: {exc}')}")
             continue
         if not results:
             rows.append(f"{_csv_num(float(value))},,,,empty")

@@ -64,6 +64,9 @@ def estimate_step(system: ReducedSystem, target_error: float) -> float:
     return min(hi, max(lo, h))
 
 
+# overflow is caught by the finiteness check below, not warned about; the
+# decorator form enters the error state at a fraction of a `with` block's cost
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_fundamental(
     system: ReducedSystem,
     interval: int,
@@ -91,7 +94,8 @@ def integrate_fundamental(
     A stacked system (see ReducedSystem) is integrated in one pass with a
     leading lambda axis on every result, each lambda bit-identical to its
     own integration; the finiteness check and the near-singular warning
-    stay per lambda.
+    stay per lambda.  The warning's determinant of a 2 x 2 end matrix is
+    ad - bc.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -104,37 +108,39 @@ def integrate_fundamental(
     # the node grid is read only for y-dependent coefficients and samples
     nodes = lo + h * np.arange(n_steps + 1) if const is None or keep_samples else None
 
-    # overflow is caught by the finiteness check below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        if const is None:
-            a_nodes = _real_form(system.coeff_batch(interval, nodes))
-            a_mids = _real_form(system.coeff_batch(interval, nodes[:-1] + 0.5 * h))
-            steps = _rk4_steps(a_nodes[:-1], a_mids, a_nodes[1:], h)
-        else:
-            # a length-1 stack, so S is computed exactly as steps[j] above
-            a = _real_form(const)[np.newaxis]
-            steps = _rk4_steps(a, a, a, h)
+    if const is None:
+        a_nodes = _real_form(system.coeff_batch(interval, nodes))
+        a_mids = _real_form(system.coeff_batch(interval, nodes[:-1] + 0.5 * h))
+        steps = _rk4_steps(a_nodes[:-1], a_mids, a_nodes[1:], h)
+    else:
+        # a length-1 stack, so S is computed exactly as steps[j] above
+        a = _real_form(const)[np.newaxis]
+        steps = _rk4_steps(a, a, a, h)
 
-        samples = None
-        if keep_samples:
-            samples = _solution_rows(_sampled_prefixes(steps, n_steps), system.dim)
-            end = samples[-1]
-        elif const is None:
-            end = _solution_rows(_chain_product(steps), system.dim)
-        else:
-            end = _solution_rows(_constant_power(steps[0], n_steps), system.dim)
+    samples = None
+    if keep_samples:
+        samples = _solution_rows(_sampled_prefixes(steps, n_steps), system.dim)
+        end = samples[-1]
+    elif const is None:
+        end = _solution_rows(_chain_product(steps), system.dim)
+    else:
+        end = _solution_rows(_constant_power(steps[0], n_steps), system.dim)
 
-    finite = np.isfinite(end).all(axis=(-2, -1)).reshape(-1)
-    if not finite.all():
+    if not np.isfinite(end).all():
+        finite = np.isfinite(end).all(axis=(-2, -1)).reshape(-1)
         raise IntegrationError(interval, each_lambda(system.lam)[int(np.argmin(finite))])
-    for det in np.linalg.det(end).reshape(-1).tolist():
-        if abs(det) < DET_WARN_TOL:
-            warnings.warn(
-                f"fundamental matrix nearly singular on interval {interval} "
-                f"(|det|={abs(det):.3e}); consider a smaller step",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    if end.shape[-1] == 2:
+        dets = end[..., 0, 0] * end[..., 1, 1] - end[..., 0, 1] * end[..., 1, 0]
+    else:
+        dets = np.linalg.det(end)
+    dets = np.abs(dets).reshape(-1)
+    for det in dets[dets < DET_WARN_TOL].tolist():
+        warnings.warn(
+            f"fundamental matrix nearly singular on interval {interval} "
+            f"(|det|={det:.3e}); consider a smaller step",
+            RuntimeWarning,
+            stacklevel=3,  # past the error-state decorator, at the caller
+        )
 
     return FundamentalMatrix(
         interval=interval,

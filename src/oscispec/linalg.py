@@ -79,6 +79,21 @@ def adjugate_form(matrix: np.ndarray, reduced: NullBasis) -> np.ndarray:
     return np.where(scale == 1, reduced[1], reduced[1] * scale)
 
 
+def row_adjugate_form(matrix: np.ndarray) -> np.ndarray:
+    """adjugate_form of one row [a0, a1], or of each row of a stack, where
+    the row has full rank: [-a1; a0].
+
+    With one free column the sign fixed by the row count and the parity of
+    (P, F) cancel, so the table is the same whichever column pivots, and it
+    needs no row reduction.  The row loses rank only where both entries
+    vanish.
+    """
+    table = np.empty(matrix.shape[:-2] + (2, 1), dtype=matrix.dtype)
+    np.negative(matrix[..., 0, 1], out=table[..., 0, 0])
+    table[..., 1, 0] = matrix[..., 0, 0]
+    return table
+
+
 def _eliminate(stack: np.ndarray, tol: float) -> list[int] | None:
     """Row-reduce every matrix of a (K, rows, cols) stack in place.
 

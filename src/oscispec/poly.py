@@ -8,6 +8,8 @@ problem format.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -77,6 +79,17 @@ class PolyMatrix:
     def is_constant(self) -> bool:
         return self.degree == 0
 
+    @cached_property
+    def fixed_value(self) -> np.ndarray | None:
+        """The matrix as read-only complex where it is stored as one constant
+        (a single coefficient), None where it has more.  Every x evaluates
+        such a matrix to these values, so callers can share this one array."""
+        if len(self.coeffs) != 1:
+            return None
+        value = self.coeffs[0].astype(complex)
+        value.flags.writeable = False
+        return value
+
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
@@ -89,14 +102,14 @@ class PolyMatrix:
         leading stride is 0), not len(x) copies.
         """
         c = self.coeffs
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
+        if np.ndim(x) == 0:
             out = c[-1].astype(np.result_type(c.dtype, type(x)), copy=True)
             for k in range(c.shape[0] - 2, -1, -1):
                 out *= x
                 out += c[k]
             return out
         x = np.asarray(x)
-        dtype = np.result_type(c.dtype, x.dtype)
+        dtype = np.promote_types(c.dtype, x.dtype)
         if len(c) == 1:
             return np.broadcast_to(c[0].astype(dtype, copy=False), (len(x),) + c.shape[1:])
         out = np.empty((len(x),) + c.shape[1:], dtype=dtype)

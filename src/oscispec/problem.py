@@ -60,6 +60,12 @@ class Partition:
         a, b = self.interval(i)
         return b - a
 
+    @cached_property
+    def midpoints(self) -> tuple[float, ...]:
+        """The midpoint of each interval, in order."""
+        b = self.breakpoints
+        return tuple(0.5 * (b[i] + b[i + 1]) for i in range(self.n_intervals))
+
     def is_increasing(self) -> bool:
         b = self.breakpoints
         return all(b[i] < b[i + 1] for i in range(len(b) - 1))
@@ -93,7 +99,7 @@ class CoefficientField:
             for a, b, c in zip(self.a_polys, self.b_polys, self.c_polys)
         )
 
-    @property
+    @cached_property
     def varies_in_y(self) -> bool:
         return any(abc is None for abc in self.constant_abc)
 
@@ -217,6 +223,11 @@ class ProblemDefinition:
     def half_dim(self) -> int:
         return self.dim // 2
 
+    @cached_property
+    def conjugations_in_order(self) -> tuple[ConjugationOperator, ...]:
+        """The conjugations by interface index, sorted once per problem."""
+        return tuple(sorted(self.conjugations, key=lambda c: c.interface))
+
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -228,11 +239,14 @@ class ReducedSystem:
     coeff_batch returns at every y, or None where it depends on y.
     left_table is the left boundary's constant table in the form of
     left_matrix (constant_table, or constant_split_table on the real-split
-    path), None where the rows depend on lambda.
+    path), None where the rows depend on lambda.  coefficient_bound is the
+    problem's declared coefficient bound; `bound` scales it to lambda.
 
     lam is one complex number, or a 1-D array for a stack of lambdas: then
-    every matrix carries a leading lambda axis, (K, rows, cols), and
-    coeff_batch returns (len(ys), K, dim, dim).
+    every matrix carries a leading lambda axis, (K, rows, cols), except a
+    lambda-free boundary or interface matrix, which is one (rows, cols)
+    matrix shared by the stack, and coeff_batch returns
+    (len(ys), K, dim, dim).
     """
 
     partition: Partition
@@ -241,10 +255,17 @@ class ReducedSystem:
     left_matrix: np.ndarray
     right_matrix: np.ndarray
     interfaces: tuple[tuple[np.ndarray, np.ndarray], ...]
-    bound: float
+    coefficient_bound: float
     coeff_batch: Callable[[int, np.ndarray], np.ndarray]
     constant_coeffs: tuple[np.ndarray | None, ...]
     left_table: tuple[int, np.ndarray | None] | None = None
+
+    @property
+    def bound(self) -> float:
+        """The reduced coefficient bound M (1 + |lam| + |lam|^2) used for
+        step-size estimation, formed only when asked for."""
+        r = abs(self.lam)
+        return self.coefficient_bound * (1.0 + r + r * r)
 
     def coefficient(self, interval: int, y: float) -> np.ndarray:
         return self.coeff_batch(interval, np.asarray([float(y)]))[0]
@@ -312,14 +333,17 @@ def validate(problem: ProblemDefinition) -> list[str]:
             out.append(f"boundary_{bnd.side}: {rows} rows, expected m={m}")
         if cols != dim:
             out.append(f"boundary_{bnd.side}: {cols} columns, expected N={dim}")
-        if bnd.matrix.degree > bnd.max_degree:
+        degree = bnd.matrix.degree
+        if degree > bnd.max_degree:
             out.append(
-                f"boundary_{bnd.side}: lambda degree {bnd.matrix.degree} "
-                f"exceeds cap {bnd.max_degree}"
+                f"boundary_{bnd.side}: lambda degree {degree} exceeds cap {bnd.max_degree}"
             )
-        for lam in (0.0, 1j):
-            mat = bnd(lam)
-            rank, _ = rref_null_basis(mat)
+        if degree == 0:
+            # lambda-free rows have one rank, formed with their constant table
+            ranks = ((0.0, bnd.constant_table[0]),)
+        else:
+            ranks = ((lam, rref_null_basis(bnd(lam))[0]) for lam in (0.0, 1j))
+        for lam, rank in ranks:
             if rank != min(rows, dim):
                 out.append(f"boundary_{bnd.side}: rank {rank} < {rows} at lambda={lam}")
                 break
@@ -362,14 +386,18 @@ def _validate_poly_field(coeffs: CoefficientField, n: int, dim: int) -> list[str
         for i, pm in enumerate(seq):
             if pm.shape != (dim, dim):
                 out.append(f"coefficients {tag}[{i}]: shape {pm.shape}, expected ({dim}, {dim})")
-            if pm.degree > MAX_Y_DEGREE:
-                out.append(f"coefficients {tag}[{i}]: y degree {pm.degree} exceeds cap {MAX_Y_DEGREE}")
+            degree = pm.degree
+            if degree > MAX_Y_DEGREE:
+                out.append(f"coefficients {tag}[{i}]: y degree {degree} exceeds cap {MAX_Y_DEGREE}")
             if not np.all(np.isfinite(pm.coeffs)):
                 out.append(f"coefficients {tag}[{i}]: nonfinite coefficient")
                 continue
-            lo, hi = coeffs.partition.interval(i) if i < n else (0.0, 0.0)
-            ys = np.linspace(lo, hi, _BOUND_SAMPLES)
-            vals = pm(ys)
+            if degree == 0:
+                # every sample of a constant is its one coefficient
+                vals = pm.coeffs[0]
+            else:
+                lo, hi = coeffs.partition.interval(i) if i < n else (0.0, 0.0)
+                vals = pm(np.linspace(lo, hi, _BOUND_SAMPLES))
             worst = float(np.max(np.abs(vals)))
             if worst > coeffs.bound * (1 + 1e-12):
                 out.append(
@@ -385,9 +413,8 @@ def _validate_lambda_field(coeffs: LambdaCoefficientField, n: int, dim: int) -> 
         out.append(f"coefficients: {len(coeffs.evaluators)} evaluators, expected {n}")
         return out
     for i, ev in enumerate(coeffs.evaluators):
-        lo, hi = coeffs.partition.interval(i)
         try:
-            mat = np.asarray(ev(0.5 * (lo + hi), np.asarray(1j)))
+            mat = np.asarray(ev(coeffs.partition.midpoints[i], np.asarray(1j)))
         except Exception as exc:  # probe failure is a model defect
             out.append(f"coefficients[{i}]: evaluator failed at probe: {exc}")
             continue

@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .linalg import realify
+from .poly import PolyMatrix
 from .problem import (
     CoefficientField,
     LambdaCoefficientField,
@@ -30,10 +31,12 @@ def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> Red
 
     The coefficient evaluator returns A(y) + lam^2 B(y) + lam C(y); boundary
     and interface polynomials are evaluated at lam into constant complex
-    matrices, and a lambda-free left boundary brings the null-basis table
-    it forms once per problem.  A 1-D array of lambdas gives one stacked
-    system whose matrices carry a leading lambda axis; each slice is
-    computed with the same arithmetic as a single lambda, bit for bit.
+    matrices (bind_matrix), and a lambda-free left boundary brings the
+    null-basis table it forms once per problem.  A 1-D array of lambdas
+    gives one stacked system whose matrices carry a leading lambda axis,
+    except the lambda-free boundary and interface matrices, which the
+    stack shares; each slice is computed with the same arithmetic as a
+    single lambda, bit for bit.
     """
     lam = _lambda_arg(lam, complex)
     coeffs = problem.coefficients
@@ -46,16 +49,13 @@ def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> Red
         partition=problem.partition,
         dim=problem.dim,
         lam=lam,
-        left_matrix=np.asarray(problem.boundary_left(lam), dtype=complex),
-        right_matrix=np.asarray(problem.boundary_right(lam), dtype=complex),
+        left_matrix=bind_matrix(problem.boundary_left.matrix, lam),
+        right_matrix=bind_matrix(problem.boundary_right.matrix, lam),
         interfaces=tuple(
-            (
-                np.asarray(c.d_matrix(lam), dtype=complex),
-                np.asarray(c.b_matrix(lam), dtype=complex),
-            )
-            for c in sorted(problem.conjugations, key=lambda c: c.interface)
+            (bind_matrix(c.d_matrix, lam), bind_matrix(c.b_matrix, lam))
+            for c in problem.conjugations_in_order
         ),
-        bound=_reduced_bound(coeffs, lam),
+        coefficient_bound=coeffs.bound,
         coeff_batch=_coeff_batch(consts, varying),
         constant_coeffs=consts,
         left_table=problem.boundary_left.constant_table,
@@ -88,6 +88,19 @@ def reduce_real_split(problem: ProblemDefinition, p: float | np.ndarray) -> Redu
     )
 
 
+def bind_matrix(matrix: PolyMatrix, lam) -> np.ndarray:
+    """A boundary or interface polynomial matrix at lambda, complex.
+
+    A matrix stored as one constant is its shared read-only value
+    (PolyMatrix.fixed_value), formed once per problem: one matrix even for
+    a stack, which numpy's matmul and solve broadcast over it with the
+    arithmetic of each lambda alone.  Any other matrix is evaluated at
+    lambda, or at each lambda of a stack.
+    """
+    fixed = matrix.fixed_value
+    return fixed if fixed is not None else np.asarray(matrix(lam), dtype=complex)
+
+
 def _lambda_arg(value, kind):
     """A Python number for a scalar, a 1-D array of that kind for a stack."""
     if not isinstance(value, np.ndarray) or value.ndim == 0:
@@ -116,11 +129,6 @@ def _lambda_arg(value, kind):
 # lambda as a 0-d array), once per interval, or once per node where it
 # varies in y; by its contract (LambdaCoefficientField) one lambda takes the
 # array arithmetic of a stack, so each slice is bit-identical to its own call.
-
-
-def _reduced_bound(coeffs, lam):
-    r = abs(lam)
-    return coeffs.bound * (1.0 + r + r * r)
 
 
 def _coeff_batch(consts, varying):
@@ -170,7 +178,7 @@ def _lambda_parts(coeffs: LambdaCoefficientField, lam):
     n = coeffs.partition.n_intervals
     lams = np.asarray(lam, dtype=complex)
     if coeffs.y_independent:
-        mids = [0.5 * (lo + hi) for lo, hi in map(coeffs.partition.interval, range(n))]
+        mids = coeffs.partition.midpoints
         consts = tuple(
             np.asarray(ev(mids[i], lams), dtype=complex) for i, ev in enumerate(coeffs.evaluators)
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import BoundaryDegeneracyError, NotARootError, PropagationError, SolverError
 from .integrate import FundamentalMatrix, estimate_step, integrate_fundamental
-from .linalg import adjugate_form, rref_null_basis, transpose
+from .linalg import adjugate_form, row_adjugate_form, rref_null_basis, transpose
 from .problem import (
     BoundaryOperator,
     ConjugationOperator,
@@ -27,10 +28,12 @@ from .problem import (
     TOL_SINGULAR,
     each_lambda,
 )
-from .reduction import reduce_complex, reduce_real_split
+from .reduction import bind_matrix, reduce_complex, reduce_real_split
 
-#: largest exponent fed to exp() when undoing the log-scale normalization
+#: largest exponent fed to exp() when undoing the log-scale normalization;
+#: the m = 1 closed form clamps its modulus at _EXP_MAX = e^_EXP_CLAMP
 _EXP_CLAMP = 700.0
+_EXP_MAX = math.exp(_EXP_CLAMP)
 
 #: matrix entries one coefficient array of a stacked y-dependent integration,
 #: or one sampled array of a stacked mode-shape propagation, may hold: 4 MB as
@@ -38,6 +41,10 @@ _EXP_CLAMP = 700.0
 #: 2N x 2N float64 during the propagation; longer lambda stacks are evaluated
 #: in chunks
 _STACK_ENTRIES = 1 << 18
+
+#: the bytes of one complex128 memo key: two doubles in native order, as in
+#: a numpy array
+_KEY = struct.Struct("=dd")
 
 #: a scan flags a local minimum of |D| below this share of the grid median
 _MINIMUM_RATIO = 0.05
@@ -132,16 +139,23 @@ def _initial_table(matrix: np.ndarray, lam, constant=None) -> np.ndarray:
     for the first lambda whose rows lose rank.
 
     `constant` is the (rank, table) pair of rows that do not depend on
-    lambda, formed once per problem (BoundaryOperator.constant_table); the
-    stack then shares its table.
+    lambda, formed once per problem (BoundaryOperator.constant_table); a
+    stack then shares that one table, as it shares the rows.  One row
+    [a0, a1] of N = 2 (m = 1) takes its adjugate form [-a1; a0] directly
+    (linalg.row_adjugate_form), with no row reduction.
     """
-    if constant is None:
+    if constant is not None:
+        rank, basis = constant
+        rows = matrix.shape[-2]
+        if rank != rows:
+            raise BoundaryDegeneracyError(each_lambda(lam)[0], rank, rows)
+        return basis
+    if matrix.shape[-2:] != (1, 2):
         return adjugate_form(matrix, _null_basis_checked(matrix, lam))
-    rank, basis = constant
-    rows = matrix.shape[-2]
-    if rank != rows:
-        raise BoundaryDegeneracyError(each_lambda(lam)[0], rank, rows)
-    return basis if matrix.ndim == 2 else np.broadcast_to(basis, (len(matrix),) + basis.shape)
+    lost = (matrix[..., 0, 0] == 0) & (matrix[..., 0, 1] == 0)
+    if lost.any():
+        raise BoundaryDegeneracyError(each_lambda(lam)[int(np.argmax(lost))], 0, 1)
+    return row_adjugate_form(matrix)
 
 
 def propagate(
@@ -157,19 +171,18 @@ def propagate(
     determinant-ratio recurrence but via LU factorization.
     """
     g = fundamental.end_matrix if isinstance(fundamental, FundamentalMatrix) else fundamental
-    dmat = np.asarray(conj.d_matrix(lam))
-    bmat = np.asarray(conj.b_matrix(lam))
+    dmat = bind_matrix(conj.d_matrix, lam)
+    bmat = bind_matrix(conj.b_matrix, lam)
     return _interface_solve(u, g, dmat, bmat, conj.interface, lam)
 
 
 def _interface_solve(u, g, dmat, bmat, interface: int, lam) -> np.ndarray:
     w = transpose(g) @ u
     n = bmat.shape[-1]
-    # a lambda-free B reaches a stack as one matrix broadcast over it (see
-    # PolyMatrix.__call__), so it is checked once, at the first lambda
-    distinct = bmat[:1] if bmat.ndim == 3 and bmat.strides[0] == 0 else bmat
-    scales = np.max(np.abs(distinct), axis=(-2, -1)).reshape(-1).tolist()
-    dets = np.linalg.det(distinct).reshape(-1).tolist()
+    # a lambda-free B is one matrix shared by a stack (bind_matrix), so it
+    # is checked once, at the first lambda
+    scales = np.max(np.abs(bmat), axis=(-2, -1)).reshape(-1).tolist()
+    dets = np.linalg.det(bmat).reshape(-1).tolist()
     for scale, det, z in zip(scales, dets, each_lambda(lam)):
         if scale == 0.0 or abs(det) <= TOL_SINGULAR * scale**n:
             raise PropagationError(interface, z, "det below singularity tolerance")
@@ -200,9 +213,13 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     Returns (u_tables, fundamentals, end_values, closure) where end_values
     W = G^T U are the last interval's propagated end values and closure is
     the m x m matrix whose determinant vanishes at eigenvalues.  A stacked
-    system gives every array a leading lambda axis.
+    system gives every array a leading lambda axis; only without
+    keep_samples, which mode shapes ask for, is a lambda-free left table
+    the one table the stack shares.
     """
     u = _initial_table(reduced.left_matrix, reduced.lam, reduced.left_table)
+    if keep_samples:
+        u = np.broadcast_to(u, np.shape(reduced.lam) + u.shape[-2:])
     u_tables = [u]
     fundamentals: list[FundamentalMatrix] = []
     n = reduced.partition.n_intervals
@@ -219,6 +236,9 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     return u_tables, fundamentals, w, closure
 
 
+# a ratio beyond the float range is clamped below, as the general route
+# clamps its exponent, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def _normalized_det(closure: np.ndarray, end_values: np.ndarray):
     """det(closure) divided by the product of the m largest row maxima of W.
 
@@ -226,8 +246,31 @@ def _normalized_det(closure: np.ndarray, end_values: np.ndarray):
     domain length through the fundamental solutions; dividing by the
     dominant row scales of the propagated end values keeps it O(1) without
     moving its zeros.  A complex for one closure matrix, an array for a
-    stack of them.
+    stack of them.  For m = 1 it is c / max|W| of the one closure entry c,
+    zero where c or W vanishes and clamped at the modulus e^_EXP_CLAMP:
+    the rules of the general route (_log_normalized_det), which it matches
+    to rounding.
     """
+    if closure.shape[-1] != 1:
+        return _log_normalized_det(closure, end_values)
+    # one lambda as a length-1 stack, so it takes the arithmetic of a stack;
+    # c = 0 gives 0 by the division itself
+    c = closure.reshape(-1)
+    top = np.abs(end_values).reshape(len(c), -1).max(axis=1)
+    if top.all():
+        value = c / top
+    else:
+        value = c / np.where(top == 0.0, 1.0, top)
+        value[top == 0.0] = 0j
+    clamped = np.abs(value) > _EXP_MAX
+    if clamped.any():
+        value[clamped] = c[clamped] / np.abs(c[clamped]) * _EXP_MAX
+    return complex(value[0]) if closure.ndim == 2 else value
+
+
+def _log_normalized_det(closure: np.ndarray, end_values: np.ndarray):
+    """_normalized_det of any m, by slogdet: sign * exp(log|det| - sum of
+    the log row scales), the exponent clamped at _EXP_CLAMP."""
     m = closure.shape[-1]
     top = np.sort(np.abs(end_values).max(axis=-1), axis=-1)[..., -m:]
     sign, logdet = np.linalg.slogdet(closure)
@@ -265,6 +308,8 @@ def characteristic_determinant(
         except SolverError:
             # one at a time, in order: the first failing lambda raises
             parts.append([_determinant(problem, z, step) for z in block.tolist()])
+    if len(parts) == 1 and isinstance(parts[0], np.ndarray):
+        return parts[0]
     return np.concatenate(parts) if parts else np.empty(0, dtype=complex)
 
 
@@ -417,20 +462,30 @@ class _Ahead:
 
 
 def _keys(lams) -> list[bytes]:
-    """Memo keys of a lambda or a lambda stack: the bytes of each value, so
-    that signed zeros stay apart and a NaN finds itself."""
-    return np.asarray(lams, dtype=complex).reshape(-1).view("V16").tolist()
+    """Memo keys of a lambda stack or a list of lambdas: the bytes of each
+    value, so that signed zeros stay apart and a NaN finds itself.  A stack
+    is viewed as numpy stores it, a list packed lambda by lambda (_key)."""
+    if isinstance(lams, np.ndarray):
+        return lams.astype(complex, copy=False).reshape(-1).view("V16").tolist()
+    return [_key(z) for z in lams]
+
+
+def _key(lam) -> bytes:
+    """The memo key of one lambda: its bytes as numpy stores them, packed
+    without a round trip through numpy."""
+    z = complex(lam)
+    return _KEY.pack(z.real, z.imag)
 
 
 def _recall(request, memo):
     """The reply to a request from the memo, or None if a needed lambda is
     not in it."""
     if isinstance(request, _Ahead):
-        return memo.get(_keys(request.lam)[0])
+        request = request.lam
+    if not (isinstance(request, np.ndarray) and request.ndim):
+        return memo.get(_key(request))
     values = [memo.get(key) for key in _keys(request)]
-    if None in values:
-        return None
-    return np.array(values) if np.ndim(request) else values[0]
+    return None if None in values else np.array(values)
 
 
 def _unknown(requests, memo, spares=True) -> list[complex]:
@@ -441,7 +496,7 @@ def _unknown(requests, memo, spares=True) -> list[complex]:
     for request in requests:
         if not isinstance(request, _Ahead):
             lams += np.atleast_1d(request).tolist()
-        elif _keys(request.lam)[0] not in memo:
+        elif _key(request.lam) not in memo:
             lams += [complex(request.lam)] + (request.ahead.tolist() if spares else [])
     return list({k: z for k, z in zip(_keys(lams), lams) if k not in memo}.values())
 

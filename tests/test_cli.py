@@ -1,5 +1,6 @@
 """CLI integration: file outputs, determinism, exit-code contract."""
 
+import csv
 import json
 import math
 import os
@@ -325,6 +326,23 @@ class TestSweep:
         for r in rows:
             counts[r[0]] = counts.get(r[0], 0) + 1
         assert len(counts) == 41 and set(counts.values()) == {4}
+
+    def test_error_rows_are_quoted_csv(self, tmp_path):
+        # T = -1 and T = 0 fail the model's check, whose message holds commas
+        code = _run(
+            "sweep", "--model", "fixed_free_string", "--sweep", "T:-1:1:3",
+            "--scan", "0.2:10:40", "--out", str(tmp_path),
+        )
+        assert code == 0
+        text = (tmp_path / "sweep.csv").read_text()
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 5 for row in rows)
+        assert [row[4] for row in rows[1:3]] == ["error: rho, T, l must be positive"] * 2
+        assert [row[4] for row in rows[3:]] == ["ok"] * 3
+        lines = text.splitlines()
+        assert lines[1] == '-1,,,,"error: rho, T, l must be positive"'
+        assert lines[3] == "1,1,0,1.570796327,ok"
 
     def test_unknown_parameter_exits_1_before_output(self, tmp_path, capsys):
         code = _run(

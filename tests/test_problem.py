@@ -1,9 +1,12 @@
 """Core data model: validation, coefficient evaluation, breakpoint insertion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oscispec import (
+    BoundaryOperator,
     CoefficientField,
     ConjugationOperator,
     Partition,
@@ -12,6 +15,7 @@ from oscispec import (
     insert_breakpoint,
     validate,
 )
+from oscispec.models import SCAN_DEFAULTS, build_model
 from oscispec.problem import TOL_SINGULAR
 
 from conftest import identity_conjugation, make_string_problem
@@ -87,6 +91,56 @@ class TestValidate:
         bmat0 = prob.conjugations[0].b_matrix(0.0)
         scale = np.max(np.abs(bmat0))
         assert abs(np.linalg.det(bmat0)) > TOL_SINGULAR * scale**2
+
+
+def _invalid_problems():
+    """Problems whose violations validate takes through its shortcuts for
+    lambda-free data: an exceeded bound on a constant and on a linear
+    coefficient, rank-deficient constant and lambda-dependent rows, and a
+    singular constant B."""
+    base = make_string_problem(breakpoints=(0.0, 0.5, 1.0), conjugations=(identity_conjugation(1),))
+    field = base.coefficients
+    big = PolyMatrix.constant(np.array([[0.0, 3.0], [0.0, 0.0]]))
+    ramp = PolyMatrix.from_entries([[[0.0], [0.0, 4.0]], [[0.0], [0.0]]])
+    loose = CoefficientField(field.partition, (big, ramp), field.b_polys, field.c_polys, 1.0)
+    flat = BoundaryOperator("left", PolyMatrix.from_entries([[[0.0], [0.0]]]))
+    at_zero = BoundaryOperator("right", PolyMatrix.from_entries([[[0.0, 1.0], [0.0]]]))
+    singular = ConjugationOperator(1, PolyMatrix.constant(np.eye(2)), PolyMatrix.constant(np.diag([1.0, 0.0])))
+    return [
+        dataclasses.replace(base, coefficients=loose),
+        dataclasses.replace(base, boundary_left=flat, boundary_right=at_zero),
+        dataclasses.replace(base, conjugations=(singular,)),
+        dataclasses.replace(
+            base, coefficients=loose, boundary_left=flat, boundary_right=at_zero,
+            conjugations=(singular,),
+        ),
+    ]
+
+
+class TestValidateShortcuts:
+    """A constant coefficient takes its bound from its one coefficient and
+    lambda-free rows their rank from the constant table; the violation lists
+    are those of 33 samples and two rref probes."""
+
+    @staticmethod
+    def _general_route(monkeypatch):
+        # no polynomial counts as constant: every check takes the sampled
+        # and probed route
+        degree = PolyMatrix.degree.fget
+        monkeypatch.setattr(PolyMatrix, "degree", property(lambda pm: max(degree(pm), 1)))
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_built_ins(self, name, monkeypatch):
+        fast = validate(build_model(name))
+        self._general_route(monkeypatch)
+        assert fast == validate(build_model(name)) == []
+
+    def test_invalid_problems(self, monkeypatch):
+        fast = [validate(p) for p in _invalid_problems()]
+        self._general_route(monkeypatch)
+        assert fast == [validate(p) for p in _invalid_problems()]
+        assert [len(v) for v in fast] == [2, 2, 1, 5]
+        assert "boundary_right: rank 0 < 1 at lambda=0.0" in fast[1]
 
 
 class TestEvaluateCoefficients:

@@ -45,6 +45,7 @@ from oscispec import (
 )
 from oscispec import problem as problem_module
 from oscispec import spectrum
+from oscispec.linalg import adjugate_form
 from oscispec.models import SCAN_DEFAULTS, build_model
 from oscispec.oracle import FDOracleConfig, fd_polynomial_eigenvalues
 from oscispec.reduction import reduce_complex
@@ -1540,3 +1541,97 @@ class TestAnalyticDeterminant:
         split_roots = solve_spectrum(problem, SolveOptions(scan=window, step=1e-3, path="real_split"))
         assert _fields(split_roots) == _fields(_axis_roots(complex_roots, 1e-10))
         assert all(r.lam.real == 0.0 for r in split_roots)
+
+
+def _general_route(monkeypatch):
+    """Route every determinant through the general forms the closed ones
+    replace for N = 2, m = 1: rref_null_basis + adjugate_form for a
+    lambda-dependent left row, slogdet for the normalization."""
+    closed = spectrum._initial_table
+
+    def table(matrix, lam, constant=None):
+        if constant is not None:
+            return closed(matrix, lam, constant)
+        return adjugate_form(matrix, spectrum._null_basis_checked(matrix, lam))
+
+    monkeypatch.setattr(spectrum, "_initial_table", table)
+    monkeypatch.setattr(spectrum, "_normalized_det", spectrum._log_normalized_det)
+
+
+def _n4_problem():
+    """Two unit strings with lambda-dependent left rows [[lam - 2i, 1, 0, 0],
+    [0, lam - 2i, 0, 1]] and right rows pinning both: N = 4, m = 2."""
+    part = Partition((0.0, 1.0))
+    a = np.zeros((4, 4))
+    a[0, 1] = a[2, 3] = 1.0
+    b = np.zeros((4, 4))
+    b[1, 0] = b[3, 2] = 1.0
+    field = CoefficientField(
+        part, (PolyMatrix.constant(a),), (PolyMatrix.constant(b),), (PolyMatrix.zero(4, 4),), 1.0
+    )
+    left = np.zeros((2, 2, 4), dtype=complex)
+    left[0] = [[-2j, 1, 0, 0], [0, -2j, 0, 1]]
+    left[1] = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    right = np.zeros((1, 2, 4))
+    right[0, 0, 0] = right[0, 1, 2] = 1.0
+    return ProblemDefinition(
+        "n4", part, field, BoundaryOperator("left", PolyMatrix(left)),
+        BoundaryOperator("right", PolyMatrix(right)), (),
+    )
+
+
+class TestClosedForms:
+    """For N = 2, m = 1 the left table is [-a1; a0] and D is c / max|W|; they
+    agree with the general route to rounding, and N >= 4 keeps it."""
+
+    LAMS = np.concatenate([
+        1j * np.linspace(0.2, 10.0, 240),
+        np.array([-0.3 + 2j, -1.0 + 5j, 0.5 + 0.5j, -0.05 + 9.5j, -2.0 + 1j, 0.2 + 7j, -0.7 + 3.3j]),
+    ])
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_match_the_general_route(self, name, monkeypatch):
+        problem = build_model(name)
+        closed = characteristic_determinant(problem, self.LAMS, 1e-3)
+        assert closed.tobytes() == _per_lambda(problem, self.LAMS, 1e-3).tobytes()
+        _general_route(monkeypatch)
+        general = characteristic_determinant(problem, self.LAMS, 1e-3)
+        np.testing.assert_allclose(closed, general, rtol=1e-14, atol=0)
+
+    def test_zero_and_clamp_rules_of_the_general_route(self):
+        # a vanishing W, a vanishing c, an overflowing ratio, and an
+        # ordinary value, as one stack and one at a time
+        closure = np.array([[[2.0 + 1j]], [[0j]], [[1e300 - 1e300j]], [[3.0 - 4j]]])
+        w = np.array([[[0j], [0j]], [[1.0], [2j]], [[1e-300], [0j]], [[0.5], [-2.0]]])
+        closed = spectrum._normalized_det(closure, w)
+        general = spectrum._log_normalized_det(closure, w)
+        assert closed[0] == general[0] == 0 and closed[1] == general[1] == 0
+        np.testing.assert_allclose(closed[2:], general[2:], rtol=1e-14)
+        assert abs(closed[2]) == pytest.approx(math.exp(700.0), rel=1e-14)
+        for k in range(4):
+            assert spectrum._normalized_det(closure[k], w[k]) == closed[k]
+
+    def test_vanishing_one_row_left_boundary_names_its_lambda(self, monkeypatch):
+        # [lam - 1.5i, 2 (lam - 1.5i)] loses rank at 1.5i, the third lambda
+        row = BoundaryOperator("left", PolyMatrix.from_entries([[[-1.5j, 1.0], [-3j, 2.0]]]))
+        problem = dataclasses.replace(make_string_problem(), boundary_left=row)
+        lams = 1j * np.linspace(0.5, 3.0, 6)
+        for route in ("closed", "general"):
+            if route == "general":
+                _general_route(monkeypatch)
+            for lam in (lams, 1.5j):
+                with pytest.raises(BoundaryDegeneracyError) as info:
+                    characteristic_determinant(problem, lam, 1e-2)
+                assert info.value.lam == 1.5j
+                assert (info.value.rank, info.value.expected) == (0, 1)
+
+    def test_n4_takes_the_general_route(self, monkeypatch):
+        problem = _n4_problem()
+        lams = 1j * np.linspace(0.3, 5.0, 17) - 0.05
+        calls = []
+        monkeypatch.setattr(spectrum, "adjugate_form", lambda *a: calls.append(1) or adjugate_form(*a))
+        d = characteristic_determinant(problem, lams, 1e-3)
+        assert calls
+        assert d.tobytes() == _per_lambda(problem, lams, 1e-3).tobytes()
+        _general_route(monkeypatch)
+        assert d.tobytes() == characteristic_determinant(problem, lams, 1e-3).tobytes()
