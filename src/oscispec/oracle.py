@@ -3,11 +3,11 @@
 Two routes that share no code with the solve path: closed-form
 characteristic functions for textbook string configurations, and a global
 finite-difference discretization of the scalar second-order model solved as
-a polynomial eigenvalue problem: shift-invert Arnoldi for a few leading
-eigenvalues, in plain numpy on the banded n x n matrix polynomial at the
-shift, or dense QZ on the companion pencil for the whole spectrum, the only
-route that imports scipy.  Test and verification use only; variable-in-y
-coefficients are not supported here (the main solver supports them).
+a polynomial eigenvalue problem in plain numpy: one shift-invert operator,
+through one banded factorization, serves Arnoldi for a few leading
+eigenvalues and a dense eigendecomposition for the whole spectrum.  Test and
+verification use only; variable-in-y coefficients are not supported here
+(the main solver supports them).
 """
 
 from __future__ import annotations
@@ -17,17 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: hard cap on the dimension of the dense linearized pencil (QZ route only;
-#: the sparse route stores no dense matrix)
+#: hard cap on the linearized dimension of the whole-spectrum route, whose
+#: dense operator takes 576 MB at the cap (the sparse route stores none)
 _DIM_CAP = 6000
 
-#: eigenvalues with modulus above this are companion-pencil artifacts
+#: eigenvalues with modulus above this are artifacts: shift-invert images of
+#: the pencil's defective infinite eigenvalues, whose mu is rounding, not 0
 _SPURIOUS_CUTOFF = 1e8
 
-#: shift of the sparse route.  It sits on the positive imaginary axis, close
-#: to the low oscillatory eigenvalues; 0 itself is unusable because rigid-body
+#: shift of both routes.  It sits on the positive imaginary axis, close to
+#: the low oscillatory eigenvalues; 0 itself is unusable because rigid-body
 #: models (machine_unit) have an eigenvalue within 1e-9 of it.
 _SHIFT = 0.5j
+
+#: the whole-spectrum route's shift where P(_SHIFT) is singular
+_SECOND_SHIFT = 0.5 + 2j
 
 #: half-bandwidth of the FD coefficient matrices with each row at its node:
 #: a one-sided end stencil reaches two nodes, an interface row across to the
@@ -175,21 +179,21 @@ def fd_polynomial_eigenvalues(
     when a boundary row carries third time derivatives) is linearized to a
     generalized eigenvalue problem.
 
-    With count=None the whole finite spectrum is computed by dense QZ.  With
-    count=k only the eigenvalues nearest a shift on the imaginary axis are
-    computed, by shift-invert Arnoldi on the linearization; they are
-    returned only when they provably contain the k leading oscillatory
-    eigenvalues, so that leading_frequencies(result, k) equals the dense
-    selection.  Otherwise (a singular factorization, or the certificate
-    unmet within _KRYLOV_CAP Arnoldi steps) the dense route runs.  Returns
-    finite eigenvalues sorted by |Im|.
+    Both routes use its shift-invert operator (A - sigma B)^-1 B, whose
+    eigenvalues mu give lam = sigma + 1/mu.  With count=None the whole
+    finite spectrum comes from that operator's dense matrix.  With count=k
+    only the eigenvalues nearest the shift are computed, by Arnoldi; they
+    are returned only when they provably contain the k leading oscillatory
+    eigenvalues, so that leading_frequencies(result, k) equals the
+    whole-spectrum selection.  Otherwise (a singular factorization, or the
+    certificate unmet within _KRYLOV_CAP Arnoldi steps) the whole-spectrum
+    route runs.  Returns finite eigenvalues sorted by |Im|.
 
     The matrix coefficients are assembled as (rows, columns, values) blocks,
-    one per interval and degree for the interior stencils, and made dense
-    only for the QZ route, which raises ValueError above _DIM_CAP.  The
-    sparse route places each equation row at its node, which makes every
-    coefficient banded, keeps only the 2 _HALF_BAND + 1 diagonals and takes
-    any grid.
+    one per interval and degree for the interior stencils.  Each equation
+    row is placed at its node, which makes every coefficient banded, and
+    only the 2 _HALF_BAND + 1 diagonals are kept.  The whole-spectrum route
+    raises ValueError above _DIM_CAP; the sparse route takes any grid.
 
     The problem must carry a ScalarWaveForm (built-in models do); JSON
     problems have no oracle route.
@@ -268,17 +272,16 @@ def fd_polynomial_eigenvalues(
 
     assert row == n_unknowns
 
+    bands = _banded_coefficients(entries, row_node, n_unknowns)
     eigs = None
     if count is not None:
-        eigs = _polyeig_near(_banded_coefficients(entries, row_node, n_unknowns), count)
+        eigs = _polyeig_near(bands, count)
     if eigs is None:
         if max_deg * n_unknowns > _DIM_CAP:
             raise ValueError(
                 f"linearized dimension {max_deg * n_unknowns} exceeds cap {_DIM_CAP}"
             )
-        eigs = _polyeig(_dense_coefficients(entries, n_unknowns))
-        eigs = eigs[np.isfinite(eigs)]
-        eigs = eigs[np.abs(eigs) < _SPURIOUS_CUTOFF]
+        eigs = _polyeig_all(bands)
     return eigs[np.argsort(np.abs(eigs.imag), kind="stable")]
 
 
@@ -307,20 +310,6 @@ def _triplets(deg_entries):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals, dtype=float)
 
 
-def _dense_coefficients(entries, n: int) -> list[np.ndarray]:
-    """The n x n coefficient matrices, entries summed in order, without the
-    all-zero top degrees."""
-    mats = []
-    for deg_entries in entries:
-        mat = np.zeros((n, n))
-        rows, cols, vals = _triplets(deg_entries)
-        np.add.at(mat, (rows, cols), vals)
-        mats.append(mat)
-    while len(mats) > 1 and not np.any(mats[-1]):
-        mats.pop()
-    return mats
-
-
 def _banded_coefficients(entries, row_node: np.ndarray, n: int) -> np.ndarray:
     """The coefficient matrices with each equation row moved to its node,
     as diagonals: bands[k, i, _HALF_BAND + d] is entry (i, i + d) of the
@@ -337,34 +326,6 @@ def _banded_coefficients(entries, row_node: np.ndarray, n: int) -> np.ndarray:
     while top > 1 and not bands[top - 1].any():
         top -= 1
     return bands[:top]
-
-
-def _companion(mats, eye):
-    """Block rows of the companion pencil (A, B) of sum_k lam^k mats[k].
-
-    A x = lam B x with x = (u, lam u, ..., lam^(deg-1) u); None marks a zero
-    block.  The dense QZ route assembles it; the sparse route applies its
-    shift-invert operator by _shift_invert without forming it.
-    """
-    deg = len(mats) - 1
-    a = [[eye if j == i + 1 else None for j in range(deg)] for i in range(deg - 1)]
-    b = [[eye if j == i else None for j in range(deg)] for i in range(deg - 1)]
-    a.append([-m for m in mats[:-1]])
-    b.append([None] * (deg - 1) + [mats[-1]])
-    return a, b
-
-
-def _polyeig(mats: list[np.ndarray]) -> np.ndarray:
-    """All eigenvalues of sum_k lam^k mats[k], by QZ on the dense pencil."""
-    import scipy.linalg
-
-    n = mats[0].shape[0]
-    zero = np.zeros((n, n))
-    big_a, big_b = (
-        np.block([[zero if blk is None else blk for blk in row] for row in rows])
-        for rows in _companion(mats, np.eye(n))
-    )
-    return scipy.linalg.eigvals(big_a, big_b)
 
 
 def _band_entries(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -446,10 +407,10 @@ def _band_factor(band: np.ndarray):
     return solve
 
 
-def _shift_invert(bands: np.ndarray, solve):
-    """The map y -> (A - sigma B)^-1 B y of the companion pencil of the
-    banded matrices bands at sigma = _SHIFT, given solve, a solver with
-    P(sigma) = sum_k sigma^k M_k.
+def _shift_invert(bands: np.ndarray, solve, shift: complex):
+    """The map y -> (A - sigma B)^-1 B y at sigma = shift, for the companion
+    pencil A x = lam B x, x = (u, lam u, ..., lam^(d-1) u), of the banded
+    matrices bands, given solve, a solver with P(sigma) = sum_k sigma^k M_k.
 
     With y = (y_0, ..., y_(d-1)), the first d - 1 block rows of the pencil
     give x_k = sigma x_(k-1) + y_(k-1); the last one then leaves one n x n
@@ -462,7 +423,7 @@ def _shift_invert(bands: np.ndarray, solve):
     q = np.zeros((deg, n, width), dtype=complex)
     for i in range(deg):
         for k in range(i + 1, deg + 1):
-            q[i] += _SHIFT ** (k - 1 - i) * bands[k]
+            q[i] += shift ** (k - 1 - i) * bands[k]
     # y with _HALF_BAND zeros either side; windows[i, r, j] is its entry
     # (i, r + j), the one that diagonal j of row r multiplies
     padded = np.zeros((deg, n + width - 1), dtype=complex)
@@ -476,10 +437,44 @@ def _shift_invert(bands: np.ndarray, solve):
         x = np.empty((deg, n), dtype=complex)
         x[0] = solve(-np.einsum("kij,kij->i", q, windows))
         for k in range(1, deg):
-            x[k] = _SHIFT * x[k - 1] + y[k - 1]
+            x[k] = shift * x[k - 1] + y[k - 1]
         return x.ravel()
 
     return apply
+
+
+def _polyeig_all(bands: np.ndarray) -> np.ndarray:
+    """All finite eigenvalues of the banded matrix polynomial bands (as
+    _banded_coefficients).
+
+    The sparse route's operator (A - sigma B)^-1 B, one factorization of
+    P(sigma) (see _band_factor and _shift_invert), is applied to every unit
+    vector to form its dense matrix; each of its eigenvalues mu gives an
+    eigenvalue lam = sigma + 1/mu of the pencil.  sigma is _SHIFT, or
+    _SECOND_SHIFT where P(_SHIFT) is singular.  The pencil's infinite
+    eigenvalues have mu at rounding level; the lam that are not finite or
+    reach _SPURIOUS_CUTOFF in modulus are dropped.
+    """
+    deg, n = len(bands) - 1, bands.shape[1]
+    for shift in (_SHIFT, _SECOND_SHIFT):
+        solve = _band_factor(np.tensordot(shift ** np.arange(deg + 1), bands, axes=1))
+        if solve is not None:
+            break
+    else:
+        raise ValueError("matrix polynomial singular at both shifts")
+    apply = _shift_invert(bands, solve, shift)
+    size = deg * n
+    # column-major, as LAPACK takes it, so that each column is one write
+    op = np.empty((size, size), dtype=complex, order="F")
+    unit = np.zeros(size, dtype=complex)
+    for j in range(size):
+        unit[j] = 1.0
+        op[:, j] = apply(unit)
+        unit[j] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eigs = shift + 1.0 / np.linalg.eigvals(op)
+    eigs = eigs[np.isfinite(eigs)]
+    return eigs[np.abs(eigs) < _SPURIOUS_CUTOFF]
 
 
 def _polyeig_near(bands: np.ndarray, count: int) -> np.ndarray | None:
@@ -498,14 +493,14 @@ def _polyeig_near(bands: np.ndarray, count: int) -> np.ndarray | None:
     below _RITZ_TOL, at most 6 count + 6 of them.  Every eigenvalue inside
     the disc around sigma that the farthest accepted one spans has then
     been found.  When that disc contains the whole sector |Re| <= Im <=
-    Im(k-th leading), no eigenvalue the dense selection would pick is
-    missing.  Past _KRYLOV_CAP steps the answer is None.
+    Im(k-th leading), no eigenvalue the whole-spectrum selection would pick
+    is missing.  Past _KRYLOV_CAP steps the answer is None.
     """
     deg, n = len(bands) - 1, bands.shape[1]
     solve = _band_factor(np.tensordot(_SHIFT ** np.arange(deg + 1), bands, axes=1))
     if solve is None:  # the shift is (numerically) an eigenvalue
         return None
-    apply = _shift_invert(bands, solve)
+    apply = _shift_invert(bands, solve, _SHIFT)
     size = deg * n
     dim = min(_KRYLOV_CAP, size)
     basis = np.empty((dim + 1, size), dtype=complex)

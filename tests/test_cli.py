@@ -451,69 +451,39 @@ class TestVerifyAndValidate:
         assert "breakpoints not increasing" in capsys.readouterr().out
 
 
-def test_import_leaves_scipy_unloaded():
-    # only the FD oracle needs scipy; a CLI process that never runs it
-    # should not pay for importing it
-    src = str(Path(oscispec.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, oscispec.cli; sys.exit('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+#: a subprocess script run with scipy blocked: importing it raises
+_BLOCK_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+"""
 
-
-_VERIFY_THEN_DENSE = """
-import contextlib, io, sys
-import numpy as np
-from oscispec import FDOracleConfig, build_model, cli, fd_polynomial_eigenvalues, oracle
+_VERIFY_AND_WHOLE_SPECTRUM = _BLOCK_SCIPY + """
+import contextlib, io
+from oscispec import FDOracleConfig, build_model, cli, fd_polynomial_eigenvalues, leading_frequencies
 
 for model in ("machine_unit", "pipeline", "spacecraft_bar", "cable_snapshot"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", model]) == 0
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-assert not loaded, loaded
-
-# the dense route still runs, on scipy's QZ, and returns its spectrum
-problem, config = build_model("spacecraft_bar"), FDOracleConfig(100)
-seen = []
-dense_coefficients = oracle._dense_coefficients
-
-
-def recording(*args):
-    seen.append(dense_coefficients(*args))
-    return seen[-1]
-
-
-oracle._dense_coefficients = recording
-eigs = fd_polynomial_eigenvalues(problem, config)
-assert "scipy.linalg" in sys.modules
-import scipy.linalg
-
-mats = seen[0]
-n, deg = mats[0].shape[0], len(mats) - 1
-big_a = np.zeros((deg * n, deg * n))
-big_b = np.eye(deg * n)
-big_a[: (deg - 1) * n, n:] = np.eye((deg - 1) * n)
-big_a[(deg - 1) * n :] = -np.hstack(mats[:-1])
-big_b[(deg - 1) * n :, (deg - 1) * n :] = mats[-1]
-qz = scipy.linalg.eigvals(big_a, big_b)
-qz = qz[np.isfinite(qz) & (np.abs(qz) < 1e8)]
-assert np.array_equal(eigs, qz[np.argsort(np.abs(qz.imag), kind="stable")])
+eigs = fd_polynomial_eigenvalues(build_model("spacecraft_bar"), FDOracleConfig(100))
+assert len(eigs) == 201 and len(leading_frequencies(eigs, 5)) == 5
 """
 
 
-def test_verify_never_imports_scipy():
-    # the FD models' verify runs the sparse route, which is plain numpy;
-    # scipy is loaded only by the dense QZ route (count=None)
+@pytest.mark.parametrize(
+    "code",
+    [_BLOCK_SCIPY + "import oscispec.cli", _VERIFY_AND_WHOLE_SPECTRUM],
+    ids=["import", "verify_and_whole_spectrum"],
+)
+def test_runs_without_scipy(code):
+    # the package runs on numpy alone: both FD oracle routes included
     src = str(Path(oscispec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", _VERIFY_THEN_DENSE], env=env, capture_output=True, timeout=300
-    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
 
 
 #: modules no CLI command needs: numpy.ma (np.median imports it), numpy.random
-#: (with OpenSSL's _hashlib) and scipy (only the dense QZ route uses it)
+#: (with OpenSSL's _hashlib) and scipy (no package code uses it)
 _UNNEEDED = ("numpy.ma", "numpy.random", "scipy", "_hashlib")
 
 _RUN_AND_LIST = f"""

@@ -24,8 +24,7 @@ from oscispec.models import ORACLE_ROUTES
 from oscispec.oracle import (
     _SHIFT,
     _band_factor,
-    _companion,
-    _polyeig,
+    _polyeig_all,
     _polyeig_near,
     _shift_invert,
 )
@@ -135,7 +134,8 @@ class TestFDOracle:
             fd_polynomial_eigenvalues(prob)
 
 
-#: (model, params, count, whether the sparse route must fall back to QZ)
+#: (model, params, count, whether the sparse route must fall back to the
+#: whole-spectrum route)
 SPARSE_CASES = [
     ("machine_unit", {}, 3, False),
     ("spacecraft_bar", {}, 3, False),
@@ -175,6 +175,25 @@ def _unband(band):
     return mat
 
 
+#: finite eigenvalues of the whole spectrum at n_fd 100, 200 and 400, as the
+#: dense QZ route counted them before it was replaced: every finite one is
+#: kept, and every image of an infinite one is dropped by _SPURIOUS_CUTOFF
+FINITE_COUNTS = {
+    "machine_unit": (202, 402, 802),
+    "spacecraft_bar": (201, 401, 801),
+    "pipeline": (201, 401, 801),
+    "cable_snapshot": (198, 398, 798),
+}
+
+
+@pytest.mark.parametrize("n_fd", (100, 200, 400))
+@pytest.mark.parametrize("model", sorted(FINITE_COUNTS))
+def test_whole_spectrum_finite_count(model, n_fd):
+    eigs = fd_polynomial_eigenvalues(build_model(model), FDOracleConfig(n_fd))
+    assert np.all(np.isfinite(eigs))
+    assert len(eigs) == FINITE_COUNTS[model][(100, 200, 400).index(n_fd)]
+
+
 class TestSparseRoute:
     @pytest.mark.parametrize("n_fd", (100, 200))
     @pytest.mark.parametrize(
@@ -194,7 +213,7 @@ class TestSparseRoute:
         want = leading_frequencies(dense, count)
         got = leading_frequencies(sparse, count)
         assert len(want) == len(got) == count
-        assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
     def test_reruns_give_equal_arrays(self):
         problem = build_model("spacecraft_bar")
@@ -221,18 +240,32 @@ class TestSparseRoute:
         pairs += [((50 + j) * 1j, -(50 + j) * 1j) for j in range(20)]
         mats = self._diagonal_pencil(pairs)
         assert _polyeig_near(_bands(mats), 1) is None
-        assert leading_frequencies(_polyeig(mats), 1)[0] == pytest.approx(-9 + 9.5j)
+        assert leading_frequencies(_polyeig_all(_bands(mats)), 1)[0] == pytest.approx(-9 + 9.5j)
 
     def test_shift_on_an_eigenvalue_is_refused(self):
         pairs = [(0.5j, -0.5j)] + [((2 + j) * 1j, -(2 + j) * 1j) for j in range(30)]
-        assert _polyeig_near(_bands(self._diagonal_pencil(pairs)), 1) is None
+        bands = _bands(self._diagonal_pencil(pairs))
+        assert _polyeig_near(bands, 1) is None
+        # the whole-spectrum route takes its second shift there
+        got = _polyeig_all(bands)
+        got = got[np.argsort(got.imag)]
+        want = np.sort(np.ravel(pairs).imag) * 1j
+        assert len(got) == len(want) == 62
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_pencil_singular_at_both_shifts_is_refused(self):
+        mats = self._diagonal_pencil([(1j, -1j), (2j, -2j)])
+        for mat in mats:
+            mat[1, 1] = 0.0  # det P(lam) vanishes for every lam
+        with pytest.raises(ValueError, match="singular at both shifts"):
+            _polyeig_all(_bands(mats))
 
     @staticmethod
     def _sparse_bands(model, n_fd, monkeypatch):
         """The banded coefficient matrices the sparse route gets for model."""
         seen = []
         monkeypatch.setattr(oracle, "_polyeig_near", lambda bands, count: seen.append(bands))
-        monkeypatch.setattr(oracle, "_polyeig", lambda mats: np.empty(0, dtype=complex))
+        monkeypatch.setattr(oracle, "_polyeig_all", lambda bands: np.empty(0, dtype=complex))
         fd_polynomial_eigenvalues(build_model(model), FDOracleConfig(n_fd), count=3)
         return seen[0]
 
@@ -245,12 +278,16 @@ class TestSparseRoute:
         bands = self._sparse_bands(model, 100, monkeypatch)
         n, deg = bands.shape[1], len(bands) - 1
         mats = [scipy.sparse.csc_array(_unband(band)) for band in bands]
-        big_a, big_b = (
-            scipy.sparse.bmat(rows, format="csc")
-            for rows in _companion(mats, scipy.sparse.eye_array(n, format="csc"))
-        )
+        # the companion pencil A x = lam B x, x = (u, lam u, ..., lam^(deg-1) u)
+        eye = scipy.sparse.eye_array(n, format="csc")
+        a_rows = [[eye if j == i + 1 else None for j in range(deg)] for i in range(deg - 1)]
+        b_rows = [[eye if j == i else None for j in range(deg)] for i in range(deg - 1)]
+        a_rows.append([-m for m in mats[:-1]])
+        b_rows.append([None] * (deg - 1) + [mats[-1]])
+        big_a = scipy.sparse.bmat(a_rows, format="csc")
+        big_b = scipy.sparse.bmat(b_rows, format="csc")
         solve = _band_factor(np.tensordot(_SHIFT ** np.arange(deg + 1), bands, axes=1))
-        apply = _shift_invert(bands, solve)
+        apply = _shift_invert(bands, solve, _SHIFT)
         rng = np.random.default_rng(7)
         for _ in range(3):
             y = rng.standard_normal(deg * n) + 1j * rng.standard_normal(deg * n)
@@ -268,11 +305,10 @@ class TestSparseRoute:
             return _band_factor(band)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("pencil or dense matrices assembled on the sparse route")
+            raise AssertionError("the whole-spectrum route ran on a certified sparse call")
 
         monkeypatch.setattr(oracle, "_band_factor", recording_factor)
-        monkeypatch.setattr(oracle, "_companion", forbidden)
-        monkeypatch.setattr(oracle, "_dense_coefficients", forbidden)
+        monkeypatch.setattr(oracle, "_polyeig_all", forbidden)
         eigs = fd_polynomial_eigenvalues(build_model("spacecraft_bar"), FDOracleConfig(100), count=3)
         assert len(leading_frequencies(eigs, 3)) == 3
         assert shapes == [(101, 7)]
@@ -317,32 +353,30 @@ class TestTripletAssembly:
             seen["sparse"] = bands
             return None  # refused, so the dense route runs too
 
-        def dense(mats):
-            seen["dense"] = mats
+        def dense(bands):
+            seen["dense"] = bands
             return np.empty(0, dtype=complex)
 
         monkeypatch.setattr(oracle, "_banded_coefficients", recording_banded)
         monkeypatch.setattr(oracle, "_polyeig_near", sparse)
-        monkeypatch.setattr(oracle, "_polyeig", dense)
+        monkeypatch.setattr(oracle, "_polyeig_all", dense)
         fd_polynomial_eigenvalues(build_model(model), FDOracleConfig(n_fd), count=3)
         count, size, digest = DENSE_ASSEMBLY[model, n_fd]
-        mats = seen["dense"]
-        assert len(mats) == count
-        assert all(m.shape == (size, size) and m.dtype == np.float64 for m in mats)
-        assert hashlib.sha256(b"".join(m.tobytes() for m in mats)).hexdigest()[:32] == digest
-        # every equation row sits at its own node
+        bands = seen["sparse"]
+        assert seen["dense"] is bands
+        assert bands.shape == (count, size, 7) and bands.dtype == np.float64
+        # every equation row sits at its own node; moved back to their rows,
+        # the diagonals give the dense assembly's bytes
         row_node = seen["row_node"]
         assert sorted(row_node.tolist()) == list(range(size))
-        bands = seen["sparse"]
-        assert bands.shape == (count, size, 7) and bands.dtype == np.float64
-        for band, mat in zip(bands, mats):
-            assert _unband(band)[row_node].tobytes() == mat.tobytes()
+        mats = [_unband(band)[row_node] for band in bands]
+        assert hashlib.sha256(b"".join(m.tobytes() for m in mats)).hexdigest()[:32] == digest
 
     def test_sparse_route_builds_no_dense_matrix(self, monkeypatch):
-        def no_dense(entries, n):
-            raise AssertionError("dense matrices assembled on the sparse route")
+        def no_dense(bands):
+            raise AssertionError("dense operator built on the sparse route")
 
-        monkeypatch.setattr(oracle, "_dense_coefficients", no_dense)
+        monkeypatch.setattr(oracle, "_polyeig_all", no_dense)
         eigs = fd_polynomial_eigenvalues(build_fixed_free_string(), FDOracleConfig(400), count=3)
         assert len(leading_frequencies(eigs, 3)) == 3
 
