@@ -96,6 +96,10 @@ def integrate_fundamental(
     own integration; the finiteness check and the near-singular warning
     stay per lambda.  The warning's determinant of a 2 x 2 end matrix is
     ad - bc.
+
+    A system with derivatives (ReducedSystem.derivatives) has the end
+    matrix [[G, G'], [0, G]] in rows form, G' = dPhi/dlam^T the derivative
+    of the RK4 map itself; the warning looks at G, its leading block.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -117,22 +121,24 @@ def integrate_fundamental(
         a = _real_form(const)[np.newaxis]
         steps = _rk4_steps(a, a, a, h)
 
+    dim = system.dim * (1 if system.derivatives is None else 2)
     samples = None
     if keep_samples:
-        samples = _solution_rows(_sampled_prefixes(steps, n_steps), system.dim)
+        samples = _solution_rows(_sampled_prefixes(steps, n_steps), dim)
         end = samples[-1]
     elif const is None:
-        end = _solution_rows(_chain_product(steps), system.dim)
+        end = _solution_rows(_chain_product(steps), dim)
     else:
-        end = _solution_rows(_constant_power(steps[0], n_steps), system.dim)
+        end = _solution_rows(_constant_power(steps[0], n_steps), dim)
 
     if not np.isfinite(end).all():
         finite = np.isfinite(end).all(axis=(-2, -1)).reshape(-1)
         raise IntegrationError(interval, each_lambda(system.lam)[int(np.argmin(finite))])
-    if end.shape[-1] == 2:
-        dets = end[..., 0, 0] * end[..., 1, 1] - end[..., 0, 1] * end[..., 1, 0]
+    lead = end[..., : system.dim, : system.dim]
+    if system.dim == 2:
+        dets = lead[..., 0, 0] * lead[..., 1, 1] - lead[..., 0, 1] * lead[..., 1, 0]
     else:
-        dets = np.linalg.det(end)
+        dets = np.linalg.det(lead)
     dets = np.abs(dets).reshape(-1)
     for det in dets[dets < DET_WARN_TOL].tolist():
         warnings.warn(

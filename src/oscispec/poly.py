@@ -90,6 +90,15 @@ class PolyMatrix:
         value.flags.writeable = False
         return value
 
+    @cached_property
+    def derivative(self) -> "PolyMatrix":
+        """The matrix of the entries' derivatives (zero, one coefficient, for
+        a constant), formed once per matrix."""
+        c = self.coeffs
+        if len(c) == 1:
+            return PolyMatrix(np.zeros_like(c))
+        return PolyMatrix(c[1:] * np.arange(1, len(c))[:, np.newaxis, np.newaxis])
+
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):

@@ -247,6 +247,12 @@ class ReducedSystem:
     lambda-free boundary or interface matrix, which is one (rows, cols)
     matrix shared by the stack, and coeff_batch returns
     (len(ys), K, dim, dim).
+
+    derivatives, formed only when asked for, holds the lambda-derivative U0'
+    of the left table (shaped as the table), the right rows' block
+    [[R, 0], [R', R]] and each interface's (D', B'); the coefficients are
+    then the variational blocks [[A, 0], [A_lam, A]], whose integration
+    carries dPhi/dlam beside Phi.
     """
 
     partition: Partition
@@ -259,6 +265,7 @@ class ReducedSystem:
     coeff_batch: Callable[[int, np.ndarray], np.ndarray]
     constant_coeffs: tuple[np.ndarray | None, ...]
     left_table: tuple[int, np.ndarray | None] | None = None
+    derivatives: tuple | None = None
 
     @property
     def bound(self) -> float:

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .linalg import realify
+from .linalg import adjugate_form, realify, row_adjugate_form, rref_null_basis
 from .poly import PolyMatrix
 from .problem import (
     CoefficientField,
@@ -26,7 +26,9 @@ from .problem import (
 )
 
 
-def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> ReducedSystem:
+def reduce_complex(
+    problem: ProblemDefinition, lam: complex | np.ndarray, variational: bool = False
+) -> ReducedSystem:
     """Bind lambda into the complex N-dimensional first-order system.
 
     The coefficient evaluator returns A(y) + lam^2 B(y) + lam C(y); boundary
@@ -37,20 +39,23 @@ def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> Red
     except the lambda-free boundary and interface matrices, which the
     stack shares; each slice is computed with the same arithmetic as a
     single lambda, bit for bit.
+
+    With variational it carries its lambda-derivatives
+    (ReducedSystem.derivatives): A_lam = 2 lam B + C of a polynomial field,
+    a central difference from the same call of a lambda field's evaluator.
     """
     lam = _lambda_arg(lam, complex)
     coeffs = problem.coefficients
-    if isinstance(coeffs, CoefficientField):
-        consts, varying = _poly_parts(coeffs, lam)
-    else:
-        consts, varying = _lambda_parts(coeffs, lam)
-
+    parts = _poly_parts if isinstance(coeffs, CoefficientField) else _lambda_parts
+    consts, varying = parts(coeffs, lam, variational)
+    left_matrix = bind_matrix(problem.boundary_left.matrix, lam)
+    right_matrix = bind_matrix(problem.boundary_right.matrix, lam)
     return ReducedSystem(
         partition=problem.partition,
         dim=problem.dim,
         lam=lam,
-        left_matrix=bind_matrix(problem.boundary_left.matrix, lam),
-        right_matrix=bind_matrix(problem.boundary_right.matrix, lam),
+        left_matrix=left_matrix,
+        right_matrix=right_matrix,
         interfaces=tuple(
             (bind_matrix(c.d_matrix, lam), bind_matrix(c.b_matrix, lam))
             for c in problem.conjugations_in_order
@@ -59,7 +64,59 @@ def reduce_complex(problem: ProblemDefinition, lam: complex | np.ndarray) -> Red
         coeff_batch=_coeff_batch(consts, varying),
         constant_coeffs=consts,
         left_table=problem.boundary_left.constant_table,
+        derivatives=_derivatives(problem, left_matrix, right_matrix, lam) if variational else None,
     )
+
+
+def _derivatives(problem: ProblemDefinition, left_matrix, right_matrix, lam) -> tuple:
+    """ReducedSystem.derivatives.  Lambda-free left rows have a constant
+    table; one row [a0, a1] has [-a1; a0], linear in the row; other rows
+    take a central difference of their tables, polynomials in lambda."""
+    left = problem.boundary_left.matrix
+    m, dim = left_matrix.shape[-2:]
+    if problem.boundary_left.constant_table is not None:
+        d_table = np.zeros((dim, dim - m), dtype=complex)
+    elif (m, dim) == (1, 2):
+        d_left = np.broadcast_to(bind_matrix(left.derivative, lam), left_matrix.shape)
+        d_table = row_adjugate_form(d_left)
+    else:
+        stack, split = _central(lam)
+        d_table = split(_adjugate_table(left(stack)))[1]
+    return (
+        d_table,
+        _dual(right_matrix, bind_matrix(problem.boundary_right.matrix.derivative, lam)),
+        tuple(
+            (bind_matrix(c.d_matrix.derivative, lam), bind_matrix(c.b_matrix.derivative, lam))
+            for c in problem.conjugations_in_order
+        ),
+    )
+
+
+def _adjugate_table(rows: np.ndarray) -> np.ndarray:
+    """The adjugate-form null basis of a stack of rows; zeros where they lose
+    rank, which the table's own check (spectrum._initial_table) names."""
+    reduced = rref_null_basis(rows)
+    if reduced.pivots is None or np.any(reduced[0] != rows.shape[-2]):
+        return np.zeros(rows.shape[:-2] + (rows.shape[-1], rows.shape[-1] - rows.shape[-2]), complex)
+    return adjugate_form(rows, reduced)
+
+
+def _central(lam):
+    """The stack of lam, lam + h and lam - h (h = 1e-5 max(|lam|, 1)), and
+    split(values): f's matrices there as (f(lam), f'(lam)), the derivative
+    a central difference over the span the sums really took.  A scalar lam
+    gives matrices without the stack axis."""
+    z = np.asarray(lam, dtype=complex).reshape(-1)
+    h = 1e-5 * np.maximum(np.abs(z), 1.0)
+    up, down = z + h, z - h
+    span = (up - down)[:, np.newaxis, np.newaxis]
+
+    def split(values):
+        a, a_up, a_down = values.reshape((3, len(z)) + values.shape[1:])
+        shape = np.shape(lam) + a.shape[1:]
+        return a.reshape(shape), ((a_up - a_down) / span).reshape(shape)
+
+    return np.concatenate((z, up, down)), split
 
 
 def reduce_real_split(problem: ProblemDefinition, p: float | np.ndarray) -> ReducedSystem:
@@ -118,7 +175,8 @@ def _lambda_arg(value, kind):
 # coefficient matrix where it is constant in y (None elsewhere), and an
 # evaluator varying(interval, ys) -> (len(ys), dim, dim) for the other
 # intervals.  For a stack of K lambdas the matrices are (K, dim, dim) and
-# varying returns (len(ys), K, dim, dim).
+# varying returns (len(ys), K, dim, dim).  With variational every matrix is
+# the 2 dim x 2 dim block [[A, 0], [A_lam, A]] instead (_dual).
 #
 # lam is a Python number, or an ndarray for a stack.  The polynomial field
 # enters a stack into the elementwise arithmetic as a (K, 1, 1) column,
@@ -156,36 +214,48 @@ def _square(lam):
     return lam * lam
 
 
-def _poly_parts(coeffs: CoefficientField, lam):
+def _dual(a: np.ndarray, da: np.ndarray) -> np.ndarray:
+    """The variational block [[a, 0], [da, a]] of a matrix and its
+    lambda-derivative, or of each of a stack (da broadcast to a)."""
+    r, c = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (2 * r, 2 * c), dtype=complex)
+    out[..., :r, :c] = a
+    out[..., r:, c:] = a
+    out[..., r:, :c] = da
+    return out
+
+
+def _poly_parts(coeffs: CoefficientField, lam, variational: bool):
     lam2 = _column(_square(lam))
     lam = _column(lam)
-    consts = tuple(
-        None if abc is None else abc[0] + lam2 * abc[1] + lam * abc[2]
-        for abc in coeffs.constant_abc
-    )
+
+    def value(a, b, c):
+        return a + lam2 * b + lam * c
+
+    def form(a, b, c):
+        return _dual(value(a, b, c), 2 * lam * b + c) if variational else value(a, b, c)
+
+    consts = tuple(None if abc is None else form(*abc) for abc in coeffs.constant_abc)
 
     def varying(interval: int, ys: np.ndarray) -> np.ndarray:
-        return (
-            _per_node(coeffs.a_polys[interval](ys), lam)
-            + lam2 * _per_node(coeffs.b_polys[interval](ys), lam)
-            + lam * _per_node(coeffs.c_polys[interval](ys), lam)
-        ).astype(complex)
+        polys = (coeffs.a_polys, coeffs.b_polys, coeffs.c_polys)
+        return form(*(_per_node(p[interval](ys), lam) for p in polys)).astype(complex)
 
     return consts, varying
 
 
-def _lambda_parts(coeffs: LambdaCoefficientField, lam):
-    n = coeffs.partition.n_intervals
-    lams = np.asarray(lam, dtype=complex)
+def _lambda_parts(coeffs: LambdaCoefficientField, lam, variational: bool):
+    # with variational, lambda and lambda +- h go in one call (_central)
+    lams, split = _central(lam) if variational else (np.asarray(lam, dtype=complex), None)
+
+    def evaluate(interval: int, y: float) -> np.ndarray:
+        values = np.asarray(coeffs.evaluators[interval](y, lams), dtype=complex)
+        return values if split is None else _dual(*split(values))
+
     if coeffs.y_independent:
-        mids = coeffs.partition.midpoints
-        consts = tuple(
-            np.asarray(ev(mids[i], lams), dtype=complex) for i, ev in enumerate(coeffs.evaluators)
-        )
-        return consts, None
+        return tuple(evaluate(i, y) for i, y in enumerate(coeffs.partition.midpoints)), None
 
     def varying(interval: int, ys: np.ndarray) -> np.ndarray:
-        ev = coeffs.evaluators[interval]
-        return np.stack([np.asarray(ev(y, lams), dtype=complex) for y in ys.tolist()])
+        return np.stack([evaluate(interval, y) for y in ys.tolist()])
 
-    return (None,) * n, varying
+    return (None,) * coeffs.partition.n_intervals, varying

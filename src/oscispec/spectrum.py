@@ -173,11 +173,10 @@ def propagate(
     g = fundamental.end_matrix if isinstance(fundamental, FundamentalMatrix) else fundamental
     dmat = bind_matrix(conj.d_matrix, lam)
     bmat = bind_matrix(conj.b_matrix, lam)
-    return _interface_solve(u, g, dmat, bmat, conj.interface, lam)
+    return _interface_solve(transpose(g) @ u, dmat, bmat, conj.interface, lam)
 
 
-def _interface_solve(u, g, dmat, bmat, interface: int, lam) -> np.ndarray:
-    w = transpose(g) @ u
+def _interface_solve(w, dmat, bmat, interface: int, lam) -> np.ndarray:
     n = bmat.shape[-1]
     # a lambda-free B is one matrix shared by a stack (bind_matrix), so it
     # is checked once, at the first lambda
@@ -216,13 +215,21 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     system gives every array a leading lambda axis; only without
     keep_samples, which mode shapes ask for, is a lambda-free left table
     the one table the stack shares.
+
+    With derivatives (ReducedSystem.derivatives) each table is the stack
+    [U; U'], which the variational end matrix carries to [W; W'] and the
+    right rows' block to the closure [C; C'] (2m x m); through an interface
+    U'_next = B^-1 (D' W + D W' - B' U_next).  end_values is W alone.
     """
     u = _initial_table(reduced.left_matrix, reduced.lam, reduced.left_table)
     if keep_samples:
         u = np.broadcast_to(u, np.shape(reduced.lam) + u.shape[-2:])
+    slopes = reduced.derivatives
+    if slopes is not None:
+        u = np.concatenate([u, slopes[0]], axis=-2)
     u_tables = [u]
     fundamentals: list[FundamentalMatrix] = []
-    n = reduced.partition.n_intervals
+    n, dim = reduced.partition.n_intervals, reduced.dim
     w = None
     for i in range(n):
         fm = integrate_fundamental(reduced, i, step, keep_samples=keep_samples)
@@ -230,10 +237,14 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
         w = transpose(fm.end_matrix) @ u
         if i < n - 1:
             dmat, bmat = reduced.interfaces[i]
-            u = _interface_solve(u, fm.end_matrix, dmat, bmat, i + 1, reduced.lam)
+            u = _interface_solve(w[..., :dim, :], dmat, bmat, i + 1, reduced.lam)
+            if slopes is not None:
+                d_dmat, d_bmat = slopes[2][i]
+                rhs = d_dmat @ w[..., :dim, :] + dmat @ w[..., dim:, :] - d_bmat @ u
+                u = np.concatenate([u, np.linalg.solve(bmat, rhs)], axis=-2)
             u_tables.append(u)
-    closure = reduced.right_matrix @ w
-    return u_tables, fundamentals, w, closure
+    closure = (reduced.right_matrix if slopes is None else slopes[1]) @ w
+    return u_tables, fundamentals, w[..., :dim, :], closure
 
 
 # a ratio beyond the float range is clamped below, as the general route
@@ -319,15 +330,40 @@ def _determinant(problem: ProblemDefinition, lam, step: float):
     return _normalized_det(closure, w)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _newton_values(problem: ProblemDefinition, lam: np.ndarray, step: float) -> list[tuple]:
+    """(D, log|F|, F'/F) at each lambda of a stack, in chunks as a
+    y-dependent integration needs (_stack_chunk): F = det C the analytic
+    closure determinant, D its normalized form, and F'/F = tr(C^-1 C') by
+    Jacobi's formula, NaN where F = 0 (and D = 0)."""
+    values = []
+    chunk = _stack_chunk(problem, step, "variational") or max(len(lam), 1)
+    for i in range(0, len(lam), chunk):
+        reduced = reduce_complex(problem, lam[i : i + chunk], variational=True)
+        _, _, w, closure = _assemble(reduced, step, keep_samples=False)
+        m = closure.shape[-1]
+        c, dc = closure[:, :m], closure[:, m:]
+        if m == 1:
+            log_f, ratio = np.log(np.abs(c[:, 0, 0])), dc[:, 0, 0] / c[:, 0, 0]
+        else:
+            sign, log_f = np.linalg.slogdet(c)
+            singular = (sign == 0)[:, np.newaxis, np.newaxis]
+            ratio = np.trace(np.linalg.solve(np.where(singular, np.eye(m), c), dc), axis1=1, axis2=2)
+            ratio[sign == 0] = math.nan
+        values += zip(_normalized_det(c, w).tolist(), log_f.tolist(), ratio.tolist())
+    return values
+
+
 def _stack_chunk(
     problem: ProblemDefinition, step: float, path: str, keep_samples: bool = False
 ) -> int | None:
     """Largest stack whose y-dependent integration, or with keep_samples
     whose sampled fundamental matrices, stay within _STACK_ENTRIES per
-    array; None when neither is stored."""
+    array; None when neither is stored.  The real-split and the variational
+    (path "variational") systems have twice the problem's dimension."""
     if not (keep_samples or problem.coefficients.varies_in_y):
         return None
-    dim = problem.dim * (2 if path == "real_split" else 1)
+    dim = problem.dim * (1 if path == "complex" else 2)
     part = problem.partition
     nodes = part.total_length / step + 2 * part.n_intervals
     return max(1, int(_STACK_ENTRIES // (nodes * dim * dim)))
@@ -412,53 +448,23 @@ def refine_root(
 ) -> SpectralResult:
     """Polish one root candidate: the one-target case of the lockstep refinement.
 
-    Every candidate is polished on D by one damped Newton loop (_newton),
-    which stops with a reason when halving its step 25 times does not lower
-    |D| ("stagnated") or when D is not finite.  A sign-change bracket starts
-    it at its first false-position point: with a real D at both ends the
-    zero lies on the axis, and Newton takes the Gauss-Newton step along it;
-    with a complex D at an end (a damped model, where Re D = 0 on the axis
-    is no root) it takes the step of the analytic closure determinant
-    (_frozen_scale_derivative), as does any other seed on the axis; a seed
-    off it takes the central difference of D along Re.  The seed and each
-    full Newton step are evaluated in one stack with the difference pair
-    the next step needs there (a halved retry, or a step more than ten
-    times the size of lambda, goes alone).
-
-    Every value is computed once, with this call's step: a memo answers
-    each lambda already evaluated.  solve_spectrum refines all its
-    candidates at once (_refine_all) with the same steps and the same
-    results, and its memo also holds the scan's grid values.
+    Every candidate is polished by one damped Newton loop (_newton) on the
+    analytic closure determinant F, each point bringing its exact F'/F
+    (_newton_values).  A sign-change bracket starts it at its false-position
+    point, on the axis where D is real at both ends.  Every value is
+    computed once, with this call's step; solve_spectrum refines all its
+    candidates at once (_refine_all) with the same results.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-
-    def dfun(lam):
-        return characteristic_determinant(problem, lam, step)
-
-    return _run(_refine_steps(target, tol, max_iter), dfun)
+    return _run(_refine_steps(target, tol, max_iter), _evaluator(problem, step))
 
 
-# The refinement steps below are generators: each yields the lambda, the
-# lambda stack, or the _Ahead request whose determinant it needs next and is
-# sent the value back; it returns its SpectralResult.  A memo maps each
-# lambda evaluated so far to its D; _run answers one generator from it or
-# else with a callable, _refine_all answers many at once with one stacked
-# determinant per round.
-
-
-@dataclass(frozen=True)
-class _Ahead:
-    """A request for D(lam) that also puts D on the stack `ahead`, the
-    lambdas the requester expects to ask for next, into the memo.
-
-    The ahead lambdas are spares, evaluated in the same call as lam and only
-    with it: a call that fails on one of them is not an error of the request
-    (_fetch).
-    """
-
-    lam: complex
-    ahead: np.ndarray
+# The refinement steps below are generators: each yields a request and is
+# sent its values; it returns its SpectralResult.  A request is one lambda,
+# where Newton needs (D, log|F|, F'/F), or a bracket's two ends, where it
+# needs D.  A memo maps each lambda evaluated so far to either; _run answers
+# one generator from it or else with an evaluator, _refine_all many at once.
 
 
 def _keys(lams) -> list[bytes]:
@@ -478,59 +484,45 @@ def _key(lam) -> bytes:
 
 
 def _recall(request, memo):
-    """The reply to a request from the memo, or None if a needed lambda is
+    """The reply to a request from the memo, or None if a needed value is
     not in it."""
-    if isinstance(request, _Ahead):
-        request = request.lam
-    if not (isinstance(request, np.ndarray) and request.ndim):
-        return memo.get(_key(request))
+    if not isinstance(request, np.ndarray):
+        value = memo.get(_key(request))
+        return value if isinstance(value, tuple) else None
     values = [memo.get(key) for key in _keys(request)]
-    return None if None in values else np.array(values)
+    if None in values:
+        return None
+    return np.array([v[0] if isinstance(v, tuple) else v for v in values])
 
 
-def _unknown(requests, memo, spares=True) -> list[complex]:
-    """The lambdas of the requests that have to be evaluated, in order and
-    each once: an _Ahead request's spares only together with its own lambda,
-    and with spares=False not at all."""
-    lams = []
-    for request in requests:
-        if not isinstance(request, _Ahead):
-            lams += np.atleast_1d(request).tolist()
-        elif _key(request.lam) not in memo:
-            lams += [complex(request.lam)] + (request.ahead.tolist() if spares else [])
-    return list({k: z for k, z in zip(_keys(lams), lams) if k not in memo}.values())
+def _fetch(requests, evaluate, memo) -> None:
+    """Evaluate what the requests need, in order and each lambda once, and
+    add it to memo: the D of bracket ends in one call, Newton's values at
+    points in another."""
+    for newton in (False, True):
+        lams = {}
+        for request in requests:
+            if isinstance(request, np.ndarray) is newton:
+                continue
+            for key, z in zip(_keys(np.atleast_1d(request)), np.atleast_1d(request).tolist()):
+                if key not in memo or (newton and not isinstance(memo[key], tuple)):
+                    lams.setdefault(key, z)
+        if lams:
+            memo.update(zip(lams, evaluate(np.array(list(lams.values())), newton)))
 
 
-def _fetch(requests, dfun, memo) -> None:
-    """Evaluate what the requests need with one dfun call and add it to memo.
-
-    A single lambda of scalar requests goes to dfun as a scalar.  If the
-    call fails at a spare, the needed lambdas are evaluated without spares:
-    that raises the error they raise alone, or else the spares are dropped.
-    A call that failed at a needed lambda raises at once.
-    """
-    lams = _unknown(requests, memo)
-    try:
-        values = _evaluate(lams, requests, dfun)
-    except SolverError as exc:
-        needed = _unknown(requests, memo, spares=False)
-        failed = getattr(exc, "lam", None)
-        if len(needed) == len(lams) or np.ndim(failed) != 0 or failed in needed:
-            raise
-        lams, values = needed, _evaluate(needed, requests, dfun)
-    memo.update(zip(_keys(lams), values))
+def _evaluator(problem: ProblemDefinition, step: float):
+    """evaluate(lams, newton): Newton's values at a lambda stack, or D alone."""
+    return lambda lams, newton: (
+        _newton_values(problem, lams, step) if newton
+        else characteristic_determinant(problem, lams, step).tolist()
+    )
 
 
-def _evaluate(lams, requests, dfun) -> list:
-    if len(lams) == 1 and not any(isinstance(r, np.ndarray) for r in requests):
-        return [dfun(lams[0])]
-    return dfun(np.array(lams)).tolist()
-
-
-def _run(steps, dfun, memo=None, request=None):
+def _run(steps, evaluate, memo=None, request=None):
     """Drive refinement steps to their result, answering each request from
-    memo or else with dfun; `request` is the pending request of steps already
-    under way."""
+    memo or else with evaluate; `request` is the pending request of steps
+    already under way."""
     memo = {} if memo is None else memo
     try:
         if request is None:
@@ -538,7 +530,7 @@ def _run(steps, dfun, memo=None, request=None):
         while True:
             reply = _recall(request, memo)
             if reply is None:
-                _fetch([request], dfun, memo)
+                _fetch([request], evaluate, memo)
                 reply = _recall(request, memo)
             request = steps.send(reply)
     except StopIteration as stop:
@@ -552,7 +544,7 @@ def _refine_steps(target: Bracket | complex, tol, max_iter):
         seed = 1j * target.p_seed
     else:
         seed = complex(target)
-    return _newton(seed, tol, max_iter, "plane" if seed.real == 0.0 else "re")
+    return _newton(seed, tol, max_iter)
 
 
 def _refine_all(
@@ -565,21 +557,15 @@ def _refine_all(
 ) -> list[SpectralResult]:
     """Refine every target in lockstep, one result per target in order.
 
-    One memo of complex-path determinants serves the whole solve;
-    solve_spectrum passes the one its scan filled, so bracket ends and a
-    minimum's seed are not evaluated again.  Each round answers from it
-    every request it can, then gathers the lambdas still unknown to every
-    live candidate and evaluates them with one characteristic_determinant
-    call (_fetch), so a solve costs as many calls as its longest candidate
-    chain and evaluates no lambda twice.  The values are those of
-    refine_root, bit for bit.  If a round fails at a needed lambda, the live
-    candidates are finished one at a time in target order, so the error
-    raised is the one refining the targets one after another raises.
+    One memo serves the whole solve, with the scan's values: each round
+    answers every request it can from it and evaluates the rest at once
+    (_fetch), one lambda per live candidate, so a solve costs as many calls
+    as its longest candidate chain.  The results are refine_root's, bit for
+    bit.  If a round fails, the live candidates are finished one at a time
+    in target order, so the error raised is the one of refining the targets
+    one after another.
     """
-
-    def dfun(lam):
-        return characteristic_determinant(problem, lam, step)
-
+    evaluate = _evaluator(problem, step)
     memo = {} if memo is None else memo
     steps = [_refine_steps(t, tol, max_iter) for t in targets]
     results: list[SpectralResult | None] = [None] * len(steps)
@@ -597,29 +583,26 @@ def _refine_all(
         if not requests:
             return results
         try:
-            _fetch(list(requests.values()), dfun, memo)
+            _fetch(list(requests.values()), evaluate, memo)
         except SolverError:
             # one candidate at a time, in target order: the first failing
             # candidate raises
             for k, request in requests.items():
-                results[k] = _run(steps[k], dfun, memo, request)
+                results[k] = _run(steps[k], evaluate, memo, request)
             return results
         replies = {k: _recall(request, memo) for k, request in requests.items()}
 
 
 def _bisect_bracket(bracket: Bracket, tol, max_iter):
     lo, hi = bracket.p_lo, bracket.p_hi
-    d_lo = yield 1j * lo
-    d_hi = yield 1j * hi
+    d_lo, d_hi = (yield np.array([1j * lo, 1j * hi])).tolist()
     if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or d_lo.real * d_hi.real > 0:
         return (yield from _refine_steps(1j * bracket.p_seed, tol, max_iter))
     seed = 1j * _false_position(lo, hi, d_lo.real, d_hi.real)
-    if d_lo.imag == 0.0 and d_hi.imag == 0.0:
-        # Re D changes sign while Im D is 0: the zero lies on the axis
-        return (yield from _newton(seed, tol, max_iter, "axis"))
-    # D is complex on the axis (a damped model): Re D = 0 there is no
-    # root, and the root near the crossing lies off the axis
-    return (yield from _newton(seed, tol, max_iter, "plane"))
+    # Re D changes sign while Im D is 0: the zero lies on the axis.  Where D
+    # is complex on the axis (a damped model) Re D = 0 there is no root, and
+    # the root near the crossing lies off the axis
+    return (yield from _newton(seed, tol, max_iter, axis=d_lo.imag == 0.0 and d_hi.imag == 0.0))
 
 
 def _false_position(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -629,67 +612,21 @@ def _false_position(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return mid if lo < mid < hi else 0.5 * (lo + hi)
 
 
-def _modulus(d: complex) -> float:
-    """|d|, or inf when d is not finite.
+def _newton(lam: complex, tol, max_iter, axis: bool = False):
+    """Damped Newton on the analytic closure determinant F from the seed lam.
 
-    A non-finite D (an overflowed propagation far off the axis) then never
-    counts as a decrease; abs() of a NaN complex may also raise OverflowError.
+    The step -F/F' is cut to ten times max(|lambda|, 1), since F vanishes at
+    model poles (1 + beta lambda on pipeline), and halved while it does not
+    lower log|F|, the function it linearizes (|D| divides F by a row scale
+    that moves along the step).  With axis lambda keeps Re = 0.0 and takes
+    the step's part along p, the Gauss-Newton step there.  It converges
+    where |D| falls to tol times its seed value or the step below tol; else
+    it exits "derivative vanished", "derivative not finite", "determinant
+    not finite" (at the seed, or on every halving), "stagnated" (25
+    halvings) or "max_iter exceeded; suspected multiple root", at the point
+    of least |D| it reached.
     """
-    return abs(d) if cmath.isfinite(d) else math.inf
-
-
-def _fd_delta(lam: complex) -> float:
-    # relative 1e-6 perturbation, floored so seeds near the origin still
-    # get a usable difference
-    return 1e-6 * max(abs(lam), 1.0)
-
-
-def _fd_pair(lam: complex, stencil: str) -> np.ndarray:
-    """The two points the derivative at lam is differenced from (see
-    _newton): "axis" the central pair along the frequency axis, "re" the
-    central pair along Re, "plane" one forward step along Re and one along
-    Im."""
-    delta = _fd_delta(lam)
-    if stencil == "axis":
-        return np.array([lam + 1j * delta, lam - 1j * delta])
-    if stencil == "re":
-        return np.array([lam + delta, lam - delta])
-    return np.array([lam + delta, lam + 1j * delta])
-
-
-def _frozen_scale_derivative(d: complex, d_re: complex, d_im: complex) -> complex:
-    """F'(lam) r(lam) from D = F r and its slopes d_re, d_im along Re and Im.
-
-    F, the raw closure determinant, is analytic and r > 0 is the real row
-    scale _normalized_det divides out, so D itself is not analytic and its
-    slope depends on the direction.  d_im - i d_re = F (r_im - i r_re), whose
-    ratio to D has imaginary part -r_re / r; adding D times that to d_re
-    removes F r_re and leaves F' r, the derivative of the closure determinant
-    with its scale frozen at lam.  The Newton step -D / (F' r) = -F / F' is
-    then the one on F.  An analytic D (r = 1) gives d_re back.
-    """
-    return d_re + d * ((d_im - 1j * d_re) / d).imag
-
-
-def _newton(lam: complex, tol, max_iter, stencil):
-    """Damped Newton from the seed lam: the refinement loop of every candidate.
-
-    The caller names the difference stencil (_fd_pair).  "axis", from a
-    seed on the frequency axis, keeps Re lambda exactly 0.0 and takes the
-    Gauss-Newton step along p, which minimizes the linearized |D| there and
-    is Newton's step at a simple zero on the axis.  "plane", from a point on
-    the axis, takes the Newton step of the analytic closure determinant
-    (_frozen_scale_derivative), cut to ten times max(|lambda|, 1); "re", for
-    a seed off the axis, differences D along Re.  A step is halved while it
-    does not lower |D|.  The loop converges where |D| falls to tol times its
-    value at the seed or the step below tol; else it exits "derivative
-    vanished", "derivative not finite", "determinant not finite" (at the
-    seed, or on every halving), "stagnated" (25 halvings did not lower |D|)
-    or "max_iter exceeded; suspected multiple root", at the point of least
-    |D| it reached.
-    """
-    # each point fetches the difference pair the next step needs there
-    d = yield _Ahead(lam, _fd_pair(lam, stencil))
+    d, log_f, ratio = yield lam
     if not cmath.isfinite(d):
         return SpectralResult(lam, math.inf, 0, False, "determinant not finite at the seed")
     d0 = max(abs(d), np.finfo(float).tiny)
@@ -702,49 +639,28 @@ def _newton(lam: complex, tol, max_iter, stencil):
             converged = True
             break
         iters += 1
-        pair = _fd_pair(lam, stencil)
-        d_one, d_two = (yield pair).tolist()
-        if stencil == "plane":
-            # slopes over the steps the pair really took: rounding lam + delta
-            # moves them off delta by up to half an ulp of lam
-            h_re, h_im = (pair - lam).tolist()
-            dp = _frozen_scale_derivative(d, (d_one - d) / h_re.real, (d_two - d) / h_im.imag)
-        else:
-            # along Re, or on the axis the slope dD/dp
-            dp = (d_one - d_two) / (2 * _fd_delta(lam))
-        if dp == 0:
+        if ratio == 0:
             message = "derivative vanished"
             break
-        s = -d / dp
-        if stencil == "axis":
-            # the real dp minimizing |D + dD/dp * dp| is -Re(D / (dD/dp))
-            s = 1j * s.real
+        s = -1 / ratio if cmath.isfinite(ratio) else math.nan
         if not cmath.isfinite(s):
             message = "derivative not finite"
             break
-        # damp: halve the step while it does not lower |D|.  The full step
-        # brings the pair the next step needs there, unless it moves lambda
-        # by more than ten times its size: such a step is seldom taken, and
-        # its pair would be evaluated where the search never goes.  A
-        # halved retry goes alone.  On the "plane" stencil a far step is cut
-        # to that length: the analytic determinant has zeros at model poles
-        # (1 + beta lam on pipeline), and its step can land on one
+        if axis:
+            s = 1j * s.imag
         reach = 10.0 * max(abs(lam), 1.0)
-        far = abs(s) > reach
-        if far and stencil == "plane":
+        if abs(s) > reach:
             s *= reach / abs(s)
-        for halving in range(25):
+        for _ in range(25):
             cand = lam + s
-            ahead = halving == 0 and not far
-            d_cand = yield _Ahead(cand, _fd_pair(cand, stencil)) if ahead else cand
-            res_cand = _modulus(d_cand)
-            if res_cand <= abs(d) or (abs(s) < tol and res_cand < math.inf):
+            d_cand, log_f_cand, ratio_cand = yield cand
+            if cmath.isfinite(d_cand) and (log_f_cand <= log_f or abs(s) < tol):
                 break
             s *= 0.5
         else:
-            message = "stagnated" if res_cand < math.inf else "determinant not finite"
+            message = "stagnated" if cmath.isfinite(d_cand) else "determinant not finite"
             break
-        lam, d = cand, d_cand
+        lam, d, log_f, ratio = cand, d_cand, log_f_cand, ratio_cand
         if abs(d) < best_res:
             best_lam, best_res = lam, abs(d)
         if abs(s) < tol:
@@ -934,26 +850,14 @@ def resolve_step(problem: ProblemDefinition, options: SolveOptions) -> float:
 
 
 def _dedupe(results: Iterable[SpectralResult], tol: float) -> list[SpectralResult]:
-    canonical: list[SpectralResult] = []
-    for r in results:
-        lam = r.lam
-        if lam.imag < 0:
-            lam = lam.conjugate()
-        canonical.append(
-            SpectralResult(lam, r.residual, r.iterations, r.converged, r.message, r.mode)
-        )
-    canonical.sort(key=lambda r: (abs(r.lam.imag), r.lam.real, r.residual))
+    """The distinct roots, each as the first result in target order that
+    found it (conjugates canonicalized to Im >= 0), sorted by |Im| then Re.
+    Which duplicate is kept never follows residuals at rounding level."""
     kept: list[SpectralResult] = []
-    for r in canonical:
-        atol = max(1e3 * tol, 1e-7) + 1e-7 * abs(r.lam)
-        dup = None
-        for i, k in enumerate(kept):
-            if abs(k.lam - r.lam) <= atol:
-                dup = i
-                break
-        if dup is None:
-            kept.append(r)
-        elif r.residual < kept[dup].residual:
-            kept[dup] = r
+    for r in results:
+        lam = r.lam.conjugate() if r.lam.imag < 0 else r.lam
+        atol = max(1e3 * tol, 1e-7) + 1e-7 * abs(lam)
+        if all(abs(k.lam - lam) > atol for k in kept):
+            kept.append(replace(r, lam=lam))
     kept.sort(key=lambda r: (abs(r.lam.imag), r.lam.real))
     return kept

@@ -263,7 +263,7 @@ def test_criterion_8_qualitative_trends():
 
     def fd_leading_re(alpha1):
         prob = build_pipeline(beta=0.005, alpha1=float(alpha1))
-        eigs = fd_polynomial_eigenvalues(prob, FDOracleConfig(300))
+        eigs = fd_polynomial_eigenvalues(prob, FDOracleConfig(300), count=1)
         return leading_frequencies(np.asarray(eigs), 1)[0].real
 
     seed = solve_spectrum(

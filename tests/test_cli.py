@@ -159,16 +159,27 @@ class TestSolve:
         # the lockstep round that overflows is replayed one candidate at a
         # time, so the message is that of refining the seeds in order
         problem = oscispec.build_model("pipeline", beta=0.005)
-        seeds = [complex(re, im) for re in np.linspace(-250.0, 0.0, 4)
+        seeds = [complex(re, im) for re in np.linspace(-2500.0, 0.0, 4)
                  for im in np.linspace(0.0, 8.0, 4)]
         with pytest.raises(SolverError) as info:
             for seed in seeds:
                 oscispec.refine_root(problem, seed, step=1e-3)
         code = _run("solve", "--model", "pipeline", "--param", "beta=0.005",
-                    "--rect=-250:0:0:8:4:4", "--out", str(tmp_path))
+                    "--rect=-2500:0:0:8:4:4", "--out", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err == f"numerical failure: {info.value}\n"
         assert "integration overflow on interval 0" in str(info.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_deep_pipeline_rect_exits_0(self, tmp_path):
+        # Newton on the closure determinant with its exact derivative: the
+        # difference stencils overflowed here at lambda = 9.5e4 and exited 2
+        code = _run("solve", "--model", "pipeline", "--param", "beta=0.005",
+                    "--rect=-250:0:0:8:4:4", "--out", str(tmp_path))
+        assert code == 0
+        data = json.loads((tmp_path / "spectrum.json").read_text())
+        assert any(abs(complex(r["re"], r["im"]) - complex(-0.013528205145, 2.595154283904)) < 1e-9
+                   for r in data)
 
 
     @pytest.mark.parametrize("model, d_zero, count", [("machine_unit", 0.0, 1), ("pipeline", 0.5, 0)])

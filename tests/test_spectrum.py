@@ -111,10 +111,11 @@ class TestBoundOncePerProblem:
 
         watch(problem_module)
         watch(spectrum)
-        determinant = spectrum._determinant
-        monkeypatch.setattr(
-            spectrum, "_determinant", lambda *args: dets.append(1) or determinant(*args)
-        )
+        for name in ("_determinant", "_newton_values"):
+            original = getattr(spectrum, name)
+            monkeypatch.setattr(
+                spectrum, name, lambda *args, original=original: dets.append(1) or original(*args)
+            )
         roots = solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
         assert len(roots) == 3 and len(dets) > 1
         assert reduced == [(1, 2)]
@@ -775,27 +776,63 @@ class TestStackedDeterminant:
 
 @pytest.fixture
 def det_calls(monkeypatch):
-    """The lambdas of every characteristic_determinant call refinement makes."""
+    """The lambdas of every determinant evaluation, characteristic_determinant
+    or Newton's (_newton_values), in call order."""
     calls = []
-    original = spectrum.characteristic_determinant
+    for name in ("characteristic_determinant", "_newton_values"):
+        original = getattr(spectrum, name)
 
-    def counting(problem, lam, step):
-        calls.append(lam)
-        return original(problem, lam, step)
+        def counting(problem, lam, step, original=original):
+            calls.append(lam)
+            return original(problem, lam, step)
 
-    monkeypatch.setattr(spectrum, "characteristic_determinant", counting)
+        monkeypatch.setattr(spectrum, name, counting)
     return calls
 
 
-def _nan_off(strip, root):
-    """A D(lambda) = lambda - root that is NaN wherever |Re lambda| > strip."""
+def _analytic(d_of, slope_of):
+    """Refinement's evaluate(lams, newton) for an analytic D = d_of(lambda)
+    with derivative slope_of(lambda): D alone, or Newton's (D, log|D|, D'/D)."""
 
-    def dfun(lam):
-        lam = np.asarray(lam)
-        d = np.where(np.abs(lam.real) > strip, complex("nan+nanj"), lam - root)
-        return complex(d) if d.ndim == 0 else d
+    def evaluate(lams, newton):
+        with np.errstate(all="ignore"):
+            d = np.asarray(d_of(lams), dtype=complex)
+            if not newton:
+                return d.tolist()
+            ratio = np.asarray(slope_of(lams), dtype=complex) / d
+            return list(zip(d.tolist(), np.log(np.abs(d)).tolist(), ratio.tolist()))
 
-    return dfun
+    return evaluate
+
+
+def _stub_evaluations(monkeypatch, evaluate, before=None):
+    """Answer characteristic_determinant and _newton_values from evaluate, in
+    their call forms; before(lams) runs first at every call."""
+
+    def stub(newton):
+        def call(problem, lam, step):
+            lams = np.atleast_1d(lam)
+            if before is not None:
+                before(lams)
+            values = evaluate(lams, newton)
+            if newton:
+                return values
+            return complex(values[0]) if np.ndim(lam) == 0 else np.array(values)
+
+        return call
+
+    monkeypatch.setattr(spectrum, "characteristic_determinant", stub(False))
+    monkeypatch.setattr(spectrum, "_newton_values", stub(True))
+
+
+def _nan_off(strip, root, slope=1.0):
+    """The evaluate of D(lambda) = lambda - root, NaN wherever |Re lambda| >
+    strip, with D' = slope."""
+
+    def d_of(lams):
+        return np.where(np.abs(lams.real) > strip, complex("nan+nanj"), lams - root)
+
+    return _analytic(d_of, lambda lams: np.full(lams.shape, slope, dtype=complex))
 
 
 class TestSuperlinearRefinement:
@@ -841,7 +878,7 @@ class TestSuperlinearRefinement:
     def test_bracket_point_lies_inside_the_bracket(self, name, monkeypatch):
         # Newton replaced by the identity, so every result is the point the
         # bracket phase handed on
-        def no_newton(seed, tol, max_iter, stencil):
+        def no_newton(seed, tol, max_iter, axis=False):
             return spectrum.SpectralResult(seed, 0.0, 0, False)
             yield
 
@@ -857,23 +894,11 @@ class TestSuperlinearRefinement:
             assert res.lam.real == 0.0
             assert b.p_lo <= res.lam.imag <= b.p_hi
 
-    @staticmethod
-    def _on_axis(monkeypatch, d_of_p):
-        """Stub characteristic_determinant with D(lambda) = d_of_p(Im lambda);
-        returns the list of the lambdas of its calls."""
-        calls = []
-
-        def stub(problem, lam, step):
-            calls.append(lam)
-            d = d_of_p(np.imag(lam)) + 0j
-            return complex(d) if np.ndim(d) == 0 else d
-
-        monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
-        return calls
-
     def test_real_split_bracket_with_a_complex_root_on_the_axis(self, monkeypatch):
-        # Re D and Im D change sign together: Gauss-Newton along the axis
-        self._on_axis(monkeypatch, lambda p: (p - 2.0) * (1 + 0.3j))
+        # Re D and Im D change sign together: Gauss-Newton along the axis.
+        # D(ip) = (p - 2)(1 + 0.3i), continued off the axis as p = -i lambda
+        _stub_evaluations(monkeypatch, _analytic(lambda lam: (-1j * lam - 2.0) * (1 + 0.3j),
+                                                 lambda lam: -1j * (1 + 0.3j) + 0 * lam))
         options = SolveOptions(scan=(1.0, 3.0, 20), step=1e-3, path="real_split")
         (root,) = solve_spectrum(None, options)
         assert root.converged and abs(root.lam - 2j) <= 1e-10
@@ -893,18 +918,18 @@ class TestSuperlinearRefinement:
         assert root.lam.imag == pytest.approx(HALF_PI, abs=1e-10)
 
     @pytest.mark.parametrize(
-        "strip, root, seed, message",
+        "strip, root, seed, message, slope",
         [
-            # every off-axis lambda is NaN: the difference pair is
-            (0.0, complex(-0.1, 1.5), 1.4j, "derivative not finite"),
+            # D is finite, but its F'/F is NaN
+            (1.0, complex(-0.1, 1.5), 1.4j, "derivative not finite", math.nan),
             # the damped steps toward a far root find nothing finite
-            (1e-3, complex(-100.0, 1.4), 1.4j, "determinant not finite"),
-            (0.0, complex(-0.1, 1.5), complex(0.1, 1.4), "determinant not finite at the seed"),
+            (1e-3, complex(-100.0, 1.4), 1.4j, "determinant not finite", 1.0),
+            (0.0, complex(-0.1, 1.5), complex(0.1, 1.4), "determinant not finite at the seed", 1.0),
         ],
-        ids=["difference_pair", "damped_steps", "seed"],
+        ids=["derivative", "damped_steps", "seed"],
     )
-    def test_non_finite_determinant_is_an_exit(self, strip, root, seed, message):
-        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), _nan_off(strip, root))
+    def test_non_finite_determinant_is_an_exit(self, strip, root, seed, message, slope):
+        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), _nan_off(strip, root, slope))
         assert not res.converged
         assert res.message == message
         assert abs(res.lam.real) <= strip or res.lam == seed
@@ -917,13 +942,12 @@ class TestSuperlinearRefinement:
     def test_non_finite_value_inside_a_bracket_is_not_accepted(self):
         # NaN off the axis and inside (1.4, 1.5) on it: the bracket phase
         # hands its false-position point to Newton, which reports the seed
-        def dfun(lam):
-            lam = np.asarray(lam)
+        def d_of(lam):
             bad = (lam.real != 0.0) | ((lam.imag > 1.4) & (lam.imag < 1.5))
-            d = np.where(bad, complex("nan+nanj"), lam.imag - 1.45 + 0j)
-            return complex(d) if d.ndim == 0 else d
+            return np.where(bad, complex("nan+nanj"), -1j * lam - 1.45)
 
-        res = spectrum._run(spectrum._bisect_bracket(Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100), dfun)
+        evaluate = _analytic(d_of, lambda lam: np.full(lam.shape, -1j))
+        res = spectrum._run(spectrum._bisect_bracket(Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100), evaluate)
         assert not res.converged
         assert res.message == "determinant not finite at the seed"
 
@@ -1008,15 +1032,13 @@ class TestLockstepRefinement:
         # 3 in lockstep
         options = SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="real_split")
         brackets, memo = spectrum._scan(fixed_free_string, *options.scan, step=1e-3)
-
-        def dfun(lam):
-            return spectrum.characteristic_determinant(fixed_free_string, lam, 1e-3)
+        evaluate = spectrum._evaluator(fixed_free_string, 1e-3)
 
         chains = []
         for b in brackets:
             del det_calls[:]
             steps = spectrum._refine_steps(b, options.tol, options.max_iter)
-            spectrum._run(steps, dfun, memo=dict(memo))
+            spectrum._run(steps, evaluate, memo=dict(memo))
             chains.append(len(det_calls))
         assert len(chains) >= 2 and max(chains) < sum(chains)
         del det_calls[:]
@@ -1035,6 +1057,17 @@ class TestLockstepRefinement:
             solve_spectrum(fixed_free_string, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="split"))
         assert det_calls == []
 
+    @pytest.mark.parametrize("residuals", [(4.5e-14, 1.1e-13), (1.1e-13, 4.5e-14)])
+    def test_duplicates_keep_the_first_in_target_order(self, residuals, monkeypatch):
+        # two seeds of one root, 1e-14 apart: the reported root and its
+        # iterations are the first seed's, whichever residual is smaller
+        lam = complex(-0.379618038196, 4.917221666967)
+        first = spectrum.SpectralResult(lam, residuals[0], 6, True)
+        second = spectrum.SpectralResult(lam + 1e-14, residuals[1], 4, True)
+        monkeypatch.setattr(spectrum, "_refine_all", lambda *args: [first, second])
+        (root,) = solve_spectrum(None, SolveOptions(rect=(-0.5, 0.0, 0.5, 6.0, 1, 2), step=1e-3))
+        assert (root.lam, root.residual, root.iterations) == (lam, residuals[0], 6)
+
     def test_failing_round_raises_the_sequential_loops_error(self, monkeypatch):
         # D = (lambda - r)^3 around two roots, so Newton takes many steps.
         # Candidate 2's third request and candidate 1's seventh fail: in
@@ -1043,18 +1076,17 @@ class TestLockstepRefinement:
         roots = [complex(1.0, 1.0), complex(5.0, 5.0)]
         seeds = [complex(1.3, 1.1), complex(5.4, 4.8)]
 
-        def cubic(lam):
-            lam = np.asarray(lam, dtype=complex)
-            d = np.where(lam.real < 3.0, (lam - roots[0]) ** 3, (lam - roots[1]) ** 3)
-            return complex(d) if d.ndim == 0 else d
+        def root(lam):
+            return np.where(lam.real < 3.0, roots[0], roots[1])
 
+        cubic = _analytic(lambda lam: (lam - root(lam)) ** 3, lambda lam: 3 * (lam - root(lam)) ** 2)
         requests = []
         for seed in seeds:
             seen = []
 
-            def recording(lam, seen=seen):
-                seen.append(lam)
-                return cubic(lam)
+            def recording(lams, newton, seen=seen):
+                seen.append(lams)
+                return cubic(lams, newton)
 
             spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), recording)
             requests.append(seen)
@@ -1065,15 +1097,14 @@ class TestLockstepRefinement:
 
         raised = []
 
-        def stub(problem, lam, step):
-            for z in np.atleast_1d(lam).tolist():
+        def check(lams):
+            for z in lams.tolist():
                 if z in poison:
                     error, where = poison[z]
                     raised.append(error)
                     raise error(where, z, "stub")
-            return cubic(lam)
 
-        monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
+        _stub_evaluations(monkeypatch, cubic, check)
         with pytest.raises(SolverError) as looped:
             for seed in seeds:
                 refine_root(None, seed, 1e-10, 100, 1e-3)
@@ -1089,18 +1120,20 @@ class TestLockstepRefinement:
 
 
 
-def _plain(steps, dfun):
-    """Drive refinement steps one request at a time, with no memo and no
-    spares: every lambda evaluated when asked for, Newton's difference pair
-    in a call of its own.  The values and errors refinement had before it
-    reused values."""
+def _plain(steps, evaluate):
+    """Drive refinement steps one request at a time, with no memo: every
+    lambda evaluated when asked for, in a call of its own.  The values and
+    errors refinement had before it reused values."""
     reply = None
     while True:
         try:
             request = steps.send(reply)
         except StopIteration as stop:
             return stop.value
-        reply = dfun(request.lam if isinstance(request, spectrum._Ahead) else request)
+        if isinstance(request, np.ndarray):
+            reply = np.array(evaluate(request, False))
+        else:
+            (reply,) = evaluate(np.array([request]), True)
 
 
 def _keys(lams):
@@ -1131,22 +1164,14 @@ SOLVE_CALLS = {
 
 
 class TestDeterminantMemo:
-    """A solve evaluates each lambda once, and Newton fetches its next
-    difference pair with each point, with the values and errors of
-    evaluating every request on its own."""
+    """A solve evaluates each lambda once, and each Newton point alone, with
+    the values and errors of evaluating every request on its own."""
 
     @pytest.mark.parametrize("name, path", sorted(SOLVE_CALLS))
-    def test_solve_evaluates_each_lambda_once(self, name, path, monkeypatch):
-        calls = []
-        original = spectrum.characteristic_determinant
-
-        def recording(problem, lam, step):
-            calls.append(_keys(lam))
-            return original(problem, lam, step)
-
-        monkeypatch.setattr(spectrum, "characteristic_determinant", recording)
+    def test_solve_evaluates_each_lambda_once(self, name, path, det_calls):
         problem = build_model(name)
         solve_spectrum(problem, SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3, path=path))
+        calls = [_keys(lam) for lam in det_calls]
         assert len(calls) <= SOLVE_CALLS[name, path]
         scanned, refined = calls[0], [key for call in calls[1:] for key in call]
         assert len(scanned) == SCAN_DEFAULTS[name][2]
@@ -1162,11 +1187,8 @@ class TestDeterminantMemo:
         res = refine_root(fixed_free_string, bracket, step=1e-3)
         evaluated = [key for lam in det_calls for key in _keys(lam)]
         assert _keys([1j * bracket.p_lo, 1j * bracket.p_hi]) == evaluated[:2]
-
-        def dfun(lam):
-            return characteristic_determinant(fixed_free_string, lam, 1e-3)
-
-        plain = _plain(spectrum._refine_steps(bracket, 1e-10, 100), dfun)
+        evaluate = spectrum._evaluator(fixed_free_string, 1e-3)
+        plain = _plain(spectrum._refine_steps(bracket, 1e-10, 100), evaluate)
         assert _fields([res]) == _fields([plain])
 
     @pytest.mark.parametrize("name, params, options", PARITY_CASES)
@@ -1174,11 +1196,8 @@ class TestDeterminantMemo:
         problem = build_model(name, **params)
         step = spectrum.resolve_step(problem, options)
         targets = _targets(problem, options, step)
-
-        def dfun(lam):
-            return characteristic_determinant(problem, lam, step)
-
-        plain = [_plain(spectrum._refine_steps(t, options.tol, options.max_iter), dfun)
+        evaluate = spectrum._evaluator(problem, step)
+        plain = [_plain(spectrum._refine_steps(t, options.tol, options.max_iter), evaluate)
                  for t in targets]
         lockstep = spectrum._refine_all(problem, targets, options.tol, options.max_iter, step)
         assert _fields(lockstep) == _fields(plain)
@@ -1187,145 +1206,81 @@ class TestDeterminantMemo:
 
     def test_accepted_step_takes_one_call(self):
         # a linear D: the first Newton step lands on the root.  Seed, pair,
-        # step was three calls; the seed and the step now bring their pairs
+        # step was three calls, then two of three lambdas each; the step's
+        # derivative now comes with its point
         calls = []
+        linear = _analytic(lambda lam: lam - complex(-0.1, 1.5), lambda lam: np.ones(lam.shape))
 
-        def linear(lam):
-            calls.append(lam)
-            return np.asarray(lam, dtype=complex) - complex(-0.1, 1.5)
+        def recording(lams, newton):
+            calls.append(lams)
+            return linear(lams, newton)
 
-        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-10, 100), linear)
+        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-10, 100), recording)
         assert res.converged and abs(res.lam - complex(-0.1, 1.5)) <= 1e-12
-        assert [np.size(lam) for lam in calls] == [3, 3]
+        assert [np.size(lam) for lam in calls] == [1, 1]
 
     def test_halved_retries_carry_no_pair(self):
         # Newton on arctan(lambda - r) overshoots from 2 away: its full steps
-        # are halved.  Only the seed and the full steps bring their pair
-        def arctan(lam):
-            d = np.arctan(np.asarray(lam, dtype=complex) - complex(0.0, 1.0))
-            return complex(d) if d.ndim == 0 else d
-
+        # are halved.  Every point, halved or not, is one lambda alone
+        arctan = _analytic(lambda lam: np.arctan(lam - 1j), lambda lam: 1 / (1 + (lam - 1j) ** 2))
         calls = []
 
-        def recording(lam):
-            calls.append(np.size(lam))
-            return arctan(lam)
+        def recording(lams, newton):
+            calls.append(np.size(lams))
+            return arctan(lams, newton)
 
         seed = complex(2.0, 1.0)
         want = _plain(spectrum._refine_steps(seed, 1e-10, 100), arctan)
         res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), recording)
         assert res.converged and _fields([res]) == _fields([want])
-        assert set(calls) == {1, 2, 3}
-        for before, size in zip(calls, calls[1:]):
-            if size == 1:  # a halved retry, after the full step or a retry
-                assert before in (1, 3)
-            if size == 2:  # the pair of an accepted retry
-                assert before == 1
+        assert res.iterations < len(calls) and set(calls) == {1}
 
     def test_far_step_carries_no_pair(self):
         # a linear D whose root lies 100 away from a seed of size 1: the
-        # step is taken alone, and its pair fetched after it
+        # step is cut to ten times the seed's size, and taken alone
         calls = []
+        linear = _analytic(lambda lam: lam - complex(100.0, 1.0), lambda lam: np.ones(lam.shape))
 
-        def linear(lam):
-            calls.append(lam)
-            return np.asarray(lam, dtype=complex) - complex(100.0, 1.0)
+        def recording(lams, newton):
+            calls.append(lams)
+            return linear(lams, newton)
 
-        res = spectrum._run(spectrum._refine_steps(1.0j, 1e-10, 100), linear)
+        res = spectrum._run(spectrum._refine_steps(1.0j, 1e-10, 100), recording)
         assert res.converged and abs(res.lam - complex(100.0, 1.0)) <= 1e-10
-        assert [np.size(lam) for lam in calls][:3] == [3, 1, 2]
+        assert [np.size(lam) for lam in calls][:3] == [1, 1, 1]
+        assert abs(calls[1][0] - 1.0j) == pytest.approx(10.0)
 
-    @staticmethod
-    def _cubic(lam):
-        lam = np.asarray(lam, dtype=complex)
-        d = (lam - complex(1.0, 1.0)) ** 3
-        return complex(d) if d.ndim == 0 else d
+    #: D = (lambda - (1 + i))^3 and its derivative
+    _cubic = staticmethod(_analytic(lambda lam: (lam - complex(1.0, 1.0)) ** 3,
+                                    lambda lam: 3 * (lam - complex(1.0, 1.0)) ** 2))
 
     def _lambdas(self, driver, seed=complex(1.3, 1.1)):
         """(result, every lambda evaluated) of Newton on the cubic."""
         seen = []
 
-        def recording(lam):
-            seen.extend(np.atleast_1d(lam).tolist())
-            return self._cubic(lam)
+        def recording(lams, newton):
+            seen.extend(lams.tolist())
+            return self._cubic(lams, newton)
 
         return driver(spectrum._refine_steps(seed, 1e-10, 100), recording), seen
 
     def _poisoned(self, monkeypatch, poison):
-        """A stub characteristic_determinant, raising at the first poisoned
+        """Stub evaluations of the cubic, raising at the first poisoned
         lambda of a call; returns the list of lambdas it raised at."""
         raised = []
 
-        def stub(problem, lam, step):
-            for z in np.atleast_1d(lam).tolist():
+        def check(lams):
+            for z in lams.tolist():
                 if z in poison:
                     raised.append(z)
                     raise PropagationError(1, z, "stub")
-            return self._cubic(lam)
 
-        monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
+        _stub_evaluations(monkeypatch, self._cubic, check)
         return raised
-
-    def test_failing_spare_is_dropped(self, monkeypatch):
-        # the pair fetched with the last point is never needed: a stack
-        # failing on it is not an error, and nothing changes
-        want, needed = self._lambdas(_plain)
-        _, evaluated = self._lambdas(spectrum._run)
-        spares = [z for z in evaluated if z not in needed]
-        assert spares
-        raised = self._poisoned(monkeypatch, {spares[-1]})
-        got = refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3)
-        assert raised == [spares[-1]]
-        assert _fields([got]) == _fields([want])
-        lockstep = spectrum._refine_all(None, [complex(1.3, 1.1)] * 2, 1e-10, 100, 1e-3)
-        assert _fields(lockstep) == _fields([want, want])
-
-    def test_failing_spare_keeps_the_round_in_lockstep(self, monkeypatch):
-        # a round failing at a spare only is evaluated again without spares,
-        # in one call, and lockstep goes on: one call more than without the
-        # failure, and the same results
-        _, needed = self._lambdas(_plain)
-        _, evaluated = self._lambdas(spectrum._run)
-        spare = [z for z in evaluated if z not in needed][-1]
-        seeds = [complex(1.3, 1.1), complex(1.2, 0.9)]
-
-        def run(poison):
-            calls = []
-
-            def stub(problem, lam, step):
-                calls.append(lam)
-                if poison in np.atleast_1d(lam).tolist():
-                    raise PropagationError(1, poison, "stub")
-                return self._cubic(lam)
-
-            monkeypatch.setattr(spectrum, "characteristic_determinant", stub)
-            return spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3), calls
-
-        want, clean = run(None)
-        got, calls = run(spare)
-        assert _fields(got) == _fields(want)
-        assert len(calls) == len(clean) + 1
-
-    def test_failing_spare_that_is_needed_raises_there(self, monkeypatch):
-        # the pair of an accepted point is needed by the next step: the
-        # error is the one evaluating that pair on its own raises
-        _, needed = self._lambdas(_plain)
-        pair = needed[4]  # seed, its pair, the first point, then its pair
-        raised = self._poisoned(monkeypatch, {pair})
-        with pytest.raises(PropagationError) as looped:
-            _plain(spectrum._refine_steps(complex(1.3, 1.1), 1e-10, 100),
-                   lambda lam: spectrum.characteristic_determinant(None, lam, 1e-3))
-        for run in (lambda: refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3),
-                    lambda: spectrum._refine_all(None, [complex(1.3, 1.1), complex(1.2, 0.9)],
-                                                 1e-10, 100, 1e-3)):
-            with pytest.raises(PropagationError) as got:
-                run()
-            assert got.value.lam == looped.value.lam == pair
-            assert str(got.value) == str(looped.value)
 
     def test_failing_point_raises_at_once(self, monkeypatch):
         _, needed = self._lambdas(_plain)
-        point = needed[3]  # the first Newton point
+        point = needed[1]  # the first Newton point
         raised = self._poisoned(monkeypatch, {point})
         with pytest.raises(PropagationError) as got:
             refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3)
@@ -1426,37 +1381,52 @@ class TestStackedModeShapes:
 
 
 class TestFrozenScaleNewton:
-    """Newton on the analytic closure determinant: damped scan brackets go
-    straight to it and find the roots the real-direction step missed."""
+    """Newton on the analytic closure determinant F, with F'/F from the
+    variational system: damped scan brackets go straight to it and find the
+    roots the real-direction step missed."""
 
-    @pytest.mark.parametrize("z", [complex(0.3, 1.2), complex(-2.0, 7.5), complex(0.0, 0.4)])
-    def test_derivative_removes_the_real_scale(self, z):
-        # D = F r with F analytic and r > 0 real: the exact slopes of D along
-        # Re and Im give back F' r
-        def f(w):
-            return (w - complex(-0.1, 1.0)) * (w - complex(-0.4, 3.0))
+    #: lambdas on the axis and off it, away from roots and model poles
+    LAMS = [0.7j, 3.1j, complex(-0.2, 1.3), complex(-0.05, 6.4), complex(0.3, 2.2)]
 
-        def f_prime(w):
-            return 2 * w - complex(-0.1, 1.0) - complex(-0.4, 3.0)
+    @staticmethod
+    def _closure_det(problem, lam):
+        closure = _assemble(reduce_complex(problem, lam), 1e-3, keep_samples=False)[3]
+        return np.linalg.det(closure)
 
-        x, y = z.real, z.imag
-        r = math.exp(-3.0 * x + math.sin(y))
-        r_x, r_y = -3.0 * r, math.cos(y) * r
-        d_re = f_prime(z) * r + f(z) * r_x
-        d_im = 1j * f_prime(z) * r + f(z) * r_y
-        got = spectrum._frozen_scale_derivative(f(z) * r, d_re, d_im)
-        assert abs(got - f_prime(z) * r) <= 1e-12 * abs(f_prime(z) * r)
-        # an analytic D keeps its own slope
-        assert spectrum._frozen_scale_derivative(f(z), f_prime(z), 1j * f_prime(z)) == pytest.approx(f_prime(z))
+    @pytest.mark.parametrize(
+        "make",
+        [lambda name=name: build_model(name) for name in sorted(SCAN_DEFAULTS)]
+        + [_y_varying_problem, _y_varying_lambda_problem, lambda: _n4_problem(),
+           lambda: build_model("machine_unit", left_end="clamped", right_end="clamped"),
+           lambda: _lambda_interface_problem()],
+        ids=sorted(SCAN_DEFAULTS) + ["y_varying", "y_varying_lambda", "n4", "machine_unit_clamped",
+                                     "lambda_interface"],
+    )
+    def test_log_derivative_matches_richardson(self, make):
+        # a Richardson-extrapolated central difference of det(closure) at the
+        # same step, whose own error is about 1e-10 here
+        problem = make()
+        values = spectrum._newton_values(problem, np.array(self.LAMS), 1e-3)
+        for lam, (d, log_f, ratio) in zip(self.LAMS, values):
+            f = self._closure_det(problem, lam)
+            h = 1e-3 * max(abs(lam), 1.0)
+
+            def central(h):
+                return (self._closure_det(problem, lam + h) - self._closure_det(problem, lam - h)) / (2 * h)
+
+            want = (4 * central(h / 2) - central(h)) / 3 / f
+            assert ratio == pytest.approx(want, rel=1e-7)
+            assert log_f == pytest.approx(math.log(abs(f)), rel=1e-12, abs=1e-12)
+            assert d == pytest.approx(characteristic_determinant(problem, lam, 1e-3), rel=1e-10)
 
     @pytest.mark.parametrize("name, real_ends", [("spacecraft_bar", False), ("fixed_free_string", True)])
     def test_bracket_newton_starts_at_the_false_position_point(self, name, real_ends, det_calls, monkeypatch):
-        # a bracket with a real D at both ends takes the axis step, a damped
-        # one the plane step
+        # a bracket with a real D at both ends keeps to the axis, a damped
+        # one does not
         newtons = []
 
-        def recording_newton(seed, tol, max_iter, stencil):
-            newtons.append((seed, stencil))
+        def recording_newton(seed, tol, max_iter, axis=False):
+            newtons.append((seed, axis))
             return spectrum.SpectralResult(seed, 0.0, 0, False)
             yield
 
@@ -1469,12 +1439,45 @@ class TestFrozenScaleNewton:
         # the module's own name: evaluated here, not recorded
         d_lo, d_hi = (characteristic_determinant(prob, 1j * p, 1e-3) for p in (bracket.p_lo, bracket.p_hi))
         assert (d_lo.imag == 0.0 and d_hi.imag == 0.0) is real_ends
-        # the two ends, and no evaluation of the bracket phase's own
-        assert len(det_calls) == 2
+        # the two ends in one call, and no evaluation of the bracket phase's own
+        assert [_keys(lams) for lams in det_calls] == [_keys([1j * bracket.p_lo, 1j * bracket.p_hi])]
         lo, hi = bracket.p_lo, bracket.p_hi
         want = hi - d_hi.real * (hi - lo) / (d_hi.real - d_lo.real)
-        stencil = "axis" if real_ends else "plane"
-        assert newtons == [(1j * want, stencil)] and lo < want < hi
+        assert newtons == [(1j * want, real_ends)] and lo < want < hi
+
+    @pytest.mark.parametrize(
+        "name, rounds", [("fixed_free_string", [3, 3, 2]), ("machine_unit", [4, 4, 4, 4, 3])]
+    )
+    def test_each_round_evaluates_one_lambda_per_live_candidate(self, name, rounds, det_calls):
+        # at HEAD of the difference stencils the refinement took 27 lambdas
+        # in 3 calls (fixed_free_string) and 57 in 5 (machine_unit)
+        problem = build_model(name)
+        brackets = scan_real_axis(problem, *SCAN_DEFAULTS[name], step=1e-3)
+        del det_calls[:]
+        solve_spectrum(problem, SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3))
+        assert [np.size(lams) for lams in det_calls[1:]] == rounds
+        assert rounds[0] == len(brackets)
+
+    def test_y_dependent_evaluator_calls(self, monkeypatch):
+        # the lambda field is evaluated once per RK4 node and midpoint for a
+        # whole chunk: lambda and lambda +- h ride in that one call, so a
+        # refinement call makes no more calls than the 2,001 of one plain
+        # chunk, and a 240-lambda scan (4 chunks) the 8,004 it made before
+        problem = _y_varying_lambda_problem()
+        (evaluator,) = problem.coefficients.evaluators
+        sizes = []
+
+        def counting(y, lam):
+            sizes.append(np.size(lam))
+            return evaluator(y, lam)
+
+        coefficients = dataclasses.replace(problem.coefficients, evaluators=(counting,))
+        problem = dataclasses.replace(problem, coefficients=coefficients)
+        characteristic_determinant(problem, 1j * np.linspace(0.2, 10.0, 240), 1e-3)
+        assert len(sizes) == 8004
+        del sizes[:]
+        spectrum._newton_values(problem, np.array([1.5j, 4.7j, -0.1 + 7.8j]), 1e-3)
+        assert len(sizes) == 2001 and set(sizes) == {9}
 
     def test_spacecraft_bar_reports_all_four_roots(self):
         prob = build_model("spacecraft_bar")
@@ -1556,6 +1559,17 @@ def _general_route(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_initial_table", table)
     monkeypatch.setattr(spectrum, "_normalized_det", spectrum._log_normalized_det)
+
+
+def _lambda_interface_problem():
+    """A string with an interface whose D and B both depend on lambda:
+    D = [[1, 0], [0.3 lam^2, 1]], B = diag(1, 1 + lam^2 / 4)."""
+    conj = ConjugationOperator(
+        1,
+        PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0, 0.0, 0.3], [1.0]]]),
+        PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [1.0, 0.0, 0.25]]]),
+    )
+    return make_string_problem(breakpoints=(0.0, 0.5, 1.0), conjugations=(conj,))
 
 
 def _n4_problem():
