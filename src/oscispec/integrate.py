@@ -81,8 +81,8 @@ def integrate_fundamental(
 
     Complex coefficients are propagated as their realified images and the
     end matrix (and samples) converted back before the checks below, so a
-    complex system still gives complex results; real ones, as on the
-    real-split path, are propagated as they are.
+    complex system still gives complex results; real ones, as
+    reduction.reduce_real_split forms, are propagated as they are.
 
     Where the interval's coefficients are constant every step matrix is the
     same: it is formed once and raised to the n-th power along the pairwise

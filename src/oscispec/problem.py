@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import adjugate_form, realify, rref_null_basis
+from .linalg import adjugate_form, rref_null_basis
 from .poly import PolyMatrix
 
 #: maximum degree of coefficient entries in the space coordinate
@@ -165,11 +165,6 @@ class BoundaryOperator:
         """
         return _rank_and_table(self.matrix(0j)) if self.matrix.is_constant() else None
 
-    @cached_property
-    def constant_split_table(self) -> tuple[int, np.ndarray | None] | None:
-        """constant_table of the realified rows, the real-split path's form."""
-        return _rank_and_table(realify(self.matrix(0j))) if self.matrix.is_constant() else None
-
 
 def _rank_and_table(rows: np.ndarray) -> tuple[int, np.ndarray | None]:
     """The rank of boundary rows and, at full row rank, their read-only
@@ -233,14 +228,13 @@ class ProblemDefinition:
 class ReducedSystem:
     """A lambda-bound first-order system ready for integration.
 
-    dim is N for the complex path and 2N for the real-split path; boundary
-    and interface matrices are constant (already evaluated at lambda).
-    constant_coeffs holds, per interval, the coefficient matrix that
-    coeff_batch returns at every y, or None where it depends on y.
-    left_table is the left boundary's constant table in the form of
-    left_matrix (constant_table, or constant_split_table on the real-split
-    path), None where the rows depend on lambda.  coefficient_bound is the
-    problem's declared coefficient bound; `bound` scales it to lambda.
+    dim is the dimension of the state; boundary and interface matrices are
+    constant (already evaluated at lambda).  constant_coeffs holds, per
+    interval, the coefficient matrix that coeff_batch returns at every y, or
+    None where it depends on y.  left_table is the left boundary's constant
+    table (BoundaryOperator.constant_table), or None: the left rows are then
+    reduced per call.  coefficient_bound is the problem's declared
+    coefficient bound; `bound` scales it to lambda.
 
     lam is one complex number, or a 1-D array for a stack of lambdas: then
     every matrix carries a leading lambda axis, (K, rows, cols), except a

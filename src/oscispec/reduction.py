@@ -1,13 +1,11 @@
 """Harmonic reduction of the time-dependent problem to a lambda-bound ODE system.
 
 Substituting z(y, t) = phi(y) exp(lam t) turns the second-order-in-time
-problem into dphi/dy = [A(y) + lam^2 B(y) + lam C(y)] phi.  Two routes are
-provided: the complex path keeps the N-dimensional complex system, the
-real-split path separates real and imaginary parts of phi at lam = i*p into
-a 2N-dimensional real system, the realified complex one, which only mode
-shapes use.  Eigenvalues are complex lam = q + i*p with q the growth/decay
-rate and p the angular frequency; reported spectra use the p >= 0
-convention (conjugate pairs deduplicated).
+problem into dphi/dy = [A(y) + lam^2 B(y) + lam C(y)] phi, the complex
+system that the solver integrates.  reduce_real_split writes the same system
+at lam = i*p in real components.  Eigenvalues are complex lam = q + i*p with
+q the growth/decay rate and p the angular frequency; reported spectra use
+the p >= 0 convention (conjugate pairs deduplicated).
 """
 
 from __future__ import annotations
@@ -126,8 +124,10 @@ def reduce_real_split(problem: ProblemDefinition, p: float | np.ndarray) -> Redu
     system at lam = i*p with every matrix realified, [[Re, -Im], [Im, Re]],
     so the coefficient matrix of real A, B, C takes the block form
     [[A - p^2 B, -p C], [p C, A - p^2 B]] and each boundary or interface
-    row contributes two rows.  A 1-D array of frequencies gives one stacked
-    system, as in reduce_complex.
+    row contributes two rows, which are reduced per call (no left_table).
+    A 1-D array of frequencies gives one stacked system, as in
+    reduce_complex.  No solver path integrates it: real-split mode shapes
+    are the complex ones in real components (spectrum.mode_shapes).
     """
     p = _lambda_arg(p, float)
     system = reduce_complex(problem, 1j * p)
@@ -141,7 +141,7 @@ def reduce_real_split(problem: ProblemDefinition, p: float | np.ndarray) -> Redu
         interfaces=tuple((realify(d), realify(b)) for d, b in system.interfaces),
         coeff_batch=_coeff_batch(consts, lambda interval, ys: realify(batch(interval, ys))),
         constant_coeffs=consts,
-        left_table=problem.boundary_left.constant_split_table,
+        left_table=None,
     )
 
 

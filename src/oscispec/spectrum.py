@@ -28,7 +28,8 @@ from .problem import (
     TOL_SINGULAR,
     each_lambda,
 )
-from .reduction import bind_matrix, reduce_complex, reduce_real_split
+from .reduction import bind_matrix, reduce_complex
+from .reduction import reduce_real_split  # noqa: F401  (perfbench/tracing.py wraps it by name)
 
 #: largest exponent fed to exp() when undoing the log-scale normalization;
 #: the m = 1 closed form clamps its modulus at _EXP_MAX = e^_EXP_CLAMP
@@ -37,9 +38,8 @@ _EXP_MAX = math.exp(_EXP_CLAMP)
 
 #: matrix entries one coefficient array of a stacked y-dependent integration,
 #: or one sampled array of a stacked mode-shape propagation, may hold: 4 MB as
-#: N x N complex128, and 8 MB once the complex path holds it realified as
-#: 2N x 2N float64 during the propagation; longer lambda stacks are evaluated
-#: in chunks
+#: complex128, and 8 MB while the propagation holds it realified as float64;
+#: longer lambda stacks are evaluated in chunks
 _STACK_ENTRIES = 1 << 18
 
 #: the bytes of one complex128 memo key: two doubles in native order, as in
@@ -70,8 +70,8 @@ class ModeShape:
 
     Interface breakpoints appear twice in ys (left and right traces differ
     in the non-continuous components).  values has one row per sample and
-    one column per state component; complex on the complex path, real of
-    doubled dimension on the real-split path.
+    one column per state component, complex; on the real-split path the
+    real columns [Re, Im] of the same shape (mode_shapes).
     """
 
     lam: complex
@@ -196,16 +196,6 @@ def _interface_solve(w, dmat, bmat, interface: int, lam) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _reduce(problem: ProblemDefinition, lam, path: str) -> ReducedSystem:
-    if path == "complex":
-        return reduce_complex(problem, lam)
-    if path == "real_split":
-        if any(abs(z.real) > 1e-12 * max(1.0, abs(z)) for z in each_lambda(lam)):
-            raise ValueError("real_split path is defined on the imaginary axis only")
-        return reduce_real_split(problem, lam.imag)
-    raise ValueError(f"unknown path {path!r}")
-
-
 def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     """Run the full propagation at a bound lambda, or at a stack of them.
 
@@ -310,7 +300,7 @@ def characteristic_determinant(
     if not isinstance(lam, np.ndarray) or lam.ndim == 0:
         return _determinant(problem, complex(lam), step)
     lams = lam.astype(complex, copy=False)
-    chunk = _stack_chunk(problem, step, "complex") or max(len(lams), 1)
+    chunk = _stack_chunk(problem, step) or max(len(lams), 1)
     parts = []
     for i in range(0, len(lams), chunk):
         block = lams[i : i + chunk]
@@ -337,7 +327,7 @@ def _newton_values(problem: ProblemDefinition, lam: np.ndarray, step: float) -> 
     closure determinant, D its normalized form, and F'/F = tr(C^-1 C') by
     Jacobi's formula, NaN where F = 0 (and D = 0)."""
     values = []
-    chunk = _stack_chunk(problem, step, "variational") or max(len(lam), 1)
+    chunk = _stack_chunk(problem, step, variational=True) or max(len(lam), 1)
     for i in range(0, len(lam), chunk):
         reduced = reduce_complex(problem, lam[i : i + chunk], variational=True)
         _, _, w, closure = _assemble(reduced, step, keep_samples=False)
@@ -355,15 +345,15 @@ def _newton_values(problem: ProblemDefinition, lam: np.ndarray, step: float) -> 
 
 
 def _stack_chunk(
-    problem: ProblemDefinition, step: float, path: str, keep_samples: bool = False
+    problem: ProblemDefinition, step: float, *, variational: bool = False, keep_samples: bool = False
 ) -> int | None:
     """Largest stack whose y-dependent integration, or with keep_samples
     whose sampled fundamental matrices, stay within _STACK_ENTRIES per
-    array; None when neither is stored.  The real-split and the variational
-    (path "variational") systems have twice the problem's dimension."""
+    array; None when neither is stored.  The variational system has twice
+    the problem's dimension."""
     if not (keep_samples or problem.coefficients.varies_in_y):
         return None
-    dim = problem.dim * (1 if path == "complex" else 2)
+    dim = problem.dim * (2 if variational else 1)
     part = problem.partition
     nodes = part.total_length / step + 2 * part.n_intervals
     return max(1, int(_STACK_ENTRIES // (nodes * dim * dim)))
@@ -704,19 +694,26 @@ def mode_shapes(
     fine step takes them one at a time; the samples are bit-identical to
     those of one lambda alone.  If a chunk fails, its lambdas are redone one
     at a time, so every shape before the first failing lambda is yielded
-    first.  Per lambda, the free-constant vector is the near-null direction
-    of the closure matrix (two inverse-iteration sweeps on M^H M from e1);
-    each interval's solution is the corresponding combination of its
-    fundamental solutions on the stored integration grid.  Raises
+    first.  Per lambda, the free-constant vector c is the near-null
+    direction of the closure matrix (two inverse-iteration sweeps on M^H M
+    from e1); each interval's solution is the corresponding combination of
+    its fundamental solutions on the stored integration grid.  Raises
     NotARootError when the closure matrix is numerically full rank.
+    real_split (on the imaginary axis only) writes it as [Re phi, Im phi]
+    for c conj(c_0), the phase of the realified closure's null vector.
     """
     lams = [complex(z) for z in lams]
-    size = _stack_chunk(problem, step, path, keep_samples=True)
+    if path not in ("complex", "real_split"):
+        raise ValueError(f"unknown path {path!r}")
+    split = path == "real_split"
+    if split and any(abs(z.real) > 1e-12 * max(1.0, abs(z)) for z in lams):
+        raise ValueError("real_split path is defined on the imaginary axis only")
+    size = _stack_chunk(problem, step, keep_samples=True)
     chunks = [lams[i : i + size] for i in range(0, len(lams), size)]
     while chunks:
         chunk = chunks.pop(0)
         try:
-            reduced = _reduce(problem, np.array(chunk), path)
+            reduced = reduce_complex(problem, np.array(chunk))
             u_tables, fundamentals, w, closure = _assemble(reduced, step, keep_samples=True)
         except SolverError:
             if len(chunk) == 1:
@@ -726,36 +723,27 @@ def mode_shapes(
             continue
         for k, lam in enumerate(chunk):
             c_free = _null_vector(closure[k], w[k], lam, _RANK_TOL)
-            yield _combine(lam, u_tables, fundamentals, k, c_free)
+            yield _combine(lam, u_tables, fundamentals, k, c_free, split)
 
 
-def _combine(lam: complex, u_tables, fundamentals, k: int, c_free) -> ModeShape:
+def _combine(lam: complex, u_tables, fundamentals, k: int, c_free, split: bool) -> ModeShape:
     """The mode shape of lambda k of a sampled stack, normalized to unit
-    max-abs."""
-    ys_parts = []
-    val_parts = []
-    slices = []
-    offset = 0
-    for u, fm in zip(u_tables, fundamentals):
-        coeff = u[k] @ c_free
-        vals = np.tensordot(fm.samples[:, k], coeff, axes=([1], [0]))
-        ys_parts.append(fm.sample_ys)
-        val_parts.append(vals)
-        slices.append(slice(offset, offset + len(fm.sample_ys)))
-        offset += len(fm.sample_ys)
-
-    ys = np.concatenate(ys_parts)
-    values = np.concatenate(val_parts, axis=0)
-    flat_idx = int(np.argmax(np.abs(values)))
-    scale = values.reshape(-1)[flat_idx]
-    values = values / scale
-
+    max-abs; split gives [Re, Im] of the combination c_free conj(c_free[0])."""
+    if split:
+        c_free = c_free * c_free[0].conjugate()
+    parts = [np.tensordot(fm.samples[:, k], u[k] @ c_free, axes=([1], [0]))
+             for u, fm in zip(u_tables, fundamentals)]
+    values = np.concatenate(parts, axis=0)
+    if split:
+        values = np.concatenate([values.real, values.imag], axis=1)
+    scale = values.reshape(-1)[int(np.argmax(np.abs(values)))]
+    ends = np.cumsum([0] + [len(fm.sample_ys) for fm in fundamentals]).tolist()
     return ModeShape(
         lam=lam,
-        ys=ys,
-        values=values,
+        ys=np.concatenate([fm.sample_ys for fm in fundamentals]),
+        values=values / scale,
         normalization=complex(scale),
-        interval_slices=tuple(slices),
+        interval_slices=tuple(slice(a, b) for a, b in zip(ends, ends[1:])),
     )
 
 

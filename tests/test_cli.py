@@ -272,15 +272,30 @@ class TestModes:
         assert len(rows) == 1001
 
 
+    def test_real_split_modes_reduce_no_realified_system(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduce_real_split called")
+
+        monkeypatch.setattr(spectrum, "reduce_real_split", refuse)
+        monkeypatch.setattr(oscispec.reduction, "reduce_real_split", refuse)
+        code = _run(
+            "modes", "--model", "point_mass_string", "--scan", "0.2:10:240",
+            "--path", "real_split", "--indices", "1,2,3", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert [p.name for p in sorted(tmp_path.iterdir())] == [
+            "mode_001.csv", "mode_002.csv", "mode_003.csv"
+        ]
+
     def test_chunked_modes_write_the_same_bytes(self, tmp_path, monkeypatch):
         argv = ["modes", "--model", "point_mass_string", "--scan", "0.2:10:240",
                 "--path", "real_split", "--indices", "3,1,2"]
         assert _run(*argv, "--out", str(tmp_path / "whole")) == 0
-        # room for two sampled real-split propagations (two intervals, 1004
-        # nodes, 4 x 4 matrices) per array: chunks of two roots and of one
-        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 2 * 16 * 1004)
+        # room for two sampled propagations (two intervals, 1004 nodes, 2 x 2
+        # complex matrices) per array: chunks of two roots and of one
+        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 2 * 4 * 1004)
         problem = oscispec.build_model("point_mass_string")
-        assert spectrum._stack_chunk(problem, 1e-3, "real_split", keep_samples=True) == 2
+        assert spectrum._stack_chunk(problem, 1e-3, keep_samples=True) == 2
         assert _run(*argv, "--out", str(tmp_path / "chunked")) == 0
         for index in (1, 2, 3):
             name = f"mode_{index:03d}.csv"

@@ -482,6 +482,21 @@ class TestModeShape:
         with pytest.raises(NotARootError, match="not a root"):
             mode_shape(fixed_free_string, 1.0j, step=1e-3)
 
+    @pytest.mark.parametrize(
+        "path, lam, message",
+        [("bogus", 1j * HALF_PI, "unknown path 'bogus'"),
+         ("real_split", complex(0.1, HALF_PI), "imaginary axis only")],
+        ids=["unknown_path", "off_axis"],
+    )
+    def test_bad_path_rejected_before_propagation(
+        self, fixed_free_string, monkeypatch, path, lam, message
+    ):
+        calls = []
+        monkeypatch.setattr(spectrum, "reduce_complex", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            mode_shape(fixed_free_string, lam, 1e-3, path)
+        assert calls == []
+
 
 class TestPipelineInvariants:
     def test_breakpoint_insertion_leaves_determinant(self, fixed_free_string):
@@ -645,7 +660,7 @@ class TestStackedDeterminant:
         whole = characteristic_determinant(problem, lams, 2e-3)
         # a budget of a few lambdas per chunk
         monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 3 * 4 * 502)
-        assert spectrum._stack_chunk(problem, 2e-3, "complex") == 2
+        assert spectrum._stack_chunk(problem, 2e-3) == 2
         assert characteristic_determinant(problem, lams, 2e-3).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("replay_fails", [True, False])
@@ -673,7 +688,7 @@ class TestStackedDeterminant:
             assert calls == [[1j, 2j], [3j, 4j], [3j], [4j], [5j]]
 
     def test_constant_problems_are_not_chunked(self):
-        assert spectrum._stack_chunk(build_model("cable_snapshot"), 1e-6, "complex") is None
+        assert spectrum._stack_chunk(build_model("cable_snapshot"), 1e-6) is None
 
     def test_scalar_returns_python_complex(self):
         problem = build_model("machine_unit")
@@ -1289,9 +1304,10 @@ class TestDeterminantMemo:
 
 
 class TestStackedRealSplitPropagation:
-    """The sampled 2N-dimensional propagation that real-split mode shapes run
-    gives, bit for bit, for a stack of lambdas on the axis what one lambda at
-    a time gives: samples, coefficient tables and closure matrices."""
+    """The sampled propagation that mode shapes run on both paths, real-split
+    ones included, gives, bit for bit, for a stack of lambdas on the axis
+    what one lambda at a time gives: samples, coefficient tables and closure
+    matrices."""
 
     @pytest.mark.parametrize(
         "make",
@@ -1309,11 +1325,11 @@ class TestStackedRealSplitPropagation:
         problem = make()
         lams = 1j * np.linspace(0.2, 10.0, 6)
         u_tables, fundamentals, w, closure = _assemble(
-            spectrum._reduce(problem, lams, "real_split"), 2e-3, keep_samples=True
+            reduce_complex(problem, lams), 2e-3, keep_samples=True
         )
-        assert closure.shape[0] == len(lams) and closure.dtype == float
+        assert closure.shape[0] == len(lams) and closure.dtype == complex
         for k, z in enumerate(lams.tolist()):
-            alone = _assemble(spectrum._reduce(problem, z, "real_split"), 2e-3, keep_samples=True)
+            alone = _assemble(reduce_complex(problem, z), 2e-3, keep_samples=True)
             assert [u[k].tobytes() for u in u_tables] == [u.tobytes() for u in alone[0]]
             for got, want in zip(fundamentals, alone[1], strict=True):
                 assert got.end_matrix[k].tobytes() == want.end_matrix.tobytes()
@@ -1353,12 +1369,12 @@ class TestStackedModeShapes:
 
     def test_sampled_stacks_are_chunked(self, monkeypatch):
         problem = build_model("fixed_free_string")
-        # 1000 steps + 2 end nodes, 4 x 4 real-split matrices per sample
-        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 2 * 16 * 1002)
-        assert spectrum._stack_chunk(problem, 1e-3, "real_split", keep_samples=True) == 2
-        assert spectrum._stack_chunk(problem, 1e-3, "real_split") is None
+        # 1000 steps + 2 end nodes, 2 x 2 complex matrices per sample
+        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 2 * 4 * 1002)
+        assert spectrum._stack_chunk(problem, 1e-3, keep_samples=True) == 2
+        assert spectrum._stack_chunk(problem, 1e-3) is None
         monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 1)
-        assert spectrum._stack_chunk(problem, 1e-3, "real_split", keep_samples=True) == 1
+        assert spectrum._stack_chunk(problem, 1e-3, keep_samples=True) == 1
 
     def test_a_failing_lambda_comes_after_the_shapes_before_it(self, monkeypatch):
         # a stack holding the second root fails in integration; the first
@@ -1649,3 +1665,71 @@ class TestClosedForms:
         assert d.tobytes() == _per_lambda(problem, lams, 1e-3).tobytes()
         _general_route(monkeypatch)
         assert d.tobytes() == characteristic_determinant(problem, lams, 1e-3).tobytes()
+
+
+def _real_form(problem, lam, step):
+    """A real-split shape by its rule: the complex mode's combination with c
+    rephased to c conj(c_0), as the real columns [Re phi, Im phi] divided by
+    their real entry of largest modulus."""
+    u_tables, fundamentals, w, closure = _assemble(
+        reduce_complex(problem, lam), step, keep_samples=True
+    )
+    c = spectrum._null_vector(closure, w, lam, spectrum._RANK_TOL)
+    c = c * np.conj(c[0])
+    phi = np.concatenate(
+        [np.einsum("skj,k->sj", fm.samples, u @ c) for u, fm in zip(u_tables, fundamentals)]
+    )
+    real = np.hstack([phi.real, phi.imag])
+    return real / real.flat[np.argmax(np.abs(real))]
+
+
+#: every root on the axis: the undamped built-ins at their default windows
+#: (the damped ones have none there), the undamped bar and pipeline,
+#: machine_unit's rigid-body root lambda = 0 and the m = 2 problem
+REAL_SPLIT_CASES = [
+    pytest.param(lambda name=name: build_model(name), SCAN_DEFAULTS[name], 3, id=name)
+    for name in ("cable_snapshot", "fixed_fixed_string", "fixed_free_string", "point_mass_string")
+] + [
+    pytest.param(lambda: build_model("spacecraft_bar", beta=0, b=0, d=0), (0.2, 10.0, 240), 3,
+                 id="spacecraft_bar_undamped"),
+    pytest.param(lambda: build_model("pipeline", beta=0, alpha1=0), (0.2, 10.0, 240), 3,
+                 id="pipeline_undamped"),
+    pytest.param(lambda: build_model("machine_unit"), (-1.0, 10.0, 220), 1, id="machine_unit_zero"),
+    pytest.param(lambda: _n4_problem(), (0.2, 10.0, 240), 3, id="n4"),
+]
+
+
+class TestRealSplitModeShapes:
+    """Real-split mode shapes are the complex modes written in real
+    components; no realified system is reduced or propagated for them."""
+
+    @pytest.mark.parametrize("make, window, count", REAL_SPLIT_CASES)
+    def test_shape_is_the_complex_mode_in_real_form(self, make, window, count):
+        problem = make()
+        options = SolveOptions(scan=window, step=1e-3, path="real_split")
+        lams = [r.lam for r in solve_spectrum(problem, options)]
+        assert len(lams) >= count
+        shapes = list(spectrum.mode_shapes(problem, lams, 1e-3, "real_split"))
+        assert len(shapes) == len(lams)
+        for lam, shape in zip(lams, shapes):
+            want = _real_form(problem, lam, 1e-3)
+            assert shape.lam == lam
+            assert shape.values.dtype == float and shape.values.shape == want.shape
+            assert shape.values.shape[1] == 2 * problem.dim
+            assert np.max(np.abs(shape.values - want)) <= 1e-15
+
+    @pytest.mark.parametrize("make", [lambda: build_model("fixed_free_string"), _n4_problem],
+                             ids=["m1", "n4"])
+    def test_shape_ignores_the_phase_of_the_null_vector(self, make, monkeypatch):
+        # c conj(c_0) fixes the phase that a null vector from the SVD
+        # fallback would leave free
+        problem = make()
+        options = SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="real_split")
+        lams = [r.lam for r in solve_spectrum(problem, options)]
+        want = list(spectrum.mode_shapes(problem, lams, 1e-3, "real_split"))
+        null_vector = spectrum._null_vector
+        monkeypatch.setattr(spectrum, "_null_vector",
+                            lambda *args: null_vector(*args) * complex(-0.6, 0.8))
+        got = list(spectrum.mode_shapes(problem, lams, 1e-3, "real_split"))
+        for a, b in zip(got, want, strict=True):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-15
