@@ -6,7 +6,8 @@ or a JSON file (--problem).  Results go to CSV and/or JSON files that are
 byte-identical across reruns of the same configuration.
 
 Exit codes: 0 success (an empty spectrum is a valid answer), 1 configuration
-error, 2 numerical failure, 3 verification deviation breach.
+error, 2 numerical failure (every lambda a solve evaluated failed, or an
+error named no lambda), 3 verification deviation breach.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 
 class SolverError(Exception):
-    """Base class for numerical failures in the solve path."""
+    """Base class for numerical failures in the solve path, at lam if known."""
+
+    lam = None
 
 
 class IntegrationError(SolverError):
@@ -43,6 +45,10 @@ class BoundaryDegeneracyError(SolverError):
 
 class PoleError(SolverError):
     """A lambda-rational coefficient hit a pole of its denominator."""
+
+    def __init__(self, message: str, lam: complex):
+        self.lam = lam
+        super().__init__(f"{message} at lambda={lam}")
 
 
 class NotARootError(SolverError):

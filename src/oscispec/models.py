@@ -53,7 +53,7 @@ def _rational_restoring(num, den, floor, message: str):
     It computes on the stack's 1-D form even for one lambda: numpy turns
     0-d results into scalars, whose arithmetic may round otherwise than the
     array loops.  A lambda with |den| <= floor(|lambda|) is a pole; the
-    first in the stack raises PoleError.
+    first in the stack raises PoleError naming it.
     """
 
     def coefficient(y: float, lam: np.ndarray) -> np.ndarray:
@@ -61,7 +61,7 @@ def _rational_restoring(num, den, floor, message: str):
         d = den(z)
         pole = np.abs(d) <= floor(np.abs(z))
         if pole.any():
-            raise PoleError(f"{message} at lambda={complex(z[pole][0])}")
+            raise PoleError(message, complex(z[pole][0]))
         out = np.zeros(z.shape + (2, 2), dtype=complex)
         out[:, 0, 1] = 1.0
         out[:, 1, 0] = num(z) / d

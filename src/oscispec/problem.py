@@ -117,7 +117,7 @@ class LambdaCoefficientField:
     must get the bits of its own 0-d call: numpy's elementwise array loops
     give that, but numpy turns 0-d results into scalars, whose arithmetic
     may round otherwise.  A pole raises PoleError naming the first
-    offending lambda in stack order.
+    offending lambda in stack order, in its message and as its lam.
 
     bound scales the coefficient magnitude as bound * (1 + |lam| + |lam|^2),
     used for step-size estimation.  y_independent marks evaluators constant

@@ -292,24 +292,15 @@ def characteristic_determinant(
 
     For a 1-D array of lambdas the whole stack is evaluated in one pass,
     with the same arithmetic as one lambda at a time and bit-identical
-    values, and an array is returned.  If any lambda of a stacked chunk
-    fails, the lambdas of that chunk are evaluated one at a time in order,
-    so the error raised is the one of the first failing lambda; the chunks
-    before it are kept.
+    values, and an array is returned; a stack raises the first error its
+    pass meets.
     """
     if not isinstance(lam, np.ndarray) or lam.ndim == 0:
         return _determinant(problem, complex(lam), step)
     lams = lam.astype(complex, copy=False)
     chunk = _stack_chunk(problem, step) or max(len(lams), 1)
-    parts = []
-    for i in range(0, len(lams), chunk):
-        block = lams[i : i + chunk]
-        try:
-            parts.append(_determinant(problem, block, step))
-        except SolverError:
-            # one at a time, in order: the first failing lambda raises
-            parts.append([_determinant(problem, z, step) for z in block.tolist()])
-    if len(parts) == 1 and isinstance(parts[0], np.ndarray):
+    parts = [_determinant(problem, lams[i : i + chunk], step) for i in range(0, len(lams), chunk)]
+    if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts) if parts else np.empty(0, dtype=complex)
 
@@ -382,15 +373,16 @@ def scan_real_axis(
 
 
 def _scan(problem, p_min, p_max, n_grid, step):
-    """scan_real_axis's brackets, and a determinant memo holding the grid's
-    values; it serves a refinement at the same problem and step."""
+    """scan_real_axis's brackets, with D = NaN at a point that failed, and a
+    determinant memo of the grid for a refinement at the same problem and step."""
     if not (p_min < p_max):
         raise ValueError("need p_min < p_max")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     ps = np.linspace(p_min, p_max, n_grid)
     lams = 1j * ps
-    dvals = characteristic_determinant(problem, lams, step)
+    memo = dict(zip(_keys(lams), _evaluator(problem, step)(lams, False)))
+    dvals = _recall(lams, memo)
     f = dvals.real
     mag = np.abs(dvals)
 
@@ -413,7 +405,7 @@ def _scan(problem, p_min, p_max, n_grid, step):
     ]
     brackets += [Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i]) for i in dips]
     brackets.sort(key=lambda b: b.p_seed)
-    return brackets, dict(zip(_keys(lams), dvals.tolist()))
+    return brackets, memo
 
 
 def _median(values: np.ndarray) -> float:
@@ -447,23 +439,20 @@ def refine_root(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _run(_refine_steps(target, tol, max_iter), _evaluator(problem, step))
+    return _refine_all(problem, [target], tol, max_iter, step)[0]
 
 
 # The refinement steps below are generators: each yields a request and is
 # sent its values; it returns its SpectralResult.  A request is one lambda,
 # where Newton needs (D, log|F|, F'/F), or a bracket's two ends, where it
-# needs D.  A memo maps each lambda evaluated so far to either; _run answers
-# one generator from it or else with an evaluator, _refine_all many at once.
+# needs D.  A memo maps each lambda evaluated so far to either, or to the
+# error its evaluation raised; _refine_all answers the generators from it.
 
 
-def _keys(lams) -> list[bytes]:
-    """Memo keys of a lambda stack or a list of lambdas: the bytes of each
-    value, so that signed zeros stay apart and a NaN finds itself.  A stack
-    is viewed as numpy stores it, a list packed lambda by lambda (_key)."""
-    if isinstance(lams, np.ndarray):
-        return lams.astype(complex, copy=False).reshape(-1).view("V16").tolist()
-    return [_key(z) for z in lams]
+def _keys(lams: np.ndarray) -> list[bytes]:
+    """Memo keys of a lambda stack: the bytes of each value as numpy stores
+    it, so that signed zeros stay apart and a NaN finds itself."""
+    return lams.astype(complex, copy=False).reshape(-1).view("V16").tolist()
 
 
 def _key(lam) -> bytes:
@@ -475,14 +464,17 @@ def _key(lam) -> bytes:
 
 def _recall(request, memo):
     """The reply to a request from the memo, or None if a needed value is
-    not in it."""
+    not in it; a lambda that failed answers D = NaN, or (NaN, NaN, NaN)."""
     if not isinstance(request, np.ndarray):
         value = memo.get(_key(request))
+        if isinstance(value, SolverError):
+            return (math.nan,) * 3
         return value if isinstance(value, tuple) else None
     values = [memo.get(key) for key in _keys(request)]
     if None in values:
         return None
-    return np.array([v[0] if isinstance(v, tuple) else v for v in values])
+    return np.array([math.nan if isinstance(v, SolverError) else v[0] if isinstance(v, tuple) else v
+                     for v in values], dtype=complex)
 
 
 def _fetch(requests, evaluate, memo) -> None:
@@ -502,29 +494,34 @@ def _fetch(requests, evaluate, memo) -> None:
 
 
 def _evaluator(problem: ProblemDefinition, step: float):
-    """evaluate(lams, newton): Newton's values at a lambda stack, or D alone."""
-    return lambda lams, newton: (
-        _newton_values(problem, lams, step) if newton
-        else characteristic_determinant(problem, lams, step).tolist()
-    )
+    """evaluate(lams, newton): Newton's values at a lambda stack, or D alone,
+    as a list with the error of each lambda that failed in its place."""
+    return lambda lams, newton: _each(
+        lambda z: _newton_values(problem, z, step) if newton
+        else characteristic_determinant(problem, z, step).tolist(), lams)
 
 
-def _run(steps, evaluate, memo=None, request=None):
-    """Drive refinement steps to their result, answering each request from
-    memo or else with evaluate; `request` is the pending request of steps
-    already under way."""
-    memo = {} if memo is None else memo
-    try:
-        if request is None:
-            request = next(steps)
-        while True:
-            reply = _recall(request, memo)
-            if reply is None:
-                _fetch([request], evaluate, memo)
-                reply = _recall(request, memo)
-            request = steps.send(reply)
-    except StopIteration as stop:
-        return stop.value
+def _each(evaluate, lams: np.ndarray) -> list:
+    """evaluate(lams) as a list of one value per lambda.  A SolverError that
+    names a lambda of the call (its lam) is that lambda's value, and the rest
+    goes in one call again: k failures cost k + 1 calls.  An error that names
+    none, or a whole stack, is raised."""
+    failed: dict[int, SolverError] = {}
+    while True:
+        rest = np.delete(lams, list(failed)) if failed else lams
+        try:
+            values = evaluate(rest) if len(rest) else []
+            break
+        except SolverError as exc:
+            named = np.flatnonzero(lams == exc.lam).tolist() if np.ndim(exc.lam) == 0 else []
+            named = [k for k in named if k not in failed]
+            if not named:
+                raise
+            failed[named[0]] = exc
+    if not failed:
+        return values
+    values = iter(values)
+    return [failed[k] if k in failed else next(values) for k in range(len(lams))]
 
 
 def _refine_steps(target: Bracket | complex, tol, max_iter):
@@ -551,9 +548,9 @@ def _refine_all(
     answers every request it can from it and evaluates the rest at once
     (_fetch), one lambda per live candidate, so a solve costs as many calls
     as its longest candidate chain.  The results are refine_root's, bit for
-    bit.  If a round fails, the live candidates are finished one at a time
-    in target order, so the error raised is the one of refining the targets
-    one after another.
+    bit.  A lambda whose evaluation fails answers NaN (_each, _recall): a
+    bracket with a failed end hands its seed to Newton, which halves its
+    step past a failed point.
     """
     evaluate = _evaluator(problem, step)
     memo = {} if memo is None else memo
@@ -572,14 +569,7 @@ def _refine_all(
                 results[k] = stop.value
         if not requests:
             return results
-        try:
-            _fetch(list(requests.values()), evaluate, memo)
-        except SolverError:
-            # one candidate at a time, in target order: the first failing
-            # candidate raises
-            for k, request in requests.items():
-                results[k] = _run(steps[k], evaluate, memo, request)
-            return results
+        _fetch(list(requests.values()), evaluate, memo)
         replies = {k: _recall(request, memo) for k, request in requests.items()}
 
 
@@ -781,12 +771,12 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     """Scan, refine, deduplicate and sort the spectrum of a problem.
 
     The scan brackets and then the rect seeds are refined in lockstep
-    (_refine_all), with the results and errors of refine_root applied to
-    each in turn.  Returns converged roots only, with Im >= 0 (conjugate
-    pairs reported once), sorted by |Im| then Re.  An empty list is a valid
-    answer.  real_split keeps those with |Re| <= tol * max(|lambda|, 1),
-    projected onto the axis.  A non-positive tol or an unknown path is
-    rejected before the scan.
+    (_refine_all), as refine_root refines each.  Returns converged roots
+    only, with Im >= 0 (conjugate pairs reported once), sorted by |Im| then
+    Re.  An empty list is a valid answer.  real_split keeps those with |Re|
+    <= tol * max(|lambda|, 1), projected onto the axis.  A non-positive tol
+    or an unknown path is rejected before the scan.  Only if every lambda
+    evaluated failed (_each) is the first failure, in memo order, raised.
     """
     if options.tol <= 0:
         raise ValueError("tol must be positive")
@@ -806,6 +796,8 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
             for im in np.linspace(im0, im1, int(ni))
         ]
     results = _refine_all(problem, targets, options.tol, options.max_iter, step, memo)
+    if memo and all(isinstance(value, SolverError) for value in memo.values()):
+        raise next(iter(memo.values()))
     roots = _dedupe([r for r in results if r.converged], options.tol)
     if options.path == "real_split":
         tol = options.tol

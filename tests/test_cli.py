@@ -155,20 +155,41 @@ class TestSolve:
 
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_rect_exits_2_with_the_sequential_error(self, tmp_path, capsys):
-        # the lockstep round that overflows is replayed one candidate at a
-        # time, so the message is that of refining the seeds in order
-        problem = oscispec.build_model("pipeline", beta=0.005)
-        seeds = [complex(re, im) for re in np.linspace(-2500.0, 0.0, 4)
-                 for im in np.linspace(0.0, 8.0, 4)]
-        with pytest.raises(SolverError) as info:
-            for seed in seeds:
-                oscispec.refine_root(problem, seed, step=1e-3)
-        code = _run("solve", "--model", "pipeline", "--param", "beta=0.005",
-                    "--rect=-2500:0:0:8:4:4", "--out", str(tmp_path))
+    def test_overflowing_rect_keeps_the_shallow_rects_complex_roots(self, tmp_path):
+        # a Newton step from Re -2500 overflows at lambda = 4283.66 and one
+        # lands next to the pole at -200: those points fail, are halved
+        # past, and the other seeds are refined as before
+        roots = {}
+        for re0 in ("-2500", "-250"):
+            code = _run("solve", "--model", "pipeline", "--param", "beta=0.005",
+                        f"--rect={re0}:0:0:8:4:4", "--out", str(tmp_path / re0))
+            assert code == 0
+            data = json.loads((tmp_path / re0 / "spectrum.json").read_text())
+            roots[re0] = [complex(r["re"], r["im"]) for r in data if r["im"] > 1]
+        assert len(roots["-2500"]) == len(roots["-250"]) == 3
+        for deep, shallow in zip(roots["-2500"], roots["-250"]):
+            assert abs(deep - shallow) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rect_where_every_lambda_fails_exits_2(self, tmp_path, capsys):
+        # criterion 9's stiff problem overflows at every lambda: nothing could
+        # be evaluated, so the first seed's error is the solve's
+        stiff = {
+            "name": "overflow", "breakpoints": [0.0, 1.0], "dimension": 2, "bound": 800.0,
+            "coefficients": [{"A": [[[800.0], [0.0]], [[0.0], [-800.0]]],
+                              "B": [[[0.0], [0.0]], [[0.0], [0.0]]],
+                              "C": [[[0.0], [0.0]], [[0.0], [0.0]]]}],
+            "boundary_left": [[[1.0], [0.0]]], "boundary_right": [[[1.0], [0.0]]],
+            "conjugations": [],
+        }
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(stiff))
+        with pytest.raises(SolverError) as first:
+            spectrum.characteristic_determinant(oscispec.load_problem(path), complex(-1.0, 1.0), 1e-3)
+        code = _run("solve", "--problem", str(path), "--rect=-1:0:1:2:2:2", "--out", str(tmp_path / "out"))
         assert code == 2
-        assert capsys.readouterr().err == f"numerical failure: {info.value}\n"
-        assert "integration overflow on interval 0" in str(info.value)
+        assert capsys.readouterr().err == f"numerical failure: {first.value}\n"
+        assert str(first.value) == "integration overflow on interval 0 at lambda=(-1+1j)"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_deep_pipeline_rect_exits_0(self, tmp_path):

@@ -663,29 +663,23 @@ class TestStackedDeterminant:
         assert spectrum._stack_chunk(problem, 2e-3) == 2
         assert characteristic_determinant(problem, lams, 2e-3).tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("replay_fails", [True, False])
-    def test_failed_chunk_is_replayed_alone(self, monkeypatch, replay_fails):
-        # the second chunk fails as a stack; the first is kept, and only
-        # the second is evaluated again, one lambda at a time
+    def test_failed_chunk_is_not_replayed(self, monkeypatch):
+        # the second chunk fails as a stack: its error is raised as it is,
+        # and no lambda is evaluated again
         calls = []
 
         def stub(problem, lam, step):
             calls.append(np.atleast_1d(lam).tolist())
-            if 3j in calls[-1] and (replay_fails or np.ndim(lam)):
+            if 3j in calls[-1]:
                 raise SolverError(f"failed at {calls[-1]}")
             return 2 * lam
 
         monkeypatch.setattr(spectrum, "_determinant", stub)
         monkeypatch.setattr(spectrum, "_stack_chunk", lambda *args, **kwargs: 2)
         lams = 1j * np.arange(1.0, 6.0)
-        if replay_fails:
-            with pytest.raises(SolverError, match=r"failed at \[3j\]"):
-                characteristic_determinant(build_model("machine_unit"), lams, 1e-3)
-            assert calls == [[1j, 2j], [3j, 4j], [3j]]
-        else:
-            values = characteristic_determinant(build_model("machine_unit"), lams, 1e-3)
-            assert values.tolist() == (2 * lams).tolist()
-            assert calls == [[1j, 2j], [3j, 4j], [3j], [4j], [5j]]
+        with pytest.raises(SolverError, match=r"failed at \[3j, 4j\]"):
+            characteristic_determinant(build_model("machine_unit"), lams, 1e-3)
+        assert calls == [[1j, 2j], [3j, 4j]]
 
     def test_constant_problems_are_not_chunked(self):
         assert spectrum._stack_chunk(build_model("cable_snapshot"), 1e-6) is None
@@ -707,19 +701,45 @@ class TestStackedDeterminant:
             characteristic_determinant(problem, lams, 1e-2)
         assert str(info.value) == str(expected)
         assert "lambda=(-2+0j)" in str(info.value)
+        assert info.value.lam == expected.lam == lams[2]
 
-    def test_failing_stack_raises_the_first_failure_in_grid_order(self):
-        # -1.999999 overflows in integration, after the whole stack has
-        # passed reduction, where the pole at -2 fails; the loop meets the
-        # overflow first, and so must the stack
+    def test_failing_stack_raises_the_error_its_pass_meets(self):
+        # -1.999999 overflows in integration, but the whole stack is reduced
+        # first, where the pole at -2 fails: the stack raises the pole,
+        # where a loop would meet the overflow first
         problem = build_model("machine_unit", zeta1=0.5)
         lams = np.array([-1.8, -1.999999, -2.0, -2.1]) + 0j
-        expected = _first_error(problem, lams, 1e-2)
-        with pytest.raises(IntegrationError) as info:
+        assert type(_first_error(problem, lams, 1e-2)) is IntegrationError
+        with pytest.raises(PoleError) as info:
             characteristic_determinant(problem, lams, 1e-2)
-        assert type(expected) is IntegrationError
-        assert (str(info.value), info.value.interval) == (str(expected), expected.interval)
-        assert info.value.lam == -1.999999
+        assert info.value.lam == -2.0
+
+    def test_each_failure_costs_one_stacked_call(self, det_calls):
+        # the pole at -2 and the overflow at -1.999999 each take the stack
+        # down once; the third call evaluates the rest
+        problem = build_model("machine_unit", zeta1=0.5)
+        lams = np.array([-1.8, -1.999999, -2.0, -2.1]) + 0j
+        values = spectrum._evaluator(problem, 1e-2)(lams, False)
+        assert [len(lam) for lam in det_calls] == [4, 3, 2]
+        for k in (1, 2):
+            expected = _first_error(problem, lams[k : k + 1], 1e-2)
+            assert (type(values[k]), str(values[k])) == (type(expected), str(expected))
+        kept = np.array([values[0], values[3]])
+        assert kept.tobytes() == _per_lambda(problem, lams[[0, 3]], 1e-2).tobytes()
+
+    @pytest.mark.parametrize("lam", [None, 5j], ids=["none", "outside"])
+    def test_error_naming_no_lambda_of_the_call_is_raised(self, lam):
+        calls = []
+
+        def evaluate(lams):
+            calls.append(lams)
+            error = SolverError("no lambda of the call")
+            error.lam = lam
+            raise error
+
+        with pytest.raises(SolverError, match="no lambda of the call"):
+            spectrum._each(evaluate, np.array([1j, 2j]))
+        assert len(calls) == 1
 
     def test_stack_with_singular_interface_raises_the_loops_error(self):
         # B(lam) = diag(1, 1 + lam^2 / 4) is singular at lam = 2i
@@ -737,8 +757,11 @@ class TestStackedDeterminant:
         assert (info.value.interface, info.value.lam) == (expected.interface, expected.lam)
         assert info.value.lam == lams[2]
         assert str(info.value) == str(expected)
-        with pytest.raises(PropagationError, match="interface 1, lambda=2j"):
-            scan_real_axis(problem, 1.0, 3.0, 5, step=1e-3)
+        # in a scan the failed point is a gap: D = NaN there starts no bracket
+        brackets, memo = spectrum._scan(problem, 1.0, 3.0, 5, step=1e-3)
+        failed = memo[np.complex128(2j).tobytes()]
+        assert isinstance(failed, PropagationError) and failed.lam == 2j
+        assert all(not (b.p_lo <= 2.0 <= b.p_hi) for b in brackets)
 
     def test_near_singular_warnings_match_the_loop(self):
         # trace(A + lam C) = -40 lam, so |det G| = exp(-40 Re(lam) length)
@@ -838,6 +861,12 @@ def _stub_evaluations(monkeypatch, evaluate, before=None):
 
     monkeypatch.setattr(spectrum, "characteristic_determinant", stub(False))
     monkeypatch.setattr(spectrum, "_newton_values", stub(True))
+
+
+def _refined(monkeypatch, target, evaluate, tol=1e-10):
+    """refine_root of one target, every evaluation answered by evaluate."""
+    _stub_evaluations(monkeypatch, evaluate)
+    return refine_root(None, target, tol, 100, 1e-3)
 
 
 def _nan_off(strip, root, slope=1.0):
@@ -943,18 +972,18 @@ class TestSuperlinearRefinement:
         ],
         ids=["derivative", "damped_steps", "seed"],
     )
-    def test_non_finite_determinant_is_an_exit(self, strip, root, seed, message, slope):
-        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), _nan_off(strip, root, slope))
+    def test_non_finite_determinant_is_an_exit(self, strip, root, seed, message, slope, monkeypatch):
+        res = _refined(monkeypatch, seed, _nan_off(strip, root, slope))
         assert not res.converged
         assert res.message == message
         assert abs(res.lam.real) <= strip or res.lam == seed
 
-    def test_small_step_onto_a_non_finite_value_is_halved(self):
+    def test_small_step_onto_a_non_finite_value_is_halved(self, monkeypatch):
         # a step below tol is taken even when |D| grows, but never onto NaN
-        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-2, 100), _nan_off(1e-3, complex(-100.0, 1.4)))
+        res = _refined(monkeypatch, 1.4j, _nan_off(1e-3, complex(-100.0, 1.4)), tol=1e-2)
         assert -1e-3 <= res.lam.real < 0.0
 
-    def test_non_finite_value_inside_a_bracket_is_not_accepted(self):
+    def test_non_finite_value_inside_a_bracket_is_not_accepted(self, monkeypatch):
         # NaN off the axis and inside (1.4, 1.5) on it: the bracket phase
         # hands its false-position point to Newton, which reports the seed
         def d_of(lam):
@@ -962,7 +991,7 @@ class TestSuperlinearRefinement:
             return np.where(bad, complex("nan+nanj"), -1j * lam - 1.45)
 
         evaluate = _analytic(d_of, lambda lam: np.full(lam.shape, -1j))
-        res = spectrum._run(spectrum._bisect_bracket(Bracket(1.0, 2.0, "sign_change", 1.5), 1e-10, 100), evaluate)
+        res = _refined(monkeypatch, Bracket(1.0, 2.0, "sign_change", 1.5), evaluate)
         assert not res.converged
         assert res.message == "determinant not finite at the seed"
 
@@ -1047,13 +1076,10 @@ class TestLockstepRefinement:
         # 3 in lockstep
         options = SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="real_split")
         brackets, memo = spectrum._scan(fixed_free_string, *options.scan, step=1e-3)
-        evaluate = spectrum._evaluator(fixed_free_string, 1e-3)
-
         chains = []
         for b in brackets:
             del det_calls[:]
-            steps = spectrum._refine_steps(b, options.tol, options.max_iter)
-            spectrum._run(steps, evaluate, memo=dict(memo))
+            spectrum._refine_all(fixed_free_string, [b], options.tol, options.max_iter, 1e-3, dict(memo))
             chains.append(len(det_calls))
         assert len(chains) >= 2 and max(chains) < sum(chains)
         del det_calls[:]
@@ -1083,11 +1109,11 @@ class TestLockstepRefinement:
         (root,) = solve_spectrum(None, SolveOptions(rect=(-0.5, 0.0, 0.5, 6.0, 1, 2), step=1e-3))
         assert (root.lam, root.residual, root.iterations) == (lam, residuals[0], 6)
 
-    def test_failing_round_raises_the_sequential_loops_error(self, monkeypatch):
+    def test_failing_points_of_a_round_are_halved_past(self, monkeypatch):
         # D = (lambda - r)^3 around two roots, so Newton takes many steps.
-        # Candidate 2's third request and candidate 1's seventh fail: in
-        # lockstep candidate 2 fails first, but one after another candidate
-        # 1 does, and its error is the one to raise
+        # Candidate 1's seventh point and candidate 2's third fail: each is
+        # evaluated once and answers NaN, and its candidate halves that step
+        # and goes on to its root
         roots = [complex(1.0, 1.0), complex(5.0, 5.0)]
         seeds = [complex(1.3, 1.1), complex(5.4, 4.8)]
 
@@ -1095,44 +1121,34 @@ class TestLockstepRefinement:
             return np.where(lam.real < 3.0, roots[0], roots[1])
 
         cubic = _analytic(lambda lam: (lam - root(lam)) ** 3, lambda lam: 3 * (lam - root(lam)) ** 2)
-        requests = []
+        chains = []
         for seed in seeds:
             seen = []
 
             def recording(lams, newton, seen=seen):
-                seen.append(lams)
+                seen.extend(lams.tolist())
                 return cubic(lams, newton)
 
-            spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), recording)
-            requests.append(seen)
-        assert len(requests[0]) > 7 and len(requests[1]) > 3
-        poison = {
-            z: (PropagationError, 1) for z in np.atleast_1d(requests[0][6]).tolist()
-        } | {z: (IntegrationError, 0) for z in np.atleast_1d(requests[1][2]).tolist()}
-
-        raised = []
+            _plain(spectrum._refine_steps(seed, 1e-10, 100), recording)
+            chains.append(seen)
+        assert len(chains[0]) > 7 and len(chains[1]) > 3
+        poison = {chains[0][6]: (PropagationError, 1), chains[1][2]: (IntegrationError, 0)}
+        evaluated = []
 
         def check(lams):
+            evaluated.extend(lams.tolist())
             for z in lams.tolist():
                 if z in poison:
                     error, where = poison[z]
-                    raised.append(error)
                     raise error(where, z, "stub")
 
         _stub_evaluations(monkeypatch, cubic, check)
-        with pytest.raises(SolverError) as looped:
-            for seed in seeds:
-                refine_root(None, seed, 1e-10, 100, 1e-3)
-        del raised[:]
-        with pytest.raises(SolverError) as lockstep:
-            spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3)
-        assert raised == [IntegrationError, PropagationError]
-        assert type(looped.value) is PropagationError
-        assert type(lockstep.value) is type(looped.value)
-        assert str(lockstep.value) == str(looped.value)
-        assert lockstep.value.lam == looped.value.lam
-        assert lockstep.value.interface == looped.value.interface == 1
-
+        results = spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3)
+        assert [evaluated.count(z) for z in poison] == [1, 1]
+        for chain, k, res, r in zip(chains, (6, 2), results, roots):
+            half = 0.5 * (chain[k - 1] + chain[k])
+            assert any(abs(z - half) <= 1e-12 for z in evaluated)
+            assert res.converged and abs(res.lam - r) <= 1e-3
 
 
 def _plain(steps, evaluate):
@@ -1219,7 +1235,7 @@ class TestDeterminantMemo:
         assert all(type(r.lam) is type(p.lam) for r, p in zip(lockstep, plain))
         assert _fields(solve_spectrum(problem, options)) == _fields(_reported(plain, options))
 
-    def test_accepted_step_takes_one_call(self):
+    def test_accepted_step_takes_one_call(self, monkeypatch):
         # a linear D: the first Newton step lands on the root.  Seed, pair,
         # step was three calls, then two of three lambdas each; the step's
         # derivative now comes with its point
@@ -1230,11 +1246,11 @@ class TestDeterminantMemo:
             calls.append(lams)
             return linear(lams, newton)
 
-        res = spectrum._run(spectrum._refine_steps(1.4j, 1e-10, 100), recording)
+        res = _refined(monkeypatch, 1.4j, recording)
         assert res.converged and abs(res.lam - complex(-0.1, 1.5)) <= 1e-12
         assert [np.size(lam) for lam in calls] == [1, 1]
 
-    def test_halved_retries_carry_no_pair(self):
+    def test_halved_retries_carry_no_pair(self, monkeypatch):
         # Newton on arctan(lambda - r) overshoots from 2 away: its full steps
         # are halved.  Every point, halved or not, is one lambda alone
         arctan = _analytic(lambda lam: np.arctan(lam - 1j), lambda lam: 1 / (1 + (lam - 1j) ** 2))
@@ -1246,11 +1262,11 @@ class TestDeterminantMemo:
 
         seed = complex(2.0, 1.0)
         want = _plain(spectrum._refine_steps(seed, 1e-10, 100), arctan)
-        res = spectrum._run(spectrum._refine_steps(seed, 1e-10, 100), recording)
+        res = _refined(monkeypatch, seed, recording)
         assert res.converged and _fields([res]) == _fields([want])
         assert res.iterations < len(calls) and set(calls) == {1}
 
-    def test_far_step_carries_no_pair(self):
+    def test_far_step_carries_no_pair(self, monkeypatch):
         # a linear D whose root lies 100 away from a seed of size 1: the
         # step is cut to ten times the seed's size, and taken alone
         calls = []
@@ -1260,7 +1276,7 @@ class TestDeterminantMemo:
             calls.append(lams)
             return linear(lams, newton)
 
-        res = spectrum._run(spectrum._refine_steps(1.0j, 1e-10, 100), recording)
+        res = _refined(monkeypatch, 1.0j, recording)
         assert res.converged and abs(res.lam - complex(100.0, 1.0)) <= 1e-10
         assert [np.size(lam) for lam in calls][:3] == [1, 1, 1]
         assert abs(calls[1][0] - 1.0j) == pytest.approx(10.0)
@@ -1281,26 +1297,34 @@ class TestDeterminantMemo:
 
     def _poisoned(self, monkeypatch, poison):
         """Stub evaluations of the cubic, raising at the first poisoned
-        lambda of a call; returns the list of lambdas it raised at."""
-        raised = []
+        lambda of a call; returns the lambdas of every call, in order."""
+        seen = []
 
         def check(lams):
+            seen.extend(lams.tolist())
             for z in lams.tolist():
                 if z in poison:
-                    raised.append(z)
                     raise PropagationError(1, z, "stub")
 
         _stub_evaluations(monkeypatch, self._cubic, check)
-        return raised
+        return seen
 
-    def test_failing_point_raises_at_once(self, monkeypatch):
+    def test_failing_point_is_evaluated_once_and_halved_past(self, monkeypatch):
         _, needed = self._lambdas(_plain)
-        point = needed[1]  # the first Newton point
-        raised = self._poisoned(monkeypatch, {point})
-        with pytest.raises(PropagationError) as got:
-            refine_root(None, complex(1.3, 1.1), 1e-10, 100, 1e-3)
-        assert got.value.lam == point
-        assert raised == [point]  # not evaluated a second time alone
+        seed, point = needed[:2]  # the seed, then the first Newton point
+        seen = self._poisoned(monkeypatch, {point})
+        res = refine_root(None, seed, 1e-10, 100, 1e-3)
+        assert seen[:2] == [seed, point] and seen.count(point) == 1
+        assert abs(seen[2] - 0.5 * (seed + point)) <= 1e-12  # the step halved
+        assert res.converged
+
+    def test_failing_seed_is_no_root(self, monkeypatch):
+        # a failed lambda answers (NaN, NaN, NaN), never a value Newton accepts
+        seed = complex(1.3, 1.1)
+        seen = self._poisoned(monkeypatch, {seed})
+        res = refine_root(None, seed, 1e-10, 100, 1e-3)
+        assert (res.converged, res.message) == (False, "determinant not finite at the seed")
+        assert seen == [seed]
 
 
 class TestStackedRealSplitPropagation:
