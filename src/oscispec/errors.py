@@ -6,17 +6,33 @@ class SolverError(Exception):
 
     lam = None
 
+    def per_lambda(self) -> list[tuple]:
+        """(lambda, error) for each lambda this failure settles, with the
+        error that lambda raises on its own: lam and this error."""
+        return [(self.lam, self)]
+
 
 class IntegrationError(SolverError):
-    """Nonfinite values appeared while integrating a fundamental system."""
+    """Nonfinite values appeared while integrating a fundamental system.
 
-    def __init__(self, interval: int, lam: complex, detail: str = ""):
+    lams holds every lambda of the pass whose solutions overflowed, lam
+    (the first) included.
+    """
+
+    def __init__(self, interval: int, lam: complex, detail: str = "", lams=()):
         self.interval = interval
         self.lam = lam
+        self.lams = tuple(lams) or (lam,)
+        self.detail = detail
         msg = f"integration overflow on interval {interval} at lambda={lam}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def per_lambda(self) -> list[tuple]:
+        return [(self.lam, self)] + [
+            (z, IntegrationError(self.interval, z, self.detail)) for z in self.lams[1:]
+        ]
 
 
 class PropagationError(SolverError):

@@ -77,7 +77,7 @@ def integrate_fundamental(
 
     The step actually used is h = length / ceil(length / step) so the grid
     lands exactly on the interval ends.  Raises IntegrationError if the
-    solution overflows.
+    solution overflows, naming every lambda of a stack where it does.
 
     Complex coefficients are propagated as their realified images and the
     end matrix (and samples) converted back before the checks below, so a
@@ -132,8 +132,9 @@ def integrate_fundamental(
         end = _solution_rows(_constant_power(steps[0], n_steps), dim)
 
     if not np.isfinite(end).all():
-        finite = np.isfinite(end).all(axis=(-2, -1)).reshape(-1)
-        raise IntegrationError(interval, each_lambda(system.lam)[int(np.argmin(finite))])
+        finite = np.isfinite(end).all(axis=(-2, -1)).reshape(-1).tolist()
+        lams = [z for z, ok in zip(each_lambda(system.lam), finite) if not ok]
+        raise IntegrationError(interval, lams[0], lams=lams)
     lead = end[..., : system.dim, : system.dim]
     if system.dim == 2:
         dets = lead[..., 0, 0] * lead[..., 1, 1] - lead[..., 0, 1] * lead[..., 1, 0]

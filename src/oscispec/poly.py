@@ -72,10 +72,6 @@ class PolyMatrix:
                 return k
         return 0
 
-    @property
-    def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
     def is_constant(self) -> bool:
         return self.degree == 0
 

@@ -56,10 +56,6 @@ class Partition:
         """Closed interval (y_{i}, y_{i+1}) for 0-based interval index i."""
         return self.breakpoints[i], self.breakpoints[i + 1]
 
-    def length(self, i: int) -> float:
-        a, b = self.interval(i)
-        return b - a
-
     @cached_property
     def midpoints(self) -> tuple[float, ...]:
         """The midpoint of each interval, in order."""
@@ -213,10 +209,6 @@ class ProblemDefinition:
     @property
     def dim(self) -> int:
         return self.coefficients.dim
-
-    @property
-    def half_dim(self) -> int:
-        return self.dim // 2
 
     @cached_property
     def conjugations_in_order(self) -> tuple[ConjugationOperator, ...]:

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .errors import PoleError
 from .linalg import adjugate_form, realify, row_adjugate_form, rref_null_basis
 from .poly import PolyMatrix
 from .problem import (
@@ -21,6 +22,7 @@ from .problem import (
     LambdaCoefficientField,
     ProblemDefinition,
     ReducedSystem,
+    each_lambda,
 )
 
 
@@ -245,11 +247,18 @@ def _poly_parts(coeffs: CoefficientField, lam, variational: bool):
 
 
 def _lambda_parts(coeffs: LambdaCoefficientField, lam, variational: bool):
-    # with variational, lambda and lambda +- h go in one call (_central)
+    # with variational, lambda and lambda +- h go in one call (_central); a
+    # pole at lambda +- h is the failure of lambda, the point it is formed for
     lams, split = _central(lam) if variational else (np.asarray(lam, dtype=complex), None)
 
     def evaluate(interval: int, y: float) -> np.ndarray:
-        values = np.asarray(coeffs.evaluators[interval](y, lams), dtype=complex)
+        try:
+            values = np.asarray(coeffs.evaluators[interval](y, lams), dtype=complex)
+        except PoleError as exc:
+            hit = np.flatnonzero(lams == exc.lam) if np.ndim(exc.lam) == 0 else []
+            if split is not None and len(hit):
+                exc.lam = each_lambda(lam)[hit[0] % (len(lams) // 3)]
+            raise
         return values if split is None else _dual(*split(values))
 
     if coeffs.y_independent:

@@ -373,16 +373,15 @@ def scan_real_axis(
 
 
 def _scan(problem, p_min, p_max, n_grid, step):
-    """scan_real_axis's brackets, with D = NaN at a point that failed, and a
-    determinant memo of the grid for a refinement at the same problem and step."""
+    """scan_real_axis's brackets, the Newton start of each (_start) from the
+    grid's D, and the grid's values (_determinants): D, or the error its
+    lambda raised, where D reads NaN and starts no bracket."""
     if not (p_min < p_max):
         raise ValueError("need p_min < p_max")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     ps = np.linspace(p_min, p_max, n_grid)
-    lams = 1j * ps
-    memo = dict(zip(_keys(lams), _evaluator(problem, step)(lams, False)))
-    dvals = _recall(lams, memo)
+    values, dvals = _determinants(problem, 1j * ps, step)
     f = dvals.real
     mag = np.abs(dvals)
 
@@ -405,7 +404,8 @@ def _scan(problem, p_min, p_max, n_grid, step):
     ]
     brackets += [Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i]) for i in dips]
     brackets.sort(key=lambda b: b.p_seed)
-    return brackets, memo
+    grid = dict(zip(ps.tolist(), dvals.tolist()))  # D at each p; equal p, equal D
+    return brackets, [_start(b, grid[b.p_lo], grid[b.p_hi]) for b in brackets], values
 
 
 def _median(values: np.ndarray) -> float:
@@ -432,80 +432,45 @@ def refine_root(
 
     Every candidate is polished by one damped Newton loop (_newton) on the
     analytic closure determinant F, each point bringing its exact F'/F
-    (_newton_values).  A sign-change bracket starts it at its false-position
-    point, on the axis where D is real at both ends.  Every value is
-    computed once, with this call's step; solve_spectrum refines all its
-    candidates at once (_refine_all) with the same results.
+    (_newton_values).  A sign-change bracket evaluates D at its two ends,
+    in one call, and starts Newton from them (_start); any other bracket
+    starts at its seed.  Every value is computed with this call's step;
+    solve_spectrum refines all its candidates at once (_refine_all) with
+    the same results.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _refine_all(problem, [target], tol, max_iter, step)[0]
+    if not isinstance(target, Bracket):
+        start = complex(target), False
+    elif target.kind == "sign_change":
+        ends = np.array([1j * target.p_lo, 1j * target.p_hi])
+        start = _start(target, *_determinants(problem, ends, step)[1].tolist())
+    else:
+        start = _start(target, None, None)
+    return _refine_all(problem, [start], tol, max_iter, step, {})[0]
 
 
-# The refinement steps below are generators: each yields a request and is
-# sent its values; it returns its SpectralResult.  A request is one lambda,
-# where Newton needs (D, log|F|, F'/F), or a bracket's two ends, where it
-# needs D.  A memo maps each lambda evaluated so far to either, or to the
-# error its evaluation raised; _refine_all answers the generators from it.
-
-
-def _keys(lams: np.ndarray) -> list[bytes]:
-    """Memo keys of a lambda stack: the bytes of each value as numpy stores
-    it, so that signed zeros stay apart and a NaN finds itself."""
-    return lams.astype(complex, copy=False).reshape(-1).view("V16").tolist()
+def _determinants(problem: ProblemDefinition, lams: np.ndarray, step: float):
+    """D at each lambda of a stack (_each): the list of values, with the
+    error of each lambda that failed in its place, and their array, with
+    NaN there."""
+    values = _each(lambda z: characteristic_determinant(problem, z, step).tolist(), lams)
+    d = [math.nan if isinstance(value, SolverError) else value for value in values]
+    return values, np.array(d, dtype=complex)
 
 
 def _key(lam) -> bytes:
-    """The memo key of one lambda: its bytes as numpy stores them, packed
-    without a round trip through numpy."""
+    """The memo key of one lambda: its bytes as numpy stores them (signed
+    zeros apart, a NaN finds itself), packed without a trip through numpy."""
     z = complex(lam)
     return _KEY.pack(z.real, z.imag)
 
 
-def _recall(request, memo):
-    """The reply to a request from the memo, or None if a needed value is
-    not in it; a lambda that failed answers D = NaN, or (NaN, NaN, NaN)."""
-    if not isinstance(request, np.ndarray):
-        value = memo.get(_key(request))
-        if isinstance(value, SolverError):
-            return (math.nan,) * 3
-        return value if isinstance(value, tuple) else None
-    values = [memo.get(key) for key in _keys(request)]
-    if None in values:
-        return None
-    return np.array([math.nan if isinstance(v, SolverError) else v[0] if isinstance(v, tuple) else v
-                     for v in values], dtype=complex)
-
-
-def _fetch(requests, evaluate, memo) -> None:
-    """Evaluate what the requests need, in order and each lambda once, and
-    add it to memo: the D of bracket ends in one call, Newton's values at
-    points in another."""
-    for newton in (False, True):
-        lams = {}
-        for request in requests:
-            if isinstance(request, np.ndarray) is newton:
-                continue
-            for key, z in zip(_keys(np.atleast_1d(request)), np.atleast_1d(request).tolist()):
-                if key not in memo or (newton and not isinstance(memo[key], tuple)):
-                    lams.setdefault(key, z)
-        if lams:
-            memo.update(zip(lams, evaluate(np.array(list(lams.values())), newton)))
-
-
-def _evaluator(problem: ProblemDefinition, step: float):
-    """evaluate(lams, newton): Newton's values at a lambda stack, or D alone,
-    as a list with the error of each lambda that failed in its place."""
-    return lambda lams, newton: _each(
-        lambda z: _newton_values(problem, z, step) if newton
-        else characteristic_determinant(problem, z, step).tolist(), lams)
-
-
 def _each(evaluate, lams: np.ndarray) -> list:
     """evaluate(lams) as a list of one value per lambda.  A SolverError that
-    names a lambda of the call (its lam) is that lambda's value, and the rest
-    goes in one call again: k failures cost k + 1 calls.  An error that names
-    none, or a whole stack, is raised."""
+    names lambdas of the call (SolverError.per_lambda) gives each its own
+    error as its value, and the rest goes in one call again.  An error that
+    names none, or a whole stack, is raised."""
     failed: dict[int, SolverError] = {}
     while True:
         rest = np.delete(lams, list(failed)) if failed else lams
@@ -513,76 +478,70 @@ def _each(evaluate, lams: np.ndarray) -> list:
             values = evaluate(rest) if len(rest) else []
             break
         except SolverError as exc:
-            named = np.flatnonzero(lams == exc.lam).tolist() if np.ndim(exc.lam) == 0 else []
-            named = [k for k in named if k not in failed]
+            named = {k: error for z, error in exc.per_lambda() if np.ndim(z) == 0
+                     for k in np.flatnonzero(lams == z).tolist() if k not in failed}
             if not named:
                 raise
-            failed[named[0]] = exc
+            failed.update(named)
     if not failed:
         return values
     values = iter(values)
     return [failed[k] if k in failed else next(values) for k in range(len(lams))]
 
 
-def _refine_steps(target: Bracket | complex, tol, max_iter):
-    if isinstance(target, Bracket):
-        if target.kind == "sign_change":
-            return _bisect_bracket(target, tol, max_iter)
-        seed = 1j * target.p_seed
-    else:
-        seed = complex(target)
-    return _newton(seed, tol, max_iter)
-
-
 def _refine_all(
     problem: ProblemDefinition,
-    targets: list[Bracket | complex],
+    starts: list[tuple[complex, bool]],
     tol: float,
     max_iter: int,
     step: float,
-    memo: dict[bytes, complex] | None = None,
+    memo: dict[bytes, tuple | SolverError],
 ) -> list[SpectralResult]:
-    """Refine every target in lockstep, one result per target in order.
+    """Newton (_newton) from every start (seed, axis) in lockstep: one result
+    per start, in order, each refine_root's bit for bit.  memo maps each
+    lambda evaluated (_key) to its (D, log|F|, F'/F), or to the error it
+    raised, which answers (NaN, NaN, NaN) so that Newton halves its step
+    past it.  Each round answers what it can from memo and evaluates the
+    rest, one lambda per live candidate, in one call (_each): a solve costs
+    as many calls as its longest candidate chain."""
+    results: list[SpectralResult | None] = [None] * len(starts)
+    chains = [_newton(seed, tol, max_iter, axis) for seed, axis in starts]
 
-    One memo serves the whole solve, with the scan's values: each round
-    answers every request it can from it and evaluates the rest at once
-    (_fetch), one lambda per live candidate, so a solve costs as many calls
-    as its longest candidate chain.  The results are refine_root's, bit for
-    bit.  A lambda whose evaluation fails answers NaN (_each, _recall): a
-    bracket with a failed end hands its seed to Newton, which halves its
-    step past a failed point.
-    """
-    evaluate = _evaluator(problem, step)
-    memo = {} if memo is None else memo
-    steps = [_refine_steps(t, tol, max_iter) for t in targets]
-    results: list[SpectralResult | None] = [None] * len(steps)
-    replies = dict.fromkeys(range(len(steps)))
-    while True:
-        requests = {}
+    def answer(lam):
+        value = memo[_key(lam)]
+        return (math.nan,) * 3 if isinstance(value, SolverError) else value
+
+    replies = dict.fromkeys(range(len(chains)))  # None starts a chain
+    while replies:
+        asks = {}
         for k, reply in replies.items():
             try:
-                request = steps[k].send(reply)
-                while (reply := _recall(request, memo)) is not None:
-                    request = steps[k].send(reply)
-                requests[k] = request
+                lam = chains[k].send(reply)
+                while _key(lam) in memo:
+                    lam = chains[k].send(answer(lam))
+                asks[k] = lam
             except StopIteration as stop:
                 results[k] = stop.value
-        if not requests:
-            return results
-        _fetch(list(requests.values()), evaluate, memo)
-        replies = {k: _recall(request, memo) for k, request in requests.items()}
+        lams = {_key(lam): lam for lam in asks.values()}
+        outcomes = _each(lambda z: _newton_values(problem, z, step), np.array(list(lams.values())))
+        memo.update(zip(lams, outcomes))
+        replies = {k: answer(lam) for k, lam in asks.items()}
+    return results
 
 
-def _bisect_bracket(bracket: Bracket, tol, max_iter):
-    lo, hi = bracket.p_lo, bracket.p_hi
-    d_lo, d_hi = (yield np.array([1j * lo, 1j * hi])).tolist()
-    if not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi)) or d_lo.real * d_hi.real > 0:
-        return (yield from _refine_steps(1j * bracket.p_seed, tol, max_iter))
-    seed = 1j * _false_position(lo, hi, d_lo.real, d_hi.real)
-    # Re D changes sign while Im D is 0: the zero lies on the axis.  Where D
-    # is complex on the axis (a damped model) Re D = 0 there is no root, and
-    # the root near the crossing lies off the axis
-    return (yield from _newton(seed, tol, max_iter, axis=d_lo.imag == 0.0 and d_hi.imag == 0.0))
+def _start(bracket: Bracket, d_lo, d_hi) -> tuple[complex, bool]:
+    """Newton's (seed, axis) for a bracket with D = d_lo, d_hi at its ends.
+
+    A sign change of Re D between finite ends starts at the false-position
+    point, on the axis where D is real at both ends: Re D changes sign while
+    Im D is 0 there, so the zero lies on the axis.  Where D is complex on
+    the axis (a damped model) the root near the crossing lies off it.  Any
+    other bracket starts at its seed."""
+    if (bracket.kind != "sign_change" or not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi))
+            or d_lo.real * d_hi.real > 0):
+        return 1j * bracket.p_seed, False
+    seed = 1j * _false_position(bracket.p_lo, bracket.p_hi, d_lo.real, d_hi.real)
+    return seed, d_lo.imag == 0.0 and d_hi.imag == 0.0
 
 
 def _false_position(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -604,7 +563,8 @@ def _newton(lam: complex, tol, max_iter, axis: bool = False):
     it exits "derivative vanished", "derivative not finite", "determinant
     not finite" (at the seed, or on every halving), "stagnated" (25
     halvings) or "max_iter exceeded; suspected multiple root", at the point
-    of least |D| it reached.
+    of least |D| it reached.  A generator: it yields each lambda it needs
+    (D, log|F|, F'/F) at, is sent them, and returns its SpectralResult.
     """
     d, log_f, ratio = yield lam
     if not cmath.isfinite(d):
@@ -770,34 +730,38 @@ def _null_vector(closure: np.ndarray, end_values: np.ndarray, lam: complex, rank
 def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[SpectralResult]:
     """Scan, refine, deduplicate and sort the spectrum of a problem.
 
-    The scan brackets and then the rect seeds are refined in lockstep
-    (_refine_all), as refine_root refines each.  Returns converged roots
-    only, with Im >= 0 (conjugate pairs reported once), sorted by |Im| then
-    Re.  An empty list is a valid answer.  real_split keeps those with |Re|
-    <= tol * max(|lambda|, 1), projected onto the axis.  A non-positive tol
-    or an unknown path is rejected before the scan.  Only if every lambda
-    evaluated failed (_each) is the first failure, in memo order, raised.
+    The scan brackets, started from the scan's own values (_start), and
+    then the rect seeds are refined in lockstep (_refine_all), as
+    refine_root refines each.  Returns converged roots only, with Im >= 0
+    (conjugate pairs reported once), sorted by |Im| then Re.  An empty list
+    is a valid answer.  real_split keeps those with |Re| <= tol *
+    max(|lambda|, 1), projected onto the axis.  A non-positive tol or an
+    unknown path is rejected before the scan.  Only if every value failed
+    (_each) is the first failure raised: the scan's in grid order, then
+    refinement's in evaluation order.
     """
     if options.tol <= 0:
         raise ValueError("tol must be positive")
     if options.path not in ("complex", "real_split"):
         raise ValueError(f"unknown path {options.path!r}")
     step = resolve_step(problem, options)
-    targets: list[Bracket | complex] = []
-    memo: dict[bytes, complex] = {}
+    starts: list[tuple[complex, bool]] = []
+    values: list = []
     if options.scan is not None:
         p_min, p_max, n_grid = options.scan
-        targets, memo = _scan(problem, p_min, p_max, n_grid, step)
+        _, starts, values = _scan(problem, p_min, p_max, n_grid, step)
     if options.rect is not None:
         re0, re1, im0, im1, nr, ni = options.rect
-        targets += [
-            complex(re, im)
+        starts += [
+            (complex(re, im), False)
             for re in np.linspace(re0, re1, int(nr))
             for im in np.linspace(im0, im1, int(ni))
         ]
-    results = _refine_all(problem, targets, options.tol, options.max_iter, step, memo)
-    if memo and all(isinstance(value, SolverError) for value in memo.values()):
-        raise next(iter(memo.values()))
+    memo: dict[bytes, tuple | SolverError] = {}
+    results = _refine_all(problem, starts, options.tol, options.max_iter, step, memo)
+    values += memo.values()
+    if values and all(isinstance(value, SolverError) for value in values):
+        raise values[0]
     roots = _dedupe([r for r in results if r.converged], options.tol)
     if options.path == "real_split":
         tol = options.tol

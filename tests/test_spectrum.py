@@ -49,6 +49,7 @@ from oscispec.linalg import adjugate_form
 from oscispec.models import SCAN_DEFAULTS, build_model
 from oscispec.oracle import FDOracleConfig, fd_polynomial_eigenvalues
 from oscispec.reduction import reduce_complex
+from oscispec.serialize import problem_from_dict
 from oscispec.spectrum import _assemble
 
 from conftest import identity_conjugation, make_string_problem
@@ -321,11 +322,14 @@ class TestScan:
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     def test_scan_equals_the_plain_loop(self, name, window):
         problem = build_model(name)
-        brackets, memo = spectrum._scan(problem, *window, 1e-3)
+        brackets, starts, values = spectrum._scan(problem, *window, 1e-3)
         ps = np.linspace(*window)
         dvals = characteristic_determinant(problem, 1j * ps, 1e-3)
         _same_brackets(brackets, _loop_brackets(ps, dvals))
-        assert memo == dict(zip(_keys(1j * ps), dvals.tolist()))
+        assert values == dvals.tolist()
+        # each bracket starts from the grid's D at its two ends
+        ends = [(dvals[ps == b.p_lo][0], dvals[ps == b.p_hi][0]) for b in brackets]
+        assert starts == [spectrum._start(b, *d) for b, d in zip(brackets, ends)]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_scan_equals_the_plain_loop_on_ties_and_nan(self, seed, monkeypatch):
@@ -336,7 +340,7 @@ class TestScan:
         dvals = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n) * 0.01
         dvals[rng.random(n) < 0.05] = np.nan
         monkeypatch.setattr(spectrum, "characteristic_determinant", lambda *args: dvals)
-        brackets, _ = spectrum._scan(None, 0.0, 1.0, n, 1e-3)
+        brackets, _, _ = spectrum._scan(None, 0.0, 1.0, n, 1e-3)
         _same_brackets(brackets, _loop_brackets(np.linspace(0.0, 1.0, n), dvals))
 
 
@@ -603,6 +607,24 @@ def _off_axis(n):
     return rng.uniform(-0.5, 0.0, n) + 1j * rng.uniform(0.2, 9.0, n)
 
 
+#: acceptance criterion 9's stiff problem: its solutions overflow at every
+#: frequency of a default-step solve
+STIFF_PROBLEM = {
+    "name": "overflow",
+    "breakpoints": [0.0, 1.0],
+    "dimension": 2,
+    "bound": 800.0,
+    "coefficients": [
+        {"A": [[[800.0], [0.0]], [[0.0], [-800.0]]],
+         "B": [[[0.0], [0.0]], [[0.0], [0.0]]],
+         "C": [[[0.0], [0.0]], [[0.0], [0.0]]]}
+    ],
+    "boundary_left": [[[1.0], [0.0]]],
+    "boundary_right": [[[1.0], [0.0]]],
+    "conjugations": [],
+}
+
+
 def _per_lambda(problem, lams, step):
     return np.array([characteristic_determinant(problem, z, step) for z in lams.tolist()])
 
@@ -719,13 +741,42 @@ class TestStackedDeterminant:
         # down once; the third call evaluates the rest
         problem = build_model("machine_unit", zeta1=0.5)
         lams = np.array([-1.8, -1.999999, -2.0, -2.1]) + 0j
-        values = spectrum._evaluator(problem, 1e-2)(lams, False)
+        values = spectrum._each(lambda z: spectrum.characteristic_determinant(problem, z, 1e-2).tolist(), lams)
         assert [len(lam) for lam in det_calls] == [4, 3, 2]
         for k in (1, 2):
             expected = _first_error(problem, lams[k : k + 1], 1e-2)
             assert (type(values[k]), str(values[k])) == (type(expected), str(expected))
         kept = np.array([values[0], values[3]])
         assert kept.tobytes() == _per_lambda(problem, lams[[0, 3]], 1e-2).tobytes()
+
+    def test_every_overflowing_lambda_of_a_pass_fails_at_once(self, det_calls):
+        # one pass names every lambda whose solutions overflow, each with
+        # the error it raises alone; one pass per failed lambda took a
+        # 2000-point scan of this problem 2000 calls over 2,001,000 lambdas
+        problem = problem_from_dict(STIFF_PROBLEM)
+        lams = 1j * np.linspace(0.5, 2.0, 7)
+        values = spectrum._each(lambda z: spectrum.characteristic_determinant(problem, z, 1e-3).tolist(), lams)
+        assert len(det_calls) == 1
+        for k, value in enumerate(values):
+            expected = _first_error(problem, lams[k : k + 1], 1e-3)
+            assert (type(value), str(value), value.lam) == (type(expected), str(expected), expected.lam)
+        del det_calls[:]
+        with pytest.raises(IntegrationError) as info:
+            solve_spectrum(problem, SolveOptions(scan=(0.5, 2.0, 2000)))
+        assert str(info.value) == "integration overflow on interval 0 at lambda=0.5j"
+        assert len(det_calls) <= 2
+
+    def test_pole_next_to_a_newton_point_is_that_points_outcome(self):
+        # lambda + h of the first point's central difference lies on the
+        # Kelvin-Voigt pole at -2: the error is the first point's, and the
+        # second gets the values it gets alone
+        problem = build_model("machine_unit", zeta1=0.5)
+        lams = np.array([-2 / (1 - 1e-5), 1j])
+        values = spectrum._each(lambda z: spectrum._newton_values(problem, z, 1e-2), lams)
+        assert isinstance(values[0], PoleError) and values[0].lam == lams[0]
+        assert "lambda=(-2+0j)" in str(values[0])
+        alone = spectrum._newton_values(problem, lams[1:], 1e-2)
+        assert np.array(values[1:]).tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize("lam", [None, 5j], ids=["none", "outside"])
     def test_error_naming_no_lambda_of_the_call_is_raised(self, lam):
@@ -758,8 +809,8 @@ class TestStackedDeterminant:
         assert info.value.lam == lams[2]
         assert str(info.value) == str(expected)
         # in a scan the failed point is a gap: D = NaN there starts no bracket
-        brackets, memo = spectrum._scan(problem, 1.0, 3.0, 5, step=1e-3)
-        failed = memo[np.complex128(2j).tobytes()]
+        brackets, _, values = spectrum._scan(problem, 1.0, 3.0, 5, step=1e-3)
+        failed = values[2]  # p = 2
         assert isinstance(failed, PropagationError) and failed.lam == 2j
         assert all(not (b.p_lo <= 2.0 <= b.p_hi) for b in brackets)
 
@@ -1035,6 +1086,17 @@ def _targets(problem, options, step):
     return targets
 
 
+def _starts(problem, options, step):
+    """The Newton starts of a solve's candidates, in the order solve_spectrum
+    refines them: each scan bracket's from the scan's values."""
+    starts = []
+    if options.scan is not None:
+        starts += spectrum._scan(problem, *options.scan, step)[1]
+    if options.rect is not None:
+        starts += [(t, False) for t in _targets(problem, dataclasses.replace(options, scan=None), step)]
+    return starts
+
+
 def _fields(results):
     return [(r.lam, r.residual, r.iterations, r.converged, r.message) for r in results]
 
@@ -1066,20 +1128,21 @@ class TestLockstepRefinement:
         targets = _targets(problem, options, step)
         looped = [refine_root(problem, t, options.tol, options.max_iter, step)
                   for t in targets]
-        lockstep = spectrum._refine_all(problem, targets, options.tol, options.max_iter, step)
+        starts = _starts(problem, options, step)
+        lockstep = spectrum._refine_all(problem, starts, options.tol, options.max_iter, step, {})
         assert _fields(lockstep) == _fields(looped)
         assert _fields(solve_spectrum(problem, options)) == _fields(_reported(looped, options))
 
     def test_calls_follow_the_longest_chain(self, fixed_free_string, det_calls):
-        # at the benchmark's scan window the three chains, answered from the
-        # scan's memo as in a solve, take 3 calls each: 9 one after another,
-        # 3 in lockstep
+        # at the benchmark's scan window the three chains, started from the
+        # scan's values as in a solve, take 3 calls each: 9 one after
+        # another, 3 in lockstep
         options = SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="real_split")
-        brackets, memo = spectrum._scan(fixed_free_string, *options.scan, step=1e-3)
+        _, starts, _ = spectrum._scan(fixed_free_string, *options.scan, step=1e-3)
         chains = []
-        for b in brackets:
+        for start in starts:
             del det_calls[:]
-            spectrum._refine_all(fixed_free_string, [b], options.tol, options.max_iter, 1e-3, dict(memo))
+            spectrum._refine_all(fixed_free_string, [start], options.tol, options.max_iter, 1e-3, {})
             chains.append(len(det_calls))
         assert len(chains) >= 2 and max(chains) < sum(chains)
         del det_calls[:]
@@ -1129,7 +1192,7 @@ class TestLockstepRefinement:
                 seen.extend(lams.tolist())
                 return cubic(lams, newton)
 
-            _plain(spectrum._refine_steps(seed, 1e-10, 100), recording)
+            _plain(spectrum._newton(seed, 1e-10, 100), recording)
             chains.append(seen)
         assert len(chains[0]) > 7 and len(chains[1]) > 3
         poison = {chains[0][6]: (PropagationError, 1), chains[1][2]: (IntegrationError, 0)}
@@ -1143,7 +1206,7 @@ class TestLockstepRefinement:
                     raise error(where, z, "stub")
 
         _stub_evaluations(monkeypatch, cubic, check)
-        results = spectrum._refine_all(None, seeds, 1e-10, 100, 1e-3)
+        results = spectrum._refine_all(None, [(seed, False) for seed in seeds], 1e-10, 100, 1e-3, {})
         assert [evaluated.count(z) for z in poison] == [1, 1]
         for chain, k, res, r in zip(chains, (6, 2), results, roots):
             half = 0.5 * (chain[k - 1] + chain[k])
@@ -1151,20 +1214,31 @@ class TestLockstepRefinement:
             assert res.converged and abs(res.lam - r) <= 1e-3
 
 
-def _plain(steps, evaluate):
-    """Drive refinement steps one request at a time, with no memo: every
-    lambda evaluated when asked for, in a call of its own.  The values and
-    errors refinement had before it reused values."""
+def _plain(chain, evaluate):
+    """Drive a Newton chain one lambda at a time, with no memo: every lambda
+    evaluated when asked for, in a call of its own.  The values refinement
+    had before it reused values."""
     reply = None
     while True:
         try:
-            request = steps.send(reply)
+            lam = chain.send(reply)
         except StopIteration as stop:
             return stop.value
-        if isinstance(request, np.ndarray):
-            reply = np.array(evaluate(request, False))
-        else:
-            (reply,) = evaluate(np.array([request]), True)
+        (reply,) = evaluate(np.array([lam]), True)
+
+
+def _plain_refine(problem, target, tol, max_iter, step):
+    """refine_root of one target with no memo: a sign-change bracket's ends
+    evaluated in a call of their own, then each Newton point in one."""
+    if not isinstance(target, Bracket):
+        start = complex(target), False
+    elif target.kind == "sign_change":
+        lams = np.array([1j * target.p_lo, 1j * target.p_hi])
+        start = spectrum._start(target, *characteristic_determinant(problem, lams, step).tolist())
+    else:
+        start = spectrum._start(target, None, None)
+    return _plain(spectrum._newton(start[0], tol, max_iter, start[1]),
+                  lambda lams, newton: spectrum._newton_values(problem, lams, step))
 
 
 def _keys(lams):
@@ -1218,8 +1292,7 @@ class TestDeterminantMemo:
         res = refine_root(fixed_free_string, bracket, step=1e-3)
         evaluated = [key for lam in det_calls for key in _keys(lam)]
         assert _keys([1j * bracket.p_lo, 1j * bracket.p_hi]) == evaluated[:2]
-        evaluate = spectrum._evaluator(fixed_free_string, 1e-3)
-        plain = _plain(spectrum._refine_steps(bracket, 1e-10, 100), evaluate)
+        plain = _plain_refine(fixed_free_string, bracket, 1e-10, 100, 1e-3)
         assert _fields([res]) == _fields([plain])
 
     @pytest.mark.parametrize("name, params, options", PARITY_CASES)
@@ -1227,10 +1300,9 @@ class TestDeterminantMemo:
         problem = build_model(name, **params)
         step = spectrum.resolve_step(problem, options)
         targets = _targets(problem, options, step)
-        evaluate = spectrum._evaluator(problem, step)
-        plain = [_plain(spectrum._refine_steps(t, options.tol, options.max_iter), evaluate)
-                 for t in targets]
-        lockstep = spectrum._refine_all(problem, targets, options.tol, options.max_iter, step)
+        plain = [_plain_refine(problem, t, options.tol, options.max_iter, step) for t in targets]
+        starts = _starts(problem, options, step)
+        lockstep = spectrum._refine_all(problem, starts, options.tol, options.max_iter, step, {})
         assert _fields(lockstep) == _fields(plain)
         assert all(type(r.lam) is type(p.lam) for r, p in zip(lockstep, plain))
         assert _fields(solve_spectrum(problem, options)) == _fields(_reported(plain, options))
@@ -1261,7 +1333,7 @@ class TestDeterminantMemo:
             return arctan(lams, newton)
 
         seed = complex(2.0, 1.0)
-        want = _plain(spectrum._refine_steps(seed, 1e-10, 100), arctan)
+        want = _plain(spectrum._newton(seed, 1e-10, 100), arctan)
         res = _refined(monkeypatch, seed, recording)
         assert res.converged and _fields([res]) == _fields([want])
         assert res.iterations < len(calls) and set(calls) == {1}
@@ -1293,7 +1365,7 @@ class TestDeterminantMemo:
             seen.extend(lams.tolist())
             return self._cubic(lams, newton)
 
-        return driver(spectrum._refine_steps(seed, 1e-10, 100), recording), seen
+        return driver(spectrum._newton(seed, 1e-10, 100), recording), seen
 
     def _poisoned(self, monkeypatch, poison):
         """Stub evaluations of the cubic, raising at the first poisoned
@@ -1484,6 +1556,41 @@ class TestFrozenScaleNewton:
         lo, hi = bracket.p_lo, bracket.p_hi
         want = hi - d_hi.real * (hi - lo) / (d_hi.real - d_lo.real)
         assert newtons == [(1j * want, real_ends)] and lo < want < hi
+
+    def test_minimum_bracket_evaluates_no_end(self, fixed_free_string, det_calls):
+        bracket = Bracket(1.5, 1.6, "minimum", 1.55)
+        assert refine_root(fixed_free_string, bracket, step=1e-3).converged
+        assert _keys(det_calls[0]) == _keys([1j * bracket.p_seed])
+
+    @pytest.mark.parametrize(
+        "bracket, ends, failing",
+        [(Bracket(1.5, 1.6, "minimum", 1.55), [], None),
+         (Bracket(1.0, 1.2, "sign_change", 1.1), [[1.0j, 1.2j]], None),
+         (Bracket(1.5, 1.6, "sign_change", 1.55), [[1.5j, 1.6j], [1.5j]], 1.6j)],
+        ids=["minimum", "ends_share_a_sign", "failed_end"],
+    )
+    def test_other_brackets_start_newton_at_their_seed(self, fixed_free_string, bracket, ends,
+                                                       failing, monkeypatch):
+        # off the axis switch; only a sign-change bracket evaluates its ends
+        newtons, calls = [], []
+        original = spectrum.characteristic_determinant
+
+        def recording_newton(seed, tol, max_iter, axis=False):
+            newtons.append((seed, axis))
+            return spectrum.SpectralResult(seed, 0.0, 0, False)
+            yield
+
+        def failing_determinant(problem, lam, step):
+            calls.append(lam.tolist())
+            if failing in calls[-1]:
+                raise PropagationError(1, failing, "stub")
+            return original(problem, lam, step)
+
+        monkeypatch.setattr(spectrum, "_newton", recording_newton)
+        monkeypatch.setattr(spectrum, "characteristic_determinant", failing_determinant)
+        refine_root(fixed_free_string, bracket, step=1e-3)
+        assert calls == ends
+        assert newtons == [(1j * bracket.p_seed, False)]
 
     @pytest.mark.parametrize(
         "name, rounds", [("fixed_free_string", [3, 3, 2]), ("machine_unit", [4, 4, 4, 4, 3])]
