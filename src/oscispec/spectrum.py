@@ -46,8 +46,33 @@ _STACK_ENTRIES = 1 << 18
 #: a numpy array
 _KEY = struct.Struct("=dd")
 
-#: a scan flags a local minimum of |D| below this share of the grid median
+#: a scan flags a local minimum of |D| below this share of the median of the
+#: grid's finite |D|
 _MINIMUM_RATIO = 0.05
+
+#: a sign-change bracket's Newton start is the root of the interpolant of F on
+#: this many grid points nearest the bracket (_interpolated_root).  At the
+#: default window (0.2, 10, 240) these starts lie within 3e-14 of the
+#: undamped built-ins' roots and 2.7e-7 of the damped ones', where the
+#: false-position point of Re D lay 5.5e-6 to 5.6e-4 and 8.5e-4 to 0.49
+#: away.  A benchmark scan_catalog round refines in 28 Newton rounds with 4
+#: points, 26 with 6 and 15 with 8 or 10; over 1,100 random windows of the
+#: built-ins, 4 and 6 points lost 45 and 9 of the roots the false-position
+#: starts found, 8 and 10 none
+_STENCIL = 8
+
+#: Newton steps at most on that interpolant; from the false-position point
+#: they reach its root to rounding in about five
+_INTERPOLANT_STEPS = 12
+
+#: Newton converges at a point whose correction |s| is at most
+#: min(tol, _ROUNDING * max(|lambda|, 1)), without evaluating lambda + s, a
+#: step that would move lambda by little more than rounding.  With the
+#: interpolated starts a benchmark scan_catalog round (seven default solves
+#: and a five-point sweep) then refines in 15 Newton rounds, 26 without this
+#: exit and 49 from the false-position starts; roots move by at most 1.2e-11
+#: relative over 1,100 random windows of the built-ins
+_ROUNDING = 1e-13
 
 #: mode_shapes raises NotARootError where the normalized |D| of the closure
 #: matrix is above this, and asks its null vector for this relative residual
@@ -56,12 +81,17 @@ _RANK_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Bracket:
-    """A candidate root location from a real-frequency scan."""
+    """A candidate root location from a real-frequency scan, with the Newton
+    start the scan computed for it (_start): Newton begins at start, and
+    keeps Re lambda = 0 where axis.  A bracket made without a start begins
+    at i p_seed, off the axis."""
 
     p_lo: float
     p_hi: float
     kind: str  # "sign_change" or "minimum"
     p_seed: float
+    start: complex | None = None
+    axis: bool = False
 
 
 @dataclass(frozen=True)
@@ -296,43 +326,57 @@ def characteristic_determinant(
     pass meets.
     """
     if not isinstance(lam, np.ndarray) or lam.ndim == 0:
-        return _determinant(problem, complex(lam), step)
-    lams = lam.astype(complex, copy=False)
-    chunk = _stack_chunk(problem, step) or max(len(lams), 1)
-    parts = [_determinant(problem, lams[i : i + chunk], step) for i in range(0, len(lams), chunk)]
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=complex)
+        return _closure_values(problem, complex(lam), step)[0]
+    if not len(lam):
+        return np.empty(0, dtype=complex)
+    return _closure_values(problem, lam.astype(complex, copy=False), step)[0]
 
 
-def _determinant(problem: ProblemDefinition, lam, step: float):
-    reduced = reduce_complex(problem, lam)
-    _, _, w, closure = _assemble(reduced, step, keep_samples=False)
-    return _normalized_det(closure, w)
+def _newton_values(problem: ProblemDefinition, lam: np.ndarray, step: float) -> list[tuple]:
+    """(D, log|F|, F'/F) at each lambda of a stack (_closure_values)."""
+    return list(zip(*(column.tolist() for column in _closure_values(problem, lam, step, True))))
+
+
+def _scan_values(problem: ProblemDefinition, lam: np.ndarray, step: float) -> list[tuple]:
+    """(D, log|F|) at each lambda of a stack (_closure_values)."""
+    return list(zip(*(column.tolist() for column in _closure_values(problem, lam, step))))
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _newton_values(problem: ProblemDefinition, lam: np.ndarray, step: float) -> list[tuple]:
-    """(D, log|F|, F'/F) at each lambda of a stack, in chunks as a
-    y-dependent integration needs (_stack_chunk): F = det C the analytic
-    closure determinant, D its normalized form, and F'/F = tr(C^-1 C') by
-    Jacobi's formula, NaN where F = 0 (and D = 0)."""
-    values = []
-    chunk = _stack_chunk(problem, step, variational=True) or max(len(lam), 1)
-    for i in range(0, len(lam), chunk):
-        reduced = reduce_complex(problem, lam[i : i + chunk], variational=True)
+def _closure_values(problem: ProblemDefinition, lam: complex | np.ndarray, step: float,
+                    variational: bool = False) -> list:
+    """[D, log|F|] at one lambda or a non-empty stack, in chunks as a
+    y-dependent integration needs (_stack_chunk), and with variational (a
+    stack only) also F'/F: F = det C the analytic closure determinant, D
+    its normalized form (_normalized_det), which keeps the phase of F, and
+    F'/F = tr(C^-1 C') by Jacobi's formula, NaN where F = 0 (and D = 0)."""
+    stacks = [lam]
+    if np.ndim(lam):
+        chunk = _stack_chunk(problem, step, variational=variational) or len(lam)
+        stacks = [lam[i : i + chunk] for i in range(0, len(lam), chunk)]
+    parts = []
+    for stack in stacks:
+        reduced = reduce_complex(problem, stack, variational=variational)
         _, _, w, closure = _assemble(reduced, step, keep_samples=False)
         m = closure.shape[-1]
-        c, dc = closure[:, :m], closure[:, m:]
+        c = closure[..., :m, :]
         if m == 1:
-            log_f, ratio = np.log(np.abs(c[:, 0, 0])), dc[:, 0, 0] / c[:, 0, 0]
+            log_f = np.log(np.abs(c[..., 0, 0]))
         else:
             sign, log_f = np.linalg.slogdet(c)
+        part = [_normalized_det(c, w), log_f]
+        if variational and m == 1:
+            part.append(closure[:, 1, 0] / c[:, 0, 0])
+        elif variational:
             singular = (sign == 0)[:, np.newaxis, np.newaxis]
-            ratio = np.trace(np.linalg.solve(np.where(singular, np.eye(m), c), dc), axis1=1, axis2=2)
+            ratio = np.trace(np.linalg.solve(np.where(singular, np.eye(m), c), closure[:, m:]),
+                             axis1=1, axis2=2)
             ratio[sign == 0] = math.nan
-        values += zip(_normalized_det(c, w).tolist(), log_f.tolist(), ratio.tolist())
-    return values
+            part.append(ratio)
+        parts.append(part)
+    if len(parts) == 1:
+        return parts[0]
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _stack_chunk(
@@ -365,47 +409,53 @@ def scan_real_axis(
     """Locate root candidates of D(i p) on a uniform frequency grid.
 
     Returns sign-change intervals of Re D, plus local minima of |D| below
-    _MINIMUM_RATIO times the grid median as candidate roots.  Grids
-    too coarse to separate neighboring roots merge their brackets.  Both
-    paths search from these brackets.
+    _MINIMUM_RATIO times the median of the grid's finite |D| as candidate
+    roots, each with its Newton start (_start).  Grids too coarse to
+    separate neighboring roots merge their brackets.  Both paths search from
+    these brackets.
     """
     return _scan(problem, p_min, p_max, n_grid, step)[0]
 
 
 def _scan(problem, p_min, p_max, n_grid, step):
-    """scan_real_axis's brackets, the Newton start of each (_start) from the
-    grid's D, and the grid's values (_determinants): D, or the error its
-    lambda raised, where D reads NaN and starts no bracket."""
+    """scan_real_axis's brackets, each started by _start from the grid's
+    values, and those values (_scan_values, in one stacked pass through
+    _each): (D, log|F|), or the error its lambda raised, where D reads NaN
+    and starts no bracket."""
     if not (p_min < p_max):
         raise ValueError("need p_min < p_max")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     ps = np.linspace(p_min, p_max, n_grid)
-    values, dvals = _determinants(problem, 1j * ps, step)
+    values = _each(lambda z: _scan_values(problem, z, step), 1j * ps)
+    grid = [(math.nan,) * 2 if isinstance(value, SolverError) else value for value in values]
+    dvals = np.array([value[0] for value in grid], dtype=complex)
     f = dvals.real
     mag = np.abs(dvals)
 
     # sign changes of Re D, then the interior minima of |D| below the
-    # threshold that no sign-change bracket touches
+    # threshold that no sign-change bracket touches; a failed lambda's NaN
+    # takes no part in the median
     cross = np.flatnonzero(f[:-1] * f[1:] < 0.0)
     flagged = np.zeros(n_grid, dtype=bool)
     flagged[cross] = flagged[cross + 1] = True
+    finite = mag[np.isfinite(mag)]
+    threshold = _MINIMUM_RATIO * _median(finite) if finite.size else math.nan
     inner = mag[1:-1]
     low = (
         ~(flagged[:-2] | flagged[1:-1] | flagged[2:])
-        & (inner < _MINIMUM_RATIO * _median(mag))
+        & (inner < threshold)
         & (inner <= mag[:-2])
         & (inner <= mag[2:])
     )
     dips = np.flatnonzero(low) + 1
 
-    brackets = [
-        Bracket(ps[i], ps[i + 1], "sign_change", 0.5 * (ps[i] + ps[i + 1])) for i in cross
-    ]
-    brackets += [Bracket(ps[i - 1], ps[i + 1], "minimum", ps[i]) for i in dips]
-    brackets.sort(key=lambda b: b.p_seed)
-    grid = dict(zip(ps.tolist(), dvals.tolist()))  # D at each p; equal p, equal D
-    return brackets, [_start(b, grid[b.p_lo], grid[b.p_hi]) for b in brackets], values
+    spans = [(i, i + 1, "sign_change", 0.5 * (ps[i] + ps[i + 1])) for i in cross.tolist()]
+    spans += [(i - 1, i + 1, "minimum", ps[i]) for i in dips.tolist()]
+    spans.sort(key=lambda span: span[3])
+    brackets = [Bracket(ps[lo], ps[hi], kind, seed, *_start(ps, grid, lo, hi, kind, seed))
+                for lo, hi, kind, seed in spans]
+    return brackets, values
 
 
 def _median(values: np.ndarray) -> float:
@@ -432,31 +482,30 @@ def refine_root(
 
     Every candidate is polished by one damped Newton loop (_newton) on the
     analytic closure determinant F, each point bringing its exact F'/F
-    (_newton_values).  A sign-change bracket evaluates D at its two ends,
-    in one call, and starts Newton from them (_start); any other bracket
-    starts at its seed.  Every value is computed with this call's step;
-    solve_spectrum refines all its candidates at once (_refine_all) with
-    the same results.
+    (_newton_values).  A bracket starts where its scan put it
+    (Bracket.start, kept on the axis where Bracket.axis), one made without a
+    start at i p_seed; no bracket end is evaluated.  Every value is computed
+    with this call's step; solve_spectrum refines all its candidates at once
+    (_refine_all) with the same results.  A non-positive tol or a max_iter
+    below 1 is rejected before any evaluation.
     """
+    _check_limits(tol, max_iter)
+    return _refine_all(problem, [_seed(target)], tol, max_iter, step, {})[0]
+
+
+def _check_limits(tol: float, max_iter: int) -> None:
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
+def _seed(target: Bracket | complex) -> tuple[complex, bool]:
+    """Newton's (seed, axis) for a refinement target: a bracket's start, i
+    p_seed for one without, or a complex seed itself, off the axis."""
     if not isinstance(target, Bracket):
-        start = complex(target), False
-    elif target.kind == "sign_change":
-        ends = np.array([1j * target.p_lo, 1j * target.p_hi])
-        start = _start(target, *_determinants(problem, ends, step)[1].tolist())
-    else:
-        start = _start(target, None, None)
-    return _refine_all(problem, [start], tol, max_iter, step, {})[0]
-
-
-def _determinants(problem: ProblemDefinition, lams: np.ndarray, step: float):
-    """D at each lambda of a stack (_each): the list of values, with the
-    error of each lambda that failed in its place, and their array, with
-    NaN there."""
-    values = _each(lambda z: characteristic_determinant(problem, z, step).tolist(), lams)
-    d = [math.nan if isinstance(value, SolverError) else value for value in values]
-    return values, np.array(d, dtype=complex)
+        return complex(target), False
+    return (1j * target.p_seed if target.start is None else target.start), target.axis
 
 
 def _key(lam) -> bytes:
@@ -529,19 +578,77 @@ def _refine_all(
     return results
 
 
-def _start(bracket: Bracket, d_lo, d_hi) -> tuple[complex, bool]:
-    """Newton's (seed, axis) for a bracket with D = d_lo, d_hi at its ends.
+def _start(ps: np.ndarray, grid: list, lo: int, hi: int, kind: str, p_seed) -> tuple[complex, bool]:
+    """Newton's (seed, axis) for a bracket of kind between grid points lo and
+    hi, from the grid's (D, log|F|).
 
-    A sign change of Re D between finite ends starts at the false-position
-    point, on the axis where D is real at both ends: Re D changes sign while
-    Im D is 0 there, so the zero lies on the axis.  Where D is complex on
-    the axis (a damped model) the root near the crossing lies off it.  Any
-    other bracket starts at its seed."""
-    if (bracket.kind != "sign_change" or not (cmath.isfinite(d_lo) and cmath.isfinite(d_hi))
-            or d_lo.real * d_hi.real > 0):
-        return 1j * bracket.p_seed, False
-    seed = 1j * _false_position(bracket.p_lo, bracket.p_hi, d_lo.real, d_hi.real)
-    return seed, d_lo.imag == 0.0 and d_hi.imag == 0.0
+    A sign change of Re D is first placed at the false-position point of Re
+    D, on the axis where D is real at both ends: Re D changes sign while Im
+    D is 0 there, so the zero lies on the axis.  Where D is complex on the
+    axis (a damped model) the root near the crossing lies off it.  It starts
+    at the root of the interpolant of F around it (_interpolated_root),
+    found from that point, which stays the start where there is no such
+    root.  A minimum starts at its seed, off the axis: its dip has no sign
+    change to place it, and on coarse grids the interpolant's root near a
+    dip led Newton to a neighbouring root of the same cell (machine_unit's
+    lambda = 0 on the 18-point grid of a -0.33 to 6.59 window).
+    """
+    if kind != "sign_change":
+        return 1j * p_seed, False
+    d_lo, d_hi = grid[lo][0], grid[hi][0]
+    p = _false_position(ps[lo], ps[hi], d_lo.real, d_hi.real)
+    axis = d_lo.imag == 0.0 and d_hi.imag == 0.0
+    root = _interpolated_root(ps, grid, lo, float(p), axis)
+    if root is not None:
+        p = root
+    return (complex(0.0, p) if axis else 1j * p), axis
+
+
+def _interpolated_root(ps: np.ndarray, grid: list, lo: int, p0: float, axis: bool):
+    """The root in p, found by Newton from p0, of the polynomial through F(i p)
+    at the _STENCIL grid points nearest the cell lo..lo + 1; real where axis.
+
+    F is interpolated, not D: D divides F by a row scale that varies with p.
+    It is scaled to the stencil's largest |F|, exp(log|F| - max log|F|)
+    times the phase of D, and the polynomial is held in Newton form on the
+    stencil's nodes mapped to [0, 1].  None where the grid has fewer than
+    _STENCIL points, a stencil value is not finite, or the root's frequency
+    Re p lies outside that cell and the grid cells next to it: on coarse
+    grids the stencil spans most of the grid, and its interpolant can lead
+    a bracket to a neighbouring bracket's root or past the grid's end.
+    """
+    n = len(ps)
+    if n < _STENCIL:
+        return None
+    j0 = min(max(lo + 1 - _STENCIL // 2, 0), n - _STENCIL)
+    stencil = grid[j0 : j0 + _STENCIL]
+    top = max(log_f for _, log_f in stencil)
+    if not (all(cmath.isfinite(d) for d, _ in stencil) and math.isfinite(top)):
+        return None
+    x = ps[j0 : j0 + _STENCIL].tolist()
+    width = x[-1] - x[0]
+    t = [(xj - x[0]) / width for xj in x]
+    a = [d / abs(d) * math.exp(log_f - top) if d else 0.0 for d, log_f in stencil]
+    if axis:
+        a = [value.real for value in a]
+    for k in range(1, _STENCIL):  # divided differences, in place
+        for j in range(_STENCIL - 1, k - 1, -1):
+            a[j] = (a[j] - a[j - 1]) / (t[j] - t[j - k])
+    z = (p0 - x[0]) / width
+    for _ in range(_INTERPOLANT_STEPS):
+        value, slope = a[-1], 0.0
+        for k in range(_STENCIL - 2, -1, -1):
+            slope = slope * (z - t[k]) + value
+            value = value * (z - t[k]) + a[k]
+        if slope == 0:
+            return None
+        dz = value / slope
+        z -= dz
+        if abs(dz) <= 1e-15:
+            break
+    p = x[0] + z * width
+    near = ps[max(lo - 1, 0)] <= p.real <= ps[min(lo + 2, n - 1)]
+    return p if near and cmath.isfinite(p) else None
 
 
 def _false_position(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -558,12 +665,15 @@ def _newton(lam: complex, tol, max_iter, axis: bool = False):
     model poles (1 + beta lambda on pipeline), and halved while it does not
     lower log|F|, the function it linearizes (|D| divides F by a row scale
     that moves along the step).  With axis lambda keeps Re = 0.0 and takes
-    the step's part along p, the Gauss-Newton step there.  It converges
-    where |D| falls to tol times its seed value or the step below tol; else
-    it exits "derivative vanished", "derivative not finite", "determinant
-    not finite" (at the seed, or on every halving), "stagnated" (25
-    halvings) or "max_iter exceeded; suspected multiple root", at the point
-    of least |D| it reached.  A generator: it yields each lambda it needs
+    the step's part along p, the Gauss-Newton step there.  It converges at
+    a point whose step is at most min(tol, _ROUNDING * max(|lambda|, 1)),
+    reporting that point and its |D| without evaluating the step, so a seed
+    that already is the root takes 0 iterations; or where |D| falls to tol
+    times its seed value or a step taken is below tol.  Else it exits
+    "derivative vanished", "derivative not finite", "determinant not
+    finite" (at the seed, or on every halving), "stagnated" (25 halvings)
+    or "max_iter exceeded; suspected multiple root", at the point of least
+    |D| it reached.  A generator: it yields each lambda it needs
     (D, log|F|, F'/F) at, is sent them, and returns its SpectralResult.
     """
     d, log_f, ratio = yield lam
@@ -578,16 +688,18 @@ def _newton(lam: complex, tol, max_iter, axis: bool = False):
         if abs(d) <= tol * d0:
             converged = True
             break
+        s = -1 / ratio if ratio != 0 and cmath.isfinite(ratio) else math.nan
+        if axis and cmath.isfinite(s):
+            s = 1j * s.imag
+        if abs(s) <= min(tol, _ROUNDING * max(abs(lam), 1.0)):
+            return SpectralResult(lam, abs(d), iters, True)
         iters += 1
         if ratio == 0:
             message = "derivative vanished"
             break
-        s = -1 / ratio if cmath.isfinite(ratio) else math.nan
         if not cmath.isfinite(s):
             message = "derivative not finite"
             break
-        if axis:
-            s = 1j * s.imag
         reach = 10.0 * max(abs(lam), 1.0)
         if abs(s) > reach:
             s *= reach / abs(s)
@@ -730,34 +842,34 @@ def _null_vector(closure: np.ndarray, end_values: np.ndarray, lam: complex, rank
 def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[SpectralResult]:
     """Scan, refine, deduplicate and sort the spectrum of a problem.
 
-    The scan brackets, started from the scan's own values (_start), and
+    The scan brackets, each started where the scan put it (_start), and
     then the rect seeds are refined in lockstep (_refine_all), as
     refine_root refines each.  Returns converged roots only, with Im >= 0
     (conjugate pairs reported once), sorted by |Im| then Re.  An empty list
     is a valid answer.  real_split keeps those with |Re| <= tol *
-    max(|lambda|, 1), projected onto the axis.  A non-positive tol or an
-    unknown path is rejected before the scan.  Only if every value failed
-    (_each) is the first failure raised: the scan's in grid order, then
-    refinement's in evaluation order.
+    max(|lambda|, 1), projected onto the axis.  A non-positive tol, a
+    max_iter below 1 or an unknown path is rejected before the scan.  Only
+    if every value failed (_each) is the first failure raised: the scan's
+    in grid order, then refinement's in evaluation order.
     """
-    if options.tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_limits(options.tol, options.max_iter)
     if options.path not in ("complex", "real_split"):
         raise ValueError(f"unknown path {options.path!r}")
     step = resolve_step(problem, options)
-    starts: list[tuple[complex, bool]] = []
+    targets: list[Bracket | complex] = []
     values: list = []
     if options.scan is not None:
         p_min, p_max, n_grid = options.scan
-        _, starts, values = _scan(problem, p_min, p_max, n_grid, step)
+        targets, values = _scan(problem, p_min, p_max, n_grid, step)
     if options.rect is not None:
         re0, re1, im0, im1, nr, ni = options.rect
-        starts += [
-            (complex(re, im), False)
+        targets += [
+            complex(re, im)
             for re in np.linspace(re0, re1, int(nr))
             for im in np.linspace(im0, im1, int(ni))
         ]
     memo: dict[bytes, tuple | SolverError] = {}
+    starts = [_seed(target) for target in targets]
     results = _refine_all(problem, starts, options.tol, options.max_iter, step, memo)
     values += memo.values()
     if values and all(isinstance(value, SolverError) for value in values):

@@ -112,7 +112,7 @@ class TestBoundOncePerProblem:
 
         watch(problem_module)
         watch(spectrum)
-        for name in ("_determinant", "_newton_values"):
+        for name in ("_scan_values", "_newton_values"):
             original = getattr(spectrum, name)
             monkeypatch.setattr(
                 spectrum, name, lambda *args, original=original: dets.append(1) or original(*args)
@@ -322,14 +322,21 @@ class TestScan:
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     def test_scan_equals_the_plain_loop(self, name, window):
         problem = build_model(name)
-        brackets, starts, values = spectrum._scan(problem, *window, 1e-3)
+        brackets, values = spectrum._scan(problem, *window, 1e-3)
         ps = np.linspace(*window)
         dvals = characteristic_determinant(problem, 1j * ps, 1e-3)
         _same_brackets(brackets, _loop_brackets(ps, dvals))
-        assert values == dvals.tolist()
-        # each bracket starts from the grid's D at its two ends
-        ends = [(dvals[ps == b.p_lo][0], dvals[ps == b.p_hi][0]) for b in brackets]
-        assert starts == [spectrum._start(b, *d) for b, d in zip(brackets, ends)]
+        assert [value[0] for value in values] == dvals.tolist()
+        # each sign-change bracket starts at the root of the interpolant of F
+        # on the grid points around it; a minimum, or a bracket on a grid of
+        # fewer points than the stencil, starts where the plain rule puts it
+        for b in brackets:
+            first, axis = _first_place(b, ps, dvals)
+            assert b.axis == axis and (b.start.real == 0.0 or not axis)
+            if b.kind == "minimum" or len(ps) < spectrum._STENCIL:
+                assert b.start == 1j * first
+            else:
+                _starts_at_the_interpolant_root(b, ps, values, first)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_scan_equals_the_plain_loop_on_ties_and_nan(self, seed, monkeypatch):
@@ -339,21 +346,185 @@ class TestScan:
         n = int(rng.integers(2, 30))
         dvals = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n) * 0.01
         dvals[rng.random(n) < 0.05] = np.nan
-        monkeypatch.setattr(spectrum, "characteristic_determinant", lambda *args: dvals)
-        brackets, _, _ = spectrum._scan(None, 0.0, 1.0, n, 1e-3)
+        monkeypatch.setattr(spectrum, "_scan_values", lambda *args: _scan_form(dvals))
+        brackets, _ = spectrum._scan(None, 0.0, 1.0, n, 1e-3)
         _same_brackets(brackets, _loop_brackets(np.linspace(0.0, 1.0, n), dvals))
+
+    def test_a_failed_grid_point_keeps_the_minimum_brackets(self, monkeypatch):
+        # the real root -0.5687 has only a |D|-minimum bracket; with the grid
+        # point p = 10 failed, a median over every |D| was NaN, no minimum
+        # qualified and that root was lost
+        problem = build_model("spacecraft_bar", b=2.0)
+        options = SolveOptions(scan=(-1.0, 10.0, 220), step=1e-3)
+        roots = [r.lam for r in solve_spectrum(problem, options)]
+        original = spectrum._scan_values
+
+        def failing(problem, lam, step):
+            if 10j in lam.tolist():
+                raise PropagationError(1, 10j, "stub")
+            return original(problem, lam, step)
+
+        monkeypatch.setattr(spectrum, "_scan_values", failing)
+        brackets, values = spectrum._scan(problem, *options.scan, options.step)
+        assert isinstance(values[-1], PropagationError)
+        assert any(b.kind == "minimum" for b in brackets)
+        found = [r.lam for r in solve_spectrum(problem, options)]
+        assert len(roots) == len(found) == 4
+        assert min(abs(z + 0.56866) for z in found) <= 1e-5
+        assert all(abs(a - b) <= 1e-10 for a, b in zip(roots, found))
+
+
+class TestInterpolatedStart:
+    """A sign-change bracket starts at the root of the interpolant of F on the
+    grid around it, unless the grid cannot give one near the bracket; a
+    minimum starts at its seed."""
+
+    def test_failed_stencil_point_starts_at_the_first_place(self, fixed_free_string, monkeypatch):
+        # a failed grid point two cells from the crossing at pi/2 leaves that
+        # bracket's stencil one value short: it starts at its false-position
+        # point; the other brackets keep their interpolated starts
+        window = (0.2, 10.0, 240)
+        ps = np.linspace(*window)
+        dvals = characteristic_determinant(fixed_free_string, 1j * ps, 1e-3)
+        before = scan_real_axis(fixed_free_string, *window, 1e-3)
+        i = int(np.searchsorted(ps, HALF_PI))
+        original = spectrum._scan_values
+
+        def failing(problem, lam, step):
+            if 1j * ps[i + 2] in lam.tolist():
+                raise PropagationError(1, 1j * ps[i + 2], "stub")
+            return original(problem, lam, step)
+
+        monkeypatch.setattr(spectrum, "_scan_values", failing)
+        after = scan_real_axis(fixed_free_string, *window, 1e-3)
+        assert len(before) == len(after) == 3
+        for b, a in zip(before, after):
+            if a.p_lo <= HALF_PI <= a.p_hi:
+                first, axis = _first_place(a, ps, dvals)
+                assert a.start == 1j * first and a.axis and axis
+                assert abs(b.start - 1j * HALF_PI) < abs(a.start - 1j * HALF_PI)
+            else:
+                assert (a.start, a.axis) == (b.start, b.axis)
+
+    def test_two_brackets_never_share_an_interpolated_start(self):
+        # on 8 grid points the interpolants of the second and third brackets
+        # both have the root near 4.89i: the third, whose bracket it lies in,
+        # keeps it, and the second, whose bracket lies more than a grid cell
+        # below it, starts at its false-position point, from which Newton
+        # finds the root near 2.22i
+        problem = build_model("spacecraft_bar")
+        window = (0.2, 10.0, 8)
+        ps = np.linspace(*window)
+        dvals = characteristic_determinant(problem, 1j * ps, 1e-3)
+        brackets = scan_real_axis(problem, *window, 1e-3)
+        assert len(brackets) == 4
+        assert brackets[1].start == 1j * _first_place(brackets[1], ps, dvals)[0]
+        assert abs(brackets[2].start - complex(-0.2734, 4.8868)) <= 1e-4
+        assert abs(brackets[1].start - brackets[2].start) > ps[1] - ps[0]
+        roots = solve_spectrum(problem, SolveOptions(scan=window, step=1e-3))
+        assert min(abs(r.lam - complex(-0.1678, 2.2224)) for r in roots) <= 1e-4
+        assert len(roots) == 4
+
+    @pytest.mark.parametrize("params, window, kind", [
+        (dict(G=0.5217, Ip=1.0103, J1=0.6611, J2=0.1686, alpha1=0.0627, beta=0.0705, m0=1.6677,
+              rho=0.7957, zeta1=0.0116), (-0.3324, 6.5862, 18), "minimum"),
+        (dict(G=0.5330, Ip=0.5684, J1=0.5277, J2=0.5831, alpha1=0.0521, beta=0.0644, m0=0.6063,
+              rho=1.5790, zeta1=0.0122), (0.4010, 7.7179, 8), "sign_change"),
+    ], ids=["minimum_at_its_seed", "root_before_the_grid"])
+    def test_coarse_grid_keeps_the_rigid_body_root(self, params, window, kind):
+        # machine_unit has the real roots 0 and about +-0.02, one grid cell
+        # apart or less.  The interpolant's root near the dip of the first
+        # grid, or before the first point of the second, led Newton to the
+        # root beside 0; the first bracket's seed, or its false-position
+        # point, leads it to 0
+        problem = build_model("machine_unit", **params)
+        ps = np.linspace(*window)
+        dvals = characteristic_determinant(problem, 1j * ps, 1e-3)
+        first = scan_real_axis(problem, *window, 1e-3)[0]
+        assert first.kind == kind and first.start == 1j * _first_place(first, ps, dvals)[0]
+        roots = solve_spectrum(problem, SolveOptions(scan=window, step=1e-3))
+        assert abs(roots[0].lam) <= 1e-8
+        assert all(abs(r.lam.real) > 0.03 for r in roots[1:])
+
+
+#: root counts of solve_spectrum (step 1e-3) on the edges of each of
+#: SCAN_WINDOWS at each grid size of WINDOW_SIZES, measured with the
+#: false-position starts of Re D that the interpolated starts replaced: per
+#: built-in and window one digit per size, the complex path, then real_split
+WINDOW_SIZES = (2, 3, 5, 8, 12, 40, 240)
+ROOT_COUNTS = {
+    "cable_snapshot": ("1111333 1111333", "1112233 1112233", "1111111 1111111", "0000000 0000000", "1111111 1111111"),
+    "fixed_fixed_string": ("1133333 1133333", "1133333 1133333", "0000000 0000000", "0000000 0000000", "0000000 0000000"),
+    "fixed_free_string": ("1133333 1133333", "1133333 1133333", "1111111 1111111", "0000000 0000000", "1111111 1111111"),
+    "machine_unit": ("0044444 0010000", "0024455 0000011", "1111111 0000000", "0001111 0001111", "1111111 1000000"),
+    "pipeline": ("0024444 0000000", "1134444 0000000", "1111111 0000000", "1111111 0000000", "0222222 0000000"),
+    "point_mass_string": ("1111333 1111333", "1112233 1112233", "1111111 1111111", "0000000 0000000", "1111111 1111111"),
+    "spacecraft_bar": ("0224444 0000000", "1134444 0000000", "1111111 0000000", "0000000 0000000", "0222222 0000000"),
+}
+
+
+class TestSearchOutcome:
+    @pytest.mark.parametrize("name", sorted(ROOT_COUNTS))
+    def test_root_counts_on_every_window_and_grid_size(self, name):
+        problem = build_model(name)
+        for (lo, hi, _), counts in zip(SCAN_WINDOWS, ROOT_COUNTS[name]):
+            for path, want in zip(("complex", "real_split"), counts.split()):
+                options = [SolveOptions(scan=(lo, hi, n), step=1e-3, path=path) for n in WINDOW_SIZES]
+                got = "".join(str(len(solve_spectrum(problem, o))) for o in options)
+                assert (lo, hi, path, got) == (lo, hi, path, want)
+
+
+def _scan_form(dvals):
+    """The scan's (D, log|F|) of stub values D, taking F = D."""
+    with np.errstate(divide="ignore"):
+        d = np.asarray(dvals, dtype=complex)
+        return list(zip(d.tolist(), np.log(np.abs(d)).tolist()))
+
+
+def _first_place(bracket, ps, dvals):
+    """(p, axis) of the plain start rule: the false-position point of a
+    sign-change bracket, on the axis where D is real at both ends; else the
+    seed, off the axis."""
+    if bracket.kind != "sign_change":
+        return bracket.p_seed, False
+    lo, hi = bracket.p_lo, bracket.p_hi
+    d_lo, d_hi = dvals[ps == lo][0], dvals[ps == hi][0]
+    return hi - d_hi.real * (hi - lo) / (d_hi.real - d_lo.real), d_lo.imag == 0.0 and d_hi.imag == 0.0
+
+
+def _starts_at_the_interpolant_root(bracket, ps, values, first):
+    # the degree-7 polynomial through F, scaled to its largest modulus on
+    # the stencil, at the 8 grid points centred on the bracket's cell
+    # (shifted into the grid), solved as a Vandermonde system on the nodes
+    # mapped to [0, 1]; its root lies at most a grid cell outside the
+    # bracket and within the grid, or the bracket starts at its first place
+    lo = int(np.flatnonzero(ps == bracket.p_lo)[0])
+    p = -1j * bracket.start
+    assert ps[max(lo - 1, 0)] <= p.real <= ps[min(lo + 2, len(ps) - 1)]
+    if p == first:
+        return
+    j0 = min(max(lo - 3, 0), len(ps) - 8)
+    x = ps[j0 : j0 + 8]
+    d = np.array([values[j][0] for j in range(j0, j0 + 8)])
+    log_f = np.array([values[j][1] for j in range(j0, j0 + 8)])
+    f = d / np.abs(d) * np.exp(log_f - log_f.max())
+    t = (x - x[0]) / (x[-1] - x[0])
+    coefficients = np.linalg.solve(np.vander(t, 8, increasing=True), f.real if bracket.axis else f)
+    residual = np.polynomial.polynomial.polyval((p - x[0]) / (x[-1] - x[0]), coefficients)
+    assert abs(residual) <= 1e-9 * np.abs(f).max()
 
 
 def _loop_brackets(ps, dvals):
     # the per-point bracket loop the vectorized search replaced, kept as the
-    # reference
+    # reference; the threshold is a share of the median of the finite |D|
     f, mag = dvals.real, np.abs(dvals)
     expected, flagged = [], np.zeros(len(ps), dtype=bool)
     for i in range(len(ps) - 1):
         if f[i] * f[i + 1] < 0.0:
             expected.append(Bracket(ps[i], ps[i + 1], "sign_change", 0.5 * (ps[i] + ps[i + 1])))
             flagged[i] = flagged[i + 1] = True
-    threshold = spectrum._MINIMUM_RATIO * float(np.median(mag))
+    finite = mag[np.isfinite(mag)]
+    threshold = spectrum._MINIMUM_RATIO * float(np.median(finite)) if finite.size else math.nan
     for i in range(1, len(ps) - 1):
         if flagged[i - 1] or flagged[i] or flagged[i + 1]:
             continue
@@ -364,8 +535,9 @@ def _loop_brackets(ps, dvals):
 
 
 def _same_brackets(brackets, expected):
-    # equal values, kinds and order, every coordinate a float64
-    assert brackets == expected
+    # equal values, kinds and order, every coordinate a float64; the starts
+    # are checked apart
+    assert [dataclasses.replace(b, start=None, axis=False) for b in brackets] == expected
     types = {type(getattr(b, k)) for b in brackets for k in ("p_lo", "p_hi", "p_seed")}
     assert types <= {np.float64}
 
@@ -690,13 +862,15 @@ class TestStackedDeterminant:
         # and no lambda is evaluated again
         calls = []
 
-        def stub(problem, lam, step):
+        original = spectrum.reduce_complex
+
+        def stub(problem, lam, variational=False):
             calls.append(np.atleast_1d(lam).tolist())
             if 3j in calls[-1]:
                 raise SolverError(f"failed at {calls[-1]}")
-            return 2 * lam
+            return original(problem, lam, variational=variational)
 
-        monkeypatch.setattr(spectrum, "_determinant", stub)
+        monkeypatch.setattr(spectrum, "reduce_complex", stub)
         monkeypatch.setattr(spectrum, "_stack_chunk", lambda *args, **kwargs: 2)
         lams = 1j * np.arange(1.0, 6.0)
         with pytest.raises(SolverError, match=r"failed at \[3j, 4j\]"):
@@ -809,7 +983,7 @@ class TestStackedDeterminant:
         assert info.value.lam == lams[2]
         assert str(info.value) == str(expected)
         # in a scan the failed point is a gap: D = NaN there starts no bracket
-        brackets, _, values = spectrum._scan(problem, 1.0, 3.0, 5, step=1e-3)
+        brackets, values = spectrum._scan(problem, 1.0, 3.0, 5, step=1e-3)
         failed = values[2]  # p = 2
         assert isinstance(failed, PropagationError) and failed.lam == 2j
         assert all(not (b.p_lo <= 2.0 <= b.p_hi) for b in brackets)
@@ -865,10 +1039,10 @@ class TestStackedDeterminant:
 
 @pytest.fixture
 def det_calls(monkeypatch):
-    """The lambdas of every determinant evaluation, characteristic_determinant
-    or Newton's (_newton_values), in call order."""
+    """The lambdas of every determinant evaluation, characteristic_determinant,
+    the scan's (_scan_values) or Newton's (_newton_values), in call order."""
     calls = []
-    for name in ("characteristic_determinant", "_newton_values"):
+    for name in ("characteristic_determinant", "_scan_values", "_newton_values"):
         original = getattr(spectrum, name)
 
         def counting(problem, lam, step, original=original):
@@ -895,23 +1069,26 @@ def _analytic(d_of, slope_of):
 
 
 def _stub_evaluations(monkeypatch, evaluate, before=None):
-    """Answer characteristic_determinant and _newton_values from evaluate, in
-    their call forms; before(lams) runs first at every call."""
+    """Answer characteristic_determinant, _scan_values (F = D) and
+    _newton_values from evaluate, in their call forms; before(lams) runs
+    first at every call."""
 
-    def stub(newton):
+    def stub(name):
         def call(problem, lam, step):
             lams = np.atleast_1d(lam)
             if before is not None:
                 before(lams)
-            values = evaluate(lams, newton)
-            if newton:
+            values = evaluate(lams, name == "_newton_values")
+            if name == "_newton_values":
                 return values
+            if name == "_scan_values":
+                return _scan_form(values)
             return complex(values[0]) if np.ndim(lam) == 0 else np.array(values)
 
         return call
 
-    monkeypatch.setattr(spectrum, "characteristic_determinant", stub(False))
-    monkeypatch.setattr(spectrum, "_newton_values", stub(True))
+    for name in ("characteristic_determinant", "_scan_values", "_newton_values"):
+        monkeypatch.setattr(spectrum, name, stub(name))
 
 
 def _refined(monkeypatch, target, evaluate, tol=1e-10):
@@ -972,22 +1149,33 @@ class TestSuperlinearRefinement:
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     def test_bracket_point_lies_inside_the_bracket(self, name, monkeypatch):
         # Newton replaced by the identity, so every result is the point the
-        # bracket phase handed on
+        # scan handed on: inside the bracket on the axis where D is real at
+        # both ends; off it, within a grid cell of the bracket and much
+        # nearer the root Newton converges to than the false-position point
         def no_newton(seed, tol, max_iter, axis=False):
             return spectrum.SpectralResult(seed, 0.0, 0, False)
             yield
 
-        monkeypatch.setattr(spectrum, "_newton", no_newton)
         prob = build_model(name)
+        ps = np.linspace(*SCAN_DEFAULTS[name])
+        dvals = characteristic_determinant(prob, 1j * ps, 2e-3)
         brackets = [
             b for b in scan_real_axis(prob, *SCAN_DEFAULTS[name], step=2e-3)
             if b.kind == "sign_change"
         ]
+        roots = [refine_root(prob, b, tol=1e-10, max_iter=100, step=2e-3).lam for b in brackets]
+        monkeypatch.setattr(spectrum, "_newton", no_newton)
         assert brackets
-        for b in brackets:
+        for b, root in zip(brackets, roots):
             res = refine_root(prob, b, tol=1e-10, max_iter=100, step=2e-3)
-            assert res.lam.real == 0.0
-            assert b.p_lo <= res.lam.imag <= b.p_hi
+            if b.axis:
+                assert res.lam.real == 0.0
+                assert b.p_lo <= res.lam.imag <= b.p_hi
+            else:
+                cell = ps[1] - ps[0]
+                assert b.p_lo - cell <= res.lam.imag <= b.p_hi + cell
+                false_position = 1j * _first_place(b, ps, dvals)[0]
+                assert abs(res.lam - root) <= 1e-4 * abs(false_position - root)
 
     def test_real_split_bracket_with_a_complex_root_on_the_axis(self, monkeypatch):
         # Re D and Im D change sign together: Gauss-Newton along the axis.
@@ -1035,14 +1223,16 @@ class TestSuperlinearRefinement:
         assert -1e-3 <= res.lam.real < 0.0
 
     def test_non_finite_value_inside_a_bracket_is_not_accepted(self, monkeypatch):
-        # NaN off the axis and inside (1.4, 1.5) on it: the bracket phase
-        # hands its false-position point to Newton, which reports the seed
+        # NaN off the axis and inside (1.4, 1.5) on it: the scan hands its
+        # start, the false-position point 1.45 on the axis, to Newton, which
+        # reports the seed
         def d_of(lam):
             bad = (lam.real != 0.0) | ((lam.imag > 1.4) & (lam.imag < 1.5))
             return np.where(bad, complex("nan+nanj"), -1j * lam - 1.45)
 
         evaluate = _analytic(d_of, lambda lam: np.full(lam.shape, -1j))
-        res = _refined(monkeypatch, Bracket(1.0, 2.0, "sign_change", 1.5), evaluate)
+        bracket = Bracket(1.0, 2.0, "sign_change", 1.5, start=1.45j, axis=True)
+        res = _refined(monkeypatch, bracket, evaluate)
         assert not res.converged
         assert res.message == "determinant not finite at the seed"
 
@@ -1088,13 +1278,8 @@ def _targets(problem, options, step):
 
 def _starts(problem, options, step):
     """The Newton starts of a solve's candidates, in the order solve_spectrum
-    refines them: each scan bracket's from the scan's values."""
-    starts = []
-    if options.scan is not None:
-        starts += spectrum._scan(problem, *options.scan, step)[1]
-    if options.rect is not None:
-        starts += [(t, False) for t in _targets(problem, dataclasses.replace(options, scan=None), step)]
-    return starts
+    refines them: each scan bracket's as the scan put it."""
+    return [spectrum._seed(t) for t in _targets(problem, options, step)]
 
 
 def _fields(results):
@@ -1133,20 +1318,21 @@ class TestLockstepRefinement:
         assert _fields(lockstep) == _fields(looped)
         assert _fields(solve_spectrum(problem, options)) == _fields(_reported(looped, options))
 
-    def test_calls_follow_the_longest_chain(self, fixed_free_string, det_calls):
-        # at the benchmark's scan window the three chains, started from the
-        # scan's values as in a solve, take 3 calls each: 9 one after
-        # another, 3 in lockstep
+    def test_calls_follow_the_longest_chain(self, det_calls):
+        # at the benchmark's scan window the four chains, started where the
+        # scan put them as in a solve, take 1 or 2 calls each: 6 one after
+        # another, 2 in lockstep
+        problem = build_model("machine_unit")
         options = SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="real_split")
-        _, starts, _ = spectrum._scan(fixed_free_string, *options.scan, step=1e-3)
+        brackets = scan_real_axis(problem, *options.scan, step=1e-3)
         chains = []
-        for start in starts:
+        for bracket in brackets:
             del det_calls[:]
-            spectrum._refine_all(fixed_free_string, [start], options.tol, options.max_iter, 1e-3, {})
+            spectrum._refine_all(problem, [spectrum._seed(bracket)], options.tol, options.max_iter, 1e-3, {})
             chains.append(len(det_calls))
         assert len(chains) >= 2 and max(chains) < sum(chains)
         del det_calls[:]
-        solve_spectrum(fixed_free_string, options)
+        solve_spectrum(problem, options)
         assert len(det_calls) == 1 + max(chains)  # the scan, then refinement
 
     @pytest.mark.parametrize("scan", [(0.2, 1.0, 10), (0.2, 10.0, 240)], ids=["no_candidate", "candidates"])
@@ -1154,6 +1340,16 @@ class TestLockstepRefinement:
     def test_non_positive_tol_is_rejected_before_the_scan(self, fixed_free_string, det_calls, scan, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_spectrum(fixed_free_string, SolveOptions(scan=scan, step=1e-3, tol=tol))
+        assert det_calls == []
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_is_rejected_before_the_scan(self, fixed_free_string, det_calls, max_iter):
+        # with max_iter = 0 every candidate ran no iteration and the solve
+        # returned an empty spectrum
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            solve_spectrum(fixed_free_string, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, max_iter=max_iter))
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            refine_root(fixed_free_string, 1.5j, max_iter=max_iter)
         assert det_calls == []
 
     def test_unknown_path_is_rejected_before_the_scan(self, fixed_free_string, det_calls):
@@ -1228,16 +1424,10 @@ def _plain(chain, evaluate):
 
 
 def _plain_refine(problem, target, tol, max_iter, step):
-    """refine_root of one target with no memo: a sign-change bracket's ends
-    evaluated in a call of their own, then each Newton point in one."""
-    if not isinstance(target, Bracket):
-        start = complex(target), False
-    elif target.kind == "sign_change":
-        lams = np.array([1j * target.p_lo, 1j * target.p_hi])
-        start = spectrum._start(target, *characteristic_determinant(problem, lams, step).tolist())
-    else:
-        start = spectrum._start(target, None, None)
-    return _plain(spectrum._newton(start[0], tol, max_iter, start[1]),
+    """refine_root of one target with no memo: each Newton point from the
+    target's start evaluated in a call of its own."""
+    seed, axis = spectrum._seed(target)
+    return _plain(spectrum._newton(seed, tol, max_iter, axis),
                   lambda lams, newton: spectrum._newton_values(problem, lams, step))
 
 
@@ -1246,25 +1436,24 @@ def _keys(lams):
 
 
 #: determinant calls of solve_spectrum at SCAN_DEFAULTS, step 1e-3: the scan
-#: and the refinement rounds, the same on both paths since real_split filters
-#: the complex solve.  In comments the calls before values were reused; on
-#: real_split, first the calls while the search scanned the split determinant
-#: and seeded refinement on the complex-path D, then before it refined on D
+#: and at most 2 Newton rounds (1 on the undamped models), the same on both
+#: paths since real_split filters the complex solve.  In comments the calls
+#: from the false-position starts of Re D, then before values were reused
 SOLVE_CALLS = {
-    ("cable_snapshot", "complex"): 5,  # 9
-    ("cable_snapshot", "real_split"): 5,  # 5, 8
-    ("fixed_fixed_string", "complex"): 4,  # 8
-    ("fixed_fixed_string", "real_split"): 4,  # 5, 8
-    ("fixed_free_string", "complex"): 4,  # 8
-    ("fixed_free_string", "real_split"): 4,  # 5, 8
-    ("machine_unit", "complex"): 11,  # 17
-    ("machine_unit", "real_split"): 11,  # 7, 138
-    ("pipeline", "complex"): 11,  # 17
-    ("pipeline", "real_split"): 11,  # 8, 251
-    ("point_mass_string", "complex"): 5,  # 9
-    ("point_mass_string", "real_split"): 5,  # 5, 8
-    ("spacecraft_bar", "complex"): 17,  # 25
-    ("spacecraft_bar", "real_split"): 17,  # 12, 129
+    ("cable_snapshot", "complex"): 2,  # 5, 9
+    ("cable_snapshot", "real_split"): 2,  # 5, 5
+    ("fixed_fixed_string", "complex"): 2,  # 4, 8
+    ("fixed_fixed_string", "real_split"): 2,  # 4, 5
+    ("fixed_free_string", "complex"): 2,  # 4, 8
+    ("fixed_free_string", "real_split"): 2,  # 4, 5
+    ("machine_unit", "complex"): 3,  # 11, 17
+    ("machine_unit", "real_split"): 3,  # 11, 7
+    ("pipeline", "complex"): 3,  # 11, 17
+    ("pipeline", "real_split"): 3,  # 11, 8
+    ("point_mass_string", "complex"): 2,  # 5, 9
+    ("point_mass_string", "real_split"): 2,  # 5, 5
+    ("spacecraft_bar", "complex"): 3,  # 17, 25
+    ("spacecraft_bar", "real_split"): 3,  # 17, 12
 }
 
 
@@ -1283,15 +1472,24 @@ class TestDeterminantMemo:
         assert not set(scanned) & set(refined)
         assert len(set(refined)) == len(refined)
 
+    @pytest.mark.parametrize("d", np.linspace(0.0, 0.2, 5).tolist())
+    def test_benchmark_sweep_point_refines_in_one_call(self, d, det_calls):
+        # spacecraft_bar's benchmark sweep, d:0:0.2:5 on 0.3:2.0:50: the scan
+        # and one Newton round, where the false-position starts took 4
+        solve_spectrum(build_model("spacecraft_bar", d=d), SolveOptions(scan=(0.3, 2.0, 50), step=1e-3))
+        assert len(det_calls) == 2
+
     def test_refine_root_evaluates_at_its_own_step(self, fixed_free_string, det_calls):
         # brackets from a coarse scan, refined at a finer step: every value
-        # refinement uses is one of the finer step, the bracket ends included
+        # refinement uses is one of the finer step, from the bracket's start
+        # on; no bracket end is evaluated
         bracket = next(b for b in scan_real_axis(fixed_free_string, 0.2, 10.0, 240, 4e-3)
                        if b.kind == "sign_change")
         del det_calls[:]
         res = refine_root(fixed_free_string, bracket, step=1e-3)
         evaluated = [key for lam in det_calls for key in _keys(lam)]
-        assert _keys([1j * bracket.p_lo, 1j * bracket.p_hi]) == evaluated[:2]
+        assert _keys([bracket.start]) == evaluated[:1]
+        assert not set(_keys([1j * bracket.p_lo, 1j * bracket.p_hi])) & set(evaluated)
         plain = _plain_refine(fixed_free_string, bracket, 1e-10, 100, 1e-3)
         assert _fields([res]) == _fields([plain])
 
@@ -1321,6 +1519,28 @@ class TestDeterminantMemo:
         res = _refined(monkeypatch, 1.4j, recording)
         assert res.converged and abs(res.lam - complex(-0.1, 1.5)) <= 1e-12
         assert [np.size(lam) for lam in calls] == [1, 1]
+
+    @pytest.mark.parametrize("offset, tol, calls", [(1e-14, 1e-10, 1), (1e-12, 1e-10, 2), (1e-14, 1e-15, 2)],
+                             ids=["rounding", "above_rounding", "above_tol"])
+    def test_rounding_level_correction_ends_the_chain(self, offset, tol, calls, monkeypatch):
+        # a linear D with its root offset from the seed: a correction of at
+        # most min(tol, 1e-13 max(|lambda|, 1)) ends the chain at the seed,
+        # with its own |D| and no iteration, and lambda + s is not evaluated
+        root = complex(-0.1, 1.5)
+        seen = []
+        linear = _analytic(lambda lam: lam - root, lambda lam: np.ones(lam.shape))
+
+        def recording(lams, newton):
+            seen.append(lams.tolist())
+            return linear(lams, newton)
+
+        seed = root + offset
+        res = _refined(monkeypatch, seed, recording, tol=tol)
+        assert res.converged and res.message == "" and len(seen) == calls
+        if calls == 1:
+            assert (res.lam, res.residual, res.iterations) == (seed, abs(seed - root), 0)
+        else:
+            assert res.iterations == 1 and abs(res.lam - root) <= 1e-15
 
     def test_halved_retries_carry_no_pair(self, monkeypatch):
         # Newton on arctan(lambda - r) overshoots from 2 away: its full steps
@@ -1531,10 +1751,15 @@ class TestFrozenScaleNewton:
             assert log_f == pytest.approx(math.log(abs(f)), rel=1e-12, abs=1e-12)
             assert d == pytest.approx(characteristic_determinant(problem, lam, 1e-3), rel=1e-10)
 
-    @pytest.mark.parametrize("name, real_ends", [("spacecraft_bar", False), ("fixed_free_string", True)])
-    def test_bracket_newton_starts_at_the_false_position_point(self, name, real_ends, det_calls, monkeypatch):
+    @pytest.mark.parametrize("name, real_ends, root", [
+        ("spacecraft_bar", False, complex(-0.006759082590473, 0.910439132135824)),
+        ("fixed_free_string", True, 1j * HALF_PI),
+    ])
+    def test_bracket_newton_starts_at_the_interpolated_root(self, name, real_ends, root, det_calls,
+                                                           monkeypatch):
         # a bracket with a real D at both ends keeps to the axis, a damped
-        # one does not
+        # one does not; either starts nearer its root than the false-position
+        # point of its ends, and refine_root evaluates nothing before Newton
         newtons = []
 
         def recording_newton(seed, tol, max_iter, axis=False):
@@ -1548,14 +1773,15 @@ class TestFrozenScaleNewton:
                        if b.kind == "sign_change")
         del det_calls[:]
         refine_root(prob, bracket, step=1e-3)
+        assert det_calls == []
+        assert newtons == [(bracket.start, real_ends)]
         # the module's own name: evaluated here, not recorded
         d_lo, d_hi = (characteristic_determinant(prob, 1j * p, 1e-3) for p in (bracket.p_lo, bracket.p_hi))
         assert (d_lo.imag == 0.0 and d_hi.imag == 0.0) is real_ends
-        # the two ends in one call, and no evaluation of the bracket phase's own
-        assert [_keys(lams) for lams in det_calls] == [_keys([1j * bracket.p_lo, 1j * bracket.p_hi])]
         lo, hi = bracket.p_lo, bracket.p_hi
-        want = hi - d_hi.real * (hi - lo) / (d_hi.real - d_lo.real)
-        assert newtons == [(1j * want, real_ends)] and lo < want < hi
+        false_position = 1j * (hi - d_hi.real * (hi - lo) / (d_hi.real - d_lo.real))
+        assert abs(bracket.start - root) <= 1e-6 * abs(false_position - root)
+        assert (bracket.start.real == 0.0) is real_ends
 
     def test_minimum_bracket_evaluates_no_end(self, fixed_free_string, det_calls):
         bracket = Bracket(1.5, 1.6, "minimum", 1.55)
@@ -1563,41 +1789,33 @@ class TestFrozenScaleNewton:
         assert _keys(det_calls[0]) == _keys([1j * bracket.p_seed])
 
     @pytest.mark.parametrize(
-        "bracket, ends, failing",
-        [(Bracket(1.5, 1.6, "minimum", 1.55), [], None),
-         (Bracket(1.0, 1.2, "sign_change", 1.1), [[1.0j, 1.2j]], None),
-         (Bracket(1.5, 1.6, "sign_change", 1.55), [[1.5j, 1.6j], [1.5j]], 1.6j)],
-        ids=["minimum", "ends_share_a_sign", "failed_end"],
+        "bracket",
+        [Bracket(1.5, 1.6, "minimum", 1.55), Bracket(1.0, 1.2, "sign_change", 1.1),
+         Bracket(1.5, 1.6, "sign_change", 1.55)],
+        ids=["minimum", "ends_share_a_sign", "sign_change"],
     )
-    def test_other_brackets_start_newton_at_their_seed(self, fixed_free_string, bracket, ends,
-                                                       failing, monkeypatch):
-        # off the axis switch; only a sign-change bracket evaluates its ends
-        newtons, calls = [], []
-        original = spectrum.characteristic_determinant
+    def test_brackets_without_a_start_start_newton_at_their_seed(self, fixed_free_string, bracket,
+                                                                 det_calls, monkeypatch):
+        # off the axis switch, and no bracket end is evaluated
+        newtons = []
 
         def recording_newton(seed, tol, max_iter, axis=False):
             newtons.append((seed, axis))
             return spectrum.SpectralResult(seed, 0.0, 0, False)
             yield
 
-        def failing_determinant(problem, lam, step):
-            calls.append(lam.tolist())
-            if failing in calls[-1]:
-                raise PropagationError(1, failing, "stub")
-            return original(problem, lam, step)
-
         monkeypatch.setattr(spectrum, "_newton", recording_newton)
-        monkeypatch.setattr(spectrum, "characteristic_determinant", failing_determinant)
         refine_root(fixed_free_string, bracket, step=1e-3)
-        assert calls == ends
+        assert det_calls == []
         assert newtons == [(1j * bracket.p_seed, False)]
 
     @pytest.mark.parametrize(
-        "name, rounds", [("fixed_free_string", [3, 3, 2]), ("machine_unit", [4, 4, 4, 4, 3])]
+        "name, rounds", [("fixed_free_string", [3]), ("machine_unit", [4, 4])]
     )
     def test_each_round_evaluates_one_lambda_per_live_candidate(self, name, rounds, det_calls):
         # at HEAD of the difference stencils the refinement took 27 lambdas
-        # in 3 calls (fixed_free_string) and 57 in 5 (machine_unit)
+        # in 3 calls (fixed_free_string) and 57 in 5 (machine_unit); from the
+        # false-position points of Re D it took [3, 3, 2] and [4, 4, 4, 4, 3]
         problem = build_model(name)
         brackets = scan_real_axis(problem, *SCAN_DEFAULTS[name], step=1e-3)
         del det_calls[:]
