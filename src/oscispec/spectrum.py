@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -41,10 +40,6 @@ _EXP_MAX = math.exp(_EXP_CLAMP)
 #: complex128, and 8 MB while the propagation holds it realified as float64;
 #: longer lambda stacks are evaluated in chunks
 _STACK_ENTRIES = 1 << 18
-
-#: the bytes of one complex128 memo key: two doubles in native order, as in
-#: a numpy array
-_KEY = struct.Struct("=dd")
 
 #: a scan flags a local minimum of |D| below this share of the median of the
 #: grid's finite |D|
@@ -485,12 +480,13 @@ def refine_root(
     (_newton_values).  A bracket starts where its scan put it
     (Bracket.start, kept on the axis where Bracket.axis), one made without a
     start at i p_seed; no bracket end is evaluated.  Every value is computed
-    with this call's step; solve_spectrum refines all its candidates at once
-    (_refine_all) with the same results.  A non-positive tol or a max_iter
-    below 1 is rejected before any evaluation.
+    with this call's step, each when its Newton point asks for it, with no
+    value kept for a later point; solve_spectrum refines all its candidates
+    at once (_refine_all) with the same results.  A non-positive tol or a
+    max_iter below 1 is rejected before any evaluation.
     """
     _check_limits(tol, max_iter)
-    return _refine_all(problem, [_seed(target)], tol, max_iter, step, {})[0]
+    return _refine_all(problem, [_seed(target)], tol, max_iter, step)[0][0]
 
 
 def _check_limits(tol: float, max_iter: int) -> None:
@@ -508,18 +504,12 @@ def _seed(target: Bracket | complex) -> tuple[complex, bool]:
     return (1j * target.p_seed if target.start is None else target.start), target.axis
 
 
-def _key(lam) -> bytes:
-    """The memo key of one lambda: its bytes as numpy stores them (signed
-    zeros apart, a NaN finds itself), packed without a trip through numpy."""
-    z = complex(lam)
-    return _KEY.pack(z.real, z.imag)
-
-
 def _each(evaluate, lams: np.ndarray) -> list:
-    """evaluate(lams) as a list of one value per lambda.  A SolverError that
-    names lambdas of the call (SolverError.per_lambda) gives each its own
-    error as its value, and the rest goes in one call again.  An error that
-    names none, or a whole stack, is raised."""
+    """evaluate(lams) as a list of one value per lambda: the one failure rule
+    of the scan, the Newton rounds and the mode-shape chunks.  A SolverError
+    that names lambdas of the call (SolverError.per_lambda) gives each its
+    own error as its value, and the rest goes in one call again (k failures,
+    k + 1 calls).  An error that names none, or a whole stack, is raised."""
     failed: dict[int, SolverError] = {}
     while True:
         rest = np.delete(lams, list(failed)) if failed else lams
@@ -544,38 +534,30 @@ def _refine_all(
     tol: float,
     max_iter: int,
     step: float,
-    memo: dict[bytes, tuple | SolverError],
-) -> list[SpectralResult]:
+) -> tuple[list[SpectralResult], list]:
     """Newton (_newton) from every start (seed, axis) in lockstep: one result
-    per start, in order, each refine_root's bit for bit.  memo maps each
-    lambda evaluated (_key) to its (D, log|F|, F'/F), or to the error it
-    raised, which answers (NaN, NaN, NaN) so that Newton halves its step
-    past it.  Each round answers what it can from memo and evaluates the
-    rest, one lambda per live candidate, in one call (_each): a solve costs
-    as many calls as its longest candidate chain."""
+    per start, in order, each refine_root's bit for bit, and every value
+    evaluated, in evaluation order: (D, log|F|, F'/F), or the error its
+    lambda raised, which answers (NaN, NaN, NaN) so that Newton halves its
+    step past it.  Each round evaluates the lambda each live candidate asks
+    for, all in one call (_each), and keeps nothing for later rounds: a
+    solve costs as many calls as its longest candidate chain."""
     results: list[SpectralResult | None] = [None] * len(starts)
     chains = [_newton(seed, tol, max_iter, axis) for seed, axis in starts]
-
-    def answer(lam):
-        value = memo[_key(lam)]
-        return (math.nan,) * 3 if isinstance(value, SolverError) else value
-
+    evaluated: list = []
     replies = dict.fromkeys(range(len(chains)))  # None starts a chain
     while replies:
         asks = {}
         for k, reply in replies.items():
             try:
-                lam = chains[k].send(reply)
-                while _key(lam) in memo:
-                    lam = chains[k].send(answer(lam))
-                asks[k] = lam
+                asks[k] = chains[k].send(reply)
             except StopIteration as stop:
                 results[k] = stop.value
-        lams = {_key(lam): lam for lam in asks.values()}
-        outcomes = _each(lambda z: _newton_values(problem, z, step), np.array(list(lams.values())))
-        memo.update(zip(lams, outcomes))
-        replies = {k: answer(lam) for k, lam in asks.items()}
-    return results
+        outcomes = _each(lambda z: _newton_values(problem, z, step), np.array(list(asks.values())))
+        evaluated += outcomes
+        replies = {k: (math.nan,) * 3 if isinstance(value, SolverError) else value
+                   for k, value in zip(asks, outcomes)}
+    return results, evaluated
 
 
 def _start(ps: np.ndarray, grid: list, lo: int, hi: int, kind: str, p_seed) -> tuple[complex, bool]:
@@ -672,9 +654,10 @@ def _newton(lam: complex, tol, max_iter, axis: bool = False):
     times its seed value or a step taken is below tol.  Else it exits
     "derivative vanished", "derivative not finite", "determinant not
     finite" (at the seed, or on every halving), "stagnated" (25 halvings)
-    or "max_iter exceeded; suspected multiple root", at the point of least
-    |D| it reached.  A generator: it yields each lambda it needs
-    (D, log|F|, F'/F) at, is sent them, and returns its SpectralResult.
+    or "max_iter exceeded" (a slow chain, such as one at a multiple root;
+    multiplicity is not checked), at the point of least |D| it reached.  A
+    generator: it yields each lambda it needs (D, log|F|, F'/F) at, is sent
+    them, and returns its SpectralResult.
     """
     d, log_f, ratio = yield lam
     if not cmath.isfinite(d):
@@ -719,7 +702,7 @@ def _newton(lam: complex, tol, max_iter, axis: bool = False):
             converged = True
             break
     else:
-        message = "max_iter exceeded; suspected multiple root"
+        message = "max_iter exceeded"
 
     if best_res <= tol * d0:
         converged = True
@@ -754,13 +737,14 @@ def mode_shapes(
     The lambdas are reduced and propagated with sampling as stacks, in
     chunks that keep each sampled array within _STACK_ENTRIES entries, so a
     fine step takes them one at a time; the samples are bit-identical to
-    those of one lambda alone.  If a chunk fails, its lambdas are redone one
-    at a time, so every shape before the first failing lambda is yielded
-    first.  Per lambda, the free-constant vector c is the near-null
-    direction of the closure matrix (two inverse-iteration sweeps on M^H M
-    from e1); each interval's solution is the corresponding combination of
-    its fundamental solutions on the stored integration grid.  Raises
-    NotARootError when the closure matrix is numerically full rank.
+    those of one lambda alone.  Each chunk is one _each call, so a lambda
+    that fails is that lambda's outcome: every shape before the first
+    failing lambda is yielded, then its own error is raised.  Per lambda,
+    the free-constant vector c is the near-null direction of the closure
+    matrix (two inverse-iteration sweeps on M^H M from e1); each interval's
+    solution is the corresponding combination of its fundamental solutions
+    on the stored integration grid.  A lambda
+    whose closure matrix is numerically full rank fails with NotARootError.
     real_split (on the imaginary axis only) writes it as [Re phi, Im phi]
     for c conj(c_0), the phase of the realified closure's null vector.
     """
@@ -771,21 +755,18 @@ def mode_shapes(
     if split and any(abs(z.real) > 1e-12 * max(1.0, abs(z)) for z in lams):
         raise ValueError("real_split path is defined on the imaginary axis only")
     size = _stack_chunk(problem, step, keep_samples=True)
-    chunks = [lams[i : i + size] for i in range(0, len(lams), size)]
-    while chunks:
-        chunk = chunks.pop(0)
-        try:
-            reduced = reduce_complex(problem, np.array(chunk))
-            u_tables, fundamentals, w, closure = _assemble(reduced, step, keep_samples=True)
-        except SolverError:
-            if len(chunk) == 1:
-                raise
-            # one at a time, in order: the first failing lambda raises
-            chunks[:0] = [[z] for z in chunk]
-            continue
-        for k, lam in enumerate(chunk):
-            c_free = _null_vector(closure[k], w[k], lam, _RANK_TOL)
-            yield _combine(lam, u_tables, fundamentals, k, c_free, split)
+    for i in range(0, len(lams), size):
+        for shape in _each(lambda z: _shapes(problem, z, step, split), np.array(lams[i : i + size])):
+            if isinstance(shape, SolverError):
+                raise shape
+            yield shape
+
+
+def _shapes(problem: ProblemDefinition, lams: np.ndarray, step: float, split: bool) -> list[ModeShape]:
+    """The mode shape at each lambda of a stack, from one sampled propagation."""
+    u_tables, fundamentals, w, closure = _assemble(reduce_complex(problem, lams), step, keep_samples=True)
+    return [_combine(lam, u_tables, fundamentals, k, _null_vector(closure[k], w[k], lam, _RANK_TOL), split)
+            for k, lam in enumerate(lams.tolist())]
 
 
 def _combine(lam: complex, u_tables, fundamentals, k: int, c_free, split: bool) -> ModeShape:
@@ -850,7 +831,8 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     max(|lambda|, 1), projected onto the axis.  A non-positive tol, a
     max_iter below 1 or an unknown path is rejected before the scan.  Only
     if every value failed (_each) is the first failure raised: the scan's
-    in grid order, then refinement's in evaluation order.
+    in grid order, then refinement's in evaluation order, where a lambda
+    that two Newton points ask for is evaluated for each.
     """
     _check_limits(options.tol, options.max_iter)
     if options.path not in ("complex", "real_split"):
@@ -868,10 +850,9 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
             for re in np.linspace(re0, re1, int(nr))
             for im in np.linspace(im0, im1, int(ni))
         ]
-    memo: dict[bytes, tuple | SolverError] = {}
     starts = [_seed(target) for target in targets]
-    results = _refine_all(problem, starts, options.tol, options.max_iter, step, memo)
-    values += memo.values()
+    results, evaluated = _refine_all(problem, starts, options.tol, options.max_iter, step)
+    values += evaluated
     if values and all(isinstance(value, SolverError) for value in values):
         raise values[0]
     roots = _dedupe([r for r in results if r.converged], options.tol)

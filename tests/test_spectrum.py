@@ -610,6 +610,12 @@ class TestRefine:
         assert len(roots) >= 2
         assert all(r.lam.real < 0 for r in roots)
 
+    def test_max_iter_exit_names_no_multiplicity(self):
+        # a rect seed deep in the left half-plane of the cable: Newton burns
+        # its iterations, and nothing checks whether the root is multiple
+        res = refine_root(build_model("cable_snapshot"), -250 + 0j, step=1e-3)
+        assert (res.iterations, res.converged, res.message) == (100, False, "max_iter exceeded")
+
 
 class TestModeShape:
     def test_string_fundamental_is_sine(self, fixed_free_string):
@@ -1314,7 +1320,7 @@ class TestLockstepRefinement:
         looped = [refine_root(problem, t, options.tol, options.max_iter, step)
                   for t in targets]
         starts = _starts(problem, options, step)
-        lockstep = spectrum._refine_all(problem, starts, options.tol, options.max_iter, step, {})
+        lockstep, _ = spectrum._refine_all(problem, starts, options.tol, options.max_iter, step)
         assert _fields(lockstep) == _fields(looped)
         assert _fields(solve_spectrum(problem, options)) == _fields(_reported(looped, options))
 
@@ -1328,7 +1334,7 @@ class TestLockstepRefinement:
         chains = []
         for bracket in brackets:
             del det_calls[:]
-            spectrum._refine_all(problem, [spectrum._seed(bracket)], options.tol, options.max_iter, 1e-3, {})
+            spectrum._refine_all(problem, [spectrum._seed(bracket)], options.tol, options.max_iter, 1e-3)
             chains.append(len(det_calls))
         assert len(chains) >= 2 and max(chains) < sum(chains)
         del det_calls[:]
@@ -1364,7 +1370,7 @@ class TestLockstepRefinement:
         lam = complex(-0.379618038196, 4.917221666967)
         first = spectrum.SpectralResult(lam, residuals[0], 6, True)
         second = spectrum.SpectralResult(lam + 1e-14, residuals[1], 4, True)
-        monkeypatch.setattr(spectrum, "_refine_all", lambda *args: [first, second])
+        monkeypatch.setattr(spectrum, "_refine_all", lambda *args: ([first, second], []))
         (root,) = solve_spectrum(None, SolveOptions(rect=(-0.5, 0.0, 0.5, 6.0, 1, 2), step=1e-3))
         assert (root.lam, root.residual, root.iterations) == (lam, residuals[0], 6)
 
@@ -1402,12 +1408,37 @@ class TestLockstepRefinement:
                     raise error(where, z, "stub")
 
         _stub_evaluations(monkeypatch, cubic, check)
-        results = spectrum._refine_all(None, [(seed, False) for seed in seeds], 1e-10, 100, 1e-3, {})
+        results, _ = spectrum._refine_all(None, [(seed, False) for seed in seeds], 1e-10, 100, 1e-3)
         assert [evaluated.count(z) for z in poison] == [1, 1]
         for chain, k, res, r in zip(chains, (6, 2), results, roots):
             half = 0.5 * (chain[k - 1] + chain[k])
             assert any(abs(z - half) <= 1e-12 for z in evaluated)
             assert res.converged and abs(res.lam - r) <= 1e-3
+
+    @pytest.mark.parametrize("case", BENCH_RECTS, ids=[name for (name, _), _ in BENCH_RECTS])
+    def test_each_round_evaluates_what_its_chains_ask(self, case, det_calls):
+        # nothing is kept between rounds: round r evaluates the r-th lambda
+        # of every chain still running, in start order, as each chain asks
+        # for it alone, repeats included
+        (name, params), rect = case
+        problem = build_model(name, **params)
+        options = SolveOptions(rect=rect, step=1e-3)
+        starts = _starts(problem, options, 1e-3)
+        chains = []
+        for seed, axis in starts:
+            asks = []
+
+            def recording(lams, newton, asks=asks):
+                asks.extend(lams.tolist())
+                return spectrum._newton_values(problem, lams, 1e-3)
+
+            _plain(spectrum._newton(seed, options.tol, options.max_iter, axis), recording)
+            chains.append(asks)
+        del det_calls[:]
+        _, evaluated = spectrum._refine_all(problem, starts, options.tol, options.max_iter, 1e-3)
+        rounds = [[chain[r] for chain in chains if len(chain) > r] for r in range(max(map(len, chains)))]
+        assert [_keys(lams) for lams in det_calls] == [_keys(lams) for lams in rounds]
+        assert len(evaluated) == sum(map(len, chains))
 
 
 def _plain(chain, evaluate):
@@ -1500,7 +1531,7 @@ class TestDeterminantMemo:
         targets = _targets(problem, options, step)
         plain = [_plain_refine(problem, t, options.tol, options.max_iter, step) for t in targets]
         starts = _starts(problem, options, step)
-        lockstep = spectrum._refine_all(problem, starts, options.tol, options.max_iter, step, {})
+        lockstep, _ = spectrum._refine_all(problem, starts, options.tol, options.max_iter, step)
         assert _fields(lockstep) == _fields(plain)
         assert all(type(r.lam) is type(p.lam) for r, p in zip(lockstep, plain))
         assert _fields(solve_spectrum(problem, options)) == _fields(_reported(plain, options))
@@ -1710,6 +1741,34 @@ class TestStackedModeShapes:
         with pytest.raises(IntegrationError, match="stub") as info:
             next(shapes)
         assert info.value.lam == lams[1]
+
+    def test_a_chunk_is_one_each_call(self, monkeypatch):
+        # one pass names the second and third roots: the chunk fails once
+        # and the first root goes again alone (k failures, k + 1 reductions),
+        # then the second root's own error is raised after the first shape
+        problem = build_model("fixed_free_string")
+        lams = [0.5j * math.pi * k for k in (1, 3, 5)]
+        reduce, integrate = spectrum.reduce_complex, spectrum.integrate_fundamental
+        stacks = []
+
+        def counting(problem, lam, **kwargs):
+            stacks.append(spectrum.each_lambda(lam))
+            return reduce(problem, lam, **kwargs)
+
+        def failing(reduced, interval, step, keep_samples=False):
+            bad = [z for z in spectrum.each_lambda(reduced.lam) if z in lams[1:]]
+            if bad:
+                raise IntegrationError(interval, bad[0], "stub", lams=bad)
+            return integrate(reduced, interval, step, keep_samples)
+
+        monkeypatch.setattr(spectrum, "reduce_complex", counting)
+        monkeypatch.setattr(spectrum, "integrate_fundamental", failing)
+        shapes = spectrum.mode_shapes(problem, lams, 1e-3)
+        assert next(shapes).lam == lams[0]
+        with pytest.raises(IntegrationError, match="stub") as info:
+            next(shapes)
+        assert info.value.lam == lams[1]
+        assert stacks == [lams, lams[:1]]
 
 
 class TestFrozenScaleNewton:
