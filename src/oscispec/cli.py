@@ -149,8 +149,15 @@ def _add_solve_args(sub):
         metavar="RE0:RE1:IM0:IM1:NR:NI",
         help="complex search rectangle of Newton seeds",
     )
-    sub.add_argument("--step", type=float, help="fixed integration step")
-    sub.add_argument("--target-error", type=float, help="derive the step from this local error")
+    sub.add_argument(
+        "--step",
+        type=float,
+        help="fixed step: the RK4 step on y-varying intervals and N != 2 systems, and the "
+        "mode-shape sample spacing (constant N = 2 intervals are propagated exactly)",
+    )
+    sub.add_argument(
+        "--target-error", type=float, help="derive the step from this RK4 local error (see --step)"
+    )
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="root tolerance")
     sub.add_argument(
         "--path",

@@ -1,12 +1,17 @@
-"""Normal fundamental systems by fixed-step classical Runge-Kutta.
+"""Normal fundamental systems: in closed form, or by fixed-step classical
+Runge-Kutta.
 
 On each interval the N (or 2N) solutions with identity initial data at the
-interval's left endpoint are integrated together.  Rows index solutions and
+interval's left endpoint are propagated together.  Rows index solutions and
 columns index components: end_matrix[k, j] is component j of solution k at
 the right endpoint.  Fixed step keeps results reproducible bit-for-bit for
 a given h and makes the semigroup property exactly testable.
 
-The propagation runs in real arithmetic.  Complex coefficients are
+A constant interval of an N = 2 system has the closed-form transfer matrix
+of _exact_fundamental, with no step error; integrate_fundamental takes every
+other interval by RK4.
+
+RK4 propagation runs in real arithmetic.  Complex coefficients are
 realified, [[Re, -Im], [Im, Re]], before the step matrices are formed, and
 the products are read back as complex once, at the end: numpy's stacked
 product of realified 2N x 2N float64 matrices is several times faster than
@@ -131,6 +136,172 @@ def integrate_fundamental(
     else:
         end = _solution_rows(_constant_power(steps[0], n_steps), dim)
 
+    _check_end(system, interval, end, "consider a smaller step")
+    return FundamentalMatrix(
+        interval=interval,
+        end_matrix=end,
+        step=h,
+        sample_ys=nodes if keep_samples else None,
+        samples=samples,
+    )
+
+
+# as integrate_fundamental: overflow shows in the finiteness check; the
+# closed form's 0 / 0 at s = 0 falls in the entries that the series
+# overwrites
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _exact_fundamental(
+    system: ReducedSystem,
+    interval: int,
+    step: float,
+    keep_samples: bool = False,
+) -> FundamentalMatrix:
+    """integrate_fundamental of a constant interval of an N = 2 system, in
+    closed form (_exact_transfer), with its checks and its result layout.
+
+    There is no step error: the step sets only the sample spacing, and the
+    samples sit at the RK4 nodes lo + k h, h = length / ceil(length / step),
+    with the last one at the interval's end.  One lambda is propagated as a
+    length-1 stack, so that it takes the arithmetic of a stack.  On such an
+    interval |det| of the end matrix is exp(length Re tr A), so the
+    near-singular warning gives no step advice.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    lo, hi = system.partition.interval(interval)
+    length = hi - lo
+    n_steps = max(1, math.ceil(length / step - 1e-12))
+    const = system.constant_coeffs[interval]
+    blocks = const if const.ndim == 3 else const[np.newaxis]
+    t = np.linspace(0.0, length, n_steps + 1)[:, np.newaxis] if keep_samples else length
+    rows = transpose(_exact_transfer(blocks, t))
+    if const.ndim == 2:
+        rows = rows[..., 0, :, :]
+    end = rows[-1] if keep_samples else rows
+    _check_end(system, interval, end, "the interval's solutions decay below the float range")
+    h = length / n_steps
+    return FundamentalMatrix(
+        interval=interval,
+        end_matrix=end,
+        step=h,
+        sample_ys=lo + h * np.arange(n_steps + 1) if keep_samples else None,
+        samples=rows if keep_samples else None,
+    )
+
+
+#: Taylor coefficients of sinh(r)/r = sum c_k q^k, c_k = 1 / (2k + 1)!, and
+#: of twice its q-derivative, sum 2 (k + 1) c_(k+1) q^k, in q = r^2: row k
+#: holds the two coefficients of q^k, k = 0..8.  Where |q| < 1 the first
+#: omitted terms lie below 1e-16 of the sums.  Complex, so that no step casts
+_SINHC_TERMS = np.array(
+    [[[1 / math.factorial(2 * k + 1)], [2 * (k + 1) / math.factorial(2 * k + 3)]] for k in range(9)],
+    dtype=complex,
+)
+
+
+def _sinhc_series(q: np.ndarray) -> np.ndarray:
+    """(sinh(r)/r, twice its q-derivative) at each q = r^2 of a 1-D array,
+    stacked on a new leading axis, by Estrin's scheme: the pairs c_k + c_(k+1)
+    q of even k, pairs of those with q^2, and the two halves with q^4.  Its
+    ten numpy calls are fewer than the sixteen of Horner's rule, whose
+    per-call overhead sets the cost on the few entries of a Newton round."""
+    c = _SINHC_TERMS
+    pairs = c[0:8:2] + c[1:8:2] * q
+    q2 = q * q
+    quads = pairs[0::2] + pairs[1::2] * q2
+    q4 = q2 * q2
+    return quads[0] + (quads[1] + c[8] * q4) * q4
+
+
+def _exact_transfer(blocks: np.ndarray, t) -> np.ndarray:
+    """The transfer matrices exp(t M) of the column dynamics z' = M z, for
+    each block M of a (K, 2, 2) stack, or of a (K, 4, 4) stack of
+    variational blocks [[A, 0], [A_lam, A]]: (K, d, d) for one length t,
+    (S, K, d, d) for lengths t of shape (S, 1).
+
+    A 2 x 2 block A = mu I + B, mu = tr A / 2, has B^2 = s^2 I with s^2 =
+    b00^2 + b01 b10, and E = exp(t A) = alpha I + beta B, alpha = e^{t mu}
+    cosh(ts), beta = e^{t mu} sinh(ts) / s.  Both come from the
+    exponentials e+- = e^{t (mu +- s)}, alpha = (e+ + e-) / 2 and beta =
+    (e+ - e-) / (2 s), so that no factor e^{t mu} meets an overflowing
+    cosh(ts); E is even in s, so the branch of the root does not matter.
+    Two kinds of entry are then formed again:
+    - where |t^2 s^2| < 1, beta takes sinh(ts)/(ts) from its series
+      (_sinhc_series): (e+ - e-) / (2 s) loses digits there, and is 0 / 0
+      at s = 0;
+    - elsewhere, where |Re(b00 / s)| > 1/2, the diagonal entries are those
+      of e+ P+ + e- P-, P+- = (I +- B/s) / 2, with the one of s +- b00 that
+      cancels formed as b01 b10 / (s -+ b00): alpha +- beta b00 would lose
+      an entry far below the largest, such as e^{-40} of A = [[-40, 1],
+      [0, 0]].
+    A real A gives a real E, e+ and e- being conjugate where s^2 < 0: the
+    determinant of an undamped model stays real on the imaginary lambda
+    axis.
+
+    A variational block gets [[E, 0], [E', E]], E' the lambda-derivative of
+    the same formula through mu' = tr A_lam / 2 and (s^2)': alpha' = t mu'
+    alpha + t beta (s^2)' / 2, beta' = t mu' beta + gamma (s^2)' / 2 with
+    gamma = (t alpha - beta) / s^2 (t^3 e^{t mu} times the series where
+    |t^2 s^2| < 1), and E' = alpha' I + beta' B + beta B'.  Every operation
+    is elementwise, so each lambda gets the bytes it gets in a stack of one.
+    """
+    a00, a01, a10, a11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    mu = 0.5 * (a00 + a11)
+    b00 = a00 - mu
+    cross = a01 * a10
+    ss = b00 * b00 + cross
+    s = np.sqrt(ss)
+    grow, decay = np.exp(t * (mu + s)), np.exp(t * (mu - s))
+    alpha = 0.5 * (grow + decay)
+    beta = (grow - decay) / (2 * s)
+    q = (t * t) * ss
+    dim = blocks.shape[-1]
+    if dim == 4:
+        gamma = (t * alpha - beta) / ss
+    small = np.abs(q) < 1.0
+    if np.count_nonzero(small):
+        t_scale = t * np.exp(t * mu)
+        sinhc, slope2 = _sinhc_series(q[small])
+        beta[small] = t_scale[small] * sinhc
+        if dim == 4:
+            gamma[small] = ((t * t) * t_scale)[small] * slope2
+    beta_b00 = beta * b00
+    out = np.zeros(q.shape + (dim, dim), dtype=complex)
+    e00, e11 = out[..., 0, 0], out[..., 1, 1]
+    np.add(alpha, beta_b00, out=e00)
+    np.subtract(alpha, beta_b00, out=e11)
+    np.multiply(beta, a01, out=out[..., 0, 1])
+    np.multiply(beta, a10, out=out[..., 1, 0])
+    if np.count_nonzero(b00):
+        ratio = b00 / s
+        skew = (np.abs(ratio.real) > 0.5) & ~small
+        plus, minus = s + b00, s - b00
+        keep = ratio.real > 0
+        plus, minus = np.where(keep, plus, cross / minus), np.where(keep, cross / plus, minus)
+        e00[skew] = ((grow * plus + decay * minus) / (2 * s))[skew]
+        e11[skew] = ((grow * minus + decay * plus) / (2 * s))[skew]
+    if dim == 2:
+        return out
+    d00, d01, d10, d11 = blocks[:, 2, 0], blocks[:, 2, 1], blocks[:, 3, 0], blocks[:, 3, 1]
+    t_dmu = (0.5 * t) * (d00 + d11)
+    db00 = 0.5 * (d00 - d11)
+    half_dss = b00 * db00 + 0.5 * (d01 * a10 + a01 * d10)  # (s^2)' / 2
+    dalpha = t_dmu * alpha + (t * beta) * half_dss
+    dbeta = t_dmu * beta + gamma * half_dss
+    dbeta_b00 = dbeta * b00 + beta * db00
+    np.add(dalpha, dbeta_b00, out=out[..., 2, 0])
+    np.subtract(dalpha, dbeta_b00, out=out[..., 3, 1])
+    np.add(dbeta * a01, beta * d01, out=out[..., 2, 1])
+    np.add(dbeta * a10, beta * d10, out=out[..., 3, 0])
+    out[..., 2:, 2:] = out[..., :2, :2]
+    return out
+
+
+def _check_end(system: ReducedSystem, interval: int, end: np.ndarray, advice: str) -> None:
+    """Raise IntegrationError naming every lambda of a stack whose end matrix
+    is not finite, and warn, with advice, per lambda whose leading block (G
+    of a variational end matrix) has |det| below DET_WARN_TOL.  The
+    determinant of a 2 x 2 block is ad - bc."""
     if not np.isfinite(end).all():
         finite = np.isfinite(end).all(axis=(-2, -1)).reshape(-1).tolist()
         lams = [z for z, ok in zip(each_lambda(system.lam), finite) if not ok]
@@ -143,19 +314,10 @@ def integrate_fundamental(
     dets = np.abs(dets).reshape(-1)
     for det in dets[dets < DET_WARN_TOL].tolist():
         warnings.warn(
-            f"fundamental matrix nearly singular on interval {interval} "
-            f"(|det|={det:.3e}); consider a smaller step",
+            f"fundamental matrix nearly singular on interval {interval} (|det|={det:.3e}); {advice}",
             RuntimeWarning,
-            stacklevel=3,  # past the error-state decorator, at the caller
+            stacklevel=4,  # past this helper and the error-state decorator, at the caller
         )
-
-    return FundamentalMatrix(
-        interval=interval,
-        end_matrix=end,
-        step=h,
-        sample_ys=nodes if keep_samples else None,
-        samples=samples,
-    )
 
 
 def _rk4_steps(a_left, a_mid, a_right, h: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BoundaryDegeneracyError, NotARootError, PropagationError, SolverError
-from .integrate import FundamentalMatrix, estimate_step, integrate_fundamental
+from .integrate import FundamentalMatrix, _exact_fundamental, estimate_step, integrate_fundamental
 from .linalg import adjugate_form, row_adjugate_form, rref_null_basis, transpose
 from .problem import (
     BoundaryOperator,
@@ -224,6 +224,11 @@ def _interface_solve(w, dmat, bmat, interface: int, lam) -> np.ndarray:
 def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     """Run the full propagation at a bound lambda, or at a stack of them.
 
+    A constant interval of an N = 2 system takes its closed-form
+    fundamental matrix (_exact_fundamental), with no step error; a y-varying
+    interval, or any interval of an N != 2 system, is integrated by RK4
+    (integrate_fundamental).
+
     Returns (u_tables, fundamentals, end_values, closure) where end_values
     W = G^T U are the last interval's propagated end values and closure is
     the m x m matrix whose determinant vanishes at eigenvalues.  A stacked
@@ -247,7 +252,9 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     n, dim = reduced.partition.n_intervals, reduced.dim
     w = None
     for i in range(n):
-        fm = integrate_fundamental(reduced, i, step, keep_samples=keep_samples)
+        exact = dim == 2 and reduced.constant_coeffs[i] is not None
+        propagator = _exact_fundamental if exact else integrate_fundamental
+        fm = propagator(reduced, i, step, keep_samples=keep_samples)
         fundamentals.append(fm)
         w = transpose(fm.end_matrix) @ u
         if i < n - 1:

@@ -1,7 +1,9 @@
-"""Fundamental-matrix integration: exactness, order, step estimation."""
+"""Fundamental matrices: the closed form of constant N = 2 intervals, and RK4
+integration: exactness, order, step estimation."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +20,16 @@ from oscispec import (
     reduce_complex,
     reduce_real_split,
 )
-from oscispec.integrate import _chain_product, _constant_power, _rk4_steps, _sampled_prefixes
+from oscispec.integrate import (
+    _chain_product,
+    _constant_power,
+    _exact_fundamental,
+    _rk4_steps,
+    _sampled_prefixes,
+)
 from oscispec.models import SCAN_DEFAULTS, build_model
 
-from conftest import identity_conjugation
+from conftest import identity_conjugation, make_string_problem
 
 
 def _system_from_matrix(a, lam=0.0, bound=None, breakpoints=(0.0, 1.0)):
@@ -284,3 +292,160 @@ class TestEstimateStep:
         sys1 = _system_from_matrix(ROTATION)
         with pytest.raises(ValueError):
             estimate_step(sys1, 0.0)
+
+
+def _interval_q(problem, lam, interval):
+    """t^2 s^2 of a constant interval at lambda: its length t squared times
+    s^2 = ((a00 - a11) / 2)^2 + a01 a10 of its coefficient A."""
+    a = reduce_complex(problem, lam).constant_coeffs[interval]
+    lo, hi = problem.partition.interval(interval)
+    return (hi - lo) ** 2 * ((0.5 * (a[0, 0] - a[1, 1])) ** 2 + a[0, 1] * a[1, 0])
+
+
+def _lossy_string():
+    """The pinned-free string on intervals 0.37 and 0.63 long, with the
+    lambda-linear term C = [[-40, 0], [0, 10]] on both: A + lam C has a00 =
+    -40 lam and a11 = 10 lam, so B = A - mu I has the diagonal b00 = -25 lam,
+    tr A_lam is -30 and b00' = -25, and b00 / s = -+25 / sqrt(626) is near
+    -+1."""
+    base = make_string_problem(breakpoints=(0.0, 0.37, 1.0), conjugations=(identity_conjugation(1),))
+    field = base.coefficients
+    c = PolyMatrix.constant(np.array([[-40.0, 0.0], [0.0, 10.0]]))
+    field = CoefficientField(field.partition, field.a_polys, field.b_polys, (c, c), 40.0)
+    return ProblemDefinition("lossy", base.partition, field, base.boundary_left,
+                             base.boundary_right, base.conjugations)
+
+
+class TestExactPropagation:
+    """A constant interval of an N = 2 system takes the closed-form transfer
+    matrix, and the variational system the lambda-derivative of that same
+    formula."""
+
+    #: off the axis, away from roots and model poles
+    LAMS = [complex(-0.2, 1.3), complex(-0.05, 6.4), complex(0.3, 2.2)]
+
+    @pytest.mark.parametrize("keep_samples", [False, True])
+    def test_rotation_turns_by_the_interval_length(self, keep_samples):
+        # z' = [[0, 1], [-1, 0]] z: the solution from e_0 is (cos y, -sin y),
+        # the one from e_1 (sin y, cos y); |t^2 s^2| = t^2 takes the series
+        # at every sample but the last
+        fm = _exact_fundamental(_system_from_matrix(ROTATION), 0, 0.01, keep_samples)
+        ys = fm.sample_ys if keep_samples else np.array([1.0])
+        c, s = np.cos(ys), np.sin(ys)
+        want = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        np.testing.assert_allclose(fm.samples if keep_samples else fm.end_matrix[np.newaxis], want,
+                                   rtol=0, atol=4e-16)
+        if keep_samples:
+            assert fm.sample_ys.tobytes() == integrate_fundamental(
+                _system_from_matrix(ROTATION), 0, 0.01, keep_samples=True).sample_ys.tobytes()
+            assert fm.end_matrix.tobytes() == fm.samples[-1].tobytes()
+
+    @staticmethod
+    def _ends(problem, lam, interval):
+        """G at lambda, and the blocks G and G' of the variational end
+        matrix [[G, G'], [0, G]], rows as solutions."""
+        plain = _exact_fundamental(reduce_complex(problem, lam), interval, 1e-3).end_matrix
+        dual = _exact_fundamental(reduce_complex(problem, lam, variational=True), interval, 1e-3).end_matrix
+        return plain, dual[:2, :2], dual[:2, 2:]
+
+    def _check_slope(self, problem, lam):
+        # G' against a central difference of G with h = 1e-6 max(|lambda|, 1),
+        # whose own error is below 1e-10 here; the variational end matrix's
+        # leading block is G to rounding
+        h = 1e-6 * max(abs(lam), 1.0)
+        for i in range(problem.partition.n_intervals):
+            g, lead, slope = self._ends(problem, lam, i)
+            assert np.max(np.abs(lead - g)) <= 4e-16 * np.max(np.abs(g))
+            central = (self._ends(problem, lam + h, i)[0] - self._ends(problem, lam - h, i)[0]) / (2 * h)
+            scale = max(np.max(np.abs(g)), np.max(np.abs(slope)))
+            assert np.max(np.abs(central - slope)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("lam", LAMS, ids=str)
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_slope_matches_a_central_difference(self, name, lam):
+        self._check_slope(build_model(name), lam)
+
+    def test_slope_at_the_rigid_body_root(self):
+        # lambda = 0 of machine_unit: s = 0, where sinh(ts)/(ts) is 0 / 0 in
+        # closed form and comes from its series
+        problem = build_model("machine_unit")
+        assert _interval_q(problem, 0j, 0) == 0
+        self._check_slope(problem, 0j)
+
+    @pytest.mark.parametrize("modulus", [0.98, 1.02], ids=["series", "closed_form"])
+    def test_slope_on_both_sides_of_the_series_edge(self, modulus):
+        problem = build_model("fixed_free_string")
+        lam = modulus * complex(math.cos(2.1), math.sin(2.1))
+        q = abs(_interval_q(problem, lam, 0))
+        assert 0.95 < q < 1.0 if modulus < 1 else 1.0 < q < 1.05
+        self._check_slope(problem, lam)
+
+    def test_near_singular_warning_wordings(self):
+        # tr A = -30, so |det G| = exp(-30) on the exact interval, below the
+        # warning level whatever the step; RK4 comes within its step error
+        system = _system_from_matrix([[-15.0, 0.5], [-0.5, -15.0]])
+
+        def messages(propagate):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                propagate(system, 0, 0.01)
+            return [str(w.message) for w in caught]
+
+        exact, rk4 = messages(_exact_fundamental), messages(integrate_fundamental)
+        assert exact == ["fundamental matrix nearly singular on interval 0 (|det|=9.358e-14); "
+                         "the interval's solutions decay below the float range"]
+        assert len(rk4) == 1 and rk4[0].endswith("; consider a smaller step")
+        assert rk4[0].startswith("fundamental matrix nearly singular on interval 0 (|det|=9.3")
+
+    #: the lossy string with |t^2 s^2| < 1 on both intervals (0.02 + 0.05j),
+    #: where the diagonal entries are alpha +- beta b00, and beyond it with
+    #: b00 / s near +1 (Re lam < 0) and near -1 (Re lam > 0), where they are
+    #: those of e+ P+ + e- P-
+    LOSSY_LAMS = [complex(0.02, 0.05), complex(-0.2, 2.0), complex(1.5, 2.0)]
+
+    @pytest.mark.filterwarnings("ignore:fundamental matrix nearly singular:RuntimeWarning")
+    @pytest.mark.parametrize("lam", LOSSY_LAMS, ids=str)
+    def test_diagonal_and_trace_against_rk4_and_the_difference(self, lam):
+        # G against RK4 at step 2e-5, whose own error is below 1e-10 here,
+        # entry by entry; G' against a central difference of G
+        problem = _lossy_string()
+        series = [abs(_interval_q(problem, lam, i)) < 1 for i in range(problem.partition.n_intervals)]
+        assert series == ([True, True] if abs(lam) < 1 else [False, False])
+        system = reduce_complex(problem, lam)
+        for i in range(problem.partition.n_intervals):
+            exact = _exact_fundamental(system, i, 1e-3).end_matrix
+            rk4 = integrate_fundamental(system, i, 2e-5).end_matrix
+            np.testing.assert_allclose(exact, rk4, rtol=1e-10, atol=0)
+        self._check_slope(problem, lam)
+
+    @pytest.mark.filterwarnings("ignore:fundamental matrix nearly singular:RuntimeWarning")
+    def test_stiff_interval_stays_finite(self):
+        # A = [[0, 1], [0, -1500]] on a unit interval: e^{t mu} = e^{-750}
+        # underflows where cosh(ts) = cosh(750) overflows, yet exp(A) =
+        # [[1, (1 - e^{-1500}) / 1500], [0, e^{-1500}]] is finite; RK4 at
+        # step 1e-5 agrees within its step error
+        system = _system_from_matrix([[0.0, 1.0], [0.0, -1500.0]])
+        exact = _exact_fundamental(system, 0, 1e-3).end_matrix
+        np.testing.assert_allclose(exact, [[1.0, 0.0], [1.0 / 1500.0, 0.0]], rtol=4e-16, atol=0)
+        rk4 = integrate_fundamental(system, 0, 1e-5).end_matrix
+        np.testing.assert_allclose(exact, rk4, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("a00, a11", [(-40.0, 0.0), (0.0, -40.0)])
+    def test_triangular_keeps_its_small_entry(self, a00, a11):
+        # exp(A) = [[e^a00, (e^a00 - e^a11) / (a00 - a11)], [0, e^a11]]: the
+        # entry e^-40 = 4.2e-18 lies 18 orders below the largest and keeps
+        # its digits, and so does |det| = e^-40 in the warning; RK4 at step
+        # 1e-4 agrees within its step error
+        system = _system_from_matrix([[a00, 1.0], [0.0, a11]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exact = _exact_fundamental(system, 0, 1e-3).end_matrix
+        want = [[math.exp(a00), 0.0], [(math.exp(a00) - math.exp(a11)) / (a00 - a11), math.exp(a11)]]
+        np.testing.assert_allclose(exact, want, rtol=4e-16, atol=0)
+        assert [str(w.message) for w in caught] == [
+            "fundamental matrix nearly singular on interval 0 (|det|=4.248e-18); "
+            "the interval's solutions decay below the float range"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rk4 = integrate_fundamental(system, 0, 1e-4).end_matrix
+        np.testing.assert_allclose(exact, rk4, rtol=1e-9, atol=0)

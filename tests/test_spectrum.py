@@ -46,8 +46,8 @@ from oscispec import (
 from oscispec import problem as problem_module
 from oscispec import spectrum
 from oscispec.linalg import adjugate_form
-from oscispec.models import SCAN_DEFAULTS, build_model
-from oscispec.oracle import FDOracleConfig, fd_polynomial_eigenvalues
+from oscispec.models import ORACLE_ROUTES, SCAN_DEFAULTS, build_model
+from oscispec.oracle import FDOracleConfig, closed_form_roots, fd_polynomial_eigenvalues
 from oscispec.reduction import reduce_complex
 from oscispec.serialize import problem_from_dict
 from oscispec.spectrum import _assemble
@@ -1728,14 +1728,14 @@ class TestStackedModeShapes:
         # shape is still yielded, then the second root's own error is raised
         problem = build_model("fixed_free_string")
         lams = [0.5j * math.pi * k for k in (1, 3, 5)]
-        original = spectrum.integrate_fundamental
+        original = spectrum._exact_fundamental
 
         def failing(reduced, interval, step, keep_samples=False):
             if lams[1] in spectrum.each_lambda(reduced.lam):
                 raise IntegrationError(interval, lams[1], "stub")
             return original(reduced, interval, step, keep_samples)
 
-        monkeypatch.setattr(spectrum, "integrate_fundamental", failing)
+        monkeypatch.setattr(spectrum, "_exact_fundamental", failing)
         shapes = spectrum.mode_shapes(problem, lams, 1e-3)
         assert next(shapes).lam == lams[0]
         with pytest.raises(IntegrationError, match="stub") as info:
@@ -1748,7 +1748,7 @@ class TestStackedModeShapes:
         # then the second root's own error is raised after the first shape
         problem = build_model("fixed_free_string")
         lams = [0.5j * math.pi * k for k in (1, 3, 5)]
-        reduce, integrate = spectrum.reduce_complex, spectrum.integrate_fundamental
+        reduce, integrate = spectrum.reduce_complex, spectrum._exact_fundamental
         stacks = []
 
         def counting(problem, lam, **kwargs):
@@ -1762,7 +1762,7 @@ class TestStackedModeShapes:
             return integrate(reduced, interval, step, keep_samples)
 
         monkeypatch.setattr(spectrum, "reduce_complex", counting)
-        monkeypatch.setattr(spectrum, "integrate_fundamental", failing)
+        monkeypatch.setattr(spectrum, "_exact_fundamental", failing)
         shapes = spectrum.mode_shapes(problem, lams, 1e-3)
         assert next(shapes).lam == lams[0]
         with pytest.raises(IntegrationError, match="stub") as info:
@@ -1921,6 +1921,63 @@ class TestFrozenScaleNewton:
         # the scan, then 5 rounds: the real-direction step took 11-17 calls
         solve_spectrum(build_model(name), SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3))
         assert len(det_calls) <= 8
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_log_derivative_matches_a_difference_of_log_f(self, name):
+        # log F(lambda + h) - log F(lambda - h) over 2h, h = 1e-6 max(|lambda|,
+        # 1), whose own error is below 2e-9 here
+        problem = build_model(name)
+        lams = self.LAMS[2:]
+        for lam, (_, _, ratio) in zip(lams, spectrum._newton_values(problem, np.array(lams), 1e-3)):
+            h = 1e-6 * max(abs(lam), 1.0)
+            f_up, f_down = (self._closure_det(problem, lam + d) for d in (h, -h))
+            assert abs(np.log(f_up / f_down) / (2 * h) - ratio) <= 1e-7 * abs(ratio)
+
+
+class TestExactIntervals:
+    """Every interval of the built-ins is constant with N = 2, so it takes the
+    closed-form transfer matrix: no root carries step error."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_roots_do_not_depend_on_the_step(self, name):
+        problem = build_model(name)
+        coarse, fine = (solve_spectrum(problem, SolveOptions(scan=SCAN_DEFAULTS[name], step=h))
+                        for h in (1e-2, 1e-3))
+        assert len(fine) >= 3
+        assert _fields(coarse) == _fields(fine)
+
+    @pytest.mark.parametrize("name", ["fixed_fixed_string", "fixed_free_string", "point_mass_string"])
+    def test_string_roots_are_their_closed_form_roots(self, name):
+        # RK4 at step 1e-3 was 1.7e-11 to 6.6e-11 relative off
+        p_min, p_max, _ = SCAN_DEFAULTS[name]
+        roots = solve_spectrum(build_model(name), SolveOptions(scan=SCAN_DEFAULTS[name], step=1e-3))
+        want = closed_form_roots(ORACLE_ROUTES[name], p_min, p_max)
+        assert len(roots) == len(want) >= 3
+        for r, p in zip(roots, want):
+            assert r.lam.real == 0.0
+            assert abs(r.lam.imag - p) <= 1e-12 * p
+
+    @pytest.mark.parametrize(
+        "make, rk4_intervals",
+        [(lambda: build_model("point_mass_string"), []), (_y_varying_problem, [1]), (lambda: _n4_problem(), [0])],
+        ids=["constant_n2", "y_varying", "n4"],
+    )
+    def test_rk4_integrates_only_y_varying_or_n4_intervals(self, make, rk4_intervals, monkeypatch):
+        # on the scan's, Newton's and the mode shapes' propagation
+        calls = []
+        original = spectrum.integrate_fundamental
+
+        def counting(system, interval, step, keep_samples=False):
+            calls.append(interval)
+            return original(system, interval, step, keep_samples)
+
+        monkeypatch.setattr(spectrum, "integrate_fundamental", counting)
+        problem = make()
+        lams = np.array([1.3j, -0.1 + 2.2j])
+        characteristic_determinant(problem, lams, 1e-2)
+        spectrum._newton_values(problem, lams, 1e-2)
+        _assemble(reduce_complex(problem, lams), 1e-2, keep_samples=True)
+        assert calls == rk4_intervals * 3
 
 
 
