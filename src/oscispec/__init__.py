@@ -15,7 +15,7 @@ from .errors import (
     SolverError,
     UnsupportedModelError,
 )
-from .integrate import FundamentalMatrix, estimate_step, integrate_fundamental
+from .integrate import estimate_step, integrate_fundamental
 from .models import (
     build_cable_snapshot,
     build_fixed_fixed_string,
@@ -29,7 +29,6 @@ from .models import (
 )
 from .oracle import (
     FDOracleConfig,
-    ScalarWaveForm,
     closed_form_determinant,
     closed_form_roots,
     fd_polynomial_eigenvalues,
@@ -40,10 +39,8 @@ from .problem import (
     BoundaryOperator,
     CoefficientField,
     ConjugationOperator,
-    LambdaCoefficientField,
     Partition,
     ProblemDefinition,
-    ReducedSystem,
     evaluate_coefficients,
     insert_breakpoint,
     validate,
@@ -54,14 +51,11 @@ from .spectrum import (
     Bracket,
     ModeShape,
     SolveOptions,
-    SpectralResult,
     characteristic_determinant,
     initial_coefficients,
     mode_shape,
-    mode_shapes,
     propagate,
     refine_root,
-    resolve_step,
     scan_real_axis,
     solve_spectrum,
 )
@@ -75,9 +69,7 @@ __all__ = [
     "CoefficientField",
     "ConjugationOperator",
     "FDOracleConfig",
-    "FundamentalMatrix",
     "IntegrationError",
-    "LambdaCoefficientField",
     "ModeShape",
     "NotARootError",
     "Partition",
@@ -85,11 +77,8 @@ __all__ = [
     "PoleError",
     "ProblemDefinition",
     "PropagationError",
-    "ReducedSystem",
-    "ScalarWaveForm",
     "SolveOptions",
     "SolverError",
-    "SpectralResult",
     "UnsupportedModelError",
     "build_cable_snapshot",
     "build_fixed_fixed_string",
@@ -112,7 +101,6 @@ __all__ = [
     "leading_frequencies",
     "load_problem",
     "mode_shape",
-    "mode_shapes",
     "model_defaults",
     "problem_from_dict",
     "problem_to_dict",
@@ -120,7 +108,6 @@ __all__ = [
     "reduce_complex",
     "reduce_real_split",
     "refine_root",
-    "resolve_step",
     "scan_real_axis",
     "solve_spectrum",
     "validate",

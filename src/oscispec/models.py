@@ -9,8 +9,8 @@ studies.
 
 Second-order spatial operators with a rate-dependent factor (for example
 Kelvin-Voigt damping) reduce to coefficients rational in lambda; those
-models use lambda-field evaluators instead of stored polynomials, numpy
-expressions that take a whole stack of lambdas in one call.
+models store them over a scalar denominator (CoefficientField.denominators),
+so every built-in has the JSON form of serialize.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ import inspect
 
 import numpy as np
 
-from .errors import PoleError, UnsupportedModelError
+from .errors import UnsupportedModelError
 from .oracle import ScalarWaveForm
 from .poly import PolyMatrix
 from .problem import (
     BoundaryOperator,
     CoefficientField,
     ConjugationOperator,
-    LambdaCoefficientField,
     Partition,
     ProblemDefinition,
 )
@@ -45,31 +44,6 @@ def _row_operator(side: str, entries, max_degree: int = 2) -> BoundaryOperator:
     return BoundaryOperator(side, PolyMatrix.from_entries([list(entries)]), max_degree)
 
 
-def _rational_restoring(num, den, floor, message: str):
-    """Lambda-field evaluator of the (value, slope) system [[0, 1], [r, 0]]
-    of a wave equation whose restoring coefficient r = num / den is
-    rational in lambda.
-
-    It computes on the stack's 1-D form even for one lambda: numpy turns
-    0-d results into scalars, whose arithmetic may round otherwise than the
-    array loops.  A lambda with |den| <= floor(|lambda|) is a pole; the
-    first in the stack raises PoleError naming it.
-    """
-
-    def coefficient(y: float, lam: np.ndarray) -> np.ndarray:
-        z = np.asarray(lam, dtype=complex).reshape(-1)
-        d = den(z)
-        pole = np.abs(d) <= floor(np.abs(z))
-        if pole.any():
-            raise PoleError(message, complex(z[pole][0]))
-        out = np.zeros(z.shape + (2, 2), dtype=complex)
-        out[:, 0, 1] = 1.0
-        out[:, 1, 0] = num(z) / d
-        return out.reshape(np.shape(lam) + (2, 2))
-
-    return coefficient
-
-
 # ---------------------------------------------------------------------------
 # strings and the cable-way snapshot
 # ---------------------------------------------------------------------------
@@ -81,6 +55,21 @@ def _wave_field(part: Partition, rho: float, tension: float) -> CoefficientField
     b = PolyMatrix.constant(np.array([[0.0, 0.0], [rho / tension, 0.0]]))
     c = PolyMatrix.zero(2, 2)
     return CoefficientField(part, (a,) * n, (b,) * n, (c,) * n, max(1.0, rho / tension))
+
+
+def _kelvin_voigt_field(
+    part: Partition, mass: float, stiffness: float, damping: float, bound: float
+) -> CoefficientField:
+    """The (value, slope) system of mass u_tt = (stiffness u_y + damping
+    u_yt)_y: [[0, 1], [r, 0]] with the restoring coefficient r = mass lam^2
+    / q(lam) rational in lambda, q = stiffness + damping lam, written over q
+    as A = [[0, stiffness], [0, 0]], B = [[0, 0], [mass, 0]] and C = [[0,
+    damping], [0, 0]].  Its pole is the root -stiffness / damping of q."""
+    n = part.n_intervals
+    a = PolyMatrix.constant(np.array([[0.0, stiffness], [0.0, 0.0]]))
+    b = PolyMatrix.constant(np.array([[0.0, 0.0], [mass, 0.0]]))
+    c = PolyMatrix.constant(np.array([[0.0, damping], [0.0, 0.0]]))
+    return CoefficientField(part, (a,) * n, (b,) * n, (c,) * n, bound, ((stiffness, damping),) * n)
 
 
 def build_cable_snapshot(
@@ -231,8 +220,8 @@ def build_machine_unit(
     dynamic end rows explicitly (preferred over huge-inertia surrogates).
 
     The shaft dissipation multiplies the spatial operator, so the reduced
-    restoring coefficient is rho*Ip*lam^2 / (G*Ip + zeta1*lam), evaluated
-    for a whole lambda stack at once.
+    restoring coefficient is rho*Ip*lam^2 / (G*Ip + zeta1*lam), with a pole
+    at -G*Ip/zeta1.
     """
     _require(G > 0 and Ip > 0 and rho > 0 and L > 0, "G, Ip, rho, L must be positive")
     _require(
@@ -243,15 +232,8 @@ def build_machine_unit(
     gip = G * Ip
     rip = rho * Ip
 
-    coefficient = _rational_restoring(
-        lambda z: rip * z * z,
-        lambda z: gip + zeta1 * z,
-        lambda r: 1e-12 * (gip + zeta1 * r),
-        "machine unit: G*Ip + zeta1*lam vanishes",
-    )
-
     part = Partition((0.0, L))
-    field = LambdaCoefficientField(part, (coefficient,), dim=2, bound=max(1.0, rip / gip))
+    field = _kelvin_voigt_field(part, rip, gip, zeta1, max(1.0, rip / gip))
 
     ends = {
         "rotor": ([[0.0, beta, J1], [-gip, -zeta1]], ((0.0, beta, J1), (-gip, -zeta1))),
@@ -322,15 +304,8 @@ def build_spacecraft_bar(
 
     es = E * S
 
-    coefficient = _rational_restoring(
-        lambda z: rho * S * z * z,
-        lambda z: es * (1.0 + beta * z),
-        lambda r: 1e-12 * es * (1.0 + beta * r),
-        "spacecraft bar: 1 + beta*lam vanishes",
-    )
-
     part = Partition((0.0, l))
-    field = LambdaCoefficientField(part, (coefficient,), dim=2, bound=max(1.0, rho / E))
+    field = _kelvin_voigt_field(part, rho * S, es, es * beta, max(1.0, rho / E))
 
     if right_end == "assembly" and m == 0 and b == 0 and c == 0 and d == 0:
         right_end = "free"  # the assembly row would be identically zero
@@ -410,15 +385,8 @@ def build_pipeline(
     es = E * S
     a2 = E / rho
 
-    coefficient = _rational_restoring(
-        lambda z: z * z,
-        lambda z: a2 * (1.0 + beta * z),
-        lambda r: 1e-12 * a2 * (1.0 + beta * r),
-        "pipeline: 1 + beta*lam vanishes",
-    )
-
     part = Partition((0.0, L))
-    field = LambdaCoefficientField(part, (coefficient,), dim=2, bound=max(1.0, 1.0 / a2))
+    field = _kelvin_voigt_field(part, 1.0, a2, a2 * beta, max(1.0, 1.0 / a2))
 
     if left_end == "elastic":
         left = _row_operator("left", [[-k], [es, es * beta]])

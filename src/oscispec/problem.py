@@ -5,6 +5,7 @@ state z(y, t) of dimension N obeys
 
     dz_k/dy = sum_j A_kj(y) z_j + B_kj(y) d2z_j/dt2 + C_kj(y) dz_j/dt,
 
+(in lambda, optionally over a scalar denominator q(lambda) per interval),
 with m = N/2 homogeneous boundary rows at each end (entries polynomial in
 the spectral parameter) and an interface relation D(lam) z_left = B(lam)
 z_right at every interior breakpoint.
@@ -69,10 +70,17 @@ class Partition:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Per-interval polynomial coefficient matrices A, B, C with a bound.
+    """Per-interval coefficient matrices A, B, C, polynomial in y, with an
+    optional scalar denominator in lambda, and a bound.
 
     a_polys/b_polys/c_polys hold one N x N PolyMatrix (in y) per interval.
-    bound is the declared constant M with |entry(y)| <= M on its interval.
+    denominators holds per interval the coefficients q_0, q_1[, q_2] of a
+    scalar polynomial q(lam), constant first, or None; the reduced
+    coefficient is then (A(y) + lam^2 B(y) + lam C(y)) / q(lam), rational
+    in lambda, as a Kelvin-Voigt factor dividing a restoring term makes it.
+    Left out, no interval has one.  The roots of q are the field's poles.
+    bound is the declared constant M with |entry(y)| <= M max_k |q_k| on
+    its interval (M itself where there is no denominator).
     """
 
     partition: Partition
@@ -80,6 +88,11 @@ class CoefficientField:
     b_polys: tuple[PolyMatrix, ...]
     c_polys: tuple[PolyMatrix, ...]
     bound: float
+    denominators: tuple[tuple[float, ...] | None, ...] = ()
+
+    def __post_init__(self):
+        if not self.denominators:
+            object.__setattr__(self, "denominators", (None,) * len(self.a_polys))
 
     @property
     def dim(self) -> int:
@@ -98,39 +111,6 @@ class CoefficientField:
     @cached_property
     def varies_in_y(self) -> bool:
         return any(abc is None for abc in self.constant_abc)
-
-
-@dataclass(frozen=True)
-class LambdaCoefficientField:
-    """Per-interval reduced coefficient evaluators a(y, lambda).
-
-    Covers models whose reduced coefficients are rational in lambda (for
-    example a Kelvin-Voigt factor dividing the restoring term), which cannot
-    be stored as the polynomial triple.  Each evaluator maps (y, lam) to the
-    complex matrices of the reduced first-order system: lam is a complex
-    ndarray, 0-d for one lambda or 1-D for a stack, and the result has shape
-    lam.shape + (N, N), so a stack takes one call.  Each lambda of a stack
-    must get the bits of its own 0-d call: numpy's elementwise array loops
-    give that, but numpy turns 0-d results into scalars, whose arithmetic
-    may round otherwise.  A pole raises PoleError naming the first
-    offending lambda in stack order, in its message and as its lam.
-
-    bound scales the coefficient magnitude as bound * (1 + |lam| + |lam|^2),
-    used for step-size estimation.  y_independent marks evaluators constant
-    in y so integration can evaluate them once per interval.
-
-    Not serializable to the JSON problem format.
-    """
-
-    partition: Partition
-    evaluators: tuple[Callable[[float, np.ndarray], np.ndarray], ...]
-    dim: int
-    bound: float
-    y_independent: bool = True
-
-    @property
-    def varies_in_y(self) -> bool:
-        return not self.y_independent
 
 
 @dataclass(frozen=True)
@@ -198,7 +178,7 @@ class ProblemDefinition:
 
     name: str
     partition: Partition
-    coefficients: CoefficientField | LambdaCoefficientField
+    coefficients: CoefficientField
     boundary_left: BoundaryOperator
     boundary_right: BoundaryOperator
     conjugations: tuple[ConjugationOperator, ...]
@@ -276,6 +256,7 @@ def each_lambda(lam) -> list[complex]:
 
 def evaluate_coefficients(field: CoefficientField, interval: int, y: float):
     """Values (A(y), B(y), C(y)) on one interval; exact for polynomials.
+    Over a denominator they are the numerator's, not yet divided by q.
 
     Raises ValueError if y lies outside the closed interval.
     """
@@ -315,10 +296,7 @@ def validate(problem: ProblemDefinition) -> list[str]:
     if coeffs.partition != part:
         out.append("coefficients: partition differs from problem partition")
 
-    if isinstance(coeffs, CoefficientField):
-        out.extend(_validate_poly_field(coeffs, n, dim))
-    else:
-        out.extend(_validate_lambda_field(coeffs, n, dim))
+    out.extend(_validate_field(coeffs, n, dim))
 
     for bnd in (problem.boundary_left, problem.boundary_right):
         rows, cols = bnd.matrix.shape
@@ -370,8 +348,22 @@ def validate(problem: ProblemDefinition) -> list[str]:
     return out
 
 
-def _validate_poly_field(coeffs: CoefficientField, n: int, dim: int) -> list[str]:
+def _validate_field(coeffs: CoefficientField, n: int, dim: int) -> list[str]:
     out: list[str] = []
+    scales = [1.0] * n
+    if len(coeffs.denominators) != n:
+        out.append(f"coefficients: {len(coeffs.denominators)} denominators, expected {n}")
+    for i, q in enumerate(coeffs.denominators[:n]):
+        if q is None:
+            continue
+        if not 1 <= len(q) <= MAX_LAMBDA_DEGREE + 1:
+            out.append(f"denominator[{i}]: {len(q)} coefficients, degree cap {MAX_LAMBDA_DEGREE}")
+        elif not np.all(np.isfinite(q)):
+            out.append(f"denominator[{i}]: nonfinite coefficient")
+        elif not any(q):
+            out.append(f"denominator[{i}]: identically zero")
+        else:
+            scales[i] = max(abs(c) for c in q)
     for tag, seq in (("A", coeffs.a_polys), ("B", coeffs.b_polys), ("C", coeffs.c_polys)):
         if len(seq) != n:
             out.append(f"coefficients {tag}: {len(seq)} intervals, expected {n}")
@@ -389,32 +381,14 @@ def _validate_poly_field(coeffs: CoefficientField, n: int, dim: int) -> list[str
                 # every sample of a constant is its one coefficient
                 vals = pm.coeffs[0]
             else:
-                lo, hi = coeffs.partition.interval(i) if i < n else (0.0, 0.0)
-                vals = pm(np.linspace(lo, hi, _BOUND_SAMPLES))
+                vals = pm(np.linspace(*coeffs.partition.interval(i), _BOUND_SAMPLES))
             worst = float(np.max(np.abs(vals)))
-            if worst > coeffs.bound * (1 + 1e-12):
+            bound = coeffs.bound * scales[i]
+            if worst > bound * (1 + 1e-12):
                 out.append(
                     f"coefficients {tag}[{i}]: |entry| up to {worst:.6g} "
-                    f"exceeds declared bound {coeffs.bound:.6g}"
+                    f"exceeds declared bound {bound:.6g}"
                 )
-    return out
-
-
-def _validate_lambda_field(coeffs: LambdaCoefficientField, n: int, dim: int) -> list[str]:
-    out: list[str] = []
-    if len(coeffs.evaluators) != n:
-        out.append(f"coefficients: {len(coeffs.evaluators)} evaluators, expected {n}")
-        return out
-    for i, ev in enumerate(coeffs.evaluators):
-        try:
-            mat = np.asarray(ev(coeffs.partition.midpoints[i], np.asarray(1j)))
-        except Exception as exc:  # probe failure is a model defect
-            out.append(f"coefficients[{i}]: evaluator failed at probe: {exc}")
-            continue
-        if mat.shape != (dim, dim):
-            out.append(f"coefficients[{i}]: shape {mat.shape}, expected ({dim}, {dim})")
-        elif not np.all(np.isfinite(mat)):
-            out.append(f"coefficients[{i}]: nonfinite value at probe")
     return out
 
 
@@ -433,18 +407,14 @@ def insert_breakpoint(problem: ProblemDefinition, y_new: float) -> ProblemDefini
 
     new_part = Partition(bps[: split + 1] + (y_new,) + bps[split + 1 :])
     coeffs = problem.coefficients
-    if isinstance(coeffs, CoefficientField):
-        new_coeffs: CoefficientField | LambdaCoefficientField = CoefficientField(
-            partition=new_part,
-            a_polys=_dup(coeffs.a_polys, split),
-            b_polys=_dup(coeffs.b_polys, split),
-            c_polys=_dup(coeffs.c_polys, split),
-            bound=coeffs.bound,
-        )
-    else:
-        new_coeffs = replace(
-            coeffs, partition=new_part, evaluators=_dup(coeffs.evaluators, split)
-        )
+    new_coeffs = CoefficientField(
+        partition=new_part,
+        a_polys=_dup(coeffs.a_polys, split),
+        b_polys=_dup(coeffs.b_polys, split),
+        c_polys=_dup(coeffs.c_polys, split),
+        bound=coeffs.bound,
+        denominators=_dup(coeffs.denominators, split),
+    )
 
     new_conj = [ConjugationOperator.identity(split + 1, problem.dim)]
     for conj in problem.conjugations:

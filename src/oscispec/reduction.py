@@ -1,8 +1,9 @@
 """Harmonic reduction of the time-dependent problem to a lambda-bound ODE system.
 
 Substituting z(y, t) = phi(y) exp(lam t) turns the second-order-in-time
-problem into dphi/dy = [A(y) + lam^2 B(y) + lam C(y)] phi, the complex
-system that the solver integrates.  reduce_real_split writes the same system
+problem into dphi/dy = [A(y) + lam^2 B(y) + lam C(y)] phi, divided by the
+interval's denominator q(lam) where the field has one: the complex system
+that the solver integrates.  reduce_real_split writes the same system
 at lam = i*p in real components.  Eigenvalues are complex lam = q + i*p with
 q the growth/decay rate and p the angular frequency; reported spectra use
 the p >= 0 convention (conjugate pairs deduplicated).
@@ -17,13 +18,7 @@ import numpy as np
 from .errors import PoleError
 from .linalg import adjugate_form, realify, row_adjugate_form, rref_null_basis
 from .poly import PolyMatrix
-from .problem import (
-    CoefficientField,
-    LambdaCoefficientField,
-    ProblemDefinition,
-    ReducedSystem,
-    each_lambda,
-)
+from .problem import CoefficientField, ProblemDefinition, ReducedSystem
 
 
 def reduce_complex(
@@ -31,8 +26,9 @@ def reduce_complex(
 ) -> ReducedSystem:
     """Bind lambda into the complex N-dimensional first-order system.
 
-    The coefficient evaluator returns A(y) + lam^2 B(y) + lam C(y); boundary
-    and interface polynomials are evaluated at lam into constant complex
+    The coefficient evaluator returns A(y) + lam^2 B(y) + lam C(y), over
+    q(lam) on an interval with a denominator (_poly_parts); boundary and
+    interface polynomials are evaluated at lam into constant complex
     matrices (bind_matrix), and a lambda-free left boundary brings the
     null-basis table it forms once per problem.  A 1-D array of lambdas
     gives one stacked system whose matrices carry a leading lambda axis,
@@ -41,13 +37,12 @@ def reduce_complex(
     single lambda, bit for bit.
 
     With variational it carries its lambda-derivatives
-    (ReducedSystem.derivatives): A_lam = 2 lam B + C of a polynomial field,
-    a central difference from the same call of a lambda field's evaluator.
+    (ReducedSystem.derivatives), A_lam exact (_poly_parts).  A lambda on a
+    pole of a denominator raises PoleError naming it.
     """
     lam = _lambda_arg(lam, complex)
     coeffs = problem.coefficients
-    parts = _poly_parts if isinstance(coeffs, CoefficientField) else _lambda_parts
-    consts, varying = parts(coeffs, lam, variational)
+    consts, varying = _poly_parts(coeffs, lam, variational)
     left_matrix = bind_matrix(problem.boundary_left.matrix, lam)
     right_matrix = bind_matrix(problem.boundary_right.matrix, lam)
     return ReducedSystem(
@@ -173,22 +168,19 @@ def _lambda_arg(value, kind):
 # coefficient evaluators
 # ---------------------------------------------------------------------------
 #
-# Each *_parts function returns (consts, varying): per interval the reduced
+# _poly_parts returns (consts, varying): per interval the reduced
 # coefficient matrix where it is constant in y (None elsewhere), and an
 # evaluator varying(interval, ys) -> (len(ys), dim, dim) for the other
 # intervals.  For a stack of K lambdas the matrices are (K, dim, dim) and
 # varying returns (len(ys), K, dim, dim).  With variational every matrix is
 # the 2 dim x 2 dim block [[A, 0], [A_lam, A]] instead (_dual).
 #
-# lam is a Python number, or an ndarray for a stack.  The polynomial field
-# enters a stack into the elementwise arithmetic as a (K, 1, 1) column,
-# which broadcasts the same operations over it; its lam^2 is squared in
-# Python, one lambda at a time: numpy's vectorized complex product may fuse
-# multiply and add, and would then differ from the scalar product in the
-# last bit.  A lambda field's evaluator is called with the whole stack (one
-# lambda as a 0-d array), once per interval, or once per node where it
-# varies in y; by its contract (LambdaCoefficientField) one lambda takes the
-# array arithmetic of a stack, so each slice is bit-identical to its own call.
+# lam is a Python number, or an ndarray for a stack, which enters the
+# elementwise arithmetic as a (K, 1, 1) column that broadcasts the same
+# operations over it.  Its lam^2, the one product of two complex numbers
+# with both parts nonzero, is formed by _square with the bits of Python's
+# complex product: numpy's vectorized complex product may fuse multiply and
+# add.  So each slice of a stack is bit-identical to its own call.
 
 
 def _coeff_batch(consts, varying):
@@ -210,10 +202,20 @@ def _per_node(values: np.ndarray, x) -> np.ndarray:
     return values[:, np.newaxis] if isinstance(x, np.ndarray) else values
 
 
+# overflow gives inf as Python's complex product does, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _square(lam):
-    if isinstance(lam, np.ndarray):
-        return np.array([z * z for z in lam.tolist()])
-    return lam * lam
+    """lam * lam, or that of each lambda of a stack, with the bits of
+    Python's complex product: its parts are formed as (a^2 - b^2) + (ab + ba)i
+    by separate real operations, where numpy's vectorized complex product
+    may fuse a multiply and an add and differ in the last bit."""
+    if not isinstance(lam, np.ndarray):
+        return lam * lam
+    re, im = lam.real, lam.imag
+    out = np.empty(lam.shape, dtype=complex)
+    out.real = re * re - im * im
+    out.imag = re * im + im * re
+    return out
 
 
 def _dual(a: np.ndarray, da: np.ndarray) -> np.ndarray:
@@ -227,44 +229,58 @@ def _dual(a: np.ndarray, da: np.ndarray) -> np.ndarray:
     return out
 
 
+def _denominator(q: tuple[float, ...], lam, lam2, interval: int):
+    """(q, q_lam) at lambda from the coefficients q of one interval's
+    denominator: q as a (1, 1) column, or (K, 1, 1) for a stack, and q_lam
+    so too, or as a number where it is constant.
+
+    They are formed on the stack's 1-D form even for one lambda.  A lambda
+    with |q(lam)| <= 1e-12 sum_k |q_k| |lam|^k is a pole: the first in the
+    stack raises PoleError naming the interval and that lambda.
+    """
+    q0, q1, *q2 = tuple(q) + (0.0,) * (2 - len(q))
+    z = np.asarray(lam, dtype=complex).reshape(-1)
+    r = np.abs(z)
+    value, slope, scale = q0 + q1 * z, q1, abs(q0) + abs(q1) * r
+    if q2:
+        value = value + q2[0] * np.asarray(lam2).reshape(-1)
+        slope = slope + 2 * q2[0] * z
+        scale = scale + abs(q2[0]) * (r * r)
+    pole = np.abs(value) <= 1e-12 * scale
+    if pole.any():
+        raise PoleError(f"coefficient denominator of interval {interval} vanishes",
+                        complex(z[pole][0]))
+    shape = np.shape(lam) + (1, 1)
+    return value.reshape(shape), (np.reshape(slope, shape) if q2 else slope)
+
+
 def _poly_parts(coeffs: CoefficientField, lam, variational: bool):
-    lam2 = _column(_square(lam))
+    """Per interval N = A + lam^2 B + lam C and, with a denominator q, the
+    quotient N / q, whose lambda-derivative is formed exactly as (N_lam -
+    (N / q) q_lam) / q, that is (N_lam q - N q_lam) / q^2."""
+    lam2 = _square(lam)
+    quotients = tuple(None if q is None else _denominator(q, lam, lam2, i)
+                      for i, q in enumerate(coeffs.denominators))
+    lam2 = _column(lam2)
     lam = _column(lam)
 
     def value(a, b, c):
         return a + lam2 * b + lam * c
 
-    def form(a, b, c):
-        return _dual(value(a, b, c), 2 * lam * b + c) if variational else value(a, b, c)
+    def form(interval, a, b, c):
+        n, dn = value(a, b, c), (2 * lam * b + c if variational else None)
+        if quotients[interval] is not None:
+            q, dq = quotients[interval]
+            n = n / q
+            dn = None if dn is None else (dn - n * dq) / q
+        return n if dn is None else _dual(n, dn)
 
-    consts = tuple(None if abc is None else form(*abc) for abc in coeffs.constant_abc)
+    consts = tuple(
+        None if abc is None else form(i, *abc) for i, abc in enumerate(coeffs.constant_abc)
+    )
 
     def varying(interval: int, ys: np.ndarray) -> np.ndarray:
         polys = (coeffs.a_polys, coeffs.b_polys, coeffs.c_polys)
-        return form(*(_per_node(p[interval](ys), lam) for p in polys)).astype(complex)
+        return form(interval, *(_per_node(p[interval](ys), lam) for p in polys)).astype(complex)
 
     return consts, varying
-
-
-def _lambda_parts(coeffs: LambdaCoefficientField, lam, variational: bool):
-    # with variational, lambda and lambda +- h go in one call (_central); a
-    # pole at lambda +- h is the failure of lambda, the point it is formed for
-    lams, split = _central(lam) if variational else (np.asarray(lam, dtype=complex), None)
-
-    def evaluate(interval: int, y: float) -> np.ndarray:
-        try:
-            values = np.asarray(coeffs.evaluators[interval](y, lams), dtype=complex)
-        except PoleError as exc:
-            hit = np.flatnonzero(lams == exc.lam) if np.ndim(exc.lam) == 0 else []
-            if split is not None and len(hit):
-                exc.lam = each_lambda(lam)[hit[0] % (len(lams) // 3)]
-            raise
-        return values if split is None else _dual(*split(values))
-
-    if coeffs.y_independent:
-        return tuple(evaluate(i, y) for i, y in enumerate(coeffs.partition.midpoints)), None
-
-    def varying(interval: int, ys: np.ndarray) -> np.ndarray:
-        return np.stack([evaluate(interval, y) for y in ys.tolist()])
-
-    return (None,) * coeffs.partition.n_intervals, varying

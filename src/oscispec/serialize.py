@@ -8,7 +8,8 @@ Schema (all numbers plain JSON doubles, which round-trip exactly):
       "dimension": N,
       "bound": M,
       "coefficients": [            # one object per interval
-        {"A": poly_matrix, "B": poly_matrix, "C": poly_matrix}
+        {"A": poly_matrix, "B": poly_matrix, "C": poly_matrix,
+         "denominator": [q0, q1, q2]}    # optional, 1 to 3 coefficients
       ],
       "boundary_left":  poly_matrix,   # m x N, lambda polynomials
       "boundary_right": poly_matrix,
@@ -18,9 +19,10 @@ Schema (all numbers plain JSON doubles, which round-trip exactly):
     }
 
 A poly_matrix is a row-major nested list: matrix[i][j] is the coefficient
-list of the entry polynomial, ordered constant-first.  Problems with
-lambda-rational coefficient evaluators (some built-in models) have no JSON
-form and are rejected on save.
+list of the entry polynomial, ordered constant-first.  An interval's
+"denominator" lists the coefficients of q(lambda), constant-first, and
+makes its coefficient (A + lambda^2 B + lambda C) / q (Kelvin-Voigt
+models); an interval without one has none.
 """
 
 from __future__ import annotations
@@ -40,24 +42,12 @@ from .problem import (
 
 def problem_to_dict(problem: ProblemDefinition) -> dict:
     coeffs = problem.coefficients
-    if not isinstance(coeffs, CoefficientField):
-        raise ValueError(
-            f"problem {problem.name!r} uses lambda-rational coefficients "
-            "and has no JSON representation"
-        )
     out = {
         "name": problem.name,
         "breakpoints": list(problem.partition.breakpoints),
         "dimension": problem.dim,
         "bound": coeffs.bound,
-        "coefficients": [
-            {
-                "A": coeffs.a_polys[i].to_lists(),
-                "B": coeffs.b_polys[i].to_lists(),
-                "C": coeffs.c_polys[i].to_lists(),
-            }
-            for i in range(problem.partition.n_intervals)
-        ],
+        "coefficients": [_interval_dict(coeffs, i) for i in range(problem.partition.n_intervals)],
         "boundary_left": problem.boundary_left.matrix.to_lists(),
         "boundary_right": problem.boundary_right.matrix.to_lists(),
         "conjugations": [
@@ -76,17 +66,32 @@ def problem_to_dict(problem: ProblemDefinition) -> dict:
     return out
 
 
+def _interval_dict(coeffs: CoefficientField, i: int) -> dict:
+    out = {
+        "A": coeffs.a_polys[i].to_lists(),
+        "B": coeffs.b_polys[i].to_lists(),
+        "C": coeffs.c_polys[i].to_lists(),
+    }
+    if coeffs.denominators[i] is not None:
+        out["denominator"] = [float(c) for c in coeffs.denominators[i]]
+    return out
+
+
 def problem_from_dict(data: dict) -> ProblemDefinition:
     try:
         part = Partition(tuple(float(b) for b in data["breakpoints"]))
         dim = int(data["dimension"])
         bound = float(data.get("bound", 1.0))
-        a_polys, b_polys, c_polys = [], [], []
+        a_polys, b_polys, c_polys, dens = [], [], [], []
         for entry in data["coefficients"]:
             a_polys.append(PolyMatrix.from_entries(entry["A"]))
             b_polys.append(PolyMatrix.from_entries(entry["B"]))
             c_polys.append(PolyMatrix.from_entries(entry["C"]))
-        coeffs = CoefficientField(part, tuple(a_polys), tuple(b_polys), tuple(c_polys), bound)
+            den = entry.get("denominator")
+            dens.append(None if den is None else tuple(float(c) for c in den))
+        coeffs = CoefficientField(
+            part, tuple(a_polys), tuple(b_polys), tuple(c_polys), bound, tuple(dens)
+        )
         left = BoundaryOperator(
             "left",
             PolyMatrix.from_entries(data["boundary_left"]),

@@ -1,6 +1,5 @@
 """Built-in models: classical limits, damping signs, snapshot semantics."""
 
-import dataclasses
 import math
 import re
 
@@ -23,9 +22,11 @@ from oscispec import (
     characteristic_determinant,
     closed_form_roots,
     model_defaults,
+    reduce_complex,
     solve_spectrum,
     validate,
 )
+from oscispec import reduction
 
 OPTS = SolveOptions(scan=(0.3, 10.5, 240), step=1e-3, tol=1e-11)
 
@@ -68,57 +69,73 @@ class TestValidation:
             build_model("spacecraft_bar", bogus=1.0)
 
 
-LAMBDA_FIELD_MODELS = ("machine_unit", "spacecraft_bar", "pipeline")
-
-
-def _counted(problem):
-    """The problem with its one evaluator wrapped; returns (problem, calls),
-    calls recording the shape of each lambda argument."""
-    calls = []
-    (ev,) = problem.coefficients.evaluators
-
-    def counting(y, lam):
-        calls.append(np.shape(lam))
-        return ev(y, lam)
-
-    field = dataclasses.replace(problem.coefficients, evaluators=(counting,))
-    return dataclasses.replace(problem, coefficients=field), calls
+KELVIN_VOIGT_MODELS = ("machine_unit", "spacecraft_bar", "pipeline")
 
 
 class TestStackEvaluators:
-    """A lambda-field evaluator takes a whole stack of lambdas in one call."""
+    """A Kelvin-Voigt field's rational coefficient is formed for a whole
+    stack of lambdas in one reduction."""
 
-    @pytest.mark.parametrize("name", LAMBDA_FIELD_MODELS)
+    @pytest.mark.parametrize("name", KELVIN_VOIGT_MODELS)
     def test_stack_equals_each_lambda_bit_for_bit(self, name):
         # off the axis both parts of lambda are nonzero, where a fused and a
-        # plain complex product would part
+        # plain complex product would part; with variational the blocks
+        # carry the exact A_lam too
         rng = np.random.default_rng(9)
         off_axis = rng.uniform(-0.5, 0.0, 120) + 1j * rng.uniform(0.2, 9.0, 120)
         lams = np.concatenate([1j * np.linspace(0.2, 10.0, 120), off_axis])
-        (ev,) = build_model(name).coefficients.evaluators
-        stacked = ev(0.5, lams)
-        assert stacked.shape == (240, 2, 2) and stacked.dtype == complex
-        for k, z in enumerate(lams.tolist()):
-            one = ev(0.5, np.asarray(z))
-            assert one.shape == (2, 2)
-            assert one.tobytes() == stacked[k].tobytes()
+        problem = build_model(name)
+        for variational, dim in ((False, 2), (True, 4)):
+            (stacked,) = reduce_complex(problem, lams, variational).constant_coeffs
+            assert stacked.shape == (240, dim, dim) and stacked.dtype == complex
+            for k, z in enumerate(lams.tolist()):
+                (one,) = reduce_complex(problem, z, variational).constant_coeffs
+                assert one.shape == (dim, dim)
+                assert one.tobytes() == stacked[k].tobytes()
 
     def test_stack_through_a_pole_names_its_first_pole(self):
         # G*Ip + zeta1*lam vanishes at -2; the last lambda is within the
         # pole tolerance too, but comes later in the stack
-        (ev,) = build_model("machine_unit", zeta1=0.5).coefficients.evaluators
+        problem = build_model("machine_unit", zeta1=0.5)
         lams = np.array([-1.8, -1.9, -2.0, -2.1, -2.0 + 1e-13]) + 0j
-        message = "machine unit: G*Ip + zeta1*lam vanishes at lambda=(-2+0j)"
+        message = "coefficient denominator of interval 0 vanishes at lambda=(-2+0j)"
         with pytest.raises(PoleError, match=re.escape(message) + "$"):
-            ev(0.5, lams)
+            reduce_complex(problem, lams)
 
-    @pytest.mark.parametrize("name", LAMBDA_FIELD_MODELS)
-    def test_one_evaluator_call_per_stacked_determinant(self, name):
-        problem, calls = _counted(build_model(name))
+    @pytest.mark.parametrize("name", KELVIN_VOIGT_MODELS)
+    def test_one_denominator_evaluation_per_stacked_determinant(self, name, monkeypatch):
+        calls = []
+        original = reduction._denominator
+
+        def counting(q, lam, *args):
+            calls.append(np.shape(lam))
+            return original(q, lam, *args)
+
+        monkeypatch.setattr(reduction, "_denominator", counting)
+        problem = build_model(name)
         characteristic_determinant(problem, 1j * np.linspace(0.2, 10.0, 240), 1e-3)
         assert calls == [(240,)]
         characteristic_determinant(problem, 2.0j, 1e-3)
         assert calls == [(240,), ()]
+
+
+class TestUndampedVariants:
+    """With the damping off, q is a real constant and q / q leaves no
+    imaginary part: D(ip) is exactly real, which the real-split cases of the
+    CI rely on.  machine_unit needs alpha1 = 0 too: its tool row damps."""
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("spacecraft_bar", {"beta": 0, "b": 0, "d": 0}),
+            ("pipeline", {"beta": 0, "alpha1": 0}),
+            ("machine_unit", {"zeta1": 0, "alpha1": 0, "left_end": "free"}),
+        ],
+    )
+    def test_determinant_is_real_on_the_axis(self, name, params):
+        lams = 1j * np.linspace(0.2, 10.0, 240)
+        d = characteristic_determinant(build_model(name, **params), lams, 1e-3)
+        assert np.all(d.imag == 0) and np.all(np.isfinite(d))
 
 
 class TestMachineUnit:
@@ -153,10 +170,9 @@ class TestMachineUnit:
 
     def test_pole_reported(self):
         prob = build_machine_unit(zeta1=1.0)
-        from oscispec import PoleError
-
-        with pytest.raises(PoleError):
-            prob.coefficients.evaluators[0](0.5, -1.0)  # G*Ip + zeta1*lam = 0
+        with pytest.raises(PoleError) as info:
+            reduce_complex(prob, -1.0)  # G*Ip + zeta1*lam = 0
+        assert info.value.lam == -1.0
 
 
 class TestSpacecraftBar:

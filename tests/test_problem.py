@@ -55,6 +55,30 @@ class TestValidate:
         )
         assert any("exceeds declared bound" in v for v in validate(prob))
 
+    @pytest.mark.parametrize(
+        "denominators, message",
+        [
+            (((1.0, 0.5), (1.0,)), "2 denominators, expected 1"),
+            (((1.0, 0.5, 0.1, 0.2),), "denominator[0]: 4 coefficients"),
+            (((1.0, float("nan")),), "denominator[0]: nonfinite coefficient"),
+            (((0.0, 0.0),), "denominator[0]: identically zero"),
+        ],
+    )
+    def test_denominator_violations(self, denominators, message):
+        prob = make_string_problem()
+        field = dataclasses.replace(prob.coefficients, denominators=denominators)
+        prob = dataclasses.replace(prob, coefficients=field)
+        assert any(message in v for v in validate(prob))
+
+    def test_denominator_scales_the_bound(self):
+        # |entry| <= bound max|q_k|: over q = 4 + lam a field of bound 1 may
+        # hold entries up to 4, not above
+        prob = make_string_problem()
+        for entry, ok in ((4.0, True), (4.5, False)):
+            a = PolyMatrix.constant(np.array([[0.0, entry], [0.0, 0.0]]))
+            field = dataclasses.replace(prob.coefficients, a_polys=(a,), denominators=((4.0, 1.0),))
+            assert (validate(dataclasses.replace(prob, coefficients=field)) == []) is ok
+
     def test_lambda_degree_cap(self):
         # a cubic boundary row without an override is rejected
         prob = make_string_problem()
@@ -196,6 +220,11 @@ class TestInsertBreakpoint:
     def test_existing_breakpoint_rejected(self, fixed_free_string):
         with pytest.raises(ValueError):
             insert_breakpoint(fixed_free_string, 1.0)
+
+    def test_denominator_kept_on_both_halves(self):
+        refined = insert_breakpoint(build_model("machine_unit"), 0.37)
+        assert refined.coefficients.denominators == ((1.0, 0.01),) * 2
+        assert validate(refined) == []
 
     def test_indices_shift_past_split(self):
         prob = make_string_problem(

@@ -8,13 +8,14 @@ from hypothesis.extra.numpy import arrays
 from oscispec import (
     BoundaryOperator,
     CoefficientField,
-    LambdaCoefficientField,
     Partition,
     PolyMatrix,
     ProblemDefinition,
     reduce_complex,
     reduce_real_split,
 )
+
+from oscispec import reduction
 
 from conftest import make_string_problem
 
@@ -182,17 +183,46 @@ class TestConstantCoeffs:
             assert varying is None
             np.testing.assert_array_equal(const, reduced.coefficient(0, 0.3))
 
-    def test_lambda_field_follows_y_independent_flag(self):
+    def test_denominator_divides_the_polynomial_form(self):
+        # A = (A0 + lam^2 B + lam C) / q with q = 2 + 0.5 lam; the y-varying
+        # B makes its interval varying, as a y-polynomial does without q
         part = Partition((0.0, 1.0))
-        ev = (lambda y, lam: np.array([[0.0, 1.0], [lam * lam, 0.0]]),)
-        prob = make_string_problem()
-        for flag in (True, False):
-            field = LambdaCoefficientField(part, ev, dim=2, bound=1.0, y_independent=flag)
-            prob = ProblemDefinition("lam", part, field, prob.boundary_left,
-                                     prob.boundary_right, ())
-            for reduced in (reduce_complex(prob, 1.5j), reduce_real_split(prob, 1.5)):
-                (const,) = reduced.constant_coeffs
-                if flag:
-                    np.testing.assert_array_equal(const, reduced.coefficient(0, 0.3))
-                else:
-                    assert const is None
+        a = PolyMatrix.constant(np.array([[0.0, 2.0], [0.0, 0.0]]))
+        c = PolyMatrix.constant(np.array([[0.0, 0.5], [0.0, 0.0]]))
+        base = make_string_problem()
+        lam, y = 0.3 + 1.5j, 0.3
+        for b in (PolyMatrix.constant(np.array([[0.0, 0.0], [1.0, 0.0]])),
+                  PolyMatrix.from_entries([[[0.0], [0.0]], [[1.0, 0.3], [0.0]]])):
+            field = CoefficientField(part, (a,), (b,), (c,), 2.0, ((2.0, 0.5),))
+            prob = ProblemDefinition("kv", part, field, base.boundary_left,
+                                     base.boundary_right, ())
+            reduced = reduce_complex(prob, lam)
+            want = [[0.0, 1.0], [lam * lam * b(y)[1, 0] / (2.0 + 0.5 * lam), 0.0]]
+            np.testing.assert_allclose(reduced.coefficient(0, y), want, rtol=1e-15, atol=0)
+            (const,) = reduced.constant_coeffs
+            assert (const is None) == (b.degree > 0)
+
+    def test_square_has_the_bits_of_pythons_product(self):
+        # the stack's lam^2, formed part by part, against one Python product
+        # per lambda: full mantissas, signed zeros, overflow and non-finite
+        rng = np.random.default_rng(3)
+        z = (rng.normal(size=400) + 1j * rng.normal(size=400)) * 10.0 ** rng.uniform(-150, 150, 400)
+        z[:6] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(3.0, -0.0), complex(1e200, 1e200),
+                 complex(np.inf, 1.0), complex(np.nan, 0.0)]
+        want = np.array([w * w for w in z.tolist()])
+        assert reduction._square(z).tobytes() == want.tobytes()
+
+    def test_denominator_derivative_is_exact(self):
+        # A_lam = (N_lam q - N q_lam) / q^2 against a central difference of A
+        part = Partition((0.0, 1.0))
+        a = PolyMatrix.constant(np.array([[0.0, 2.0], [0.0, 0.0]]))
+        b = PolyMatrix.constant(np.array([[0.0, 0.0], [1.5, 0.0]]))
+        c = PolyMatrix.constant(np.array([[0.0, 0.5], [0.0, 0.0]]))
+        base = make_string_problem()
+        field = CoefficientField(part, (a,), (b,), (c,), 2.0, ((2.0, 0.5, 0.1),))
+        prob = ProblemDefinition("kv", part, field, base.boundary_left, base.boundary_right, ())
+        lam, h = 0.3 + 1.5j, 1e-5
+        (block,) = reduce_complex(prob, lam, variational=True).constant_coeffs
+        (up,), (down,) = (reduce_complex(prob, z).constant_coeffs for z in (lam + h, lam - h))
+        np.testing.assert_array_equal(block[:2, :2], reduce_complex(prob, lam).constant_coeffs[0])
+        np.testing.assert_allclose(block[2:, :2], (up - down) / (2 * h), rtol=1e-9, atol=1e-12)

@@ -12,8 +12,9 @@ from oscispec import (
     Partition,
     PolyMatrix,
     ProblemDefinition,
-    build_machine_unit,
+    build_model,
     build_point_mass_string,
+    characteristic_determinant,
     dump_problem,
     load_problem,
     problem_from_dict,
@@ -29,6 +30,7 @@ def _assert_problems_equal(a, b):
     assert a.partition == b.partition
     fa, fb = a.coefficients, b.coefficients
     assert fa.bound == fb.bound
+    assert fa.denominators == fb.denominators
     for pa, pb in zip(fa.a_polys + fa.b_polys + fa.c_polys,
                       fb.a_polys + fb.b_polys + fb.c_polys):
         assert pa == pb
@@ -99,11 +101,44 @@ class TestRoundTrip:
         assert validate(back) == []
 
 
-class TestErrors:
-    def test_rational_model_not_serializable(self):
-        with pytest.raises(ValueError, match="no JSON representation"):
-            problem_to_dict(build_machine_unit())
+#: the seven built-ins at their defaults and the benchmark's two rect_search
+#: variants
+BUILT_INS = [
+    ("machine_unit", {}), ("spacecraft_bar", {}), ("cable_snapshot", {}), ("pipeline", {}),
+    ("fixed_free_string", {}), ("fixed_fixed_string", {}), ("point_mass_string", {}),
+    ("machine_unit", {"left_end": "clamped", "right_end": "clamped"}),
+    ("spacecraft_bar", {"beta": 0.02}),
+]
 
+
+class TestBuiltIns:
+    @pytest.mark.parametrize("name, params", BUILT_INS)
+    def test_built_in_round_trips_to_the_same_determinant(self, name, params):
+        # 120 lambdas on the axis and 120 off it, where the rational
+        # coefficients of the damped models have both parts nonzero
+        prob = build_model(name, **params)
+        data = problem_to_dict(prob)
+        back = problem_from_dict(json.loads(json.dumps(data)))
+        _assert_problems_equal(prob, back)
+        assert validate(back) == []
+        rng = np.random.default_rng(5)
+        off_axis = rng.uniform(-0.5, 0.0, 120) + 1j * rng.uniform(0.2, 10.0, 120)
+        lams = np.concatenate([1j * np.linspace(0.2, 10.0, 120), off_axis])
+        want = characteristic_determinant(prob, lams, 1e-3)
+        assert characteristic_determinant(back, lams, 1e-3).tobytes() == want.tobytes()
+
+    def test_kelvin_voigt_models_store_their_denominator(self):
+        data = problem_to_dict(build_model("machine_unit", G=2.0, Ip=1.5, zeta1=0.25))
+        assert data["coefficients"][0]["denominator"] == [3.0, 0.25]
+        assert "denominator" not in problem_to_dict(build_model("cable_snapshot"))["coefficients"][0]
+
+    def test_file_without_denominators_has_none(self):
+        data = problem_to_dict(_awkward_problem())
+        assert all("denominator" not in entry for entry in data["coefficients"])
+        assert problem_from_dict(data).coefficients.denominators == (None, None)
+
+
+class TestErrors:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -21,7 +21,6 @@ from oscispec import (
     CoefficientField,
     ConjugationOperator,
     IntegrationError,
-    LambdaCoefficientField,
     NotARootError,
     Partition,
     PoleError,
@@ -763,18 +762,13 @@ def _y_varying_problem():
 
 
 def _y_varying_lambda_problem():
-    """A lambda-field evaluator that depends on y, so no interval is constant."""
+    """A rational field that depends on y, so no interval is constant: r =
+    lam^2 (1 + 0.3 y) / (1 + 0.01 lam)."""
     part = Partition((0.0, 1.0))
-
-    def coefficient(y, lam):
-        # lam is a 0-d or 1-D complex array; computed on its 1-D form
-        z = lam.reshape(-1)
-        out = np.zeros(z.shape + (2, 2), dtype=complex)
-        out[:, 0, 1] = 1.0
-        out[:, 1, 0] = z * z * (1.0 + 0.3 * y) / (1.0 + 0.01 * z)
-        return out.reshape(lam.shape + (2, 2))
-
-    field = LambdaCoefficientField(part, (coefficient,), dim=2, bound=1.3, y_independent=False)
+    a = PolyMatrix.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    b = PolyMatrix.from_entries([[[0.0], [0.0]], [[1.0, 0.3], [0.0]]])
+    c = PolyMatrix.constant(np.array([[0.0, 0.01], [0.0, 0.0]]))
+    field = CoefficientField(part, (a,), (b,), (c,), 1.3, ((1.0, 0.01),))
     base = make_string_problem()
     return ProblemDefinition("y_lambda", part, field, base.boundary_left, base.boundary_right, ())
 
@@ -905,6 +899,27 @@ class TestStackedDeterminant:
         assert "lambda=(-2+0j)" in str(info.value)
         assert info.value.lam == expected.lam == lams[2]
 
+    @pytest.mark.parametrize(
+        "name, params, pole",
+        [("machine_unit", {"zeta1": 0.5}, -2.0), ("spacecraft_bar", {"beta": 0.5}, -2.0),
+         ("pipeline", {"beta": 0.25}, -4.0)],
+    )
+    def test_pole_is_named_on_every_path(self, name, params, pole):
+        # -G*Ip/zeta1 and -1/beta, the roots of the stored denominators, on
+        # the scan's stacked determinant, a Newton round and a mode shape
+        problem = build_model(name, **params)
+        calls = (
+            lambda: characteristic_determinant(problem, np.array([1j, pole]), 1e-2),
+            lambda: spectrum._newton_values(problem, np.array([1j, pole]), 1e-2),
+            lambda: mode_shape(problem, pole, 1e-2),
+        )
+        for call in calls:
+            with pytest.raises(PoleError) as info:
+                call()
+            assert info.value.lam == pole
+            message = f"coefficient denominator of interval 0 vanishes at lambda=({pole:g}+0j)"
+            assert str(info.value) == message
+
     def test_failing_stack_raises_the_error_its_pass_meets(self):
         # -1.999999 overflows in integration, but the whole stack is reduced
         # first, where the pole at -2 fails: the stack raises the pole,
@@ -947,16 +962,17 @@ class TestStackedDeterminant:
         assert len(det_calls) <= 2
 
     def test_pole_next_to_a_newton_point_is_that_points_outcome(self):
-        # lambda + h of the first point's central difference lies on the
-        # Kelvin-Voigt pole at -2: the error is the first point's, and the
-        # second gets the values it gets alone
+        # Newton's A_lam is exact, so a point 1e-5 from the Kelvin-Voigt
+        # pole at -2 evaluates; a point on the pole fails alone, naming it,
+        # and the others get the values they get alone
         problem = build_model("machine_unit", zeta1=0.5)
-        lams = np.array([-2 / (1 - 1e-5), 1j])
+        lams = np.array([-2 / (1 - 1e-5), -2.0, 1j])
         values = spectrum._each(lambda z: spectrum._newton_values(problem, z, 1e-2), lams)
-        assert isinstance(values[0], PoleError) and values[0].lam == lams[0]
-        assert "lambda=(-2+0j)" in str(values[0])
-        alone = spectrum._newton_values(problem, lams[1:], 1e-2)
-        assert np.array(values[1:]).tobytes() == np.array(alone).tobytes()
+        assert isinstance(values[1], PoleError) and values[1].lam == -2.0
+        assert str(values[1]) == "coefficient denominator of interval 0 vanishes at lambda=(-2+0j)"
+        alone = spectrum._newton_values(problem, lams[[0, 2]], 1e-2)
+        assert np.isfinite(np.array(alone)).all()
+        assert np.array([values[0], values[2]]).tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize("lam", [None, 5j], ids=["none", "outside"])
     def test_error_naming_no_lambda_of_the_call_is_raised(self, lam):
@@ -1882,26 +1898,29 @@ class TestFrozenScaleNewton:
         assert [np.size(lams) for lams in det_calls[1:]] == rounds
         assert rounds[0] == len(brackets)
 
-    def test_y_dependent_evaluator_calls(self, monkeypatch):
-        # the lambda field is evaluated once per RK4 node and midpoint for a
-        # whole chunk: lambda and lambda +- h ride in that one call, so a
-        # refinement call makes no more calls than the 2,001 of one plain
-        # chunk, and a 240-lambda scan (4 chunks) the 8,004 it made before
+    def test_y_polynomial_evaluations_per_chunk(self):
+        # a y-varying interval evaluates each of A, B, C once on the RK4
+        # nodes and once on the midpoints, for a whole chunk: a 240-lambda
+        # scan (4 chunks) makes 24 polynomial calls, not one per node
         problem = _y_varying_lambda_problem()
-        (evaluator,) = problem.coefficients.evaluators
         sizes = []
 
-        def counting(y, lam):
-            sizes.append(np.size(lam))
-            return evaluator(y, lam)
+        class Counting(PolyMatrix):
+            def __call__(self, x):
+                sizes.append(np.size(x))
+                return super().__call__(x)
 
-        coefficients = dataclasses.replace(problem.coefficients, evaluators=(counting,))
-        problem = dataclasses.replace(problem, coefficients=coefficients)
+        field = problem.coefficients
+        counted = dataclasses.replace(field, **{
+            name: tuple(Counting(p.coeffs) for p in getattr(field, name))
+            for name in ("a_polys", "b_polys", "c_polys")
+        })
+        problem = dataclasses.replace(problem, coefficients=counted)
         characteristic_determinant(problem, 1j * np.linspace(0.2, 10.0, 240), 1e-3)
-        assert len(sizes) == 8004
+        assert sizes == ([1001] * 3 + [1000] * 3) * 4
         del sizes[:]
         spectrum._newton_values(problem, np.array([1.5j, 4.7j, -0.1 + 7.8j]), 1e-3)
-        assert len(sizes) == 2001 and set(sizes) == {9}
+        assert sizes == [1001] * 3 + [1000] * 3
 
     def test_spacecraft_bar_reports_all_four_roots(self):
         prob = build_model("spacecraft_bar")
