@@ -25,10 +25,10 @@ _DIM_CAP = 6000
 #: the pencil's defective infinite eigenvalues, whose mu is rounding, not 0
 _SPURIOUS_CUTOFF = 1e8
 
-#: shift of both routes.  It sits on the positive imaginary axis, close to
-#: the low oscillatory eigenvalues; 0 itself is unusable because rigid-body
-#: models (machine_unit) have an eigenvalue within 1e-9 of it.
-_SHIFT = 0.5j
+#: shift of both routes.  Real, so a real pencil stays in real arithmetic;
+#: right of the imaginary axis, where no passive or stable model has an
+#: eigenvalue, and 0.5 from machine_unit's rigid-body eigenvalue near 0.
+_SHIFT = 0.5
 
 #: the whole-spectrum route's shift where P(_SHIFT) is singular
 _SECOND_SHIFT = 0.5 + 2j
@@ -40,14 +40,14 @@ _HALF_BAND = 3
 
 #: Arnoldi steps allowed per sparse attempt (the Krylov dimension cap).
 #: Certified runs on the built-in models (n_fd 100 to 1600, count 1, 3 and
-#: 5) take 14 to 54; a run not certified by the cap is refused, and the
+#: 5) take 18 to 50; a run not certified by the cap is refused, and the
 #: dense route runs.
 _KRYLOV_CAP = 100
 
 #: Arnoldi steps before the first Ritz check, per requested eigenvalue, and
-#: between later checks.  A check (an eigendecomposition of the Hessenberg
-#: matrix) costs about as much as 8 to 10 steps at n_fd=400; the built-in
-#: models certify at about 10 steps per requested eigenvalue.
+#: between later checks.  A check (an eigendecomposition of the real
+#: Hessenberg matrix of order 30 to 38) costs about as much as 5 to 10 steps
+#: at n_fd=400; the built-in models certify at 9 to 12 steps per eigenvalue.
 _FIRST_CHECK = 10
 _NEXT_CHECK = 4
 
@@ -250,9 +250,7 @@ def fd_polynomial_eigenvalues(
     row_node[row] = offsets[0]
     row += 1
     hl = (bps[-1] - bps[-2]) / cells[-1]
-    _add_trace_row(
-        entries, row, form.right_row, offsets[-1] + cells[-1], hl, forward=False
-    )
+    _add_trace_row(entries, row, form.right_row, offsets[-1] + cells[-1], hl, forward=False)
     row_node[row] = offsets[-1] + cells[-1]
     row += 1
 
@@ -273,9 +271,7 @@ def fd_polynomial_eigenvalues(
     assert row == n_unknowns
 
     bands = _banded_coefficients(entries, row_node, n_unknowns)
-    eigs = None
-    if count is not None:
-        eigs = _polyeig_near(bands, count)
+    eigs = None if count is None else _polyeig_near(bands, count)
     if eigs is None:
         if max_deg * n_unknowns > _DIM_CAP:
             raise ValueError(
@@ -389,17 +385,16 @@ def _band_factor(band: np.ndarray):
         return None
 
     def solve(rhs):
-        r = np.zeros((m, period), dtype=complex)
+        r = np.zeros((m, period), dtype=np.result_type(gather, rhs))
         r.reshape(-1)[:n] = rhs
         part = np.matmul(gather, r[:, :b, None])[..., 0]
         own, pull = part[:, :b], part[:, b:]
         # the separators, with the zero ones off the grid at either end
-        x_sep = np.zeros((m + 1, s), dtype=complex)
-        x_sep[1:-1] = (schur_inv @ (r[:-1, b:] - pull[:-1, s:] - pull[1:, :s]).ravel()).reshape(
-            m - 1, s
-        )
+        x_sep = np.zeros((m + 1, s), dtype=r.dtype)
+        sep = r[:-1, b:] - pull[:-1, s:] - pull[1:, :s]
+        x_sep[1:-1] = (schur_inv @ sep.ravel()).reshape(m - 1, s)
         either_side = np.concatenate([x_sep[:-1], x_sep[1:]], axis=1)
-        x = np.empty((m, period), dtype=complex)
+        x = np.empty((m, period), dtype=r.dtype)
         x[:, :b] = own - np.matmul(spread, either_side[..., None])[..., 0]
         x[:, b:] = x_sep[1:]
         return x.reshape(-1)[:n]
@@ -417,30 +412,35 @@ def _shift_invert(bands: np.ndarray, solve, shift: complex):
     solve, P(sigma) x_0 = -sum_(k>0) M_k c_k, with c_0 = 0 and
     c_k = sigma c_(k-1) + y_(k-1).  That right-hand side is
     sum_i Q_i y_i with Q_i = sum_(k>i) sigma^(k-1-i) M_k, one banded product.
+    Real bands and shift keep the arithmetic real (a complex y by parts).
     """
-    deg, n, width = bands.shape
-    deg -= 1
-    q = np.zeros((deg, n, width), dtype=complex)
+    deg, n, width = len(bands) - 1, *bands.shape[1:]
+    dtype = np.result_type(bands, shift)
+    q = np.zeros((deg, n, width), dtype=dtype)
     for i in range(deg):
         for k in range(i + 1, deg + 1):
             q[i] += shift ** (k - 1 - i) * bands[k]
     # y with _HALF_BAND zeros either side; windows[i, r, j] is its entry
     # (i, r + j), the one that diagonal j of row r multiplies
-    padded = np.zeros((deg, n + width - 1), dtype=complex)
+    padded = np.zeros((deg, n + width - 1), dtype=dtype)
     windows = np.lib.stride_tricks.as_strided(
         padded, (deg, n, width), (padded.strides[0], padded.itemsize, padded.itemsize)
     )
 
-    def apply(y):
+    def linear(y):
         y = np.reshape(y, (deg, n))
         padded[:, _HALF_BAND : _HALF_BAND + n] = y
-        x = np.empty((deg, n), dtype=complex)
+        x = np.empty((deg, n), dtype=dtype)
         x[0] = solve(-np.einsum("kij,kij->i", q, windows))
         for k in range(1, deg):
             x[k] = shift * x[k - 1] + y[k - 1]
         return x.ravel()
 
-    return apply
+    if dtype.kind == "c":
+        return linear
+    # a real map takes a complex y by its real and imaginary parts, through
+    # linear: a map calling itself would keep the factor alive until a full GC
+    return lambda y: linear(y.real) + 1j * linear(y.imag) if np.iscomplexobj(y) else linear(y)
 
 
 def _polyeig_all(bands: np.ndarray) -> np.ndarray:
@@ -450,8 +450,8 @@ def _polyeig_all(bands: np.ndarray) -> np.ndarray:
     The sparse route's operator (A - sigma B)^-1 B, one factorization of
     P(sigma) (see _band_factor and _shift_invert), is applied to every unit
     vector to form its dense matrix; each of its eigenvalues mu gives an
-    eigenvalue lam = sigma + 1/mu of the pencil.  sigma is _SHIFT, or
-    _SECOND_SHIFT where P(_SHIFT) is singular.  The pencil's infinite
+    eigenvalue lam = sigma + 1/mu of the pencil.  sigma is _SHIFT (real
+    arithmetic), or _SECOND_SHIFT where P(_SHIFT) is singular.  The infinite
     eigenvalues have mu at rounding level; the lam that are not finite or
     reach _SPURIOUS_CUTOFF in modulus are dropped.
     """
@@ -465,14 +465,14 @@ def _polyeig_all(bands: np.ndarray) -> np.ndarray:
     apply = _shift_invert(bands, solve, shift)
     size = deg * n
     # column-major, as LAPACK takes it, so that each column is one write
-    op = np.empty((size, size), dtype=complex, order="F")
-    unit = np.zeros(size, dtype=complex)
+    op = np.empty((size, size), dtype=np.result_type(bands, shift), order="F")
+    unit = np.zeros(size, dtype=op.dtype)
     for j in range(size):
         unit[j] = 1.0
         op[:, j] = apply(unit)
         unit[j] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        eigs = shift + 1.0 / np.linalg.eigvals(op)
+        eigs = shift + 1.0 / np.linalg.eigvals(op).astype(complex)
     eigs = eigs[np.isfinite(eigs)]
     return eigs[np.abs(eigs) < _SPURIOUS_CUTOFF]
 
@@ -488,13 +488,13 @@ def _polyeig_near(bands: np.ndarray, count: int) -> np.ndarray | None:
     never formed.  The basis grows one vector per step, orthogonalized by
     classical Gram-Schmidt with a second pass where needed, from a fixed
     start vector (a multiplicative hash of the index), so reruns give equal
-    arrays; the built-in models certify in 14 to 54 steps.  At checkpoints
+    arrays; the built-in models certify in 18 to 50 steps.  At checkpoints
     the Ritz values are accepted nearest first while their residuals are
     below _RITZ_TOL, at most 6 count + 6 of them.  Every eigenvalue inside
     the disc around sigma that the farthest accepted one spans has then
-    been found.  When that disc contains the whole sector |Re| <= Im <=
-    Im(k-th leading), no eigenvalue the whole-spectrum selection would pick
-    is missing.  Past _KRYLOV_CAP steps the answer is None.
+    been found.  When that disc holds the three vertices of the sector
+    |Re| <= Im <= Im(k-th leading), no eigenvalue the whole-spectrum
+    selection would pick is missing.  Past _KRYLOV_CAP steps, None.
     """
     deg, n = len(bands) - 1, bands.shape[1]
     solve = _band_factor(np.tensordot(_SHIFT ** np.arange(deg + 1), bands, axes=1))
@@ -503,8 +503,8 @@ def _polyeig_near(bands: np.ndarray, count: int) -> np.ndarray | None:
     apply = _shift_invert(bands, solve, _SHIFT)
     size = deg * n
     dim = min(_KRYLOV_CAP, size)
-    basis = np.empty((dim + 1, size), dtype=complex)
-    hess = np.zeros((dim + 1, dim), dtype=complex)
+    basis = np.empty((dim + 1, size), dtype=np.result_type(bands, _SHIFT))
+    hess = np.zeros((dim + 1, dim), dtype=basis.dtype)
     # Knuth's multiplicative hash of the index: spread over [-1/2, 1/2)
     # without importing numpy.random
     start = (np.arange(size, dtype=np.uint64) * 2654435761 % 2**32) / 2**32 - 0.5
@@ -539,7 +539,7 @@ def _polyeig_near(bands: np.ndarray, count: int) -> np.ndarray | None:
         lead = leading_frequencies(eigs, count)
         if len(lead) == count:
             top = lead[-1].imag
-            reach = max(abs(_SHIFT), abs(complex(top, top) - _SHIFT))
+            reach = max(abs(v - _SHIFT) for v in (0, complex(-top, top), complex(top, top)))
             # strict, with room for the Ritz values' rounding
             if reach < (1.0 - 1e-9) * np.max(np.abs(eigs - _SHIFT)):
                 return eigs

@@ -64,7 +64,7 @@ class PolyMatrix:
     def shape(self) -> tuple[int, int]:
         return self.coeffs.shape[1], self.coeffs.shape[2]
 
-    @property
+    @cached_property
     def degree(self) -> int:
         """Largest k with a nonzero x**k coefficient (0 for the zero matrix)."""
         for k in range(self.coeffs.shape[0] - 1, -1, -1):

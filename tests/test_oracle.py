@@ -1,7 +1,9 @@
 """Verification engines: closed forms and the FD polynomial eigensolver."""
 
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -175,9 +177,9 @@ def _unband(band):
     return mat
 
 
-#: finite eigenvalues of the whole spectrum at n_fd 100, 200 and 400, as the
-#: dense QZ route counted them before it was replaced: every finite one is
-#: kept, and every image of an infinite one is dropped by _SPURIOUS_CUTOFF
+#: finite eigenvalues of the whole spectrum at n_fd 100, 200 and 400: every
+#: finite eigenvalue of the companion pencil is kept, and _SPURIOUS_CUTOFF
+#: drops every image of an infinite one
 FINITE_COUNTS = {
     "machine_unit": (202, 402, 802),
     "spacecraft_bar": (201, 401, 801),
@@ -243,15 +245,41 @@ class TestSparseRoute:
         assert leading_frequencies(_polyeig_all(_bands(mats)), 1)[0] == pytest.approx(-9 + 9.5j)
 
     def test_shift_on_an_eigenvalue_is_refused(self):
-        pairs = [(0.5j, -0.5j)] + [((2 + j) * 1j, -(2 + j) * 1j) for j in range(30)]
+        # one pair sits on the shift itself, whatever its value: with its
+        # conjugate, or its negative if it is real, so the pencil stays real
+        pairs = [(_SHIFT, np.conj(_SHIFT) if np.imag(_SHIFT) else -_SHIFT)]
+        pairs += [((2 + j) * 1j, -(2 + j) * 1j) for j in range(30)]
         bands = _bands(self._diagonal_pencil(pairs))
         assert _polyeig_near(bands, 1) is None
         # the whole-spectrum route takes its second shift there
         got = _polyeig_all(bands)
-        got = got[np.argsort(got.imag)]
-        want = np.sort(np.ravel(pairs).imag) * 1j
+        want = np.ravel(pairs)
         assert len(got) == len(want) == 62
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        # each wanted eigenvalue has its own nearest one among those found
+        dist = np.abs(got[:, None] - want[None, :])
+        nearest = np.argmin(dist, axis=0)
+        assert sorted(nearest.tolist()) == list(range(62))
+        assert np.all(dist[nearest, np.arange(62)] <= 1e-12 * np.abs(want))
+
+    def test_certificate_reaches_the_far_corner_of_the_sector(self, monkeypatch):
+        # off the imaginary axis, sigma is nearer one top corner of the
+        # sector |Re| <= Im <= top than the other.  The leading eigenvalue m
+        # lies near the far corner (-top, top), outside the disc around
+        # sigma that reaches (top, top); twelve eigenvalues nearer sigma (a
+        # sector pair at Im 4 and ten real ones) fill the 6 count + 6 Ritz
+        # values accepted, so the disc they span never reaches m.  The
+        # geometry holds for this sigma, set whatever _SHIFT is
+        sigma = 0.5
+        monkeypatch.setattr(oracle, "_SHIFT", sigma)
+        m = -3.8 + 3.9j
+        pairs = [(-0.05 + 4j, -0.05 - 4j), (m, m.conjugate())]
+        pairs += [(-4.9 - 0.05 * j, -4.925 - 0.05 * j) for j in range(5)]
+        pairs += [((50 + j) * 1j, -(50 + j) * 1j) for j in range(20)]
+        top = 4.0
+        fill = np.ravel(pairs[2:7])
+        assert abs(complex(top, top) - sigma) < min(abs(fill - sigma)) < abs(m - sigma)
+        got = _polyeig_near(_bands(self._diagonal_pencil(pairs)), 1)
+        assert got is None or leading_frequencies(got, 1)[0] == pytest.approx(m)
 
     def test_pencil_singular_at_both_shifts_is_refused(self):
         mats = self._diagonal_pencil([(1j, -1j), (2j, -2j)])
@@ -296,6 +324,47 @@ class TestSparseRoute:
             # (machine_unit's A - sigma B has condition 1.5e6), so they may
             # differ by twice that
             assert np.linalg.norm(apply(y) - want) <= 2e-12 * np.linalg.norm(want)
+
+    # degree 2; degree 3 with a cubic boundary row; interface rows
+    @pytest.mark.parametrize("model", ["machine_unit", "spacecraft_bar", "cable_snapshot"])
+    def test_real_shift_keeps_a_real_vector_real(self, model, monkeypatch):
+        bands = self._sparse_bands(model, 100, monkeypatch)
+        deg = len(bands) - 1
+        solve = _band_factor(np.tensordot(_SHIFT ** np.arange(deg + 1), bands, axes=1))
+        y = np.random.default_rng(7).standard_normal(deg * bands.shape[1])
+        assert _shift_invert(bands, solve, _SHIFT)(y).dtype == np.float64
+
+    @pytest.mark.parametrize("shift", [oracle._SHIFT, oracle._SECOND_SHIFT])
+    def test_map_and_factor_are_freed_by_reference_counting(self, shift, monkeypatch):
+        # no reference cycle keeps a call's factor and buffers alive until
+        # the next full garbage collection
+        bands = self._sparse_bands("machine_unit", 100, monkeypatch)
+        solve = _band_factor(np.tensordot(shift ** np.arange(len(bands)), bands, axes=1))
+        apply = _shift_invert(bands, solve, shift)
+        refs = [weakref.ref(solve), weakref.ref(apply)]
+        gc.disable()
+        try:
+            del solve, apply
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("n_fd", (100, 400, 1600))
+    @pytest.mark.parametrize(
+        "model,params",
+        [(m, p) for m, p, _, _ in SPARSE_CASES],
+        ids=[f"{m}-{'-'.join(f'{k}={v}' for k, v in p.items()) or 'default'}"
+             for m, p, _, _ in SPARSE_CASES],
+    )
+    def test_every_sparse_case_certifies_within_the_cap(self, model, params, n_fd, monkeypatch):
+        def forbidden(bands):
+            raise AssertionError("the whole-spectrum route ran: not certified")
+
+        monkeypatch.setattr(oracle, "_polyeig_all", forbidden)
+        problem = build_model(model, **params)
+        for count in (1, 3, 5):
+            eigs = fd_polynomial_eigenvalues(problem, FDOracleConfig(n_fd), count=count)
+            assert len(leading_frequencies(eigs, count)) == count
 
     def test_factors_one_n_by_n_matrix(self, monkeypatch):
         shapes = []

@@ -150,7 +150,7 @@ class TestValidateShortcuts:
     def _general_route(monkeypatch):
         # no polynomial counts as constant: every check takes the sampled
         # and probed route
-        degree = PolyMatrix.degree.fget
+        degree = PolyMatrix.degree.func
         monkeypatch.setattr(PolyMatrix, "degree", property(lambda pm: max(degree(pm), 1)))
 
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
@@ -165,6 +165,14 @@ class TestValidateShortcuts:
         assert fast == [validate(p) for p in _invalid_problems()]
         assert [len(v) for v in fast] == [2, 2, 1, 5]
         assert "boundary_right: rank 0 < 1 at lambda=0.0" in fast[1]
+
+
+def test_degree_is_found_once_per_matrix():
+    # the x**3 coefficients are all zero, so the degree takes a scan
+    pm = PolyMatrix.from_entries([[[1.0, 0.0, 2.0], [0.0]], [[0.0], [0.0, 0.0, 0.0, 0.0]]])
+    assert pm.degree == 2
+    pm.coeffs = None  # a second access that scanned again would fail here
+    assert pm.degree == 2
 
 
 class TestEvaluateCoefficients:
