@@ -272,6 +272,15 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _build(model: str, params: dict) -> ProblemDefinition:
+    """A built-in model; a parameter value it rejects, out of range or of
+    the wrong type, is a ConfigError."""
+    try:
+        return models.build_model(model, **params)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _load(cfg: RunConfig, validate: bool = True) -> ProblemDefinition:
     """Build the problem from --model/--param or --problem; with `validate`,
     a problem that fails validation is a ConfigError."""
@@ -283,10 +292,7 @@ def _load(cfg: RunConfig, validate: bool = True) -> ProblemDefinition:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load problem file: {exc}") from None
     else:
-        try:
-            problem = models.build_model(cfg.model, **cfg.params)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from None
+        problem = _build(cfg.model, cfg.params)
     if not validate:
         return problem
     violations = find_violations(problem)
@@ -403,9 +409,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         params = dict(cfg.params)
         params[name] = float(value)
         try:
-            problem = models.build_model(cfg.model, **params)
-            results = solve_spectrum(problem, opts)
-        except (ValueError, SolverError) as exc:
+            results = solve_spectrum(_build(cfg.model, params), opts)
+        except (ConfigError, ValueError, SolverError) as exc:
             rows.append(f"{_csv_num(float(value))},,,,{_csv_text(f'error: {exc}')}")
             continue
         if not results:

@@ -1,22 +1,20 @@
 """Built-in application models.
 
-Each builder turns a named physical parameter record into a
-ProblemDefinition in first-order form with state (value, slope), attaching
-the scalar second-order description used by the finite-difference
-verification route.  Default parameter values are order-of-magnitude
-placeholders in normalized units; supply a consistent unit system for real
-studies.
-
-Second-order spatial operators with a rate-dependent factor (for example
-Kelvin-Voigt damping) reduce to coefficients rational in lambda; those
-models store them over a scalar denominator (CoefficientField.denominators),
-so every built-in has the JSON form of serialize.
+Each built-in is written once, as the scalar second-order ScalarWaveForm
+that the finite-difference verification route discretizes; _problem derives
+from it the first-order ProblemDefinition with state (value, slope).  A
+Kelvin-Voigt factor makes a damped interval's coefficients rational in
+lambda, stored over a scalar denominator (CoefficientField.denominators), so
+every built-in has the JSON form of serialize.  Default parameter values are
+order-of-magnitude placeholders in normalized units; supply a consistent
+unit system for real studies.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .errors import UnsupportedModelError
 from .oracle import ScalarWaveForm
 from .poly import PolyMatrix
 from .problem import (
+    MAX_LAMBDA_DEGREE,
     BoundaryOperator,
     CoefficientField,
     ConjugationOperator,
@@ -40,36 +39,55 @@ def _require(cond: bool, message: str):
         raise ValueError(message)
 
 
-def _row_operator(side: str, entries, max_degree: int = 2) -> BoundaryOperator:
-    return BoundaryOperator(side, PolyMatrix.from_entries([list(entries)]), max_degree)
+def _problem(name: str, form: ScalarWaveForm, params: dict) -> ProblemDefinition:
+    """The first-order (value, slope) problem of a scalar form.
+
+    On an interval mass u_tt = (stiffness u_y + damping u_yt)_y.  Without
+    damping that is the wave system A = [[0, 1], [0, 0]], B = [[0, 0],
+    [mass / stiffness, 0]].  With damping the restoring coefficient mass
+    lam^2 / q(lam), q = stiffness + damping lam, is rational in lambda and
+    written over q: A = [[0, stiffness], [0, 0]], B = [[0, 0], [mass, 0]],
+    C = [[0, damping], [0, 0]]; the root of q is a pole.  An end row is the
+    boundary row, capped at MAX_LAMBDA_DEGREE or its stored degree if
+    higher.  An interface's rows act on (u-, u-_y, u+, u+_y): D z- = B z+
+    takes D from their left half and B from their right half negated.
+    """
+    part = Partition(form.breakpoints)
+    a_polys, b_polys, c_polys, denominators = [], [], [], []
+    for mass, stiffness, damping in zip(form.mass, form.stiffness, form.damping):
+        # without damping q = stiffness is divided out
+        a, b = (stiffness, mass) if damping else (1.0, mass / stiffness)
+        a_polys.append(PolyMatrix.constant(np.array([[0.0, a], [0.0, 0.0]])))
+        b_polys.append(PolyMatrix.constant(np.array([[0.0, 0.0], [b, 0.0]])))
+        c_polys.append(PolyMatrix.constant(np.array([[0.0, damping or 0.0], [0.0, 0.0]])))
+        denominators.append((stiffness, damping) if damping else None)
+    bound = max(1.0, *(m / s for m, s in zip(form.mass, form.stiffness)))
+    field = CoefficientField(
+        part, tuple(a_polys), tuple(b_polys), tuple(c_polys), bound, tuple(denominators)
+    )
+
+    def end(side, row):
+        cap = max(MAX_LAMBDA_DEGREE, *(len(p) - 1 for p in row))
+        return BoundaryOperator(side, PolyMatrix.from_entries([row]), cap)
+
+    # 0.0 - c, not -c, so that a zero entry stays +0.0
+    conjugations = tuple(
+        ConjugationOperator(
+            i,
+            PolyMatrix.from_entries([row[:2] for row in rows]),
+            PolyMatrix.from_entries([[tuple(0.0 - c for c in p) for p in row[2:]] for row in rows]),
+        )
+        for i, rows in enumerate(form.interface_rows, start=1)
+    )
+    return ProblemDefinition(
+        name, part, field, end("left", form.left_row), end("right", form.right_row),
+        conjugations, params, form,
+    )
 
 
 # ---------------------------------------------------------------------------
 # strings and the cable-way snapshot
 # ---------------------------------------------------------------------------
-
-
-def _wave_field(part: Partition, rho: float, tension: float) -> CoefficientField:
-    n = part.n_intervals
-    a = PolyMatrix.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    b = PolyMatrix.constant(np.array([[0.0, 0.0], [rho / tension, 0.0]]))
-    c = PolyMatrix.zero(2, 2)
-    return CoefficientField(part, (a,) * n, (b,) * n, (c,) * n, max(1.0, rho / tension))
-
-
-def _kelvin_voigt_field(
-    part: Partition, mass: float, stiffness: float, damping: float, bound: float
-) -> CoefficientField:
-    """The (value, slope) system of mass u_tt = (stiffness u_y + damping
-    u_yt)_y: [[0, 1], [r, 0]] with the restoring coefficient r = mass lam^2
-    / q(lam) rational in lambda, q = stiffness + damping lam, written over q
-    as A = [[0, stiffness], [0, 0]], B = [[0, 0], [mass, 0]] and C = [[0,
-    damping], [0, 0]].  Its pole is the root -stiffness / damping of q."""
-    n = part.n_intervals
-    a = PolyMatrix.constant(np.array([[0.0, stiffness], [0.0, 0.0]]))
-    b = PolyMatrix.constant(np.array([[0.0, 0.0], [mass, 0.0]]))
-    c = PolyMatrix.constant(np.array([[0.0, damping], [0.0, 0.0]]))
-    return CoefficientField(part, (a,) * n, (b,) * n, (c,) * n, bound, ((stiffness, damping),) * n)
 
 
 def build_cable_snapshot(
@@ -102,76 +120,37 @@ def build_cable_snapshot(
         "load positions must be strictly increasing inside (0, l)",
     )
 
-    part = Partition((0.0,) + positions + (l,))
-    field = _wave_field(part, rho, T)
-    left = _row_operator("left", _PINNED)
-    right = _row_operator("right", _PINNED)
-
-    conjs = []
-    iface_rows = []
-    for i, m in enumerate(masses):
-        inertia = m * (1.0 + v * v * rho / T)
-        d_mat = PolyMatrix.from_entries(
-            [
-                [[1.0], [0.0]],
-                [[0.0, 0.0, inertia], [T, 2.0 * m * v]],
-            ]
+    n = len(positions) + 1
+    # per load: continuity, then the force balance
+    iface_rows = tuple(
+        (
+            ((1.0,), (0.0,), (-1.0,), (0.0,)),
+            ((0.0, 0.0, m * (1.0 + v * v * rho / T)), (T, 2.0 * m * v), (0.0,), (-T,)),
         )
-        b_mat = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [T]]])
-        conjs.append(ConjugationOperator(i + 1, d_mat, b_mat))
-        iface_rows.append(
-            (
-                ((1.0,), (0.0,), (-1.0,), (0.0,)),
-                ((0.0, 0.0, inertia), (T, 2.0 * m * v), (0.0,), (-T,)),
-            )
-        )
-
-    params = {"rho": rho, "T": T, "l": l, "masses": masses, "positions": positions, "v": v}
-    form = ScalarWaveForm(
-        breakpoints=part.breakpoints,
-        mass=(rho,) * part.n_intervals,
-        stiffness=(T,) * part.n_intervals,
-        damping=(0.0,) * part.n_intervals,
-        left_row=_PINNED,
-        right_row=_PINNED,
-        interface_rows=tuple(iface_rows),
+        for m in masses
     )
-    return ProblemDefinition(name, part, field, left, right, tuple(conjs), params, form)
+    form = ScalarWaveForm(
+        breakpoints=(0.0,) + positions + (l,), mass=(rho,) * n, stiffness=(T,) * n,
+        damping=(0.0,) * n, left_row=_PINNED, right_row=_PINNED, interface_rows=iface_rows,
+    )
+    params = {"rho": rho, "T": T, "l": l, "masses": masses, "positions": positions, "v": v}
+    return _problem(name, form, params)
 
 
 def build_fixed_fixed_string(rho: float = 1.0, T: float = 1.0, l: float = 1.0) -> ProblemDefinition:
     """Uniform string pinned at both ends: eigenfrequencies k*pi*a/l."""
     prob = build_cable_snapshot(rho, T, l, (), (), 0.0, name="fixed_fixed_string")
-    params = {"rho": rho, "T": T, "l": l}
-    return ProblemDefinition(
-        prob.name, prob.partition, prob.coefficients, prob.boundary_left,
-        prob.boundary_right, prob.conjugations, params, prob.scalar_form,
-    )
+    return replace(prob, params={"rho": rho, "T": T, "l": l})
 
 
 def build_fixed_free_string(rho: float = 1.0, T: float = 1.0, l: float = 1.0) -> ProblemDefinition:
     """Uniform string pinned at the left end, slope-free at the right."""
     _require(rho > 0 and T > 0 and l > 0, "rho, T, l must be positive")
-    part = Partition((0.0, l))
-    field = _wave_field(part, rho, T)
     form = ScalarWaveForm(
-        breakpoints=part.breakpoints,
-        mass=(rho,),
-        stiffness=(T,),
-        damping=(0.0,),
-        left_row=_PINNED,
-        right_row=_SLOPE_FREE,
+        breakpoints=(0.0, l), mass=(rho,), stiffness=(T,), damping=(0.0,),
+        left_row=_PINNED, right_row=_SLOPE_FREE,
     )
-    return ProblemDefinition(
-        "fixed_free_string",
-        part,
-        field,
-        _row_operator("left", _PINNED),
-        _row_operator("right", _SLOPE_FREE),
-        (),
-        {"rho": rho, "T": T, "l": l},
-        form,
-    )
+    return _problem("fixed_free_string", form, {"rho": rho, "T": T, "l": l})
 
 
 def build_point_mass_string(
@@ -184,11 +163,7 @@ def build_point_mass_string(
     """Pinned-pinned string with one attached point mass."""
     _require(m0 > 0, "m0 must be positive")
     prob = build_cable_snapshot(rho, T, l, (m0,), (position,), 0.0, name="point_mass_string")
-    params = {"rho": rho, "T": T, "l": l, "m0": m0, "position": position}
-    return ProblemDefinition(
-        prob.name, prob.partition, prob.coefficients, prob.boundary_left,
-        prob.boundary_right, prob.conjugations, params, prob.scalar_form,
-    )
+    return replace(prob, params={"rho": rho, "T": T, "l": l, "m0": m0, "position": position})
 
 
 # ---------------------------------------------------------------------------
@@ -228,49 +203,28 @@ def build_machine_unit(
         min(zeta1, J1, J2, beta, m0, alpha1) >= 0,
         "zeta1, J1, J2, beta, m0, alpha1 must be nonnegative",
     )
-
-    gip = G * Ip
-    rip = rho * Ip
-
-    part = Partition((0.0, L))
-    field = _kelvin_voigt_field(part, rip, gip, zeta1, max(1.0, rip / gip))
-
-    ends = {
-        "rotor": ([[0.0, beta, J1], [-gip, -zeta1]], ((0.0, beta, J1), (-gip, -zeta1))),
-        "tool": ([[0.0, -m0 * alpha1, J2], [gip, zeta1]], ((0.0, -m0 * alpha1, J2), (gip, zeta1))),
-        "clamped": ([[1.0], [0.0]], _PINNED),
-        "free": ([[0.0], [gip, zeta1]], ((0.0,), (gip, zeta1))),
-    }
     if left_end not in ("rotor", "clamped", "free"):
         raise ValueError(f"left_end {left_end!r} not one of rotor/clamped/free")
     if right_end not in ("tool", "clamped", "free"):
         raise ValueError(f"right_end {right_end!r} not one of tool/clamped/free")
-    left_row, left_form = ends[left_end]
-    right_row, right_form = ends[right_end]
 
+    gip = G * Ip
+    ends = {
+        "rotor": ((0.0, beta, J1), (-gip, -zeta1)),
+        "tool": ((0.0, -m0 * alpha1, J2), (gip, zeta1)),
+        "clamped": _PINNED,
+        "free": ((0.0,), (gip, zeta1)),
+    }
+    form = ScalarWaveForm(
+        breakpoints=(0.0, L), mass=(rho * Ip,), stiffness=(gip,), damping=(zeta1,),
+        left_row=ends[left_end], right_row=ends[right_end],
+    )
     params = {
         "G": G, "Ip": Ip, "rho": rho, "zeta1": zeta1, "J1": J1, "J2": J2,
         "beta": beta, "m0": m0, "alpha1": alpha1, "L": L,
         "left_end": left_end, "right_end": right_end,
     }
-    form = ScalarWaveForm(
-        breakpoints=part.breakpoints,
-        mass=(rip,),
-        stiffness=(gip,),
-        damping=(zeta1,),
-        left_row=left_form,
-        right_row=right_form,
-    )
-    return ProblemDefinition(
-        "machine_unit",
-        part,
-        field,
-        _row_operator("left", left_row),
-        _row_operator("right", right_row),
-        (),
-        params,
-        form,
-    )
+    return _problem("machine_unit", form, params)
 
 
 # ---------------------------------------------------------------------------
@@ -296,56 +250,36 @@ def build_spacecraft_bar(
     material dissipation, b executive-mechanism damping, c centering-spring
     rigidity, d feedback coefficient, m specimen mass, l bar length.  The
     bar is held at x=0; the end-body balance at x=l carries third time
-    derivatives, so that boundary row is a cubic in lambda (per-row degree
-    override).  right_end "clamped" and "free" replace the assembly row.
+    derivatives, so that boundary row is a cubic in lambda (its cap is its
+    degree, 3).  right_end "clamped" and "free" replace the assembly row.
     """
     _require(rho > 0 and S > 0 and E > 0 and l > 0, "rho, S, E, l must be positive")
     _require(min(beta, b, c, d, m) >= 0, "beta, b, c, d, m must be nonnegative")
 
     es = E * S
-
-    part = Partition((0.0, l))
-    field = _kelvin_voigt_field(part, rho * S, es, es * beta, max(1.0, rho / E))
-
     if right_end == "assembly" and m == 0 and b == 0 and c == 0 and d == 0:
         right_end = "free"  # the assembly row would be identically zero
-    if right_end == "assembly":
-        value_poly = [0.0, 0.0, m * c, m * (d + b)]
-        slope_poly = [es * c, es * (b + beta * c), es * (m + beta * b), es * beta * m]
-        right = _row_operator("right", [value_poly, slope_poly], max_degree=3)
-        right_form = (tuple(value_poly), tuple(slope_poly))
-    elif right_end == "clamped":
-        right = _row_operator("right", [[1.0], [0.0]])
-        right_form = _PINNED
-    elif right_end == "free":
+    ends = {
+        "assembly": (
+            (0.0, 0.0, m * c, m * (d + b)),
+            (es * c, es * (b + beta * c), es * (m + beta * b), es * beta * m),
+        ),
+        "clamped": _PINNED,
         # force balance with the end assembly removed
-        right = _row_operator("right", [[0.0], [es, es * beta]])
-        right_form = ((0.0,), (es, es * beta))
-    else:
+        "free": ((0.0,), (es, es * beta)),
+    }
+    if right_end not in ends:
         raise ValueError(f"right_end {right_end!r} not one of assembly/clamped/free")
 
+    form = ScalarWaveForm(
+        breakpoints=(0.0, l), mass=(rho * S,), stiffness=(es,), damping=(es * beta,),
+        left_row=_PINNED, right_row=ends[right_end],
+    )
     params = {
         "rho": rho, "S": S, "E": E, "beta": beta, "b": b, "c": c, "d": d,
         "m": m, "l": l, "right_end": right_end,
     }
-    form = ScalarWaveForm(
-        breakpoints=part.breakpoints,
-        mass=(rho * S,),
-        stiffness=(es,),
-        damping=(es * beta,),
-        left_row=_PINNED,
-        right_row=right_form,
-    )
-    return ProblemDefinition(
-        "spacecraft_bar",
-        part,
-        field,
-        _row_operator("left", [[1.0], [0.0]]),
-        right,
-        (),
-        params,
-        form,
-    )
+    return _problem("spacecraft_bar", form, params)
 
 
 # ---------------------------------------------------------------------------
@@ -384,43 +318,19 @@ def build_pipeline(
 
     es = E * S
     a2 = E / rho
-
-    part = Partition((0.0, L))
-    field = _kelvin_voigt_field(part, 1.0, a2, a2 * beta, max(1.0, 1.0 / a2))
-
-    if left_end == "elastic":
-        left = _row_operator("left", [[-k], [es, es * beta]])
-        left_form = ((-k,), (es, es * beta))
-    elif left_end == "clamped":
-        left = _row_operator("left", [[1.0], [0.0]])
-        left_form = _PINNED
-    else:
+    ends = {"elastic": ((-k,), (es, es * beta)), "clamped": _PINNED}
+    if left_end not in ends:
         raise ValueError(f"left_end {left_end!r} not one of elastic/clamped")
 
-    right = _row_operator("right", [[0.0, -alpha1, M], [es, es * beta]])
-
+    form = ScalarWaveForm(
+        breakpoints=(0.0, L), mass=(1.0,), stiffness=(a2,), damping=(a2 * beta,),
+        left_row=ends[left_end], right_row=((0.0, -alpha1, M), (es, es * beta)),
+    )
     params = {
         "E": E, "rho": rho, "beta": beta, "S": S, "k": k, "M": M, "L": L,
         "alpha1": alpha1, "alpha3": alpha3, "left_end": left_end,
     }
-    form = ScalarWaveForm(
-        breakpoints=part.breakpoints,
-        mass=(1.0,),
-        stiffness=(a2,),
-        damping=(a2 * beta,),
-        left_row=left_form,
-        right_row=((0.0, -alpha1, M), (es, es * beta)),
-    )
-    return ProblemDefinition(
-        "pipeline",
-        part,
-        field,
-        left,
-        right,
-        (),
-        params,
-        form,
-    )
+    return _problem("pipeline", form, params)
 
 
 # ---------------------------------------------------------------------------

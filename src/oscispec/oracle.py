@@ -140,9 +140,10 @@ class ScalarWaveForm:
 
     Boundary rows are pairs of lambda-polynomial coefficient tuples
     (poly_u, poly_ux) acting on (u, u_x) at the end; interface rows act on
-    (u_left, u_x_left, u_right, u_x_right), two rows per interface.  This is
-    the description the FD oracle discretizes; builders attach it to their
-    problems as the oracle route.
+    (u_left, u_x_left, u_right, u_x_right), two rows per interface.  It is
+    the built-in models' one description: the FD oracle discretizes it, and
+    each builder derives its first-order problem from it and attaches it to
+    that problem as the oracle route.
     """
 
     breakpoints: tuple[float, ...]

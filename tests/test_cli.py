@@ -391,6 +391,19 @@ class TestSweep:
         assert lines[1] == '-1,,,,"error: rho, T, l must be positive"'
         assert lines[3] == "1,1,0,1.570796327,ok"
 
+    def test_mistyped_parameter_gives_error_rows(self, tmp_path, capsys):
+        # c=abc reaches the builder as a string, whose comparison raises
+        # TypeError: each point is an error row with solve's message
+        argv = ["--model", "spacecraft_bar", "--param", "c=abc", "--scan", "0.3:2:50"]
+        assert _run("solve", *argv, "--out", str(tmp_path / "solve")) == 1
+        message = capsys.readouterr().err.strip()
+        assert message.startswith("error: ") and "not supported" in message
+        code = _run("sweep", *argv, "--sweep", "d:0:0.2:2", "--out", str(tmp_path))
+        assert code == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [["0", "", "", "", message], ["0.2", "", "", "", message]]
+
     def test_unknown_parameter_exits_1_before_output(self, tmp_path, capsys):
         code = _run(
             "sweep", "--model", "spacecraft_bar", "--sweep", "bogus:0:1:3",

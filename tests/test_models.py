@@ -120,9 +120,10 @@ class TestStackEvaluators:
 
 
 class TestUndampedVariants:
-    """With the damping off, q is a real constant and q / q leaves no
-    imaginary part: D(ip) is exactly real, which the real-split cases of the
-    CI rely on.  machine_unit needs alpha1 = 0 too: its tool row damps."""
+    """With the damping off, an interval takes the wave system, which has no
+    denominator, so lambda enters only as the real lam^2 on the axis: D(ip)
+    is exactly real, which the real-split cases of the CI rely on.
+    machine_unit needs alpha1 = 0 too: its tool row damps."""
 
     @pytest.mark.parametrize(
         "name, params",
@@ -136,6 +137,105 @@ class TestUndampedVariants:
         lams = 1j * np.linspace(0.2, 10.0, 240)
         d = characteristic_determinant(build_model(name, **params), lams, 1e-3)
         assert np.all(d.imag == 0) and np.all(np.isfinite(d))
+
+
+def _stored(pm):
+    """A polynomial matrix's stored coefficients, the signs of zeros included."""
+    return pm.coeffs.shape, pm.coeffs.tobytes()
+
+
+_WAVE_A = [[0.0, 1.0], [0.0, 0.0]]
+_NO_C = [[0.0, 0.0], [0.0, 0.0]]
+_PINNED = ([[[1.0], [0.0]]], 2)
+
+#: first-order systems assembled by hand: per interval (A, B, C,
+#: denominator), the bound, each end row with its lambda-degree cap, and per
+#: interface (D, B) of D z- = B z+
+HAND_ASSEMBLED = [
+    pytest.param(
+        "fixed_free_string", {"rho": 3.0, "T": 2.0},
+        dict(breakpoints=(0.0, 1.0), bound=1.5,
+             intervals=[(_WAVE_A, [[0.0, 0.0], [1.5, 0.0]], _NO_C, None)],
+             left=_PINNED, right=([[[0.0], [1.0]]], 2), interfaces=[]),
+        id="string",
+    ),
+    pytest.param(
+        "machine_unit",
+        {"G": 4.0, "Ip": 0.5, "rho": 6.0, "zeta1": 0.25, "J1": 0.5, "J2": 0.25,
+         "beta": 0.125, "m0": 2.0, "alpha1": 0.25},
+        dict(breakpoints=(0.0, 1.0), bound=1.5,
+             intervals=[([[0.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]],
+                         [[0.0, 0.25], [0.0, 0.0]], (2.0, 0.25))],
+             left=([[[0.0, 0.125, 0.5], [-2.0, -0.25]]], 2),
+             right=([[[0.0, -0.5, 0.25], [2.0, 0.25]]], 2), interfaces=[]),
+        id="kelvin_voigt",
+    ),
+    pytest.param(
+        "cable_snapshot", {"T": 3.0, "masses": (2.0,), "positions": (0.4,)},
+        dict(breakpoints=(0.0, 0.4, 1.0), bound=1.0,
+             intervals=[(_WAVE_A, [[0.0, 0.0], [1.0 / 3.0, 0.0]], _NO_C, None)] * 2,
+             left=_PINNED, right=_PINNED,
+             interfaces=[([[[1.0], [0.0]], [[0.0, 0.0, 2.0], [3.0]]],
+                          [[[1.0], [0.0]], [[0.0], [3.0]]])]),
+        id="cable_one_load",
+    ),
+    pytest.param(
+        # inertia m (1 + v^2 rho / T) = 3 m and convective term 2 m v
+        "cable_snapshot",
+        {"T": 2.0, "masses": (0.5, 1.5), "positions": (0.25, 0.75), "v": 2.0},
+        dict(breakpoints=(0.0, 0.25, 0.75, 1.0), bound=1.0,
+             intervals=[(_WAVE_A, [[0.0, 0.0], [0.5, 0.0]], _NO_C, None)] * 3,
+             left=_PINNED, right=_PINNED,
+             interfaces=[([[[1.0], [0.0]], [[0.0, 0.0, 1.5], [2.0, 2.0]]],
+                          [[[1.0], [0.0]], [[0.0], [2.0]]]),
+                         ([[[1.0], [0.0]], [[0.0, 0.0, 4.5], [2.0, 6.0]]],
+                          [[[1.0], [0.0]], [[0.0], [2.0]]])]),
+        id="cable_two_moving_loads",
+    ),
+    pytest.param(
+        "spacecraft_bar",
+        {"S": 2.0, "E": 3.0, "beta": 0.25, "b": 0.5, "c": 2.0, "d": 0.25, "m": 0.5},
+        dict(breakpoints=(0.0, 1.0), bound=1.0,
+             intervals=[([[0.0, 6.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]],
+                         [[0.0, 1.5], [0.0, 0.0]], (6.0, 1.5))],
+             left=_PINNED, right=([[[0.0, 0.0, 1.0, 0.375], [12.0, 6.0, 3.75, 0.75]]], 3),
+             interfaces=[]),
+        id="cubic_assembly_row",
+    ),
+    pytest.param(
+        "machine_unit",
+        {"G": 4.0, "Ip": 0.5, "rho": 6.0, "zeta1": 0.0, "left_end": "clamped",
+         "right_end": "free"},
+        dict(breakpoints=(0.0, 1.0), bound=1.5,
+             intervals=[(_WAVE_A, [[0.0, 0.0], [1.5, 0.0]], _NO_C, None)],
+             left=_PINNED, right=([[[0.0], [2.0, 0.0]]], 2), interfaces=[]),
+        id="undamped_kelvin_voigt",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, params, want", HAND_ASSEMBLED)
+def test_problem_equals_hand_assembled(name, params, want):
+    """A built-in's first-order problem is derived from its scalar form; it
+    matches the system assembled by hand, entry for entry."""
+    prob = build_model(name, **params)
+    field = prob.coefficients
+    assert prob.partition.breakpoints == want["breakpoints"]
+    assert field.bound == want["bound"]
+    assert [
+        (_stored(a), _stored(b), _stored(c), q)
+        for a, b, c, q in zip(field.a_polys, field.b_polys, field.c_polys, field.denominators)
+    ] == [
+        (*(_stored(PolyMatrix.constant(np.array(m))) for m in abc), q)
+        for *abc, q in want["intervals"]
+    ]
+    for end, (rows, cap) in ((prob.boundary_left, want["left"]), (prob.boundary_right, want["right"])):
+        assert (_stored(end.matrix), end.max_degree) == (_stored(PolyMatrix.from_entries(rows)), cap)
+    assert [(c.interface, _stored(c.d_matrix), _stored(c.b_matrix)) for c in prob.conjugations] == [
+        (i, _stored(PolyMatrix.from_entries(d)), _stored(PolyMatrix.from_entries(b)))
+        for i, (d, b) in enumerate(want["interfaces"], start=1)
+    ]
+    assert validate(prob) == []
 
 
 class TestMachineUnit:
@@ -236,20 +336,6 @@ class TestCableSnapshot:
         bare = [math.pi, 2 * math.pi, 3 * math.pi]
         for got, want in zip(_imags(roots, 3), bare):
             assert abs(got - want) < 1e-4
-
-    def test_snapshot_equals_hand_assembled_interface(self):
-        m0, tension = 2.0, 3.0
-        prob = build_cable_snapshot(rho=1.0, T=tension, l=1.0, masses=(m0,),
-                                    positions=(0.4,), v=0.0)
-        hand_d = PolyMatrix.from_entries(
-            [[[1.0], [0.0]], [[0.0, 0.0, m0], [tension]]]
-        )
-        hand_b = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [tension]]])
-        conj = prob.conjugations[0]
-        assert conj.interface == 1
-        assert conj.d_matrix == hand_d
-        assert conj.b_matrix == hand_b
-        assert prob.partition.breakpoints == (0.0, 0.4, 1.0)
 
     def test_moving_load_speed_enters_interface(self):
         prob = build_cable_snapshot(masses=(0.5,), positions=(0.5,), v=2.0)
