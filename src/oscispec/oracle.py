@@ -26,8 +26,10 @@ _DIM_CAP = 6000
 _SPURIOUS_CUTOFF = 1e8
 
 #: shift of both routes.  Real, so a real pencil stays in real arithmetic;
-#: right of the imaginary axis, where no passive or stable model has an
-#: eigenvalue, and 0.5 from machine_unit's rigid-body eigenvalue near 0.
+#: 0.5 from machine_unit's rigid-body eigenvalue at 0, and right of the
+#: imaginary axis, where a passive model has no eigenvalue.  A feedback one
+#: may (pipeline: 0.538 at alpha1=1.5); one on the shift is left to the
+#: whole-spectrum route at _SECOND_SHIFT.
 _SHIFT = 0.5
 
 #: the whole-spectrum route's shift where P(_SHIFT) is singular
@@ -190,11 +192,11 @@ def fd_polynomial_eigenvalues(
     certificate unmet within _KRYLOV_CAP Arnoldi steps) the whole-spectrum
     route runs.  Returns finite eigenvalues sorted by |Im|.
 
-    The matrix coefficients are assembled as (rows, columns, values) blocks,
-    one per interval and degree for the interior stencils.  Each equation
-    row is placed at its node, which makes every coefficient banded, and
-    only the 2 _HALF_BAND + 1 diagonals are kept.  The whole-spectrum route
-    raises ValueError above _DIM_CAP; the sparse route takes any grid.
+    Each coefficient matrix is held as its 2 _HALF_BAND + 1 diagonals from
+    assembly on: every equation row is added straight into the band row of
+    the node it is centred on, which makes every coefficient banded.  The
+    whole-spectrum route raises ValueError above _DIM_CAP; the sparse route
+    takes any grid.
 
     The problem must carry a ScalarWaveForm (built-in models do); JSON
     problems have no oracle route.
@@ -222,38 +224,27 @@ def fd_polynomial_eigenvalues(
         *(len(p) - 1 for rows in form.interface_rows for row in rows for p in row),
     )
 
-    # per degree, (rows, columns, values) blocks in the order they add up
-    entries: list[list[tuple]] = [[] for _ in range(max_deg + 1)]
-    # the node each equation row is centred on; placed there, every row
-    # reaches at most 3 nodes either side (see _banded_coefficients)
-    row_node = np.empty(n_unknowns, dtype=int)
-    row = 0
+    # bands[k, g, _HALF_BAND + d] is entry (g, g + d) of the k-th coefficient
+    # matrix, in the equation row centred on node g
+    bands = np.zeros((max_deg + 1, n_unknowns, 2 * _HALF_BAND + 1))
 
     # interior equations: mass lam^2 u = (stiffness + lam damping) u_xx
     central = np.array([1.0, -2.0, 1.0])
     for i in range(n_int):
         h = (bps[i + 1] - bps[i]) / cells[i]
         w = 1.0 / (h * h)
-        nodes = offsets[i] + np.arange(1, cells[i])
-        rows = row + np.arange(cells[i] - 1)
-        row_node[rows] = nodes
-        row += cells[i] - 1
-        entries[2].append((rows, nodes, np.full(len(rows), form.mass[i])))
-        # the stencil (g - 1, g, g + 1) of each node g, row by row
-        rows3 = np.repeat(rows, 3)
-        cols3 = np.repeat(nodes, 3) + np.tile([-1, 0, 1], len(nodes))
+        nodes = slice(offsets[i] + 1, offsets[i] + cells[i])
+        bands[2, nodes, _HALF_BAND] += form.mass[i]
+        # the stencil (g - 1, g, g + 1) of each node g
         for deg, coef in ((0, form.stiffness[i]), (1, form.damping[i])):
-            entries[deg].append((rows3, cols3, np.tile(-(coef * central * w), len(nodes))))
+            bands[deg, nodes, _HALF_BAND - 1 : _HALF_BAND + 2] += -(coef * central * w)
 
     # boundary rows with one-sided second-order u_x stencils
     h0 = (bps[1] - bps[0]) / cells[0]
-    _add_trace_row(entries, row, form.left_row, offsets[0], h0, forward=True)
-    row_node[row] = offsets[0]
-    row += 1
+    _add_trace_row(bands, 0, form.left_row, 0, h0, forward=True)
     hl = (bps[-1] - bps[-2]) / cells[-1]
-    _add_trace_row(entries, row, form.right_row, offsets[-1] + cells[-1], hl, forward=False)
-    row_node[row] = offsets[-1] + cells[-1]
-    row += 1
+    last = n_unknowns - 1
+    _add_trace_row(bands, last, form.right_row, last, hl, forward=False)
 
     # interface rows, the first centred on the left end node, the second on
     # the right one
@@ -264,14 +255,14 @@ def fd_polynomial_eigenvalues(
         right_node = offsets[i + 1]
         for row_polys, centre in zip(rows, (left_node, right_node)):
             pu_m, pux_m, pu_p, pux_p = row_polys
-            _add_trace_row(entries, row, (pu_m, pux_m), left_node, h_left, forward=False)
-            _add_trace_row(entries, row, (pu_p, pux_p), right_node, h_right, forward=True)
-            row_node[row] = centre
-            row += 1
+            _add_trace_row(bands, centre, (pu_m, pux_m), left_node, h_left, forward=False)
+            _add_trace_row(bands, centre, (pu_p, pux_p), right_node, h_right, forward=True)
 
-    assert row == n_unknowns
-
-    bands = _banded_coefficients(entries, row_node, n_unknowns)
+    # without the all-zero top degrees
+    top = len(bands)
+    while top > 1 and not bands[top - 1].any():
+        top -= 1
+    bands = bands[:top]
     eigs = None if count is None else _polyeig_near(bands, count)
     if eigs is None:
         if max_deg * n_unknowns > _DIM_CAP:
@@ -282,91 +273,61 @@ def fd_polynomial_eigenvalues(
     return eigs[np.argsort(np.abs(eigs.imag), kind="stable")]
 
 
-def _add_trace_row(entries, row: int, polys, node: int, h: float, forward: bool):
-    """Add the entries of poly_u(lam) u + poly_ux(lam) u_x at an interval end
-    node."""
+def _add_trace_row(bands, centre: int, polys, node: int, h: float, forward: bool):
+    """Add poly_u(lam) u + poly_ux(lam) u_x at the interval end node into
+    the equation row centred on node centre."""
     pu, pux = polys
     for deg, c in enumerate(pu):
-        if c:
-            entries[deg].append(([row], [node], [c]))
+        bands[deg, centre, _HALF_BAND + node - centre] += c
     if forward:
         stencil = ((0, -3.0), (1, 4.0), (2, -1.0))
     else:
         stencil = ((0, 3.0), (-1, -4.0), (-2, 1.0))
     for deg, c in enumerate(pux):
-        if c:
-            cols = [node + dj for dj, _ in stencil]
-            entries[deg].append(([row] * 3, cols, [c * s / (2.0 * h) for _, s in stencil]))
-
-
-def _triplets(deg_entries):
-    """One degree's (rows, columns, values) blocks joined into three arrays."""
-    if not deg_entries:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-    rows, cols, vals = zip(*deg_entries)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals, dtype=float)
-
-
-def _banded_coefficients(entries, row_node: np.ndarray, n: int) -> np.ndarray:
-    """The coefficient matrices with each equation row moved to its node,
-    as diagonals: bands[k, i, _HALF_BAND + d] is entry (i, i + d) of the
-    k-th, for |d| <= _HALF_BAND.  Entries are summed in order, without the
-    all-zero top degrees."""
-    bands = np.zeros((len(entries), n, 2 * _HALF_BAND + 1))
-    for band, deg_entries in zip(bands, entries):
-        rows, cols, vals = _triplets(deg_entries)
-        nodes = row_node[rows]
-        diag = cols - nodes + _HALF_BAND
-        assert np.all((diag >= 0) & (diag <= 2 * _HALF_BAND))
-        np.add.at(band, (nodes, diag), vals)
-    top = len(bands)
-    while top > 1 and not bands[top - 1].any():
-        top -= 1
-    return bands[:top]
-
-
-def _band_entries(band: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries (rows, cols) of the banded matrix band (broadcast), zero off
-    the band and at indices outside the matrix."""
-    n = len(band)
-    diag = cols - rows + _HALF_BAND
-    inside = (diag >= 0) & (diag <= 2 * _HALF_BAND)
-    inside &= (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    return np.where(inside, band[np.clip(rows, 0, n - 1), np.clip(diag, 0, 2 * _HALF_BAND)], 0)
+        for dj, s in stencil:
+            bands[deg, centre, _HALF_BAND + node + dj - centre] += c * s / (2.0 * h)
 
 
 def _band_factor(band: np.ndarray):
-    """A solver r -> P^-1 r for the banded n x n matrix P with diagonals band
-    (as _banded_coefficients), or None when P is numerically singular.
+    """A solver r -> P^-1 r for the banded n x n matrix P whose row i holds
+    entries (i, i - _HALF_BAND .. i + _HALF_BAND), or None when P is
+    numerically singular.
 
     Substructuring: the nodes split into interior blocks of about sqrt(n)
     nodes, separated by _HALF_BAND separator nodes, so that no two interior
-    blocks are coupled.  Each interior block is inverted (LAPACK pivots
-    inside it), all in one batched call, and the separators' Schur
-    complement, block tridiagonal and about 3 sqrt(n) wide, densely.  A
-    solve is then two batched products over the blocks and one product with
-    the inverse Schur complement.  A grid past the last node is padded with
-    identity rows.
+    blocks are coupled.  Each interior block's window, its rows and columns
+    with the separators on either side, is cut from the band as one dense
+    matrix.  The interior blocks are inverted (LAPACK pivots inside each),
+    all in one batched call, and the separators' Schur complement, block
+    tridiagonal and about 3 sqrt(n) wide, densely.  A solve is then two
+    batched products over the blocks and one product with the inverse Schur
+    complement.  A grid past the last node is padded with identity rows.
     """
     n = len(band)
     s = _HALF_BAND
     b = max(2 * s, round(math.sqrt(n)))
     period = b + s
     m = -(-(n + s) // period)
-    # node numbers, block by block: interior j is nodes[j, :b], separator j
-    # is nodes[j, b:]; the last separator lies past the grid
-    nodes = np.arange(m * period).reshape(m, period)
-    interior = nodes[:, :b]
-    # separators on both sides of each interior, the outer ones off the grid
-    around = np.concatenate([nodes[:, :1] - s + np.arange(s), nodes[:, b:]], axis=1)
-    padded = np.zeros((m * period, 2 * s + 1), dtype=band.dtype)
-    padded[:n] = band
-    padded[n:, s] = 1.0
-    inner = _band_entries(padded, interior[:, :, None], interior[:, None, :])
-    to_sep = _band_entries(padded, interior[:, :, None], around[:, None, :])
-    from_sep = _band_entries(padded, around[:, :, None], interior[:, None, :])
-    seps = nodes[:-1, b:].ravel()
-    schur = _band_entries(padded, seps[:, None], seps[None, :])
+    # block j is interior nodes j period .. j period + b - 1, then separator
+    # j; the last separator lies past the grid.  The band gets s zero rows
+    # in front, for the separator before block 0, and identity rows behind
+    padded = np.zeros((s + m * period, 2 * s + 1), dtype=band.dtype)
+    padded[s : s + n] = band
+    padded[s + n :, s] = 1.0
+    # window j: rows j period - s .. (j + 1) period - 1, and their diagonals
+    # scattered into the same columns
+    size = period + s
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (m, size, 2 * s + 1), (period * padded.strides[0], *padded.strides)
+    )
+    dense = np.zeros((m, size, size), dtype=band.dtype)
+    rows = np.arange(size)
+    for d in range(-s, s + 1):
+        r = rows[max(0, -d) : size - max(0, d)]
+        dense[:, r, r + d] = windows[:, r, s + d]
+    inner = dense[:, s:-s, s:-s]
+    to_sep = np.concatenate([dense[:, s:-s, :s], dense[:, s:-s, -s:]], axis=2)
+    from_sep = np.concatenate([dense[:, :s, s:-s], dense[:, -s:, s:-s]], axis=1)
     try:
         inner_inv = np.linalg.inv(inner)
         # rows :b give an interior block's own solution, rows b: its
@@ -374,12 +335,14 @@ def _band_factor(band: np.ndarray):
         gather = np.concatenate([inner_inv, from_sep @ inner_inv], axis=1)
         spread = inner_inv @ to_sep
         coupling = from_sep @ spread
-        # the separators' Schur complement, with a zero separator at
-        # either end standing for the ones off the grid
-        full = np.zeros(((m + 1) * s, (m + 1) * s), dtype=schur.dtype)
+        # the separators' own blocks and their coupling through the interiors,
+        # with a zero separator at either end for the ones off the grid
+        own = np.zeros(((m + 1) * s, (m + 1) * s), dtype=band.dtype)
+        full = np.zeros_like(own)
         for j in range(m):
+            own[(j + 1) * s : (j + 2) * s, (j + 1) * s : (j + 2) * s] = dense[j, -s:, -s:]
             full[j * s : (j + 2) * s, j * s : (j + 2) * s] += coupling[j]
-        schur_inv = np.linalg.inv(schur - full[s:-s, s:-s])
+        schur_inv = np.linalg.inv(own[s:-s, s:-s] - full[s:-s, s:-s])
     except np.linalg.LinAlgError:
         return None
     if not (np.all(np.isfinite(gather)) and np.all(np.isfinite(schur_inv))):
@@ -446,7 +409,7 @@ def _shift_invert(bands: np.ndarray, solve, shift: complex):
 
 def _polyeig_all(bands: np.ndarray) -> np.ndarray:
     """All finite eigenvalues of the banded matrix polynomial bands (as
-    _banded_coefficients).
+    assembled by fd_polynomial_eigenvalues).
 
     The sparse route's operator (A - sigma B)^-1 B, one factorization of
     P(sigma) (see _band_factor and _shift_invert), is applied to every unit

@@ -57,12 +57,6 @@ class Partition:
         """Closed interval (y_{i}, y_{i+1}) for 0-based interval index i."""
         return self.breakpoints[i], self.breakpoints[i + 1]
 
-    @cached_property
-    def midpoints(self) -> tuple[float, ...]:
-        """The midpoint of each interval, in order."""
-        b = self.breakpoints
-        return tuple(0.5 * (b[i] + b[i + 1]) for i in range(self.n_intervals))
-
     def is_increasing(self) -> bool:
         b = self.breakpoints
         return all(b[i] < b[i + 1] for i in range(len(b) - 1))
@@ -123,10 +117,6 @@ class BoundaryOperator:
 
     def __call__(self, lam: complex) -> np.ndarray:
         return self.matrix(lam)
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
 
     @cached_property
     def constant_table(self) -> tuple[int, np.ndarray | None] | None:

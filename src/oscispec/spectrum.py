@@ -115,7 +115,6 @@ class SpectralResult:
     iterations: int
     converged: bool
     message: str = ""
-    mode: ModeShape | None = None
 
 
 @dataclass

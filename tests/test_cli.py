@@ -461,6 +461,15 @@ class TestVerifyAndValidate:
         assert out.count(" ok\n") == 2
         assert f"{short} found 2 of 3 modes\nverification FAILED" in out
 
+    def test_verify_leaves_out_an_unstable_real_root(self, capsys):
+        # at alpha1=1.5 pipeline's first root is real, 0.538 right of the
+        # axis and outside |Re| <= Im: the solver's modes are chosen by the
+        # oracle's rule, so mode k is compared with mode k
+        assert _run("verify", "pipeline", "--param", "alpha1=1.5") == 0
+        out = capsys.readouterr().out
+        assert "not compared (outside |Re| <= Im): 5.382912e-01 " in out
+        assert out.count(" ok\n") == 3 and "all deviations below" in out
+
     def test_verify_unknown_model_exits_1(self, capsys):
         assert _run("verify", "beam") == 1
 

@@ -289,12 +289,12 @@ class TestSparseRoute:
             _polyeig_all(_bands(mats))
 
     @staticmethod
-    def _sparse_bands(model, n_fd, monkeypatch):
+    def _sparse_bands(model, n_fd, monkeypatch, **params):
         """The banded coefficient matrices the sparse route gets for model."""
         seen = []
         monkeypatch.setattr(oracle, "_polyeig_near", lambda bands, count: seen.append(bands))
         monkeypatch.setattr(oracle, "_polyeig_all", lambda bands: np.empty(0, dtype=complex))
-        fd_polynomial_eigenvalues(build_model(model), FDOracleConfig(n_fd), count=3)
+        fd_polynomial_eigenvalues(build_model(model, **params), FDOracleConfig(n_fd), count=3)
         return seen[0]
 
     # degree 2; degree 3 with a cubic boundary row; interface rows
@@ -333,6 +333,30 @@ class TestSparseRoute:
         solve = _band_factor(np.tensordot(_SHIFT ** np.arange(deg + 1), bands, axes=1))
         y = np.random.default_rng(7).standard_normal(deg * bands.shape[1])
         assert _shift_invert(bands, solve, _SHIFT)(y).dtype == np.float64
+
+    # degree 2; degree 3 with a cubic boundary row; three interfaces.  The
+    # grids pad the last block with 6 to 15 identity rows
+    @pytest.mark.parametrize("n_fd", (50, 51, 63, 101, 400))
+    @pytest.mark.parametrize(
+        "model,params",
+        [
+            ("machine_unit", {}),
+            ("spacecraft_bar", {}),
+            ("cable_snapshot", {"masses": (1.0, 2.0, 3.0), "positions": (0.2, 0.5, 0.8)}),
+        ],
+        ids=["machine_unit", "spacecraft_bar", "cable_three_loads"],
+    )
+    def test_factor_matches_a_dense_solve(self, model, params, n_fd, monkeypatch):
+        bands = self._sparse_bands(model, n_fd, monkeypatch, **params)
+        band = np.tensordot(_SHIFT ** np.arange(len(bands)), bands, axes=1)
+        rhs = np.random.default_rng(7).standard_normal(len(band))
+        dense = _unband(band)
+        want = np.linalg.solve(dense, rhs)
+        # both solves are backward stable, so they may differ by about
+        # cond(P) eps relative: 2e-13 at cond 2e5 (n_fd 50), 1e-11 at cond
+        # 4e7 (machine_unit, n_fd 400)
+        bound = 1e-16 * np.linalg.cond(dense) * np.linalg.norm(want)
+        assert np.linalg.norm(_band_factor(band)(rhs) - want) <= bound
 
     @pytest.mark.parametrize("shift", [oracle._SHIFT, oracle._SECOND_SHIFT])
     def test_map_and_factor_are_freed_by_reference_counting(self, shift, monkeypatch):
@@ -412,11 +436,6 @@ class TestTripletAssembly:
     def test_both_routes_get_the_dense_assembly_bytes(self, model, n_fd, monkeypatch):
         assert ORACLE_ROUTES[model] == "fd"
         seen = {}
-        banded = oracle._banded_coefficients
-
-        def recording_banded(entries, row_node, n):
-            seen["row_node"] = row_node
-            return banded(entries, row_node, n)
 
         def sparse(bands, count):
             seen["sparse"] = bands
@@ -426,7 +445,6 @@ class TestTripletAssembly:
             seen["dense"] = bands
             return np.empty(0, dtype=complex)
 
-        monkeypatch.setattr(oracle, "_banded_coefficients", recording_banded)
         monkeypatch.setattr(oracle, "_polyeig_near", sparse)
         monkeypatch.setattr(oracle, "_polyeig_all", dense)
         fd_polynomial_eigenvalues(build_model(model), FDOracleConfig(n_fd), count=3)
@@ -435,9 +453,17 @@ class TestTripletAssembly:
         assert seen["dense"] is bands
         assert bands.shape == (count, size, 7) and bands.dtype == np.float64
         # every equation row sits at its own node; moved back to their rows,
-        # the diagonals give the dense assembly's bytes
-        row_node = seen["row_node"]
-        assert sorted(row_node.tolist()) == list(range(size))
+        # the diagonals give the dense assembly's bytes.  Its rows were the
+        # interior nodes interval by interval, the two end nodes, then each
+        # interface's two end nodes
+        bps = build_model(model).scalar_form.breakpoints
+        total = bps[-1] - bps[0]
+        cells = [max(8, round(n_fd * (hi - lo) / total)) for lo, hi in zip(bps, bps[1:])]
+        starts = np.cumsum([0] + [k + 1 for k in cells])
+        row_node = [g for a, k in zip(starts, cells) for g in range(a + 1, a + k)]
+        row_node += [0, size - 1]
+        row_node += [g for a in starts[1:-1] for g in (a - 1, a)]
+        assert sorted(row_node) == list(range(size))
         mats = [_unband(band)[row_node] for band in bands]
         assert hashlib.sha256(b"".join(m.tobytes() for m in mats)).hexdigest()[:32] == digest
 
