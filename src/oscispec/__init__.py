@@ -41,7 +41,6 @@ from .problem import (
     ConjugationOperator,
     Partition,
     ProblemDefinition,
-    evaluate_coefficients,
     insert_breakpoint,
     validate,
 )
@@ -52,9 +51,7 @@ from .spectrum import (
     ModeShape,
     SolveOptions,
     characteristic_determinant,
-    initial_coefficients,
     mode_shape,
-    propagate,
     refine_root,
     scan_real_axis,
     solve_spectrum,
@@ -93,9 +90,7 @@ __all__ = [
     "closed_form_roots",
     "dump_problem",
     "estimate_step",
-    "evaluate_coefficients",
     "fd_polynomial_eigenvalues",
-    "initial_coefficients",
     "insert_breakpoint",
     "integrate_fundamental",
     "leading_frequencies",
@@ -104,7 +99,6 @@ __all__ = [
     "model_defaults",
     "problem_from_dict",
     "problem_to_dict",
-    "propagate",
     "reduce_complex",
     "reduce_real_split",
     "refine_root",

@@ -39,6 +39,11 @@ DEFAULT_TOL = 1e-10
 VERIFY_MAX_DEV = 2e-3
 #: number of leading modes `verify` compares
 VERIFY_MODES = 3
+#: most sample nodes a `modes` step may give the whole domain, one per step
+#: of each interval plus its ends: about a million, which admits the finest
+#: step --target-error derives (a millionth of the domain); a finer step is
+#: refused before anything is solved
+MODES_MAX_SAMPLES = 1 << 20
 
 
 class ConfigError(Exception):
@@ -254,8 +259,8 @@ def _config_from_args(args) -> RunConfig:
         name, lo, hi, count = _parse_colon_tuple(
             args.sweep, (str, float, float, int), "--sweep"
         )
-        if count < 1:
-            raise ConfigError("--sweep COUNT must be >= 1")
+        if not np.isfinite([lo, hi]).all() or count < 1:
+            raise ConfigError("--sweep needs finite MIN and MAX and COUNT >= 1")
         cfg.sweep = (name, lo, hi, count)
     if getattr(args, "indices", None) is not None:
         try:
@@ -272,18 +277,12 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _build(model: str, params: dict) -> ProblemDefinition:
-    """A built-in model; a parameter value it rejects, out of range or of
-    the wrong type, is a ConfigError."""
-    try:
-        return models.build_model(model, **params)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _load(cfg: RunConfig, validate: bool = True) -> ProblemDefinition:
-    """Build the problem from --model/--param or --problem; with `validate`,
-    a problem that fails validation is a ConfigError."""
+def _load(cfg: RunConfig, params: dict | None = None, validate: bool = True) -> ProblemDefinition:
+    """The problem of --problem, or the built-in model of --model with
+    --param's values (or `params`, a sweep point's): the CLI's one load
+    path.  A parameter value the model rejects, out of range or of the
+    wrong type, and with `validate` a problem that fails validation, is a
+    ConfigError."""
     if cfg.problem_file is not None:
         if cfg.params:
             raise ConfigError("--param applies to built-in models only")
@@ -292,7 +291,10 @@ def _load(cfg: RunConfig, validate: bool = True) -> ProblemDefinition:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load problem file: {exc}") from None
     else:
-        problem = _build(cfg.model, cfg.params)
+        try:
+            problem = models.build_model(cfg.model, **(cfg.params if params is None else params))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from None
     if not validate:
         return problem
     violations = find_violations(problem)
@@ -379,8 +381,15 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_modes(cfg: RunConfig) -> int:
     problem = _load(cfg)
     opts = _solve_options(cfg)
-    results = solve_spectrum(problem, opts)
     step = resolve_step(problem, opts)
+    part = problem.partition
+    # as a float, so that a step too fine for an integer count is refused too
+    if part.total_length / step + 2 * part.n_intervals > MODES_MAX_SAMPLES:
+        raise ConfigError(
+            f"step {step:g} gives more than {MODES_MAX_SAMPLES} mode-shape samples; "
+            "give a coarser --step or a larger --target-error"
+        )
+    results = solve_spectrum(problem, opts)
     for index in cfg.indices:
         if index > len(results):
             raise ConfigError(
@@ -409,7 +418,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         params = dict(cfg.params)
         params[name] = float(value)
         try:
-            results = solve_spectrum(_build(cfg.model, params), opts)
+            results = solve_spectrum(_load(cfg, params), opts)
         except (ConfigError, ValueError, SolverError) as exc:
             rows.append(f"{_csv_num(float(value))},,,,{_csv_text(f'error: {exc}')}")
             continue

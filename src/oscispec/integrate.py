@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import IntegrationError
 from .linalg import realify, transpose
-from .problem import ReducedSystem, each_lambda
+from .problem import ReducedSystem, failed_lambdas
 
 #: |det| of an end matrix below this triggers a step-size warning
 DET_WARN_TOL = 1e-12
@@ -161,16 +161,18 @@ def _exact_fundamental(
 
     There is no step error: the step sets only the sample spacing, and the
     samples sit at the RK4 nodes lo + k h, h = length / ceil(length / step),
-    with the last one at the interval's end.  One lambda is propagated as a
-    length-1 stack, so that it takes the arithmetic of a stack.  On such an
-    interval |det| of the end matrix is exp(length Re tr A), so the
-    near-singular warning gives no step advice.
+    with the last one at the interval's end.  Without samples no step count
+    is formed, so that any positive step gives the same end matrix, and the
+    one closed-form step is reported as h = length.  One lambda is
+    propagated as a length-1 stack, so that it takes the arithmetic of a
+    stack.  On such an interval |det| of the end matrix is exp(length Re tr
+    A), so the near-singular warning gives no step advice.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     lo, hi = system.partition.interval(interval)
     length = hi - lo
-    n_steps = max(1, math.ceil(length / step - 1e-12))
+    n_steps = max(1, math.ceil(length / step - 1e-12)) if keep_samples else 1
     const = system.constant_coeffs[interval]
     blocks = const if const.ndim == 3 else const[np.newaxis]
     t = np.linspace(0.0, length, n_steps + 1)[:, np.newaxis] if keep_samples else length
@@ -303,8 +305,7 @@ def _check_end(system: ReducedSystem, interval: int, end: np.ndarray, advice: st
     of a variational end matrix) has |det| below DET_WARN_TOL.  The
     determinant of a 2 x 2 block is ad - bc."""
     if not np.isfinite(end).all():
-        finite = np.isfinite(end).all(axis=(-2, -1)).reshape(-1).tolist()
-        lams = [z for z, ok in zip(each_lambda(system.lam), finite) if not ok]
+        lams = [z for _, z in failed_lambdas(system.lam, ~np.isfinite(end).all(axis=(-2, -1)))]
         raise IntegrationError(interval, lams[0], lams=lams)
     lead = end[..., : system.dim, : system.dim]
     if system.dim == 2:

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import adjugate_form, rref_null_basis
+from .linalg import adjugate_table, row_ranks, rref_null_basis
 from .poly import PolyMatrix
 
 #: maximum degree of coefficient entries in the space coordinate
@@ -129,18 +129,12 @@ class BoundaryOperator:
         the rows depend on lambda.  The table is read-only: it is shared by
         every determinant evaluation of the problem.
         """
-        return _rank_and_table(self.matrix(0j)) if self.matrix.is_constant() else None
-
-
-def _rank_and_table(rows: np.ndarray) -> tuple[int, np.ndarray | None]:
-    """The rank of boundary rows and, at full row rank, their read-only
-    adjugate-form table."""
-    reduced = rref_null_basis(rows)
-    if reduced[0] != rows.shape[0]:
-        return reduced[0], None
-    table = adjugate_form(rows, reduced)
-    table.flags.writeable = False
-    return reduced[0], table
+        if not self.matrix.is_constant():
+            return None
+        rank, table = adjugate_table(self.matrix(0j))
+        if table is not None:
+            table.flags.writeable = False
+        return rank, table
 
 
 @dataclass(frozen=True)
@@ -234,9 +228,22 @@ class ReducedSystem:
         return self.coeff_batch(interval, np.asarray([float(y)]))[0]
 
 
-def each_lambda(lam) -> list[complex]:
-    """The lambdas of a scalar or of a 1-D stack, in order, as Python numbers."""
-    return lam.tolist() if isinstance(lam, np.ndarray) and lam.ndim else [lam]
+def is_singular(bmat: np.ndarray) -> np.ndarray:
+    """Whether an interface matrix B, or each B of a stack, counts singular:
+    zero, or |det B| at most TOL_SINGULAR times its largest modulus to the
+    power N."""
+    scale = np.max(np.abs(bmat), axis=(-2, -1))
+    return (scale == 0.0) | (np.abs(np.linalg.det(bmat)) <= TOL_SINGULAR * scale ** bmat.shape[-1])
+
+
+def failed_lambdas(lam, failed) -> list[tuple[int, complex]]:
+    """(index, lambda) of each lambda where `failed` holds, in stack order,
+    the lambda as a Python number: the one lookup by which a check names the
+    lambdas it fails.  lam is one lambda or a 1-D stack, and failed one flag
+    per lambda, or a single flag for a lambda-free matrix that the stack
+    shares, which then fails at every lambda."""
+    index = np.flatnonzero(np.broadcast_to(failed, np.shape(lam)))
+    return list(zip(index.tolist(), np.reshape(lam, -1)[index].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -244,28 +251,14 @@ def each_lambda(lam) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_coefficients(field: CoefficientField, interval: int, y: float):
-    """Values (A(y), B(y), C(y)) on one interval; exact for polynomials.
-    Over a denominator they are the numerator's, not yet divided by q.
-
-    Raises ValueError if y lies outside the closed interval.
-    """
-    lo, hi = field.partition.interval(interval)
-    if not (lo <= y <= hi):
-        raise ValueError(f"y={y} outside interval {interval} [{lo}, {hi}]")
-    return (
-        field.a_polys[interval](y),
-        field.b_polys[interval](y),
-        field.c_polys[interval](y),
-    )
-
-
 def validate(problem: ProblemDefinition) -> list[str]:
     """Collect model violations; an empty list means the problem is well formed.
 
     Violations are data, not exceptions: dimension mismatches, non-increasing
-    breakpoints, degree caps, coefficient-bound violations and singular
-    interface matrices at lambda = 0 are all reported together.
+    breakpoints, degree caps, nonfinite coefficients, coefficient-bound
+    violations, boundary rows that lose rank at lambda = 0 or 1j and singular
+    interface matrices at lambda = 0 are all reported together.  A block
+    with a nonfinite coefficient is not evaluated for its rank probe.
     """
     out: list[str] = []
     part = problem.partition
@@ -299,9 +292,15 @@ def validate(problem: ProblemDefinition) -> list[str]:
             out.append(
                 f"boundary_{bnd.side}: lambda degree {degree} exceeds cap {bnd.max_degree}"
             )
+        if not np.all(np.isfinite(bnd.matrix.coeffs)):
+            out.append(f"boundary_{bnd.side}: nonfinite coefficient")
+            continue
         if degree == 0:
             # lambda-free rows have one rank, formed with their constant table
             ranks = ((0.0, bnd.constant_table[0]),)
+        elif rows == 1:
+            # one row: both probes in one evaluation, ranked without reduction
+            ranks = zip((0.0, 1j), row_ranks(bnd.matrix(np.array([0.0, 1j]))).tolist())
         else:
             ranks = ((lam, rref_null_basis(bnd(lam))[0]) for lam in (0.0, 1j))
         for lam, rank in ranks:
@@ -330,9 +329,11 @@ def validate(problem: ProblemDefinition) -> list[str]:
                     f"conjugation {conj.interface}: {tag} lambda degree "
                     f"{pm.degree} exceeds cap {MAX_LAMBDA_DEGREE}"
                 )
-        bmat0 = conj.b_matrix(0.0)
-        scale = float(np.max(np.abs(bmat0)))
-        if scale == 0.0 or abs(np.linalg.det(bmat0)) <= TOL_SINGULAR * scale**bmat0.shape[0]:
+            if not np.all(np.isfinite(pm.coeffs)):
+                out.append(f"conjugation {conj.interface}: {tag} nonfinite coefficient")
+        # a B of the wrong shape, or with nonfinite entries, is not probed
+        bmat = conj.b_matrix
+        if bmat.shape == (dim, dim) and np.all(np.isfinite(bmat.coeffs)) and is_singular(bmat(0.0)):
             out.append(f"conjugation {conj.interface}: Bmat singular at lambda=0")
 
     return out

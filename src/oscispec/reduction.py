@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import PoleError
-from .linalg import adjugate_form, realify, row_adjugate_form, rref_null_basis
+from .linalg import adjugate_table, realify, row_adjugate_form
 from .poly import PolyMatrix
 from .problem import CoefficientField, ProblemDefinition, ReducedSystem
 
@@ -76,7 +76,11 @@ def _derivatives(problem: ProblemDefinition, left_matrix, right_matrix, lam) -> 
         d_table = row_adjugate_form(d_left)
     else:
         stack, split = _central(lam)
-        d_table = split(_adjugate_table(left(stack)))[1]
+        rows = left(stack)
+        table = adjugate_table(rows)[1]
+        if table is None:  # zeros: the table's own check (spectrum._initial_table) names the lambda
+            table = np.zeros(rows.shape[:-2] + (dim, dim - m), complex)
+        d_table = split(table)[1]
     return (
         d_table,
         _dual(right_matrix, bind_matrix(problem.boundary_right.matrix.derivative, lam)),
@@ -85,15 +89,6 @@ def _derivatives(problem: ProblemDefinition, left_matrix, right_matrix, lam) -> 
             for c in problem.conjugations_in_order
         ),
     )
-
-
-def _adjugate_table(rows: np.ndarray) -> np.ndarray:
-    """The adjugate-form null basis of a stack of rows; zeros where they lose
-    rank, which the table's own check (spectrum._initial_table) names."""
-    reduced = rref_null_basis(rows)
-    if reduced.pivots is None or np.any(reduced[0] != rows.shape[-2]):
-        return np.zeros(rows.shape[:-2] + (rows.shape[-1], rows.shape[-1] - rows.shape[-2]), complex)
-    return adjugate_form(rows, reduced)
 
 
 def _central(lam):

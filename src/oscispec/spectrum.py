@@ -18,16 +18,9 @@ import numpy as np
 
 from .errors import BoundaryDegeneracyError, NotARootError, PropagationError, SolverError
 from .integrate import FundamentalMatrix, _exact_fundamental, estimate_step, integrate_fundamental
-from .linalg import adjugate_form, row_adjugate_form, rref_null_basis, transpose
-from .problem import (
-    BoundaryOperator,
-    ConjugationOperator,
-    ProblemDefinition,
-    ReducedSystem,
-    TOL_SINGULAR,
-    each_lambda,
-)
-from .reduction import bind_matrix, reduce_complex
+from .linalg import adjugate_table, row_adjugate_form, transpose
+from .problem import ProblemDefinition, ReducedSystem, failed_lambdas, is_singular
+from .reduction import reduce_complex
 from .reduction import reduce_real_split  # noqa: F401  (perfbench/tracing.py wraps it by name)
 
 #: largest exponent fed to exp() when undoing the log-scale normalization;
@@ -135,30 +128,8 @@ class SolveOptions:
 # ---------------------------------------------------------------------------
 
 
-def initial_coefficients(left_boundary: BoundaryOperator, lam: complex) -> np.ndarray:
-    """Null-space basis (N x m) of the left boundary matrix at lambda.
-
-    For the canonical selection form (row r picks component r) this is
-    exactly the complementary 0/1 pattern.  Raises BoundaryDegeneracyError
-    if the matrix is rank deficient at lambda.
-    """
-    matrix = np.asarray(left_boundary(lam), dtype=complex)
-    return _null_basis_checked(matrix, lam)[1]
-
-
-def _null_basis_checked(matrix: np.ndarray, lam):
-    """rref_null_basis of a boundary matrix, or of each matrix of a stack;
-    raises BoundaryDegeneracyError for the first lambda whose rows lose rank."""
-    rows = matrix.shape[-2]
-    reduced = rref_null_basis(matrix)
-    for z, r in zip(each_lambda(lam), np.atleast_1d(reduced[0]).tolist()):
-        if r != rows:
-            raise BoundaryDegeneracyError(z, r, rows)
-    return reduced
-
-
 def _initial_table(matrix: np.ndarray, lam, constant=None) -> np.ndarray:
-    """The left null basis in adjugate form (linalg.adjugate_form), per
+    """The left null basis in adjugate form (linalg.adjugate_table), per
     lambda of a stack, reduced in one call; raises BoundaryDegeneracyError
     for the first lambda whose rows lose rank.
 
@@ -166,49 +137,32 @@ def _initial_table(matrix: np.ndarray, lam, constant=None) -> np.ndarray:
     lambda, formed once per problem (BoundaryOperator.constant_table); a
     stack then shares that one table, as it shares the rows.  One row
     [a0, a1] of N = 2 (m = 1) takes its adjugate form [-a1; a0] directly
-    (linalg.row_adjugate_form), with no row reduction.
+    (linalg.row_adjugate_form), with no row reduction: it loses rank only
+    where both entries vanish.
     """
     if constant is not None:
-        rank, basis = constant
+        ranks, table = constant
+    elif matrix.shape[-2:] == (1, 2):
+        ranks = (matrix[..., 0, 0] != 0) | (matrix[..., 0, 1] != 0)  # True is rank 1
+        table = row_adjugate_form(matrix) if ranks.all() else None
+    else:
+        ranks, table = adjugate_table(matrix)
+    if table is None:
         rows = matrix.shape[-2]
-        if rank != rows:
-            raise BoundaryDegeneracyError(each_lambda(lam)[0], rank, rows)
-        return basis
-    if matrix.shape[-2:] != (1, 2):
-        return adjugate_form(matrix, _null_basis_checked(matrix, lam))
-    lost = (matrix[..., 0, 0] == 0) & (matrix[..., 0, 1] == 0)
-    if lost.any():
-        raise BoundaryDegeneracyError(each_lambda(lam)[int(np.argmax(lost))], 0, 1)
-    return row_adjugate_form(matrix)
-
-
-def propagate(
-    u: np.ndarray,
-    fundamental: FundamentalMatrix | np.ndarray,
-    conj: ConjugationOperator,
-    lam: complex,
-) -> np.ndarray:
-    """Carry the coefficient table across one interface.
-
-    Computes the end values W = G^T U of the propagated solutions, then
-    solves B(lam) U_next = D(lam) W columnwise.  Equivalent to the
-    determinant-ratio recurrence but via LU factorization.
-    """
-    g = fundamental.end_matrix if isinstance(fundamental, FundamentalMatrix) else fundamental
-    dmat = bind_matrix(conj.d_matrix, lam)
-    bmat = bind_matrix(conj.b_matrix, lam)
-    return _interface_solve(transpose(g) @ u, dmat, bmat, conj.interface, lam)
+        k, z = failed_lambdas(lam, ranks != rows)[0]
+        raise BoundaryDegeneracyError(z, int(np.reshape(ranks, -1)[k]), rows)
+    return table
 
 
 def _interface_solve(w, dmat, bmat, interface: int, lam) -> np.ndarray:
-    n = bmat.shape[-1]
-    # a lambda-free B is one matrix shared by a stack (bind_matrix), so it
-    # is checked once, at the first lambda
-    scales = np.max(np.abs(bmat), axis=(-2, -1)).reshape(-1).tolist()
-    dets = np.linalg.det(bmat).reshape(-1).tolist()
-    for scale, det, z in zip(scales, dets, each_lambda(lam)):
-        if scale == 0.0 or abs(det) <= TOL_SINGULAR * scale**n:
-            raise PropagationError(interface, z, "det below singularity tolerance")
+    """U_next solving B U_next = D W, per lambda of a stack; raises
+    PropagationError for the first lambda whose B is singular.  A
+    lambda-free B is one matrix shared by a stack (bind_matrix), checked
+    once, so that it fails at the first lambda."""
+    singular = is_singular(bmat)
+    if singular.any():
+        _, z = failed_lambdas(lam, singular)[0]
+        raise PropagationError(interface, z, "det below singularity tolerance")
     try:
         return np.linalg.solve(bmat, dmat @ w)
     except np.linalg.LinAlgError as exc:

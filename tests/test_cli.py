@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,16 @@ class TestSolve:
                     "--out", str(tmp_path))
         assert code == 1
 
+    def test_step_below_the_float_range_of_a_count_solves(self, tmp_path):
+        for step in ("1e-320", "1e-3"):
+            code = _run(
+                "solve", "--model", "machine_unit", "--scan", "0.2:10:24", "--step", step,
+                "--out", str(tmp_path / step),
+            )
+            assert code == 0
+        tiny, default = ((tmp_path / step / "spectrum.json").read_bytes() for step in ("1e-320", "1e-3"))
+        assert tiny == default and len(json.loads(default)) == 4
+
     def test_target_error_drives_step_choice(self, tmp_path):
         code = _run(
             "solve", "--model", "fixed_free_string", "--scan", "1.0:2.0:40",
@@ -258,6 +269,27 @@ class TestModes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --indices")
         assert not out.exists()
+
+    def test_step_beyond_the_sample_cap_exits_1_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # a 1e-9 step would sample 10^9 nodes (a 15 GiB array); at a cap of
+        # 1001 samples the default step's 1000 steps plus two ends are one too
+        # many and twice that step's are allowed
+        out = tmp_path / "out"
+        argv = ["modes", "--model", "fixed_free_string", "--scan", "0.2:10:24", "--out", str(out)]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "solve_spectrum", lambda *args: pytest.fail("solved"))
+            assert _run(*argv, "--step", "1e-9") == 1
+            assert capsys.readouterr().err == (
+                f"error: step 1e-09 gives more than {cli.MODES_MAX_SAMPLES} mode-shape samples; "
+                "give a coarser --step or a larger --target-error\n"
+            )
+            m.setattr(cli, "MODES_MAX_SAMPLES", 1001)
+            assert _run(*argv) == 1
+            assert "more than 1001 mode-shape samples" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "MODES_MAX_SAMPLES", 1001)
+        assert _run(*argv, "--step", "2e-3") == 0
+        assert len((out / "mode_001.csv").read_text().splitlines()) == 502
 
     def test_index_out_of_range_exits_1(self, tmp_path, capsys):
         code = _run(
@@ -411,6 +443,43 @@ class TestSweep:
         )
         assert code == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("descriptor", ["d:0:inf:2", "rho:1:inf:2", "d:nan:0.2:2"])
+    def test_nonfinite_bound_exits_1_before_output(self, descriptor, tmp_path, capsys):
+        # np.linspace(0, inf, 2) is [nan, inf]: such points were solved
+        # unchecked and written as "empty" or integration-overflow rows
+        code = _run(
+            "sweep", "--model", "spacecraft_bar", "--sweep", descriptor,
+            "--scan", "0.3:2:20", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --sweep needs finite MIN and MAX and COUNT >= 1\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_invalid_point_is_an_error_row_with_solves_message(self, tmp_path, capsys):
+        # d = inf puts an infinite coefficient in the right row: each point
+        # fails validation, as solve does, instead of reading as empty
+        argv = ["--model", "spacecraft_bar", "--param", "d=inf", "--scan", "0.3:2:20"]
+        assert _run("solve", *argv, "--out", str(tmp_path / "solve")) == 1
+        message = capsys.readouterr().err.rstrip("\n")
+        assert message == "error: problem fails validation:\n  boundary_right: nonfinite coefficient"
+        assert _run("sweep", *argv, "--sweep", "rho:1:2:2", "--out", str(tmp_path)) == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [["1", "", "", "", message], ["2", "", "", "", message]]
+
+    def test_step_below_the_float_range_of_a_count_sweeps(self, tmp_path):
+        # every interval is constant with N = 2, whose closed form forms no
+        # step count: length / 1e-320 overflowed its integer conversion
+        rows = {}
+        for step in ("1e-320", "1e-3"):
+            code = _run(
+                "sweep", "--model", "spacecraft_bar", "--sweep", "d:0:0.2:2", "--scan", "0.2:10:24",
+                "--step", step, "--out", str(tmp_path / step),
+            )
+            assert code == 0
+            rows[step] = (tmp_path / step / "sweep.csv").read_text()
+        assert rows["1e-320"] == rows["1e-3"] and rows["1e-3"].count(",ok") == 8
 
     def test_single_point_sweep_matches_solve(self, tmp_path):
         solve_dir = tmp_path / "solve"
@@ -727,6 +796,21 @@ class TestValidateLoader:
     def test_unknown_model_parameter_exits_1(self, capsys):
         assert _run("validate", "--model", "spacecraft_bar", "--param", "bogus=1") == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "model, param, side",
+        [("spacecraft_bar", "d=inf", "right"), ("machine_unit", "J1=inf", "left"),
+         ("machine_unit", "J1=nan", "left")],
+    )
+    def test_nonfinite_boundary_row_is_a_violation(self, model, param, side, capsys):
+        # its rank probe, which evaluated inf * 0 and reduced a NaN row with
+        # RuntimeWarnings, is skipped; the row was reported valid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run("validate", "--model", model, "--param", param) == 1
+        assert capsys.readouterr().out == (
+            f"{model}: 1 violation(s)\n  - boundary_{side}: nonfinite coefficient\n"
+        )
 
     def test_parser_is_built_once_and_keeps_no_state(self, capsys):
         # the first call's --param must not reach the second, which has none

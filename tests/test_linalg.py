@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oscispec import BoundaryDegeneracyError
-from oscispec import spectrum
-from oscispec.linalg import rref_null_basis
+from oscispec import linalg, spectrum
+from oscispec.linalg import row_ranks, rref_null_basis
 
 
 def _textbook(matrix, tol=1e-12):
@@ -121,7 +121,52 @@ class TestStackedNullBasis:
             rref_null_basis(np.zeros(3))
 
 
+#: one-row blocks: zero, entries far below the row's largest (which count
+#: for the rank, the cutoff being relative), subnormal, infinite, NaN and
+#: complex ones
+ONE_ROWS = [
+    [0.0, 0.0], [1.0, 0.0], [0.0, -0.0], [1e-300, 0.0], [5e-324, 0.0], [1.0, 1e-13, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0], [np.inf, 1.0], [0.0, -np.inf], [np.inf, np.nan], [np.nan, 0.0],
+    [0.0, 2.0, np.inf, 0.0], [0.0, 0.0, 0.0, np.nan],
+    [1j, 0.0], [1e-13j, 1.0 + 1j], [complex(np.inf, 1.0), 0.0], [complex(0.0, np.nan), 1.0],
+]
+
+
+class TestRowRanks:
+    @staticmethod
+    def _rref_rank(rows):
+        # a NaN row reduces with NaN arithmetic, and a complex subnormal
+        # pivot divides with an overflowing reciprocal: both warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            return rref_null_basis(rows)[0]
+
+    @pytest.mark.parametrize("row", ONE_ROWS, ids=str)
+    def test_one_row_equals_the_reduction(self, row):
+        rows = np.array([row])
+        assert row_ranks(rows).tolist() == self._rref_rank(rows)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_stack_equals_the_reduction(self, width):
+        rows = np.array([row for row in ONE_ROWS if len(row) == width], dtype=complex)[:, np.newaxis]
+        ranks = row_ranks(rows)
+        assert ranks.tolist() == [self._rref_rank(m) for m in rows]
+        assert ranks.tolist() == np.atleast_1d(self._rref_rank(rows)).tolist()
+        assert 0 in ranks and 1 in ranks
+
+
 class TestInitialTable:
+    def test_first_deficient_general_rows_are_named(self):
+        # two rows of N = 4: rank 1 at the third lambda, 0 at the fifth
+        lams = np.array([0.5j, 1.0j, 1.5j, 2.0j, 2.5j])
+        rows = np.array([np.eye(2, 4)] * 5)
+        rows[1, 0, 2] = 3.0
+        rows[2, 1] = 2 * rows[2, 0]
+        rows[4] = 0.0
+        with pytest.raises(BoundaryDegeneracyError) as info:
+            spectrum._initial_table(rows.astype(complex), lams)
+        assert info.value.lam == lams[2]
+        assert str(info.value) == "boundary operator rank 1 != 2 at lambda=1.5j"
+
     def test_first_deficient_lambda_is_named(self):
         lams = np.array([0.5j, 1.0j, 1.5j, 2.0j, 2.5j])
         rows = np.array([[[1.0, 0.0]], [[1.0, 0.5]], [[0.0, 0.0]], [[2.0, 1.0]], [[0.0, 0.0]]])
@@ -145,7 +190,7 @@ class TestInitialTable:
             calls.append(np.shape(matrix))
             return rref_null_basis(matrix, tol)
 
-        monkeypatch.setattr(spectrum, "rref_null_basis", counting)
+        monkeypatch.setattr(linalg, "rref_null_basis", counting)
         rng = np.random.default_rng(4)
         spectrum._initial_table(rng.standard_normal((240, 2, 4)), 1j * np.linspace(0.2, 10.0, 240))
         assert calls == [(240, 2, 4)]

@@ -1,6 +1,7 @@
-"""Core data model: validation, coefficient evaluation, breakpoint insertion."""
+"""Core data model: validation and breakpoint insertion."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from oscispec import (
     BoundaryOperator,
     CoefficientField,
     ConjugationOperator,
-    Partition,
     PolyMatrix,
-    evaluate_coefficients,
     insert_breakpoint,
     validate,
 )
@@ -38,6 +37,41 @@ class TestValidate:
         prob = make_string_problem(breakpoints=(0.0, 0.5, 1.0), conjugations=(bad,))
         report = validate(prob)
         assert any("Bmat singular at lambda=0" in v for v in report)
+
+    @pytest.mark.parametrize("tag", ["D", "B"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_interface_matrix_is_a_violation(self, tag, value):
+        # a nonfinite B is not probed for singularity: its determinant at
+        # lambda = 0 would evaluate inf * 0 with a RuntimeWarning
+        entries = [[[1.0, value], [0.0]], [[0.0], [1.0]]]
+        d, b = (PolyMatrix.from_entries(entries) if t == tag else PolyMatrix.constant(np.eye(2))
+                for t in ("D", "B"))
+        prob = make_string_problem(
+            breakpoints=(0.0, 0.5, 1.0), conjugations=(ConjugationOperator(1, d, b),)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate(prob) == [f"conjugation 1: {tag} nonfinite coefficient"]
+
+    def test_wrong_shape_interface_matrix_is_reported_not_probed(self):
+        # its determinant raised LinAlgError out of validate
+        bad = ConjugationOperator(1, PolyMatrix.constant(np.eye(2)), PolyMatrix.constant(np.ones((2, 3))))
+        prob = make_string_problem(breakpoints=(0.0, 0.5, 1.0), conjugations=(bad,))
+        assert validate(prob) == ["conjugation 1: B shape (2, 3), expected (2, 2)"]
+
+    def test_nonfinite_constant_boundary_row_is_a_violation(self):
+        row = BoundaryOperator("left", PolyMatrix.from_entries([[[np.nan], [1.0]]]))
+        prob = dataclasses.replace(make_string_problem(), boundary_left=row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate(prob) == ["boundary_left: nonfinite coefficient"]
+
+    @pytest.mark.parametrize("lam", [0.0, 1j])
+    def test_one_row_losing_rank_at_a_probe_is_named(self, lam):
+        # [lam - lam0, 2 (lam - lam0)] vanishes at lam0 alone
+        row = BoundaryOperator("left", PolyMatrix.from_entries([[[-lam, 1.0], [-2 * lam, 2.0]]]))
+        prob = dataclasses.replace(make_string_problem(), boundary_left=row)
+        assert validate(prob) == [f"boundary_left: rank 0 < 1 at lambda={lam}"]
 
     def test_conjugation_count_mismatch(self):
         prob = make_string_problem(breakpoints=(0.0, 0.5, 1.0), conjugations=())
@@ -173,48 +207,6 @@ def test_degree_is_found_once_per_matrix():
     assert pm.degree == 2
     pm.coeffs = None  # a second access that scanned again would fail here
     assert pm.degree == 2
-
-
-class TestEvaluateCoefficients:
-    def test_constant_field(self):
-        part = Partition((0.0, 1.0))
-        field = CoefficientField(
-            part,
-            (PolyMatrix.zero(2, 2),),
-            (PolyMatrix.constant(-np.eye(2)),),
-            (PolyMatrix.zero(2, 2),),
-            bound=1.0,
-        )
-        for y in (0.0, 0.25, 1.0):
-            a, b, c = evaluate_coefficients(field, 0, y)
-            np.testing.assert_array_equal(a, np.zeros((2, 2)))
-            np.testing.assert_array_equal(b, -np.eye(2))
-            np.testing.assert_array_equal(c, np.zeros((2, 2)))
-
-    def test_linear_entry(self):
-        part = Partition((0.0, 1.0))
-        a = PolyMatrix.from_entries([[[0.0], [0.0, 2.0]], [[0.0], [0.0]]])
-        field = CoefficientField(
-            part, (a,), (PolyMatrix.zero(2, 2),), (PolyMatrix.zero(2, 2),), bound=2.0
-        )
-        aval, _, _ = evaluate_coefficients(field, 0, 0.5)
-        assert aval[0, 1] == 1.0
-
-    def test_out_of_range(self):
-        part = Partition((0.0, 1.0))
-        field = CoefficientField(
-            part, (PolyMatrix.zero(2, 2),), (PolyMatrix.zero(2, 2),),
-            (PolyMatrix.zero(2, 2),), bound=1.0,
-        )
-        with pytest.raises(ValueError, match="outside interval"):
-            evaluate_coefficients(field, 0, 1.5)
-
-    def test_pure_function(self, fixed_free_string):
-        field = fixed_free_string.coefficients
-        first = evaluate_coefficients(field, 0, 0.3)
-        second = evaluate_coefficients(field, 0, 0.3)
-        for x, y in zip(first, second):
-            np.testing.assert_array_equal(x, y)
 
 
 class TestInsertBreakpoint:

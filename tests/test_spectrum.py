@@ -29,59 +29,27 @@ from oscispec import (
     PropagationError,
     SolveOptions,
     SolverError,
-    build_machine_unit,
     build_point_mass_string,
     build_spacecraft_bar,
     characteristic_determinant,
-    initial_coefficients,
     insert_breakpoint,
     integrate_fundamental,
     mode_shape,
-    propagate,
     refine_root,
     scan_real_axis,
     solve_spectrum,
 )
-from oscispec import problem as problem_module
-from oscispec import spectrum
-from oscispec.linalg import adjugate_form
+from oscispec import integrate, linalg, spectrum
+from oscispec.linalg import adjugate_form, adjugate_table
 from oscispec.models import ORACLE_ROUTES, SCAN_DEFAULTS, build_model
 from oscispec.oracle import FDOracleConfig, closed_form_roots, fd_polynomial_eigenvalues
-from oscispec.reduction import reduce_complex
+from oscispec.reduction import bind_matrix, reduce_complex
 from oscispec.serialize import problem_from_dict
 from oscispec.spectrum import _assemble
 
 from conftest import identity_conjugation, make_string_problem
 
 HALF_PI = math.pi / 2.0
-
-
-class TestInitialCoefficients:
-    def test_canonical_first_component_pinned(self, fixed_free_string):
-        u = initial_coefficients(fixed_free_string.boundary_left, 0.5j)
-        np.testing.assert_array_equal(u, [[0.0], [1.0]])
-
-    def test_complementary_selection(self):
-        prob = make_string_problem(left="free", right="pinned")
-        u = initial_coefficients(prob.boundary_left, 1j)
-        np.testing.assert_array_equal(u, [[1.0], [0.0]])
-
-    def test_dynamic_row_null_space(self):
-        # the motor-side row at lambda=0 reduces to a slope condition
-        prob = build_machine_unit(beta=0.5)
-        u = initial_coefficients(prob.boundary_left, 0.0)
-        assert u.shape == (2, 1)
-        row = prob.boundary_left(0.0)
-        assert np.max(np.abs(row @ u)) <= 1e-12
-
-    def test_rank_deficiency_detected(self):
-        from oscispec import BoundaryOperator
-
-        degenerate = BoundaryOperator(
-            "left", PolyMatrix.from_entries([[[0.0, 1.0], [0.0]]])
-        )
-        with pytest.raises(BoundaryDegeneracyError):
-            initial_coefficients(degenerate, 0.0)
 
 
 def _machine_unit_roots(params):
@@ -98,19 +66,13 @@ class TestBoundOncePerProblem:
         left = problem.boundary_left(0j)
         reduced, dets = [], []
 
-        def watch(module):
-            original = module.rref_null_basis
+        def counting(matrix, tol=1e-12, original=linalg.rref_null_basis):
+            rows = np.asarray(matrix)
+            if rows.shape[-2:] == left.shape and np.all(rows == left):
+                reduced.append(rows.shape)
+            return original(matrix, tol)
 
-            def counting(matrix, tol=1e-12):
-                rows = np.asarray(matrix)
-                if rows.shape[-2:] == left.shape and np.all(rows == left):
-                    reduced.append(rows.shape)
-                return original(matrix, tol)
-
-            monkeypatch.setattr(module, "rref_null_basis", counting)
-
-        watch(problem_module)
-        watch(spectrum)
+        monkeypatch.setattr(linalg, "rref_null_basis", counting)
         for name in ("_scan_values", "_newton_values"):
             original = getattr(spectrum, name)
             monkeypatch.setattr(
@@ -182,22 +144,20 @@ class TestBoundOncePerProblem:
             assert stacked[k].tobytes() == matrix(z).tobytes()
 
 
-class TestPropagate:
-    def _string_fundamental(self, prob, lam):
-        reduced = reduce_complex(prob, lam)
-        return integrate_fundamental(reduced, 0, step=1e-4)
+class TestInterfaceSolve:
+    """The interface step of the assembly: B(lam) U_next = D(lam) W."""
 
-    def test_identity_interface_is_transpose_product(self, fixed_free_string):
-        lam = 1.3j
-        fm = self._string_fundamental(fixed_free_string, lam)
-        u = np.array([[0.0], [1.0]], dtype=complex)
-        out = propagate(u, fm, identity_conjugation(1), lam)
-        np.testing.assert_allclose(out, fm.end_matrix.T @ u, rtol=0, atol=1e-15)
+    @staticmethod
+    def _carry(prob, conj, lam):
+        # the end values W = G^T U of the pinned string's table, carried
+        # across the interface
+        fm = integrate_fundamental(reduce_complex(prob, lam), 0, step=1e-4)
+        w = fm.end_matrix.T @ np.array([[0.0], [1.0]], dtype=complex)
+        dmat, bmat = bind_matrix(conj.d_matrix, lam), bind_matrix(conj.b_matrix, lam)
+        return w, spectrum._interface_solve(w, dmat, bmat, conj.interface, lam)
 
     def test_common_scalar_cancels(self, fixed_free_string):
         lam = 0.9j
-        fm = self._string_fundamental(fixed_free_string, lam)
-        u = np.array([[0.0], [1.0]], dtype=complex)
         base = ConjugationOperator(
             1,
             PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0, 0.0, -1.0], [1.0]]]),
@@ -209,26 +169,24 @@ class TestPropagate:
             PolyMatrix.constant(7.3 * np.eye(2)),
         )
         np.testing.assert_allclose(
-            propagate(u, fm, base, lam),
-            propagate(u, fm, scaled, lam),
+            self._carry(fixed_free_string, base, lam)[1],
+            self._carry(fixed_free_string, scaled, lam)[1],
             rtol=1e-13,
             atol=1e-15,
         )
 
     def test_point_mass_jump_hand_computed(self, fixed_free_string):
         # D = [[1,0],[-m0 lam^2, 1]], B = I encodes the end-value relation
-        # z2+ = z2- + m0 p^2 z1- at lam = i p; propagate must reproduce it.
+        # z2+ = z2- + m0 p^2 z1- at lam = i p; the interface step must
+        # reproduce it.
         m0, p = 1.0, 1.1
         lam = 1j * p
-        fm = self._string_fundamental(fixed_free_string, lam)
-        u = np.array([[0.0], [1.0]], dtype=complex)
         conj = ConjugationOperator(
             1,
             PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0, 0.0, -m0], [1.0]]]),
             PolyMatrix.constant(np.eye(2)),
         )
-        out = propagate(u, fm, conj, lam)
-        z = fm.end_matrix.T @ u
+        z, out = self._carry(fixed_free_string, conj, lam)
         expected = np.array([z[0], z[1] + m0 * p * p * z[0]])
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
@@ -236,8 +194,6 @@ class TestPropagate:
     @settings(max_examples=15, deadline=None)
     def test_scalar_invariance_property(self, scale):
         lam = 1.7j
-        fm = self._string_fundamental(make_string_problem(), lam)
-        u = np.array([[0.0], [1.0]], dtype=complex)
         d = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0, 0.3], [1.0]]])
         base = ConjugationOperator(1, d, PolyMatrix.constant(np.eye(2)))
         scaled = ConjugationOperator(
@@ -246,11 +202,44 @@ class TestPropagate:
             PolyMatrix.constant(scale * np.eye(2)),
         )
         np.testing.assert_allclose(
-            propagate(u, fm, base, lam),
-            propagate(u, fm, scaled, lam),
+            self._carry(make_string_problem(), base, lam)[1],
+            self._carry(make_string_problem(), scaled, lam)[1],
             rtol=1e-12,
             atol=1e-14,
         )
+
+
+class TestFirstFailingLambda:
+    """A check that fails at later lambdas of a stack, not at the first, names
+    the first of them (problem.failed_lambdas)."""
+
+    LAMS = 1j * np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+
+    def test_interface_singular_at_two_lambdas(self):
+        # B = diag(1, (lam - 1.5i)(lam - 2.5i)) vanishes exactly at the third
+        # and fifth lambdas
+        conj = ConjugationOperator(
+            1,
+            PolyMatrix.constant(np.eye(2)),
+            PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [-3.75, -4j, 1.0]]]),
+        )
+        problem = make_string_problem(breakpoints=(0.0, 0.5, 1.0), conjugations=(conj,))
+        with pytest.raises(PropagationError) as info:
+            characteristic_determinant(problem, self.LAMS, 1e-2)
+        assert (info.value.interface, info.value.lam) == (1, 1.5j)
+        assert str(info.value) == (
+            "singular interface matrix at interface 1, lambda=1.5j (det below singularity tolerance)"
+        )
+
+    def test_end_matrix_nonfinite_at_two_lambdas(self):
+        system = reduce_complex(make_string_problem(), self.LAMS)
+        end = np.ones((5, 2, 2), dtype=complex)
+        end[1, 0, 1] = np.inf
+        end[3, 1, 1] = np.nan
+        with pytest.raises(IntegrationError) as info:
+            integrate._check_end(system, 0, end, "advice")
+        assert (info.value.lam, info.value.lams) == (1j, (1j, 2j))
+        assert str(info.value) == "integration overflow on interval 0 at lambda=1j"
 
 
 class TestCharacteristicDeterminant:
@@ -1750,7 +1739,7 @@ class TestStackedModeShapes:
         original = spectrum._exact_fundamental
 
         def failing(reduced, interval, step, keep_samples=False):
-            if lams[1] in spectrum.each_lambda(reduced.lam):
+            if lams[1] in np.atleast_1d(reduced.lam).tolist():
                 raise IntegrationError(interval, lams[1], "stub")
             return original(reduced, interval, step, keep_samples)
 
@@ -1771,11 +1760,11 @@ class TestStackedModeShapes:
         stacks = []
 
         def counting(problem, lam, **kwargs):
-            stacks.append(spectrum.each_lambda(lam))
+            stacks.append(np.atleast_1d(lam).tolist())
             return reduce(problem, lam, **kwargs)
 
         def failing(reduced, interval, step, keep_samples=False):
-            bad = [z for z in spectrum.each_lambda(reduced.lam) if z in lams[1:]]
+            bad = [z for z in np.atleast_1d(reduced.lam).tolist() if z in lams[1:]]
             if bad:
                 raise IntegrationError(interval, bad[0], "stub", lams=bad)
             return integrate(reduced, interval, step, keep_samples)
@@ -2051,14 +2040,12 @@ class TestAnalyticDeterminant:
 
 def _general_route(monkeypatch):
     """Route every determinant through the general forms the closed ones
-    replace for N = 2, m = 1: rref_null_basis + adjugate_form for a
-    lambda-dependent left row, slogdet for the normalization."""
+    replace for N = 2, m = 1: linalg.adjugate_table for a lambda-dependent
+    left row, slogdet for the normalization."""
     closed = spectrum._initial_table
 
     def table(matrix, lam, constant=None):
-        if constant is not None:
-            return closed(matrix, lam, constant)
-        return adjugate_form(matrix, spectrum._null_basis_checked(matrix, lam))
+        return closed(matrix, lam, adjugate_table(matrix) if constant is None else constant)
 
     monkeypatch.setattr(spectrum, "_initial_table", table)
     monkeypatch.setattr(spectrum, "_normalized_det", spectrum._log_normalized_det)
@@ -2146,7 +2133,7 @@ class TestClosedForms:
         problem = _n4_problem()
         lams = 1j * np.linspace(0.3, 5.0, 17) - 0.05
         calls = []
-        monkeypatch.setattr(spectrum, "adjugate_form", lambda *a: calls.append(1) or adjugate_form(*a))
+        monkeypatch.setattr(linalg, "adjugate_form", lambda *a: calls.append(1) or adjugate_form(*a))
         d = characteristic_determinant(problem, lams, 1e-3)
         assert calls
         assert d.tobytes() == _per_lambda(problem, lams, 1e-3).tobytes()
