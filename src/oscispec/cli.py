@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .oracle import (
 )
 from .problem import ProblemDefinition, validate as find_violations
 from .serialize import load_problem
-from .spectrum import SolveOptions, mode_shapes, resolve_step, solve_spectrum
+from .spectrum import SolveOptions, mode_shapes, resolve_step, sample_nodes, solve_spectrum
 from .spectrum import mode_shape  # noqa: F401  (perfbench/tracing.py wraps it by name)
 
 #: default fixed integration step when neither --step nor --target-error given
@@ -277,12 +277,11 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _load(cfg: RunConfig, params: dict | None = None, validate: bool = True) -> ProblemDefinition:
+def _load(cfg: RunConfig, validate: bool = True) -> ProblemDefinition:
     """The problem of --problem, or the built-in model of --model with
-    --param's values (or `params`, a sweep point's): the CLI's one load
-    path.  A parameter value the model rejects, out of range or of the
-    wrong type, and with `validate` a problem that fails validation, is a
-    ConfigError."""
+    --param's values: the CLI's one load path.  A parameter value the model
+    rejects, out of range or of the wrong type, and with `validate` a
+    problem that fails validation, is a ConfigError."""
     if cfg.problem_file is not None:
         if cfg.params:
             raise ConfigError("--param applies to built-in models only")
@@ -292,7 +291,7 @@ def _load(cfg: RunConfig, params: dict | None = None, validate: bool = True) -> 
             raise ConfigError(f"cannot load problem file: {exc}") from None
     else:
         try:
-            problem = models.build_model(cfg.model, **(cfg.params if params is None else params))
+            problem = models.build_model(cfg.model, **cfg.params)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
     if not validate:
@@ -382,9 +381,7 @@ def cmd_modes(cfg: RunConfig) -> int:
     problem = _load(cfg)
     opts = _solve_options(cfg)
     step = resolve_step(problem, opts)
-    part = problem.partition
-    # as a float, so that a step too fine for an integer count is refused too
-    if part.total_length / step + 2 * part.n_intervals > MODES_MAX_SAMPLES:
+    if sample_nodes(problem, step) > MODES_MAX_SAMPLES:
         raise ConfigError(
             f"step {step:g} gives more than {MODES_MAX_SAMPLES} mode-shape samples; "
             "give a coarser --step or a larger --target-error"
@@ -415,10 +412,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     values = np.linspace(lo, hi, count)
     rows = ["param_value,root_index,re,im,status"]
     for value in values:
-        params = dict(cfg.params)
-        params[name] = float(value)
+        point = replace(cfg, params={**cfg.params, name: float(value)})
         try:
-            results = solve_spectrum(_load(cfg, params), opts)
+            results = solve_spectrum(_load(point), opts)
         except (ConfigError, ValueError, SolverError) as exc:
             rows.append(f"{_csv_num(float(value))},,,,{_csv_text(f'error: {exc}')}")
             continue

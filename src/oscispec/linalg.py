@@ -89,17 +89,6 @@ def adjugate_table(rows: np.ndarray) -> tuple:
     return reduced[0], adjugate_form(rows, reduced)
 
 
-def row_ranks(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """rref_null_basis's rank of one row, or of each one-row matrix of a
-    stack, with no row reduction: 1 where some entry is not at most tol
-    times the row's largest modulus (its cutoff), else 0.  A zero row, and
-    a row with an infinite entry and no NaN, is rank 0; a row with a NaN is
-    rank 1, as no comparison with NaN holds."""
-    size = np.abs(rows[..., 0, :])
-    cutoff = tol * np.maximum.reduce(size, axis=-1, initial=0.0)
-    return np.any(~(size <= cutoff[..., np.newaxis]), axis=-1).astype(int)
-
-
 def row_adjugate_form(matrix: np.ndarray) -> np.ndarray:
     """adjugate_form of one row [a0, a1], or of each row of a stack, where
     the row has full rank: [-a1; a0].

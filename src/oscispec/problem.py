@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import adjugate_table, row_ranks, rref_null_basis
+from .linalg import adjugate_table, rref_null_basis
 from .poly import PolyMatrix
 
 #: maximum degree of coefficient entries in the space coordinate
@@ -298,9 +298,6 @@ def validate(problem: ProblemDefinition) -> list[str]:
         if degree == 0:
             # lambda-free rows have one rank, formed with their constant table
             ranks = ((0.0, bnd.constant_table[0]),)
-        elif rows == 1:
-            # one row: both probes in one evaluation, ranked without reduction
-            ranks = zip((0.0, 1j), row_ranks(bnd.matrix(np.array([0.0, 1j]))).tolist())
         else:
             ranks = ((lam, rref_null_basis(bnd(lam))[0]) for lam in (0.0, 1j))
         for lam, rank in ranks:

@@ -344,9 +344,15 @@ def _stack_chunk(
     if not (keep_samples or problem.coefficients.varies_in_y):
         return None
     dim = problem.dim * (2 if variational else 1)
+    return max(1, int(_STACK_ENTRIES // (sample_nodes(problem, step) * dim * dim)))
+
+
+def sample_nodes(problem: ProblemDefinition, step: float) -> float:
+    """Size of the sample grid at a step: one node per step of every
+    interval, plus its ends.  A float, so that a step too fine for an
+    integer count still compares."""
     part = problem.partition
-    nodes = part.total_length / step + 2 * part.n_intervals
-    return max(1, int(_STACK_ENTRIES // (nodes * dim * dim)))
+    return part.total_length / step + 2 * part.n_intervals
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from oscispec import BoundaryDegeneracyError
 from oscispec import linalg, spectrum
-from oscispec.linalg import row_ranks, rref_null_basis
+from oscispec.linalg import rref_null_basis
 
 
 def _textbook(matrix, tol=1e-12):
@@ -119,39 +119,6 @@ class TestStackedNullBasis:
     def test_rejects_other_ranks(self):
         with pytest.raises(ValueError, match="2-D matrix or a stack"):
             rref_null_basis(np.zeros(3))
-
-
-#: one-row blocks: zero, entries far below the row's largest (which count
-#: for the rank, the cutoff being relative), subnormal, infinite, NaN and
-#: complex ones
-ONE_ROWS = [
-    [0.0, 0.0], [1.0, 0.0], [0.0, -0.0], [1e-300, 0.0], [5e-324, 0.0], [1.0, 1e-13, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0], [np.inf, 1.0], [0.0, -np.inf], [np.inf, np.nan], [np.nan, 0.0],
-    [0.0, 2.0, np.inf, 0.0], [0.0, 0.0, 0.0, np.nan],
-    [1j, 0.0], [1e-13j, 1.0 + 1j], [complex(np.inf, 1.0), 0.0], [complex(0.0, np.nan), 1.0],
-]
-
-
-class TestRowRanks:
-    @staticmethod
-    def _rref_rank(rows):
-        # a NaN row reduces with NaN arithmetic, and a complex subnormal
-        # pivot divides with an overflowing reciprocal: both warn
-        with np.errstate(invalid="ignore", over="ignore"):
-            return rref_null_basis(rows)[0]
-
-    @pytest.mark.parametrize("row", ONE_ROWS, ids=str)
-    def test_one_row_equals_the_reduction(self, row):
-        rows = np.array([row])
-        assert row_ranks(rows).tolist() == self._rref_rank(rows)
-
-    @pytest.mark.parametrize("width", [2, 4])
-    def test_stack_equals_the_reduction(self, width):
-        rows = np.array([row for row in ONE_ROWS if len(row) == width], dtype=complex)[:, np.newaxis]
-        ranks = row_ranks(rows)
-        assert ranks.tolist() == [self._rref_rank(m) for m in rows]
-        assert ranks.tolist() == np.atleast_1d(self._rref_rank(rows)).tolist()
-        assert 0 in ranks and 1 in ranks
 
 
 class TestInitialTable:
