@@ -39,10 +39,9 @@ DEFAULT_TOL = 1e-10
 VERIFY_MAX_DEV = 2e-3
 #: number of leading modes `verify` compares
 VERIFY_MODES = 3
-#: most sample nodes a `modes` step may give the whole domain, one per step
-#: of each interval plus its ends: about a million, which admits the finest
-#: step --target-error derives (a millionth of the domain); a finer step is
-#: refused before anything is solved
+#: most nodes a step may give the sample grid of the whole domain (_solve),
+#: one per step of each interval plus its ends: about a million, which
+#: admits the finest step --target-error derives (a millionth of the domain)
 MODES_MAX_SAMPLES = 1 << 20
 
 
@@ -312,7 +311,6 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
         opts.step = cfg.step
     elif cfg.target_error is not None:
         opts.target_error = cfg.target_error
-        opts.step = None
     else:
         opts.step = DEFAULT_STEP
     return opts
@@ -368,10 +366,25 @@ def _write_mode(shape, index: int, cfg: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _solve(problem: ProblemDefinition, opts: SolveOptions, sampled: bool = False) -> tuple[list, float]:
+    """solve_spectrum's roots and the step it takes (resolve_step).  Where
+    that step sets a grid, which modes samples (sampled) and an RK4
+    interval (y-dependent coefficients, or N != 2) integrates on, a grid of
+    more than MODES_MAX_SAMPLES nodes is a ConfigError before the solve."""
+    step = resolve_step(problem, opts)
+    rk4 = problem.dim != 2 or problem.coefficients.varies_in_y
+    if (sampled or rk4) and sample_nodes(problem, step) > MODES_MAX_SAMPLES:
+        raise ConfigError(
+            f"step {step:g} gives more than {MODES_MAX_SAMPLES} "
+            f"{'mode-shape samples' if sampled else 'RK4 nodes'}; "
+            "give a coarser --step or a larger --target-error"
+        )
+    return solve_spectrum(problem, replace(opts, step=step)), step
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     problem = _load(cfg)
-    opts = _solve_options(cfg)
-    results = solve_spectrum(problem, opts)
+    results, _ = _solve(problem, _solve_options(cfg))
     _write_spectrum(results, cfg)
     print(f"{problem.name}: {len(results)} root(s) -> {cfg.out_dir}")
     return 0
@@ -379,14 +392,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_modes(cfg: RunConfig) -> int:
     problem = _load(cfg)
-    opts = _solve_options(cfg)
-    step = resolve_step(problem, opts)
-    if sample_nodes(problem, step) > MODES_MAX_SAMPLES:
-        raise ConfigError(
-            f"step {step:g} gives more than {MODES_MAX_SAMPLES} mode-shape samples; "
-            "give a coarser --step or a larger --target-error"
-        )
-    results = solve_spectrum(problem, opts)
+    results, step = _solve(problem, _solve_options(cfg), sampled=True)
     for index in cfg.indices:
         if index > len(results):
             raise ConfigError(
@@ -414,7 +420,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for value in values:
         point = replace(cfg, params={**cfg.params, name: float(value)})
         try:
-            results = solve_spectrum(_load(point), opts)
+            results, _ = _solve(_load(point), opts)
         except (ConfigError, ValueError, SolverError) as exc:
             rows.append(f"{_csv_num(float(value))},,,,{_csv_text(f'error: {exc}')}")
             continue

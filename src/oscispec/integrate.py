@@ -69,6 +69,17 @@ def estimate_step(system: ReducedSystem, target_error: float) -> float:
     return min(hi, max(lo, h))
 
 
+def _step_count(length: float, step: float) -> int:
+    """Steps of at most `step` across an interval of this length, at least
+    one; a ValueError where that count is not finite and positive."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    count = length / step
+    if not math.isfinite(count):
+        raise ValueError(f"step {step!r} gives no finite step count")
+    return max(1, math.ceil(count - 1e-12))
+
+
 # overflow is caught by the finiteness check below, not warned about; the
 # decorator form enters the error state at a fraction of a `with` block's cost
 @np.errstate(over="ignore", invalid="ignore")
@@ -106,11 +117,9 @@ def integrate_fundamental(
     matrix [[G, G'], [0, G]] in rows form, G' = dPhi/dlam^T the derivative
     of the RK4 map itself; the warning looks at G, its leading block.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     lo, hi = system.partition.interval(interval)
     length = hi - lo
-    n_steps = max(1, math.ceil(length / step - 1e-12))
+    n_steps = _step_count(length, step)
     h = length / n_steps
 
     const = system.constant_coeffs[interval]
@@ -172,7 +181,7 @@ def _exact_fundamental(
         raise ValueError("step must be positive")
     lo, hi = system.partition.interval(interval)
     length = hi - lo
-    n_steps = max(1, math.ceil(length / step - 1e-12)) if keep_samples else 1
+    n_steps = _step_count(length, step) if keep_samples else 1
     const = system.constant_coeffs[interval]
     blocks = const if const.ndim == 3 else const[np.newaxis]
     t = np.linspace(0.0, length, n_steps + 1)[:, np.newaxis] if keep_samples else length
@@ -299,14 +308,19 @@ def _exact_transfer(blocks: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def _check_end(system: ReducedSystem, interval: int, end: np.ndarray, advice: str) -> None:
-    """Raise IntegrationError naming every lambda of a stack whose end matrix
-    is not finite, and warn, with advice, per lambda whose leading block (G
-    of a variational end matrix) has |det| below DET_WARN_TOL.  The
-    determinant of a 2 x 2 block is ad - bc."""
-    if not np.isfinite(end).all():
-        lams = [z for _, z in failed_lambdas(system.lam, ~np.isfinite(end).all(axis=(-2, -1)))]
+def _check_finite(system: ReducedSystem, interval: int, values: np.ndarray) -> None:
+    """Raise IntegrationError naming every lambda of a stack whose matrix of
+    values, propagated across the interval, is not finite."""
+    if not np.isfinite(values).all():
+        lams = [z for _, z in failed_lambdas(system.lam, ~np.isfinite(values).all(axis=(-2, -1)))]
         raise IntegrationError(interval, lams[0], lams=lams)
+
+
+def _check_end(system: ReducedSystem, interval: int, end: np.ndarray, advice: str) -> None:
+    """_check_finite on an end matrix, then warn, with advice, per lambda
+    whose leading block (G of a variational end matrix) has |det| below
+    DET_WARN_TOL.  The determinant of a 2 x 2 block is ad - bc."""
+    _check_finite(system, interval, end)
     lead = end[..., : system.dim, : system.dim]
     if system.dim == 2:
         dets = lead[..., 0, 0] * lead[..., 1, 1] - lead[..., 0, 1] * lead[..., 1, 0]

@@ -376,7 +376,8 @@ def _shift_invert(bands: np.ndarray, solve, shift: complex):
     solve, P(sigma) x_0 = -sum_(k>0) M_k c_k, with c_0 = 0 and
     c_k = sigma c_(k-1) + y_(k-1).  That right-hand side is
     sum_i Q_i y_i with Q_i = sum_(k>i) sigma^(k-1-i) M_k, one banded product.
-    Real bands and shift keep the arithmetic real (a complex y by parts).
+    Real bands and shift keep the arithmetic real: the map then takes real
+    vectors only.
     """
     deg, n, width = len(bands) - 1, *bands.shape[1:]
     dtype = np.result_type(bands, shift)
@@ -391,7 +392,7 @@ def _shift_invert(bands: np.ndarray, solve, shift: complex):
         padded, (deg, n, width), (padded.strides[0], padded.itemsize, padded.itemsize)
     )
 
-    def linear(y):
+    def apply(y):
         y = np.reshape(y, (deg, n))
         padded[:, _HALF_BAND : _HALF_BAND + n] = y
         x = np.empty((deg, n), dtype=dtype)
@@ -400,11 +401,7 @@ def _shift_invert(bands: np.ndarray, solve, shift: complex):
             x[k] = shift * x[k - 1] + y[k - 1]
         return x.ravel()
 
-    if dtype.kind == "c":
-        return linear
-    # a real map takes a complex y by its real and imaginary parts, through
-    # linear: a map calling itself would keep the factor alive until a full GC
-    return lambda y: linear(y.real) + 1j * linear(y.imag) if np.iscomplexobj(y) else linear(y)
+    return apply
 
 
 def _polyeig_all(bands: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Characteristic determinant assembly, root finding and mode shapes.
 
-The pipeline for one lambda: reduce the problem, build the left-boundary
-null basis, integrate the normal fundamental matrix of each interval,
-carry the coefficient table across each interface by a linear solve, and
-close with the right boundary rows.  Eigenvalues are the zeros of the
-resulting m x m determinant.
+The pipeline for a stack of lambdas: reduce the problem, build the
+left-boundary null basis, integrate the normal fundamental matrix of each
+interval, carry the coefficient table across each interface by a linear
+solve, and close with the right boundary rows.  Eigenvalues are the zeros
+of the resulting m x m determinant.  One lambda is a stack of length 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BoundaryDegeneracyError, NotARootError, PropagationError, SolverError
-from .integrate import FundamentalMatrix, _exact_fundamental, estimate_step, integrate_fundamental
+from .integrate import FundamentalMatrix, _check_finite, _exact_fundamental
+from .integrate import estimate_step, integrate_fundamental
 from .linalg import adjugate_table, row_adjugate_form, transpose
 from .problem import ProblemDefinition, ReducedSystem, failed_lambdas, is_singular
 from .reduction import reduce_complex
@@ -174,13 +175,15 @@ def _interface_solve(w, dmat, bmat, interface: int, lam) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     """Run the full propagation at a bound lambda, or at a stack of them.
 
     A constant interval of an N = 2 system takes its closed-form
     fundamental matrix (_exact_fundamental), with no step error; a y-varying
     interval, or any interval of an N != 2 system, is integrated by RK4
-    (integrate_fundamental).
+    (integrate_fundamental).  As in those, an overflow is not warned about:
+    a lambda whose end values W are not finite fails (_check_finite).
 
     Returns (u_tables, fundamentals, end_values, closure) where end_values
     W = G^T U are the last interval's propagated end values and closure is
@@ -210,6 +213,7 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
         fm = propagator(reduced, i, step, keep_samples=keep_samples)
         fundamentals.append(fm)
         w = transpose(fm.end_matrix) @ u
+        _check_finite(reduced, i, w[..., :dim, :])
         if i < n - 1:
             dmat, bmat = reduced.interfaces[i]
             u = _interface_solve(w[..., :dim, :], dmat, bmat, i + 1, reduced.lam)
@@ -225,36 +229,33 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
 # a ratio beyond the float range is clamped below, as the general route
 # clamps its exponent, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def _normalized_det(closure: np.ndarray, end_values: np.ndarray):
-    """det(closure) divided by the product of the m largest row maxima of W.
+def _normalized_det(closure: np.ndarray, end_values: np.ndarray) -> np.ndarray:
+    """det(closure) divided by the product of the m largest row maxima of W,
+    per closure matrix of a stack.
 
     The raw determinant grows or decays exponentially with frequency and
     domain length through the fundamental solutions; dividing by the
     dominant row scales of the propagated end values keeps it O(1) without
-    moving its zeros.  A complex for one closure matrix, an array for a
-    stack of them.  For m = 1 it is c / max|W| of the one closure entry c,
-    zero where c or W vanishes and clamped at the modulus e^_EXP_CLAMP:
+    moving its zeros.  For m = 1 it is c / max|W| of the one closure entry
+    c, zero where c or W vanishes and clamped at the modulus e^_EXP_CLAMP:
     the rules of the general route (_log_normalized_det), which it matches
     to rounding.
     """
     if closure.shape[-1] != 1:
         return _log_normalized_det(closure, end_values)
-    # one lambda as a length-1 stack, so it takes the arithmetic of a stack;
     # c = 0 gives 0 by the division itself
-    c = closure.reshape(-1)
+    c = closure[:, 0, 0]
     top = np.abs(end_values).reshape(len(c), -1).max(axis=1)
-    if top.all():
-        value = c / top
-    else:
-        value = c / np.where(top == 0.0, 1.0, top)
-        value[top == 0.0] = 0j
+    vanishes = top == 0.0
+    value = c / np.where(vanishes, 1.0, top)
+    value[vanishes] = 0j
     clamped = np.abs(value) > _EXP_MAX
     if clamped.any():
         value[clamped] = c[clamped] / np.abs(c[clamped]) * _EXP_MAX
-    return complex(value[0]) if closure.ndim == 2 else value
+    return value
 
 
-def _log_normalized_det(closure: np.ndarray, end_values: np.ndarray):
+def _log_normalized_det(closure: np.ndarray, end_values: np.ndarray) -> np.ndarray:
     """_normalized_det of any m, by slogdet: sign * exp(log|det| - sum of
     the log row scales), the exponent clamped at _EXP_CLAMP."""
     m = closure.shape[-1]
@@ -264,8 +265,7 @@ def _log_normalized_det(closure: np.ndarray, end_values: np.ndarray):
     # stands in for the row scales of a vanishing value
     vanishes = (top[..., 0] == 0.0) | (sign == 0)
     exponent = logdet - np.log(np.where(vanishes[..., np.newaxis], 1.0, top)).sum(axis=-1)
-    value = np.where(vanishes, 0j, sign * np.exp(np.minimum(exponent, _EXP_CLAMP)))
-    return complex(value) if value.ndim == 0 else value
+    return np.where(vanishes, 0j, sign * np.exp(np.minimum(exponent, _EXP_CLAMP)))
 
 
 def characteristic_determinant(
@@ -275,13 +275,13 @@ def characteristic_determinant(
 ) -> complex | np.ndarray:
     """Scale-stabilized characteristic determinant D(lambda) of the complex system.
 
-    For a 1-D array of lambdas the whole stack is evaluated in one pass,
-    with the same arithmetic as one lambda at a time and bit-identical
-    values, and an array is returned; a stack raises the first error its
-    pass meets.
+    For a 1-D array of lambdas the whole stack is evaluated in one pass and
+    an array is returned; a stack raises the first error its pass meets.
+    One lambda is evaluated as a length-1 stack and its value returned as a
+    complex, so each lambda of a stack is bit-identical to its own call.
     """
     if not isinstance(lam, np.ndarray) or lam.ndim == 0:
-        return _closure_values(problem, complex(lam), step)[0]
+        return complex(_closure_values(problem, np.array([complex(lam)]), step)[0][0])
     if not len(lam):
         return np.empty(0, dtype=complex)
     return _closure_values(problem, lam.astype(complex, copy=False), step)[0]
@@ -298,25 +298,22 @@ def _scan_values(problem: ProblemDefinition, lam: np.ndarray, step: float) -> li
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _closure_values(problem: ProblemDefinition, lam: complex | np.ndarray, step: float,
-                    variational: bool = False) -> list:
-    """[D, log|F|] at one lambda or a non-empty stack, in chunks as a
-    y-dependent integration needs (_stack_chunk), and with variational (a
-    stack only) also F'/F: F = det C the analytic closure determinant, D
-    its normalized form (_normalized_det), which keeps the phase of F, and
-    F'/F = tr(C^-1 C') by Jacobi's formula, NaN where F = 0 (and D = 0)."""
-    stacks = [lam]
-    if np.ndim(lam):
-        chunk = _stack_chunk(problem, step, variational=variational) or len(lam)
-        stacks = [lam[i : i + chunk] for i in range(0, len(lam), chunk)]
+def _closure_values(problem: ProblemDefinition, lam: np.ndarray, step: float,
+                    variational: bool = False) -> list[np.ndarray]:
+    """[D, log|F|] at each lambda of a non-empty stack, in chunks as a
+    y-dependent integration needs (_stack_chunk), and with variational also
+    F'/F: F = det C the analytic closure determinant, D its normalized form
+    (_normalized_det), which keeps the phase of F, and F'/F = tr(C^-1 C') by
+    Jacobi's formula, NaN where F = 0 (and D = 0)."""
+    chunk = _stack_chunk(problem, step, variational=variational) or len(lam)
     parts = []
-    for stack in stacks:
-        reduced = reduce_complex(problem, stack, variational=variational)
+    for i in range(0, len(lam), chunk):
+        reduced = reduce_complex(problem, lam[i : i + chunk], variational=variational)
         _, _, w, closure = _assemble(reduced, step, keep_samples=False)
         m = closure.shape[-1]
-        c = closure[..., :m, :]
+        c = closure[:, :m, :]
         if m == 1:
-            log_f = np.log(np.abs(c[..., 0, 0]))
+            log_f = np.log(np.abs(c[:, 0, 0]))
         else:
             sign, log_f = np.linalg.slogdet(c)
         part = [_normalized_det(c, w), log_f]
@@ -706,11 +703,11 @@ def mode_shapes(
     those of one lambda alone.  Each chunk is one _each call, so a lambda
     that fails is that lambda's outcome: every shape before the first
     failing lambda is yielded, then its own error is raised.  Per lambda,
-    the free-constant vector c is the near-null direction of the closure
-    matrix (two inverse-iteration sweeps on M^H M from e1); each interval's
-    solution is the corresponding combination of its fundamental solutions
-    on the stored integration grid.  A lambda
-    whose closure matrix is numerically full rank fails with NotARootError.
+    the free-constant vector c is the null direction of the closure matrix,
+    its last right singular vector (_null_vector); each interval's solution
+    is the corresponding combination of its fundamental solutions on the
+    stored integration grid.  A lambda whose closure matrix is numerically
+    full rank fails with NotARootError.
     real_split (on the imaginary axis only) writes it as [Re phi, Im phi]
     for c conj(c_0), the phase of the realified closure's null vector.
     """
@@ -729,56 +726,41 @@ def mode_shapes(
 
 
 def _shapes(problem: ProblemDefinition, lams: np.ndarray, step: float, split: bool) -> list[ModeShape]:
-    """The mode shape at each lambda of a stack, from one sampled propagation."""
+    """The mode shape at each lambda of a stack, from one sampled
+    propagation whose normalized determinants, sample grid and interval
+    slices serve every shape: the combination of the fundamental solutions
+    for the free constants c (_null_vector), normalized to unit max-abs;
+    split gives [Re, Im] of the combination for c conj(c[0])."""
     u_tables, fundamentals, w, closure = _assemble(reduce_complex(problem, lams), step, keep_samples=True)
-    return [_combine(lam, u_tables, fundamentals, k, _null_vector(closure[k], w[k], lam, _RANK_TOL), split)
-            for k, lam in enumerate(lams.tolist())]
-
-
-def _combine(lam: complex, u_tables, fundamentals, k: int, c_free, split: bool) -> ModeShape:
-    """The mode shape of lambda k of a sampled stack, normalized to unit
-    max-abs; split gives [Re, Im] of the combination c_free conj(c_free[0])."""
-    if split:
-        c_free = c_free * c_free[0].conjugate()
-    parts = [np.tensordot(fm.samples[:, k], u[k] @ c_free, axes=([1], [0]))
-             for u, fm in zip(u_tables, fundamentals)]
-    values = np.concatenate(parts, axis=0)
-    if split:
-        values = np.concatenate([values.real, values.imag], axis=1)
-    scale = values.reshape(-1)[int(np.argmax(np.abs(values)))]
+    dets = _normalized_det(closure, w)
+    ys = np.concatenate([fm.sample_ys for fm in fundamentals])
     ends = np.cumsum([0] + [len(fm.sample_ys) for fm in fundamentals]).tolist()
-    return ModeShape(
-        lam=lam,
-        ys=np.concatenate([fm.sample_ys for fm in fundamentals]),
-        values=values / scale,
-        normalization=complex(scale),
-        interval_slices=tuple(slice(a, b) for a, b in zip(ends, ends[1:])),
-    )
+    slices = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+    shapes = []
+    for k, lam in enumerate(lams.tolist()):
+        c = _null_vector(closure[k], dets[k], lam, _RANK_TOL)
+        if split:
+            c = c * c[0].conjugate()
+        values = np.concatenate([np.tensordot(fm.samples[:, k], u[k] @ c, axes=([1], [0]))
+                                 for u, fm in zip(u_tables, fundamentals)])
+        if split:
+            values = np.concatenate([values.real, values.imag], axis=1)
+        scale = values.reshape(-1)[int(np.argmax(np.abs(values)))]
+        shapes.append(ModeShape(lam, ys, values / scale, complex(scale), slices))
+    return shapes
 
 
-def _null_vector(closure: np.ndarray, end_values: np.ndarray, lam: complex, rank_tol: float) -> np.ndarray:
-    svals = np.linalg.svd(closure, compute_uv=False)
-    smin, smax = float(svals[-1]), float(svals[0])
-    if abs(_normalized_det(closure, end_values)) > rank_tol:
-        raise NotARootError(lam, smin)
-    m = closure.shape[0]
-    if m == 1:
+def _null_vector(closure: np.ndarray, det: complex, lam: complex, rank_tol: float) -> np.ndarray:
+    """The free-constant vector of an m x m closure matrix whose normalized
+    determinant is det: ones for m = 1, else its last right singular
+    vector, of unit norm.  Raises NotARootError, with the smallest singular
+    value, where |det| is above rank_tol."""
+    _, svals, vh = np.linalg.svd(closure)
+    if abs(det) > rank_tol:
+        raise NotARootError(lam, float(svals[-1]))
+    if closure.shape[0] == 1:
         return np.ones(1, dtype=closure.dtype)
-    gram = closure.conj().T @ closure
-    v = np.zeros(m, dtype=closure.dtype)
-    v[0] = 1.0
-    try:
-        for _ in range(2):
-            v = np.linalg.solve(gram, v)
-            v = v / np.linalg.norm(v)
-    except np.linalg.LinAlgError:
-        v = np.zeros(0)
-    if v.size == 0 or np.linalg.norm(closure @ v) > rank_tol * max(smax, 1.0):
-        # start vector orthogonal to the null direction, or gram exactly
-        # singular: fall back to the smallest right singular vector
-        _, _, vh = np.linalg.svd(closure)
-        v = vh[-1].conj()
-    return v
+    return vh[-1].conj()
 
 
 # ---------------------------------------------------------------------------

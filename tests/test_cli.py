@@ -19,6 +19,16 @@ from oscispec.cli import RunConfig, _write_mode, _write_spectrum, main
 from conftest import make_string_problem
 
 
+#: the pinned-free string with B = 1 + y/2: a y-dependent interval, which
+#: RK4 integrates
+GRADED_STRING = {
+    "name": "graded", "breakpoints": [0, 1], "dimension": 2, "bound": 2.0,
+    "coefficients": [{"A": [[[0], [1]], [[0], [0]]], "B": [[[0], [0]], [[1, 0.5], [0]]],
+                      "C": [[[0], [0]], [[0], [0]]]}],
+    "boundary_left": [[[1], [0]]], "boundary_right": [[[0], [1]]], "conjugations": [],
+}
+
+
 def _run(*argv):
     return main(list(argv))
 
@@ -144,6 +154,38 @@ class TestSolve:
             assert code == 0
         tiny, default = ((tmp_path / step / "spectrum.json").read_bytes() for step in ("1e-320", "1e-3"))
         assert tiny == default and len(json.loads(default)) == 4
+
+    def test_step_beyond_the_rk4_cap_exits_1_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # at 1e-320 the RK4 step count is not finite, and a 1e-9 step would
+        # build a 10^9-step array: both exit 1 with the cap's error line,
+        # before any solve
+        path = tmp_path / "graded.json"
+        path.write_text(json.dumps(GRADED_STRING))
+        argv = ["solve", "--problem", str(path), "--scan", "0.2:10:24", "--out", str(tmp_path / "out")]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "solve_spectrum", lambda *args: pytest.fail("solved"))
+            for step in ("1e-320", "1e-9"):
+                assert _run(*argv, "--step", step) == 1
+                assert capsys.readouterr().err == (
+                    f"error: step {float(step):g} gives more than {cli.MODES_MAX_SAMPLES} RK4 nodes; "
+                    "give a coarser --step or a larger --target-error\n"
+                )
+        assert not (tmp_path / "out").exists()
+        assert _run(*argv, "--step", "1e-3") == 0
+        assert len(json.loads((tmp_path / "out" / "spectrum.json").read_text())) == 4
+
+    def test_overflowing_end_values_fail_their_lambda_without_a_warning(self, tmp_path):
+        # from Re -800 the propagated end values W overflow on the second
+        # interval of a decaying first one: those lambdas fail there, and no
+        # numpy overflow warning escapes; the near-singular warnings stay
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code = _run("solve", "--model", "cable_snapshot", "--rect=-800:-700:0:8:2:2",
+                        "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "spectrum.json").read_text() == "[\n]\n"
+        messages = [str(w.message) for w in record]
+        assert messages and all("nearly singular" in message for message in messages)
 
     def test_target_error_drives_step_choice(self, tmp_path):
         code = _run(

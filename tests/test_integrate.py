@@ -99,6 +99,15 @@ class TestEndMatrices:
         with pytest.raises(IntegrationError, match="interval 0"):
             integrate_fundamental(huge, 0, step=step, keep_samples=keep_samples)
 
+    def test_step_with_no_finite_count_is_a_value_error(self):
+        # length / 1e-320 is infinite, so no integer count exists; the
+        # closed form forms no count without samples
+        sysr = _system_from_matrix(ROTATION)
+        for propagate, keep_samples in ((integrate_fundamental, False), (_exact_fundamental, True)):
+            with pytest.raises(ValueError, match="gives no finite step count"):
+                propagate(sysr, 0, 1e-320, keep_samples=keep_samples)
+        assert np.isfinite(_exact_fundamental(sysr, 0, 1e-320).end_matrix).all()
+
     def test_samples_match_endpoint_path(self):
         sysr = _system_from_matrix(ROTATION)
         a = integrate_fundamental(sysr, 0, step=1e-2, keep_samples=True)

@@ -879,6 +879,19 @@ class TestStackedDeterminant:
         one = characteristic_determinant(problem, np.array([2.0j]), 1e-3)
         assert isinstance(one, np.ndarray) and one.shape == (1,)
 
+    def test_end_values_that_overflow_fail_their_lambda(self):
+        # cable_snapshot's end values W overflow on its second interval
+        # from Re -800: an IntegrationError there, not a numpy overflow
+        # warning and a NaN determinant
+        problem = build_model("cable_snapshot")
+        lams = np.array([-800 + 0j, -700 + 0j])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            values = spectrum._each(lambda z: spectrum._newton_values(problem, z, 1e-3), lams)
+        assert not [w for w in record if "overflow" in str(w.message)]
+        assert isinstance(values[0], IntegrationError) and values[0].interval == 1
+        assert values[0].lam == -800 and all(math.isfinite(abs(v)) for v in values[1])
+
     def test_stack_through_a_pole_raises_the_loops_error(self):
         # Kelvin-Voigt factor G*Ip + zeta1*lam vanishes at -G*Ip/zeta1 = -2
         problem = build_model("machine_unit", zeta1=0.5)
@@ -2104,7 +2117,7 @@ class TestClosedForms:
 
     def test_zero_and_clamp_rules_of_the_general_route(self):
         # a vanishing W, a vanishing c, an overflowing ratio, and an
-        # ordinary value, as one stack and one at a time
+        # ordinary value, as one stack
         closure = np.array([[[2.0 + 1j]], [[0j]], [[1e300 - 1e300j]], [[3.0 - 4j]]])
         w = np.array([[[0j], [0j]], [[1.0], [2j]], [[1e-300], [0j]], [[0.5], [-2.0]]])
         closed = spectrum._normalized_det(closure, w)
@@ -2112,8 +2125,27 @@ class TestClosedForms:
         assert closed[0] == general[0] == 0 and closed[1] == general[1] == 0
         np.testing.assert_allclose(closed[2:], general[2:], rtol=1e-14)
         assert abs(closed[2]) == pytest.approx(math.exp(700.0), rel=1e-14)
-        for k in range(4):
-            assert spectrum._normalized_det(closure[k], w[k]) == closed[k]
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_one_lambda_is_its_length_one_stack(self, name):
+        # lambda = 0 too, and -100, the Kelvin-Voigt pole of the damped
+        # built-ins: the same bytes, or the same error and message
+        problem = build_model(name)
+        damped = name in ("machine_unit", "pipeline", "spacecraft_bar")
+
+        def outcome(lam):
+            try:
+                return characteristic_determinant(problem, lam, 1e-3)
+            except SolverError as exc:
+                return exc
+
+        for lam in [*self.LAMS.tolist(), 0j] + [-100 + 0j] * damped:
+            one, stack = outcome(lam), outcome(np.array([lam]))
+            if isinstance(one, SolverError):
+                assert (type(one), str(one)) == (type(stack), str(stack))
+            else:
+                assert type(one) is complex and np.array([one]).tobytes() == stack.tobytes()
+        assert isinstance(one, PoleError) == damped
 
     def test_vanishing_one_row_left_boundary_names_its_lambda(self, monkeypatch):
         # [lam - 1.5i, 2 (lam - 1.5i)] loses rank at 1.5i, the third lambda
@@ -2148,7 +2180,8 @@ def _real_form(problem, lam, step):
     u_tables, fundamentals, w, closure = _assemble(
         reduce_complex(problem, lam), step, keep_samples=True
     )
-    c = spectrum._null_vector(closure, w, lam, spectrum._RANK_TOL)
+    det = spectrum._normalized_det(closure[np.newaxis], w[np.newaxis])[0]
+    c = spectrum._null_vector(closure, det, lam, spectrum._RANK_TOL)
     c = c * np.conj(c[0])
     phi = np.concatenate(
         [np.einsum("skj,k->sj", fm.samples, u @ c) for u, fm in zip(u_tables, fundamentals)]
@@ -2191,6 +2224,22 @@ class TestRealSplitModeShapes:
             assert shape.values.dtype == float and shape.values.shape == want.shape
             assert shape.values.shape[1] == 2 * problem.dim
             assert np.max(np.abs(shape.values - want)) <= 1e-15
+
+    def test_null_vector_of_an_m2_closure_is_a_unit_singular_vector(self):
+        # at the m = 2 problem's roots, and on a closure of exact rank 1,
+        # whose C^H C is exactly singular
+        problem = _n4_problem()
+        roots = solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
+        lams = np.array([r.lam for r in roots])
+        _, _, w, closures = _assemble(reduce_complex(problem, lams), 1e-3, keep_samples=True)
+        cases = list(zip(closures, spectrum._normalized_det(closures, w), lams.tolist()))
+        cases.append((np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex), 0j, 1j))
+        assert len(cases) >= 4
+        for closure, det, lam in cases:
+            v = spectrum._null_vector(closure, det, lam, spectrum._RANK_TOL)
+            smax = np.linalg.svd(closure, compute_uv=False)[0]
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+            assert np.linalg.norm(closure @ v) <= spectrum._RANK_TOL * max(smax, 1.0)
 
     @pytest.mark.parametrize("make", [lambda: build_model("fixed_free_string"), _n4_problem],
                              ids=["m1", "n4"])
