@@ -51,18 +51,14 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs: problem source, search window,
-    integration control, tolerances, outputs and the optional sweep."""
+    """Everything one invocation needs: problem source, solve settings
+    (search window, integration control, root tolerance and path), outputs,
+    the optional sweep and the verify settings."""
 
     model: str | None = None
     params: dict = field(default_factory=dict)
     problem_file: str | None = None
-    scan: tuple[float, float, int] | None = None
-    rect: tuple[float, float, float, float, int, int] | None = None
-    step: float | None = None
-    target_error: float | None = None
-    tol: float = DEFAULT_TOL
-    path: str = "complex"
+    solve: SolveOptions = field(default_factory=SolveOptions)
     out_dir: Path = Path(".")
     fmt: str = "both"
     sweep: tuple[str, float, float, int] | None = None
@@ -228,29 +224,27 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         cfg.params[key] = _parse_param_value(value)
+    scan = rect = None
     if getattr(args, "scan", None):
         lo, hi, n = _parse_colon_tuple(args.scan, (float, float, int), "--scan")
         if not (np.isfinite([lo, hi]).all() and lo < hi) or n < 2:
             raise ConfigError("--scan needs finite MIN < MAX and N >= 2")
-        cfg.scan = (lo, hi, n)
+        scan = (lo, hi, n)
     if getattr(args, "rect", None):
-        cfg.rect = _parse_colon_tuple(
-            args.rect, (float, float, float, float, int, int), "--rect"
-        )
-        if not np.isfinite(cfg.rect[:4]).all() or min(cfg.rect[4:]) < 1:
+        rect = _parse_colon_tuple(args.rect, (float, float, float, float, int, int), "--rect")
+        if not np.isfinite(rect[:4]).all() or min(rect[4:]) < 1:
             raise ConfigError("--rect needs finite corners, NR >= 1 and NI >= 1")
-    cfg.step = getattr(args, "step", None)
-    cfg.target_error = getattr(args, "target_error", None)
-    if cfg.step is not None and cfg.target_error is not None:
+    step = getattr(args, "step", None)
+    target_error = getattr(args, "target_error", None)
+    if step is not None and target_error is not None:
         raise ConfigError("give --step or --target-error, not both")
-    cfg.tol = getattr(args, "tol", DEFAULT_TOL)
+    tol = getattr(args, "tol", DEFAULT_TOL)
     cfg.max_dev = getattr(args, "max_dev", VERIFY_MAX_DEV)
-    for flag, value in (("--step", cfg.step), ("--target-error", cfg.target_error),
-                        ("--tol", cfg.tol), ("--max-dev", cfg.max_dev)):
+    for flag, value in (("--step", step), ("--target-error", target_error),
+                        ("--tol", tol), ("--max-dev", cfg.max_dev)):
         # written so that NaN fails too
         if value is not None and not value > 0:
             raise ConfigError(f"{flag} must be positive")
-    cfg.path = getattr(args, "path", "complex")
     cfg.out_dir = Path(getattr(args, "out", "."))
     cfg.fmt = getattr(args, "format", "both")
     cfg.n_fd = getattr(args, "n_fd", cfg.n_fd)
@@ -268,6 +262,12 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"--indices expects integers, got {args.indices!r}") from None
         if min(cfg.indices) < 1:
             raise ConfigError(f"--indices are 1-based, got {args.indices!r}")
+    cfg.solve = SolveOptions(scan=scan, rect=rect, step=step, tol=tol,
+                             path=getattr(args, "path", "complex"))
+    if target_error is not None:
+        cfg.solve.target_error = target_error
+    elif step is None:
+        cfg.solve.step = DEFAULT_STEP
     return cfg
 
 
@@ -304,16 +304,10 @@ def _load(cfg: RunConfig, validate: bool = True) -> ProblemDefinition:
 
 
 def _solve_options(cfg: RunConfig) -> SolveOptions:
-    if cfg.scan is None and cfg.rect is None:
+    """cfg.solve; a ConfigError where it has nothing to search."""
+    if cfg.solve.scan is None and cfg.solve.rect is None:
         raise ConfigError("nothing to search: give --scan and/or --rect")
-    opts = SolveOptions(scan=cfg.scan, rect=cfg.rect, tol=cfg.tol, path=cfg.path)
-    if cfg.step is not None:
-        opts.step = cfg.step
-    elif cfg.target_error is not None:
-        opts.target_error = cfg.target_error
-    else:
-        opts.step = DEFAULT_STEP
-    return opts
+    return cfg.solve
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +393,7 @@ def cmd_modes(cfg: RunConfig) -> int:
                 f"--indices: mode index {index} out of range: {len(results)} root(s) found"
             )
     lams = [results[index - 1].lam for index in cfg.indices]
-    for index, shape in zip(cfg.indices, mode_shapes(problem, lams, step, cfg.path)):
+    for index, shape in zip(cfg.indices, mode_shapes(problem, lams, step, cfg.solve.path)):
         path = _write_mode(shape, index, cfg)
         print(f"mode {index} at lambda={shape.lam:.6g} -> {path}")
     return 0
@@ -447,9 +441,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise ConfigError(f"--n-fd: {exc}") from None
     problem = _load(cfg)
     scan = models.SCAN_DEFAULTS[cfg.model]
-    results = solve_spectrum(
-        problem, SolveOptions(scan=scan, step=DEFAULT_STEP, tol=1e-12)
-    )
+    results, _ = _solve(problem, SolveOptions(scan=scan, step=DEFAULT_STEP, tol=1e-12))
     # both sides compare the leading modes of the oscillatory sector
     solver_all = np.array([r.lam for r in results], dtype=complex)
     sector = leading_frequencies(solver_all, len(solver_all))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import IntegrationError
 from .linalg import realify, transpose
-from .problem import ReducedSystem, failed_lambdas
+from .problem import ProblemDefinition, ReducedSystem, failed_lambdas
 
 #: |det| of an end matrix below this triggers a step-size warning
 DET_WARN_TOL = 1e-12
@@ -50,19 +50,25 @@ class FundamentalMatrix:
     samples: np.ndarray | None = None  # (n_samples, [K,] dim, dim), rows = solutions
 
 
-def estimate_step(system: ReducedSystem, target_error: float) -> float:
-    """Step size from the coefficient bound and the RK4 local error model.
+def estimate_step(problem: ProblemDefinition, lam_scale: float, target_error: float) -> float:
+    """Step size from the problem's coefficient bound and the RK4 local
+    error model at spectral scale |lambda| = lam_scale.
 
-    h = (target / (C * M^5 * L))^(1/4) with C = 10, M the reduced
-    coefficient bound and L the total domain length, clamped to
-    [1e-6 * L, L / 16].
+    h = (target / (C * M^5 * L))^(1/4) with C = 10, M = bound (1 + r + r^2)
+    the declared coefficient bound scaled to r = lam_scale, and L the total
+    domain length, clamped to [1e-6 * L, L / 16].  A bound that is not
+    finite, or a target that is not > 0, is a ValueError.
     """
-    if target_error <= 0:
+    # written so that NaN fails too
+    if not target_error > 0:
         raise ValueError("target_error must be positive")
-    length = system.partition.total_length
+    bound = problem.coefficients.bound
+    if not math.isfinite(bound):
+        raise ValueError(f"coefficient bound {bound!r} is not finite")
+    length = problem.partition.total_length
     hi = length / 16.0
     lo = 1e-6 * length
-    m = system.bound
+    m = bound * (1.0 + lam_scale + lam_scale * lam_scale)
     if m <= 0.0:
         return hi
     h = (target_error / (_STEP_SAFETY * m**5 * length)) ** 0.25

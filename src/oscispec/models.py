@@ -63,7 +63,7 @@ def _problem(name: str, form: ScalarWaveForm, params: dict) -> ProblemDefinition
         denominators.append((stiffness, damping) if damping else None)
     bound = max(1.0, *(m / s for m, s in zip(form.mass, form.stiffness)))
     field = CoefficientField(
-        part, tuple(a_polys), tuple(b_polys), tuple(c_polys), bound, tuple(denominators)
+        tuple(a_polys), tuple(b_polys), tuple(c_polys), bound, tuple(denominators)
     )
 
     def end(side, row):

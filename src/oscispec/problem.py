@@ -74,10 +74,10 @@ class CoefficientField:
     in lambda, as a Kelvin-Voigt factor dividing a restoring term makes it.
     Left out, no interval has one.  The roots of q are the field's poles.
     bound is the declared constant M with |entry(y)| <= M max_k |q_k| on
-    its interval (M itself where there is no denominator).
+    its interval (M itself where there is no denominator), finite and not
+    negative.  The intervals are those of the problem's partition.
     """
 
-    partition: Partition
     a_polys: tuple[PolyMatrix, ...]
     b_polys: tuple[PolyMatrix, ...]
     c_polys: tuple[PolyMatrix, ...]
@@ -189,8 +189,7 @@ class ReducedSystem:
     interval, the coefficient matrix that coeff_batch returns at every y, or
     None where it depends on y.  left_table is the left boundary's constant
     table (BoundaryOperator.constant_table), or None: the left rows are then
-    reduced per call.  coefficient_bound is the problem's declared
-    coefficient bound; `bound` scales it to lambda.
+    reduced per call.
 
     lam is one complex number, or a 1-D array for a stack of lambdas: then
     every matrix carries a leading lambda axis, (K, rows, cols), except a
@@ -211,18 +210,10 @@ class ReducedSystem:
     left_matrix: np.ndarray
     right_matrix: np.ndarray
     interfaces: tuple[tuple[np.ndarray, np.ndarray], ...]
-    coefficient_bound: float
     coeff_batch: Callable[[int, np.ndarray], np.ndarray]
     constant_coeffs: tuple[np.ndarray | None, ...]
     left_table: tuple[int, np.ndarray | None] | None = None
     derivatives: tuple | None = None
-
-    @property
-    def bound(self) -> float:
-        """The reduced coefficient bound M (1 + |lam| + |lam|^2) used for
-        step-size estimation, formed only when asked for."""
-        r = abs(self.lam)
-        return self.coefficient_bound * (1.0 + r + r * r)
 
     def coefficient(self, interval: int, y: float) -> np.ndarray:
         return self.coeff_batch(interval, np.asarray([float(y)]))[0]
@@ -258,7 +249,9 @@ def validate(problem: ProblemDefinition) -> list[str]:
     breakpoints, degree caps, nonfinite coefficients, coefficient-bound
     violations, boundary rows that lose rank at lambda = 0 or 1j and singular
     interface matrices at lambda = 0 are all reported together.  A block
-    with a nonfinite coefficient is not evaluated for its rank probe.
+    with a nonfinite coefficient is not evaluated for its rank probe, and a
+    declared bound that is not finite and >= 0 is one violation, with no
+    entry compared against it.
     """
     out: list[str] = []
     part = problem.partition
@@ -275,11 +268,7 @@ def validate(problem: ProblemDefinition) -> list[str]:
         out.append(f"dimension: N={dim} must be even")
     m = dim // 2
 
-    coeffs = problem.coefficients
-    if coeffs.partition != part:
-        out.append("coefficients: partition differs from problem partition")
-
-    out.extend(_validate_field(coeffs, n, dim))
+    out.extend(_validate_field(problem.coefficients, part, dim))
 
     for bnd in (problem.boundary_left, problem.boundary_right):
         rows, cols = bnd.matrix.shape
@@ -336,8 +325,12 @@ def validate(problem: ProblemDefinition) -> list[str]:
     return out
 
 
-def _validate_field(coeffs: CoefficientField, n: int, dim: int) -> list[str]:
+def _validate_field(coeffs: CoefficientField, part: Partition, dim: int) -> list[str]:
     out: list[str] = []
+    n = part.n_intervals
+    bound_ok = bool(np.isfinite(coeffs.bound)) and coeffs.bound >= 0
+    if not bound_ok:
+        out.append(f"bound: {coeffs.bound:g} must be finite and >= 0")
     scales = [1.0] * n
     if len(coeffs.denominators) != n:
         out.append(f"coefficients: {len(coeffs.denominators)} denominators, expected {n}")
@@ -365,11 +358,13 @@ def _validate_field(coeffs: CoefficientField, n: int, dim: int) -> list[str]:
             if not np.all(np.isfinite(pm.coeffs)):
                 out.append(f"coefficients {tag}[{i}]: nonfinite coefficient")
                 continue
+            if not bound_ok:
+                continue
             if degree == 0:
                 # every sample of a constant is its one coefficient
                 vals = pm.coeffs[0]
             else:
-                vals = pm(np.linspace(*coeffs.partition.interval(i), _BOUND_SAMPLES))
+                vals = pm(np.linspace(*part.interval(i), _BOUND_SAMPLES))
             worst = float(np.max(np.abs(vals)))
             bound = coeffs.bound * scales[i]
             if worst > bound * (1 + 1e-12):
@@ -396,7 +391,6 @@ def insert_breakpoint(problem: ProblemDefinition, y_new: float) -> ProblemDefini
     new_part = Partition(bps[: split + 1] + (y_new,) + bps[split + 1 :])
     coeffs = problem.coefficients
     new_coeffs = CoefficientField(
-        partition=new_part,
         a_polys=_dup(coeffs.a_polys, split),
         b_polys=_dup(coeffs.b_polys, split),
         c_polys=_dup(coeffs.c_polys, split),

@@ -55,7 +55,6 @@ def reduce_complex(
             (bind_matrix(c.d_matrix, lam), bind_matrix(c.b_matrix, lam))
             for c in problem.conjugations_in_order
         ),
-        coefficient_bound=coeffs.bound,
         coeff_batch=_coeff_batch(consts, varying),
         constant_coeffs=consts,
         left_table=problem.boundary_left.constant_table,

@@ -6,7 +6,7 @@ Schema (all numbers plain JSON doubles, which round-trip exactly):
       "name": str,
       "breakpoints": [y0, y1, ...],
       "dimension": N,
-      "bound": M,
+      "bound": M,                  # finite, >= 0
       "coefficients": [            # one object per interval
         {"A": poly_matrix, "B": poly_matrix, "C": poly_matrix,
          "denominator": [q0, q1, q2]}    # optional, 1 to 3 coefficients
@@ -90,7 +90,7 @@ def problem_from_dict(data: dict) -> ProblemDefinition:
             den = entry.get("denominator")
             dens.append(None if den is None else tuple(float(c) for c in den))
         coeffs = CoefficientField(
-            part, tuple(a_polys), tuple(b_polys), tuple(c_polys), bound, tuple(dens)
+            tuple(a_polys), tuple(b_polys), tuple(c_polys), bound, tuple(dens)
         )
         left = BoundaryOperator(
             "left",

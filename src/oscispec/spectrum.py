@@ -815,8 +815,10 @@ def resolve_step(problem: ProblemDefinition, options: SolveOptions) -> float:
     """The integration step a solve with these options will use.
 
     An explicit step wins; otherwise one conservative step is derived from
-    the target error at the largest |lambda| the search can probe, so every
-    determinant evaluation of the run shares the same grid.
+    the target error and the problem's declared bound at the largest
+    |lambda| the search can probe (estimate_step), so every determinant
+    evaluation of the run shares the same grid.  No lambda is evaluated
+    for it: a pole at that scale is a failed lambda of the search only.
     """
     if options.step is not None:
         if options.step <= 0:
@@ -829,9 +831,7 @@ def resolve_step(problem: ProblemDefinition, options: SolveOptions) -> float:
     if options.rect is not None:
         re0, re1, im0, im1, _, _ = options.rect
         probes.append(max(abs(re0), abs(re1)) + max(abs(im0), abs(im1)))
-    lam_scale = max(probes)
-    reduced = reduce_complex(problem, 1j * lam_scale)
-    return estimate_step(reduced, options.target_error)
+    return estimate_step(problem, max(probes), options.target_error)
 
 
 def _dedupe(results: Iterable[SpectralResult], tol: float) -> list[SpectralResult]:

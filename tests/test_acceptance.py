@@ -220,7 +220,6 @@ def test_criterion_7_integrator_order():
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
     base = make_string_problem()
     field = CoefficientField(
-        part,
         (PolyMatrix.constant(rotation),),
         (PolyMatrix.zero(2, 2),),
         (PolyMatrix.zero(2, 2),),

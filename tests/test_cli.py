@@ -16,7 +16,7 @@ import oscispec
 from oscispec import NotARootError, SolverError, cli, dump_problem, problem_to_dict, spectrum
 from oscispec.cli import RunConfig, _write_mode, _write_spectrum, main
 
-from conftest import make_string_problem
+from conftest import POLE_STRING, make_string_problem
 
 
 #: the pinned-free string with B = 1 + y/2: a y-dependent interval, which
@@ -195,6 +195,21 @@ class TestSolve:
         assert code == 0
         _, rows = _read_csv(tmp_path / "spectrum.csv")
         assert float(rows[0][1]) == pytest.approx(math.pi / 2, abs=1e-7)
+
+    def test_target_error_with_a_pole_at_the_probe_scale(self, tmp_path):
+        # the scan to p = 1 probes |lambda| = 1, a pole of the problem: the
+        # step estimate reads the declared bound and evaluates no lambda
+        problem = tmp_path / "pole.json"
+        problem.write_text(json.dumps(POLE_STRING))
+        outs = {}
+        for tag, extra in (("default", ()), ("target", ("--target-error", "1e-8"))):
+            outs[tag] = tmp_path / tag
+            code = _run("solve", "--problem", str(problem), "--scan", "0.2:1:40", *extra,
+                        "--out", str(outs[tag]))
+            assert code == 0
+        for name in ("spectrum.json", "spectrum.csv"):
+            assert (outs["target"] / name).read_bytes() == (outs["default"] / name).read_bytes()
+        assert len(json.loads((outs["default"] / "spectrum.json").read_text())) == 3
 
     def test_rect_search_finds_damped_root(self, tmp_path):
         code = _run(

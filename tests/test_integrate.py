@@ -34,6 +34,11 @@ from conftest import identity_conjugation, make_string_problem
 
 def _system_from_matrix(a, lam=0.0, bound=None, breakpoints=(0.0, 1.0)):
     """Reduced system whose coefficient matrix is the constant a (via A-field)."""
+    return reduce_complex(_problem_from_matrix(a, bound, breakpoints), lam)
+
+
+def _problem_from_matrix(a, bound=None, breakpoints=(0.0, 1.0)):
+    """Problem whose coefficient matrix is the constant a (via A-field)."""
     a = np.asarray(a, dtype=float)
     part = Partition(breakpoints)
     n = part.n_intervals
@@ -41,7 +46,6 @@ def _system_from_matrix(a, lam=0.0, bound=None, breakpoints=(0.0, 1.0)):
     if dim % 2:  # pad odd test matrices into an even-dimension field
         raise ValueError("use even dimension")
     field = CoefficientField(
-        part,
         (PolyMatrix.constant(a),) * n,
         (PolyMatrix.zero(dim, dim),) * n,
         (PolyMatrix.zero(dim, dim),) * n,
@@ -51,8 +55,7 @@ def _system_from_matrix(a, lam=0.0, bound=None, breakpoints=(0.0, 1.0)):
     left = BoundaryOperator("left", PolyMatrix.constant(np.eye(dim)[:m]))
     right = BoundaryOperator("right", PolyMatrix.constant(np.eye(dim)[m:]))
     conjs = tuple(identity_conjugation(i + 1, dim) for i in range(n - 1))
-    prob = ProblemDefinition("test", part, field, left, right, conjs)
-    return reduce_complex(prob, lam)
+    return ProblemDefinition("test", part, field, left, right, conjs)
 
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -278,29 +281,44 @@ class TestConvergenceOrder:
 
 class TestEstimateStep:
     def test_reference_value(self):
-        sys1 = _system_from_matrix(ROTATION, bound=1.0)
-        h = estimate_step(sys1, 1e-8)
+        prob = _problem_from_matrix(ROTATION, bound=1.0)
+        h = estimate_step(prob, 0.0, 1e-8)
         assert h == pytest.approx((1e-8 / 10.0) ** 0.25, rel=1e-12)
         assert h == pytest.approx(0.0056, abs=3e-4)
 
+    def test_scale_multiplies_the_bound_by_one_plus_r_plus_r_squared(self):
+        prob = _problem_from_matrix(ROTATION, bound=1.0)
+        assert estimate_step(prob, 2.0, 1e-8) == (1e-8 / (10.0 * 7.0**5)) ** 0.25
+
     def test_quarter_power_scaling(self):
-        sys1 = _system_from_matrix(ROTATION, bound=1.0)
-        h1 = estimate_step(sys1, 1e-8)
-        h2 = estimate_step(sys1, 0.5e-8)
+        prob = _problem_from_matrix(ROTATION, bound=1.0)
+        h1 = estimate_step(prob, 0.0, 1e-8)
+        h2 = estimate_step(prob, 0.0, 0.5e-8)
         assert h1 / h2 == pytest.approx(2.0**0.25, rel=1e-12)
 
     def test_zero_bound_clamps_high(self):
-        sys0 = _system_from_matrix(np.zeros((2, 2)), bound=0.0)
-        assert estimate_step(sys0, 1e-8) == pytest.approx(1.0 / 16.0)
+        prob = _problem_from_matrix(np.zeros((2, 2)), bound=0.0)
+        assert estimate_step(prob, 0.0, 1e-8) == pytest.approx(1.0 / 16.0)
 
     def test_low_clamp(self):
-        stiff = _system_from_matrix(ROTATION, bound=1e9)
-        assert estimate_step(stiff, 1e-12) == pytest.approx(1e-6)
+        stiff = _problem_from_matrix(ROTATION, bound=1e9)
+        assert estimate_step(stiff, 0.0, 1e-12) == pytest.approx(1e-6)
 
     def test_rejects_bad_target(self):
-        sys1 = _system_from_matrix(ROTATION)
+        prob = _problem_from_matrix(ROTATION)
         with pytest.raises(ValueError):
-            estimate_step(sys1, 0.0)
+            estimate_step(prob, 0.0, 0.0)
+
+    def test_rejects_a_nan_target(self):
+        prob = _problem_from_matrix(ROTATION)
+        with pytest.raises(ValueError, match="target_error"):
+            estimate_step(prob, 10.0, float("nan"))
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_rejects_a_nonfinite_bound(self, bound):
+        prob = _problem_from_matrix(ROTATION, bound=bound)
+        with pytest.raises(ValueError, match="bound"):
+            estimate_step(prob, 10.0, 1e-10)
 
 
 def _interval_q(problem, lam, interval):
@@ -320,7 +338,7 @@ def _lossy_string():
     base = make_string_problem(breakpoints=(0.0, 0.37, 1.0), conjugations=(identity_conjugation(1),))
     field = base.coefficients
     c = PolyMatrix.constant(np.array([[-40.0, 0.0], [0.0, 10.0]]))
-    field = CoefficientField(field.partition, field.a_polys, field.b_polys, (c, c), 40.0)
+    field = CoefficientField(field.a_polys, field.b_polys, (c, c), 40.0)
     return ProblemDefinition("lossy", base.partition, field, base.boundary_left,
                              base.boundary_right, base.conjugations)
 

@@ -12,6 +12,8 @@ from oscispec import (
     ConjugationOperator,
     PolyMatrix,
     insert_breakpoint,
+    problem_from_dict,
+    problem_to_dict,
     validate,
 )
 from oscispec.models import SCAN_DEFAULTS, build_model
@@ -80,14 +82,19 @@ class TestValidate:
     def test_bound_violation_reported(self):
         prob = make_string_problem()
         field = prob.coefficients
-        tight = CoefficientField(
-            field.partition, field.a_polys, field.b_polys, field.c_polys, bound=0.5
-        )
+        tight = CoefficientField(field.a_polys, field.b_polys, field.c_polys, bound=0.5)
         prob = prob.__class__(
             prob.name, prob.partition, tight, prob.boundary_left,
             prob.boundary_right, prob.conjugations,
         )
         assert any("exceeds declared bound" in v for v in validate(prob))
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_bound_that_is_not_finite_and_nonnegative_is_one_violation(self, bound):
+        # Python's json reads NaN and Infinity; no entry is compared against
+        # such a bound, so an all-zero C adds no line of its own
+        data = {**problem_to_dict(build_model("fixed_free_string")), "bound": bound}
+        assert validate(problem_from_dict(data)) == [f"bound: {bound:g} must be finite and >= 0"]
 
     @pytest.mark.parametrize(
         "denominators, message",
@@ -160,7 +167,7 @@ def _invalid_problems():
     field = base.coefficients
     big = PolyMatrix.constant(np.array([[0.0, 3.0], [0.0, 0.0]]))
     ramp = PolyMatrix.from_entries([[[0.0], [0.0, 4.0]], [[0.0], [0.0]]])
-    loose = CoefficientField(field.partition, (big, ramp), field.b_polys, field.c_polys, 1.0)
+    loose = CoefficientField((big, ramp), field.b_polys, field.c_polys, 1.0)
     flat = BoundaryOperator("left", PolyMatrix.from_entries([[[0.0], [0.0]]]))
     at_zero = BoundaryOperator("right", PolyMatrix.from_entries([[[0.0, 1.0], [0.0]]]))
     singular = ConjugationOperator(1, PolyMatrix.constant(np.eye(2)), PolyMatrix.constant(np.diag([1.0, 0.0])))

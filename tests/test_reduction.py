@@ -24,7 +24,6 @@ def _constant_problem(a, b, c, bound=None):
     part = Partition((0.0, 1.0))
     dim = a.shape[0]
     field = CoefficientField(
-        part,
         (PolyMatrix.constant(a),),
         (PolyMatrix.constant(b),),
         (PolyMatrix.constant(c),),
@@ -174,7 +173,7 @@ class TestConstantCoeffs:
         a_linear = PolyMatrix.from_entries([[[0.0], [1.0]], [[0.0, 2.0], [0.0]]])
         b = PolyMatrix.constant(np.array([[0.0, 0.0], [1.0, 0.0]]))
         zero = PolyMatrix.zero(2, 2)
-        field = CoefficientField(part, (a_const, a_linear), (b, b), (zero, zero), 2.0)
+        field = CoefficientField((a_const, a_linear), (b, b), (zero, zero), 2.0)
         prob = make_string_problem(breakpoints=(0.0, 0.5, 1.0))
         prob = ProblemDefinition("mixed", part, field, prob.boundary_left,
                                  prob.boundary_right, prob.conjugations)
@@ -193,7 +192,7 @@ class TestConstantCoeffs:
         lam, y = 0.3 + 1.5j, 0.3
         for b in (PolyMatrix.constant(np.array([[0.0, 0.0], [1.0, 0.0]])),
                   PolyMatrix.from_entries([[[0.0], [0.0]], [[1.0, 0.3], [0.0]]])):
-            field = CoefficientField(part, (a,), (b,), (c,), 2.0, ((2.0, 0.5),))
+            field = CoefficientField((a,), (b,), (c,), 2.0, ((2.0, 0.5),))
             prob = ProblemDefinition("kv", part, field, base.boundary_left,
                                      base.boundary_right, ())
             reduced = reduce_complex(prob, lam)
@@ -219,7 +218,7 @@ class TestConstantCoeffs:
         b = PolyMatrix.constant(np.array([[0.0, 0.0], [1.5, 0.0]]))
         c = PolyMatrix.constant(np.array([[0.0, 0.5], [0.0, 0.0]]))
         base = make_string_problem()
-        field = CoefficientField(part, (a,), (b,), (c,), 2.0, ((2.0, 0.5, 0.1),))
+        field = CoefficientField((a,), (b,), (c,), 2.0, ((2.0, 0.5, 0.1),))
         prob = ProblemDefinition("kv", part, field, base.boundary_left, base.boundary_right, ())
         lam, h = 0.3 + 1.5j, 1e-5
         (block,) = reduce_complex(prob, lam, variational=True).constant_coeffs

@@ -53,7 +53,7 @@ def _awkward_problem():
     )
     b = PolyMatrix.constant(np.array([[0.0, 0.0], [np.pi / 3.0, 0.0]]))
     c = PolyMatrix.from_entries([[[0.0], [0.0]], [[1e-7], [0.0]]])
-    field = CoefficientField(part, (a, a), (b, b), (c, c), bound=4.0)
+    field = CoefficientField((a, a), (b, b), (c, c), bound=4.0)
     left = BoundaryOperator("left", PolyMatrix.from_entries([[[1.0], [0.0]]]))
     right = BoundaryOperator(
         "right", PolyMatrix.from_entries([[[0.0, 0.5, 1.0 / 3.0], [1.0]]])

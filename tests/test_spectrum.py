@@ -38,6 +38,7 @@ from oscispec import (
     refine_root,
     scan_real_axis,
     solve_spectrum,
+    validate,
 )
 from oscispec import integrate, linalg, spectrum
 from oscispec.linalg import adjugate_form, adjugate_table
@@ -47,7 +48,7 @@ from oscispec.reduction import bind_matrix, reduce_complex
 from oscispec.serialize import problem_from_dict
 from oscispec.spectrum import _assemble
 
-from conftest import identity_conjugation, make_string_problem
+from conftest import POLE_STRING, identity_conjugation, make_string_problem
 
 HALF_PI = math.pi / 2.0
 
@@ -732,6 +733,41 @@ class TestPipelineInvariants:
         assert abs(d_conj) == pytest.approx(roots[0].residual, rel=1e-6, abs=1e-12)
 
 
+class TestResolveStep:
+    """A derived step comes from the problem's declared bound, scaled to the
+    largest |lambda| the search probes; no lambda is evaluated for it."""
+
+    #: resolve_step at the default target 1e-10, as the solver gave it when
+    #: the bound was read from a system reduced at the probe scale
+    SCAN_STEP = 4.935671835949824e-06
+    RECTS = (
+        ("machine_unit", {"left_end": "clamped", "right_end": "clamped"},
+         (-0.5, 0.0, 0.5, 10.0, 4, 4), 4.397074132192028e-06),
+        ("spacecraft_bar", {"beta": 0.02}, (-0.5, 0.0, 0.5, 6.0, 4, 6), 1.345887140623971e-05),
+    )
+
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
+    def test_scan_defaults_keep_their_step(self, name):
+        options = SolveOptions(scan=SCAN_DEFAULTS[name])
+        assert spectrum.resolve_step(build_model(name), options) == self.SCAN_STEP
+
+    @pytest.mark.parametrize("name, params, rect, step", RECTS)
+    def test_rects_keep_their_step(self, name, params, rect, step):
+        options = SolveOptions(rect=rect)
+        assert spectrum.resolve_step(build_model(name, **params), options) == step
+
+    def test_pole_at_the_probe_scale_leaves_the_solve_to_the_grid(self):
+        # the scan to p = 1 probes |lambda| = 1, a pole of q = 1 + lam^2:
+        # the derived step is still formed, and the solve matches the
+        # default step's, exact propagation having no step error
+        problem = problem_from_dict(POLE_STRING)
+        assert validate(problem) == []
+        options = SolveOptions(scan=(0.2, 1.0, 40))
+        default = solve_spectrum(problem, dataclasses.replace(options, step=1e-3))
+        assert len(default) == 3
+        assert solve_spectrum(problem, options) == default
+
+
 def _y_varying_problem():
     """Two intervals, the second with y-polynomial A, B, C and a mass interface."""
     part = Partition((0.0, 0.4, 1.0))
@@ -740,7 +776,7 @@ def _y_varying_problem():
     a1 = PolyMatrix.from_entries([[[0.0], [1.0, 0.2]], [[0.3, -0.5, 0.1], [0.0]]])
     b1 = PolyMatrix.from_entries([[[0.0], [0.0]], [[1.0, 0.4], [0.0, 0.05]]])
     c1 = PolyMatrix.from_entries([[[0.0], [0.0]], [[0.02, 0.01], [0.0]]])
-    field = CoefficientField(part, (a0, a1), (b0, b1), (PolyMatrix.zero(2, 2), c1), 3.0)
+    field = CoefficientField((a0, a1), (b0, b1), (PolyMatrix.zero(2, 2), c1), 3.0)
     conj = ConjugationOperator(
         1,
         PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0, 0.0, 0.3], [1.0]]]),
@@ -760,7 +796,7 @@ def _y_varying_lambda_problem():
     a = PolyMatrix.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
     b = PolyMatrix.from_entries([[[0.0], [0.0]], [[1.0, 0.3], [0.0]]])
     c = PolyMatrix.constant(np.array([[0.0, 0.01], [0.0, 0.0]]))
-    field = CoefficientField(part, (a,), (b,), (c,), 1.3, ((1.0, 0.01),))
+    field = CoefficientField((a,), (b,), (c,), 1.3, ((1.0, 0.01),))
     base = make_string_problem()
     return ProblemDefinition("y_lambda", part, field, base.boundary_left, base.boundary_right, ())
 
@@ -1022,7 +1058,7 @@ class TestStackedDeterminant:
                                    conjugations=(identity_conjugation(1),))
         field = base.coefficients
         c = PolyMatrix.constant(np.array([[-40.0, 0.0], [0.0, 0.0]]))
-        field = CoefficientField(field.partition, field.a_polys, field.b_polys, (c, c), 40.0)
+        field = CoefficientField(field.a_polys, field.b_polys, (c, c), 40.0)
         problem = ProblemDefinition("lossy", base.partition, field, base.boundary_left,
                                     base.boundary_right, base.conjugations)
         lams = np.linspace(0.0, 1.5, 12) + 2.0j
@@ -2084,7 +2120,7 @@ def _n4_problem():
     b = np.zeros((4, 4))
     b[1, 0] = b[3, 2] = 1.0
     field = CoefficientField(
-        part, (PolyMatrix.constant(a),), (PolyMatrix.constant(b),), (PolyMatrix.zero(4, 4),), 1.0
+        (PolyMatrix.constant(a),), (PolyMatrix.constant(b),), (PolyMatrix.zero(4, 4),), 1.0
     )
     left = np.zeros((2, 2, 4), dtype=complex)
     left[0] = [[-2j, 1, 0, 0], [0, -2j, 0, 1]]
