@@ -44,10 +44,10 @@ class FundamentalMatrix:
     """End values (and optional dense samples) of one interval's solutions."""
 
     interval: int
-    end_matrix: np.ndarray  # ([K,] dim, dim), rows = solutions
+    end_matrix: np.ndarray  # (K, dim, dim), rows = solutions
     step: float
     sample_ys: np.ndarray | None = None
-    samples: np.ndarray | None = None  # (n_samples, [K,] dim, dim), rows = solutions
+    samples: np.ndarray | None = None  # (n_samples, K, dim, dim), rows = solutions
 
 
 def estimate_step(problem: ProblemDefinition, lam_scale: float, target_error: float) -> float:
@@ -56,15 +56,16 @@ def estimate_step(problem: ProblemDefinition, lam_scale: float, target_error: fl
 
     h = (target / (C * M^5 * L))^(1/4) with C = 10, M = bound (1 + r + r^2)
     the declared coefficient bound scaled to r = lam_scale, and L the total
-    domain length, clamped to [1e-6 * L, L / 16].  A bound that is not
-    finite, or a target that is not > 0, is a ValueError.
+    domain length, clamped to [1e-6 * L, L / 16]; bound 0, whose
+    coefficients all vanish, takes L / 16.  A bound that is not finite and
+    >= 0, or a target that is not > 0, is a ValueError.
     """
     # written so that NaN fails too
     if not target_error > 0:
         raise ValueError("target_error must be positive")
     bound = problem.coefficients.bound
-    if not math.isfinite(bound):
-        raise ValueError(f"coefficient bound {bound!r} is not finite")
+    if not (math.isfinite(bound) and bound >= 0.0):
+        raise ValueError(f"coefficient bound {bound!r} is not finite and >= 0")
     length = problem.partition.total_length
     hi = length / 16.0
     lo = 1e-6 * length
@@ -95,11 +96,14 @@ def integrate_fundamental(
     step: float,
     keep_samples: bool = False,
 ) -> FundamentalMatrix:
-    """Integrate the identity-initialized solutions across one interval.
+    """Integrate the identity-initialized solutions across one interval, at
+    every lambda of the system's stack in one pass.
 
     The step actually used is h = length / ceil(length / step) so the grid
-    lands exactly on the interval ends.  Raises IntegrationError if the
-    solution overflows, naming every lambda of a stack where it does.
+    lands exactly on the interval ends.  Coefficients come from
+    system.constant_coeffs, or from system.varying at the nodes and
+    midpoints where that is None.  Raises IntegrationError if the solution
+    overflows, naming every lambda of the stack where it does.
 
     Complex coefficients are propagated as their realified images and the
     end matrix (and samples) converted back before the checks below, so a
@@ -113,11 +117,10 @@ def integrate_fundamental(
     from blocked prefix products (_sampled_prefixes), whose constant case is
     likewise bit-identical to the general one.
 
-    A stacked system (see ReducedSystem) is integrated in one pass with a
-    leading lambda axis on every result, each lambda bit-identical to its
-    own integration; the finiteness check and the near-singular warning
-    stay per lambda.  The warning's determinant of a 2 x 2 end matrix is
-    ad - bc.
+    Every result carries the stack's leading lambda axis, each lambda
+    bit-identical to its stack of one; the finiteness check and the
+    near-singular warning stay per lambda.  The warning's determinant of a
+    2 x 2 end matrix is ad - bc.
 
     A system with derivatives (ReducedSystem.derivatives) has the end
     matrix [[G, G'], [0, G]] in rows form, G' = dPhi/dlam^T the derivative
@@ -133,8 +136,8 @@ def integrate_fundamental(
     nodes = lo + h * np.arange(n_steps + 1) if const is None or keep_samples else None
 
     if const is None:
-        a_nodes = _real_form(system.coeff_batch(interval, nodes))
-        a_mids = _real_form(system.coeff_batch(interval, nodes[:-1] + 0.5 * h))
+        a_nodes = _real_form(system.varying(interval, nodes))
+        a_mids = _real_form(system.varying(interval, nodes[:-1] + 0.5 * h))
         steps = _rk4_steps(a_nodes[:-1], a_mids, a_nodes[1:], h)
     else:
         # a length-1 stack, so S is computed exactly as steps[j] above
@@ -178,22 +181,17 @@ def _exact_fundamental(
     samples sit at the RK4 nodes lo + k h, h = length / ceil(length / step),
     with the last one at the interval's end.  Without samples no step count
     is formed, so that any positive step gives the same end matrix, and the
-    one closed-form step is reported as h = length.  One lambda is
-    propagated as a length-1 stack, so that it takes the arithmetic of a
-    stack.  On such an interval |det| of the end matrix is exp(length Re tr
-    A), so the near-singular warning gives no step advice.
+    one closed-form step is reported as h = length.  On such an interval
+    |det| of the end matrix is exp(length Re tr A), so the near-singular
+    warning gives no step advice.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     lo, hi = system.partition.interval(interval)
     length = hi - lo
     n_steps = _step_count(length, step) if keep_samples else 1
-    const = system.constant_coeffs[interval]
-    blocks = const if const.ndim == 3 else const[np.newaxis]
     t = np.linspace(0.0, length, n_steps + 1)[:, np.newaxis] if keep_samples else length
-    rows = transpose(_exact_transfer(blocks, t))
-    if const.ndim == 2:
-        rows = rows[..., 0, :, :]
+    rows = transpose(_exact_transfer(system.constant_coeffs[interval], t))
     end = rows[-1] if keep_samples else rows
     _check_end(system, interval, end, "the interval's solutions decay below the float range")
     h = length / n_steps

@@ -182,20 +182,19 @@ class ProblemDefinition:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """A lambda-bound first-order system ready for integration.
+    """A first-order system bound at a stack of lambdas, ready for integration.
 
-    dim is the dimension of the state; boundary and interface matrices are
-    constant (already evaluated at lambda).  constant_coeffs holds, per
-    interval, the coefficient matrix that coeff_batch returns at every y, or
-    None where it depends on y.  left_table is the left boundary's constant
-    table (BoundaryOperator.constant_table), or None: the left rows are then
+    lam is the 1-D stack of K lambdas.  dim is the dimension of the state;
+    boundary and interface matrices are constant (already evaluated at
+    lambda), each with a leading lambda axis, (K, rows, cols), except a
+    lambda-free one, which is one (rows, cols) matrix shared by the stack.
+    constant_coeffs holds, per interval, the (K, dim, dim) coefficient
+    matrices where they do not depend on y, or None; varying(interval, ys)
+    evaluates an interval's coefficients at each y, (len(ys), K, dim, dim),
+    and is what integration reads where constant_coeffs is None.
+    left_table is the left boundary's constant table
+    (BoundaryOperator.constant_table), or None: the left rows are then
     reduced per call.
-
-    lam is one complex number, or a 1-D array for a stack of lambdas: then
-    every matrix carries a leading lambda axis, (K, rows, cols), except a
-    lambda-free boundary or interface matrix, which is one (rows, cols)
-    matrix shared by the stack, and coeff_batch returns
-    (len(ys), K, dim, dim).
 
     derivatives, formed only when asked for, holds the lambda-derivative U0'
     of the left table (shaped as the table), the right rows' block
@@ -206,17 +205,14 @@ class ReducedSystem:
 
     partition: Partition
     dim: int
-    lam: complex
+    lam: np.ndarray
     left_matrix: np.ndarray
     right_matrix: np.ndarray
     interfaces: tuple[tuple[np.ndarray, np.ndarray], ...]
-    coeff_batch: Callable[[int, np.ndarray], np.ndarray]
+    varying: Callable[[int, np.ndarray], np.ndarray]
     constant_coeffs: tuple[np.ndarray | None, ...]
     left_table: tuple[int, np.ndarray | None] | None = None
     derivatives: tuple | None = None
-
-    def coefficient(self, interval: int, y: float) -> np.ndarray:
-        return self.coeff_batch(interval, np.asarray([float(y)]))[0]
 
 
 def is_singular(bmat: np.ndarray) -> np.ndarray:
@@ -227,14 +223,14 @@ def is_singular(bmat: np.ndarray) -> np.ndarray:
     return (scale == 0.0) | (np.abs(np.linalg.det(bmat)) <= TOL_SINGULAR * scale ** bmat.shape[-1])
 
 
-def failed_lambdas(lam, failed) -> list[tuple[int, complex]]:
-    """(index, lambda) of each lambda where `failed` holds, in stack order,
-    the lambda as a Python number: the one lookup by which a check names the
-    lambdas it fails.  lam is one lambda or a 1-D stack, and failed one flag
-    per lambda, or a single flag for a lambda-free matrix that the stack
-    shares, which then fails at every lambda."""
-    index = np.flatnonzero(np.broadcast_to(failed, np.shape(lam)))
-    return list(zip(index.tolist(), np.reshape(lam, -1)[index].tolist()))
+def failed_lambdas(lam: np.ndarray, failed) -> list[tuple[int, complex]]:
+    """(index, lambda) of each lambda of a 1-D stack where `failed` holds,
+    in stack order, the lambda as a Python number: the one lookup by which a
+    check names the lambdas it fails.  failed is one flag per lambda, or a
+    single flag for a lambda-free matrix that the stack shares, which then
+    fails at every lambda."""
+    index = np.flatnonzero(np.broadcast_to(failed, lam.shape))
+    return list(zip(index.tolist(), lam[index].tolist()))
 
 
 # ---------------------------------------------------------------------------

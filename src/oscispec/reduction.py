@@ -22,25 +22,25 @@ from .problem import CoefficientField, ProblemDefinition, ReducedSystem
 
 
 def reduce_complex(
-    problem: ProblemDefinition, lam: complex | np.ndarray, variational: bool = False
+    problem: ProblemDefinition, lam: np.ndarray, variational: bool = False
 ) -> ReducedSystem:
-    """Bind lambda into the complex N-dimensional first-order system.
+    """Bind a 1-D stack of lambdas into the complex N-dimensional
+    first-order system; one lambda is the stack np.array([lam]).
 
-    The coefficient evaluator returns A(y) + lam^2 B(y) + lam C(y), over
-    q(lam) on an interval with a denominator (_poly_parts); boundary and
-    interface polynomials are evaluated at lam into constant complex
-    matrices (bind_matrix), and a lambda-free left boundary brings the
-    null-basis table it forms once per problem.  A 1-D array of lambdas
-    gives one stacked system whose matrices carry a leading lambda axis,
-    except the lambda-free boundary and interface matrices, which the
-    stack shares; each slice is computed with the same arithmetic as a
-    single lambda, bit for bit.
+    The coefficients are A(y) + lam^2 B(y) + lam C(y), over q(lam) on an
+    interval with a denominator (_poly_parts); boundary and interface
+    polynomials are evaluated at lam into constant complex matrices
+    (bind_matrix), and a lambda-free left boundary brings the null-basis
+    table it forms once per problem.  Every matrix carries a leading
+    lambda axis, except the lambda-free boundary and interface matrices,
+    which the stack shares; each slice is bit-identical to its stack of
+    one.  Anything but a 1-D array is a ValueError.
 
     With variational it carries its lambda-derivatives
     (ReducedSystem.derivatives), A_lam exact (_poly_parts).  A lambda on a
     pole of a denominator raises PoleError naming it.
     """
-    lam = _lambda_arg(lam, complex)
+    lam = _lambda_stack(lam, complex)
     coeffs = problem.coefficients
     consts, varying = _poly_parts(coeffs, lam, variational)
     left_matrix = bind_matrix(problem.boundary_left.matrix, lam)
@@ -55,7 +55,7 @@ def reduce_complex(
             (bind_matrix(c.d_matrix, lam), bind_matrix(c.b_matrix, lam))
             for c in problem.conjugations_in_order
         ),
-        coeff_batch=_coeff_batch(consts, varying),
+        varying=varying,
         constant_coeffs=consts,
         left_table=problem.boundary_left.constant_table,
         derivatives=_derivatives(problem, left_matrix, right_matrix, lam) if variational else None,
@@ -93,36 +93,34 @@ def _derivatives(problem: ProblemDefinition, left_matrix, right_matrix, lam) -> 
 def _central(lam):
     """The stack of lam, lam + h and lam - h (h = 1e-5 max(|lam|, 1)), and
     split(values): f's matrices there as (f(lam), f'(lam)), the derivative
-    a central difference over the span the sums really took.  A scalar lam
-    gives matrices without the stack axis."""
-    z = np.asarray(lam, dtype=complex).reshape(-1)
-    h = 1e-5 * np.maximum(np.abs(z), 1.0)
-    up, down = z + h, z - h
+    a central difference over the span the sums really took."""
+    h = 1e-5 * np.maximum(np.abs(lam), 1.0)
+    up, down = lam + h, lam - h
     span = (up - down)[:, np.newaxis, np.newaxis]
 
     def split(values):
-        a, a_up, a_down = values.reshape((3, len(z)) + values.shape[1:])
-        shape = np.shape(lam) + a.shape[1:]
-        return a.reshape(shape), ((a_up - a_down) / span).reshape(shape)
+        a, a_up, a_down = values.reshape((3, len(lam)) + values.shape[1:])
+        return a, (a_up - a_down) / span
 
-    return np.concatenate((z, up, down)), split
+    return np.concatenate((lam, up, down)), split
 
 
-def reduce_real_split(problem: ProblemDefinition, p: float | np.ndarray) -> ReducedSystem:
-    """Bind a real frequency p into the 2N-dimensional real system.
+def reduce_real_split(problem: ProblemDefinition, p: np.ndarray) -> ReducedSystem:
+    """Bind a 1-D stack of real frequencies p into the 2N-dimensional real
+    system; one frequency is the stack np.array([p]).
 
     The state stacks (real part, imaginary part) of phi: this is the complex
     system at lam = i*p with every matrix realified, [[Re, -Im], [Im, Re]],
     so the coefficient matrix of real A, B, C takes the block form
     [[A - p^2 B, -p C], [p C, A - p^2 B]] and each boundary or interface
     row contributes two rows, which are reduced per call (no left_table).
-    A 1-D array of frequencies gives one stacked system, as in
-    reduce_complex.  No solver path integrates it: real-split mode shapes
-    are the complex ones in real components (spectrum.mode_shapes).
+    Anything but a 1-D array is a ValueError, as in reduce_complex.  No
+    solver path integrates it: real-split mode shapes are the complex ones
+    in real components (spectrum.mode_shapes).
     """
-    p = _lambda_arg(p, float)
+    p = _lambda_stack(p, float)
     system = reduce_complex(problem, 1j * p)
-    batch = system.coeff_batch
+    varying = system.varying
     consts = tuple(None if c is None else realify(c) for c in system.constant_coeffs)
     return replace(
         system,
@@ -130,7 +128,7 @@ def reduce_real_split(problem: ProblemDefinition, p: float | np.ndarray) -> Redu
         left_matrix=realify(system.left_matrix),
         right_matrix=realify(system.right_matrix),
         interfaces=tuple((realify(d), realify(b)) for d, b in system.interfaces),
-        coeff_batch=_coeff_batch(consts, lambda interval, ys: realify(batch(interval, ys))),
+        varying=lambda interval, ys: realify(varying(interval, ys)),
         constant_coeffs=consts,
         left_table=None,
     )
@@ -149,12 +147,10 @@ def bind_matrix(matrix: PolyMatrix, lam) -> np.ndarray:
     return fixed if fixed is not None else np.asarray(matrix(lam), dtype=complex)
 
 
-def _lambda_arg(value, kind):
-    """A Python number for a scalar, a 1-D array of that kind for a stack."""
-    if not isinstance(value, np.ndarray) or value.ndim == 0:
-        return kind(value)
-    if value.ndim != 1:
-        raise ValueError("lambda must be a scalar or a 1-D array")
+def _lambda_stack(value, kind) -> np.ndarray:
+    """A 1-D array of lambdas as that kind; a ValueError for anything else."""
+    if not isinstance(value, np.ndarray) or value.ndim != 1:
+        raise ValueError("lambda must be a 1-D stack: one lambda is np.array([lam])")
     return value.astype(kind, copy=False)
 
 
@@ -162,49 +158,28 @@ def _lambda_arg(value, kind):
 # coefficient evaluators
 # ---------------------------------------------------------------------------
 #
-# _poly_parts returns (consts, varying): per interval the reduced
-# coefficient matrix where it is constant in y (None elsewhere), and an
-# evaluator varying(interval, ys) -> (len(ys), dim, dim) for the other
-# intervals.  For a stack of K lambdas the matrices are (K, dim, dim) and
-# varying returns (len(ys), K, dim, dim).  With variational every matrix is
-# the 2 dim x 2 dim block [[A, 0], [A_lam, A]] instead (_dual).
+# _poly_parts returns (consts, varying) for a stack of K lambdas: per
+# interval the (K, dim, dim) reduced coefficient matrices where they are
+# constant in y (None elsewhere), and an evaluator varying(interval, ys) ->
+# (len(ys), K, dim, dim), which integration reads where consts is None.
+# With variational every matrix is the 2 dim x 2 dim block
+# [[A, 0], [A_lam, A]] instead (_dual).
 #
-# lam is a Python number, or an ndarray for a stack, which enters the
-# elementwise arithmetic as a (K, 1, 1) column that broadcasts the same
-# operations over it.  Its lam^2, the one product of two complex numbers
-# with both parts nonzero, is formed by _square with the bits of Python's
-# complex product: numpy's vectorized complex product may fuse multiply and
-# add.  So each slice of a stack is bit-identical to its own call.
-
-
-def _coeff_batch(consts, varying):
-    def batch(interval: int, ys: np.ndarray) -> np.ndarray:
-        const = consts[interval]
-        if const is not None:
-            return np.broadcast_to(const, (len(ys),) + const.shape)
-        return varying(interval, ys)
-
-    return batch
-
-
-def _column(x):
-    return x[:, np.newaxis, np.newaxis] if isinstance(x, np.ndarray) else x
-
-
-def _per_node(values: np.ndarray, x) -> np.ndarray:
-    """(len(ys), dim, dim) values with the stack's lambda axis inserted."""
-    return values[:, np.newaxis] if isinstance(x, np.ndarray) else values
+# The stack enters the elementwise arithmetic as a (K, 1, 1) column that
+# broadcasts the same operations over it.  Its lam^2, the one product of
+# two complex numbers with both parts nonzero, is formed by _square with
+# the bits of Python's complex product: numpy's vectorized complex product
+# may fuse multiply and add.  So each slice of a stack is bit-identical to
+# its stack of one.
 
 
 # overflow gives inf as Python's complex product does, without a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _square(lam):
-    """lam * lam, or that of each lambda of a stack, with the bits of
-    Python's complex product: its parts are formed as (a^2 - b^2) + (ab + ba)i
-    by separate real operations, where numpy's vectorized complex product
-    may fuse a multiply and an add and differ in the last bit."""
-    if not isinstance(lam, np.ndarray):
-        return lam * lam
+    """lam * lam of each lambda of a stack, with the bits of Python's
+    complex product: its parts are formed as (a^2 - b^2) + (ab + ba)i by
+    separate real operations, where numpy's vectorized complex product may
+    fuse a multiply and an add and differ in the last bit."""
     re, im = lam.real, lam.imag
     out = np.empty(lam.shape, dtype=complex)
     out.real = re * re - im * im
@@ -224,28 +199,26 @@ def _dual(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 
 
 def _denominator(q: tuple[float, ...], lam, lam2, interval: int):
-    """(q, q_lam) at lambda from the coefficients q of one interval's
-    denominator: q as a (1, 1) column, or (K, 1, 1) for a stack, and q_lam
-    so too, or as a number where it is constant.
+    """(q, q_lam) at each lambda of a stack from the coefficients q of one
+    interval's denominator: q as a (K, 1, 1) column, and q_lam so too, or
+    as a number where it is constant.
 
-    They are formed on the stack's 1-D form even for one lambda.  A lambda
-    with |q(lam)| <= 1e-12 sum_k |q_k| |lam|^k is a pole: the first in the
-    stack raises PoleError naming the interval and that lambda.
+    A lambda with |q(lam)| <= 1e-12 sum_k |q_k| |lam|^k is a pole: the
+    first in the stack raises PoleError naming the interval and that lambda.
     """
     q0, q1, *q2 = tuple(q) + (0.0,) * (2 - len(q))
-    z = np.asarray(lam, dtype=complex).reshape(-1)
-    r = np.abs(z)
-    value, slope, scale = q0 + q1 * z, q1, abs(q0) + abs(q1) * r
+    r = np.abs(lam)
+    value, slope, scale = q0 + q1 * lam, q1, abs(q0) + abs(q1) * r
     if q2:
-        value = value + q2[0] * np.asarray(lam2).reshape(-1)
-        slope = slope + 2 * q2[0] * z
+        value = value + q2[0] * lam2
+        slope = slope + 2 * q2[0] * lam
         scale = scale + abs(q2[0]) * (r * r)
     pole = np.abs(value) <= 1e-12 * scale
     if pole.any():
         raise PoleError(f"coefficient denominator of interval {interval} vanishes",
-                        complex(z[pole][0]))
-    shape = np.shape(lam) + (1, 1)
-    return value.reshape(shape), (np.reshape(slope, shape) if q2 else slope)
+                        complex(lam[pole][0]))
+    value = value[:, np.newaxis, np.newaxis]
+    return value, (slope[:, np.newaxis, np.newaxis] if q2 else slope)
 
 
 def _poly_parts(coeffs: CoefficientField, lam, variational: bool):
@@ -255,8 +228,8 @@ def _poly_parts(coeffs: CoefficientField, lam, variational: bool):
     lam2 = _square(lam)
     quotients = tuple(None if q is None else _denominator(q, lam, lam2, i)
                       for i, q in enumerate(coeffs.denominators))
-    lam2 = _column(lam2)
-    lam = _column(lam)
+    lam2 = lam2[:, np.newaxis, np.newaxis]
+    lam = lam[:, np.newaxis, np.newaxis]
 
     def value(a, b, c):
         return a + lam2 * b + lam * c
@@ -275,6 +248,6 @@ def _poly_parts(coeffs: CoefficientField, lam, variational: bool):
 
     def varying(interval: int, ys: np.ndarray) -> np.ndarray:
         polys = (coeffs.a_polys, coeffs.b_polys, coeffs.c_polys)
-        return form(interval, *(_per_node(p[interval](ys), lam) for p in polys)).astype(complex)
+        return form(interval, *(p[interval](ys)[:, np.newaxis] for p in polys)).astype(complex)
 
     return consts, varying

@@ -177,7 +177,7 @@ def _interface_solve(w, dmat, bmat, interface: int, lam) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
-    """Run the full propagation at a bound lambda, or at a stack of them.
+    """Run the full propagation at the reduced system's stack of lambdas.
 
     A constant interval of an N = 2 system takes its closed-form
     fundamental matrix (_exact_fundamental), with no step error; a y-varying
@@ -187,10 +187,10 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
 
     Returns (u_tables, fundamentals, end_values, closure) where end_values
     W = G^T U are the last interval's propagated end values and closure is
-    the m x m matrix whose determinant vanishes at eigenvalues.  A stacked
-    system gives every array a leading lambda axis; only without
-    keep_samples, which mode shapes ask for, is a lambda-free left table
-    the one table the stack shares.
+    the m x m matrix whose determinant vanishes at eigenvalues.  Every
+    array carries the stack's leading lambda axis, each slice bit-identical
+    to its stack of one; only without keep_samples, which mode shapes ask
+    for, is a lambda-free left table the one table the stack shares.
 
     With derivatives (ReducedSystem.derivatives) each table is the stack
     [U; U'], which the variational end matrix carries to [W; W'] and the
@@ -199,7 +199,7 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     """
     u = _initial_table(reduced.left_matrix, reduced.lam, reduced.left_table)
     if keep_samples:
-        u = np.broadcast_to(u, np.shape(reduced.lam) + u.shape[-2:])
+        u = np.broadcast_to(u, reduced.lam.shape + u.shape[-2:])
     slopes = reduced.derivatives
     if slopes is not None:
         u = np.concatenate([u, slopes[0]], axis=-2)

@@ -101,10 +101,10 @@ def test_criterion_3_recurrence_fidelity():
         breakpoints=(0.0, 0.3, 0.7, 1.0),
         conjugations=(identity_conjugation(1), identity_conjugation(2)),
     )
-    reduced = reduce_complex(prob, 1.2j)
+    reduced = reduce_complex(prob, np.array([1.2j]))
     u_tables, fundamentals, _, _ = _assemble(reduced, step=1e-3, keep_samples=False)
-    composed = fundamentals[1].end_matrix.T @ (
-        fundamentals[0].end_matrix.T @ u_tables[0]
+    composed = fundamentals[1].end_matrix[0].T @ (
+        fundamentals[0].end_matrix[0].T @ u_tables[0]
     )
     fidelity = float(np.max(np.abs(u_tables[2] - composed)))
 
@@ -228,7 +228,7 @@ def test_criterion_7_integrator_order():
     prob = base.__class__(
         "rotation", part, field, base.boundary_left, base.boundary_right, ()
     )
-    reduced = reduce_complex(prob, 0.0)
+    reduced = reduce_complex(prob, np.array([0.0]))
     hs = [0.04, 0.02, 0.01, 0.005]
     mats = [integrate_fundamental(reduced, 0, h).end_matrix for h in hs]
     richardson = mats[-1] + (mats[-1] - mats[-2]) / 15.0

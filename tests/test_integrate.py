@@ -34,7 +34,7 @@ from conftest import identity_conjugation, make_string_problem
 
 def _system_from_matrix(a, lam=0.0, bound=None, breakpoints=(0.0, 1.0)):
     """Reduced system whose coefficient matrix is the constant a (via A-field)."""
-    return reduce_complex(_problem_from_matrix(a, bound, breakpoints), lam)
+    return reduce_complex(_problem_from_matrix(a, bound, breakpoints), np.array([lam]))
 
 
 def _problem_from_matrix(a, bound=None, breakpoints=(0.0, 1.0)):
@@ -65,12 +65,12 @@ class TestEndMatrices:
     def test_zero_dynamics_identity(self):
         sys0 = _system_from_matrix(np.zeros((2, 2)))
         fm = integrate_fundamental(sys0, 0, step=0.1)
-        np.testing.assert_array_equal(fm.end_matrix, np.eye(2))
+        np.testing.assert_array_equal(fm.end_matrix[0], np.eye(2))
 
     def test_nilpotent_closed_form(self):
         sysn = _system_from_matrix([[0.0, 1.0], [0.0, 0.0]])
         fm = integrate_fundamental(sysn, 0, step=1e-3)
-        np.testing.assert_allclose(fm.end_matrix, [[1.0, 0.0], [1.0, 1.0]], atol=1e-13)
+        np.testing.assert_allclose(fm.end_matrix[0], [[1.0, 0.0], [1.0, 1.0]], atol=1e-13)
 
     def test_rotation_closed_form(self):
         sysr = _system_from_matrix(ROTATION)
@@ -78,12 +78,12 @@ class TestEndMatrices:
         expected = np.array(
             [[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]]
         )
-        np.testing.assert_allclose(fm.end_matrix, expected, atol=1e-10)
+        np.testing.assert_allclose(fm.end_matrix[0], expected, atol=1e-10)
 
     def test_identity_sample_is_exact(self):
         sysr = _system_from_matrix(ROTATION)
         fm = integrate_fundamental(sysr, 0, step=0.01, keep_samples=True)
-        assert np.array_equal(fm.samples[0], np.eye(2, dtype=complex))
+        assert np.array_equal(fm.samples[0, 0], np.eye(2, dtype=complex))
         assert fm.sample_ys[0] == 0.0 and fm.sample_ys[-1] == 1.0
 
     def test_step_rounding_divides_interval(self):
@@ -139,9 +139,9 @@ class TestConstantFastPath:
         p = 0.37 * p_min + 0.63 * p_max
         problem = build_model(name)
         if path == "complex":
-            reduced = reduce_complex(problem, complex(-0.05, p))
+            reduced = reduce_complex(problem, np.array([complex(-0.05, p)]))
         else:
-            reduced = reduce_real_split(problem, p)
+            reduced = reduce_real_split(problem, np.array([p]))
         n = reduced.partition.n_intervals
         assert all(c is not None for c in reduced.constant_coeffs)
         general = dataclasses.replace(reduced, constant_coeffs=(None,) * n)
@@ -166,12 +166,12 @@ def _complex_system(rng, varying):
         a1 = _random_complex(rng, (2, 2))
         return dataclasses.replace(
             base,
-            coeff_batch=lambda i, ys: a0 + ys[:, np.newaxis, np.newaxis] * a1,
+            varying=lambda i, ys: a0 + ys[:, np.newaxis, np.newaxis] * a1,
             constant_coeffs=(None,),
         )
     return dataclasses.replace(
         base,
-        coeff_batch=lambda i, ys: np.broadcast_to(a0, (len(ys), 2, 2)),
+        varying=lambda i, ys: np.broadcast_to(a0, (len(ys), 2, 2)),
         constant_coeffs=(a0,),
     )
 
@@ -187,8 +187,8 @@ class TestRealArithmetic:
         end = integrate_fundamental(system, 0, h).end_matrix
         assert fm.samples.dtype == end.dtype == complex
         ys = h * np.arange(n + 1)
-        a_nodes = system.coeff_batch(0, ys)
-        steps = _rk4_steps(a_nodes[:-1], system.coeff_batch(0, ys[:-1] + 0.5 * h), a_nodes[1:], h)
+        a_nodes = system.varying(0, ys)
+        steps = _rk4_steps(a_nodes[:-1], system.varying(0, ys[:-1] + 0.5 * h), a_nodes[1:], h)
         transfer = np.eye(2, dtype=complex)
         want = [transfer.T]
         for s in steps:
@@ -204,11 +204,11 @@ class TestRealArithmetic:
         # complex ones, so both paths run the very same real products
         problem = build_model("spacecraft_bar")
         p = 1.3
-        cplx = integrate_fundamental(reduce_complex(problem, 1j * p), 0, 3e-3, keep_samples)
-        split = integrate_fundamental(reduce_real_split(problem, p), 0, 3e-3, keep_samples)
+        cplx = integrate_fundamental(reduce_complex(problem, np.array([1j * p])), 0, 3e-3, keep_samples)
+        split = integrate_fundamental(reduce_real_split(problem, np.array([p])), 0, 3e-3, keep_samples)
         n = problem.dim
-        assert np.array_equal(cplx.end_matrix.real, split.end_matrix[:n, :n])
-        assert np.array_equal(cplx.end_matrix.imag, split.end_matrix[:n, n:])
+        assert np.array_equal(cplx.end_matrix.real, split.end_matrix[..., :n, :n])
+        assert np.array_equal(cplx.end_matrix.imag, split.end_matrix[..., :n, n:])
         if keep_samples:
             assert np.array_equal(cplx.samples.real, split.samples[..., :n, :n])
             assert np.array_equal(cplx.samples.imag, split.samples[..., :n, n:])
@@ -219,7 +219,7 @@ class TestRealArithmetic:
         problem = build_model(name)
         lams = np.array([0.4j, -0.05 + 1.7j, -0.3 + 6.2j])
         stacked = reduce_complex(problem, lams)
-        singles = [reduce_complex(problem, z) for z in lams.tolist()]
+        singles = [reduce_complex(problem, np.array([z])) for z in lams.tolist()]
         if general:
             n = problem.partition.n_intervals
             stacked = dataclasses.replace(stacked, constant_coeffs=(None,) * n)
@@ -228,8 +228,8 @@ class TestRealArithmetic:
             fm = integrate_fundamental(stacked, i, 3e-3, keep_samples=True)
             for k, single in enumerate(singles):
                 one = integrate_fundamental(single, i, 3e-3, keep_samples=True)
-                assert fm.samples[:, k].tobytes() == one.samples.tobytes()
-                assert fm.end_matrix[k].tobytes() == one.end_matrix.tobytes()
+                assert fm.samples[:, k].tobytes() == one.samples[:, 0].tobytes()
+                assert fm.end_matrix[k].tobytes() == one.end_matrix[0].tobytes()
 
 
 BLOCK_EDGES = [1, 2, 3, 15, 16, 17, 1000, 1023, 1024, 1025]
@@ -320,11 +320,19 @@ class TestEstimateStep:
         with pytest.raises(ValueError, match="bound"):
             estimate_step(prob, 10.0, 1e-10)
 
+    def test_rejects_a_negative_bound(self, fixed_free_string):
+        # no coefficient has a negative bound; it took the coarsest step L / 16,
+        # which only bound 0, of all-zero coefficients, keeps
+        field = dataclasses.replace(fixed_free_string.coefficients, bound=-1.0)
+        prob = dataclasses.replace(fixed_free_string, coefficients=field)
+        with pytest.raises(ValueError, match=r"bound -1\.0 is not finite and >= 0"):
+            estimate_step(prob, 10.0, 1e-10)
+
 
 def _interval_q(problem, lam, interval):
     """t^2 s^2 of a constant interval at lambda: its length t squared times
     s^2 = ((a00 - a11) / 2)^2 + a01 a10 of its coefficient A."""
-    a = reduce_complex(problem, lam).constant_coeffs[interval]
+    a = reduce_complex(problem, np.array([lam])).constant_coeffs[interval][0]
     lo, hi = problem.partition.interval(interval)
     return (hi - lo) ** 2 * ((0.5 * (a[0, 0] - a[1, 1])) ** 2 + a[0, 1] * a[1, 0])
 
@@ -360,7 +368,7 @@ class TestExactPropagation:
         ys = fm.sample_ys if keep_samples else np.array([1.0])
         c, s = np.cos(ys), np.sin(ys)
         want = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-        np.testing.assert_allclose(fm.samples if keep_samples else fm.end_matrix[np.newaxis], want,
+        np.testing.assert_allclose(fm.samples[:, 0] if keep_samples else fm.end_matrix, want,
                                    rtol=0, atol=4e-16)
         if keep_samples:
             assert fm.sample_ys.tobytes() == integrate_fundamental(
@@ -371,8 +379,9 @@ class TestExactPropagation:
     def _ends(problem, lam, interval):
         """G at lambda, and the blocks G and G' of the variational end
         matrix [[G, G'], [0, G]], rows as solutions."""
-        plain = _exact_fundamental(reduce_complex(problem, lam), interval, 1e-3).end_matrix
-        dual = _exact_fundamental(reduce_complex(problem, lam, variational=True), interval, 1e-3).end_matrix
+        stack = np.array([lam])
+        plain = _exact_fundamental(reduce_complex(problem, stack), interval, 1e-3).end_matrix[0]
+        dual = _exact_fundamental(reduce_complex(problem, stack, variational=True), interval, 1e-3).end_matrix[0]
         return plain, dual[:2, :2], dual[:2, 2:]
 
     def _check_slope(self, problem, lam):
@@ -438,7 +447,7 @@ class TestExactPropagation:
         problem = _lossy_string()
         series = [abs(_interval_q(problem, lam, i)) < 1 for i in range(problem.partition.n_intervals)]
         assert series == ([True, True] if abs(lam) < 1 else [False, False])
-        system = reduce_complex(problem, lam)
+        system = reduce_complex(problem, np.array([lam]))
         for i in range(problem.partition.n_intervals):
             exact = _exact_fundamental(system, i, 1e-3).end_matrix
             rk4 = integrate_fundamental(system, i, 2e-5).end_matrix
@@ -452,9 +461,9 @@ class TestExactPropagation:
         # [[1, (1 - e^{-1500}) / 1500], [0, e^{-1500}]] is finite; RK4 at
         # step 1e-5 agrees within its step error
         system = _system_from_matrix([[0.0, 1.0], [0.0, -1500.0]])
-        exact = _exact_fundamental(system, 0, 1e-3).end_matrix
+        exact = _exact_fundamental(system, 0, 1e-3).end_matrix[0]
         np.testing.assert_allclose(exact, [[1.0, 0.0], [1.0 / 1500.0, 0.0]], rtol=4e-16, atol=0)
-        rk4 = integrate_fundamental(system, 0, 1e-5).end_matrix
+        rk4 = integrate_fundamental(system, 0, 1e-5).end_matrix[0]
         np.testing.assert_allclose(exact, rk4, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("a00, a11", [(-40.0, 0.0), (0.0, -40.0)])
@@ -466,7 +475,7 @@ class TestExactPropagation:
         system = _system_from_matrix([[a00, 1.0], [0.0, a11]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            exact = _exact_fundamental(system, 0, 1e-3).end_matrix
+            exact = _exact_fundamental(system, 0, 1e-3).end_matrix[0]
         want = [[math.exp(a00), 0.0], [(math.exp(a00) - math.exp(a11)) / (a00 - a11), math.exp(a11)]]
         np.testing.assert_allclose(exact, want, rtol=4e-16, atol=0)
         assert [str(w.message) for w in caught] == [
@@ -474,5 +483,5 @@ class TestExactPropagation:
             "the interval's solutions decay below the float range"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rk4 = integrate_fundamental(system, 0, 1e-4).end_matrix
+            rk4 = integrate_fundamental(system, 0, 1e-4).end_matrix[0]
         np.testing.assert_allclose(exact, rk4, rtol=1e-9, atol=0)

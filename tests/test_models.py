@@ -27,6 +27,9 @@ from oscispec import (
     validate,
 )
 from oscispec import reduction
+from oscispec.integrate import _exact_fundamental
+from oscispec.models import SCAN_DEFAULTS
+from oscispec.spectrum import _assemble
 
 OPTS = SolveOptions(scan=(0.3, 10.5, 240), step=1e-3, tol=1e-11)
 
@@ -76,22 +79,34 @@ class TestStackEvaluators:
     """A Kelvin-Voigt field's rational coefficient is formed for a whole
     stack of lambdas in one reduction."""
 
-    @pytest.mark.parametrize("name", KELVIN_VOIGT_MODELS)
+    @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     def test_stack_equals_each_lambda_bit_for_bit(self, name):
         # off the axis both parts of lambda are nonzero, where a fused and a
         # plain complex product would part; with variational the blocks
-        # carry the exact A_lam too
+        # carry the exact A_lam too.  Every built-in, Kelvin-Voigt or not:
+        # each lambda's coefficients, closed-form samples (_exact_fundamental)
+        # and end values and closure (_assemble) are those of its stack of one
         rng = np.random.default_rng(9)
         off_axis = rng.uniform(-0.5, 0.0, 120) + 1j * rng.uniform(0.2, 9.0, 120)
         lams = np.concatenate([1j * np.linspace(0.2, 10.0, 120), off_axis])
         problem = build_model(name)
+        intervals = range(problem.partition.n_intervals)
         for variational, dim in ((False, 2), (True, 4)):
-            (stacked,) = reduce_complex(problem, lams, variational).constant_coeffs
-            assert stacked.shape == (240, dim, dim) and stacked.dtype == complex
+            reduced = reduce_complex(problem, lams, variational)
+            samples = [_exact_fundamental(reduced, i, 1e-2, True).samples for i in intervals]
+            _, _, w, closure = _assemble(reduced, 1e-2, keep_samples=False)
+            for stacked in reduced.constant_coeffs:
+                assert stacked.shape == (240, dim, dim) and stacked.dtype == complex
             for k, z in enumerate(lams.tolist()):
-                (one,) = reduce_complex(problem, z, variational).constant_coeffs
-                assert one.shape == (dim, dim)
-                assert one.tobytes() == stacked[k].tobytes()
+                one = reduce_complex(problem, np.array([z]), variational)
+                for i in intervals:
+                    assert one.constant_coeffs[i].shape == (1, dim, dim)
+                    assert one.constant_coeffs[i][0].tobytes() == reduced.constant_coeffs[i][k].tobytes()
+                    alone = _exact_fundamental(one, i, 1e-2, keep_samples=True).samples
+                    assert alone[:, 0].tobytes() == samples[i][:, k].tobytes()
+                _, _, w_one, closure_one = _assemble(one, 1e-2, keep_samples=False)
+                assert w_one[0].tobytes() == w[k].tobytes()
+                assert closure_one[0].tobytes() == closure[k].tobytes()
 
     def test_stack_through_a_pole_names_its_first_pole(self):
         # G*Ip + zeta1*lam vanishes at -2; the last lambda is within the
@@ -271,7 +286,7 @@ class TestMachineUnit:
     def test_pole_reported(self):
         prob = build_machine_unit(zeta1=1.0)
         with pytest.raises(PoleError) as info:
-            reduce_complex(prob, -1.0)  # G*Ip + zeta1*lam = 0
+            reduce_complex(prob, np.array([-1.0]))  # G*Ip + zeta1*lam = 0
         assert info.value.lam == -1.0
 
 

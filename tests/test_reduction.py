@@ -1,6 +1,9 @@
 """Harmonic reduction: complex path, real-split path, and their isomorphism."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -46,17 +49,17 @@ class TestReduceComplex:
     def test_pure_inertia_block(self):
         prob = _constant_problem(np.zeros((2, 2)), -np.eye(2), np.zeros((2, 2)))
         p = 1.7
-        reduced = reduce_complex(prob, 1j * p)
+        reduced = reduce_complex(prob, np.array([1j * p]))
         np.testing.assert_allclose(
-            reduced.coefficient(0, 0.5), p * p * np.eye(2), atol=1e-15
+            reduced.constant_coeffs[0][0], p * p * np.eye(2), atol=1e-15
         )
 
     def test_real_lambda_gives_real_values(self):
         a = np.array([[0.5, 1.0], [1.0, -0.25]])
         b = np.array([[0.1, 0.0], [0.0, 0.2]])
         prob = _constant_problem(a, b, np.zeros((2, 2)))
-        reduced = reduce_complex(prob, 1.3)
-        val = reduced.coefficient(0, 0.2)
+        reduced = reduce_complex(prob, np.array([1.3]))
+        val = reduced.constant_coeffs[0][0]
         np.testing.assert_allclose(val.imag, 0.0, atol=1e-15)
         np.testing.assert_allclose(val.real, a + 1.3**2 * b, atol=1e-14)
 
@@ -65,28 +68,28 @@ class TestReduceComplex:
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0, 0.0], [-1.0, 0.0]])
         prob = _constant_problem(a, b, np.zeros((2, 2)))
-        reduced = reduce_complex(prob, 1j)
+        reduced = reduce_complex(prob, np.array([1j]))
         np.testing.assert_allclose(
-            reduced.coefficient(0, 0.0), np.array([[0, 1], [1, 0]]), atol=1e-15
+            reduced.constant_coeffs[0][0], np.array([[0, 1], [1, 0]]), atol=1e-15
         )
 
     def test_boundary_evaluated_at_lambda(self):
         prob = make_string_problem()
         lam = 0.3 + 2.0j
-        reduced = reduce_complex(prob, lam)
+        reduced = reduce_complex(prob, np.array([lam]))
         np.testing.assert_array_equal(reduced.left_matrix, [[1.0, 0.0]])
-        assert reduced.dim == 2 and reduced.lam == lam
+        assert reduced.dim == 2 and reduced.lam[0] == lam
 
     @given(a=matrices2, alpha=st.floats(0.1, 5.0))
     @settings(max_examples=20, deadline=None)
     def test_linearity_in_a(self, a, alpha):
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
         lam = 0.4 + 1.1j
-        base = reduce_complex(_constant_problem(a, b, np.zeros((2, 2))), lam)
-        scaled = reduce_complex(_constant_problem(alpha * a, b, np.zeros((2, 2))), lam)
-        contribution = base.coefficient(0, 0.5) - lam**2 * b
+        base = reduce_complex(_constant_problem(a, b, np.zeros((2, 2))), np.array([lam]))
+        scaled = reduce_complex(_constant_problem(alpha * a, b, np.zeros((2, 2))), np.array([lam]))
+        contribution = base.constant_coeffs[0][0] - lam**2 * b
         np.testing.assert_allclose(
-            scaled.coefficient(0, 0.5) - lam**2 * b,
+            scaled.constant_coeffs[0][0] - lam**2 * b,
             alpha * contribution,
             rtol=1e-12,
             atol=1e-12,
@@ -97,9 +100,20 @@ class TestReduceComplex:
     def test_conjugate_symmetry(self, a, b, c):
         prob = _constant_problem(a, b, c)
         lam = 0.7 + 1.9j
-        v1 = reduce_complex(prob, lam).coefficient(0, 0.5)
-        v2 = reduce_complex(prob, np.conj(lam)).coefficient(0, 0.5)
+        v1 = reduce_complex(prob, np.array([lam])).constant_coeffs[0][0]
+        v2 = reduce_complex(prob, np.array([np.conj(lam)])).constant_coeffs[0][0]
         np.testing.assert_allclose(v2, np.conj(v1), rtol=1e-14, atol=1e-14)
+
+
+class TestLambdaStack:
+    """Reduction takes a 1-D stack of lambdas only."""
+
+    @pytest.mark.parametrize("reduce", [reduce_complex, reduce_real_split])
+    @pytest.mark.parametrize("lam", [1.5, np.array(1.5), np.array([[1.5]])],
+                             ids=["number", "0-d", "2-D"])
+    def test_refuses_all_but_a_stack(self, reduce, lam):
+        with pytest.raises(ValueError, match=re.escape("one lambda is np.array([lam])")):
+            reduce(make_string_problem(), lam)
 
 
 class TestReduceRealSplit:
@@ -108,7 +122,7 @@ class TestReduceRealSplit:
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
         prob = _constant_problem(a, b, np.zeros((2, 2)))
         p = 2.1
-        val = reduce_real_split(prob, p).coefficient(0, 0.5)
+        val = reduce_real_split(prob, np.array([p])).constant_coeffs[0][0]
         block = a - p * p * b
         np.testing.assert_allclose(val[:2, :2], block, atol=1e-15)
         np.testing.assert_allclose(val[2:, 2:], block, atol=1e-15)
@@ -120,7 +134,7 @@ class TestReduceRealSplit:
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
         c = np.array([[0.0, 0.0], [0.5, 0.0]])
         prob = _constant_problem(a, b, c)
-        val = reduce_real_split(prob, 0.0).coefficient(0, 0.5)
+        val = reduce_real_split(prob, np.array([0.0])).constant_coeffs[0][0]
         np.testing.assert_allclose(val[:2, :2], a, atol=1e-15)
         np.testing.assert_allclose(val[2:, 2:], a, atol=1e-15)
         np.testing.assert_allclose(val[:2, 2:], 0.0, atol=1e-15)
@@ -129,7 +143,7 @@ class TestReduceRealSplit:
         c = np.array([[0.0, 0.0], [0.6, 0.0]])
         prob = _constant_problem(np.zeros((2, 2)), np.zeros((2, 2)), c)
         p = 1.5
-        val = reduce_real_split(prob, p).coefficient(0, 0.5)
+        val = reduce_real_split(prob, np.array([p])).constant_coeffs[0][0]
         np.testing.assert_allclose(val[:2, 2:], -p * c, atol=1e-15)
         np.testing.assert_allclose(val[2:, :2], p * c, atol=1e-15)
 
@@ -143,8 +157,8 @@ class TestReduceRealSplit:
     def test_block_isomorphism_with_complex_path(self, a, b, c, p):
         # complex A, B, C: the real-split system is the realified complex one
         prob = _constant_problem(*(re + 1j * im for re, im in (a, b, c)))
-        mc = reduce_complex(prob, 1j * p).coefficient(0, 0.5)
-        mr = reduce_real_split(prob, p).coefficient(0, 0.5)
+        mc = reduce_complex(prob, np.array([1j * p])).constant_coeffs[0][0]
+        mr = reduce_real_split(prob, np.array([p])).constant_coeffs[0][0]
         expected = np.block(
             [[mc.real, -mc.imag], [mc.imag, mc.real]]
         )
@@ -152,7 +166,7 @@ class TestReduceRealSplit:
 
     def test_boundary_rows_doubled(self):
         prob = make_string_problem()
-        reduced = reduce_real_split(prob, 1.0)
+        reduced = reduce_real_split(prob, np.array([1.0]))
         assert reduced.left_matrix.shape == (2, 4)
         np.testing.assert_array_equal(
             reduced.left_matrix, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
@@ -160,9 +174,9 @@ class TestReduceRealSplit:
 
     def test_rejects_interior_evaluation_mismatch(self):
         prob = make_string_problem()
-        reduced = reduce_real_split(prob, 1.3)
-        v1 = reduced.coefficient(0, 0.25)
-        v2 = reduced.coefficient(0, 0.25)
+        reduced = reduce_real_split(prob, np.array([1.3]))
+        v1 = reduced.varying(0, np.array([0.25]))[0, 0]
+        v2 = reduced.varying(0, np.array([0.25]))[0, 0]
         np.testing.assert_array_equal(v1, v2)
 
 
@@ -177,10 +191,11 @@ class TestConstantCoeffs:
         prob = make_string_problem(breakpoints=(0.0, 0.5, 1.0))
         prob = ProblemDefinition("mixed", part, field, prob.boundary_left,
                                  prob.boundary_right, prob.conjugations)
-        for reduced in (reduce_complex(prob, 0.2 + 1.5j), reduce_real_split(prob, 1.5)):
+        for reduced in (reduce_complex(prob, np.array([0.2 + 1.5j])),
+                        reduce_real_split(prob, np.array([1.5]))):
             const, varying = reduced.constant_coeffs
             assert varying is None
-            np.testing.assert_array_equal(const, reduced.coefficient(0, 0.3))
+            np.testing.assert_array_equal(const, reduced.varying(0, np.array([0.3]))[0])
 
     def test_denominator_divides_the_polynomial_form(self):
         # A = (A0 + lam^2 B + lam C) / q with q = 2 + 0.5 lam; the y-varying
@@ -195,9 +210,9 @@ class TestConstantCoeffs:
             field = CoefficientField((a,), (b,), (c,), 2.0, ((2.0, 0.5),))
             prob = ProblemDefinition("kv", part, field, base.boundary_left,
                                      base.boundary_right, ())
-            reduced = reduce_complex(prob, lam)
+            reduced = reduce_complex(prob, np.array([lam]))
             want = [[0.0, 1.0], [lam * lam * b(y)[1, 0] / (2.0 + 0.5 * lam), 0.0]]
-            np.testing.assert_allclose(reduced.coefficient(0, y), want, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(reduced.varying(0, np.array([y]))[0, 0], want, rtol=1e-15, atol=0)
             (const,) = reduced.constant_coeffs
             assert (const is None) == (b.degree > 0)
 
@@ -221,7 +236,8 @@ class TestConstantCoeffs:
         field = CoefficientField((a,), (b,), (c,), 2.0, ((2.0, 0.5, 0.1),))
         prob = ProblemDefinition("kv", part, field, base.boundary_left, base.boundary_right, ())
         lam, h = 0.3 + 1.5j, 1e-5
-        (block,) = reduce_complex(prob, lam, variational=True).constant_coeffs
-        (up,), (down,) = (reduce_complex(prob, z).constant_coeffs for z in (lam + h, lam - h))
-        np.testing.assert_array_equal(block[:2, :2], reduce_complex(prob, lam).constant_coeffs[0])
+        block = reduce_complex(prob, np.array([lam]), variational=True).constant_coeffs[0][0]
+        plain, up, down = (reduce_complex(prob, np.array([z])).constant_coeffs[0][0]
+                           for z in (lam, lam + h, lam - h))
+        np.testing.assert_array_equal(block[:2, :2], plain)
         np.testing.assert_allclose(block[2:, :2], (up - down) / (2 * h), rtol=1e-9, atol=1e-12)

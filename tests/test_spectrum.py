@@ -152,8 +152,8 @@ class TestInterfaceSolve:
     def _carry(prob, conj, lam):
         # the end values W = G^T U of the pinned string's table, carried
         # across the interface
-        fm = integrate_fundamental(reduce_complex(prob, lam), 0, step=1e-4)
-        w = fm.end_matrix.T @ np.array([[0.0], [1.0]], dtype=complex)
+        fm = integrate_fundamental(reduce_complex(prob, np.array([lam])), 0, step=1e-4)
+        w = fm.end_matrix[0].T @ np.array([[0.0], [1.0]], dtype=complex)
         dmat, bmat = bind_matrix(conj.d_matrix, lam), bind_matrix(conj.b_matrix, lam)
         return w, spectrum._interface_solve(w, dmat, bmat, conj.interface, lam)
 
@@ -687,12 +687,12 @@ class TestPipelineInvariants:
             conjugations=(identity_conjugation(1), identity_conjugation(2)),
         )
         lam = 1.2j
-        reduced = reduce_complex(prob, lam)
+        reduced = reduce_complex(prob, np.array([lam]))
         u_tables, fundamentals, _, _ = _assemble(reduced, step=1e-3, keep_samples=False)
-        g1 = fundamentals[0].end_matrix
-        g2 = fundamentals[1].end_matrix
+        g1 = fundamentals[0].end_matrix[0]
+        g2 = fundamentals[1].end_matrix[0]
         expected = g2.T @ (g1.T @ u_tables[0])
-        np.testing.assert_allclose(u_tables[2], expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u_tables[2][0], expected, rtol=0, atol=1e-15)
 
     def test_interface_scaling_leaves_roots(self):
         base = build_point_mass_string()
@@ -1733,14 +1733,14 @@ class TestStackedRealSplitPropagation:
         )
         assert closure.shape[0] == len(lams) and closure.dtype == complex
         for k, z in enumerate(lams.tolist()):
-            alone = _assemble(reduce_complex(problem, z), 2e-3, keep_samples=True)
-            assert [u[k].tobytes() for u in u_tables] == [u.tobytes() for u in alone[0]]
+            alone = _assemble(reduce_complex(problem, np.array([z])), 2e-3, keep_samples=True)
+            assert [u[k].tobytes() for u in u_tables] == [u[0].tobytes() for u in alone[0]]
             for got, want in zip(fundamentals, alone[1], strict=True):
-                assert got.end_matrix[k].tobytes() == want.end_matrix.tobytes()
+                assert got.end_matrix[k].tobytes() == want.end_matrix[0].tobytes()
                 assert got.sample_ys.tobytes() == want.sample_ys.tobytes()
-                assert got.samples[:, k].tobytes() == want.samples.tobytes()
-            assert w[k].tobytes() == alone[2].tobytes()
-            assert closure[k].tobytes() == alone[3].tobytes()
+                assert got.samples[:, k].tobytes() == want.samples[:, 0].tobytes()
+            assert w[k].tobytes() == alone[2][0].tobytes()
+            assert closure[k].tobytes() == alone[3][0].tobytes()
 
 
 MODE_CASES = [
@@ -1838,7 +1838,7 @@ class TestFrozenScaleNewton:
 
     @staticmethod
     def _closure_det(problem, lam):
-        closure = _assemble(reduce_complex(problem, lam), 1e-3, keep_samples=False)[3]
+        closure = _assemble(reduce_complex(problem, np.array([lam])), 1e-3, keep_samples=False)[3][0]
         return np.linalg.det(closure)
 
     @pytest.mark.parametrize(
@@ -2214,13 +2214,13 @@ def _real_form(problem, lam, step):
     rephased to c conj(c_0), as the real columns [Re phi, Im phi] divided by
     their real entry of largest modulus."""
     u_tables, fundamentals, w, closure = _assemble(
-        reduce_complex(problem, lam), step, keep_samples=True
+        reduce_complex(problem, np.array([lam])), step, keep_samples=True
     )
-    det = spectrum._normalized_det(closure[np.newaxis], w[np.newaxis])[0]
-    c = spectrum._null_vector(closure, det, lam, spectrum._RANK_TOL)
+    det = spectrum._normalized_det(closure, w)[0]
+    c = spectrum._null_vector(closure[0], det, lam, spectrum._RANK_TOL)
     c = c * np.conj(c[0])
     phi = np.concatenate(
-        [np.einsum("skj,k->sj", fm.samples, u @ c) for u, fm in zip(u_tables, fundamentals)]
+        [np.einsum("skj,k->sj", fm.samples[:, 0], u[0] @ c) for u, fm in zip(u_tables, fundamentals)]
     )
     real = np.hstack([phi.real, phi.imag])
     return real / real.flat[np.argmax(np.abs(real))]
