@@ -28,7 +28,7 @@ from .oracle import (
     fd_polynomial_eigenvalues,
     leading_frequencies,
 )
-from .problem import ProblemDefinition, validate as find_violations
+from .problem import ProblemDefinition, require_valid
 from .serialize import load_problem
 from .spectrum import SolveOptions, mode_shapes, resolve_step, sample_nodes, solve_spectrum
 from .spectrum import mode_shape  # noqa: F401  (perfbench/tracing.py wraps it by name)
@@ -293,13 +293,11 @@ def _load(cfg: RunConfig, validate: bool = True) -> ProblemDefinition:
             problem = models.build_model(cfg.model, **cfg.params)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
-    if not validate:
-        return problem
-    violations = find_violations(problem)
-    if violations:
-        raise ConfigError(
-            "problem fails validation:\n  " + "\n  ".join(violations)
-        )
+    if validate:
+        try:
+            require_valid(problem)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return problem
 
 
@@ -503,7 +501,7 @@ def _sign_agrees(a: float, b: float, scale: float) -> bool:
 
 def cmd_validate(cfg: RunConfig) -> int:
     problem = _load(cfg, validate=False)
-    violations = find_violations(problem)
+    violations = problem.violations
     if violations:
         print(f"{problem.name}: {len(violations)} violation(s)")
         for v in violations:

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import adjugate_table, rref_null_basis
+from .linalg import rref_null_basis
 from .poly import PolyMatrix
 
 #: maximum degree of coefficient entries in the space coordinate
@@ -118,24 +118,6 @@ class BoundaryOperator:
     def __call__(self, lam: complex) -> np.ndarray:
         return self.matrix(lam)
 
-    @cached_property
-    def constant_table(self) -> tuple[int, np.ndarray | None] | None:
-        """Rank and adjugate-form left null basis of lambda-free (degree-0)
-        rows, formed once per problem.
-
-        Every finite lambda evaluates such rows to the same complex matrix,
-        so its rank check and table (linalg.adjugate_form) hold for all.
-        The table is None below full row rank, and the pair is None where
-        the rows depend on lambda.  The table is read-only: it is shared by
-        every determinant evaluation of the problem.
-        """
-        if not self.matrix.is_constant():
-            return None
-        rank, table = adjugate_table(self.matrix(0j))
-        if table is not None:
-            table.flags.writeable = False
-        return rank, table
-
 
 @dataclass(frozen=True)
 class ConjugationOperator:
@@ -179,6 +161,11 @@ class ProblemDefinition:
         """The conjugations by interface index, sorted once per problem."""
         return tuple(sorted(self.conjugations, key=lambda c: c.interface))
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """validate(self), run once per problem object (require_valid)."""
+        return tuple(validate(self))
+
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -187,17 +174,17 @@ class ReducedSystem:
     lam is the 1-D stack of K lambdas.  dim is the dimension of the state;
     boundary and interface matrices are constant (already evaluated at
     lambda), each with a leading lambda axis, (K, rows, cols), except a
-    lambda-free one, which is one (rows, cols) matrix shared by the stack.
+    lambda-free one, which is one (rows, cols) matrix shared by the stack:
+    lambda-free left rows then give the whole stack one null-basis table
+    (spectrum._initial_table).
     constant_coeffs holds, per interval, the (K, dim, dim) coefficient
     matrices where they do not depend on y, or None; varying(interval, ys)
     evaluates an interval's coefficients at each y, (len(ys), K, dim, dim),
     and is what integration reads where constant_coeffs is None.
-    left_table is the left boundary's constant table
-    (BoundaryOperator.constant_table), or None: the left rows are then
-    reduced per call.
 
     derivatives, formed only when asked for, holds the lambda-derivative U0'
-    of the left table (shaped as the table), the right rows' block
+    of the left table (shaped as the table, one zero table where the left
+    rows are lambda-free), the right rows' block
     [[R, 0], [R', R]] and each interface's (D', B'); the coefficients are
     then the variational blocks [[A, 0], [A_lam, A]], whose integration
     carries dPhi/dlam beside Phi.
@@ -211,7 +198,6 @@ class ReducedSystem:
     interfaces: tuple[tuple[np.ndarray, np.ndarray], ...]
     varying: Callable[[int, np.ndarray], np.ndarray]
     constant_coeffs: tuple[np.ndarray | None, ...]
-    left_table: tuple[int, np.ndarray | None] | None = None
     derivatives: tuple | None = None
 
 
@@ -236,6 +222,14 @@ def failed_lambdas(lam: np.ndarray, failed) -> list[tuple[int, complex]]:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
+
+
+def require_valid(problem: ProblemDefinition) -> None:
+    """Raise one ValueError listing the problem's violations, if it has any
+    (ProblemDefinition.violations): the one gate of the solver's entry
+    points and of the CLI."""
+    if problem.violations:
+        raise ValueError("problem fails validation:\n  " + "\n  ".join(problem.violations))
 
 
 def validate(problem: ProblemDefinition) -> list[str]:
@@ -280,12 +274,9 @@ def validate(problem: ProblemDefinition) -> list[str]:
         if not np.all(np.isfinite(bnd.matrix.coeffs)):
             out.append(f"boundary_{bnd.side}: nonfinite coefficient")
             continue
-        if degree == 0:
-            # lambda-free rows have one rank, formed with their constant table
-            ranks = ((0.0, bnd.constant_table[0]),)
-        else:
-            ranks = ((lam, rref_null_basis(bnd(lam))[0]) for lam in (0.0, 1j))
-        for lam, rank in ranks:
+        # lambda-free rows have one rank, which lambda = 0 shows
+        for lam in (0.0,) if degree == 0 else (0.0, 1j):
+            rank = rref_null_basis(bnd(lam))[0]
             if rank != min(rows, dim):
                 out.append(f"boundary_{bnd.side}: rank {rank} < {rows} at lambda={lam}")
                 break

@@ -30,11 +30,10 @@ def reduce_complex(
     The coefficients are A(y) + lam^2 B(y) + lam C(y), over q(lam) on an
     interval with a denominator (_poly_parts); boundary and interface
     polynomials are evaluated at lam into constant complex matrices
-    (bind_matrix), and a lambda-free left boundary brings the null-basis
-    table it forms once per problem.  Every matrix carries a leading
-    lambda axis, except the lambda-free boundary and interface matrices,
-    which the stack shares; each slice is bit-identical to its stack of
-    one.  Anything but a 1-D array is a ValueError.
+    (bind_matrix).  Every matrix carries a leading lambda axis, except
+    the lambda-free boundary and interface matrices, which the stack
+    shares; each slice is bit-identical to its stack of one.  Anything
+    but a 1-D array is a ValueError.
 
     With variational it carries its lambda-derivatives
     (ReducedSystem.derivatives), A_lam exact (_poly_parts).  A lambda on a
@@ -57,18 +56,18 @@ def reduce_complex(
         ),
         varying=varying,
         constant_coeffs=consts,
-        left_table=problem.boundary_left.constant_table,
         derivatives=_derivatives(problem, left_matrix, right_matrix, lam) if variational else None,
     )
 
 
 def _derivatives(problem: ProblemDefinition, left_matrix, right_matrix, lam) -> tuple:
-    """ReducedSystem.derivatives.  Lambda-free left rows have a constant
-    table; one row [a0, a1] has [-a1; a0], linear in the row; other rows
-    take a central difference of their tables, polynomials in lambda."""
+    """ReducedSystem.derivatives.  Lambda-free left rows, one shared
+    (m, N) matrix (bind_matrix), have a constant table; one row [a0, a1]
+    has [-a1; a0], linear in the row; other rows take a central difference
+    of their tables, polynomials in lambda."""
     left = problem.boundary_left.matrix
     m, dim = left_matrix.shape[-2:]
-    if problem.boundary_left.constant_table is not None:
+    if left_matrix.ndim == 2:
         d_table = np.zeros((dim, dim - m), dtype=complex)
     elif (m, dim) == (1, 2):
         d_left = np.broadcast_to(bind_matrix(left.derivative, lam), left_matrix.shape)
@@ -113,7 +112,7 @@ def reduce_real_split(problem: ProblemDefinition, p: np.ndarray) -> ReducedSyste
     system at lam = i*p with every matrix realified, [[Re, -Im], [Im, Re]],
     so the coefficient matrix of real A, B, C takes the block form
     [[A - p^2 B, -p C], [p C, A - p^2 B]] and each boundary or interface
-    row contributes two rows, which are reduced per call (no left_table).
+    row contributes two rows.
     Anything but a 1-D array is a ValueError, as in reduce_complex.  No
     solver path integrates it: real-split mode shapes are the complex ones
     in real components (spectrum.mode_shapes).
@@ -130,7 +129,6 @@ def reduce_real_split(problem: ProblemDefinition, p: np.ndarray) -> ReducedSyste
         interfaces=tuple((realify(d), realify(b)) for d, b in system.interfaces),
         varying=lambda interval, ys: realify(varying(interval, ys)),
         constant_coeffs=consts,
-        left_table=None,
     )
 
 

@@ -20,7 +20,7 @@ from .errors import BoundaryDegeneracyError, NotARootError, PropagationError, So
 from .integrate import FundamentalMatrix, _check_finite, _exact_fundamental
 from .integrate import estimate_step, integrate_fundamental
 from .linalg import adjugate_table, row_adjugate_form, transpose
-from .problem import ProblemDefinition, ReducedSystem, failed_lambdas, is_singular
+from .problem import ProblemDefinition, ReducedSystem, failed_lambdas, is_singular, require_valid
 from .reduction import reduce_complex
 from .reduction import reduce_real_split  # noqa: F401  (perfbench/tracing.py wraps it by name)
 
@@ -129,21 +129,19 @@ class SolveOptions:
 # ---------------------------------------------------------------------------
 
 
-def _initial_table(matrix: np.ndarray, lam, constant=None) -> np.ndarray:
+def _initial_table(matrix: np.ndarray, lam) -> np.ndarray:
     """The left null basis in adjugate form (linalg.adjugate_table), per
     lambda of a stack, reduced in one call; raises BoundaryDegeneracyError
     for the first lambda whose rows lose rank.
 
-    `constant` is the (rank, table) pair of rows that do not depend on
-    lambda, formed once per problem (BoundaryOperator.constant_table); a
-    stack then shares that one table, as it shares the rows.  One row
+    Lambda-free rows are one (m, N) matrix that the stack shares
+    (reduction.bind_matrix), so they give one (N, N - m) table for the
+    whole stack and, losing rank, fail at its first lambda.  One row
     [a0, a1] of N = 2 (m = 1) takes its adjugate form [-a1; a0] directly
     (linalg.row_adjugate_form), with no row reduction: it loses rank only
     where both entries vanish.
     """
-    if constant is not None:
-        ranks, table = constant
-    elif matrix.shape[-2:] == (1, 2):
+    if matrix.shape[-2:] == (1, 2):
         ranks = (matrix[..., 0, 0] != 0) | (matrix[..., 0, 1] != 0)  # True is rank 1
         table = row_adjugate_form(matrix) if ranks.all() else None
     else:
@@ -190,19 +188,20 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     the m x m matrix whose determinant vanishes at eigenvalues.  Every
     array carries the stack's leading lambda axis, each slice bit-identical
     to its stack of one; only without keep_samples, which mode shapes ask
-    for, is a lambda-free left table the one table the stack shares.
+    for, is the table of lambda-free left rows (_initial_table) the one
+    table the stack shares.
 
     With derivatives (ReducedSystem.derivatives) each table is the stack
     [U; U'], which the variational end matrix carries to [W; W'] and the
     right rows' block to the closure [C; C'] (2m x m); through an interface
     U'_next = B^-1 (D' W + D W' - B' U_next).  end_values is W alone.
     """
-    u = _initial_table(reduced.left_matrix, reduced.lam, reduced.left_table)
-    if keep_samples:
-        u = np.broadcast_to(u, reduced.lam.shape + u.shape[-2:])
+    u = _initial_table(reduced.left_matrix, reduced.lam)
     slopes = reduced.derivatives
     if slopes is not None:
         u = np.concatenate([u, slopes[0]], axis=-2)
+    if keep_samples:
+        u = np.broadcast_to(u, reduced.lam.shape + u.shape[-2:])
     u_tables = [u]
     fundamentals: list[FundamentalMatrix] = []
     n, dim = reduced.partition.n_intervals, reduced.dim
@@ -279,7 +278,9 @@ def characteristic_determinant(
     an array is returned; a stack raises the first error its pass meets.
     One lambda is evaluated as a length-1 stack and its value returned as a
     complex, so each lambda of a stack is bit-identical to its own call.
+    A problem that fails validation is a ValueError (require_valid).
     """
+    require_valid(problem)
     if not isinstance(lam, np.ndarray) or lam.ndim == 0:
         return complex(_closure_values(problem, np.array([complex(lam)]), step)[0][0])
     if not len(lam):
@@ -445,10 +446,12 @@ def refine_root(
     start at i p_seed; no bracket end is evaluated.  Every value is computed
     with this call's step, each when its Newton point asks for it, with no
     value kept for a later point; solve_spectrum refines all its candidates
-    at once (_refine_all) with the same results.  A non-positive tol or a
-    max_iter below 1 is rejected before any evaluation.
+    at once (_refine_all) with the same results.  A non-positive tol, a
+    max_iter below 1 or a problem that fails validation (require_valid) is
+    rejected before any evaluation.
     """
     _check_limits(tol, max_iter)
+    require_valid(problem)
     return _refine_all(problem, [_seed(target)], tol, max_iter, step)[0][0]
 
 
@@ -707,7 +710,8 @@ def mode_shapes(
     its last right singular vector (_null_vector); each interval's solution
     is the corresponding combination of its fundamental solutions on the
     stored integration grid.  A lambda whose closure matrix is numerically
-    full rank fails with NotARootError.
+    full rank fails with NotARootError, and a problem that fails
+    validation with ValueError (require_valid) before any lambda.
     real_split (on the imaginary axis only) writes it as [Re phi, Im phi]
     for c conj(c_0), the phase of the realified closure's null vector.
     """
@@ -717,6 +721,7 @@ def mode_shapes(
     split = path == "real_split"
     if split and any(abs(z.real) > 1e-12 * max(1.0, abs(z)) for z in lams):
         raise ValueError("real_split path is defined on the imaginary axis only")
+    require_valid(problem)
     size = _stack_chunk(problem, step, keep_samples=True)
     for i in range(0, len(lams), size):
         for shape in _each(lambda z: _shapes(problem, z, step, split), np.array(lams[i : i + size])):
@@ -777,7 +782,8 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     (conjugate pairs reported once), sorted by |Im| then Re.  An empty list
     is a valid answer.  real_split keeps those with |Re| <= tol *
     max(|lambda|, 1), projected onto the axis.  A non-positive tol, a
-    max_iter below 1 or an unknown path is rejected before the scan.  Only
+    max_iter below 1, an unknown path or a problem that fails validation
+    (require_valid) is rejected before the scan.  Only
     if every value failed (_each) is the first failure raised: the scan's
     in grid order, then refinement's in evaluation order, where a lambda
     that two Newton points ask for is evaluated for each.
@@ -785,6 +791,7 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     _check_limits(options.tol, options.max_iter)
     if options.path not in ("complex", "real_split"):
         raise ValueError(f"unknown path {options.path!r}")
+    require_valid(problem)
     step = resolve_step(problem, options)
     targets: list[Bracket | complex] = []
     values: list = []

@@ -63,9 +63,11 @@ class TestBoundOncePerProblem:
     """What a problem fixes is computed once per problem, not per lambda."""
 
     def test_constant_left_row_reduced_once_per_problem(self, monkeypatch):
+        # the row is reduced once, by validation at lambda = 0, and never as
+        # a lambda stack: every pass takes one (2, 1) table from the shared row
         problem = build_model("fixed_free_string")
         left = problem.boundary_left(0j)
-        reduced, dets = [], []
+        reduced, dets, tables = [], [], []
 
         def counting(matrix, tol=1e-12, original=linalg.rref_null_basis):
             rows = np.asarray(matrix)
@@ -73,7 +75,13 @@ class TestBoundOncePerProblem:
                 reduced.append(rows.shape)
             return original(matrix, tol)
 
+        def table(matrix, lam, original=spectrum._initial_table):
+            tables.append(original(matrix, lam))
+            return tables[-1]
+
         monkeypatch.setattr(linalg, "rref_null_basis", counting)
+        monkeypatch.setattr("oscispec.problem.rref_null_basis", counting)
+        monkeypatch.setattr(spectrum, "_initial_table", table)
         for name in ("_scan_values", "_newton_values"):
             original = getattr(spectrum, name)
             monkeypatch.setattr(
@@ -82,6 +90,7 @@ class TestBoundOncePerProblem:
         roots = solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
         assert len(roots) == 3 and len(dets) > 1
         assert reduced == [(1, 2)]
+        assert len(tables) == len(dets) and all(t.shape == (2, 1) for t in tables)
 
     def test_boundary_variants_solved_in_turn_give_their_own_roots(self):
         # clamped and the undamped free rotor are lambda-free rows with
@@ -121,9 +130,8 @@ class TestBoundOncePerProblem:
             _assemble(reduce_complex(problem, lams), 1e-2, keep_samples=False)
         assert info.value.lam == lams[0]
         assert (info.value.rank, info.value.expected) == (0, 1)
-        with pytest.raises(BoundaryDegeneracyError) as info:
+        with pytest.raises(ValueError, match="boundary_left: rank 0 < 1 at lambda=0.0"):
             characteristic_determinant(problem, lams, 1e-2)
-        assert info.value.lam == lams[0]
 
     def test_singular_constant_interface_names_the_first_lambda(self):
         conj = ConjugationOperator(
@@ -143,6 +151,29 @@ class TestBoundOncePerProblem:
         assert stacked.strides[0] == 0 and not stacked.flags.writeable
         for k, z in enumerate(lams.tolist()):
             assert stacked[k].tobytes() == matrix(z).tobytes()
+
+
+class TestValidationGate:
+    """The solver's entry points refuse what validate refuses."""
+
+    def test_entry_points_refuse_an_invalid_problem(self):
+        # a copy of a valid problem, validated and solved, is validated anew
+        valid = build_model("spacecraft_bar")
+        invalid = build_model("spacecraft_bar", d=math.inf)
+        characteristic_determinant(valid, 1.5j, 1e-2)
+        copy = dataclasses.replace(valid, boundary_right=invalid.boundary_right)
+        message = "^problem fails validation:\n  boundary_right: nonfinite coefficient$"
+        for problem in (invalid, copy):
+            calls = (
+                lambda: solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 24), step=1e-2)),
+                lambda: refine_root(problem, 1.5j, step=1e-2),
+                lambda: list(spectrum.mode_shapes(problem, [1.5j], 1e-2)),
+                lambda: characteristic_determinant(problem, 1j * np.linspace(0.5, 3.0, 6), 1e-2),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call()
+        assert valid.violations == ()
 
 
 class TestInterfaceSolve:
@@ -1154,10 +1185,15 @@ def _stub_evaluations(monkeypatch, evaluate, before=None):
         monkeypatch.setattr(spectrum, name, stub(name))
 
 
+#: a valid problem for the entry points' validation gate, where stubs
+#: answer every evaluation and never read it
+_STUBBED = make_string_problem()
+
+
 def _refined(monkeypatch, target, evaluate, tol=1e-10):
     """refine_root of one target, every evaluation answered by evaluate."""
     _stub_evaluations(monkeypatch, evaluate)
-    return refine_root(None, target, tol, 100, 1e-3)
+    return refine_root(_STUBBED, target, tol, 100, 1e-3)
 
 
 def _nan_off(strip, root, slope=1.0):
@@ -1246,7 +1282,7 @@ class TestSuperlinearRefinement:
         _stub_evaluations(monkeypatch, _analytic(lambda lam: (-1j * lam - 2.0) * (1 + 0.3j),
                                                  lambda lam: -1j * (1 + 0.3j) + 0 * lam))
         options = SolveOptions(scan=(1.0, 3.0, 20), step=1e-3, path="real_split")
-        (root,) = solve_spectrum(None, options)
+        (root,) = solve_spectrum(_STUBBED, options)
         assert root.converged and abs(root.lam - 2j) <= 1e-10
 
     @pytest.mark.parametrize("path", ["complex", "real_split"])
@@ -1428,7 +1464,7 @@ class TestLockstepRefinement:
         first = spectrum.SpectralResult(lam, residuals[0], 6, True)
         second = spectrum.SpectralResult(lam + 1e-14, residuals[1], 4, True)
         monkeypatch.setattr(spectrum, "_refine_all", lambda *args: ([first, second], []))
-        (root,) = solve_spectrum(None, SolveOptions(rect=(-0.5, 0.0, 0.5, 6.0, 1, 2), step=1e-3))
+        (root,) = solve_spectrum(_STUBBED, SolveOptions(rect=(-0.5, 0.0, 0.5, 6.0, 1, 2), step=1e-3))
         assert (root.lam, root.residual, root.iterations) == (lam, residuals[0], 6)
 
     def test_failing_points_of_a_round_are_halved_past(self, monkeypatch):
@@ -1693,7 +1729,7 @@ class TestDeterminantMemo:
         _, needed = self._lambdas(_plain)
         seed, point = needed[:2]  # the seed, then the first Newton point
         seen = self._poisoned(monkeypatch, {point})
-        res = refine_root(None, seed, 1e-10, 100, 1e-3)
+        res = refine_root(_STUBBED, seed, 1e-10, 100, 1e-3)
         assert seen[:2] == [seed, point] and seen.count(point) == 1
         assert abs(seen[2] - 0.5 * (seed + point)) <= 1e-12  # the step halved
         assert res.converged
@@ -1702,7 +1738,7 @@ class TestDeterminantMemo:
         # a failed lambda answers (NaN, NaN, NaN), never a value Newton accepts
         seed = complex(1.3, 1.1)
         seen = self._poisoned(monkeypatch, {seed})
-        res = refine_root(None, seed, 1e-10, 100, 1e-3)
+        res = refine_root(_STUBBED, seed, 1e-10, 100, 1e-3)
         assert (res.converged, res.message) == (False, "determinant not finite at the seed")
         assert seen == [seed]
 
@@ -1725,15 +1761,17 @@ class TestStackedRealSplitPropagation:
             "y_varying", "y_varying_lambda", "machine_unit_breakpoint", "point_mass_breakpoint",
         ],
     )
-    def test_sampled_stack_bit_identical(self, make):
+    @pytest.mark.parametrize("variational", [False, True])
+    def test_sampled_stack_bit_identical(self, make, variational):
         problem = make()
         lams = 1j * np.linspace(0.2, 10.0, 6)
         u_tables, fundamentals, w, closure = _assemble(
-            reduce_complex(problem, lams), 2e-3, keep_samples=True
+            reduce_complex(problem, lams, variational), 2e-3, keep_samples=True
         )
         assert closure.shape[0] == len(lams) and closure.dtype == complex
         for k, z in enumerate(lams.tolist()):
-            alone = _assemble(reduce_complex(problem, np.array([z])), 2e-3, keep_samples=True)
+            alone = _assemble(reduce_complex(problem, np.array([z]), variational), 2e-3,
+                              keep_samples=True)
             assert [u[k].tobytes() for u in u_tables] == [u[0].tobytes() for u in alone[0]]
             for got, want in zip(fundamentals, alone[1], strict=True):
                 assert got.end_matrix[k].tobytes() == want.end_matrix[0].tobytes()
@@ -1957,6 +1995,8 @@ class TestFrozenScaleNewton:
             for name in ("a_polys", "b_polys", "c_polys")
         })
         problem = dataclasses.replace(problem, coefficients=counted)
+        assert not problem.violations  # validated once, before the count
+        del sizes[:]
         characteristic_determinant(problem, 1j * np.linspace(0.2, 10.0, 240), 1e-3)
         assert sizes == ([1001] * 3 + [1000] * 3) * 4
         del sizes[:]
@@ -2093,8 +2133,10 @@ def _general_route(monkeypatch):
     left row, slogdet for the normalization."""
     closed = spectrum._initial_table
 
-    def table(matrix, lam, constant=None):
-        return closed(matrix, lam, adjugate_table(matrix) if constant is None else constant)
+    def table(matrix, lam):
+        # rows that lose rank at some lambda raise by _initial_table's own check
+        general = adjugate_table(matrix)[1]
+        return closed(matrix, lam) if general is None else general
 
     monkeypatch.setattr(spectrum, "_initial_table", table)
     monkeypatch.setattr(spectrum, "_normalized_det", spectrum._log_normalized_det)
