@@ -64,7 +64,7 @@ class RunConfig:
     sweep: tuple[str, float, float, int] | None = None
     indices: tuple[int, ...] = ()
     max_dev: float = VERIFY_MAX_DEV
-    n_fd: int = 400
+    n_fd: int = FDOracleConfig.n_fd
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("model", help="built-in model name")
     p_verify.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p_verify.add_argument("--max-dev", type=float, default=VERIFY_MAX_DEV)
-    p_verify.add_argument(
-        "--n-fd", type=int, default=400, help="grid cells of the finite-difference oracle"
-    )
+    p_verify.add_argument("--n-fd", type=int, default=FDOracleConfig.n_fd,
+                          help="grid cells of the finite-difference oracle")
 
     p_val = subs.add_parser("validate", help="report model violations")
     _add_source_args(p_val)

@@ -38,6 +38,11 @@ DET_WARN_TOL = 1e-12
 #: safety constant in the local-error step model
 _STEP_SAFETY = 10.0
 
+#: matrix entries one stacked array of an RK4 pass may hold, in y-blocks, or
+#: for samples in lambda chunks (spectrum._stack_chunk): 4 MB as complex128,
+#: 8 MB while the propagation holds it realified as float64
+_STACK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class FundamentalMatrix:
@@ -110,12 +115,17 @@ def integrate_fundamental(
     complex system still gives complex results; real ones, as
     reduction.reduce_real_split forms, are propagated as they are.
 
-    Where the interval's coefficients are constant every step matrix is the
-    same: it is formed once and raised to the n-th power along the pairwise
-    tree of the general path, with bit-identical results in O(log n)
-    products.  With keep_samples the transfer matrix at every node comes
-    from blocked prefix products (_sampled_prefixes), whose constant case is
-    likewise bit-identical to the general one.
+    Where the coefficients vary in y, an unsampled pass takes its steps in
+    blocks of 2^k, k the largest with K dim^2 2^k within _STACK_ENTRIES for
+    K lambdas, and folds the blocks' pairwise product trees (_chain_product)
+    as they arrive (_chain_fold): one tree of all steps, bit for bit, as it
+    pairs within 2^k-aligned blocks before it pairs across them, and arrays
+    within the budget at any node count.  Where they are constant every
+    step matrix is the same: it is formed once and raised to the n-th power
+    along that tree, with bit-identical results in O(log n) products.  With
+    keep_samples the transfer matrix at every node comes from blocked prefix
+    products (_sampled_prefixes), whose constant case is likewise
+    bit-identical to the general one.
 
     Every result carries the stack's leading lambda axis, each lambda
     bit-identical to its stack of one; the finiteness check and the
@@ -134,34 +144,31 @@ def integrate_fundamental(
     const = system.constant_coeffs[interval]
     # the node grid is read only for y-dependent coefficients and samples
     nodes = lo + h * np.arange(n_steps + 1) if const is None or keep_samples else None
+    dim = system.dim * (1 if system.derivatives is None else 2)
 
-    if const is None:
-        a_nodes = _real_form(system.varying(interval, nodes))
-        a_mids = _real_form(system.varying(interval, nodes[:-1] + 0.5 * h))
-        steps = _rk4_steps(a_nodes[:-1], a_mids, a_nodes[1:], h)
-    else:
-        # a length-1 stack, so S is computed exactly as steps[j] above
+    if const is not None:
+        # a length-1 stack, so S is computed exactly as each y-dependent step
         a = _real_form(const)[np.newaxis]
         steps = _rk4_steps(a, a, a, h)
+    elif keep_samples:
+        # samples are output: they take every step at once
+        steps = _varying_steps(system, interval, nodes, h)
 
-    dim = system.dim * (1 if system.derivatives is None else 2)
     samples = None
     if keep_samples:
         samples = _solution_rows(_sampled_prefixes(steps, n_steps), dim)
         end = samples[-1]
     elif const is None:
-        end = _solution_rows(_chain_product(steps), dim)
+        block = 1 << (_stack_room(len(system.lam) * dim * dim).bit_length() - 1)
+        ends = (_chain_product(_varying_steps(system, interval, nodes[j : j + block + 1], h))
+                for j in range(0, n_steps, block))
+        end = _solution_rows(_chain_fold(ends), dim)
     else:
         end = _solution_rows(_constant_power(steps[0], n_steps), dim)
 
     _check_end(system, interval, end, "consider a smaller step")
-    return FundamentalMatrix(
-        interval=interval,
-        end_matrix=end,
-        step=h,
-        sample_ys=nodes if keep_samples else None,
-        samples=samples,
-    )
+    return FundamentalMatrix(interval=interval, end_matrix=end, step=h,
+                             sample_ys=nodes if keep_samples else None, samples=samples)
 
 
 # as integrate_fundamental: overflow shows in the finiteness check; the
@@ -339,6 +346,19 @@ def _check_end(system: ReducedSystem, interval: int, end: np.ndarray, advice: st
         )
 
 
+def _stack_room(entries: float) -> int:
+    """How many items of this many matrix entries fit _STACK_ENTRIES, one at least."""
+    return max(1, int(_STACK_ENTRIES // entries))
+
+
+def _varying_steps(system: ReducedSystem, interval: int, nodes: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step matrices between consecutive nodes of a y-dependent
+    interval, from its coefficients at the nodes and midpoints."""
+    a_nodes = _real_form(system.varying(interval, nodes))
+    a_mids = _real_form(system.varying(interval, nodes[:-1] + 0.5 * h))
+    return _rk4_steps(a_nodes[:-1], a_mids, a_nodes[1:], h)
+
+
 def _rk4_steps(a_left, a_mid, a_right, h: float) -> np.ndarray:
     """One-step propagators S_j for the column dynamics z' = a(y) z.
 
@@ -355,35 +375,38 @@ def _rk4_steps(a_left, a_mid, a_right, h: float) -> np.ndarray:
 
 def _chain_product(mats: np.ndarray) -> np.ndarray:
     """mats[-1] @ ... @ mats[0] by pairwise reduction (deterministic order)."""
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        half = n // 2
-        paired = mats[1 : 2 * half : 2] @ mats[0 : 2 * half : 2]
-        if n % 2:
-            mats = np.concatenate([paired, mats[-1:]], axis=0)
-        else:
-            mats = paired
+    while len(mats) > 1:
+        paired = mats[1::2] @ mats[: len(mats) - 1 : 2]
+        mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
     return mats[0]
+
+
+def _chain_fold(mats) -> np.ndarray:
+    """_chain_product of the matrices mats yields, bit for bit, holding one
+    partial product per level of its tree at most: the n-th merges with as
+    many partials as n has trailing zero bits, the tree's aligned pairs, and
+    those left fold from the last, as the tree carries its odd ends."""
+    partials = []
+    for n, mat in enumerate(mats, 1):
+        for _ in range((n & -n).bit_length() - 1):
+            mat = mat @ partials.pop()
+        partials.append(mat)
+    return functools.reduce(np.matmul, reversed(partials))
 
 
 def _constant_power(mat: np.ndarray, n: int) -> np.ndarray:
     """mat^n, bit-identical to _chain_product of n copies of mat.
 
-    Every level of the pairwise tree on identical factors is `count` copies
-    of one power followed by at most one carried remainder, so a level
-    costs at most two products: about 2 log2(n) in all instead of n - 1.
-    np.linalg.matrix_power is not used: it forms mat^3 as (mat @ mat) @ mat,
-    where the tree has mat @ (mat @ mat).
+    The tree is, as _chain_fold builds it, its 2^k-aligned blocks for the
+    set bits k of n folded from the last (lowest) one; on identical factors
+    each block is mat^(2^k) by repeated squaring, so about 2 log2(n)
+    products in all instead of n - 1.  np.linalg.matrix_power is not used:
+    it forms mat^3 as (mat @ mat) @ mat, where the tree has mat @ (mat @ mat).
     """
-    power, count, rest = mat, n, None
-    while count + (rest is not None) > 1:
-        if count % 2:
-            # the odd copy pairs with the remainder, or becomes it
-            rest = power if rest is None else rest @ power
-        count //= 2
-        if count:
-            power = power @ power
-    return power if count else rest
+    powers = [mat]
+    while len(powers) < n.bit_length():
+        powers.append(powers[-1] @ powers[-1])
+    return functools.reduce(np.matmul, [p for k, p in enumerate(powers) if n >> k & 1])
 
 
 def _sampled_prefixes(steps: np.ndarray, n: int) -> np.ndarray:

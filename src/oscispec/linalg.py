@@ -82,7 +82,12 @@ def adjugate_form(matrix: np.ndarray, reduced: NullBasis) -> np.ndarray:
 def adjugate_table(rows: np.ndarray) -> tuple:
     """(rank, table) of boundary rows, or of each matrix of a stack: rank as
     rref_null_basis gives it, and table their null basis in adjugate form
-    (adjugate_form), or None unless every matrix has full row rank."""
+    (adjugate_form), or None unless every matrix has full row rank.  One
+    row [a0, a1] has rank 1 unless both entries vanish, and table [-a1; a0]
+    (row_adjugate_form), with no row reduction."""
+    if rows.shape[-2:] == (1, 2):
+        rank = ((rows[..., 0, 0] != 0) | (rows[..., 0, 1] != 0)).astype(int)
+        return rank, row_adjugate_form(rows) if rank.all() else None
     reduced = rref_null_basis(rows)
     if np.any(reduced[0] != rows.shape[-2]):
         return reduced[0], None

@@ -358,16 +358,9 @@ ORACLE_ROUTES = {
     "pipeline": "fd",
 }
 
-#: default scan windows (p_min, p_max, n_grid) covering the first few modes
-SCAN_DEFAULTS = {
-    "machine_unit": (0.2, 10.0, 240),
-    "spacecraft_bar": (0.2, 10.0, 240),
-    "cable_snapshot": (0.2, 10.0, 240),
-    "pipeline": (0.2, 10.0, 240),
-    "fixed_free_string": (0.2, 10.0, 240),
-    "fixed_fixed_string": (0.2, 10.0, 240),
-    "point_mass_string": (0.2, 10.0, 240),
-}
+#: default scan window (p_min, p_max, n_grid) per model, one for all: it
+#: covers the first few modes of each
+SCAN_DEFAULTS = dict.fromkeys(BUILDERS, (0.2, 10.0, 240))
 
 
 @functools.cache

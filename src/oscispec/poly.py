@@ -77,10 +77,10 @@ class PolyMatrix:
 
     @cached_property
     def fixed_value(self) -> np.ndarray | None:
-        """The matrix as read-only complex where it is stored as one constant
-        (a single coefficient), None where it has more.  Every x evaluates
-        such a matrix to these values, so callers can share this one array."""
-        if len(self.coeffs) != 1:
+        """The matrix as read-only complex where it is constant (degree 0,
+        whatever zero coefficients follow), None where it is not: callers
+        can share this one array."""
+        if self.degree:
             return None
         value = self.coeffs[0].astype(complex)
         value.flags.writeable = False

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import rref_null_basis
+from .linalg import adjugate_table
 from .poly import PolyMatrix
 
 #: maximum degree of coefficient entries in the space coordinate
@@ -276,7 +276,7 @@ def validate(problem: ProblemDefinition) -> list[str]:
             continue
         # lambda-free rows have one rank, which lambda = 0 shows
         for lam in (0.0,) if degree == 0 else (0.0, 1j):
-            rank = rref_null_basis(bnd(lam))[0]
+            rank = adjugate_table(bnd(lam))[0]
             if rank != min(rows, dim):
                 out.append(f"boundary_{bnd.side}: rank {rank} < {rows} at lambda={lam}")
                 break

@@ -17,9 +17,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BoundaryDegeneracyError, NotARootError, PropagationError, SolverError
-from .integrate import FundamentalMatrix, _check_finite, _exact_fundamental
+from .integrate import FundamentalMatrix, _check_finite, _exact_fundamental, _stack_room
 from .integrate import estimate_step, integrate_fundamental
-from .linalg import adjugate_table, row_adjugate_form, transpose
+from .linalg import adjugate_table, transpose
 from .problem import ProblemDefinition, ReducedSystem, failed_lambdas, is_singular, require_valid
 from .reduction import reduce_complex
 from .reduction import reduce_real_split  # noqa: F401  (perfbench/tracing.py wraps it by name)
@@ -28,12 +28,6 @@ from .reduction import reduce_real_split  # noqa: F401  (perfbench/tracing.py wr
 #: the m = 1 closed form clamps its modulus at _EXP_MAX = e^_EXP_CLAMP
 _EXP_CLAMP = 700.0
 _EXP_MAX = math.exp(_EXP_CLAMP)
-
-#: matrix entries one coefficient array of a stacked y-dependent integration,
-#: or one sampled array of a stacked mode-shape propagation, may hold: 4 MB as
-#: complex128, and 8 MB while the propagation holds it realified as float64;
-#: longer lambda stacks are evaluated in chunks
-_STACK_ENTRIES = 1 << 18
 
 #: a scan flags a local minimum of |D| below this share of the median of the
 #: grid's finite |D|
@@ -136,16 +130,9 @@ def _initial_table(matrix: np.ndarray, lam) -> np.ndarray:
 
     Lambda-free rows are one (m, N) matrix that the stack shares
     (reduction.bind_matrix), so they give one (N, N - m) table for the
-    whole stack and, losing rank, fail at its first lambda.  One row
-    [a0, a1] of N = 2 (m = 1) takes its adjugate form [-a1; a0] directly
-    (linalg.row_adjugate_form), with no row reduction: it loses rank only
-    where both entries vanish.
+    whole stack and, losing rank, fail at its first lambda.
     """
-    if matrix.shape[-2:] == (1, 2):
-        ranks = (matrix[..., 0, 0] != 0) | (matrix[..., 0, 1] != 0)  # True is rank 1
-        table = row_adjugate_form(matrix) if ranks.all() else None
-    else:
-        ranks, table = adjugate_table(matrix)
+    ranks, table = adjugate_table(matrix)
     if table is None:
         rows = matrix.shape[-2]
         k, z = failed_lambdas(lam, ranks != rows)[0]
@@ -301,48 +288,36 @@ def _scan_values(problem: ProblemDefinition, lam: np.ndarray, step: float) -> li
 @np.errstate(divide="ignore", invalid="ignore")
 def _closure_values(problem: ProblemDefinition, lam: np.ndarray, step: float,
                     variational: bool = False) -> list[np.ndarray]:
-    """[D, log|F|] at each lambda of a non-empty stack, in chunks as a
-    y-dependent integration needs (_stack_chunk), and with variational also
-    F'/F: F = det C the analytic closure determinant, D its normalized form
-    (_normalized_det), which keeps the phase of F, and F'/F = tr(C^-1 C') by
-    Jacobi's formula, NaN where F = 0 (and D = 0)."""
-    chunk = _stack_chunk(problem, step, variational=variational) or len(lam)
-    parts = []
-    for i in range(0, len(lam), chunk):
-        reduced = reduce_complex(problem, lam[i : i + chunk], variational=variational)
-        _, _, w, closure = _assemble(reduced, step, keep_samples=False)
-        m = closure.shape[-1]
-        c = closure[:, :m, :]
-        if m == 1:
-            log_f = np.log(np.abs(c[:, 0, 0]))
-        else:
-            sign, log_f = np.linalg.slogdet(c)
-        part = [_normalized_det(c, w), log_f]
-        if variational and m == 1:
-            part.append(closure[:, 1, 0] / c[:, 0, 0])
-        elif variational:
-            singular = (sign == 0)[:, np.newaxis, np.newaxis]
-            ratio = np.trace(np.linalg.solve(np.where(singular, np.eye(m), c), closure[:, m:]),
-                             axis1=1, axis2=2)
-            ratio[sign == 0] = math.nan
-            part.append(ratio)
-        parts.append(part)
-    if len(parts) == 1:
-        return parts[0]
-    return [np.concatenate(column) for column in zip(*parts)]
+    """[D, log|F|] at each lambda of a non-empty stack, in one pass (whose
+    RK4 integration bounds its own arrays, integrate_fundamental), and with
+    variational also F'/F: F = det C the analytic closure determinant, D
+    its normalized form (_normalized_det), which keeps the phase of F, and
+    F'/F = tr(C^-1 C') by Jacobi's formula, NaN where F = 0 (and D = 0)."""
+    reduced = reduce_complex(problem, lam, variational=variational)
+    _, _, w, closure = _assemble(reduced, step, keep_samples=False)
+    m = closure.shape[-1]
+    c = closure[:, :m, :]
+    if m == 1:
+        log_f = np.log(np.abs(c[:, 0, 0]))
+    else:
+        sign, log_f = np.linalg.slogdet(c)
+    values = [_normalized_det(c, w), log_f]
+    if variational and m == 1:
+        values.append(closure[:, 1, 0] / c[:, 0, 0])
+    elif variational:
+        singular = (sign == 0)[:, np.newaxis, np.newaxis]
+        ratio = np.trace(np.linalg.solve(np.where(singular, np.eye(m), c), closure[:, m:]),
+                         axis1=1, axis2=2)
+        ratio[sign == 0] = math.nan
+        values.append(ratio)
+    return values
 
 
-def _stack_chunk(
-    problem: ProblemDefinition, step: float, *, variational: bool = False, keep_samples: bool = False
-) -> int | None:
-    """Largest stack whose y-dependent integration, or with keep_samples
-    whose sampled fundamental matrices, stay within _STACK_ENTRIES per
-    array; None when neither is stored.  The variational system has twice
-    the problem's dimension."""
-    if not (keep_samples or problem.coefficients.varies_in_y):
-        return None
-    dim = problem.dim * (2 if variational else 1)
-    return max(1, int(_STACK_ENTRIES // (sample_nodes(problem, step) * dim * dim)))
+def _stack_chunk(problem: ProblemDefinition, step: float) -> int:
+    """Largest stack whose sampled fundamental matrices, one per node of the
+    sample grid (sample_nodes), fit integrate._STACK_ENTRIES per array: the
+    samples are output, so mode_shapes bounds them by chunking lambdas."""
+    return _stack_room(sample_nodes(problem, step) * problem.dim * problem.dim)
 
 
 def sample_nodes(problem: ProblemDefinition, step: float) -> float:
@@ -701,7 +676,7 @@ def mode_shapes(
     """Reconstruct the eigenfunctions at converged roots, yielded in order.
 
     The lambdas are reduced and propagated with sampling as stacks, in
-    chunks that keep each sampled array within _STACK_ENTRIES entries, so a
+    chunks that keep each sampled array within budget (_stack_chunk), so a
     fine step takes them one at a time; the samples are bit-identical to
     those of one lambda alone.  Each chunk is one _each call, so a lambda
     that fails is that lambda's outcome: every shape before the first
@@ -722,7 +697,7 @@ def mode_shapes(
     if split and any(abs(z.real) > 1e-12 * max(1.0, abs(z)) for z in lams):
         raise ValueError("real_split path is defined on the imaginary axis only")
     require_valid(problem)
-    size = _stack_chunk(problem, step, keep_samples=True)
+    size = _stack_chunk(problem, step)
     for i in range(0, len(lams), size):
         for shape in _each(lambda z: _shapes(problem, z, step, split), np.array(lams[i : i + size])):
             if isinstance(shape, SolverError):

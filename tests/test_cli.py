@@ -403,9 +403,9 @@ class TestModes:
         assert _run(*argv, "--out", str(tmp_path / "whole")) == 0
         # room for two sampled propagations (two intervals, 1004 nodes, 2 x 2
         # complex matrices) per array: chunks of two roots and of one
-        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 2 * 4 * 1004)
+        monkeypatch.setattr(oscispec.integrate, "_STACK_ENTRIES", 2 * 4 * 1004)
         problem = oscispec.build_model("point_mass_string")
-        assert spectrum._stack_chunk(problem, 1e-3, keep_samples=True) == 2
+        assert spectrum._stack_chunk(problem, 1e-3) == 2
         assert _run(*argv, "--out", str(tmp_path / "chunked")) == 0
         for index in (1, 2, 3):
             name = f"mode_{index:03d}.csv"

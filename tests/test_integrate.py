@@ -21,6 +21,7 @@ from oscispec import (
     reduce_real_split,
 )
 from oscispec.integrate import (
+    _chain_fold,
     _chain_product,
     _constant_power,
     _exact_fundamental,
@@ -130,6 +131,21 @@ class TestConstantFastPath:
         for n in [*range(1, 71), 1000, 1023, 1024, 1025]:
             expected = _chain_product(np.broadcast_to(mat, (n, 3, 3)))
             assert np.array_equal(_constant_power(mat, n), expected), n
+
+    def test_aligned_block_products_are_the_tree(self):
+        # the pairwise tree pairs within 2^k-aligned blocks before it pairs
+        # across them: the tree over the blocks' trees, folded as they
+        # arrive, is the whole tree, bit for bit, here with a lambda that
+        # overflows and one NaN entry
+        rng = np.random.default_rng(3)
+        for n in [*range(1, 70), 1000, 1023, 1024, 1025, 4097]:
+            mats = rng.standard_normal((n, 3, 4, 4)) * np.array([0.5, 0.55, 4.0])[:, None, None]
+            mats[n // 2, 1, 2, 3] = np.nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                whole = _chain_product(mats)
+                for block in (1, 2, 4, 8, 64, 256):
+                    parts = (_chain_product(mats[j : j + block]) for j in range(0, n, block))
+                    assert _chain_fold(parts).tobytes() == whole.tobytes(), (n, block)
 
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     @pytest.mark.parametrize("path", ["complex", "real_split"])

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -63,8 +64,9 @@ class TestBoundOncePerProblem:
     """What a problem fixes is computed once per problem, not per lambda."""
 
     def test_constant_left_row_reduced_once_per_problem(self, monkeypatch):
-        # the row is reduced once, by validation at lambda = 0, and never as
-        # a lambda stack: every pass takes one (2, 1) table from the shared row
+        # the row is never row-reduced, by validation or as a lambda stack
+        # (a one-row block takes its closed form): every pass takes one
+        # (2, 1) table from the shared row
         problem = build_model("fixed_free_string")
         left = problem.boundary_left(0j)
         reduced, dets, tables = [], [], []
@@ -80,7 +82,6 @@ class TestBoundOncePerProblem:
             return tables[-1]
 
         monkeypatch.setattr(linalg, "rref_null_basis", counting)
-        monkeypatch.setattr("oscispec.problem.rref_null_basis", counting)
         monkeypatch.setattr(spectrum, "_initial_table", table)
         for name in ("_scan_values", "_newton_values"):
             original = getattr(spectrum, name)
@@ -89,8 +90,24 @@ class TestBoundOncePerProblem:
             )
         roots = solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
         assert len(roots) == 3 and len(dets) > 1
-        assert reduced == [(1, 2)]
+        assert reduced == []
         assert len(tables) == len(dets) and all(t.shape == (2, 1) for t in tables)
+
+    def test_padded_constant_rows_are_one_shared_matrix(self):
+        # a degree-0 row stored with trailing zero coefficients, as a JSON
+        # row may give it, binds as its trimmed form does: one read-only
+        # matrix that the stack shares, with the same solve, bit for bit
+        trimmed = make_string_problem()
+        padded = dataclasses.replace(
+            trimmed,
+            boundary_left=BoundaryOperator("left", PolyMatrix.from_entries([[[1.0, 0.0, 0.0], [0.0]]])),
+            boundary_right=BoundaryOperator("right", PolyMatrix.from_entries([[[0.0], [1.0, 0.0, 0.0]]])),
+        )
+        for side in (padded.boundary_left, padded.boundary_right):
+            bound = bind_matrix(side.matrix, np.array([1j, 2j, 3j]))
+            assert bound.shape == (1, 2) and not bound.flags.writeable
+        options = SolveOptions(scan=(0.2, 10.0, 240), step=1e-3)
+        assert repr(solve_spectrum(padded, options)) == repr(solve_spectrum(trimmed, options))
 
     def test_boundary_variants_solved_in_turn_give_their_own_roots(self):
         # clamped and the undamped free rotor are lambda-free rows with
@@ -832,6 +849,15 @@ def _y_varying_lambda_problem():
     return ProblemDefinition("y_lambda", part, field, base.boundary_left, base.boundary_right, ())
 
 
+def _graded_string():
+    """The pinned-free string with B = 1 + y/2 (CI's graded.json): one
+    y-dependent interval, which RK4 integrates."""
+    base = make_string_problem()
+    b = PolyMatrix.from_entries([[[0.0], [0.0]], [[1.0, 0.5], [0.0]]])
+    field = dataclasses.replace(base.coefficients, b_polys=(b,), bound=2.0)
+    return dataclasses.replace(base, name="graded", coefficients=field)
+
+
 def _off_axis(n):
     """n lambdas with full-length mantissas in the left half-plane strip."""
     rng = np.random.default_rng(11)
@@ -908,16 +934,52 @@ class TestStackedDeterminant:
         assert stacked.tobytes() == _per_lambda(problem, lams, 2e-3).tobytes()
 
     def test_chunked_stack_bit_identical(self, monkeypatch):
-        problem = _y_varying_problem()
-        lams = 1j * np.linspace(0.2, 10.0, 40) - 0.2
-        whole = characteristic_determinant(problem, lams, 2e-3)
-        # a budget of a few lambdas per chunk
-        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 3 * 4 * 502)
-        assert spectrum._stack_chunk(problem, 2e-3) == 2
-        assert characteristic_determinant(problem, lams, 2e-3).tobytes() == whole.tobytes()
+        # budgets of one step per y-block; of 8 (plain) or 2 (variational)
+        # steps per block for 40 lambdas, so a 300-step interval takes 38
+        # blocks; and of 16 or 4 for 12 lambdas: each with a shorter last
+        # block, and each the bytes of the whole budget
+        for problem in (_y_varying_problem(), _y_varying_lambda_problem(), _graded_string()):
+            for lams, budget in [(_off_axis(12), 1), (_off_axis(40), 40 * 4 * 8),
+                                 (_off_axis(12), 7 * 16 * 12)]:
+                whole = [spectrum._closure_values(problem, lams, 2e-3, variational=v) for v in (False, True)]
+                with monkeypatch.context() as patch:
+                    patch.setattr(integrate, "_STACK_ENTRIES", budget)
+                    for v in (False, True):
+                        values = spectrum._closure_values(problem, lams, 2e-3, variational=v)
+                        assert [c.tobytes() for c in values] == [c.tobytes() for c in whole[v]]
+
+    @pytest.mark.parametrize("nodes", [2**16, 2**18])
+    def test_newton_pass_memory_is_bounded(self, nodes):
+        # one variational lambda of the graded string needs about 3.6 KB per
+        # node (225 MB at 2^16 nodes) if a pass holds all its step arrays at
+        # once; in y-blocks they stay within the entry budget at any count
+        problem = _graded_string()
+        assert not problem.violations  # validated before the trace
+        tracemalloc.start()
+        try:
+            spectrum._newton_values(problem, np.array([2.0j]), 1.0 / nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
+
+    def test_block_products_fold_as_they_arrive(self, monkeypatch):
+        # 1000 lambdas with a budget of one step per block give 512 block
+        # products of 128 KB (realified 4 x 4): held all at once and stacked
+        # they would take 128 MB, folded as they arrive about 10 of them
+        problem = _graded_string()
+        assert not problem.violations  # validated before the trace
+        monkeypatch.setattr(integrate, "_STACK_ENTRIES", 1000 * 4)
+        tracemalloc.start()
+        try:
+            spectrum._closure_values(problem, 1j * np.linspace(0.2, 10.0, 1000), 1.0 / 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_failed_chunk_is_not_replayed(self, monkeypatch):
-        # the second chunk fails as a stack: its error is raised as it is,
+        # the stack fails in its one pass: its error is raised as it is,
         # and no lambda is evaluated again
         calls = []
 
@@ -930,14 +992,27 @@ class TestStackedDeterminant:
             return original(problem, lam, variational=variational)
 
         monkeypatch.setattr(spectrum, "reduce_complex", stub)
-        monkeypatch.setattr(spectrum, "_stack_chunk", lambda *args, **kwargs: 2)
         lams = 1j * np.arange(1.0, 6.0)
-        with pytest.raises(SolverError, match=r"failed at \[3j, 4j\]"):
-            characteristic_determinant(build_model("machine_unit"), lams, 1e-3)
-        assert calls == [[1j, 2j], [3j, 4j]]
+        with pytest.raises(SolverError, match=r"failed at \[1j, 2j, 3j, 4j, 5j\]"):
+            characteristic_determinant(_y_varying_problem(), lams, 1e-3)
+        assert calls == [[1j, 2j, 3j, 4j, 5j]]
 
-    def test_constant_problems_are_not_chunked(self):
-        assert spectrum._stack_chunk(build_model("cable_snapshot"), 1e-6) is None
+    def test_constant_problems_are_not_chunked(self, monkeypatch):
+        # one reduction per pass, whether the intervals are constant or
+        # vary in y: the y-dependent integration bounds its own arrays
+        calls = []
+        original = spectrum.reduce_complex
+
+        def counting(problem, lam, variational=False):
+            calls.append(len(lam))
+            return original(problem, lam, variational=variational)
+
+        monkeypatch.setattr(spectrum, "reduce_complex", counting)
+        lams = 1j * np.linspace(0.2, 10.0, 240)
+        for problem in (build_model("cable_snapshot"), _y_varying_problem()):
+            characteristic_determinant(problem, lams, 1e-3)
+            spectrum._newton_values(problem, lams, 1e-3)
+        assert calls == [240] * 4
 
     def test_scalar_returns_python_complex(self):
         problem = build_model("machine_unit")
@@ -1812,11 +1887,10 @@ class TestStackedModeShapes:
     def test_sampled_stacks_are_chunked(self, monkeypatch):
         problem = build_model("fixed_free_string")
         # 1000 steps + 2 end nodes, 2 x 2 complex matrices per sample
-        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 2 * 4 * 1002)
-        assert spectrum._stack_chunk(problem, 1e-3, keep_samples=True) == 2
-        assert spectrum._stack_chunk(problem, 1e-3) is None
-        monkeypatch.setattr(spectrum, "_STACK_ENTRIES", 1)
-        assert spectrum._stack_chunk(problem, 1e-3, keep_samples=True) == 1
+        monkeypatch.setattr(integrate, "_STACK_ENTRIES", 2 * 4 * 1002)
+        assert spectrum._stack_chunk(problem, 1e-3) == 2
+        monkeypatch.setattr(integrate, "_STACK_ENTRIES", 1)
+        assert spectrum._stack_chunk(problem, 1e-3) == 1
 
     def test_a_failing_lambda_comes_after_the_shapes_before_it(self, monkeypatch):
         # a stack holding the second root fails in integration; the first
@@ -1979,8 +2053,9 @@ class TestFrozenScaleNewton:
 
     def test_y_polynomial_evaluations_per_chunk(self):
         # a y-varying interval evaluates each of A, B, C once on the RK4
-        # nodes and once on the midpoints, for a whole chunk: a 240-lambda
-        # scan (4 chunks) makes 24 polynomial calls, not one per node
+        # nodes and once on the midpoints of a y-block, for the whole stack:
+        # a 240-lambda scan (one pass, 4 blocks of up to 256 steps) makes 24
+        # polynomial calls, not one per node
         problem = _y_varying_lambda_problem()
         sizes = []
 
@@ -1998,7 +2073,7 @@ class TestFrozenScaleNewton:
         assert not problem.violations  # validated once, before the count
         del sizes[:]
         characteristic_determinant(problem, 1j * np.linspace(0.2, 10.0, 240), 1e-3)
-        assert sizes == ([1001] * 3 + [1000] * 3) * 4
+        assert sizes == ([257] * 3 + [256] * 3) * 3 + [233] * 3 + [232] * 3
         del sizes[:]
         spectrum._newton_values(problem, np.array([1.5j, 4.7j, -0.1 + 7.8j]), 1e-3)
         assert sizes == [1001] * 3 + [1000] * 3
