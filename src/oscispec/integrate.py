@@ -16,7 +16,7 @@ realified, [[Re, -Im], [Im, Re]], before the step matrices are formed, and
 the products are read back as complex once, at the end: numpy's stacked
 product of realified 2N x 2N float64 matrices is several times faster than
 that of N x N complex128 ones.  Dense samples come from prefix products in
-blocks of about sqrt(n) steps rather than from n sequential products.
+runs of about sqrt(m) steps of m-step y-blocks, not m sequential products.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ DET_WARN_TOL = 1e-12
 #: safety constant in the local-error step model
 _STEP_SAFETY = 10.0
 
-#: matrix entries one stacked array of an RK4 pass may hold, in y-blocks, or
-#: for samples in lambda chunks (spectrum._stack_chunk): 4 MB as complex128,
-#: 8 MB while the propagation holds it realified as float64
+#: matrix entries an RK4 pass may hold in one y-block of steps (of one lambda
+#: if sampled) and in one chunk of samples (spectrum._stack_chunk): 4 MB as
+#: complex128, 8 MB while the propagation holds it realified as float64
 _STACK_ENTRIES = 1 << 18
 
 
@@ -115,17 +115,16 @@ def integrate_fundamental(
     complex system still gives complex results; real ones, as
     reduction.reduce_real_split forms, are propagated as they are.
 
-    Where the coefficients vary in y, an unsampled pass takes its steps in
-    blocks of 2^k, k the largest with K dim^2 2^k within _STACK_ENTRIES for
-    K lambdas, and folds the blocks' pairwise product trees (_chain_product)
+    A y-dependent or sampled pass takes its step matrices in blocks of 2^k,
+    k the largest with K dim^2 2^k within _STACK_ENTRIES for K lambdas (K
+    counted as 1 with samples): arrays within the budget at any node count.
+    Unsampled, it folds the blocks' pairwise product trees (_chain_product)
     as they arrive (_chain_fold): one tree of all steps, bit for bit, as it
-    pairs within 2^k-aligned blocks before it pairs across them, and arrays
-    within the budget at any node count.  Where they are constant every
-    step matrix is the same: it is formed once and raised to the n-th power
-    along that tree, with bit-identical results in O(log n) products.  With
-    keep_samples the transfer matrix at every node comes from blocked prefix
-    products (_sampled_prefixes), whose constant case is likewise
-    bit-identical to the general one.
+    pairs within 2^k-aligned blocks first.  An unsampled constant interval
+    raises its one step matrix to the n-th power along that tree,
+    bit-identical in O(log n) products.  Samples come from each block's
+    prefix products (_sampled_prefixes); a constant interval's blocks
+    repeat its step matrix, so its samples are the general path's.
 
     Every result carries the stack's leading lambda axis, each lambda
     bit-identical to its stack of one; the finiteness check and the
@@ -150,25 +149,26 @@ def integrate_fundamental(
         # a length-1 stack, so S is computed exactly as each y-dependent step
         a = _real_form(const)[np.newaxis]
         steps = _rk4_steps(a, a, a, h)
-    elif keep_samples:
-        # samples are output: they take every step at once
-        steps = _varying_steps(system, interval, nodes, h)
-
-    samples = None
-    if keep_samples:
-        samples = _solution_rows(_sampled_prefixes(steps, n_steps), dim)
-        end = samples[-1]
-    elif const is None:
-        block = 1 << (_stack_room(len(system.lam) * dim * dim).bit_length() - 1)
-        ends = (_chain_product(_varying_steps(system, interval, nodes[j : j + block + 1], h))
-                for j in range(0, n_steps, block))
-        end = _solution_rows(_chain_fold(ends), dim)
-    else:
-        end = _solution_rows(_constant_power(steps[0], n_steps), dim)
+        if not keep_samples:
+            transfer = _constant_power(steps[0], n_steps)
+    if const is None or keep_samples:
+        # a sampled pass counts K as 1: mode_shapes cuts its stack already
+        # (_stack_chunk), and blocks that do not depend on K keep each
+        # lambda's samples the bytes of its stack of one
+        room = _stack_room((1 if keep_samples else len(system.lam)) * dim * dim)
+        block = 1 << (room.bit_length() - 1)
+        blocks = (_varying_steps(system, interval, nodes[j : j + block + 1], h) if const is None
+                  else np.repeat(steps, min(block, n_steps - j), axis=0)
+                  for j in range(0, n_steps, block))
+        transfer = (_sampled_prefixes(blocks, n_steps) if keep_samples
+                    else _chain_fold(map(_chain_product, blocks)))
+    transfer = _solution_rows(transfer, dim)
+    end = transfer[-1] if keep_samples else transfer
 
     _check_end(system, interval, end, "consider a smaller step")
     return FundamentalMatrix(interval=interval, end_matrix=end, step=h,
-                             sample_ys=nodes if keep_samples else None, samples=samples)
+                             sample_ys=nodes if keep_samples else None,
+                             samples=transfer if keep_samples else None)
 
 
 # as integrate_fundamental: overflow shows in the finiteness check; the
@@ -409,47 +409,32 @@ def _constant_power(mat: np.ndarray, n: int) -> np.ndarray:
     return functools.reduce(np.matmul, [p for k, p in enumerate(powers) if n >> k & 1])
 
 
-def _sampled_prefixes(steps: np.ndarray, n: int) -> np.ndarray:
-    """The n + 1 transfer matrices steps[j - 1] @ ... @ steps[0], j = 0..n.
+def _sampled_prefixes(blocks, n: int) -> np.ndarray:
+    """The n + 1 transfer matrices S[j - 1] @ ... @ S[0], j = 0..n, of the n
+    steps S that blocks yields in order, in fresh arrays it works in place.
 
-    The steps are cut into blocks of b = isqrt(n).  The prefixes inside
-    every block take one stacked product per position in the block, the
-    carries (the product of all blocks before one) follow in order, and one
-    stacked product applies each carry to its block: about 2 sqrt(n) numpy
-    calls instead of n.  A length-1 steps stack stands for n copies of its
-    matrix: every block then has the same prefixes, formed once by the same
-    products, so the result is bit-identical to passing the n copies.
+    Each block is cut into runs of b = isqrt(m) of its m steps.  The
+    prefixes inside every run take one stacked product per position in the
+    run, and each run is then multiplied, in one stacked product, by the
+    last sample before it: about 2 sqrt(m) numpy calls instead of m.  The
+    first run is written as it is, as a product with the identity would
+    turn -0.0 into +0.0.
     """
-    shape = steps.shape[1:]
-    b = math.isqrt(n)
-    full, tail = divmod(n, b)
-    constant = len(steps) == 1
-    # in place: prefix[i*b + k] = S[i*b + k] @ ... @ S[i*b], one block if constant
-    prefix = np.repeat(steps, b, axis=0) if constant else steps
-    for k in range(1, b):
-        this = prefix[k::b]
-        np.matmul(this, prefix[k - 1 :: b][: len(this)], out=this)
-
-    # carries[i] is the product of blocks 0..i, so it multiplies block i + 1
-    carries = np.empty((full - 1 + (tail > 0),) + shape, dtype=prefix.dtype)
-    for i in range(len(carries)):
-        block_end = prefix[b - 1 if constant else (i + 1) * b - 1]
-        if i:
-            np.matmul(block_end, carries[i - 1], out=carries[i])
-        else:
-            carries[0] = block_end
-
-    out = np.empty((n + 1,) + shape, dtype=prefix.dtype)
-    out[0] = _identity(shape[-1], prefix.dtype)
-    body = out[1:]
-    body[:b] = prefix[:b]
-    if full > 1:
-        blocks = (full - 1, b) + shape
-        later = prefix[np.newaxis] if constant else prefix[b : full * b].reshape(blocks)
-        np.matmul(later, carries[: full - 1, np.newaxis], out=body[b : full * b].reshape(blocks))
-    if tail:
-        last = prefix[:tail] if constant else prefix[full * b :]
-        np.matmul(last, carries[-1], out=body[full * b :])
+    out = None
+    for steps in blocks:
+        if out is None:
+            out, j = np.empty((n + 1,) + steps.shape[1:], dtype=steps.dtype), 0
+            out[0] = _identity(steps.shape[-1], steps.dtype)
+        b = math.isqrt(len(steps))
+        for k in range(1, b):
+            this = steps[k::b]
+            np.matmul(this, steps[k - 1 :: b][: len(this)], out=this)
+        for run in (steps[i : i + b] for i in range(0, len(steps), b)):
+            if j:
+                np.matmul(run, out[j], out=out[j + 1 : j + 1 + len(run)])
+            else:
+                out[1 : 1 + len(run)] = run
+            j += len(run)
     return out
 
 

@@ -356,8 +356,8 @@ def _scan(problem, p_min, p_max, n_grid, step):
     values, and those values (_scan_values, in one stacked pass through
     _each): (D, log|F|), or the error its lambda raised, where D reads NaN
     and starts no bracket."""
-    if not (p_min < p_max):
-        raise ValueError("need p_min < p_max")
+    if not -math.inf < p_min < p_max < math.inf:
+        raise ValueError("need finite p_min < p_max")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     ps = np.linspace(p_min, p_max, n_grid)
@@ -421,9 +421,9 @@ def refine_root(
     start at i p_seed; no bracket end is evaluated.  Every value is computed
     with this call's step, each when its Newton point asks for it, with no
     value kept for a later point; solve_spectrum refines all its candidates
-    at once (_refine_all) with the same results.  A non-positive tol, a
-    max_iter below 1 or a problem that fails validation (require_valid) is
-    rejected before any evaluation.
+    at once (_refine_all) with the same results.  A tol that is not > 0
+    (NaN too), a max_iter below 1 or a problem that fails validation
+    (require_valid) is rejected before any evaluation.
     """
     _check_limits(tol, max_iter)
     require_valid(problem)
@@ -431,7 +431,8 @@ def refine_root(
 
 
 def _check_limits(tol: float, max_iter: int) -> None:
-    if tol <= 0:
+    # written so that NaN fails too
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -756,9 +757,11 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     refine_root refines each.  Returns converged roots only, with Im >= 0
     (conjugate pairs reported once), sorted by |Im| then Re.  An empty list
     is a valid answer.  real_split keeps those with |Re| <= tol *
-    max(|lambda|, 1), projected onto the axis.  A non-positive tol, a
-    max_iter below 1, an unknown path or a problem that fails validation
-    (require_valid) is rejected before the scan.  Only
+    max(|lambda|, 1), projected onto the axis.  Before any lambda, with NaN
+    failing every test, it refuses what the CLI refuses: a tol or step not
+    > 0, a max_iter below 1, an unknown path, neither scan nor rect, a scan
+    not finite p_min < p_max with n >= 2 (_scan), a rect without finite
+    corners and NR, NI >= 1, or a problem that fails validation.  Only
     if every value failed (_each) is the first failure raised: the scan's
     in grid order, then refinement's in evaluation order, where a lambda
     that two Newton points ask for is evaluated for each.
@@ -766,6 +769,11 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     _check_limits(options.tol, options.max_iter)
     if options.path not in ("complex", "real_split"):
         raise ValueError(f"unknown path {options.path!r}")
+    rect = options.rect
+    if options.scan is None and rect is None:
+        raise ValueError("a solve needs a scan or a rect")
+    if rect is not None and not (np.isfinite(rect[:4]).all() and rect[4] >= 1 and rect[5] >= 1):
+        raise ValueError("rect needs finite corners, nr >= 1 and ni >= 1")
     require_valid(problem)
     step = resolve_step(problem, options)
     targets: list[Bracket | complex] = []
@@ -773,8 +781,8 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     if options.scan is not None:
         p_min, p_max, n_grid = options.scan
         targets, values = _scan(problem, p_min, p_max, n_grid, step)
-    if options.rect is not None:
-        re0, re1, im0, im1, nr, ni = options.rect
+    if rect is not None:
+        re0, re1, im0, im1, nr, ni = rect
         targets += [
             complex(re, im)
             for re in np.linspace(re0, re1, int(nr))
@@ -803,7 +811,7 @@ def resolve_step(problem: ProblemDefinition, options: SolveOptions) -> float:
     for it: a pole at that scale is a failed lambda of the search only.
     """
     if options.step is not None:
-        if options.step <= 0:
+        if not options.step > 0:
             raise ValueError("step must be positive")
         return options.step
     probes = [0.0]

@@ -252,25 +252,22 @@ BLOCK_EDGES = [1, 2, 3, 15, 16, 17, 1000, 1023, 1024, 1025]
 
 
 class TestSampledPrefixes:
-    """Sampled transfer matrices come from blocked prefix products."""
+    """Sampled transfer matrices come from prefix products, block by block."""
 
     @pytest.mark.parametrize("n", BLOCK_EDGES)
-    def test_matches_sequential_loop(self, n):
+    @pytest.mark.parametrize("block", [1, 3, 16, 1024])
+    def test_matches_sequential_loop(self, n, block):
         rng = np.random.default_rng(n)
         steps = np.eye(4) + 1e-3 * rng.standard_normal((n, 3, 4, 4))
-        got = _sampled_prefixes(steps.copy(), n)
+        steps[0, 0, 0, 1] = -0.0
+        got = _sampled_prefixes((steps[j : j + block].copy() for j in range(0, n, block)), n)
         transfer = np.broadcast_to(np.eye(4), (3, 4, 4))
         assert np.array_equal(got[0], transfer)
+        # the first step is written as it is: times I, -0.0 would be +0.0
+        assert got[1].tobytes() == steps[0].tobytes()
         for j in range(n):
             transfer = steps[j] @ transfer
             np.testing.assert_allclose(got[j + 1], transfer, rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("n", BLOCK_EDGES)
-    def test_constant_bit_identical_to_general(self, n):
-        rng = np.random.default_rng(n)
-        step = np.eye(4) + 1e-3 * rng.standard_normal((2, 4, 4))
-        general = _sampled_prefixes(np.repeat(step[np.newaxis], n, axis=0), n)
-        assert _sampled_prefixes(step[np.newaxis], n).tobytes() == general.tobytes()
 
 
 class TestSemigroup:

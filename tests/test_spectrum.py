@@ -963,6 +963,37 @@ class TestStackedDeterminant:
             tracemalloc.stop()
         assert peak < 80e6
 
+    def test_sampled_pass_memory_is_bounded(self):
+        # one sampled lambda of the graded string takes 237 MB at 2^18 nodes
+        # if its pass forms every step matrix at once; in y-blocks it holds
+        # the samples and one block
+        system = reduce_complex(_graded_string(), np.array([2.0j]))
+        tracemalloc.start()
+        try:
+            integrate_fundamental(system, 0, 1.0 / 2**18, keep_samples=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128e6
+
+    @pytest.mark.parametrize("budget", [4, 20, 256])
+    def test_sampled_blocks_keep_each_lambda(self, monkeypatch, budget):
+        # blocks of 1, 4 and 64 of 500 steps: each lambda's samples are the
+        # bytes of its stack of one, and the sequential product's to rounding
+        monkeypatch.setattr(integrate, "_STACK_ENTRIES", budget)
+        problem, lams, h = _graded_string(), _off_axis(3), 2e-3
+        system = reduce_complex(problem, lams)
+        fm = integrate_fundamental(system, 0, h, keep_samples=True)
+        for k, z in enumerate(lams.tolist()):
+            one = integrate_fundamental(reduce_complex(problem, np.array([z])), 0, h, keep_samples=True)
+            assert fm.samples[:, k].tobytes() == one.samples[:, 0].tobytes()
+        a_nodes = system.varying(0, fm.sample_ys)
+        mids = system.varying(0, fm.sample_ys[:-1] + 0.5 * h)
+        transfer = np.broadcast_to(np.eye(2), (3, 2, 2))
+        for j, s in enumerate(integrate._rk4_steps(a_nodes[:-1], mids, a_nodes[1:], h)):
+            transfer = s @ transfer
+            np.testing.assert_allclose(fm.samples[j + 1], np.swapaxes(transfer, 1, 2), rtol=0, atol=1e-12)
+
     def test_block_products_fold_as_they_arrive(self, monkeypatch):
         # 1000 lambdas with a budget of one step per block give 512 block
         # products of 128 KB (realified 4 x 4): held all at once and stacked
@@ -1510,10 +1541,39 @@ class TestLockstepRefinement:
         assert len(det_calls) == 1 + max(chains)  # the scan, then refinement
 
     @pytest.mark.parametrize("scan", [(0.2, 1.0, 10), (0.2, 10.0, 240)], ids=["no_candidate", "candidates"])
-    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_non_positive_tol_is_rejected_before_the_scan(self, fixed_free_string, det_calls, scan, tol):
+        # unchecked, a NaN tol gives a solve [] and runs refine_root's
+        # Newton to max_iter at the exact root
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_spectrum(fixed_free_string, SolveOptions(scan=scan, step=1e-3, tol=tol))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            refine_root(fixed_free_string, 1.5j, tol=tol)
+        assert det_calls == []
+
+    @pytest.mark.parametrize(
+        "search, match",
+        [
+            ({}, "a solve needs a scan or a rect"),
+            ({"rect": (-0.5, 0.0, 0.5, 6.0, 0, 2)}, "rect needs finite corners"),
+            ({"rect": (-0.5, 0.0, 0.5, 6.0, 2, 0)}, "rect needs finite corners"),
+            ({"rect": (-0.5, 0.0, 0.5, math.inf, 2, 2)}, "rect needs finite corners"),
+            ({"rect": (math.nan, 0.0, 0.5, 6.0, 2, 2)}, "rect needs finite corners"),
+            ({"scan": (0.2, math.inf, 10)}, "need finite p_min < p_max"),
+            ({"scan": (math.nan, 10.0, 10)}, "need finite p_min < p_max"),
+            ({"scan": (0.2, 10.0, 10), "step": math.nan}, "step must be positive"),
+        ],
+        ids=["no_search", "rect_nr", "rect_ni", "rect_inf", "rect_nan", "scan_inf", "scan_nan", "step_nan"],
+    )
+    def test_searches_the_cli_refuses_are_rejected_before_the_scan(
+        self, fixed_free_string, det_calls, search, match
+    ):
+        # unchecked, the first three give [], an infinite scan end or a
+        # non-finite corner an IntegrationError, and the NaN step is taken;
+        # a NaN scan end already failed p_min < p_max
+        options = SolveOptions(**{"step": 1e-3, **search})
+        with pytest.raises(ValueError, match=match):
+            solve_spectrum(fixed_free_string, options)
         assert det_calls == []
 
     @pytest.mark.parametrize("max_iter", [0, -1])
