@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .linalg import realify, transpose
+from .linalg import det, realify, transpose
 from .problem import ProblemDefinition, ReducedSystem, failed_lambdas
 
 #: |det| of an end matrix below this triggers a step-size warning
@@ -190,7 +190,9 @@ def _exact_fundamental(
     is formed, so that any positive step gives the same end matrix, and the
     one closed-form step is reported as h = length.  On such an interval
     |det| of the end matrix is exp(length Re tr A), so the near-singular
-    warning gives no step advice.
+    warning gives no step advice.  Samples are formed in equal blocks of at
+    most _stack_room nodes, each node the bytes of one call over the grid
+    (the transfer is elementwise); a grid that fits one block is one call.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -198,7 +200,16 @@ def _exact_fundamental(
     length = hi - lo
     n_steps = _step_count(length, step) if keep_samples else 1
     t = np.linspace(0.0, length, n_steps + 1)[:, np.newaxis] if keep_samples else length
-    rows = transpose(_exact_transfer(system.constant_coeffs[interval], t))
+    const = system.constant_coeffs[interval]
+    block = _stack_room(const.size)  # nodes of the stack's (K, d, d) transfers
+    if keep_samples and n_steps >= block:
+        block = math.ceil((n_steps + 1) / math.ceil((n_steps + 1) / block))  # blocks of one size
+        transfer = np.empty((n_steps + 1,) + const.shape, dtype=complex)
+        for j in range(0, n_steps + 1, block):
+            transfer[j : j + block] = _exact_transfer(const, t[j : j + block])
+    else:
+        transfer = _exact_transfer(const, t)
+    rows = transpose(transfer)
     end = rows[-1] if keep_samples else rows
     _check_end(system, interval, end, "the interval's solutions decay below the float range")
     h = length / n_steps
@@ -330,17 +341,12 @@ def _check_finite(system: ReducedSystem, interval: int, values: np.ndarray) -> N
 def _check_end(system: ReducedSystem, interval: int, end: np.ndarray, advice: str) -> None:
     """_check_finite on an end matrix, then warn, with advice, per lambda
     whose leading block (G of a variational end matrix) has |det| below
-    DET_WARN_TOL.  The determinant of a 2 x 2 block is ad - bc."""
+    DET_WARN_TOL (linalg.det: ad - bc for a 2 x 2 block)."""
     _check_finite(system, interval, end)
-    lead = end[..., : system.dim, : system.dim]
-    if system.dim == 2:
-        dets = lead[..., 0, 0] * lead[..., 1, 1] - lead[..., 0, 1] * lead[..., 1, 0]
-    else:
-        dets = np.linalg.det(lead)
-    dets = np.abs(dets).reshape(-1)
-    for det in dets[dets < DET_WARN_TOL].tolist():
+    dets = np.abs(det(end[..., : system.dim, : system.dim])).reshape(-1)
+    for value in dets[dets < DET_WARN_TOL].tolist():
         warnings.warn(
-            f"fundamental matrix nearly singular on interval {interval} (|det|={det:.3e}); {advice}",
+            f"fundamental matrix nearly singular on interval {interval} (|det|={value:.3e}); {advice}",
             RuntimeWarning,
             stacklevel=4,  # past this helper and the error-state decorator, at the caller
         )

@@ -152,6 +152,14 @@ def _eliminate(stack: np.ndarray, tol: float) -> list[int] | None:
     return pivot_cols
 
 
+def det(mats: np.ndarray) -> np.ndarray:
+    """Determinant of a matrix, or of each of a stack: ad - bc, with no
+    LAPACK call, for 2 x 2; np.linalg.det for other sizes."""
+    if mats.shape[-1] != 2:
+        return np.linalg.det(mats)
+    return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+
+
 def transpose(mats: np.ndarray) -> np.ndarray:
     """Transpose of a matrix, or of each matrix of a stack."""
     return mats.swapaxes(-1, -2)

@@ -87,6 +87,12 @@ class PolyMatrix:
         return value
 
     @cached_property
+    def is_identity(self) -> bool:
+        """Whether the matrix is the constant identity, decided once per matrix."""
+        value = self.fixed_value
+        return value is not None and np.array_equal(value, np.eye(len(value)))
+
+    @cached_property
     def derivative(self) -> "PolyMatrix":
         """The matrix of the entries' derivatives (zero, one coefficient, for
         a constant), formed once per matrix."""

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import adjugate_table
+from .linalg import adjugate_table, det
 from .poly import PolyMatrix
 
 #: maximum degree of coefficient entries in the space coordinate
@@ -176,7 +176,8 @@ class ReducedSystem:
     lambda), each with a leading lambda axis, (K, rows, cols), except a
     lambda-free one, which is one (rows, cols) matrix shared by the stack:
     lambda-free left rows then give the whole stack one null-basis table
-    (spectrum._initial_table).
+    (spectrum._initial_table).  An interface B that is the identity
+    (PolyMatrix.is_identity) is None: the table crosses it with no solve.
     constant_coeffs holds, per interval, the (K, dim, dim) coefficient
     matrices where they do not depend on y, or None; varying(interval, ys)
     evaluates an interval's coefficients at each y, (len(ys), K, dim, dim),
@@ -195,7 +196,7 @@ class ReducedSystem:
     lam: np.ndarray
     left_matrix: np.ndarray
     right_matrix: np.ndarray
-    interfaces: tuple[tuple[np.ndarray, np.ndarray], ...]
+    interfaces: tuple[tuple[np.ndarray, np.ndarray | None], ...]
     varying: Callable[[int, np.ndarray], np.ndarray]
     constant_coeffs: tuple[np.ndarray | None, ...]
     derivatives: tuple | None = None
@@ -203,10 +204,10 @@ class ReducedSystem:
 
 def is_singular(bmat: np.ndarray) -> np.ndarray:
     """Whether an interface matrix B, or each B of a stack, counts singular:
-    zero, or |det B| at most TOL_SINGULAR times its largest modulus to the
-    power N."""
+    zero, or |det B| (linalg.det: ad - bc for N = 2) at most TOL_SINGULAR
+    times its largest modulus to the power N."""
     scale = np.max(np.abs(bmat), axis=(-2, -1))
-    return (scale == 0.0) | (np.abs(np.linalg.det(bmat)) <= TOL_SINGULAR * scale ** bmat.shape[-1])
+    return (scale == 0.0) | (np.abs(det(bmat)) <= TOL_SINGULAR * scale ** bmat.shape[-1])
 
 
 def failed_lambdas(lam: np.ndarray, failed) -> list[tuple[int, complex]]:

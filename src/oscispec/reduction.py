@@ -30,10 +30,10 @@ def reduce_complex(
     The coefficients are A(y) + lam^2 B(y) + lam C(y), over q(lam) on an
     interval with a denominator (_poly_parts); boundary and interface
     polynomials are evaluated at lam into constant complex matrices
-    (bind_matrix).  Every matrix carries a leading lambda axis, except
-    the lambda-free boundary and interface matrices, which the stack
-    shares; each slice is bit-identical to its stack of one.  Anything
-    but a 1-D array is a ValueError.
+    (bind_matrix), an identity interface B to None.  Every matrix carries
+    a leading lambda axis, except the lambda-free boundary and interface
+    matrices, which the stack shares; each slice is bit-identical to its
+    stack of one.  Anything but a 1-D array is a ValueError.
 
     With variational it carries its lambda-derivatives
     (ReducedSystem.derivatives), A_lam exact (_poly_parts).  A lambda on a
@@ -51,7 +51,8 @@ def reduce_complex(
         left_matrix=left_matrix,
         right_matrix=right_matrix,
         interfaces=tuple(
-            (bind_matrix(c.d_matrix, lam), bind_matrix(c.b_matrix, lam))
+            (bind_matrix(c.d_matrix, lam),
+             None if c.b_matrix.is_identity else bind_matrix(c.b_matrix, lam))
             for c in problem.conjugations_in_order
         ),
         varying=varying,
@@ -126,7 +127,7 @@ def reduce_real_split(problem: ProblemDefinition, p: np.ndarray) -> ReducedSyste
         dim=2 * system.dim,
         left_matrix=realify(system.left_matrix),
         right_matrix=realify(system.right_matrix),
-        interfaces=tuple((realify(d), realify(b)) for d, b in system.interfaces),
+        interfaces=tuple((realify(d), b if b is None else realify(b)) for d, b in system.interfaces),
         varying=lambda interval, ys: realify(varying(interval, ys)),
         constant_coeffs=consts,
     )

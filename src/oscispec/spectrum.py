@@ -144,7 +144,10 @@ def _interface_solve(w, dmat, bmat, interface: int, lam) -> np.ndarray:
     """U_next solving B U_next = D W, per lambda of a stack; raises
     PropagationError for the first lambda whose B is singular.  A
     lambda-free B is one matrix shared by a stack (bind_matrix), checked
-    once, so that it fails at the first lambda."""
+    once, so that it fails at the first lambda.  B None, the identity
+    (reduce_complex), gives D W with no check and no solve."""
+    if bmat is None:
+        return dmat @ w
     singular = is_singular(bmat)
     if singular.any():
         _, z = failed_lambdas(lam, singular)[0]
@@ -181,7 +184,8 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     With derivatives (ReducedSystem.derivatives) each table is the stack
     [U; U'], which the variational end matrix carries to [W; W'] and the
     right rows' block to the closure [C; C'] (2m x m); through an interface
-    U'_next = B^-1 (D' W + D W' - B' U_next).  end_values is W alone.
+    U'_next = B^-1 (D' W + D W' - B' U_next), that right-hand side where B
+    is the identity (None, _interface_solve).  end_values is W alone.
     """
     u = _initial_table(reduced.left_matrix, reduced.lam)
     slopes = reduced.derivatives
@@ -206,7 +210,7 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
             if slopes is not None:
                 d_dmat, d_bmat = slopes[2][i]
                 rhs = d_dmat @ w[..., :dim, :] + dmat @ w[..., dim:, :] - d_bmat @ u
-                u = np.concatenate([u, np.linalg.solve(bmat, rhs)], axis=-2)
+                u = np.concatenate([u, rhs if bmat is None else np.linalg.solve(bmat, rhs)], axis=-2)
             u_tables.append(u)
     closure = (reduced.right_matrix if slopes is None else slopes[1]) @ w
     return u_tables, fundamentals, w[..., :dim, :], closure
@@ -733,15 +737,14 @@ def _shapes(problem: ProblemDefinition, lams: np.ndarray, step: float, split: bo
 
 def _null_vector(closure: np.ndarray, det: complex, lam: complex, rank_tol: float) -> np.ndarray:
     """The free-constant vector of an m x m closure matrix whose normalized
-    determinant is det: ones for m = 1, else its last right singular
-    vector, of unit norm.  Raises NotARootError, with the smallest singular
-    value, where |det| is above rank_tol."""
-    _, svals, vh = np.linalg.svd(closure)
+    determinant is det: ones for m = 1, with no SVD, else its last right
+    singular vector, of unit norm.  Raises NotARootError, with the smallest
+    singular value of numpy's full SVD, where |det| is above rank_tol."""
     if abs(det) > rank_tol:
-        raise NotARootError(lam, float(svals[-1]))
+        raise NotARootError(lam, float(np.linalg.svd(closure)[1][-1]))
     if closure.shape[0] == 1:
         return np.ones(1, dtype=closure.dtype)
-    return vh[-1].conj()
+    return np.linalg.svd(closure)[2][-1].conj()
 
 
 # ---------------------------------------------------------------------------

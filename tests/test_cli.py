@@ -681,9 +681,21 @@ def test_runs_without_scipy(code):
 #: (with OpenSSL's _hashlib) and scipy (no package code uses it)
 _UNNEEDED = ("numpy.ma", "numpy.random", "scipy", "_hashlib")
 
+#: numpy.linalg's LAPACK entry points: only verify, whose FD oracle needs
+#: them, may call one; an N = 2, m = 1 solve or mode shape maps no LAPACK
+_LAPACK = ("solve", "det", "slogdet", "inv", "svd", "eig", "eigvals", "lstsq")
+
 _RUN_AND_LIST = f"""
 import contextlib, io, sys
+import numpy.linalg
 from oscispec import cli
+
+def _lapack(*args, **kwargs):
+    raise RuntimeError("LAPACK called")
+
+if sys.argv[1] != "verify":
+    for name in {_LAPACK!r}:
+        setattr(numpy.linalg, name, _lapack)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 print(code, *(m for m in {_UNNEEDED!r} if m in sys.modules))
@@ -694,13 +706,14 @@ print(code, *(m for m in {_UNNEEDED!r} if m in sys.modules))
     "argv",
     [
         ["solve", "--model", "spacecraft_bar", "--scan", "0.2:10:240"],
+        ["solve", "--model", "cable_snapshot", "--scan", "0.2:10:240"],
         ["sweep", "--model", "spacecraft_bar", "--sweep", "d:0:0.2:3", "--scan", "0.3:2:50"],
         ["modes", "--model", "point_mass_string", "--path", "real_split",
          "--scan", "0.2:10:240", "--indices", "1,2"],
         ["verify", "machine_unit"],
         ["verify", "point_mass_string"],
     ],
-    ids=["solve", "sweep", "modes_real_split", "verify_fd", "verify_closed_form"],
+    ids=["solve", "solve_interfaces", "sweep", "modes_real_split", "verify_fd", "verify_closed_form"],
 )
 def test_cli_command_loads_only_what_it_runs(argv, tmp_path):
     # each command in a fresh interpreter, as from the shell
@@ -712,6 +725,7 @@ def test_cli_command_loads_only_what_it_runs(argv, tmp_path):
         [sys.executable, "-c", _RUN_AND_LIST, *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
+    assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
     assert code == "0", proc.stderr
     assert loaded == []

@@ -3,6 +3,7 @@ integration: exactness, order, step estimation."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from oscispec import (
     reduce_complex,
     reduce_real_split,
 )
+from oscispec import integrate
 from oscispec.integrate import (
     _chain_fold,
     _chain_product,
@@ -498,3 +500,31 @@ class TestExactPropagation:
             warnings.simplefilter("ignore")
             rk4 = integrate_fundamental(system, 0, 1e-4).end_matrix[0]
         np.testing.assert_allclose(exact, rk4, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("variational", [False, True])
+    @pytest.mark.parametrize("budget", [4, 64, 1000])
+    def test_sampled_node_blocks_keep_the_bytes(self, monkeypatch, variational, budget):
+        # equal blocks of 1 to 77 of 1001 nodes give the bytes of one call
+        # over the whole grid, every lambda of a stack of three
+        system = reduce_complex(build_model("fixed_free_string"), np.array(self.LAMS), variational)
+        whole = _exact_fundamental(system, 0, 1e-3, keep_samples=True)
+        monkeypatch.setattr(integrate, "_STACK_ENTRIES", budget)
+        blocked = _exact_fundamental(system, 0, 1e-3, keep_samples=True)
+        assert blocked.samples.tobytes() == whole.samples.tobytes()
+        assert blocked.end_matrix.tobytes() == whole.end_matrix.tobytes()
+        assert blocked.sample_ys.tobytes() == whole.sample_ys.tobytes()
+
+    def test_sampled_memory_is_bounded(self):
+        # one lambda at 2^18 nodes: 17 MB of samples, 4 MB of node grids
+        # and the transfer's working arrays of one block of at most 2^16
+        # nodes (at most 17 MB); formed over the whole grid at once they
+        # took 62 MB
+        system = reduce_complex(build_model("fixed_free_string"), np.array([2.3j]))
+        tracemalloc.start()
+        try:
+            fm = _exact_fundamental(system, 0, 1.0 / 2**18, keep_samples=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fm.samples.shape == (2**18 + 1, 1, 2, 2)
+        assert peak < 54e6

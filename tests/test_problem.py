@@ -17,7 +17,7 @@ from oscispec import (
     validate,
 )
 from oscispec.models import SCAN_DEFAULTS, build_model
-from oscispec.problem import TOL_SINGULAR
+from oscispec.problem import TOL_SINGULAR, is_singular
 
 from conftest import identity_conjugation, make_string_problem
 
@@ -206,6 +206,79 @@ class TestValidateShortcuts:
         assert fast == [validate(p) for p in _invalid_problems()]
         assert [len(v) for v in fast] == [2, 2, 1, 5]
         assert "boundary_right: rank 0 < 1 at lambda=0.0" in fast[1]
+
+
+def _lapack_singular(bmat):
+    # is_singular's rule on LAPACK's determinant
+    scale = np.max(np.abs(bmat), axis=(-2, -1))
+    return (scale == 0.0) | (np.abs(np.linalg.det(bmat)) <= TOL_SINGULAR * scale ** bmat.shape[-1])
+
+
+def _near_singular(rng, count):
+    # rotated diag(1, f TOL_SINGULAR), scaled: |det B| / max|b|^2 lies on
+    # both sides of the cutoff, far from it against rounding
+    theta, scale = rng.uniform(0.0, np.pi, count), 10.0 ** rng.uniform(-3, 3, count)
+    c, s = np.cos(theta), np.sin(theta)
+    q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    f = rng.choice([0.25, 0.5, 2.0, 4.0], count)
+    diag = np.zeros((count, 2, 2))
+    diag[:, 0, 0], diag[:, 1, 1] = 1.0, f * TOL_SINGULAR
+    return scale[:, None, None] * (q @ diag @ q.swapaxes(1, 2))
+
+
+class TestIsSingular:
+    """A 2 x 2 interface B is decided by ad - bc, with no LAPACK call, as
+    LAPACK's determinant decides it; other sizes still take LAPACK's."""
+
+    def test_two_by_two_decides_as_lapack_without_it(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        a, b = rng.standard_normal((2, 200))
+        stacks = [
+            rng.standard_normal((500, 2, 2)),
+            rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2)),
+            # exactly singular: the second row twice the first
+            np.stack([np.stack([a, b], -1), np.stack([2 * a, 2 * b], -1)], -2),
+            # rank one up to rounding
+            rng.standard_normal((200, 2, 1)) @ rng.standard_normal((200, 1, 2)),
+            np.zeros((3, 2, 2)),
+            _near_singular(rng, 400),
+            _near_singular(rng, 400).astype(complex),
+        ]
+        want = [_lapack_singular(bmat) for bmat in stacks]
+        assert want[2].all() and want[3].all() and want[4].all()
+        assert want[5].any() and not want[5].all()
+
+        def lapack(*args):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "det", lapack)
+        for bmat, decision in zip(stacks, want):
+            assert np.array_equal(is_singular(bmat), decision)
+            assert all(is_singular(m) == d for m, d in zip(bmat[:5], decision[:5]))
+
+    def test_four_by_four_takes_lapack(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        bmat = rng.standard_normal((20, 4, 4))
+        bmat[:5, 3] = bmat[:5, 2]
+        want = _lapack_singular(bmat)
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m.shape) or det(m))
+        assert np.array_equal(is_singular(bmat), want)
+        assert want[:5].all() and not want[5:].any()
+        assert calls == [(20, 4, 4)]
+
+
+def test_identity_is_found_once_per_matrix():
+    # a degree-0 identity, however many zero coefficients follow, is the
+    # identity; a scaled or lambda-dependent one, or a non-square one, is not
+    eye = PolyMatrix.from_entries([[[1.0, 0.0], [0.0]], [[0.0], [1.0, 0.0, 0.0]]])
+    assert eye.is_identity
+    eye.coeffs = None  # a second access that compared again would fail here
+    assert eye.is_identity
+    assert not PolyMatrix.constant(2.0 * np.eye(2)).is_identity
+    assert not PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [1.0, 0.5]]]).is_identity
+    assert not PolyMatrix.constant(np.eye(2)[:, :1]).is_identity
 
 
 def test_degree_is_found_once_per_matrix():

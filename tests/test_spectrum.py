@@ -224,6 +224,31 @@ class TestInterfaceSolve:
             atol=1e-15,
         )
 
+    @pytest.mark.parametrize("variational", [False, True])
+    def test_identity_b_crosses_with_no_solve(self, monkeypatch, variational):
+        # both multi-interval built-ins join their spans with B = I: it is
+        # bound as None and crossed as D W (U' as its right-hand side), with
+        # no LAPACK call and the bytes of the solve against I it took before
+        lams = np.concatenate([1j * np.linspace(0.5, 9.0, 7), [0j, -0.3 + 2.0j]])
+        eye = np.eye(2, dtype=complex)
+
+        def lapack(*args):
+            raise AssertionError("LAPACK called")
+
+        for name in ("cable_snapshot", "point_mass_string"):
+            problem = build_model(name)
+            assert all(c.b_matrix.is_identity for c in problem.conjugations)
+            reduced = reduce_complex(problem, lams, variational)
+            assert all(b is None for _, b in reduced.interfaces)
+            solved = dataclasses.replace(reduced, interfaces=tuple((d, eye) for d, _ in reduced.interfaces))
+            want_tables, _, _, want_closure = _assemble(solved, 1e-3, keep_samples=False)
+            with monkeypatch.context() as patch:
+                for routine in ("solve", "det"):
+                    patch.setattr(np.linalg, routine, lapack)
+                u_tables, _, _, closure = _assemble(reduced, 1e-3, keep_samples=False)
+            assert closure.tobytes() == want_closure.tobytes()
+            assert [u.tobytes() for u in u_tables] == [u.tobytes() for u in want_tables]
+
     def test_point_mass_jump_hand_computed(self, fixed_free_string):
         # D = [[1,0],[-m0 lam^2, 1]], B = I encodes the end-value relation
         # z2+ = z2- + m0 p^2 z1- at lam = i p; the interface step must
@@ -2453,6 +2478,31 @@ class TestRealSplitModeShapes:
             smax = np.linalg.svd(closure, compute_uv=False)[0]
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
             assert np.linalg.norm(closure @ v) <= spectrum._RANK_TOL * max(smax, 1.0)
+
+    def test_null_vector_takes_an_svd_only_where_it_is_used(self, monkeypatch):
+        # an m = 1 closure gives ones with no SVD; a closure that is not a
+        # root carries the smallest singular value of numpy's full SVD, bit
+        # for bit (|c| differs from it in the last bit in about 4 of 10 such
+        # 1 x 1 closures)
+        rng = np.random.default_rng(46)
+        scale = 10.0 ** rng.uniform(-8, 3, (300, 1, 1))
+        ones = scale * (rng.standard_normal((300, 1, 1)) + 1j * rng.standard_normal((300, 1, 1)))
+        twos = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+        svd = np.linalg.svd
+        for closures in (ones, twos):
+            for closure in closures:
+                with pytest.raises(NotARootError) as info:
+                    spectrum._null_vector(closure, 1.0, 1j, spectrum._RANK_TOL)
+                assert info.value.smallest_singular == float(svd(closure)[1][-1])
+        assert any(abs(complex(c[0, 0])) != float(svd(c)[1][-1]) for c in ones)
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("SVD called")
+
+        monkeypatch.setattr(np.linalg, "svd", lapack)
+        for closure in ones[:10]:
+            c = spectrum._null_vector(closure, 1e-9, 1j, spectrum._RANK_TOL)
+            assert c.dtype == complex and c.tolist() == [1]
 
     @pytest.mark.parametrize("make", [lambda: build_model("fixed_free_string"), _n4_problem],
                              ids=["m1", "n4"])
