@@ -207,7 +207,7 @@ def _exact_fundamental(
         transfer = np.empty((n_steps + 1,) + const.shape, dtype=complex)
         for j in range(0, n_steps + 1, block):
             transfer[j : j + block] = _exact_transfer(const, t[j : j + block])
-    else:
+    else:  # one call: no preallocated array beside the transfer's working arrays
         transfer = _exact_transfer(const, t)
     rows = transpose(transfer)
     end = rows[-1] if keep_samples else rows

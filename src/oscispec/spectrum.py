@@ -140,20 +140,20 @@ def _initial_table(matrix: np.ndarray, lam) -> np.ndarray:
     return table
 
 
-def _interface_solve(w, dmat, bmat, interface: int, lam) -> np.ndarray:
-    """U_next solving B U_next = D W, per lambda of a stack; raises
-    PropagationError for the first lambda whose B is singular.  A
-    lambda-free B is one matrix shared by a stack (bind_matrix), checked
-    once, so that it fails at the first lambda.  B None, the identity
-    (reduce_complex), gives D W with no check and no solve."""
+def _interface_solve(rhs, bmat, interface: int, lam) -> np.ndarray:
+    """B^-1 rhs per lambda of a stack (U_next of B U_next = D W, or its
+    variational part); raises PropagationError for the first lambda whose
+    B is singular.  A lambda-free B is one matrix shared by a stack
+    (bind_matrix), checked once, so that it fails at the first lambda.
+    B None, the identity (reduce_complex), gives rhs with no check or solve."""
     if bmat is None:
-        return dmat @ w
+        return rhs
     singular = is_singular(bmat)
     if singular.any():
         _, z = failed_lambdas(lam, singular)[0]
         raise PropagationError(interface, z, "det below singularity tolerance")
     try:
-        return np.linalg.solve(bmat, dmat @ w)
+        return np.linalg.solve(bmat, rhs)
     except np.linalg.LinAlgError as exc:
         raise PropagationError(interface, lam, str(exc)) from None
 
@@ -184,8 +184,8 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     With derivatives (ReducedSystem.derivatives) each table is the stack
     [U; U'], which the variational end matrix carries to [W; W'] and the
     right rows' block to the closure [C; C'] (2m x m); through an interface
-    U'_next = B^-1 (D' W + D W' - B' U_next), that right-hand side where B
-    is the identity (None, _interface_solve).  end_values is W alone.
+    U'_next = B^-1 (D' W + D W' - B' U_next) (_interface_solve, which
+    takes no solve where B is the identity).  end_values is W alone.
     """
     u = _initial_table(reduced.left_matrix, reduced.lam)
     slopes = reduced.derivatives
@@ -206,11 +206,11 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
         _check_finite(reduced, i, w[..., :dim, :])
         if i < n - 1:
             dmat, bmat = reduced.interfaces[i]
-            u = _interface_solve(w[..., :dim, :], dmat, bmat, i + 1, reduced.lam)
+            u = _interface_solve(dmat @ w[..., :dim, :], bmat, i + 1, reduced.lam)
             if slopes is not None:
                 d_dmat, d_bmat = slopes[2][i]
                 rhs = d_dmat @ w[..., :dim, :] + dmat @ w[..., dim:, :] - d_bmat @ u
-                u = np.concatenate([u, rhs if bmat is None else np.linalg.solve(bmat, rhs)], axis=-2)
+                u = np.concatenate([u, _interface_solve(rhs, bmat, i + 1, reduced.lam)], axis=-2)
             u_tables.append(u)
     closure = (reduced.right_matrix if slopes is None else slopes[1]) @ w
     return u_tables, fundamentals, w[..., :dim, :], closure

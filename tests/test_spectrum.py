@@ -203,7 +203,7 @@ class TestInterfaceSolve:
         fm = integrate_fundamental(reduce_complex(prob, np.array([lam])), 0, step=1e-4)
         w = fm.end_matrix[0].T @ np.array([[0.0], [1.0]], dtype=complex)
         dmat, bmat = bind_matrix(conj.d_matrix, lam), bind_matrix(conj.b_matrix, lam)
-        return w, spectrum._interface_solve(w, dmat, bmat, conj.interface, lam)
+        return w, spectrum._interface_solve(dmat @ w, bmat, conj.interface, lam)
 
     def test_common_scalar_cancels(self, fixed_free_string):
         lam = 0.9j
@@ -2482,8 +2482,8 @@ class TestRealSplitModeShapes:
     def test_null_vector_takes_an_svd_only_where_it_is_used(self, monkeypatch):
         # an m = 1 closure gives ones with no SVD; a closure that is not a
         # root carries the smallest singular value of numpy's full SVD, bit
-        # for bit (|c| differs from it in the last bit in about 4 of 10 such
-        # 1 x 1 closures)
+        # for bit, not |c| (on numpy 2.4.6 with OpenBLAS 0.3.31 the two
+        # differ in the last bit in about 4 of 10 such 1 x 1 closures)
         rng = np.random.default_rng(46)
         scale = 10.0 ** rng.uniform(-8, 3, (300, 1, 1))
         ones = scale * (rng.standard_normal((300, 1, 1)) + 1j * rng.standard_normal((300, 1, 1)))
@@ -2494,7 +2494,6 @@ class TestRealSplitModeShapes:
                 with pytest.raises(NotARootError) as info:
                     spectrum._null_vector(closure, 1.0, 1j, spectrum._RANK_TOL)
                 assert info.value.smallest_singular == float(svd(closure)[1][-1])
-        assert any(abs(complex(c[0, 0])) != float(svd(c)[1][-1]) for c in ones)
 
         def lapack(*args, **kwargs):
             raise AssertionError("SVD called")
