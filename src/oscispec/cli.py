@@ -6,8 +6,8 @@ or a JSON file (--problem).  Results go to CSV and/or JSON files that are
 byte-identical across reruns of the same configuration.
 
 Exit codes: 0 success (an empty spectrum is a valid answer), 1 configuration
-error, 2 numerical failure (every lambda a solve evaluated failed, or an
-error named no lambda), 3 verification deviation breach.
+or usage error, 2 numerical failure (every lambda a solve evaluated failed, or
+an error named no lambda), 3 verification deviation breach.
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ MODES_MAX_SAMPLES = 1 << 20
 
 class ConfigError(Exception):
     """Bad command-line configuration (exit code 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1), not argparse's exit 2; so do its subparsers'."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @dataclass
@@ -111,9 +118,12 @@ def _csv_table(header: list[str], columns) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_param_value(text: str):
+def _parse_param_value(key: str, text: str):
     if "," in text:
-        return tuple(float(t) for t in text.split(",") if t != "")
+        try:
+            return tuple(float(t) for t in text.split(",") if t != "")
+        except ValueError:
+            raise ConfigError(f"--param {key} expects numbers, got {text!r}") from None
     try:
         return float(text)
     except ValueError:
@@ -173,7 +183,7 @@ def _add_solve_args(sub):
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args keeps no state
     between calls, and --param's append action copies its default list."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscispec",
         description="Eigenvalues and mode shapes of piecewise 1-D oscillation systems",
     )
@@ -222,7 +232,7 @@ def _config_from_args(args) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        cfg.params[key] = _parse_param_value(value)
+        cfg.params[key] = _parse_param_value(key, value)
     scan = rect = None
     if getattr(args, "scan", None):
         lo, hi, n = _parse_colon_tuple(args.scan, (float, float, int), "--scan")
@@ -514,21 +524,12 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "modes":
-            return cmd_modes(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        # the parser admits these commands only
+        commands = {"solve": cmd_solve, "modes": cmd_modes, "sweep": cmd_sweep,
+                    "verify": cmd_verify, "validate": cmd_validate}
+        return commands[args.command](_config_from_args(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

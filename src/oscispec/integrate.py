@@ -131,9 +131,9 @@ def integrate_fundamental(
     near-singular warning stay per lambda.  The warning's determinant of a
     2 x 2 end matrix is ad - bc.
 
-    A system with derivatives (ReducedSystem.derivatives) has the end
-    matrix [[G, G'], [0, G]] in rows form, G' = dPhi/dlam^T the derivative
-    of the RK4 map itself; the warning looks at G, its leading block.
+    A variational system (ReducedSystem.left_slope) has the end matrix
+    [[G, G'], [0, G]] in rows form, G' = dPhi/dlam^T the derivative of the
+    RK4 map itself; the warning looks at G, its leading block.
     """
     lo, hi = system.partition.interval(interval)
     length = hi - lo
@@ -143,7 +143,7 @@ def integrate_fundamental(
     const = system.constant_coeffs[interval]
     # the node grid is read only for y-dependent coefficients and samples
     nodes = lo + h * np.arange(n_steps + 1) if const is None or keep_samples else None
-    dim = system.dim * (1 if system.derivatives is None else 2)
+    dim = system.dim * (1 if system.left_slope is None else 2)
 
     if const is not None:
         # a length-1 stack, so S is computed exactly as each y-dependent step
@@ -194,8 +194,6 @@ def _exact_fundamental(
     most _stack_room nodes, each node the bytes of one call over the grid
     (the transfer is elementwise); a grid that fits one block is one call.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     lo, hi = system.partition.interval(interval)
     length = hi - lo
     n_steps = _step_count(length, step) if keep_samples else 1

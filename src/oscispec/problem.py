@@ -183,12 +183,11 @@ class ReducedSystem:
     evaluates an interval's coefficients at each y, (len(ys), K, dim, dim),
     and is what integration reads where constant_coeffs is None.
 
-    derivatives, formed only when asked for, holds the lambda-derivative U0'
-    of the left table (shaped as the table, one zero table where the left
-    rows are lambda-free), the right rows' block
-    [[R, 0], [R', R]] and each interface's (D', B'); the coefficients are
-    then the variational blocks [[A, 0], [A_lam, A]], whose integration
-    carries dPhi/dlam beside Phi.
+    A variational system (reduction.reduce_complex) binds each coefficient,
+    right-boundary and interface matrix M as the block [[M, 0], [M', M]],
+    M' = dM/dlam, so its integration carries dPhi/dlam beside Phi; its
+    left_slope, None otherwise, is the lambda-derivative U0' of the left
+    table (shaped as the table, zeros where the left rows are lambda-free).
     """
 
     partition: Partition
@@ -199,7 +198,7 @@ class ReducedSystem:
     interfaces: tuple[tuple[np.ndarray, np.ndarray | None], ...]
     varying: Callable[[int, np.ndarray], np.ndarray]
     constant_coeffs: tuple[np.ndarray | None, ...]
-    derivatives: tuple | None = None
+    left_slope: np.ndarray | None = None
 
 
 def is_singular(bmat: np.ndarray) -> np.ndarray:

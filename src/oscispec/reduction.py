@@ -35,59 +35,54 @@ def reduce_complex(
     matrices, which the stack shares; each slice is bit-identical to its
     stack of one.  Anything but a 1-D array is a ValueError.
 
-    With variational it carries its lambda-derivatives
-    (ReducedSystem.derivatives), A_lam exact (_poly_parts).  A lambda on a
-    pole of a denominator raises PoleError naming it.
+    With variational the coefficients (A_lam exact, _poly_parts), the right
+    rows and each interface's D and B (an identity B still None) are bound
+    as the blocks [[M, 0], [M', M]] of each matrix and its lambda-derivative
+    (_dual), and left_slope is set.  A lambda on a pole of a denominator
+    raises PoleError naming it.
     """
     lam = _lambda_stack(lam, complex)
-    coeffs = problem.coefficients
-    consts, varying = _poly_parts(coeffs, lam, variational)
+    consts, varying = _poly_parts(problem.coefficients, lam, variational)
     left_matrix = bind_matrix(problem.boundary_left.matrix, lam)
-    right_matrix = bind_matrix(problem.boundary_right.matrix, lam)
+
+    def bind(matrix):
+        value = bind_matrix(matrix, lam)
+        return _dual(value, bind_matrix(matrix.derivative, lam)) if variational else value
+
     return ReducedSystem(
         partition=problem.partition,
         dim=problem.dim,
         lam=lam,
         left_matrix=left_matrix,
-        right_matrix=right_matrix,
+        right_matrix=bind(problem.boundary_right.matrix),
         interfaces=tuple(
-            (bind_matrix(c.d_matrix, lam),
-             None if c.b_matrix.is_identity else bind_matrix(c.b_matrix, lam))
+            (bind(c.d_matrix), None if c.b_matrix.is_identity else bind(c.b_matrix))
             for c in problem.conjugations_in_order
         ),
         varying=varying,
         constant_coeffs=consts,
-        derivatives=_derivatives(problem, left_matrix, right_matrix, lam) if variational else None,
+        left_slope=_left_slope(problem, left_matrix, lam) if variational else None,
     )
 
 
-def _derivatives(problem: ProblemDefinition, left_matrix, right_matrix, lam) -> tuple:
-    """ReducedSystem.derivatives.  Lambda-free left rows, one shared
+def _left_slope(problem: ProblemDefinition, left_matrix, lam) -> np.ndarray:
+    """ReducedSystem.left_slope.  Lambda-free left rows, one shared
     (m, N) matrix (bind_matrix), have a constant table; one row [a0, a1]
     has [-a1; a0], linear in the row; other rows take a central difference
     of their tables, polynomials in lambda."""
     left = problem.boundary_left.matrix
     m, dim = left_matrix.shape[-2:]
     if left_matrix.ndim == 2:
-        d_table = np.zeros((dim, dim - m), dtype=complex)
-    elif (m, dim) == (1, 2):
-        d_left = np.broadcast_to(bind_matrix(left.derivative, lam), left_matrix.shape)
-        d_table = row_adjugate_form(d_left)
-    else:
-        stack, split = _central(lam)
-        rows = left(stack)
-        table = adjugate_table(rows)[1]
-        if table is None:  # zeros: the table's own check (spectrum._initial_table) names the lambda
-            table = np.zeros(rows.shape[:-2] + (dim, dim - m), complex)
-        d_table = split(table)[1]
-    return (
-        d_table,
-        _dual(right_matrix, bind_matrix(problem.boundary_right.matrix.derivative, lam)),
-        tuple(
-            (bind_matrix(c.d_matrix.derivative, lam), bind_matrix(c.b_matrix.derivative, lam))
-            for c in problem.conjugations_in_order
-        ),
-    )
+        return np.zeros((dim, dim - m), dtype=complex)
+    if (m, dim) == (1, 2):
+        slope = np.broadcast_to(bind_matrix(left.derivative, lam), left_matrix.shape)
+        return row_adjugate_form(slope)
+    stack, split = _central(lam)
+    rows = left(stack)
+    table = adjugate_table(rows)[1]
+    if table is None:  # zeros: the table's own check (spectrum._initial_table) names the lambda
+        table = np.zeros(rows.shape[:-2] + (dim, dim - m), complex)
+    return split(table)[1]
 
 
 def _central(lam):

@@ -140,15 +140,16 @@ def _initial_table(matrix: np.ndarray, lam) -> np.ndarray:
     return table
 
 
-def _interface_solve(rhs, bmat, interface: int, lam) -> np.ndarray:
-    """B^-1 rhs per lambda of a stack (U_next of B U_next = D W, or its
-    variational part); raises PropagationError for the first lambda whose
-    B is singular.  A lambda-free B is one matrix shared by a stack
-    (bind_matrix), checked once, so that it fails at the first lambda.
-    B None, the identity (reduce_complex), gives rhs with no check or solve."""
+def _interface_solve(rhs, bmat, interface: int, lam, dim: int) -> np.ndarray:
+    """B^-1 rhs per lambda of a stack (U_next of B U_next = D W); raises
+    PropagationError for the first lambda whose B, the leading dim x dim
+    block of a variational [[B, 0], [B', B]], is singular.  A lambda-free B
+    is one matrix shared by a stack (bind_matrix), checked once, so that it
+    fails at the first lambda.  B None, the identity (reduce_complex),
+    gives rhs with no check or solve."""
     if bmat is None:
         return rhs
-    singular = is_singular(bmat)
+    singular = is_singular(bmat[..., :dim, :dim])
     if singular.any():
         _, z = failed_lambdas(lam, singular)[0]
         raise PropagationError(interface, z, "det below singularity tolerance")
@@ -181,16 +182,14 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
     for, is the table of lambda-free left rows (_initial_table) the one
     table the stack shares.
 
-    With derivatives (ReducedSystem.derivatives) each table is the stack
-    [U; U'], which the variational end matrix carries to [W; W'] and the
-    right rows' block to the closure [C; C'] (2m x m); through an interface
-    U'_next = B^-1 (D' W + D W' - B' U_next) (_interface_solve, which
-    takes no solve where B is the identity).  end_values is W alone.
+    A variational system (ReducedSystem.left_slope) runs the same pass on
+    its dual blocks: the table [U; U'] starts from the left slope, and the
+    end matrices, interfaces and right rows carry it to the closure
+    [C; C'] (2m x m).  end_values is W alone.
     """
     u = _initial_table(reduced.left_matrix, reduced.lam)
-    slopes = reduced.derivatives
-    if slopes is not None:
-        u = np.concatenate([u, slopes[0]], axis=-2)
+    if reduced.left_slope is not None:
+        u = np.concatenate([u, reduced.left_slope], axis=-2)
     if keep_samples:
         u = np.broadcast_to(u, reduced.lam.shape + u.shape[-2:])
     u_tables = [u]
@@ -206,14 +205,9 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
         _check_finite(reduced, i, w[..., :dim, :])
         if i < n - 1:
             dmat, bmat = reduced.interfaces[i]
-            u = _interface_solve(dmat @ w[..., :dim, :], bmat, i + 1, reduced.lam)
-            if slopes is not None:
-                d_dmat, d_bmat = slopes[2][i]
-                rhs = d_dmat @ w[..., :dim, :] + dmat @ w[..., dim:, :] - d_bmat @ u
-                u = np.concatenate([u, _interface_solve(rhs, bmat, i + 1, reduced.lam)], axis=-2)
+            u = _interface_solve(dmat @ w, bmat, i + 1, reduced.lam, dim)
             u_tables.append(u)
-    closure = (reduced.right_matrix if slopes is None else slopes[1]) @ w
-    return u_tables, fundamentals, w[..., :dim, :], closure
+    return u_tables, fundamentals, w[..., :dim, :], reduced.right_matrix @ w
 
 
 # a ratio beyond the float range is clamped below, as the general route
@@ -269,9 +263,10 @@ def characteristic_determinant(
     an array is returned; a stack raises the first error its pass meets.
     One lambda is evaluated as a length-1 stack and its value returned as a
     complex, so each lambda of a stack is bit-identical to its own call.
-    A problem that fails validation is a ValueError (require_valid).
+    A problem that fails validation, or a step not > 0, is a ValueError.
     """
     require_valid(problem)
+    _check_step(step)
     if not isinstance(lam, np.ndarray) or lam.ndim == 0:
         return complex(_closure_values(problem, np.array([complex(lam)]), step)[0][0])
     if not len(lam):
@@ -350,8 +345,11 @@ def scan_real_axis(
     _MINIMUM_RATIO times the median of the grid's finite |D| as candidate
     roots, each with its Newton start (_start).  Grids too coarse to
     separate neighboring roots merge their brackets.  Both paths search from
-    these brackets.
+    these brackets.  Problem and step are refused as in
+    characteristic_determinant.
     """
+    require_valid(problem)
+    _check_step(step)
     return _scan(problem, p_min, p_max, n_grid, step)[0]
 
 
@@ -425,12 +423,13 @@ def refine_root(
     start at i p_seed; no bracket end is evaluated.  Every value is computed
     with this call's step, each when its Newton point asks for it, with no
     value kept for a later point; solve_spectrum refines all its candidates
-    at once (_refine_all) with the same results.  A tol that is not > 0
-    (NaN too), a max_iter below 1 or a problem that fails validation
-    (require_valid) is rejected before any evaluation.
+    at once (_refine_all) with the same results.  A tol or step that is
+    not > 0 (NaN too), a max_iter below 1 or a problem that fails
+    validation (require_valid) is rejected before any evaluation.
     """
     _check_limits(tol, max_iter)
     require_valid(problem)
+    _check_step(step)
     return _refine_all(problem, [_seed(target)], tol, max_iter, step)[0][0]
 
 
@@ -440,6 +439,12 @@ def _check_limits(tol: float, max_iter: int) -> None:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+
+
+def _check_step(step: float) -> None:
+    # every entry point's; NaN fails too, and inf, one step per interval, passes
+    if not step > 0:
+        raise ValueError("step must be positive")
 
 
 def _seed(target: Bracket | complex) -> tuple[complex, bool]:
@@ -691,7 +696,7 @@ def mode_shapes(
     is the corresponding combination of its fundamental solutions on the
     stored integration grid.  A lambda whose closure matrix is numerically
     full rank fails with NotARootError, and a problem that fails
-    validation with ValueError (require_valid) before any lambda.
+    validation or a step not > 0 with ValueError before any lambda.
     real_split (on the imaginary axis only) writes it as [Re phi, Im phi]
     for c conj(c_0), the phase of the realified closure's null vector.
     """
@@ -702,6 +707,7 @@ def mode_shapes(
     if split and any(abs(z.real) > 1e-12 * max(1.0, abs(z)) for z in lams):
         raise ValueError("real_split path is defined on the imaginary axis only")
     require_valid(problem)
+    _check_step(step)
     size = _stack_chunk(problem, step)
     for i in range(0, len(lams), size):
         for shape in _each(lambda z: _shapes(problem, z, step, split), np.array(lams[i : i + size])):
@@ -814,8 +820,7 @@ def resolve_step(problem: ProblemDefinition, options: SolveOptions) -> float:
     for it: a pole at that scale is a failed lambda of the search only.
     """
     if options.step is not None:
-        if not options.step > 0:
-            raise ValueError("step must be positive")
+        _check_step(options.step)
         return options.step
     probes = [0.0]
     if options.scan is not None:

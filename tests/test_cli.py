@@ -135,6 +135,31 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "--model", "fixed_free_string", "--scan"), "argument --scan: expected one argument"),
+            (("bogus",), "argument command: invalid choice: 'bogus'"),
+            (("solve", "--model", "fixed_free_string", "--scan", "0.2:10:24", "--path", "bogus"),
+             "argument --path: invalid choice: 'bogus'"),
+            (("solve", "--model", "fixed_free_string", "--scan", "0.2:10:24", "--step", "abc"),
+             "argument --step: invalid float value: 'abc'"),
+            (("solve", "--model", "cable_snapshot", "--param", "masses=1,x", "--scan", "0.2:10:24"),
+             "--param masses expects numbers, got '1,x'"),
+        ],
+        ids=["scan_without_value", "unknown_command", "unknown_path", "step_not_a_number",
+             "param_list_not_numbers"],
+    )
+    def test_usage_error_exits_1_with_an_error_line(self, argv, message, tmp_path, capsys):
+        # argparse's own errors exited 2, the numerical-failure code, with
+        # its usage text, and a comma list that did not parse escaped as a
+        # ValueError traceback
+        out = tmp_path / "out"
+        assert _run(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_validation_failure_exits_1(self, tmp_path):
         data = problem_to_dict(make_string_problem())
         data["breakpoints"] = [0.0, 1.0, 0.5]

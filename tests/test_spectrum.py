@@ -44,6 +44,7 @@ from oscispec import (
 from oscispec import integrate, linalg, spectrum
 from oscispec.linalg import adjugate_form, adjugate_table
 from oscispec.models import ORACLE_ROUTES, SCAN_DEFAULTS, build_model
+from oscispec.problem import is_singular
 from oscispec.oracle import FDOracleConfig, closed_form_roots, fd_polynomial_eigenvalues
 from oscispec.reduction import bind_matrix, reduce_complex
 from oscispec.serialize import problem_from_dict
@@ -184,6 +185,7 @@ class TestValidationGate:
             calls = (
                 lambda: solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 24), step=1e-2)),
                 lambda: refine_root(problem, 1.5j, step=1e-2),
+                lambda: scan_real_axis(problem, 0.2, 10.0, 24, 1e-2),
                 lambda: list(spectrum.mode_shapes(problem, [1.5j], 1e-2)),
                 lambda: characteristic_determinant(problem, 1j * np.linspace(0.5, 3.0, 6), 1e-2),
             )
@@ -203,7 +205,7 @@ class TestInterfaceSolve:
         fm = integrate_fundamental(reduce_complex(prob, np.array([lam])), 0, step=1e-4)
         w = fm.end_matrix[0].T @ np.array([[0.0], [1.0]], dtype=complex)
         dmat, bmat = bind_matrix(conj.d_matrix, lam), bind_matrix(conj.b_matrix, lam)
-        return w, spectrum._interface_solve(dmat @ w, bmat, conj.interface, lam)
+        return w, spectrum._interface_solve(dmat @ w, bmat, conj.interface, lam, 2)
 
     def test_common_scalar_cancels(self, fixed_free_string):
         lam = 0.9j
@@ -227,10 +229,11 @@ class TestInterfaceSolve:
     @pytest.mark.parametrize("variational", [False, True])
     def test_identity_b_crosses_with_no_solve(self, monkeypatch, variational):
         # both multi-interval built-ins join their spans with B = I: it is
-        # bound as None and crossed as D W (U' as its right-hand side), with
-        # no LAPACK call and the bytes of the solve against I it took before
+        # bound as None and crossed as D W (a variational pass's dual D W),
+        # with no LAPACK call and the bytes of the solve against I it took
+        # before
         lams = np.concatenate([1j * np.linspace(0.5, 9.0, 7), [0j, -0.3 + 2.0j]])
-        eye = np.eye(2, dtype=complex)
+        eye = np.eye(4 if variational else 2, dtype=complex)
 
         def lapack(*args):
             raise AssertionError("LAPACK called")
@@ -248,6 +251,55 @@ class TestInterfaceSolve:
                 u_tables, _, _, closure = _assemble(reduced, 1e-3, keep_samples=False)
             assert closure.tobytes() == want_closure.tobytes()
             assert [u.tobytes() for u in u_tables] == [u.tobytes() for u in want_tables]
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build_model("cable_snapshot", T=2.0, masses=(1.0, 2.0, 3.0), positions=(0.2, 0.5, 0.8)),
+         lambda: _lambda_interface_problem()],
+        ids=["cable_three_loads", "lambda_interface"],
+    )
+    def test_variational_bindings_are_dual_blocks(self, make):
+        # a variational system binds the right rows and each interface's D
+        # and B as [[M, 0], [M', M]] of their plain bindings M and M'
+        problem = make()
+        lams = np.array([1.5j, 0.3 + 2.0j, 4.0j])
+        plain, dual = reduce_complex(problem, lams), reduce_complex(problem, lams, variational=True)
+
+        def block(matrix, value):
+            slope = np.broadcast_to(bind_matrix(matrix.derivative, lams), value.shape)
+            zero = np.zeros_like(value)
+            return np.concatenate([np.concatenate([value, zero], axis=-1),
+                                   np.concatenate([slope, value], axis=-1)], axis=-2)
+
+        bound = [(problem.boundary_right.matrix, plain.right_matrix, dual.right_matrix)]
+        for conj, (d, b), (dual_d, dual_b) in zip(problem.conjugations_in_order, plain.interfaces,
+                                                   dual.interfaces):
+            bound.append((conj.d_matrix, d, dual_d))
+            if conj.b_matrix.is_identity:
+                assert b is None and dual_b is None
+            else:
+                bound.append((conj.b_matrix, b, dual_b))
+        assert len(bound) > 1
+        for matrix, value, got in bound:
+            assert got.tobytes() == block(matrix, value).tobytes()
+            # a lambda-free matrix is one block the stack shares
+            assert got.ndim == (2 if matrix.fixed_value is not None else 3)
+
+    def test_singularity_is_read_on_the_leading_block(self, fixed_free_string):
+        # D = B = diag(1, 1e-8): |det B| = 1e-8 is above the 1e-12 cutoff, so
+        # the problem is valid and keeps the string's roots.  Its dual block
+        # [[B, 0], [B', B]] has det 1e-16: checked whole, every Newton point
+        # failed and the solve found no root
+        scale = PolyMatrix.constant(np.diag([1.0, 1e-8]))
+        problem = dataclasses.replace(insert_breakpoint(fixed_free_string, 0.37),
+                                      conjugations=(ConjugationOperator(1, scale, scale),))
+        assert validate(problem) == []
+        b = bind_matrix(scale, np.array([1.5j]))
+        assert not is_singular(b) and is_singular(np.kron(np.eye(2), b))
+        roots = solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
+        np.testing.assert_allclose([r.lam for r in roots], HALF_PI * 1j * np.array([1, 3, 5]), rtol=1e-12)
+        root = refine_root(problem, 1.5j, step=1e-3)
+        assert root.converged and abs(root.lam - HALF_PI * 1j) < 1e-12
 
     def test_point_mass_jump_hand_computed(self, fixed_free_string):
         # D = [[1,0],[-m0 lam^2, 1]], B = I encodes the end-value relation
@@ -1615,6 +1667,35 @@ class TestLockstepRefinement:
         with pytest.raises(ValueError, match="unknown path 'split'"):
             solve_spectrum(fixed_free_string, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, path="split"))
         assert det_calls == []
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan])
+    def test_step_not_positive_is_rejected_before_any_lambda(
+        self, fixed_free_string, det_calls, monkeypatch, step
+    ):
+        # unchecked, mode_shape raised a ZeroDivisionError at 0 and failed
+        # to convert NaN to an integer, and on this closed-form problem the
+        # others took a NaN step and returned values
+        assembled = []
+        assemble = spectrum._assemble
+        monkeypatch.setattr(spectrum, "_assemble",
+                            lambda *args, **kwargs: assembled.append(args) or assemble(*args, **kwargs))
+        calls = (
+            lambda: characteristic_determinant(fixed_free_string, 1.5j, step),
+            lambda: scan_real_axis(fixed_free_string, 0.2, 10.0, 24, step),
+            lambda: refine_root(fixed_free_string, 1.5j, step=step),
+            lambda: mode_shape(fixed_free_string, HALF_PI * 1j, step),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^step must be positive$"):
+                call()
+        assert det_calls == [] and assembled == []
+
+    def test_infinite_step_takes_one_step_per_interval(self, fixed_free_string):
+        # the closed-form propagator takes any positive step, inf too
+        root = refine_root(fixed_free_string, 1.5j, step=math.inf)
+        assert root.converged and abs(root.lam - HALF_PI * 1j) < 1e-12
+        assert len(scan_real_axis(fixed_free_string, 0.2, 10.0, 24, math.inf)) == 3
+        assert len(mode_shape(fixed_free_string, root.lam, math.inf).ys) == 2
 
     @pytest.mark.parametrize("residuals", [(4.5e-14, 1.1e-13), (1.1e-13, 4.5e-14)])
     def test_duplicates_keep_the_first_in_target_order(self, residuals, monkeypatch):
