@@ -254,6 +254,8 @@ def _config_from_args(args) -> RunConfig:
         # written so that NaN fails too
         if value is not None and not value > 0:
             raise ConfigError(f"{flag} must be positive")
+    if not tol < 1:
+        raise ConfigError("--tol must be below 1")
     cfg.out_dir = Path(getattr(args, "out", "."))
     cfg.fmt = getattr(args, "format", "both")
     cfg.n_fd = getattr(args, "n_fd", cfg.n_fd)

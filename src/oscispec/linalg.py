@@ -7,8 +7,7 @@ import numpy as np
 
 class NullBasis(tuple):
     """rref_null_basis's (rank, basis) pair; `pivots` holds the pivot columns:
-    (rank,) ints, for a stack (K, rank) if its matrices pivot apart, None if
-    their ranks differ."""
+    (rank,) ints, for a stack (K, rank), or None if its ranks differ."""
 
     def __new__(cls, rank, basis, pivots):
         pair = super().__new__(cls, (rank, basis))
@@ -29,36 +28,29 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12) -> NullBasis:
     The reduction uses partial pivoting on the largest modulus; entries below
     tol * (max |entry|) count as zero.  Deterministic for identical input.
 
-    A stack (K, rows, cols) is reduced as one: pivot search, row swaps and
-    elimination run over all K matrices at once, in the input's dtype, and
-    give the bytes of reducing each matrix alone.  rank is then an int array
-    of the K ranks and basis a (K, cols, cols - rank) array.  Where the
-    matrices do not all pick the same pivot columns (as when some are rank
-    deficient) each is reduced alone; if their ranks then differ, the bases
-    have no common shape and basis is None.
+    A stack (K, rows, cols) is reduced matrix by matrix.  rank is then an
+    int array of the K ranks and basis a (K, cols, cols - rank) array; if
+    the ranks differ, the bases have no common shape and basis is None.
     """
-    a = np.array(matrix, copy=True)
-    if a.ndim not in (2, 3):
-        raise ValueError("expected a 2-D matrix or a stack of them")
-    stack = a if a.ndim == 3 else a[np.newaxis]
-    pivot_cols = _eliminate(stack, tol)
-    if pivot_cols is None:
-        parts = [rref_null_basis(m, tol) for m in np.asarray(matrix)]
+    matrix = np.asarray(matrix)
+    if matrix.ndim == 3:
+        parts = [rref_null_basis(m, tol) for m in matrix]
         ranks = np.array([rank for rank, _ in parts], dtype=int)
         if len(set(ranks.tolist())) > 1:
             return NullBasis(ranks, None, None)
         stacked = np.stack([basis for _, basis in parts]), np.stack([q.pivots for q in parts])
         return NullBasis(ranks, *stacked)
-    count, _, cols = stack.shape
+    if matrix.ndim != 2:
+        raise ValueError("expected a 2-D matrix or a stack of them")
+    a = matrix.copy()
+    pivot_cols = _eliminate(a, tol)
+    cols = a.shape[1]
     rank = len(pivot_cols)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = np.zeros((count, cols, len(free_cols)), dtype=a.dtype)
-    basis[:, free_cols, range(len(free_cols))] = 1.0
-    basis[:, pivot_cols] = -stack[:, :rank, free_cols]
-    pivots = np.array(pivot_cols, dtype=int)
-    if a.ndim == 2:
-        return NullBasis(rank, basis[0], pivots)
-    return NullBasis(np.full(count, rank), basis, pivots)
+    basis = np.zeros((cols, len(free_cols)), dtype=a.dtype)
+    basis[free_cols, range(len(free_cols))] = 1.0
+    basis[pivot_cols] = -a[:rank, free_cols]
+    return NullBasis(rank, basis, np.array(pivot_cols, dtype=int))
 
 
 def adjugate_form(matrix: np.ndarray, reduced: NullBasis) -> np.ndarray:
@@ -73,8 +65,8 @@ def adjugate_form(matrix: np.ndarray, reduced: NullBasis) -> np.ndarray:
     The dtype is kept; a factor of 1 (the pinned row, realified too) keeps
     the bytes.
     """
-    piv = reduced.pivots  # (K, rank) where the matrices of the stack pivot apart
-    block = matrix[..., piv] if piv.ndim == 1 else np.take_along_axis(matrix, piv[:, None, :], -1)
+    piv = reduced.pivots
+    block = np.take_along_axis(matrix, piv[..., None, :], -1)
     scale = ((1 - 2 * (piv.sum(axis=-1) % 2)) * np.linalg.det(block))[..., None, None]
     return np.where(scale == 1, reduced[1], reduced[1] * scale)
 
@@ -109,44 +101,27 @@ def row_adjugate_form(matrix: np.ndarray) -> np.ndarray:
     return table
 
 
-def _eliminate(stack: np.ndarray, tol: float) -> list[int] | None:
-    """Row-reduce every matrix of a (K, rows, cols) stack in place.
-
-    Returns the pivot columns, or None (the stack half reduced) as soon as
-    the matrices disagree on whether a column holds a pivot.
-    """
-    count, rows, cols = stack.shape
-    cutoff = tol * np.maximum.reduce(np.abs(stack), axis=(1, 2), initial=0.0)
+def _eliminate(a: np.ndarray, tol: float) -> list[int]:
+    """Row-reduce one (rows, cols) matrix in place; returns the pivot columns."""
+    rows, cols = a.shape
+    cutoff = tol * np.max(np.abs(a), initial=0.0)
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        column = np.abs(stack[:, r:, c])
-        small = np.count_nonzero(np.maximum.reduce(column, axis=1) <= cutoff)
-        if small:
-            if small == count:
-                continue
-            return None
-        below = column.argmax(axis=1)
-        if np.count_nonzero(below):
-            every = np.arange(count)
-            k = r + below
-            top = stack[every, k]
-            stack[every, k] = stack[:, r]
-            stack[:, r] = top
-        stack[:, r] = stack[:, r] / stack[:, r, c, np.newaxis]
+        column = np.abs(a[r:, c])
+        k = int(column.argmax())
+        if column[k] <= cutoff:
+            continue
+        if k:
+            a[[r, r + k]] = a[[r + k, r]]
+        a[r] = a[r] / a[r, c]
         for i in range(rows):
-            if i == r:
-                continue
             # a row whose entry is 0 already is left as it is: subtracting
             # 0 * row r could turn -0.0 into 0.0, or inf into NaN
-            hit = stack[:, i, c] != 0
-            hits = np.count_nonzero(hit)
-            if hits == count:
-                stack[:, i] = stack[:, i] - stack[:, i, c, np.newaxis] * stack[:, r]
-            elif hits:
-                stack[hit, i] = stack[hit, i] - stack[hit, i, c, np.newaxis] * stack[hit, r]
+            if i != r and a[i, c] != 0:
+                a[i] = a[i] - a[i, c] * a[r]
         pivot_cols.append(c)
         r += 1
     return pivot_cols

@@ -382,7 +382,8 @@ def model_defaults(name: str) -> dict:
 
 
 def build_model(name: str, **params) -> ProblemDefinition:
-    """Build a registered model, rejecting unknown parameter names."""
+    """Build a registered model, rejecting unknown parameter names and a
+    text value for a parameter whose default is not text."""
     defaults = _defaults(name)
     unknown = set(params) - set(defaults)
     if unknown:
@@ -390,4 +391,7 @@ def build_model(name: str, **params) -> ProblemDefinition:
             f"unknown parameter(s) {sorted(unknown)} for model {name!r}; "
             f"accepted: {sorted(defaults)}"
         )
+    for key, value in params.items():
+        if isinstance(value, str) and not isinstance(defaults[key], str):
+            raise ValueError(f"parameter {key!r} of {name} expects a number, got {value!r}")
     return BUILDERS[name](**params)

@@ -424,8 +424,9 @@ def refine_root(
     with this call's step, each when its Newton point asks for it, with no
     value kept for a later point; solve_spectrum refines all its candidates
     at once (_refine_all) with the same results.  A tol or step that is
-    not > 0 (NaN too), a max_iter below 1 or a problem that fails
-    validation (require_valid) is rejected before any evaluation.
+    not > 0 (NaN too), a tol of 1 or more (which the seed itself meets), a
+    max_iter below 1 or a problem that fails validation (require_valid) is
+    rejected before any evaluation.
     """
     _check_limits(tol, max_iter)
     require_valid(problem)
@@ -437,6 +438,9 @@ def _check_limits(tol: float, max_iter: int) -> None:
     # written so that NaN fails too
     if not tol > 0:
         raise ValueError("tol must be positive")
+    # at tol >= 1 the seed itself meets Newton's |D| <= tol |D(seed)|
+    if not tol < 1:
+        raise ValueError("tol must be below 1")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
@@ -768,12 +772,13 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     is a valid answer.  real_split keeps those with |Re| <= tol *
     max(|lambda|, 1), projected onto the axis.  Before any lambda, with NaN
     failing every test, it refuses what the CLI refuses: a tol or step not
-    > 0, a max_iter below 1, an unknown path, neither scan nor rect, a scan
-    not finite p_min < p_max with n >= 2 (_scan), a rect without finite
-    corners and NR, NI >= 1, or a problem that fails validation.  Only
-    if every value failed (_each) is the first failure raised: the scan's
-    in grid order, then refinement's in evaluation order, where a lambda
-    that two Newton points ask for is evaluated for each.
+    > 0, a tol of 1 or more, a max_iter below 1, an unknown path, neither
+    scan nor rect, a scan not finite p_min < p_max with n >= 2 (_scan), a
+    rect without finite corners and NR, NI >= 1, or a problem that fails
+    validation.  Only if every value failed (_each) is the first failure
+    raised: the scan's in grid order, then refinement's in evaluation
+    order, where a lambda that two Newton points ask for is evaluated for
+    each.
     """
     _check_limits(options.tol, options.max_iter)
     if options.path not in ("complex", "real_split"):

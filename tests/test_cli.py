@@ -119,14 +119,16 @@ class TestSolve:
             ("--scan", "0.1:5:50", "--step", "nan"),
             ("--scan", "0.1:5:50", "--target-error", "-1"),
             ("--scan", "0.1:5:50", "--tol", "nan"),
+            ("--scan", "0.1:5:50", "--tol", "1"),
+            ("--scan", "0.1:5:50", "--tol", "inf"),
             ("--scan", "0.2:inf:10"),
             ("--rect=0:1:1:5:0:0",),
             ("--rect=0:1:1:5:3:0",),
             ("--rect=nan:0:1:2:2:2",),
         ],
         ids=["zero_step", "negative_step", "nan_step", "negative_target_error",
-             "nan_tol", "infinite_scan", "empty_rect", "rect_without_im_points",
-             "nan_rect_corner"],
+             "nan_tol", "unit_tol", "infinite_tol", "infinite_scan", "empty_rect",
+             "rect_without_im_points", "nan_rect_corner"],
     )
     def test_bad_search_option_exits_1_before_output(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -146,9 +148,17 @@ class TestSolve:
              "argument --step: invalid float value: 'abc'"),
             (("solve", "--model", "cable_snapshot", "--param", "masses=1,x", "--scan", "0.2:10:24"),
              "--param masses expects numbers, got '1,x'"),
+            (("solve", "--model", "fixed_free_string", "--problem", "p.json", "--scan", "0.2:10:24"),
+             "give either --model or --problem, not both"),
+            (("solve", "--scan", "0.2:10:24"),
+             "a problem source is required: --model NAME or --problem FILE"),
+            (("solve", "--model", "fixed_free_string", "--scan", "0.2:10:24", "--step", "1e-3",
+              "--target-error", "1e-8"),
+             "give --step or --target-error, not both"),
         ],
         ids=["scan_without_value", "unknown_command", "unknown_path", "step_not_a_number",
-             "param_list_not_numbers"],
+             "param_list_not_numbers", "model_and_problem", "no_problem_source",
+             "step_and_target_error"],
     )
     def test_usage_error_exits_1_with_an_error_line(self, argv, message, tmp_path, capsys):
         # argparse's own errors exited 2, the numerical-failure code, with
@@ -506,12 +516,12 @@ class TestSweep:
         assert lines[3] == "1,1,0,1.570796327,ok"
 
     def test_mistyped_parameter_gives_error_rows(self, tmp_path, capsys):
-        # c=abc reaches the builder as a string, whose comparison raises
-        # TypeError: each point is an error row with solve's message
+        # c=abc reaches build_model as a string, which it refuses by name:
+        # each point is an error row with solve's message
         argv = ["--model", "spacecraft_bar", "--param", "c=abc", "--scan", "0.3:2:50"]
         assert _run("solve", *argv, "--out", str(tmp_path / "solve")) == 1
         message = capsys.readouterr().err.strip()
-        assert message.startswith("error: ") and "not supported" in message
+        assert message == "error: parameter 'c' of spacecraft_bar expects a number, got 'abc'"
         code = _run("sweep", *argv, "--sweep", "d:0:0.2:2", "--out", str(tmp_path))
         assert code == 0
         with open(tmp_path / "sweep.csv", newline="") as fh:

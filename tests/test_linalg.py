@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscispec import BoundaryDegeneracyError
-from oscispec import linalg, spectrum
+from oscispec import spectrum
 from oscispec.linalg import rref_null_basis
 
 
@@ -149,18 +149,6 @@ class TestInitialTable:
         table = spectrum._initial_table(rows, lams)
         for k, lam in enumerate(lams.tolist()):
             assert table[k].tobytes() == spectrum._initial_table(rows[k], lam).tobytes()
-
-    def test_one_call_per_stack(self, monkeypatch):
-        calls = []
-
-        def counting(matrix, tol=1e-12):
-            calls.append(np.shape(matrix))
-            return rref_null_basis(matrix, tol)
-
-        monkeypatch.setattr(linalg, "rref_null_basis", counting)
-        rng = np.random.default_rng(4)
-        spectrum._initial_table(rng.standard_normal((240, 2, 4)), 1j * np.linspace(0.2, 10.0, 240))
-        assert calls == [(240, 2, 4)]
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("rows", [1, 2, 3])

@@ -58,6 +58,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown parameter"):
             build_model("pipeline", bogus=1.0)
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("fixed_free_string", {"T": "abc"},
+             "parameter 'T' of fixed_free_string expects a number, got 'abc'"),
+            ("cable_snapshot", {"masses": "abc"},
+             "parameter 'masses' of cable_snapshot expects a number, got 'abc'"),
+        ],
+    )
+    def test_text_for_a_numeric_parameter_is_named(self, name, params, message):
+        with pytest.raises(ValueError) as info:
+            build_model(name, **params)
+        assert str(info.value) == message
+
     def test_defaults_exposed(self):
         d = model_defaults("spacecraft_bar")
         assert d["beta"] == 0.01 and "right_end" in d

@@ -10,6 +10,7 @@ from oscispec import (
     BoundaryOperator,
     CoefficientField,
     ConjugationOperator,
+    Partition,
     PolyMatrix,
     insert_breakpoint,
     problem_from_dict,
@@ -74,6 +75,47 @@ class TestValidate:
         row = BoundaryOperator("left", PolyMatrix.from_entries([[[-lam, 1.0], [-2 * lam, 2.0]]]))
         prob = dataclasses.replace(make_string_problem(), boundary_left=row)
         assert validate(prob) == [f"boundary_left: rank 0 < 1 at lambda={lam}"]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda p: {"partition": Partition((0.0,))}, "breakpoints: need at least two"),
+            (lambda p: {"coefficients": _field(p, a=PolyMatrix.zero(3, 3), b=PolyMatrix.zero(3, 3),
+                                               c=PolyMatrix.zero(3, 3))},
+             "dimension: N=3 must be even"),
+            (lambda p: {"boundary_left": BoundaryOperator("left", PolyMatrix.constant(np.eye(2)))},
+             "boundary_left: 2 rows, expected m=1"),
+            (lambda p: {"boundary_right": BoundaryOperator("right", PolyMatrix.constant(np.eye(1, 3)))},
+             "boundary_right: 3 columns, expected N=2"),
+            (lambda p: {"partition": Partition((0.0, 0.5, 1.0)),
+                        "coefficients": _field(p, intervals=2),
+                        "conjugations": (identity_conjugation(1), identity_conjugation(1))},
+             "conjugation interface 1 repeated"),
+            (lambda p: {"partition": Partition((0.0, 0.5, 1.0)),
+                        "coefficients": _field(p, intervals=2),
+                        "conjugations": (ConjugationOperator(
+                            1, PolyMatrix.from_entries([[[1.0, 0.0, 0.0, 1.0], [0.0]], [[0.0], [1.0]]]),
+                            PolyMatrix.constant(np.eye(2))),)},
+             "conjugation 1: D lambda degree 3 exceeds cap 2"),
+            (lambda p: {"coefficients": dataclasses.replace(
+                p.coefficients, a_polys=p.coefficients.a_polys * 2)},
+             "coefficients A: 2 intervals, expected 1"),
+            (lambda p: {"coefficients": _field(p, b=PolyMatrix.zero(3, 3))},
+             "coefficients B[0]: shape (3, 3), expected (2, 2)"),
+            (lambda p: {"coefficients": _field(p, c=PolyMatrix.from_entries(
+                [[[0.0], [0.0]], [[0.0] * 9 + [1.0], [0.0]]]))},
+             "coefficients C[0]: y degree 9 exceeds cap 8"),
+            (lambda p: {"coefficients": _field(p, c=PolyMatrix.constant(np.array([[0.0, np.inf],
+                                                                                  [0.0, 0.0]])))},
+             "coefficients C[0]: nonfinite coefficient"),
+        ],
+        ids=["one_breakpoint", "odd_dimension", "boundary_rows", "boundary_columns",
+             "repeated_conjugation", "conjugation_degree", "coefficient_count",
+             "coefficient_shape", "y_degree", "nonfinite_coefficient"],
+    )
+    def test_each_structural_violation_is_named(self, change, message):
+        prob = make_string_problem()
+        assert message in validate(dataclasses.replace(prob, **change(prob)))
 
     def test_conjugation_count_mismatch(self):
         prob = make_string_problem(breakpoints=(0.0, 0.5, 1.0), conjugations=())
@@ -156,6 +198,15 @@ class TestValidate:
         bmat0 = prob.conjugations[0].b_matrix(0.0)
         scale = np.max(np.abs(bmat0))
         assert abs(np.linalg.det(bmat0)) > TOL_SINGULAR * scale**2
+
+
+def _field(prob, a=None, b=None, c=None, intervals=1):
+    """prob's coefficient field with the given A, B, C on every interval,
+    over `intervals` intervals."""
+    field = prob.coefficients
+    a, b, c = (seq[0] if pm is None else pm
+               for pm, seq in ((a, field.a_polys), (b, field.b_polys), (c, field.c_polys)))
+    return CoefficientField((a,) * intervals, (b,) * intervals, (c,) * intervals, field.bound)
 
 
 def _invalid_problems():

@@ -1,6 +1,7 @@
 """Determinant assembly, root finding, mode shapes, and their invariants."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -1628,6 +1629,17 @@ class TestLockstepRefinement:
             refine_root(fixed_free_string, 1.5j, tol=tol)
         assert det_calls == []
 
+    @pytest.mark.parametrize("scan", [(0.2, 1.0, 10), (0.2, 10.0, 240)], ids=["no_candidate", "candidates"])
+    @pytest.mark.parametrize("tol", [1.0, math.inf])
+    def test_tol_of_1_or_more_is_rejected_before_the_scan(self, fixed_free_string, det_calls, scan, tol):
+        # unchecked, every seed meets |D| <= tol |D(seed)| and is a root
+        # after 0 iterations
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            solve_spectrum(fixed_free_string, SolveOptions(scan=scan, step=1e-3, tol=tol))
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            refine_root(fixed_free_string, 1j, tol=tol)
+        assert det_calls == []
+
     @pytest.mark.parametrize(
         "search, match",
         [
@@ -2300,8 +2312,9 @@ class TestExactIntervals:
 
     @pytest.mark.parametrize(
         "make, rk4_intervals",
-        [(lambda: build_model("point_mass_string"), []), (_y_varying_problem, [1]), (lambda: _n4_problem(), [0])],
-        ids=["constant_n2", "y_varying", "n4"],
+        [*((functools.partial(build_model, name), []) for name in sorted(SCAN_DEFAULTS)),
+         (_y_varying_problem, [1]), (lambda: _n4_problem(), [0])],
+        ids=[*sorted(SCAN_DEFAULTS), "y_varying", "n4"],
     )
     def test_rk4_integrates_only_y_varying_or_n4_intervals(self, make, rk4_intervals, monkeypatch):
         # on the scan's, Newton's and the mode shapes' propagation
