@@ -35,7 +35,6 @@ from .spectrum import mode_shape  # noqa: F401  (perfbench/tracing.py wraps it b
 
 #: default fixed integration step when neither --step nor --target-error given
 DEFAULT_STEP = 1e-3
-DEFAULT_TOL = 1e-10
 VERIFY_MAX_DEV = 2e-3
 #: number of leading modes `verify` compares
 VERIFY_MODES = 3
@@ -168,7 +167,7 @@ def _add_solve_args(sub):
     sub.add_argument(
         "--target-error", type=float, help="derive the step from this RK4 local error (see --step)"
     )
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="root tolerance")
+    sub.add_argument("--tol", type=float, default=SolveOptions.tol, help="root tolerance")
     sub.add_argument(
         "--path",
         choices=("complex", "real_split"),
@@ -247,7 +246,7 @@ def _config_from_args(args) -> RunConfig:
     target_error = getattr(args, "target_error", None)
     if step is not None and target_error is not None:
         raise ConfigError("give --step or --target-error, not both")
-    tol = getattr(args, "tol", DEFAULT_TOL)
+    tol = getattr(args, "tol", SolveOptions.tol)
     cfg.max_dev = getattr(args, "max_dev", VERIFY_MAX_DEV)
     for flag, value in (("--step", step), ("--target-error", target_error),
                         ("--tol", tol), ("--max-dev", cfg.max_dev)):

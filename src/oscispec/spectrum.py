@@ -345,25 +345,23 @@ def scan_real_axis(
     _MINIMUM_RATIO times the median of the grid's finite |D| as candidate
     roots, each with its Newton start (_start).  Grids too coarse to
     separate neighboring roots merge their brackets.  Both paths search from
-    these brackets.  Problem and step are refused as in
-    characteristic_determinant.
+    these brackets.  The grid's (D, log|F|) come from one stacked pass
+    (_scan_values, through _each): a lambda that fails reads D = NaN and
+    starts no bracket, and a scan in which every lambda failed raises the
+    first failure, in grid order.  Problem and step are refused as in
+    characteristic_determinant, and a window that is not finite p_min <
+    p_max with n_grid >= 2, before any lambda.
     """
     require_valid(problem)
     _check_step(step)
-    return _scan(problem, p_min, p_max, n_grid, step)[0]
-
-
-def _scan(problem, p_min, p_max, n_grid, step):
-    """scan_real_axis's brackets, each started by _start from the grid's
-    values, and those values (_scan_values, in one stacked pass through
-    _each): (D, log|F|), or the error its lambda raised, where D reads NaN
-    and starts no bracket."""
     if not -math.inf < p_min < p_max < math.inf:
         raise ValueError("need finite p_min < p_max")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
     ps = np.linspace(p_min, p_max, n_grid)
     values = _each(lambda z: _scan_values(problem, z, step), 1j * ps)
+    if all(isinstance(value, SolverError) for value in values):
+        raise values[0]
     grid = [(math.nan,) * 2 if isinstance(value, SolverError) else value for value in values]
     dvals = np.array([value[0] for value in grid], dtype=complex)
     f = dvals.real
@@ -389,9 +387,8 @@ def _scan(problem, p_min, p_max, n_grid, step):
     spans = [(i, i + 1, "sign_change", 0.5 * (ps[i] + ps[i + 1])) for i in cross.tolist()]
     spans += [(i - 1, i + 1, "minimum", ps[i]) for i in dips.tolist()]
     spans.sort(key=lambda span: span[3])
-    brackets = [Bracket(ps[lo], ps[hi], kind, seed, *_start(ps, grid, lo, hi, kind, seed))
-                for lo, hi, kind, seed in spans]
-    return brackets, values
+    return [Bracket(ps[lo], ps[hi], kind, seed, *_start(ps, grid, lo, hi, kind, seed))
+            for lo, hi, kind, seed in spans]
 
 
 def _median(values: np.ndarray) -> float:
@@ -765,20 +762,23 @@ def _null_vector(closure: np.ndarray, det: complex, lam: complex, rank_tol: floa
 def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[SpectralResult]:
     """Scan, refine, deduplicate and sort the spectrum of a problem.
 
-    The scan brackets, each started where the scan put it (_start), and
-    then the rect seeds are refined in lockstep (_refine_all), as
+    The scan brackets (scan_real_axis), each started where the scan put it,
+    and then the rect seeds are refined in lockstep (_refine_all), as
     refine_root refines each.  Returns converged roots only, with Im >= 0
-    (conjugate pairs reported once), sorted by |Im| then Re.  An empty list
-    is a valid answer.  real_split keeps those with |Re| <= tol *
-    max(|lambda|, 1), projected onto the axis.  Before any lambda, with NaN
-    failing every test, it refuses what the CLI refuses: a tol or step not
-    > 0, a tol of 1 or more, a max_iter below 1, an unknown path, neither
-    scan nor rect, a scan not finite p_min < p_max with n >= 2 (_scan), a
+    (conjugate pairs reported once), sorted by |Im| then Re; two results
+    are one root where they lie within 1e-7 (1 + |lambda|), compared where
+    Newton polishes them at the default tol when tol is looser (_dedupe).
+    An empty list is a valid answer.  real_split keeps those with |Re| <=
+    tol * max(|lambda|, 1), projected onto the axis.  Before any lambda,
+    with NaN failing every test, it refuses what the CLI refuses: a tol or
+    step not > 0, a tol of 1 or more, a max_iter below 1, an unknown path,
+    neither scan nor rect, a scan not finite p_min < p_max with n >= 2, a
     rect without finite corners and NR, NI >= 1, or a problem that fails
-    validation.  Only if every value failed (_each) is the first failure
-    raised: the scan's in grid order, then refinement's in evaluation
-    order, where a lambda that two Newton points ask for is evaluated for
-    each.
+    validation.  A scan in which every lambda failed raises its first
+    failure, in grid order, whether or not a rect is given; a solve with
+    no scan raises the first failure, in evaluation order, only if every
+    lambda it evaluated failed, where a lambda that two Newton points ask
+    for is evaluated for each.
     """
     _check_limits(options.tol, options.max_iter)
     if options.path not in ("complex", "real_split"):
@@ -791,10 +791,8 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     require_valid(problem)
     step = resolve_step(problem, options)
     targets: list[Bracket | complex] = []
-    values: list = []
     if options.scan is not None:
-        p_min, p_max, n_grid = options.scan
-        targets, values = _scan(problem, p_min, p_max, n_grid, step)
+        targets = scan_real_axis(problem, *options.scan, step)
     if rect is not None:
         re0, re1, im0, im1, nr, ni = rect
         targets += [
@@ -804,10 +802,19 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
         ]
     starts = [_seed(target) for target in targets]
     results, evaluated = _refine_all(problem, starts, options.tol, options.max_iter, step)
-    values += evaluated
-    if values and all(isinstance(value, SolverError) for value in values):
-        raise values[0]
-    roots = _dedupe([r for r in results if r.converged], options.tol)
+    if options.scan is None and evaluated and all(
+            isinstance(value, SolverError) for value in evaluated):
+        raise evaluated[0]
+    found = [(r, axis) for r, (_, axis) in zip(results, starts) if r.converged]
+    keys = [r.lam for r, _ in found]
+    if options.tol > SolveOptions.tol:
+        # Newton's residual exit stops early at a loose tol: on the
+        # benchmark rects two results of one root lie up to ~0.2 apart at
+        # tol 0.1 and ~2 at 0.5, more than the spacing of some roots
+        polished, _ = _refine_all(problem, [(r.lam, axis) for r, axis in found],
+                                  SolveOptions.tol, options.max_iter, step)
+        keys = [p.lam if p.converged else key for p, key in zip(polished, keys)]
+    roots = _dedupe([r for r, _ in found], keys)
     if options.path == "real_split":
         tol = options.tol
         roots = [replace(r, lam=1j * r.lam.imag) for r in roots
@@ -837,15 +844,20 @@ def resolve_step(problem: ProblemDefinition, options: SolveOptions) -> float:
     return estimate_step(problem, max(probes), options.target_error)
 
 
-def _dedupe(results: Iterable[SpectralResult], tol: float) -> list[SpectralResult]:
+def _dedupe(results: list[SpectralResult], keys: list[complex]) -> list[SpectralResult]:
     """The distinct roots, each as the first result in target order that
     found it (conjugates canonicalized to Im >= 0), sorted by |Im| then Re.
-    Which duplicate is kept never follows residuals at rounding level."""
+    Two results are one root where their keys, each a result's lambda or
+    the lambda its polish reached, lie within 1e-7 (1 + |key|), which
+    holds two results of one root at the default tol (at most 9.1e-11
+    apart on the benchmark rects).  Which duplicate is kept never follows
+    residuals at rounding level."""
     kept: list[SpectralResult] = []
-    for r in results:
-        lam = r.lam.conjugate() if r.lam.imag < 0 else r.lam
-        atol = max(1e3 * tol, 1e-7) + 1e-7 * abs(lam)
-        if all(abs(k.lam - lam) > atol for k in kept):
-            kept.append(replace(r, lam=lam))
+    kept_keys: list[complex] = []
+    for r, key in zip(results, keys):
+        key = key.conjugate() if key.imag < 0 else key
+        if all(abs(k - key) > 1e-7 * (1.0 + abs(key)) for k in kept_keys):
+            kept_keys.append(key)
+            kept.append(replace(r, lam=r.lam.conjugate() if r.lam.imag < 0 else r.lam))
     kept.sort(key=lambda r: (abs(r.lam.imag), r.lam.real))
     return kept

@@ -60,6 +60,43 @@ class TestSolve:
             {"re", "im", "residual", "iterations"}
         ] * 3
 
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-2", "0.1", "0.5"])
+    def test_a_loose_tol_keeps_distinct_roots(self, tmp_path, tol):
+        # the merge radius was 1e3 tol: 10 at tol 0.01, wider than the
+        # roots' spacing pi, so one root was written
+        code = _run("solve", "--model", "fixed_free_string", "--scan", "0.2:10:240",
+                    "--tol", tol, "--out", str(tmp_path))
+        assert code == 0
+        data = json.loads((tmp_path / "spectrum.json").read_text())
+        got = [complex(r["re"], r["im"]) for r in data]
+        want = [(2 * k - 1) * math.pi / 2 * 1j for k in (1, 2, 3)]
+        assert len(got) == 3
+        assert all(abs(a - b) <= 1e-6 for a, b in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "search, roots",
+        [
+            (["machine_unit", "--param", "left_end=clamped", "--param", "right_end=clamped",
+              "--rect=-0.5:0.0:0.5:10.0:4:4"],
+             [-0.049348022005527 + 3.141205051223100j, -0.197392088026848 + 6.280083914167239j,
+              -0.444132198107423 + 9.414307526955394j]),
+            (["spacecraft_bar", "--param", "beta=0.02", "--rect=-0.5:0.0:0.5:6.0:4:6"],
+             [-0.009547444507609 + 0.910287086233409j, -0.180292730231535 + 2.220172581416779j,
+              -0.379618038206955 + 4.917221666952651j]),
+        ],
+        ids=["machine_unit", "spacecraft_bar"],
+    )
+    def test_a_loose_tol_rect_writes_each_root_once(self, tmp_path, search, roots):
+        # the benchmark's rects at tol 1e-2: two Newton results of one root
+        # lie up to 3e-2 apart there, and each root is written once
+        code = _run("solve", "--model", *search, "--tol", "1e-2", "--out", str(tmp_path))
+        assert code == 0
+        data = json.loads((tmp_path / "spectrum.json").read_text())
+        got = [complex(r["re"], r["im"]) for r in data]
+        assert len(got) == 3
+        for root in roots:
+            assert sum(abs(z - root) <= 0.05 for z in got) == 1
+
     def test_json_csv_values_consistent(self, tmp_path):
         _run(
             "solve", "--model", "point_mass_string", "--scan", "0.5:8:160",

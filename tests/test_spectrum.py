@@ -437,8 +437,9 @@ class TestScan:
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     def test_scan_equals_the_plain_loop(self, name, window):
         problem = build_model(name)
-        brackets, values = spectrum._scan(problem, *window, 1e-3)
+        brackets = scan_real_axis(problem, *window, 1e-3)
         ps = np.linspace(*window)
+        values = spectrum._scan_values(problem, 1j * ps, 1e-3)
         dvals = characteristic_determinant(problem, 1j * ps, 1e-3)
         _same_brackets(brackets, _loop_brackets(ps, dvals))
         assert [value[0] for value in values] == dvals.tolist()
@@ -454,7 +455,7 @@ class TestScan:
                 _starts_at_the_interpolant_root(b, ps, values, first)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_scan_equals_the_plain_loop_on_ties_and_nan(self, seed, monkeypatch):
+    def test_scan_equals_the_plain_loop_on_ties_and_nan(self, seed, fixed_free_string, monkeypatch):
         # small integer values: zeros, equal neighbours, minima next to sign
         # changes and NaN, which the built-in grids seldom show
         rng = np.random.default_rng(seed)
@@ -462,7 +463,7 @@ class TestScan:
         dvals = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n) * 0.01
         dvals[rng.random(n) < 0.05] = np.nan
         monkeypatch.setattr(spectrum, "_scan_values", lambda *args: _scan_form(dvals))
-        brackets, _ = spectrum._scan(None, 0.0, 1.0, n, 1e-3)
+        brackets = scan_real_axis(fixed_free_string, 0.0, 1.0, n, 1e-3)
         _same_brackets(brackets, _loop_brackets(np.linspace(0.0, 1.0, n), dvals))
 
     def test_a_failed_grid_point_keeps_the_minimum_brackets(self, monkeypatch):
@@ -480,13 +481,62 @@ class TestScan:
             return original(problem, lam, step)
 
         monkeypatch.setattr(spectrum, "_scan_values", failing)
-        brackets, values = spectrum._scan(problem, *options.scan, options.step)
+        brackets = scan_real_axis(problem, *options.scan, options.step)
+        ps = np.linspace(*options.scan)
+        values = spectrum._each(lambda z: spectrum._scan_values(problem, z, options.step), 1j * ps)
         assert isinstance(values[-1], PropagationError)
         assert any(b.kind == "minimum" for b in brackets)
         found = [r.lam for r in solve_spectrum(problem, options)]
         assert len(roots) == len(found) == 4
         assert min(abs(z + 0.56866) for z in found) <= 1e-5
         assert all(abs(a - b) <= 1e-10 for a, b in zip(roots, found))
+
+    def test_a_scan_whose_every_lambda_fails_raises_the_first(self, fixed_free_string, monkeypatch):
+        # the failures are met from the grid's end; the scan raises its
+        # first lambda's, where it returned [] before
+        monkeypatch.setattr(spectrum, "_scan_values", _fail_every_lambda)
+        with pytest.raises(PropagationError) as info:
+            scan_real_axis(fixed_free_string, 0.2, 10.0, 12, 1e-3)
+        assert info.value.lam == 0.2j
+
+    def test_a_stiff_scan_raises_its_first_lambdas_failure(self):
+        # criterion 9's stiff problem overflows at every frequency
+        problem = problem_from_dict(STIFF_PROBLEM)
+        expected = _first_error(problem, 1j * np.linspace(0.5, 2.0, 10), 1e-3)
+        with pytest.raises(IntegrationError) as info:
+            scan_real_axis(problem, 0.5, 2.0, 10, 1e-3)
+        assert (str(info.value), info.value.lam) == (str(expected), 0.5j)
+
+    @pytest.mark.parametrize("rect", [None, (-0.5, 0.0, 0.5, 6.0, 2, 2)], ids=["scan_only", "scan_and_rect"])
+    def test_a_solve_raises_the_failure_of_a_scan_that_failed_everywhere(
+        self, fixed_free_string, monkeypatch, rect
+    ):
+        # Newton's pass is not stubbed, so the rect alone finds roots; a
+        # scan and a rect returned the rect's roots before
+        if rect is not None:
+            assert solve_spectrum(fixed_free_string, SolveOptions(rect=rect, step=1e-3))
+
+        monkeypatch.setattr(spectrum, "_scan_values", _fail_every_lambda)
+        with pytest.raises(PropagationError) as info:
+            solve_spectrum(fixed_free_string, SolveOptions(scan=(0.2, 10.0, 12), rect=rect, step=1e-3))
+        assert info.value.lam == 0.2j
+
+    def test_a_rect_whose_every_lambda_fails_raises_the_first_it_evaluated(self, fixed_free_string, monkeypatch):
+        # every seed fails, met from the last; the first seed's failure is
+        # the solve's
+        monkeypatch.setattr(spectrum, "_newton_values", _fail_every_lambda)
+        with pytest.raises(PropagationError) as info:
+            solve_spectrum(fixed_free_string, SolveOptions(rect=(-0.5, 0.0, 0.5, 6.0, 2, 2), step=1e-3))
+        assert info.value.lam == complex(-0.5, 0.5)
+
+    def test_a_solve_scans_through_the_public_scan(self, fixed_free_string, monkeypatch):
+        # the benchmark's tracer wraps spectrum.scan_real_axis by name, so a
+        # solve that scanned by another name showed no scan span
+        calls = []
+        scan = spectrum.scan_real_axis
+        monkeypatch.setattr(spectrum, "scan_real_axis", lambda *args: calls.append(args) or scan(*args))
+        roots = solve_spectrum(fixed_free_string, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
+        assert len(calls) == 1 and len(roots) == 3
 
 
 class TestInterpolatedStart:
@@ -587,6 +637,12 @@ class TestSearchOutcome:
                 options = [SolveOptions(scan=(lo, hi, n), step=1e-3, path=path) for n in WINDOW_SIZES]
                 got = "".join(str(len(solve_spectrum(problem, o))) for o in options)
                 assert (lo, hi, path, got) == (lo, hi, path, want)
+
+
+def _fail_every_lambda(problem, lam, step):
+    """A stub pass that fails the last lambda of its stack, so _each meets
+    a stack's failures from its end."""
+    raise PropagationError(1, lam[-1], "stub")
 
 
 def _scan_form(dvals):
@@ -1261,7 +1317,8 @@ class TestStackedDeterminant:
         assert info.value.lam == lams[2]
         assert str(info.value) == str(expected)
         # in a scan the failed point is a gap: D = NaN there starts no bracket
-        brackets, values = spectrum._scan(problem, 1.0, 3.0, 5, step=1e-3)
+        brackets = scan_real_axis(problem, 1.0, 3.0, 5, step=1e-3)
+        values = spectrum._each(lambda z: spectrum._scan_values(problem, z, 1e-3), 1j * np.linspace(1.0, 3.0, 5))
         failed = values[2]  # p = 2
         assert isinstance(failed, PropagationError) and failed.lam == 2j
         assert all(not (b.p_lo <= 2.0 <= b.p_hi) for b in brackets)
@@ -1580,8 +1637,10 @@ def _axis_roots(results, tol):
 
 
 def _reported(results, options):
-    """What solve_spectrum reports from its refined candidates."""
-    roots = spectrum._dedupe([r for r in results if r.converged], options.tol)
+    """What solve_spectrum reports from its refined candidates at a tol no
+    looser than the default, where no result is polished."""
+    converged = [r for r in results if r.converged]
+    roots = spectrum._dedupe(converged, [r.lam for r in converged])
     return _axis_roots(roots, options.tol) if options.path == "real_split" else roots
 
 
