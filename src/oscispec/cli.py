@@ -30,11 +30,17 @@ from .oracle import (
 )
 from .problem import ProblemDefinition, require_valid
 from .serialize import load_problem
-from .spectrum import SolveOptions, mode_shapes, resolve_step, sample_nodes, solve_spectrum
+from .spectrum import (
+    DEFAULT_STEP,
+    PATHS,
+    SolveOptions,
+    mode_shapes,
+    resolve_step,
+    sample_nodes,
+    solve_spectrum,
+)
 from .spectrum import mode_shape  # noqa: F401  (perfbench/tracing.py wraps it by name)
 
-#: default fixed integration step when neither --step nor --target-error given
-DEFAULT_STEP = 1e-3
 VERIFY_MAX_DEV = 2e-3
 #: number of leading modes `verify` compares
 VERIFY_MODES = 3
@@ -170,12 +176,12 @@ def _add_solve_args(sub):
     sub.add_argument("--tol", type=float, default=SolveOptions.tol, help="root tolerance")
     sub.add_argument(
         "--path",
-        choices=("complex", "real_split"),
-        default="complex",
-        help="reduction path",
+        choices=PATHS,
+        default=SolveOptions.path,
+        help="complex: every root found, complex mode columns; real_split: the roots on "
+        "the frequency axis only, mode files as [Re, Im] columns",
     )
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    sub.add_argument("--out", default=RunConfig.out_dir, help="output directory")
 
 
 @functools.cache
@@ -191,6 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = subs.add_parser("solve", help="scan and refine the spectrum")
     _add_source_args(p_solve)
     _add_solve_args(p_solve)
+    p_solve.add_argument("--format", choices=("csv", "json", "both"), default=RunConfig.fmt)
 
     p_modes = subs.add_parser("modes", help="write mode-shape CSV files")
     _add_source_args(p_modes)
@@ -246,8 +253,8 @@ def _config_from_args(args) -> RunConfig:
     target_error = getattr(args, "target_error", None)
     if step is not None and target_error is not None:
         raise ConfigError("give --step or --target-error, not both")
-    tol = getattr(args, "tol", SolveOptions.tol)
-    cfg.max_dev = getattr(args, "max_dev", VERIFY_MAX_DEV)
+    tol = getattr(args, "tol", cfg.solve.tol)
+    cfg.max_dev = getattr(args, "max_dev", cfg.max_dev)
     for flag, value in (("--step", step), ("--target-error", target_error),
                         ("--tol", tol), ("--max-dev", cfg.max_dev)):
         # written so that NaN fails too
@@ -255,8 +262,8 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"{flag} must be positive")
     if not tol < 1:
         raise ConfigError("--tol must be below 1")
-    cfg.out_dir = Path(getattr(args, "out", "."))
-    cfg.fmt = getattr(args, "format", "both")
+    cfg.out_dir = Path(getattr(args, "out", cfg.out_dir))
+    cfg.fmt = getattr(args, "format", cfg.fmt)
     cfg.n_fd = getattr(args, "n_fd", cfg.n_fd)
     if getattr(args, "sweep", None):
         name, lo, hi, count = _parse_colon_tuple(
@@ -272,8 +279,11 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"--indices expects integers, got {args.indices!r}") from None
         if min(cfg.indices) < 1:
             raise ConfigError(f"--indices are 1-based, got {args.indices!r}")
+        repeated = [i for k, i in enumerate(cfg.indices) if i in cfg.indices[:k]]
+        if repeated:
+            raise ConfigError(f"--indices repeats {repeated[0]}")
     cfg.solve = SolveOptions(scan=scan, rect=rect, step=step, tol=tol,
-                             path=getattr(args, "path", "complex"))
+                             path=getattr(args, "path", cfg.solve.path))
     if target_error is not None:
         cfg.solve.target_error = target_error
     elif step is None:
@@ -415,6 +425,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if name not in defaults:
         raise ConfigError(
             f"model {cfg.model!r} has no parameter {name!r}; accepted: {sorted(defaults)}"
+        )
+    if isinstance(defaults[name], str):
+        raise ConfigError(
+            f"--sweep: parameter {name!r} of {cfg.model} takes text "
+            f"(default {defaults[name]!r}), not a number"
         )
     opts = _solve_options(cfg)
     values = np.linspace(lo, hi, count)

@@ -48,7 +48,6 @@ _STACK_ENTRIES = 1 << 18
 class FundamentalMatrix:
     """End values (and optional dense samples) of one interval's solutions."""
 
-    interval: int
     end_matrix: np.ndarray  # (K, dim, dim), rows = solutions
     step: float
     sample_ys: np.ndarray | None = None
@@ -166,8 +165,7 @@ def integrate_fundamental(
     end = transfer[-1] if keep_samples else transfer
 
     _check_end(system, interval, end, "consider a smaller step")
-    return FundamentalMatrix(interval=interval, end_matrix=end, step=h,
-                             sample_ys=nodes if keep_samples else None,
+    return FundamentalMatrix(end_matrix=end, step=h, sample_ys=nodes if keep_samples else None,
                              samples=transfer if keep_samples else None)
 
 
@@ -212,7 +210,6 @@ def _exact_fundamental(
     _check_end(system, interval, end, "the interval's solutions decay below the float range")
     h = length / n_steps
     return FundamentalMatrix(
-        interval=interval,
         end_matrix=end,
         step=h,
         sample_ys=lo + h * np.arange(n_steps + 1) if keep_samples else None,

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: rref_null_basis counts an entry below this times the matrix's largest
+#: modulus as zero
+_PIVOT_TOL = 1e-12
+
 
 class NullBasis(tuple):
     """rref_null_basis's (rank, basis) pair; `pivots` holds the pivot columns:
@@ -15,7 +19,7 @@ class NullBasis(tuple):
         return pair
 
 
-def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12) -> NullBasis:
+def rref_null_basis(matrix: np.ndarray) -> NullBasis:
     """Null-space basis of a short wide matrix, or of each matrix of a stack,
     by Gaussian elimination.
 
@@ -26,7 +30,7 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12) -> NullBasis:
     roundoff.
 
     The reduction uses partial pivoting on the largest modulus; entries below
-    tol * (max |entry|) count as zero.  Deterministic for identical input.
+    _PIVOT_TOL * (max |entry|) count as zero.  Deterministic for identical input.
 
     A stack (K, rows, cols) is reduced matrix by matrix.  rank is then an
     int array of the K ranks and basis a (K, cols, cols - rank) array; if
@@ -34,7 +38,7 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12) -> NullBasis:
     """
     matrix = np.asarray(matrix)
     if matrix.ndim == 3:
-        parts = [rref_null_basis(m, tol) for m in matrix]
+        parts = [rref_null_basis(m) for m in matrix]
         ranks = np.array([rank for rank, _ in parts], dtype=int)
         if len(set(ranks.tolist())) > 1:
             return NullBasis(ranks, None, None)
@@ -43,7 +47,7 @@ def rref_null_basis(matrix: np.ndarray, tol: float = 1e-12) -> NullBasis:
     if matrix.ndim != 2:
         raise ValueError("expected a 2-D matrix or a stack of them")
     a = matrix.copy()
-    pivot_cols = _eliminate(a, tol)
+    pivot_cols = _eliminate(a)
     cols = a.shape[1]
     rank = len(pivot_cols)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
@@ -101,10 +105,10 @@ def row_adjugate_form(matrix: np.ndarray) -> np.ndarray:
     return table
 
 
-def _eliminate(a: np.ndarray, tol: float) -> list[int]:
+def _eliminate(a: np.ndarray) -> list[int]:
     """Row-reduce one (rows, cols) matrix in place; returns the pivot columns."""
     rows, cols = a.shape
-    cutoff = tol * np.max(np.abs(a), initial=0.0)
+    cutoff = _PIVOT_TOL * np.max(np.abs(a), initial=0.0)
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):

@@ -56,6 +56,14 @@ _NEXT_CHECK = 4
 #: a Ritz value theta is converged when its residual is below this times |theta|
 _RITZ_TOL = 1e-10
 
+#: closed_form_roots' sign-change grid over the window, and the width at
+#: which it stops bisecting a cell
+_ROOT_GRID = 4000
+_ROOT_XTOL = 1e-13
+
+#: leading_frequencies' sector starts above this Im
+_IM_MIN = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # closed forms
@@ -99,23 +107,22 @@ def closed_form_roots(
     model_tag: str,
     p_min: float,
     p_max: float,
-    n_grid: int = 4000,
-    xtol: float = 1e-13,
     **params,
 ) -> list[float]:
     """Brute-force bisection roots of a closed-form characteristic function.
 
-    The grid is evaluated in one call, and every sign-change interval of it
-    is bisected in lockstep, one call per halving; a grid point where the
-    function is exactly 0 is a root itself.
+    The grid of _ROOT_GRID points is evaluated in one call, and every
+    sign-change interval of it is bisected in lockstep, one call per
+    halving, down to a width of _ROOT_XTOL; a grid point where the function
+    is exactly 0 is a root itself.
     """
-    ps = np.linspace(p_min, p_max, n_grid)
+    ps = np.linspace(p_min, p_max, _ROOT_GRID)
     vals = closed_form_determinant(model_tag, ps, **params)
     on_grid = np.flatnonzero(vals[:-1] == 0.0)
     cells = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
     lo, hi, f_lo = ps[cells], ps[cells + 1], vals[cells]
     while True:
-        live = hi - lo > xtol
+        live = hi - lo > _ROOT_XTOL
         if not live.any():
             break
         mid = 0.5 * (lo + hi)
@@ -509,13 +516,13 @@ def _polyeig_near(bands: np.ndarray, count: int) -> np.ndarray | None:
     return None
 
 
-def leading_frequencies(eigs: np.ndarray, count: int, im_min: float = 1e-6) -> np.ndarray:
+def leading_frequencies(eigs: np.ndarray, count: int) -> np.ndarray:
     """First count eigenvalues of the oscillatory sector, ordered by Im.
 
-    The sector is |Re| <= Im with Im above im_min.  It leaves out overdamped
+    The sector is |Re| <= Im with Im above _IM_MIN.  It leaves out overdamped
     eigenvalues, such as the Kelvin-Voigt cluster of the FD spectrum near
     Re = -stiffness/damping, whose Im can be small.
     """
-    sel = eigs[(eigs.imag > im_min) & (np.abs(eigs.real) <= eigs.imag)]
+    sel = eigs[(eigs.imag > _IM_MIN) & (np.abs(eigs.real) <= eigs.imag)]
     sel = sel[np.argsort(sel.imag, kind="stable")]
     return sel[:count]

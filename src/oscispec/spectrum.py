@@ -61,6 +61,15 @@ _ROUNDING = 1e-13
 #: matrix is above this, and asks its null vector for this relative residual
 _RANK_TOL = 1e-6
 
+#: refine_root's step, and the CLI's where neither --step nor --target-error
+#: is given
+DEFAULT_STEP = 1e-3
+
+#: the solve paths, the default first: complex keeps every root and writes
+#: complex mode columns; real_split keeps the roots on the frequency axis and
+#: writes a mode as its [Re, Im] columns
+PATHS = ("complex", "real_split")
+
 
 @dataclass(frozen=True)
 class Bracket:
@@ -115,7 +124,7 @@ class SolveOptions:
     target_error: float = 1e-10
     tol: float = 1e-10
     max_iter: int = 100
-    path: str = "complex"
+    path: str = PATHS[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +220,20 @@ def _assemble(reduced: ReducedSystem, step: float, keep_samples: bool):
 
 
 # a ratio beyond the float range is clamped below, as the general route
-# clamps its exponent, not warned about
-@np.errstate(over="ignore", invalid="ignore")
-def _normalized_det(closure: np.ndarray, end_values: np.ndarray) -> np.ndarray:
-    """det(closure) divided by the product of the m largest row maxima of W,
-    per closure matrix of a stack.
+# clamps its exponent, not warned about; log|c| of c = 0 is -inf
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _normalized_det(closure: np.ndarray, end_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, log|F|) per closure matrix of a stack: F = det(closure), and D
+    that determinant divided by the product of the m largest row maxima of
+    W.
 
     The raw determinant grows or decays exponentially with frequency and
     domain length through the fundamental solutions; dividing by the
     dominant row scales of the propagated end values keeps it O(1) without
-    moving its zeros.  For m = 1 it is c / max|W| of the one closure entry
+    moving its zeros.  For m = 1 D is c / max|W| of the one closure entry
     c, zero where c or W vanishes and clamped at the modulus e^_EXP_CLAMP:
     the rules of the general route (_log_normalized_det), which it matches
-    to rounding.
+    to rounding; log|F| is log|c|.
     """
     if closure.shape[-1] != 1:
         return _log_normalized_det(closure, end_values)
@@ -236,12 +246,13 @@ def _normalized_det(closure: np.ndarray, end_values: np.ndarray) -> np.ndarray:
     clamped = np.abs(value) > _EXP_MAX
     if clamped.any():
         value[clamped] = c[clamped] / np.abs(c[clamped]) * _EXP_MAX
-    return value
+    return value, np.log(np.abs(c))
 
 
-def _log_normalized_det(closure: np.ndarray, end_values: np.ndarray) -> np.ndarray:
-    """_normalized_det of any m, by slogdet: sign * exp(log|det| - sum of
-    the log row scales), the exponent clamped at _EXP_CLAMP."""
+def _log_normalized_det(closure: np.ndarray, end_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_normalized_det of any m, by one slogdet: D = sign * exp(log|det| -
+    sum of the log row scales), the exponent clamped at _EXP_CLAMP, and
+    log|F| = log|det|, -inf where det = 0."""
     m = closure.shape[-1]
     top = np.sort(np.abs(end_values).max(axis=-1), axis=-1)[..., -m:]
     sign, logdet = np.linalg.slogdet(closure)
@@ -249,7 +260,7 @@ def _log_normalized_det(closure: np.ndarray, end_values: np.ndarray) -> np.ndarr
     # stands in for the row scales of a vanishing value
     vanishes = (top[..., 0] == 0.0) | (sign == 0)
     exponent = logdet - np.log(np.where(vanishes[..., np.newaxis], 1.0, top)).sum(axis=-1)
-    return np.where(vanishes, 0j, sign * np.exp(np.minimum(exponent, _EXP_CLAMP)))
+    return np.where(vanishes, 0j, sign * np.exp(np.minimum(exponent, _EXP_CLAMP))), logdet
 
 
 def characteristic_determinant(
@@ -290,24 +301,22 @@ def _closure_values(problem: ProblemDefinition, lam: np.ndarray, step: float,
     """[D, log|F|] at each lambda of a non-empty stack, in one pass (whose
     RK4 integration bounds its own arrays, integrate_fundamental), and with
     variational also F'/F: F = det C the analytic closure determinant, D
-    its normalized form (_normalized_det), which keeps the phase of F, and
-    F'/F = tr(C^-1 C') by Jacobi's formula, NaN where F = 0 (and D = 0)."""
+    its normalized form, which keeps the phase of F (both from one
+    _normalized_det call), and F'/F = tr(C^-1 C') by Jacobi's formula, NaN
+    where F = 0 (and D = 0)."""
     reduced = reduce_complex(problem, lam, variational=variational)
     _, _, w, closure = _assemble(reduced, step, keep_samples=False)
     m = closure.shape[-1]
     c = closure[:, :m, :]
-    if m == 1:
-        log_f = np.log(np.abs(c[:, 0, 0]))
-    else:
-        sign, log_f = np.linalg.slogdet(c)
-    values = [_normalized_det(c, w), log_f]
+    values = list(_normalized_det(c, w))
     if variational and m == 1:
         values.append(closure[:, 1, 0] / c[:, 0, 0])
     elif variational:
-        singular = (sign == 0)[:, np.newaxis, np.newaxis]
-        ratio = np.trace(np.linalg.solve(np.where(singular, np.eye(m), c), closure[:, m:]),
-                         axis1=1, axis2=2)
-        ratio[sign == 0] = math.nan
+        # log|F| is -inf exactly where slogdet's sign is 0
+        singular = values[1] == -math.inf
+        safe = np.where(singular[:, np.newaxis, np.newaxis], np.eye(m), c)
+        ratio = np.trace(np.linalg.solve(safe, closure[:, m:]), axis1=1, axis2=2)
+        ratio[singular] = math.nan
         values.append(ratio)
     return values
 
@@ -407,9 +416,9 @@ def _median(values: np.ndarray) -> float:
 def refine_root(
     problem: ProblemDefinition,
     target: Bracket | complex,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    step: float = 1e-3,
+    tol: float = SolveOptions.tol,
+    max_iter: int = SolveOptions.max_iter,
+    step: float = DEFAULT_STEP,
 ) -> SpectralResult:
     """Polish one root candidate: the one-target case of the lockstep refinement.
 
@@ -670,7 +679,7 @@ def mode_shape(
     problem: ProblemDefinition,
     lam: complex,
     step: float,
-    path: str = "complex",
+    path: str = SolveOptions.path,
 ) -> ModeShape:
     """Reconstruct the eigenfunction at a converged root: the one-lambda
     case of mode_shapes."""
@@ -682,7 +691,7 @@ def mode_shapes(
     problem: ProblemDefinition,
     lams: Iterable[complex],
     step: float,
-    path: str = "complex",
+    path: str = SolveOptions.path,
 ) -> Iterator[ModeShape]:
     """Reconstruct the eigenfunctions at converged roots, yielded in order.
 
@@ -702,7 +711,7 @@ def mode_shapes(
     for c conj(c_0), the phase of the realified closure's null vector.
     """
     lams = [complex(z) for z in lams]
-    if path not in ("complex", "real_split"):
+    if path not in PATHS:
         raise ValueError(f"unknown path {path!r}")
     split = path == "real_split"
     if split and any(abs(z.real) > 1e-12 * max(1.0, abs(z)) for z in lams):
@@ -724,7 +733,7 @@ def _shapes(problem: ProblemDefinition, lams: np.ndarray, step: float, split: bo
     for the free constants c (_null_vector), normalized to unit max-abs;
     split gives [Re, Im] of the combination for c conj(c[0])."""
     u_tables, fundamentals, w, closure = _assemble(reduce_complex(problem, lams), step, keep_samples=True)
-    dets = _normalized_det(closure, w)
+    dets, _ = _normalized_det(closure, w)
     ys = np.concatenate([fm.sample_ys for fm in fundamentals])
     ends = np.cumsum([0] + [len(fm.sample_ys) for fm in fundamentals]).tolist()
     slices = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
@@ -781,7 +790,7 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     for is evaluated for each.
     """
     _check_limits(options.tol, options.max_iter)
-    if options.path not in ("complex", "real_split"):
+    if options.path not in PATHS:
         raise ValueError(f"unknown path {options.path!r}")
     rect = options.rect
     if options.scan is None and rect is None:

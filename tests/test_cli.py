@@ -283,6 +283,19 @@ class TestSolve:
             assert (outs["target"] / name).read_bytes() == (outs["default"] / name).read_bytes()
         assert len(json.loads((outs["default"] / "spectrum.json").read_text())) == 3
 
+    @pytest.mark.parametrize("command, extra", [("modes", ()), ("sweep", ("--sweep", "d:0:0.2:2"))])
+    def test_format_is_a_usage_error_where_nothing_reads_it(self, command, extra, tmp_path, capsys):
+        # modes and sweep accepted --format and wrote CSV whatever it said
+        out = tmp_path / "out"
+        code = _run(command, "--model", "spacecraft_bar", "--scan", "0.3:2:20", *extra,
+                    "--format", "json", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --format json\n"
+        assert not out.exists()
+        assert _run("solve", "--model", "spacecraft_bar", "--scan", "0.3:2:20",
+                    "--format", "json", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["spectrum.json"]
+
     def test_rect_search_finds_damped_root(self, tmp_path):
         code = _run(
             "solve", "--model", "spacecraft_bar", "--param", "beta=0.02",
@@ -419,6 +432,19 @@ class TestModes:
         monkeypatch.setattr(cli, "MODES_MAX_SAMPLES", 1001)
         assert _run(*argv, "--step", "2e-3") == 0
         assert len((out / "mode_001.csv").read_text().splitlines()) == 502
+
+    @pytest.mark.parametrize("indices, repeated", [("1,1", 1), ("2,3,2,3", 2)])
+    def test_repeated_index_exits_1_before_the_solve(self, indices, repeated, tmp_path, capsys,
+                                                     monkeypatch):
+        # 1,1 sampled mode 1 twice, printed its line twice and wrote
+        # mode_001.csv twice
+        monkeypatch.setattr(cli, "solve_spectrum", lambda *args: pytest.fail("solved"))
+        out = tmp_path / "out"
+        code = _run("modes", "--model", "fixed_free_string", "--scan", "0.2:10:240",
+                    "--indices", indices, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --indices repeats {repeated}\n"
+        assert not out.exists()
 
     def test_index_out_of_range_exits_1(self, tmp_path, capsys):
         code = _run(
@@ -571,6 +597,21 @@ class TestSweep:
             "--scan", "0.3:2.0:50", "--out", str(tmp_path),
         )
         assert code == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("model, default", [("machine_unit", "rotor"), ("pipeline", "elastic")])
+    def test_text_parameter_exits_1_before_any_point(self, model, default, tmp_path, capsys,
+                                                     monkeypatch):
+        # left_end:0:1:2 loaded every point and wrote one "not one of ..."
+        # error row per point
+        monkeypatch.setattr(cli, "_load", lambda *args, **kwargs: pytest.fail("loaded"))
+        code = _run("sweep", "--model", model, "--sweep", "left_end:0:1:2",
+                    "--scan", "0.2:10:50", "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --sweep: parameter 'left_end' of {model} takes text "
+            f"(default {default!r}), not a number\n"
+        )
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("descriptor", ["d:0:inf:2", "rho:1:inf:2", "d:nan:0.2:2"])

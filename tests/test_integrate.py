@@ -528,3 +528,24 @@ class TestExactPropagation:
             tracemalloc.stop()
         assert fm.samples.shape == (2**18 + 1, 1, 2, 2)
         assert peak < 54e6
+
+    def test_first_two_block_grid_peaks_no_higher_than_the_largest_one_call_grid(self, monkeypatch):
+        # one lambda: a grid of _stack_room nodes is one call, and one node
+        # more is two equal blocks, whose samples are preallocated beside the
+        # working arrays of half the grid (20.2 MB against 17.9 MB by
+        # tracemalloc on numpy 2.4)
+        system = reduce_complex(build_model("fixed_free_string"), np.array([1.5j]))
+        block = integrate._stack_room(system.constant_coeffs[0].size)
+        transfer, calls, peaks = integrate._exact_transfer, [], []
+        monkeypatch.setattr(integrate, "_exact_transfer", lambda *a: calls.append(1) or transfer(*a))
+        for nodes in (block, block + 1):
+            calls.clear()
+            tracemalloc.start()
+            try:
+                fm = _exact_fundamental(system, 0, 1.0 / (nodes - 1), keep_samples=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(fm.sample_ys) == nodes and len(calls) == (1 if nodes == block else 2)
+            del fm
+        assert peaks[1] <= peaks[0]

@@ -2511,11 +2511,14 @@ class TestClosedForms:
         # ordinary value, as one stack
         closure = np.array([[[2.0 + 1j]], [[0j]], [[1e300 - 1e300j]], [[3.0 - 4j]]])
         w = np.array([[[0j], [0j]], [[1.0], [2j]], [[1e-300], [0j]], [[0.5], [-2.0]]])
-        closed = spectrum._normalized_det(closure, w)
-        general = spectrum._log_normalized_det(closure, w)
+        closed, closed_log = spectrum._normalized_det(closure, w)
+        general, general_log = spectrum._log_normalized_det(closure, w)
         assert closed[0] == general[0] == 0 and closed[1] == general[1] == 0
         np.testing.assert_allclose(closed[2:], general[2:], rtol=1e-14)
         assert abs(closed[2]) == pytest.approx(math.exp(700.0), rel=1e-14)
+        # log|F| is log|c| on both routes, -inf where c vanishes
+        assert closed_log[1] == general_log[1] == -math.inf
+        np.testing.assert_allclose(closed_log, general_log, rtol=1e-14)
 
     @pytest.mark.parametrize("name", sorted(SCAN_DEFAULTS))
     def test_one_lambda_is_its_length_one_stack(self, name):
@@ -2552,6 +2555,22 @@ class TestClosedForms:
                 assert info.value.lam == 1.5j
                 assert (info.value.rank, info.value.expected) == (0, 1)
 
+    def test_one_slogdet_per_pass(self, monkeypatch):
+        # m = 2: a scan or Newton pass takes D and log|F| from one slogdet
+        # (it took two), and the sampled pass of the mode shapes one too
+        problem = _n4_problem()
+        lams = 1j * np.linspace(0.3, 5.0, 17) - 0.05
+        roots = solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
+        roots = np.array([r.lam for r in roots])
+        alone = _per_lambda(problem, lams, 1e-3)
+        slogdet, calls = np.linalg.slogdet, []
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(len(a)) or slogdet(a))
+        for variational in (False, True):
+            d, log_f = spectrum._closure_values(problem, lams, 1e-3, variational)[:2]
+            assert d.tobytes() == alone.tobytes() and np.isfinite(log_f).all()
+        list(spectrum.mode_shapes(problem, roots, 1e-3))
+        assert calls == [17, 17, len(roots)]
+
     def test_n4_takes_the_general_route(self, monkeypatch):
         problem = _n4_problem()
         lams = 1j * np.linspace(0.3, 5.0, 17) - 0.05
@@ -2571,7 +2590,7 @@ def _real_form(problem, lam, step):
     u_tables, fundamentals, w, closure = _assemble(
         reduce_complex(problem, np.array([lam])), step, keep_samples=True
     )
-    det = spectrum._normalized_det(closure, w)[0]
+    det = spectrum._normalized_det(closure, w)[0][0]
     c = spectrum._null_vector(closure[0], det, lam, spectrum._RANK_TOL)
     c = c * np.conj(c[0])
     phi = np.concatenate(
@@ -2623,7 +2642,7 @@ class TestRealSplitModeShapes:
         roots = solve_spectrum(problem, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3))
         lams = np.array([r.lam for r in roots])
         _, _, w, closures = _assemble(reduce_complex(problem, lams), 1e-3, keep_samples=True)
-        cases = list(zip(closures, spectrum._normalized_det(closures, w), lams.tolist()))
+        cases = list(zip(closures, spectrum._normalized_det(closures, w)[0], lams.tolist()))
         cases.append((np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex), 0j, 1j))
         assert len(cases) >= 4
         for closure, det, lam in cases:
