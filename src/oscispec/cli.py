@@ -70,7 +70,7 @@ class RunConfig:
     model: str | None = None
     params: dict = field(default_factory=dict)
     problem_file: str | None = None
-    solve: SolveOptions = field(default_factory=SolveOptions)
+    solve: SolveOptions | None = None
     out_dir: Path = Path(".")
     fmt: str = "both"
     sweep: tuple[str, float, float, int] | None = None
@@ -239,29 +239,22 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         cfg.params[key] = _parse_param_value(key, value)
-    scan = rect = None
-    if getattr(args, "scan", None):
-        lo, hi, n = _parse_colon_tuple(args.scan, (float, float, int), "--scan")
-        if not (np.isfinite([lo, hi]).all() and lo < hi) or n < 2:
-            raise ConfigError("--scan needs finite MIN < MAX and N >= 2")
-        scan = (lo, hi, n)
-    if getattr(args, "rect", None):
-        rect = _parse_colon_tuple(args.rect, (float, float, float, float, int, int), "--rect")
-        if not np.isfinite(rect[:4]).all() or min(rect[4:]) < 1:
-            raise ConfigError("--rect needs finite corners, NR >= 1 and NI >= 1")
-    step = getattr(args, "step", None)
-    target_error = getattr(args, "target_error", None)
-    if step is not None and target_error is not None:
-        raise ConfigError("give --step or --target-error, not both")
-    tol = getattr(args, "tol", cfg.solve.tol)
+    if args.command in ("solve", "modes", "sweep"):
+        scan = _parse_colon_tuple(args.scan, (float, float, int), "--scan") if args.scan else None
+        rect = _parse_colon_tuple(args.rect, (float,) * 4 + (int, int), "--rect") if args.rect else None
+        if args.step is not None and args.target_error is not None:
+            raise ConfigError("give --step or --target-error, not both")
+        try:
+            cfg.solve = SolveOptions(
+                scan=scan, rect=rect, tol=args.tol, path=args.path,
+                step=DEFAULT_STEP if args.step is None and args.target_error is None else args.step,
+                target_error=SolveOptions.target_error if args.target_error is None else args.target_error)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     cfg.max_dev = getattr(args, "max_dev", cfg.max_dev)
-    for flag, value in (("--step", step), ("--target-error", target_error),
-                        ("--tol", tol), ("--max-dev", cfg.max_dev)):
-        # written so that NaN fails too
-        if value is not None and not value > 0:
-            raise ConfigError(f"{flag} must be positive")
-    if not tol < 1:
-        raise ConfigError("--tol must be below 1")
+    # written so that NaN fails too
+    if not cfg.max_dev > 0:
+        raise ConfigError("--max-dev must be positive")
     cfg.out_dir = Path(getattr(args, "out", cfg.out_dir))
     cfg.fmt = getattr(args, "format", cfg.fmt)
     cfg.n_fd = getattr(args, "n_fd", cfg.n_fd)
@@ -282,12 +275,6 @@ def _config_from_args(args) -> RunConfig:
         repeated = [i for k, i in enumerate(cfg.indices) if i in cfg.indices[:k]]
         if repeated:
             raise ConfigError(f"--indices repeats {repeated[0]}")
-    cfg.solve = SolveOptions(scan=scan, rect=rect, step=step, tol=tol,
-                             path=getattr(args, "path", cfg.solve.path))
-    if target_error is not None:
-        cfg.solve.target_error = target_error
-    elif step is None:
-        cfg.solve.step = DEFAULT_STEP
     return cfg
 
 
@@ -319,13 +306,6 @@ def _load(cfg: RunConfig, validate: bool = True) -> ProblemDefinition:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return problem
-
-
-def _solve_options(cfg: RunConfig) -> SolveOptions:
-    """cfg.solve; a ConfigError where it has nothing to search."""
-    if cfg.solve.scan is None and cfg.solve.rect is None:
-        raise ConfigError("nothing to search: give --scan and/or --rect")
-    return cfg.solve
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +376,7 @@ def _solve(problem: ProblemDefinition, opts: SolveOptions, sampled: bool = False
 
 def cmd_solve(cfg: RunConfig) -> int:
     problem = _load(cfg)
-    results, _ = _solve(problem, _solve_options(cfg))
+    results, _ = _solve(problem, cfg.solve)
     _write_spectrum(results, cfg)
     print(f"{problem.name}: {len(results)} root(s) -> {cfg.out_dir}")
     return 0
@@ -404,7 +384,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_modes(cfg: RunConfig) -> int:
     problem = _load(cfg)
-    results, step = _solve(problem, _solve_options(cfg), sampled=True)
+    results, step = _solve(problem, cfg.solve, sampled=True)
     for index in cfg.indices:
         if index > len(results):
             raise ConfigError(
@@ -431,13 +411,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
             f"--sweep: parameter {name!r} of {cfg.model} takes text "
             f"(default {defaults[name]!r}), not a number"
         )
-    opts = _solve_options(cfg)
     values = np.linspace(lo, hi, count)
     rows = ["param_value,root_index,re,im,status"]
     for value in values:
         point = replace(cfg, params={**cfg.params, name: float(value)})
         try:
-            results, _ = _solve(_load(point), opts)
+            results, _ = _solve(_load(point), cfg.solve)
         except (ConfigError, ValueError, SolverError) as exc:
             rows.append(f"{_csv_num(float(value))},,,,{_csv_text(f'error: {exc}')}")
             continue

@@ -110,8 +110,8 @@ def build_cable_snapshot(
     """
     _require(rho > 0 and T > 0 and l > 0, "rho, T, l must be positive")
     _require(v >= 0, "v must be nonnegative")
-    masses = tuple(float(m) for m in np.atleast_1d(masses)) if masses else ()
-    positions = tuple(float(x) for x in np.atleast_1d(positions)) if positions else ()
+    masses = tuple(float(m) for m in np.atleast_1d(masses))
+    positions = tuple(float(x) for x in np.atleast_1d(positions))
     _require(len(masses) == len(positions), "masses and positions must pair up")
     _require(all(m >= 0 for m in masses), "masses must be nonnegative")
     _require(
@@ -382,8 +382,9 @@ def model_defaults(name: str) -> dict:
 
 
 def build_model(name: str, **params) -> ProblemDefinition:
-    """Build a registered model, rejecting unknown parameter names and a
-    text value for a parameter whose default is not text."""
+    """Build a registered model, rejecting unknown parameter names, a text
+    value for a parameter whose default is not text, and a list for one
+    whose default is a number."""
     defaults = _defaults(name)
     unknown = set(params) - set(defaults)
     if unknown:
@@ -392,6 +393,7 @@ def build_model(name: str, **params) -> ProblemDefinition:
             f"accepted: {sorted(defaults)}"
         )
     for key, value in params.items():
-        if isinstance(value, str) and not isinstance(defaults[key], str):
+        if (isinstance(value, str) and not isinstance(defaults[key], str)
+                or isinstance(defaults[key], float) and np.ndim(value) > 0):
             raise ValueError(f"parameter {key!r} of {name} expects a number, got {value!r}")
     return BUILDERS[name](**params)

@@ -5,7 +5,7 @@ Schema (all numbers plain JSON doubles, which round-trip exactly):
     {
       "name": str,
       "breakpoints": [y0, y1, ...],
-      "dimension": N,
+      "dimension": N,              # N, i and the degrees: integral numbers
       "bound": M,                  # finite, >= 0
       "coefficients": [            # one object per interval
         {"A": poly_matrix, "B": poly_matrix, "C": poly_matrix,
@@ -80,7 +80,7 @@ def _interval_dict(coeffs: CoefficientField, i: int) -> dict:
 def problem_from_dict(data: dict) -> ProblemDefinition:
     try:
         part = Partition(tuple(float(b) for b in data["breakpoints"]))
-        dim = int(data["dimension"])
+        dim = _integer(data, "dimension")
         bound = float(data.get("bound", 1.0))
         a_polys, b_polys, c_polys, dens = [], [], [], []
         for entry in data["coefficients"]:
@@ -92,32 +92,31 @@ def problem_from_dict(data: dict) -> ProblemDefinition:
         coeffs = CoefficientField(
             tuple(a_polys), tuple(b_polys), tuple(c_polys), bound, tuple(dens)
         )
-        left = BoundaryOperator(
-            "left",
-            PolyMatrix.from_entries(data["boundary_left"]),
-            int(data.get("boundary_left_max_degree", MAX_LAMBDA_DEGREE)),
-        )
-        right = BoundaryOperator(
-            "right",
-            PolyMatrix.from_entries(data["boundary_right"]),
-            int(data.get("boundary_right_max_degree", MAX_LAMBDA_DEGREE)),
+        left, right = (
+            BoundaryOperator(side, PolyMatrix.from_entries(data[f"boundary_{side}"]),
+                             _integer(data, f"boundary_{side}_max_degree", MAX_LAMBDA_DEGREE))
+            for side in ("left", "right")
         )
         conjs = tuple(
-            ConjugationOperator(
-                int(c["interface_index"]),
-                PolyMatrix.from_entries(c["D"]),
-                PolyMatrix.from_entries(c["B"]),
-            )
+            ConjugationOperator(_integer(c, "interface_index"), PolyMatrix.from_entries(c["D"]),
+                                PolyMatrix.from_entries(c["B"]))
             for c in data.get("conjugations", [])
         )
         name = str(data.get("name", "unnamed"))
         if dim != coeffs.dim:
-            raise ValueError(
-                f"declared dimension {dim} != coefficient matrix size {coeffs.dim}"
-            )
+            raise ValueError(f"declared dimension {dim} != coefficient matrix size {coeffs.dim}")
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed problem data: {exc}") from exc
     return ProblemDefinition(name, part, coeffs, left, right, conjs)
+
+
+def _integer(data: dict, key: str, default: int | None = None) -> int:
+    """data[key] (default where given and the key is absent) as an int: 2 or
+    2.0 pass, and 2.5, "2", true or any other value is a ValueError."""
+    value = data[key] if default is None else data.get(key, default)
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def dump_problem(problem: ProblemDefinition, path) -> None:

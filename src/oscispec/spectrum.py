@@ -114,9 +114,15 @@ class SpectralResult:
     message: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
-    """Configuration for a spectrum solve."""
+    """Configuration for a spectrum solve, checked when it is built, so that
+    every SolveOptions can be solved.  With NaN failing every test, a
+    ValueError refuses neither scan nor rect, a scan that is not finite
+    p_min < p_max with an integer n >= 2, a rect without finite corners and
+    integers NR, NI >= 1, a step not > 0 (inf passes) or, with no step, a
+    target_error not > 0, a tol outside (0, 1), a max_iter that is not an
+    integer >= 1, and a path not in PATHS."""
 
     scan: tuple[float, float, int] | None = None
     rect: tuple[float, float, float, float, int, int] | None = None
@@ -125,6 +131,24 @@ class SolveOptions:
     tol: float = 1e-10
     max_iter: int = 100
     path: str = PATHS[0]
+
+    def __post_init__(self):
+        if self.scan is None and self.rect is None:
+            raise ValueError("a solve needs a scan or a rect")
+        if self.scan is not None:
+            _check_window(*self.scan)
+        if self.rect is not None:
+            message = "rect needs finite corners, nr >= 1 and ni >= 1"
+            if not np.isfinite(self.rect[:4]).all():
+                raise ValueError(message)
+            for count in self.rect[4:]:
+                _check_count(count, 1, message)
+        if self.step is None:
+            _check_positive(self.target_error, "target_error")
+        else:
+            _check_positive(self.step, "step")
+        _check_limits(self.tol, self.max_iter)
+        _check_path(self.path)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +301,7 @@ def characteristic_determinant(
     A problem that fails validation, or a step not > 0, is a ValueError.
     """
     require_valid(problem)
-    _check_step(step)
+    _check_positive(step, "step")
     if not isinstance(lam, np.ndarray) or lam.ndim == 0:
         return complex(_closure_values(problem, np.array([complex(lam)]), step)[0][0])
     if not len(lam):
@@ -359,14 +383,11 @@ def scan_real_axis(
     starts no bracket, and a scan in which every lambda failed raises the
     first failure, in grid order.  Problem and step are refused as in
     characteristic_determinant, and a window that is not finite p_min <
-    p_max with n_grid >= 2, before any lambda.
+    p_max with an integer n_grid >= 2, before any lambda.
     """
     require_valid(problem)
-    _check_step(step)
-    if not -math.inf < p_min < p_max < math.inf:
-        raise ValueError("need finite p_min < p_max")
-    if n_grid < 2:
-        raise ValueError("need n_grid >= 2")
+    _check_positive(step, "step")
+    _check_window(p_min, p_max, n_grid)
     ps = np.linspace(p_min, p_max, n_grid)
     values = _each(lambda z: _scan_values(problem, z, step), 1j * ps)
     if all(isinstance(value, SolverError) for value in values):
@@ -431,30 +452,46 @@ def refine_root(
     value kept for a later point; solve_spectrum refines all its candidates
     at once (_refine_all) with the same results.  A tol or step that is
     not > 0 (NaN too), a tol of 1 or more (which the seed itself meets), a
-    max_iter below 1 or a problem that fails validation (require_valid) is
-    rejected before any evaluation.
+    max_iter that is not an integer >= 1 or a problem that fails validation
+    (require_valid) is rejected before any evaluation.
     """
     _check_limits(tol, max_iter)
     require_valid(problem)
-    _check_step(step)
+    _check_positive(step, "step")
     return _refine_all(problem, [_seed(target)], tol, max_iter, step)[0][0]
 
 
 def _check_limits(tol: float, max_iter: int) -> None:
-    # written so that NaN fails too
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_positive(tol, "tol")
     # at tol >= 1 the seed itself meets Newton's |D| <= tol |D(seed)|
     if not tol < 1:
         raise ValueError("tol must be below 1")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_count(max_iter, 1, "max_iter must be at least 1")
 
 
-def _check_step(step: float) -> None:
-    # every entry point's; NaN fails too, and inf, one step per interval, passes
-    if not step > 0:
-        raise ValueError("step must be positive")
+def _check_window(p_min: float, p_max: float, n_grid: int) -> None:
+    if not -math.inf < p_min < p_max < math.inf:
+        raise ValueError("need finite p_min < p_max")
+    _check_count(n_grid, 2, "need n_grid >= 2")
+
+
+def _check_positive(value: float, name: str) -> None:
+    # NaN fails too, and inf passes (a step of inf is one step per interval)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+
+
+def _check_path(path: str) -> None:
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r}")
+
+
+def _check_count(value: int, least: int, message: str) -> None:
+    # an integer, which NaN and 2.5 are not, of at least `least`
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{message}: {value!r} is not an integer")
+    if value < least:
+        raise ValueError(message)
 
 
 def _seed(target: Bracket | complex) -> tuple[complex, bool]:
@@ -711,13 +748,12 @@ def mode_shapes(
     for c conj(c_0), the phase of the realified closure's null vector.
     """
     lams = [complex(z) for z in lams]
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}")
+    _check_path(path)
     split = path == "real_split"
     if split and any(abs(z.real) > 1e-12 * max(1.0, abs(z)) for z in lams):
         raise ValueError("real_split path is defined on the imaginary axis only")
     require_valid(problem)
-    _check_step(step)
+    _check_positive(step, "step")
     size = _stack_chunk(problem, step)
     for i in range(0, len(lams), size):
         for shape in _each(lambda z: _shapes(problem, z, step, split), np.array(lams[i : i + size])):
@@ -778,37 +814,22 @@ def solve_spectrum(problem: ProblemDefinition, options: SolveOptions) -> list[Sp
     are one root where they lie within 1e-7 (1 + |lambda|), compared where
     Newton polishes them at the default tol when tol is looser (_dedupe).
     An empty list is a valid answer.  real_split keeps those with |Re| <=
-    tol * max(|lambda|, 1), projected onto the axis.  Before any lambda,
-    with NaN failing every test, it refuses what the CLI refuses: a tol or
-    step not > 0, a tol of 1 or more, a max_iter below 1, an unknown path,
-    neither scan nor rect, a scan not finite p_min < p_max with n >= 2, a
-    rect without finite corners and NR, NI >= 1, or a problem that fails
-    validation.  A scan in which every lambda failed raises its first
-    failure, in grid order, whether or not a rect is given; a solve with
-    no scan raises the first failure, in evaluation order, only if every
-    lambda it evaluated failed, where a lambda that two Newton points ask
-    for is evaluated for each.
+    tol * max(|lambda|, 1), projected onto the axis.  The options were
+    checked when they were built (SolveOptions), and a problem that fails
+    validation is refused before any lambda.  A scan in which every lambda
+    failed raises its first failure, in grid order, whether or not a rect
+    is given; a solve with no scan raises the first failure, in evaluation
+    order, only if every lambda it evaluated failed, where a lambda that
+    two Newton points ask for is evaluated for each.
     """
-    _check_limits(options.tol, options.max_iter)
-    if options.path not in PATHS:
-        raise ValueError(f"unknown path {options.path!r}")
-    rect = options.rect
-    if options.scan is None and rect is None:
-        raise ValueError("a solve needs a scan or a rect")
-    if rect is not None and not (np.isfinite(rect[:4]).all() and rect[4] >= 1 and rect[5] >= 1):
-        raise ValueError("rect needs finite corners, nr >= 1 and ni >= 1")
     require_valid(problem)
     step = resolve_step(problem, options)
     targets: list[Bracket | complex] = []
     if options.scan is not None:
         targets = scan_real_axis(problem, *options.scan, step)
-    if rect is not None:
-        re0, re1, im0, im1, nr, ni = rect
-        targets += [
-            complex(re, im)
-            for re in np.linspace(re0, re1, int(nr))
-            for im in np.linspace(im0, im1, int(ni))
-        ]
+    if options.rect is not None:
+        re0, re1, im0, im1, nr, ni = options.rect
+        targets += [complex(re, im) for re in np.linspace(re0, re1, nr) for im in np.linspace(im0, im1, ni)]
     starts = [_seed(target) for target in targets]
     results, evaluated = _refine_all(problem, starts, options.tol, options.max_iter, step)
     if options.scan is None and evaluated and all(
@@ -841,7 +862,6 @@ def resolve_step(problem: ProblemDefinition, options: SolveOptions) -> float:
     for it: a pole at that scale is a failed lambda of the search only.
     """
     if options.step is not None:
-        _check_step(options.step)
         return options.step
     probes = [0.0]
     if options.scan is not None:

@@ -177,6 +177,45 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            ((), "a solve needs a scan or a rect"),
+            (("--scan", "0.2:inf:10"), "need finite p_min < p_max"),
+            (("--scan", "0.2:10:1"), "need n_grid >= 2"),
+            (("--rect=0:1:1:5:3:0",), "rect needs finite corners, nr >= 1 and ni >= 1"),
+            (("--scan", "0.2:10:24", "--step", "0"), "step must be positive"),
+            (("--scan", "0.2:10:24", "--target-error", "nan"), "target_error must be positive"),
+            (("--scan", "0.2:10:24", "--tol", "-1"), "tol must be positive"),
+            (("--scan", "0.2:10:24", "--tol", "1"), "tol must be below 1"),
+        ],
+        ids=["no_search", "infinite_scan", "one_point_scan", "rect_without_im_points", "zero_step",
+             "nan_target_error", "negative_tol", "unit_tol"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "modes", "sweep"])
+    def test_a_refused_search_prints_the_library_message_before_any_load(
+        self, argv, message, command, tmp_path, capsys
+    ):
+        # the CLI builds one SolveOptions and reports its refusal; the
+        # problem file does not exist, so a load would have failed first
+        extra = ("--sweep", "T:1:2:2") if command == "sweep" else ()
+        out = tmp_path / "out"
+        code = _run(command, "--problem", str(tmp_path / "missing.json"), *argv, *extra, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_only_the_commands_that_search_build_solve_options(self, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda cfg: configs.append(cfg) or 0)
+        monkeypatch.setattr(cli, "cmd_validate", lambda cfg: configs.append(cfg) or 0)
+        monkeypatch.setattr(cli, "cmd_solve", lambda cfg: configs.append(cfg) or 0)
+        assert _run("verify", "machine_unit") == 0
+        assert _run("validate", "--model", "machine_unit") == 0
+        assert _run("solve", "--model", "machine_unit", "--scan", "0.2:10:24") == 0
+        assert [cfg.solve for cfg in configs[:2]] == [None, None]
+        assert configs[2].solve == spectrum.SolveOptions(scan=(0.2, 10.0, 24), step=spectrum.DEFAULT_STEP)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
             (("solve", "--model", "fixed_free_string", "--scan"), "argument --scan: expected one argument"),
             (("bogus",), "argument command: invalid choice: 'bogus'"),
             (("solve", "--model", "fixed_free_string", "--scan", "0.2:10:24", "--path", "bogus"),
@@ -206,6 +245,26 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--model", "fixed_free_string", "--param", "T=1,2"),
+             "parameter 'T' of fixed_free_string expects a number, got (1.0, 2.0)"),
+            (("--problem", "dimension.json"), "cannot load problem file: dimension must be an integer, got 2.5"),
+        ],
+        ids=["list_for_a_number", "fractional_dimension"],
+    )
+    def test_a_value_of_the_wrong_kind_is_named(self, argv, message, tmp_path, capsys, monkeypatch):
+        # a list leaked "'>' not supported between instances of 'tuple' and
+        # 'int'", and a dimension of 2.5 loaded as 2
+        data = problem_to_dict(make_string_problem())
+        data["dimension"] = 2.5
+        (tmp_path / "dimension.json").write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        assert _run("solve", *argv, "--scan", "0.2:10:50", "--out", "out") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_validation_failure_exits_1(self, tmp_path):
         data = problem_to_dict(make_string_problem())
@@ -650,6 +709,17 @@ class TestSweep:
             assert code == 0
             rows[step] = (tmp_path / step / "sweep.csv").read_text()
         assert rows["1e-320"] == rows["1e-3"] and rows["1e-3"].count(",ok") == 8
+
+    def test_a_scalar_zero_mass_is_one_massless_load(self, tmp_path, capsys):
+        # a scalar 0 read as no loads: the solve exited 1 with "masses and
+        # positions must pair up", and the sweep wrote that as its row at 0
+        argv = ("--model", "cable_snapshot", "--scan", "0.2:10:50")
+        assert _run("solve", *argv, "--param", "masses=0", "--out", str(tmp_path / "solve")) == 0
+        assert len(json.loads((tmp_path / "solve" / "spectrum.json").read_text())) == 3
+        assert _run("sweep", *argv, "--sweep", "masses:0:1:2", "--out", str(tmp_path)) == 0
+        _, rows = _read_csv(tmp_path / "sweep.csv")
+        assert [row[4] for row in rows] == ["ok"] * 6 and rows[0][0] == "0"
+        assert "error" not in capsys.readouterr().err
 
     def test_single_point_sweep_matches_solve(self, tmp_path):
         solve_dir = tmp_path / "solve"

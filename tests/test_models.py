@@ -72,6 +72,27 @@ class TestValidation:
             build_model(name, **params)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("fixed_free_string", {"T": (1.0, 2.0)},
+             "parameter 'T' of fixed_free_string expects a number, got (1.0, 2.0)"),
+            ("point_mass_string", {"position": [0.5]},
+             "parameter 'position' of point_mass_string expects a number, got [0.5]"),
+        ],
+        ids=["tuple", "list"],
+    )
+    def test_a_list_for_a_numeric_parameter_is_named(self, name, params, message):
+        # a list leaked the builder's TypeError, "'>' not supported between
+        # instances of 'tuple' and 'int'"
+        with pytest.raises(ValueError) as info:
+            build_model(name, **params)
+        assert str(info.value) == message
+
+    def test_a_list_or_a_number_for_a_list_parameter_is_accepted(self):
+        for masses, positions in (((1.0, 2.0), (0.3, 0.6)), ([1.0], [0.5]), (1.0, 0.5)):
+            assert validate(build_model("cable_snapshot", masses=masses, positions=positions)) == []
+
     def test_defaults_exposed(self):
         d = model_defaults("spacecraft_bar")
         assert d["beta"] == 0.01 and "right_end" in d
@@ -376,6 +397,19 @@ class TestCableSnapshot:
         inertia = 0.5 * (1.0 + 4.0)  # m (1 + v^2 rho / T)
         assert val[1, 0] == pytest.approx(inertia * lam**2)
         assert val[1, 1] == pytest.approx(1.0 + 2.0 * 0.5 * 2.0 * lam)
+
+    def test_a_scalar_load_is_one_load(self):
+        # a scalar 0 read as no loads, unpaired with the default position;
+        # a massless load leaves the pinned-pinned string's roots
+        bare = solve_spectrum(build_cable_snapshot(masses=(), positions=()), OPTS)
+        massless = build_model("cable_snapshot", masses=0.0)
+        assert len(massless.conjugations) == 1
+        got = [r.lam for r in solve_spectrum(massless, OPTS)]
+        assert got == pytest.approx([r.lam for r in bare], abs=1e-9)
+        scalar = build_cable_snapshot(masses=2.0, positions=0.4)
+        listed = build_cable_snapshot(masses=(2.0,), positions=(0.4,))
+        assert scalar.params == listed.params
+        assert characteristic_determinant(scalar, 2.5j, 1e-3) == characteristic_determinant(listed, 2.5j, 1e-3)
 
     def test_coincident_positions_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):

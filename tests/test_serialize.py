@@ -156,3 +156,35 @@ class TestErrors:
         data["dimension"] = 4
         with pytest.raises(ValueError, match="dimension"):
             problem_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ((), "dimension", 2.5),
+            ((), "dimension", "2"),
+            ((), "dimension", True),
+            ((), "boundary_left_max_degree", 2.7),
+            ((), "boundary_right_max_degree", None),
+            (("conjugations", 0), "interface_index", 1.5),
+            (("conjugations", 0), "interface_index", float("inf")),
+        ],
+        ids=["dimension_2.5", "dimension_text", "dimension_true", "left_degree_2.7",
+             "right_degree_null", "interface_1.5", "interface_inf"],
+    )
+    def test_an_integer_field_that_is_not_an_integral_number_is_refused(self, where, key, value):
+        # int() truncated them: dimension 2.5 loaded as 2, and a point-mass
+        # string with interface_index 1.5 solved to 3 roots
+        data = problem_to_dict(build_point_mass_string())
+        entry = data
+        for step in where:
+            entry = entry[step]
+        entry[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+            problem_from_dict(data)
+
+    def test_an_integral_float_loads_as_its_integer(self):
+        data = problem_to_dict(build_point_mass_string())
+        data["dimension"] = 2.0
+        data["conjugations"][0]["interface_index"] = 1.0
+        data["boundary_left_max_degree"] = 2.0
+        _assert_problems_equal(problem_from_dict(data), build_point_mass_string())

@@ -915,6 +915,60 @@ class TestPipelineInvariants:
         assert abs(d_conj) == pytest.approx(roots[0].residual, rel=1e-6, abs=1e-12)
 
 
+class TestSolveOptions:
+    """A SolveOptions checks its rules when it is built, so every one that
+    exists can be solved."""
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"scan": None}, "^a solve needs a scan or a rect$"),
+            ({"scan": (10.0, 0.2, 24)}, "^need finite p_min < p_max$"),
+            ({"scan": (0.2, math.nan, 24)}, "^need finite p_min < p_max$"),
+            ({"scan": (0.2, 10.0, 1)}, "^need n_grid >= 2$"),
+            ({"scan": (0.2, 10.0, 24.5)}, "^need n_grid >= 2: 24.5 is not an integer$"),
+            ({"scan": None, "rect": (0.0, 1.0, 1.0, -math.inf, 2, 2)}, "^rect needs finite corners"),
+            ({"scan": None, "rect": (0.0, 1.0, 1.0, 5.0, 2, 0)}, "nr >= 1 and ni >= 1$"),
+            ({"scan": None, "rect": (0.0, 1.0, 1.0, 5.0, 2.9, 1.9)}, "ni >= 1: 2.9 is not an integer$"),
+            ({"rect": (0.0, 1.0, 1.0, 5.0, 2, math.nan)}, "ni >= 1: nan is not an integer$"),
+            ({"step": 0.0}, "^step must be positive$"),
+            ({"step": math.nan}, "^step must be positive$"),
+            ({"step": None, "target_error": 0.0}, "^target_error must be positive$"),
+            ({"step": None, "target_error": math.nan}, "^target_error must be positive$"),
+            ({"tol": math.nan}, "^tol must be positive$"),
+            ({"tol": 1.0}, "^tol must be below 1$"),
+            ({"max_iter": 0}, "^max_iter must be at least 1$"),
+            ({"max_iter": math.nan}, "^max_iter must be at least 1: nan is not an integer$"),
+            ({"max_iter": 2.5}, "^max_iter must be at least 1: 2.5 is not an integer$"),
+            ({"path": "split"}, "^unknown path 'split'$"),
+        ],
+        ids=["no_search", "scan_reversed", "scan_nan", "scan_n_1", "scan_n_24.5", "rect_inf",
+             "rect_ni_0", "rect_nr_2.9", "rect_ni_nan", "step_0", "step_nan", "target_error_0",
+             "target_error_nan", "tol_nan", "tol_1", "max_iter_0", "max_iter_nan", "max_iter_2.5",
+             "path"],
+    )
+    def test_each_rule_is_refused_when_built(self, fields, match):
+        # unchecked, max_iter nan or 2.5 failed after the scan with a
+        # TypeError, n_grid 24.5 with np.linspace's TypeError, and NR, NI =
+        # 2.9, 1.9 searched 2 x 1 seeds
+        with pytest.raises(ValueError, match=match):
+            SolveOptions(**{"scan": (0.2, 10.0, 24), "step": 1e-3, **fields})
+
+    def test_settings_at_the_edges_are_accepted(self):
+        # an infinite step is one step per interval, numpy integers are
+        # integers, and with a step the target error is not read
+        SolveOptions(scan=(0.2, 10.0, np.int64(24)), step=math.inf, target_error=math.nan)
+        SolveOptions(rect=(0.0, 1.0, 1.0, 5.0, np.int32(1), 1), max_iter=np.int64(1), tol=1e-300)
+
+    def test_options_are_frozen_and_a_replaced_copy_is_checked_again(self):
+        options = SolveOptions(scan=(0.2, 10.0, 24))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.step = 0.0
+        with pytest.raises(ValueError, match="^tol must be below 1$"):
+            dataclasses.replace(options, tol=1.0)
+        assert dataclasses.replace(options, step=1e-3).step == 1e-3
+
+
 class TestResolveStep:
     """A derived step comes from the problem's declared bound, scaled to the
     largest |lambda| the search probes; no lambda is evaluated for it."""
@@ -1718,10 +1772,10 @@ class TestLockstepRefinement:
     ):
         # unchecked, the first three give [], an infinite scan end or a
         # non-finite corner an IntegrationError, and the NaN step is taken;
-        # a NaN scan end already failed p_min < p_max
-        options = SolveOptions(**{"step": 1e-3, **search})
+        # a NaN scan end already failed p_min < p_max.  SolveOptions itself
+        # refuses them, so no such options reach a solve
         with pytest.raises(ValueError, match=match):
-            solve_spectrum(fixed_free_string, options)
+            solve_spectrum(fixed_free_string, SolveOptions(**{"step": 1e-3, **search}))
         assert det_calls == []
 
     @pytest.mark.parametrize("max_iter", [0, -1])
@@ -1732,6 +1786,24 @@ class TestLockstepRefinement:
             solve_spectrum(fixed_free_string, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, max_iter=max_iter))
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             refine_root(fixed_free_string, 1.5j, max_iter=max_iter)
+        assert det_calls == []
+
+    @pytest.mark.parametrize("max_iter", [math.nan, 2.5])
+    def test_max_iter_that_is_not_an_integer_is_rejected_before_any_lambda(
+        self, fixed_free_string, det_calls, max_iter
+    ):
+        # unchecked, the solve evaluated 243 lambdas and then failed with a
+        # TypeError in range(), and refine_root evaluated its seed first
+        with pytest.raises(ValueError, match="max_iter must be at least 1: .* is not an integer"):
+            solve_spectrum(fixed_free_string, SolveOptions(scan=(0.2, 10.0, 240), step=1e-3, max_iter=max_iter))
+        with pytest.raises(ValueError, match="max_iter must be at least 1: .* is not an integer"):
+            refine_root(fixed_free_string, 1.5j, max_iter=max_iter)
+        assert det_calls == []
+
+    def test_scan_grid_that_is_not_an_integer_is_a_value_error(self, fixed_free_string, det_calls):
+        # unchecked, np.linspace raised a TypeError
+        with pytest.raises(ValueError, match="need n_grid >= 2: 24.5 is not an integer"):
+            scan_real_axis(fixed_free_string, 0.2, 10.0, 24.5, 1e-3)
         assert det_calls == []
 
     def test_unknown_path_is_rejected_before_the_scan(self, fixed_free_string, det_calls):
