@@ -105,17 +105,42 @@ def _csv_text(text: str) -> str:
     return text
 
 
-def _csv_table(header: list[str], columns) -> str:
-    """CSV text of equal-length float columns, one `_CSV_FMT` cell each.
+def _csv_cells(column) -> list[str]:
+    """The `_CSV_FMT` text of each cell of a float column."""
+    return [_CSV_FMT % x for x in column.tolist()]
 
-    The columns are stacked and converted to Python floats in one call, and
-    the rows are formatted with one `%` over the row pattern repeated once
-    per row, which is what makes a mode file cheap; the header is put in
-    front of that.  The cells are exactly those `_csv_num` gives.
+
+def _csv_table(header: list[str], columns, lead: list[str] | None = None) -> str:
+    """CSV text of equal-length float columns, one `_CSV_FMT` cell each,
+    after the cells of an optional first column `lead`, given as text.
+
+    Each distinct column is formatted once.  A float column whose cells
+    share one bit pattern (so 0.0 and -0.0 differ, and a NaN column is
+    constant) is formatted from its first cell and goes into the row
+    pattern as literal text, which needs no escaping: a `_CSV_FMT` result
+    holds no %.  The rows are then formatted with one `%` over the row
+    pattern repeated once per row, which fills in the lead's text and the
+    cells of the other columns; the header is put in front of that, and a
+    table of no rows is its header line.  The cells are exactly those
+    `_csv_num` gives.
     """
     table = np.column_stack(columns)
-    row_fmt = ",".join([_CSV_FMT] * table.shape[1]) + "\n"
-    return ",".join(header) + "\n" + (row_fmt * len(table)) % tuple(table.ravel().tolist())
+    text = ",".join(header) + "\n"
+    if not len(table):
+        return text
+    bits = table.view(np.uint64)
+    constant = (bits == bits[0]).all(axis=0)
+    row = [_CSV_FMT % x if same else _CSV_FMT
+           for x, same in zip(table[0].tolist(), constant.tolist())]
+    cells = table[:, ~constant].T.tolist()
+    if lead is not None:
+        row.insert(0, "%s")
+        cells.insert(0, lead)
+    # the cells in row order: column j fills every len(cells)-th place from j
+    args = [None] * (len(table) * len(cells))
+    for j, column in enumerate(cells):
+        args[j :: len(cells)] = column
+    return text + ((",".join(row) + "\n") * len(table)) % tuple(args)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +158,15 @@ def _parse_param_value(key: str, text: str):
         return float(text)
     except ValueError:
         return text
+
+
+def _count(text: str) -> int | float:
+    """A count as given: an int, or where the text is a number but not an
+    integer, that float, which the count's own rule refuses in its words."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _parse_colon_tuple(text: str, types, flag: str):
@@ -240,8 +274,8 @@ def _config_from_args(args) -> RunConfig:
         key, _, value = item.partition("=")
         cfg.params[key] = _parse_param_value(key, value)
     if args.command in ("solve", "modes", "sweep"):
-        scan = _parse_colon_tuple(args.scan, (float, float, int), "--scan") if args.scan else None
-        rect = _parse_colon_tuple(args.rect, (float,) * 4 + (int, int), "--rect") if args.rect else None
+        scan = _parse_colon_tuple(args.scan, (float, float, _count), "--scan") if args.scan else None
+        rect = _parse_colon_tuple(args.rect, (float,) * 4 + (_count, _count), "--rect") if args.rect else None
         if args.step is not None and args.target_error is not None:
             raise ConfigError("give --step or --target-error, not both")
         try:
@@ -260,10 +294,13 @@ def _config_from_args(args) -> RunConfig:
     cfg.n_fd = getattr(args, "n_fd", cfg.n_fd)
     if getattr(args, "sweep", None):
         name, lo, hi, count = _parse_colon_tuple(
-            args.sweep, (str, float, float, int), "--sweep"
+            args.sweep, (str, float, float, _count), "--sweep"
         )
+        rule = "--sweep needs finite MIN and MAX and COUNT >= 1"
+        if not isinstance(count, int):
+            raise ConfigError(f"{rule}: {count!r} is not an integer")
         if not np.isfinite([lo, hi]).all() or count < 1:
-            raise ConfigError("--sweep needs finite MIN and MAX and COUNT >= 1")
+            raise ConfigError(rule)
         cfg.sweep = (name, lo, hi, count)
     if getattr(args, "indices", None) is not None:
         try:
@@ -338,18 +375,21 @@ def _write_spectrum(results, cfg: RunConfig) -> None:
         )
 
 
-def _write_mode(shape, index: int, cfg: RunConfig) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def _write_mode(shape, index: int, cfg: RunConfig, y_cells: list[str]) -> Path:
+    """Write mode_NNN.csv into cfg.out_dir, which must exist: the y column,
+    whose text y_cells is that of shape.ys (_csv_cells), formed once per
+    grid by the caller, then the value columns, the only ones formatted
+    here (_csv_table)."""
     values = shape.values
     dim = values.shape[1]
     complex_cols = not np.isrealobj(values) and bool(np.max(np.abs(values.imag)) > 1e-12)
     header = ["y"] + [f"comp_{k + 1}" for k in range(dim)]
-    columns = [shape.ys, values.real]
+    columns = [values.real]
     if complex_cols:
         header += [f"im_comp_{k + 1}" for k in range(dim)]
         columns.append(values.imag)
     path = cfg.out_dir / f"mode_{index:03d}.csv"
-    path.write_text(_csv_table(header, columns))
+    path.write_text(_csv_table(header, columns, y_cells))
     return path
 
 
@@ -391,8 +431,14 @@ def cmd_modes(cfg: RunConfig) -> int:
                 f"--indices: mode index {index} out of range: {len(results)} root(s) found"
             )
     lams = [results[index - 1].lam for index in cfg.indices]
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    # every shape of one sampled pass holds its grid, and every pass of a
+    # command samples the same one: its text is formed once and reused
+    ys = y_cells = None
     for index, shape in zip(cfg.indices, mode_shapes(problem, lams, step, cfg.solve.path)):
-        path = _write_mode(shape, index, cfg)
+        if ys is None or not np.array_equal(ys.view(np.uint64), shape.ys.view(np.uint64)):
+            ys, y_cells = shape.ys, _csv_cells(shape.ys)
+        path = _write_mode(shape, index, cfg, y_cells)
         print(f"mode {index} at lambda={shape.lam:.6g} -> {path}")
     return 0
 

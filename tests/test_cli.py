@@ -180,14 +180,18 @@ class TestSolve:
             ((), "a solve needs a scan or a rect"),
             (("--scan", "0.2:inf:10"), "need finite p_min < p_max"),
             (("--scan", "0.2:10:1"), "need n_grid >= 2"),
+            (("--scan", "0.2:10:24.5"), "need n_grid >= 2: 24.5 is not an integer"),
+            (("--scan", "0.2:10:nan"), "need n_grid >= 2: nan is not an integer"),
             (("--rect=0:1:1:5:3:0",), "rect needs finite corners, nr >= 1 and ni >= 1"),
+            (("--rect=-1:0:0.2:10:2.5:2",), "rect needs finite corners, nr >= 1 and ni >= 1: 2.5 is not an integer"),
             (("--scan", "0.2:10:24", "--step", "0"), "step must be positive"),
             (("--scan", "0.2:10:24", "--target-error", "nan"), "target_error must be positive"),
             (("--scan", "0.2:10:24", "--tol", "-1"), "tol must be positive"),
             (("--scan", "0.2:10:24", "--tol", "1"), "tol must be below 1"),
         ],
-        ids=["no_search", "infinite_scan", "one_point_scan", "rect_without_im_points", "zero_step",
-             "nan_target_error", "negative_tol", "unit_tol"],
+        ids=["no_search", "infinite_scan", "one_point_scan", "fractional_scan_count", "nan_scan_count",
+             "rect_without_im_points", "fractional_rect_count", "zero_step", "nan_target_error",
+             "negative_tol", "unit_tol"],
     )
     @pytest.mark.parametrize("command", ["solve", "modes", "sweep"])
     def test_a_refused_search_prints_the_library_message_before_any_load(
@@ -200,6 +204,22 @@ class TestSolve:
         code = _run(command, "--problem", str(tmp_path / "missing.json"), *argv, *extra, "--out", str(out))
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, argv, flag",
+        [
+            ("solve", ("--scan", "0.2:10:abc"), "--scan"),
+            ("solve", ("--rect=-1:0:0.2:10:2:x",), "--rect"),
+            ("sweep", ("--scan", "0.2:10:24", "--sweep", "T:1:2:x"), "--sweep"),
+        ],
+        ids=["scan", "rect", "sweep"],
+    )
+    def test_a_count_that_is_no_number_is_one_error_line(self, command, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run(command, "--model", "fixed_free_string", *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_only_the_commands_that_search_build_solve_options(self, monkeypatch):
@@ -673,6 +693,19 @@ class TestSweep:
         )
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("count", ["2.5", "nan", "2.0"])
+    def test_fractional_count_is_named(self, count, tmp_path, capsys):
+        # int() leaked "invalid literal for int() with base 10: '2.5'"
+        code = _run(
+            "sweep", "--model", "spacecraft_bar", "--sweep", f"d:0:1:{count}",
+            "--scan", "0.3:2:20", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --sweep needs finite MIN and MAX and COUNT >= 1: {float(count)!r} is not an integer\n"
+        )
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("descriptor", ["d:0:inf:2", "rho:1:inf:2", "d:nan:0.2:2"])
     def test_nonfinite_bound_exits_1_before_output(self, descriptor, tmp_path, capsys):
         # np.linspace(0, inf, 2) is [nan, inf]: such points were solved
@@ -966,7 +999,7 @@ def _solved_shape(model, scan, path):
 
 class TestColumnWriters:
     def _assert_mode_bytes(self, shape, tmp_path):
-        path = _write_mode(shape, 1, RunConfig(out_dir=tmp_path))
+        path = _write_mode(shape, 1, RunConfig(out_dir=tmp_path), cli._csv_cells(shape.ys))
         _assert_same_text(path.read_text(), _reference_mode_csv(shape))
         return path.read_text().splitlines()[0]
 
@@ -1021,7 +1054,64 @@ class TestColumnWriters:
 
     def test_empty_spectrum_csv(self, tmp_path):
         _write_spectrum([], RunConfig(out_dir=tmp_path, fmt="csv"))
-        assert (tmp_path / "spectrum.csv").read_text() == _reference_spectrum_csv([])
+        assert (tmp_path / "spectrum.csv").read_text() == _reference_spectrum_csv([]) == "re,im,residual\n"
+
+    @pytest.mark.parametrize(
+        "column",
+        [[-0.0] * 4, [0.0, -0.0, 0.0, -0.0], [math.nan] * 4, [math.inf] * 4, [-math.inf] * 4],
+        ids=["negative_zero", "mixed_zeros", "nan", "inf", "negative_inf"],
+    )
+    @pytest.mark.parametrize("as_complex", [False, True], ids=["real", "complex"])
+    def test_constant_column(self, tmp_path, column, as_complex):
+        # a column of one bit pattern is formatted once, as literal text;
+        # 0.0 and -0.0 are two patterns
+        varying = np.array([0.5, -1.0, 2.5e-7, 1.0])
+        values = np.column_stack([varying, column, np.full(4, -0.0)])
+        if as_complex:
+            # set apart, as 1j * inf is nan + inf j
+            values = values.astype(complex)
+            values.imag = np.column_stack([column, varying, varying[::-1]])
+        shape = oscispec.ModeShape(
+            lam=1j, ys=np.linspace(0.0, 1.0, 4), values=values,
+            normalization=1.0, interval_slices=(slice(0, 4),),
+        )
+        self._assert_mode_bytes(shape, tmp_path)
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["one_row", "every_column_constant"])
+    def test_table_of_constant_columns(self, tmp_path, rows):
+        values = np.tile([[1.0, -0.0, math.nan]], (rows, 1))
+        shape = oscispec.ModeShape(
+            lam=1j, ys=np.full(rows, 0.25), values=values,
+            normalization=1.0, interval_slices=(slice(0, rows),),
+        )
+        self._assert_mode_bytes(shape, tmp_path)
+        result = spectrum.SpectralResult(lam=complex(-0.0, 2.5), residual=math.inf, iterations=3, converged=True)
+        _write_spectrum([result] * rows, RunConfig(out_dir=tmp_path, fmt="csv"))
+        assert (tmp_path / "spectrum.csv").read_text() == _reference_spectrum_csv([result] * rows)
+
+    def test_modes_of_one_command_write_the_bytes_of_single_index_runs(self, tmp_path):
+        # the three files share one y text; each alone forms its own
+        argv = ["modes", "--model", "point_mass_string", "--scan", "0.2:10:240", "--path", "real_split"]
+        assert _run(*argv, "--indices", "1,2,3", "--out", str(tmp_path / "all")) == 0
+        for index in (1, 2, 3):
+            assert _run(*argv, "--indices", str(index), "--out", str(tmp_path / str(index))) == 0
+            name = f"mode_{index:03d}.csv"
+            assert (tmp_path / str(index) / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["one_pass", "chunks"])
+    def test_modes_form_the_y_text_and_the_directory_once(self, tmp_path, monkeypatch, chunked):
+        if chunked:
+            # chunks of two roots and of one (test_chunked_modes_write_the_same_bytes)
+            monkeypatch.setattr(oscispec.integrate, "_STACK_ENTRIES", 2 * 4 * 1004)
+        calls = []
+        csv_cells, mkdir = cli._csv_cells, Path.mkdir
+        monkeypatch.setattr(cli, "_csv_cells", lambda column: calls.append("y") or csv_cells(column))
+        monkeypatch.setattr(Path, "mkdir", lambda *args, **kwargs: calls.append("dir") or mkdir(*args, **kwargs))
+        code = _run("modes", "--model", "point_mass_string", "--scan", "0.2:10:240", "--path", "real_split",
+                    "--indices", "3,1,2", "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert calls == ["dir", "y"]
+        assert len(list((tmp_path / "out").iterdir())) == 3
 
     def test_modes_cli_writes_im_columns(self, tmp_path):
         code = _run(
